@@ -1,5 +1,5 @@
 """Cryptographic building blocks: commitments, randomized Diffie-Hellman,
-PRG mask expansion, and Shamir threshold secret sharing.
+AES-128-CTR mask expansion, and Shamir threshold secret sharing.
 
 Everything here is deterministic given its inputs; randomness is always
 injected by the caller (a seeded ``random.Random`` or raw bytes), so whole
@@ -17,12 +17,15 @@ from dataclasses import dataclass
 from random import Random
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .fixedpoint import ParamVector, SegmentSpec
 
 _COMMIT_TAG = b"commit-v1"
 _PRG_TAG = b"mask-prg-v1"
 _SEED_TAG = b"shared-seed-v1"
+
+_ZERO_NONCE = bytes(12)
 
 MIN_NONCE_BYTES = 16
 
@@ -153,20 +156,32 @@ def derive_shared_seed(group: DhGroup, randomized_peer_pub: int, own_secret: int
 def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = None) -> ParamVector:
     """Deterministic stream of m elements uniform in [0, 2^w).
 
-    SHAKE-256 over a domain-separated seed supplies 8 bytes per element;
-    truncating a uniform 64-bit word to w (or ``mask_bits``) low bits keeps
-    it uniform.  ``mask_bits`` confines the mask to the lowest bits, which
-    is how inter-group masks leave the revealable segment untouched.
+    The seed is expanded with AES-128-CTR under the key
+    ``SHA-256(_PRG_TAG || seed)[:16]``, 8 keystream bytes per element read
+    as little endian 64-bit words; truncating a uniform word to w (or
+    ``mask_bits``) low bits keeps it uniform.  ``mask_bits`` confines the
+    mask to the lowest bits, which is how inter-group masks leave the
+    revealable segment untouched.
+
+    The keystream comes from one AES-GCM encryption of 8*m zero bytes under
+    the all-zero 96-bit nonce with the 16-byte tag dropped: GCM encrypts
+    with plain CTR starting at counter block 0^96 || 2, and the one-shot
+    call costs far less setup than a streaming CTR cipher object.  Reusing
+    the fixed nonce is safe here because the key is the seed's own PRG key
+    and the plaintext is always zero: the output is the keystream itself,
+    so every party expanding one seed gets the same stream, which is exactly
+    the PRG contract.  Nothing else is ever encrypted under a mask key.
     """
     if m <= 0:
         raise ValueError("m must be positive")
     bits = spec.word_bits if mask_bits is None else mask_bits
     if not (0 <= bits <= spec.word_bits):
         raise ValueError("mask_bits out of range")
-    stream = hashlib.shake_256(_PRG_TAG + seed).digest(8 * m)
-    words = np.frombuffer(stream, dtype="<u8", count=m)
     if bits == 0:
         return ParamVector(np.zeros(m, dtype=np.uint64), spec)
+    key = hashlib.sha256(_PRG_TAG + seed).digest()[:16]
+    stream = AESGCM(key).encrypt(_ZERO_NONCE, bytes(8 * m), None)
+    words = np.frombuffer(stream, dtype="<u8", count=m)  # count=m drops the GCM tag
     return ParamVector(words & np.uint64((1 << bits) - 1), spec)
 
 

@@ -17,3 +17,7 @@ class UnrecoverableRoundError(Exception):
 
 class ConfigError(ValueError):
     """A scenario or tree configuration violates a cross-field constraint."""
+
+
+class WireError(ValueError):
+    """A received record is truncated or carries the wrong message tag."""

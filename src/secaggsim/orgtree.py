@@ -93,14 +93,11 @@ def finalize_identities(preliminaries: list[bytes]) -> list[bytes]:
     user's final identity while leaving that user's own unchanged, which
     defeats identity grinding.
     """
-    total = bytes(32)
-    for p in preliminaries:
-        total = bytes(a ^ b for a, b in zip(total, p))
-    out = []
-    for p in preliminaries:
-        others = bytes(a ^ b for a, b in zip(total, p))
-        out.append(hashlib.sha256(_FINAL_TAG + others).digest())
-    return out
+    values = [int.from_bytes(p, "big") for p in preliminaries]
+    total = 0
+    for v in values:
+        total ^= v
+    return [hashlib.sha256(_FINAL_TAG + (total ^ v).to_bytes(32, "big")).digest() for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -455,9 +455,10 @@ def execute_round(
 
     for u, agent in enumerate(users):
         for share in agent.distribute_shares():
-            transport.deliver(f"user:{u}", SERVER, share.to_bytes())
+            share_bytes = share.to_bytes()
+            transport.deliver(f"user:{u}", SERVER, share_bytes)
             recipient = server.route_share(share)
-            transport.deliver(SERVER, f"user:{recipient}", share.to_bytes())
+            transport.deliver(SERVER, f"user:{recipient}", share_bytes)
             users[recipient].receive_share(share)
 
     for u in pre_drop:

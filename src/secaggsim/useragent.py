@@ -92,7 +92,11 @@ class UserAgent:
                 f"user {self.index} asked to move {self.phase} -> {new}",
                 blamed="server",
             )
-        assert _ORDER.index(new) == _ORDER.index(expected) + 1
+        if _ORDER.index(new) != _ORDER.index(expected) + 1:
+            raise ProtocolAbort(
+                f"user {self.index} cannot skip from {expected} to {new}",
+                blamed=f"user:{self.index}",
+            )
         self.phase = new
 
     # -- advertise / commit -------------------------------------------------
@@ -158,7 +162,8 @@ class UserAgent:
                 f"user {self.index} got {n} share recipients for threshold {t}",
                 blamed="server",
             )
-        assert self._rng is not None
+        if self._rng is None:
+            raise ProtocolAbort(f"user {self.index} has no round randomness", blamed=f"user:{self.index}")
         my_pos = self._recipients.index(self._own_token)
         key_shares = share_secret(self.mask_keys.secret, t, n, self._rng)
         seed_shares = share_secret(int.from_bytes(self.self_seed, "big"), t, n, self._rng)

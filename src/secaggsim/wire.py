@@ -7,7 +7,9 @@ Every protocol message is one length-prefixed record::
 Variable-length payload fields are themselves prefixed with a 4-byte big
 endian length.  Vector elements travel as 8-byte little endian words (the
 ring uses at most 64 bits).  Shamir share limbs are 66-byte big endian
-field elements (the share field is the 521-bit Mersenne prime).
+field elements (the share field is the 521-bit Mersenne prime).  Decoding
+a truncated record, or one whose tag is not the expected message's, raises
+``WireError``.
 
 Users never address each other directly: the transport only accepts
 messages with the server on one end and counts payload bytes per
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counters import OpCounters
+from .errors import WireError
 
 TAG_SERVER_COMMIT = 1
 TAG_ADVERT = 2
@@ -58,11 +61,21 @@ def encode_record(tag: int, payload: bytes) -> bytes:
 
 
 def decode_record(data: bytes) -> tuple[int, bytes]:
+    if len(data) < 5:
+        raise WireError("truncated record header")
     tag, n = struct.unpack_from(">BI", data, 0)
     payload = data[5 : 5 + n]
     if len(payload) != n:
-        raise ValueError("truncated record")
+        raise WireError("truncated record")
     return tag, payload
+
+
+def _payload_of(data: bytes, expected_tag: int) -> bytes:
+    """Payload of a record that must carry ``expected_tag``."""
+    tag, payload = decode_record(data)
+    if tag != expected_tag:
+        raise WireError(f"expected tag {expected_tag}, got {tag}")
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +92,7 @@ class ServerCommitMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "ServerCommitMsg":
-        tag, payload = decode_record(data)
-        assert tag == TAG_SERVER_COMMIT
+        payload = _payload_of(data, TAG_SERVER_COMMIT)
         return ServerCommitMsg(payload)
 
 
@@ -98,8 +110,7 @@ class AdvertMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "AdvertMsg":
-        tag, payload = decode_record(data)
-        assert tag == TAG_ADVERT
+        payload = _payload_of(data, TAG_ADVERT)
         share_pub, off = _unpack_bytes(payload, 0)
         mask_pub, off = _unpack_bytes(payload, off)
         return AdvertMsg(share_pub, mask_pub, payload[off:])
@@ -117,8 +128,7 @@ class TreeCommitMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "TreeCommitMsg":
-        tag, payload = decode_record(data)
-        assert tag == TAG_TREE_COMMIT
+        payload = _payload_of(data, TAG_TREE_COMMIT)
         digest = payload[:32]
         (n,) = struct.unpack_from(">I", payload, 32)
         commits = tuple(payload[36 + 32 * i : 36 + 32 * (i + 1)] for i in range(n))
@@ -135,8 +145,7 @@ class RandOpenMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "RandOpenMsg":
-        tag, payload = decode_record(data)
-        assert tag == TAG_RAND_OPEN
+        payload = _payload_of(data, TAG_RAND_OPEN)
         r, off = _unpack_bytes(payload, 0)
         nonce, _ = _unpack_bytes(payload, off)
         return RandOpenMsg(r, nonce)
@@ -190,8 +199,7 @@ class PeerListMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "PeerListMsg":
-        tag, payload = decode_record(data)
-        assert tag == TAG_PEER_LIST
+        payload = _payload_of(data, TAG_PEER_LIST)
         own = payload[:TOKEN_BYTES]
         (n,) = struct.unpack_from(">I", payload, TOKEN_BYTES)
         off = TOKEN_BYTES + 4
@@ -225,8 +233,7 @@ class ShareMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "ShareMsg":
-        tag, payload = decode_record(data)
-        assert tag == TAG_SHARE_MSG
+        payload = _payload_of(data, TAG_SHARE_MSG)
         owner = payload[:TOKEN_BYTES]
         recip = payload[TOKEN_BYTES : 2 * TOKEN_BYTES]
         stype, idx, thr, nlimbs = struct.unpack_from(">BIHH", payload, 2 * TOKEN_BYTES)
@@ -255,8 +262,7 @@ class MaskedUploadMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "MaskedUploadMsg":
-        tag, payload = decode_record(data)
-        assert tag == TAG_MASKED_UPLOAD
+        payload = _payload_of(data, TAG_MASKED_UPLOAD)
         return MaskedUploadMsg(payload[:TOKEN_BYTES], payload[TOKEN_BYTES:])
 
 
@@ -280,8 +286,7 @@ class UnmaskRequestMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskRequestMsg":
-        tag, payload = decode_record(data)
-        assert tag == TAG_UNMASK_REQUEST
+        payload = _payload_of(data, TAG_UNMASK_REQUEST)
         (n,) = struct.unpack_from(">I", payload, 0)
         off = 4
         targets = []
@@ -313,8 +318,7 @@ class UnmaskResponseMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskResponseMsg":
-        tag, payload = decode_record(data)
-        assert tag == TAG_UNMASK_RESPONSE
+        payload = _payload_of(data, TAG_UNMASK_RESPONSE)
         (n,) = struct.unpack_from(">I", payload, 0)
         off = 4
         shares = []
@@ -355,8 +359,7 @@ class RevealMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "RevealMsg":
-        tag, payload = decode_record(data)
-        assert tag == TAG_REVEAL
+        payload = _payload_of(data, TAG_REVEAL)
         server_rand, off = _unpack_bytes(payload, 0)
         server_nonce, off = _unpack_bytes(payload, off)
         tree_desc, off = _unpack_bytes(payload, off)
@@ -389,8 +392,7 @@ class GlobalModelMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "GlobalModelMsg":
-        tag, payload = decode_record(data)
-        assert tag == TAG_GLOBAL_MODEL
+        payload = _payload_of(data, TAG_GLOBAL_MODEL)
         return GlobalModelMsg(payload)
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -124,6 +126,24 @@ def test_prg_mask_bits():
     assert int(z.values.max()) == 0
     with pytest.raises(ValueError):
         prg_expand(b"seed", 0, SPEC)
+
+
+def _ctr_reference(seed: bytes, m: int, bits: int) -> np.ndarray:
+    """AES-128-CTR keystream through the generic cipher interface, starting
+    at counter block 0^96 || 2 as GCM does."""
+    key = hashlib.sha256(b"mask-prg-v1" + seed).digest()[:16]
+    enc = Cipher(algorithms.AES(key), modes.CTR(bytes(12) + (2).to_bytes(4, "big"))).encryptor()
+    stream = enc.update(bytes(8 * m)) + enc.finalize()
+    return np.frombuffer(stream, dtype="<u8") & np.uint64((1 << bits) - 1)
+
+
+@pytest.mark.parametrize("seed", [b"", b"seed", bytes(range(32)), b"\xff" * 32])
+@pytest.mark.parametrize("m", [1, 24, 330, 20_000])
+def test_prg_known_answer_aes_ctr(seed, m):
+    wide = SegmentSpec(word_bits=64, frac_bits=16, low_bits=32)
+    assert np.array_equal(prg_expand(seed, m, wide).values, _ctr_reference(seed, m, 64))
+    assert np.array_equal(prg_expand(seed, m, SPEC).values, _ctr_reference(seed, m, SPEC.word_bits))
+    assert np.array_equal(prg_expand(seed, m, SPEC, mask_bits=13).values, _ctr_reference(seed, m, 13))
 
 
 def test_prg_avalanche():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from random import Random
 
@@ -16,6 +17,7 @@ from secaggsim.orgtree import (
     preliminary_identity,
     run_tree_setup,
     verify_setup,
+    _FINAL_TAG,
 )
 
 
@@ -117,6 +119,19 @@ def test_finalize_avalanche_on_others():
     for u in range(10):
         if u != 5:
             assert after[u] != base[u]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 243])
+def test_finalize_matches_byte_xor_reference(n):
+    rng = Random(n)
+    prelims = [rng.randbytes(32) for _ in range(n)]
+    total = bytes(32)
+    for p in prelims:
+        total = bytes(a ^ b for a, b in zip(total, p))
+    expect = [
+        hashlib.sha256(_FINAL_TAG + bytes(a ^ b for a, b in zip(total, p))).digest() for p in prelims
+    ]
+    assert finalize_identities(prelims) == expect
 
 
 def test_finalize_grinding_resistance():

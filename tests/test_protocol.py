@@ -150,6 +150,16 @@ def test_share_recipient_list_too_small():
         agent.distribute_shares()
 
 
+def test_phase_skip_is_protocol_abort():
+    """The phase-order guard is a typed error, so it survives ``python -O``."""
+    from secaggsim.errors import ProtocolAbort
+    from secaggsim.useragent import PHASE_COMMIT, PHASE_UPLOAD
+
+    agent, _, _ = _lone_agent()
+    with pytest.raises(ProtocolAbort):
+        agent._advance(PHASE_COMMIT, PHASE_UPLOAD)
+
+
 def test_share_type_tag_enforced():
     agent, tokens, _ = _lone_agent()
     agent.distribute_shares()
