@@ -119,9 +119,9 @@ class AggServer:
         self._rand_commits: list[bytes | None] = [None] * n_users
         self._uploads: dict[int, np.ndarray] = {}
         self._dropped: set[int] = set()
-        self._collected: dict[bytes, dict[tuple[int, int], Share]] = {}
+        # (owner token, secret type) -> share index -> (threshold, limbs)
+        self._collected: dict[tuple[bytes, int], dict[int, tuple[int, tuple[int, ...]]]] = {}
         self._mask_secrets: dict[int, int] = {}
-        self._self_seeds: dict[int, bytes] = {}
         self._leaf_sums: dict[int, np.ndarray] = {}
         self._cancelled_pairs: set[tuple[int, int]] = set()
         self.setup: TreeSetup | None = None
@@ -174,7 +174,6 @@ class AggServer:
         self.user_of_token = {tok: u for u, tok in enumerate(tokens)}
 
         mask_ids = self.setup.mask_ids
-        self._id_key = lambda u: (mask_ids[u], u)
         peer_sets = build_peer_sets(self.setup.mask_assignment)
         self.peer_sets = peer_sets
         self._pairs: dict[tuple[int, int], _PairInfo] = {}
@@ -190,7 +189,7 @@ class AggServer:
                 layer=layer,
                 rand_pub_for_u=randomize_pub(self.group, pub_v, r),
                 rand_pub_for_v=randomize_pub(self.group, pub_u, r),
-                sign_u=1 if self._id_key(u) < self._id_key(v) else -1,
+                sign_u=1 if (mask_ids[u], u) < (mask_ids[v], v) else -1,
             )
             self.counters.key_randomizations_server += 2
             self._pairs[(u, v)] = info
@@ -261,26 +260,25 @@ class AggServer:
         return reqs
 
     def receive_unmask(self, user: int, msg: UnmaskResponseMsg) -> None:
-        for share in msg.shares:
-            store = self._collected.setdefault(share.owner_token, {})
-            store[(share.secret_type, share.share_index)] = Share(
-                index=share.share_index,
-                values=share.limbs,
-                threshold=share.threshold,
-            )
+        collected = self._collected
+        for record in msg.shares:
+            for stype in record.secret_types():
+                key = (record.owner_token, stype)
+                store = collected.get(key)
+                if store is None:
+                    store = collected[key] = {}
+                store[record.share_index] = (record.threshold, record.part(stype))
 
     def _reconstruct(self, token: bytes, secret_type: int) -> int:
-        store = self._collected.get(token, {})
-        shares = sorted(
-            (s for (stype, _), s in store.items() if stype == secret_type),
-            key=lambda s: s.index,
-        )
-        if not shares or len(shares) < shares[0].threshold:
+        store = self._collected.get((token, secret_type), {})
+        indices = sorted(store)
+        if not indices or len(indices) < store[indices[0]][0]:
             owner = self.user_of_token[token]
             raise UnrecoverableRoundError(
-                f"only {len(shares)} shares for user {owner} secret type {secret_type}"
+                f"only {len(indices)} shares for user {owner} secret type {secret_type}"
             )
-        secret = reconstruct_secret(shares[: shares[0].threshold])
+        use = indices[: store[indices[0]][0]]
+        secret = reconstruct_secret([Share(index=i, values=store[i][1], threshold=store[i][0]) for i in use])
         self.counters.shares_reconstructed += 1
         return secret
 
@@ -337,7 +335,6 @@ class AggServer:
             token = self.tokens[user]
             seed_int = self._reconstruct(token, SECRET_SELF_SEED)
             seed = int(seed_int).to_bytes(32, "big")
-            self._self_seeds[user] = seed
             mask = prg_expand(seed, m, self.spec)
             self.counters.prg_server += 1
             leaf = mask_asn.leaf_of[user]

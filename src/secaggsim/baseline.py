@@ -130,11 +130,12 @@ def run_baseline_round(
     collected: dict[bytes, dict[tuple[int, int], Share]] = {}
     for u in online:
         resp = users[u].unmask_response(request)
-        for share in resp.shares:
-            store = collected.setdefault(share.owner_token, {})
-            store[(share.secret_type, share.share_index)] = Share(
-                index=share.share_index, values=share.limbs, threshold=share.threshold
-            )
+        for record in resp.shares:
+            store = collected.setdefault(record.owner_token, {})
+            for stype in record.secret_types():
+                store[(stype, record.share_index)] = Share(
+                    index=record.share_index, values=record.part(stype), threshold=record.threshold
+                )
 
     def reconstruct(token: bytes, stype: int) -> int:
         store = collected.get(token, {})

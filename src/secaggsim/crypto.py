@@ -189,10 +189,14 @@ def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = N
 # Shamir t-out-of-n secret sharing
 # ---------------------------------------------------------------------------
 
-# Field prime for shares: the Mersenne prime 2^521 - 1 holds any 256-bit
-# exponent or seed in a single limb; wider secrets split into 512-bit limbs.
-SHARE_PRIME = (1 << 521) - 1
-LIMB_BITS = 512
+# Field prime for shares: 2^256 + 297, the smallest prime above 2^256.
+# Every secret the protocol shares in the common groups is at most 256 bits
+# wide (a self-mask seed, or a fast64/sim256 exponent), so the smallest
+# field that holds any 256-bit value keeps each of them in one limb of 33
+# bytes; a wider field would only add bytes and multiply width.  Wider
+# secrets (strong2048 exponents) split into 256-bit limbs.
+SHARE_PRIME = (1 << 256) + 297
+LIMB_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -204,10 +208,12 @@ class Share:
 
 
 def _eval_poly(coeffs: list[int], x: int, p: int) -> int:
+    # evaluation points are small, so Horner's rule without intermediate
+    # reductions grows the accumulator by a few bits per step only
     acc = 0
     for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+        acc = acc * x + c
+    return acc % p
 
 
 def _limbs_of(secret: int) -> list[int]:
@@ -222,6 +228,11 @@ def _limbs_of(secret: int) -> list[int]:
     return limbs
 
 
+def limb_count(secret: int) -> int:
+    """Number of field elements ``share_secret`` splits ``secret`` into."""
+    return len(_limbs_of(secret))
+
+
 def _limbs_join(limbs: list[int]) -> int:
     acc = 0
     for limb in reversed(limbs):
@@ -229,27 +240,29 @@ def _limbs_join(limbs: list[int]) -> int:
     return acc
 
 
-def share_secret(secret: int, t: int, n: int, rng: Random, prime: int = SHARE_PRIME) -> list[Share]:
-    """Split an integer secret into n shares, any t of which reconstruct it.
+def share_secret(
+    secret: int | tuple[int, ...], t: int, n: int, rng: Random, prime: int = SHARE_PRIME
+) -> list[Share]:
+    """Split a secret into n shares, any t of which reconstruct it.
 
-    Secrets wider than one field element are split into 512-bit limbs that
-    are shared independently under the same evaluation points.
+    Secrets wider than one field element are split into 256-bit limbs that
+    are shared independently under the same evaluation points.  A tuple of
+    secrets is shared in one call under the same points: each share's
+    ``values`` lists the first secret's limbs, then the next one's, and
+    ``limb_count`` of each secret says where one ends.
     """
     if not (1 < t <= n):
         raise ValueError("need 1 < t <= n")
     if n >= prime:
         raise ValueError("n must be smaller than the field prime")
-    limbs = _limbs_of(secret)
-    polys = []
-    for limb in limbs:
+    secrets = secret if isinstance(secret, tuple) else (secret,)
+    columns = []  # one polynomial per limb, evaluated at every point
+    for limb in [limb for s in secrets for limb in _limbs_of(s)]:
         if limb >= prime:
             raise ValueError("limb exceeds field prime")
-        polys.append([limb] + [rng.randrange(prime) for _ in range(t - 1)])
-    shares = []
-    for i in range(1, n + 1):
-        vals = tuple(_eval_poly(poly, i, prime) for poly in polys)
-        shares.append(Share(index=i, values=vals, threshold=t, prime=prime))
-    return shares
+        poly = [limb] + [rng.randrange(prime) for _ in range(t - 1)]
+        columns.append([_eval_poly(poly, i, prime) for i in range(1, n + 1)])
+    return [Share(index=i, values=vals, threshold=t, prime=prime) for i, vals in enumerate(zip(*columns), 1)]
 
 
 def reconstruct_secret(shares: list[Share]) -> int:

@@ -129,7 +129,7 @@ class ScenarioConfig:
     inter_radius: int = 1
     share_threshold: int = 3
     dropout_rate: float = 0.0
-    dropout_timing: str = "after_shares"  # worst case; "uniform" adds post-upload drops
+    dropout_timing: str = "after_shares"  # drops after share distribution, the worst case
     detection: DetectionSettings = field(default_factory=DetectionSettings)
     synthetic: SyntheticWorkload = field(default_factory=SyntheticWorkload)
     task: TaskWorkload = field(default_factory=TaskWorkload)
@@ -182,8 +182,11 @@ class ScenarioConfig:
             raise ConfigError("rounds must be >= 1")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout rate must be in [0, 1)")
-        if self.dropout_timing not in ("after_shares", "uniform"):
-            raise ConfigError(f"unknown dropout timing {self.dropout_timing!r}")
+        if self.dropout_timing != "after_shares":
+            raise ConfigError(
+                f"dropout timing {self.dropout_timing!r} is not implemented, only 'after_shares' "
+                "(dropouts at every phase are ROADMAP item 3)"
+            )
         spec = self.segment_spec()
         if self.protocol == "tree":
             tree = self.tree()
@@ -454,9 +457,10 @@ def execute_round(
         agent.receive_peer_list(peer_msg)
 
     for u, agent in enumerate(users):
+        sender = f"user:{u}"
         for share in agent.distribute_shares():
             share_bytes = share.to_bytes()
-            transport.deliver(f"user:{u}", SERVER, share_bytes)
+            transport.deliver(sender, SERVER, share_bytes)
             recipient = server.route_share(share)
             transport.deliver(SERVER, f"user:{recipient}", share_bytes)
             users[recipient].receive_share(share)
@@ -520,19 +524,13 @@ def execute_round(
     )
 
 
-def _draw_dropouts(config: ScenarioConfig, round_index: int) -> tuple[set[int], set[int]]:
-    """(dropped before upload, dropped after upload) for this round."""
+def _draw_dropouts(config: ScenarioConfig, round_index: int) -> set[int]:
+    """Users that drop after share distribution, before upload, this round."""
     if config.dropout_rate <= 0:
-        return set(), set()
+        return set()
     rng = _sub_rng(config.seed, "dropout", round_index)
     count = int(round(config.dropout_rate * config.n_users))
-    chosen = rng.sample(range(config.n_users), count)
-    if config.dropout_timing == "after_shares":
-        return set(chosen), set()
-    pre, post = set(), set()
-    for u in chosen:
-        (pre if rng.random() < 0.5 else post).add(u)
-    return pre, post
+    return set(rng.sample(range(config.n_users), count))
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
@@ -584,9 +582,7 @@ def _run_tree_scenario(config: ScenarioConfig) -> RunReport:
     main_acc, backdoor_acc = workload.evaluate(model)
 
     for t in range(config.rounds):
-        pre_drop, post_drop = _draw_dropouts(config, t)
-        # post-upload dropouts arrive too late to lose their input
-        _ = post_drop
+        pre_drop = _draw_dropouts(config, t)
         inputs = {
             u: workload.input_for(u, t, model)
             for u in range(config.n_users)
@@ -680,7 +676,7 @@ def _run_baseline_scenario(config: ScenarioConfig) -> RunReport:
     main_acc, backdoor_acc = workload.evaluate(model)
 
     for t in range(config.rounds):
-        pre_drop, _ = _draw_dropouts(config, t)
+        pre_drop = _draw_dropouts(config, t)
         inputs = [workload.input_for(u, t, model) for u in range(config.n_users)]
         result = run_baseline_round(
             inputs,

@@ -16,11 +16,10 @@ recorded so a transcript audit can list every override.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 from .counters import OpCounters
-from .crypto import DhGroup, KeyPair, Share, derive_shared_seed, prg_expand, share_secret
+from .crypto import DhGroup, KeyPair, derive_shared_seed, limb_count, prg_expand, share_secret
 from .errors import ProtocolAbort
 from .fixedpoint import ParamVector, SegmentSpec, vec_add_mod, vec_sub_mod
 from .wire import (
@@ -47,19 +46,6 @@ PHASE_UNMASK = "unmask"
 _ORDER = [PHASE_IDLE, PHASE_ADVERTISE, PHASE_COMMIT, PHASE_SHARE, PHASE_UPLOAD, PHASE_UNMASK]
 
 SELF_SEED_BYTES = 32
-
-
-@dataclass
-class _StoredShare:
-    msg: ShareMsg
-
-    @property
-    def share(self) -> Share:
-        return Share(
-            index=self.msg.share_index,
-            values=self.msg.limbs,
-            threshold=self.msg.threshold,
-        )
 
 
 class UserAgent:
@@ -115,8 +101,9 @@ class UserAgent:
         self._pair_seeds: dict[bytes, bytes] = {}
         self._recipients: tuple[bytes, ...] = ()
         self._own_token = b""
-        self._held_shares: dict[tuple[bytes, int], _StoredShare] = {}
-        self._released: dict[bytes, set[int]] = {}
+        # (owner token, secret type) -> (share index, threshold, limbs)
+        self._held_shares: dict[tuple[bytes, int], tuple[int, int, tuple[int, ...]]] = {}
+        self._released: dict[bytes, int] = {}  # owner token -> bits 1 << released type
         self.forced_releases: list[bytes] = []
         self.seen_tree_commit = b""
         from .crypto import commit
@@ -149,10 +136,12 @@ class UserAgent:
             self.counters.key_agreements_by_user[self.index] += 1
 
     def distribute_shares(self) -> list[ShareMsg]:
-        """Emit one mask-key share and one self-seed share per recipient.
+        """Emit one record per recipient carrying both secrets' shares.
 
-        Evaluation point i goes to the i-th recipient token; the share at
-        the user's own position is retained locally.
+        The mask key and the self seed are shared in one call under the
+        same evaluation points.  Evaluation point i goes to the i-th
+        recipient token; the record at the user's own position is retained
+        locally.
         """
         self._advance(PHASE_COMMIT, PHASE_SHARE)
         n = len(self._recipients)
@@ -165,33 +154,29 @@ class UserAgent:
         if self._rng is None:
             raise ProtocolAbort(f"user {self.index} has no round randomness", blamed=f"user:{self.index}")
         my_pos = self._recipients.index(self._own_token)
-        key_shares = share_secret(self.mask_keys.secret, t, n, self._rng)
-        seed_shares = share_secret(int.from_bytes(self.self_seed, "big"), t, n, self._rng)
+        key = self.mask_keys.secret
+        shares = share_secret((key, int.from_bytes(self.self_seed, "big")), t, n, self._rng)
         self.counters.shares_created += 2 * n
+        split = limb_count(key)
+        own = self._own_token
         out: list[ShareMsg] = []
-        for pos, token in enumerate(self._recipients):
-            for stype, share in ((SECRET_MASK_KEY, key_shares[pos]), (SECRET_SELF_SEED, seed_shares[pos])):
-                msg = ShareMsg(
-                    owner_token=self._own_token,
-                    recipient_token=token,
-                    secret_type=stype,
-                    share_index=share.index,
-                    threshold=t,
-                    limbs=share.values,
-                )
-                if pos == my_pos:
-                    self._store_share(msg)
-                else:
-                    out.append(msg)
+        for token, share in zip(self._recipients, shares):
+            vals = share.values
+            out.append(ShareMsg(own, token, share.index, t, vals[:split], vals[split:]))
+        self._store_share(out.pop(my_pos))
         return out
 
     def _store_share(self, msg: ShareMsg) -> None:
-        if msg.secret_type not in (SECRET_MASK_KEY, SECRET_SELF_SEED):
-            raise ValueError(f"unknown secret type tag {msg.secret_type}")
-        key = (msg.owner_token, msg.secret_type)
-        if key in self._held_shares:
-            raise ValueError("duplicate share for this owner and type")
-        self._held_shares[key] = _StoredShare(msg)
+        """File each secret the record carries under (owner, type)."""
+        owner, types = msg.owner_token, msg.secret_types()
+        if not types:
+            raise ValueError("share record carries no secret")
+        held = self._held_shares
+        for stype in types:
+            if (owner, stype) in held:
+                raise ValueError("duplicate share for this owner and type")
+        for stype in types:
+            held[owner, stype] = (msg.share_index, msg.threshold, msg.part(stype))
 
     def receive_share(self, msg: ShareMsg) -> None:
         if msg.recipient_token != self._own_token:
@@ -243,16 +228,18 @@ class UserAgent:
             held = self._held_shares.get((token, stype))
             if held is None:
                 continue
-            done = self._released.setdefault(token, set())
+            done = self._released.get(token, 0)
             other = SECRET_MASK_KEY if stype == SECRET_SELF_SEED else SECRET_SELF_SEED
-            if other in done:
+            if done & (1 << other):
                 if token in forced and stype == SECRET_MASK_KEY:
                     self.forced_releases.append(token)
                 else:
                     refused.append((token, stype))
                     continue
-            done.add(stype)
-            released.append(held.msg)
+            self._released[token] = done | (1 << stype)
+            index, threshold, limbs = held
+            key, seed = (limbs, ()) if stype == SECRET_MASK_KEY else ((), limbs)
+            released.append(ShareMsg(token, self._own_token, index, threshold, key, seed))
         return UnmaskResponseMsg(tuple(released), tuple(refused))
 
     # -- verification -----------------------------------------------------------

@@ -6,10 +6,17 @@ Every protocol message is one length-prefixed record::
 
 Variable-length payload fields are themselves prefixed with a 4-byte big
 endian length.  Vector elements travel as 8-byte little endian words (the
-ring uses at most 64 bits).  Shamir share limbs are 66-byte big endian
-field elements (the share field is the 521-bit Mersenne prime).  Decoding
-a truncated record, or one whose tag is not the expected message's, raises
-``WireError``.
+ring uses at most 64 bits).  Shamir share limbs are 33-byte big endian
+field elements (the share field is the 257-bit prime 2^256 + 297).
+
+A share record comes in two forms.  A distribution record carries both of
+its owner's secrets for one recipient, the mask-key limbs and then the
+self-seed limbs under one evaluation point, so a user sends one record per
+share recipient.  An unmask release carries exactly one of the two parts,
+which is what the never-both rule counts.
+
+Decoding a truncated record, one whose tag is not the expected message's,
+or one whose fields overrun the payload raises ``WireError``.
 
 Users never address each other directly: the transport only accepts
 messages with the server on one end and counts payload bytes per
@@ -19,7 +26,7 @@ direction, which is what the communication-cost benchmarks report.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +45,7 @@ TAG_UNMASK_RESPONSE = 9
 TAG_REVEAL = 10
 TAG_GLOBAL_MODEL = 11
 
-SHARE_LIMB_BYTES = 66  # holds one element of the 2^521 - 1 share field
+SHARE_LIMB_BYTES = 33  # holds one element of the 2^256 + 297 share field
 
 SECRET_MASK_KEY = 1  # share of a user's pairwise-mask private key
 SECRET_SELF_SEED = 2  # share of a user's per-round self-mask seed
@@ -50,10 +57,47 @@ def _pack_bytes(b: bytes) -> bytes:
     return struct.pack(">I", len(b)) + b
 
 
-def _unpack_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
-    (n,) = struct.unpack_from(">I", buf, off)
-    off += 4
+def _unpack(fmt: str, buf: bytes, off: int) -> tuple:
+    """``struct.unpack_from`` with a short read reported as ``WireError``."""
+    try:
+        return struct.unpack_from(fmt, buf, off)
+    except struct.error:
+        raise WireError(f"field {fmt!r} overruns the payload at offset {off}") from None
+
+
+def _take(buf: bytes, off: int, n: int) -> tuple[bytes, int]:
+    """The n bytes at ``off``, or ``WireError`` if fewer remain."""
+    if off + n > len(buf):
+        raise WireError(f"{n}-byte field overruns the payload at offset {off}")
     return buf[off : off + n], off + n
+
+
+def _unpack_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
+    (n,) = _unpack(">I", buf, off)
+    return _take(buf, off + 4, n)
+
+
+def _unpack_tokens(buf: bytes, off: int) -> tuple[tuple[bytes, ...], int]:
+    """A 4-byte count followed by that many tokens."""
+    (k,) = _unpack(">I", buf, off)
+    off += 4
+    raw, end = _take(buf, off, TOKEN_BYTES * k)
+    return tuple(raw[TOKEN_BYTES * i : TOKEN_BYTES * (i + 1)] for i in range(k)), end
+
+
+def _check_words(words: bytes) -> bytes:
+    if len(words) % 8:
+        raise WireError(f"{len(words)} vector bytes are not whole 8-byte words")
+    return words
+
+
+def _unpack_targets(buf: bytes, off: int) -> tuple[tuple[tuple[bytes, int], ...], int]:
+    """A 4-byte count followed by that many (token, secret type) pairs."""
+    (k,) = _unpack(">I", buf, off)
+    off += 4
+    raw, end = _take(buf, off, (TOKEN_BYTES + 1) * k)
+    step = TOKEN_BYTES + 1
+    return tuple((raw[step * i : step * i + TOKEN_BYTES], raw[step * i + TOKEN_BYTES]) for i in range(k)), end
 
 
 def encode_record(tag: int, payload: bytes) -> bytes:
@@ -129,9 +173,10 @@ class TreeCommitMsg:
     @staticmethod
     def from_bytes(data: bytes) -> "TreeCommitMsg":
         payload = _payload_of(data, TAG_TREE_COMMIT)
-        digest = payload[:32]
-        (n,) = struct.unpack_from(">I", payload, 32)
-        commits = tuple(payload[36 + 32 * i : 36 + 32 * (i + 1)] for i in range(n))
+        digest, off = _take(payload, 0, 32)
+        (n,) = _unpack(">I", payload, off)
+        raw, _ = _take(payload, off + 4, 32 * n)
+        commits = tuple(raw[32 * i : 32 * (i + 1)] for i in range(n))
         return TreeCommitMsg(digest, commits)
 
 
@@ -170,9 +215,8 @@ class PeerHandle:
 
     @staticmethod
     def unpack(buf: bytes, off: int) -> tuple["PeerHandle", int]:
-        token = buf[off : off + TOKEN_BYTES]
-        off += TOKEN_BYTES
-        sign, kind_code, layer = struct.unpack_from(">bBB", buf, off)
+        token, off = _take(buf, off, TOKEN_BYTES)
+        sign, kind_code, layer = _unpack(">bBB", buf, off)
         off += 3
         pub, off = _unpack_bytes(buf, off)
         return PeerHandle(token, pub, sign, "intra" if kind_code == 1 else "inter", layer), off
@@ -200,49 +244,89 @@ class PeerListMsg:
     @staticmethod
     def from_bytes(data: bytes) -> "PeerListMsg":
         payload = _payload_of(data, TAG_PEER_LIST)
-        own = payload[:TOKEN_BYTES]
-        (n,) = struct.unpack_from(">I", payload, TOKEN_BYTES)
-        off = TOKEN_BYTES + 4
+        own, off = _take(payload, 0, TOKEN_BYTES)
+        (n,) = _unpack(">I", payload, off)
+        off += 4
         peers = []
         for _ in range(n):
             handle, off = PeerHandle.unpack(payload, off)
             peers.append(handle)
-        (k,) = struct.unpack_from(">I", payload, off)
-        off += 4
-        recips = tuple(payload[off + TOKEN_BYTES * i : off + TOKEN_BYTES * (i + 1)] for i in range(k))
+        recips, _ = _unpack_tokens(payload, off)
         return PeerListMsg(own, tuple(peers), recips)
+
+
+_SHARE_HEAD = struct.Struct(">IHHH")  # share index, threshold, limb counts
+_SHARE_FIXED = 2 * TOKEN_BYTES + _SHARE_HEAD.size
 
 
 @dataclass(frozen=True)
 class ShareMsg:
-    """One Shamir share in transit, tagged with its owner and secret type."""
+    """Shamir shares of one owner's secrets for one recipient.
+
+    A distribution record carries both parts, the mask-key limbs and the
+    self-seed limbs at the same evaluation point; an unmask release
+    carries exactly one of them.
+    """
 
     owner_token: bytes
     recipient_token: bytes
-    secret_type: int
     share_index: int
     threshold: int
-    limbs: tuple[int, ...]
+    mask_key: tuple[int, ...] = ()
+    self_seed: tuple[int, ...] = ()
+
+    def secret_types(self) -> tuple[int, ...]:
+        """The secret types this record carries, mask key first."""
+        if self.mask_key:
+            return (SECRET_MASK_KEY, SECRET_SELF_SEED) if self.self_seed else (SECRET_MASK_KEY,)
+        return (SECRET_SELF_SEED,) if self.self_seed else ()
+
+    def part(self, secret_type: int) -> tuple[int, ...]:
+        """The limbs of one secret type; empty if this record lacks it."""
+        if secret_type == SECRET_MASK_KEY:
+            return self.mask_key
+        if secret_type == SECRET_SELF_SEED:
+            return self.self_seed
+        raise ValueError(f"unknown secret type tag {secret_type}")
+
+    @property
+    def secret_type(self) -> int:
+        """The secret type of a single-type record."""
+        types = self.secret_types()
+        if len(types) != 1:
+            raise ValueError(f"record carries {len(types)} secret types, not one")
+        return types[0]
 
     def to_bytes(self) -> bytes:
-        payload = self.owner_token + self.recipient_token
-        payload += struct.pack(">BIHH", self.secret_type, self.share_index, self.threshold, len(self.limbs))
-        for limb in self.limbs:
-            payload += int(limb).to_bytes(SHARE_LIMB_BYTES, "big")
-        return encode_record(TAG_SHARE_MSG, payload)
+        mask_key, self_seed = self.mask_key, self.self_seed
+        parts = [
+            self.owner_token,
+            self.recipient_token,
+            _SHARE_HEAD.pack(self.share_index, self.threshold, len(mask_key), len(self_seed)),
+        ]
+        parts += [limb.to_bytes(SHARE_LIMB_BYTES, "big") for limb in mask_key + self_seed]
+        return encode_record(TAG_SHARE_MSG, b"".join(parts))
 
     @staticmethod
     def from_bytes(data: bytes) -> "ShareMsg":
         payload = _payload_of(data, TAG_SHARE_MSG)
-        owner = payload[:TOKEN_BYTES]
-        recip = payload[TOKEN_BYTES : 2 * TOKEN_BYTES]
-        stype, idx, thr, nlimbs = struct.unpack_from(">BIHH", payload, 2 * TOKEN_BYTES)
-        off = 2 * TOKEN_BYTES + 9
+        idx, thr, nkey, nseed = _unpack(_SHARE_HEAD.format, payload, 2 * TOKEN_BYTES)
+        if len(payload) != _SHARE_FIXED + SHARE_LIMB_BYTES * (nkey + nseed):
+            raise WireError(f"share record of {len(payload)} bytes does not hold {nkey} + {nseed} limbs")
+        if nkey + nseed == 0:
+            raise WireError("share record carries no secret")
         limbs = tuple(
-            int.from_bytes(payload[off + SHARE_LIMB_BYTES * i : off + SHARE_LIMB_BYTES * (i + 1)], "big")
-            for i in range(nlimbs)
+            int.from_bytes(payload[off : off + SHARE_LIMB_BYTES], "big")
+            for off in range(_SHARE_FIXED, len(payload), SHARE_LIMB_BYTES)
         )
-        return ShareMsg(owner, recip, stype, idx, thr, limbs)
+        return ShareMsg(
+            payload[:TOKEN_BYTES],
+            payload[TOKEN_BYTES : 2 * TOKEN_BYTES],
+            idx,
+            thr,
+            limbs[:nkey],
+            limbs[nkey:],
+        )
 
 
 @dataclass(frozen=True)
@@ -263,7 +347,8 @@ class MaskedUploadMsg:
     @staticmethod
     def from_bytes(data: bytes) -> "MaskedUploadMsg":
         payload = _payload_of(data, TAG_MASKED_UPLOAD)
-        return MaskedUploadMsg(payload[:TOKEN_BYTES], payload[TOKEN_BYTES:])
+        token, off = _take(payload, 0, TOKEN_BYTES)
+        return MaskedUploadMsg(token, _check_words(payload[off:]))
 
 
 @dataclass(frozen=True)
@@ -287,19 +372,9 @@ class UnmaskRequestMsg:
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskRequestMsg":
         payload = _payload_of(data, TAG_UNMASK_REQUEST)
-        (n,) = struct.unpack_from(">I", payload, 0)
-        off = 4
-        targets = []
-        for _ in range(n):
-            token = payload[off : off + TOKEN_BYTES]
-            off += TOKEN_BYTES
-            (stype,) = struct.unpack_from(">B", payload, off)
-            off += 1
-            targets.append((token, stype))
-        (k,) = struct.unpack_from(">I", payload, off)
-        off += 4
-        forced = tuple(payload[off + TOKEN_BYTES * i : off + TOKEN_BYTES * (i + 1)] for i in range(k))
-        return UnmaskRequestMsg(tuple(targets), forced)
+        targets, off = _unpack_targets(payload, 0)
+        forced, _ = _unpack_tokens(payload, off)
+        return UnmaskRequestMsg(targets, forced)
 
 
 @dataclass(frozen=True)
@@ -319,22 +394,14 @@ class UnmaskResponseMsg:
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskResponseMsg":
         payload = _payload_of(data, TAG_UNMASK_RESPONSE)
-        (n,) = struct.unpack_from(">I", payload, 0)
+        (n,) = _unpack(">I", payload, 0)
         off = 4
         shares = []
         for _ in range(n):
             raw, off = _unpack_bytes(payload, off)
             shares.append(ShareMsg.from_bytes(raw))
-        (k,) = struct.unpack_from(">I", payload, off)
-        off += 4
-        refused = []
-        for _ in range(k):
-            token = payload[off : off + TOKEN_BYTES]
-            off += TOKEN_BYTES
-            (stype,) = struct.unpack_from(">B", payload, off)
-            off += 1
-            refused.append((token, stype))
-        return UnmaskResponseMsg(tuple(shares), tuple(refused))
+        refused, _ = _unpack_targets(payload, off)
+        return UnmaskResponseMsg(tuple(shares), refused)
 
 
 @dataclass(frozen=True)
@@ -364,7 +431,7 @@ class RevealMsg:
         server_nonce, off = _unpack_bytes(payload, off)
         tree_desc, off = _unpack_bytes(payload, off)
         tree_nonce, off = _unpack_bytes(payload, off)
-        (n,) = struct.unpack_from(">I", payload, off)
+        (n,) = _unpack(">I", payload, off)
         off += 4
         records = []
         for _ in range(n):
@@ -393,7 +460,7 @@ class GlobalModelMsg:
     @staticmethod
     def from_bytes(data: bytes) -> "GlobalModelMsg":
         payload = _payload_of(data, TAG_GLOBAL_MODEL)
-        return GlobalModelMsg(payload)
+        return GlobalModelMsg(_check_words(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +480,6 @@ class StarTransport:
     """
 
     counters: OpCounters
-    log_traffic: bool = False
-    traffic: list[tuple[str, str, int]] = field(default_factory=list)
 
     def deliver(self, sender: str, receiver: str, encoded: bytes) -> bytes:
         if sender != SERVER and receiver != SERVER:
@@ -423,6 +488,4 @@ class StarTransport:
             self.counters.bytes_server_to_user += len(encoded)
         else:
             self.counters.bytes_user_to_server += len(encoded)
-        if self.log_traffic:
-            self.traffic.append((sender, receiver, len(encoded)))
         return encoded

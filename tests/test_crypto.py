@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from secaggsim.crypto import (
+    LIMB_BITS,
     SHARE_PRIME,
     SIM_GROUP,
     STRONG_GROUP,
@@ -23,6 +24,7 @@ from secaggsim.crypto import (
     prg_expand,
     randomize_pub,
     reconstruct_secret,
+    limb_count,
     share_secret,
     _eval_poly,
 )
@@ -210,8 +212,30 @@ def test_share_limbs_wide_secret():
     rng = Random(9)
     secret = rng.getrandbits(2040)  # wider than one field element
     shares = share_secret(secret, 3, 5, rng)
-    assert len(shares[0].values) == 4
+    assert len(shares[0].values) == -(-2040 // LIMB_BITS) == 8
     assert reconstruct_secret(shares[1:4]) == secret
+
+
+def test_share_prime_is_smallest_above_2_256():
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(SHARE_PRIME)
+    assert sympy.nextprime(1 << LIMB_BITS) == SHARE_PRIME
+
+
+def test_share_tuple_of_secrets_same_points():
+    """A tuple is shared under one set of evaluation points; each secret's
+    limb slice of the shares reconstructs that secret alone."""
+    rng = Random(13)
+    wide, seed = rng.getrandbits(2040), rng.getrandbits(256)
+    shares = share_secret((wide, seed), 3, 6, rng)
+    split = limb_count(wide)
+    assert (split, limb_count(seed)) == (8, 1)
+    assert all(len(s.values) == split + 1 for s in shares)
+    picked = rng.sample(shares, 3)
+    key_part = [Share(s.index, s.values[:split], s.threshold) for s in picked]
+    seed_part = [Share(s.index, s.values[split:], s.threshold) for s in picked]
+    assert reconstruct_secret(key_part) == wide
+    assert reconstruct_secret(seed_part) == seed
 
 
 def test_share_hiding_distribution():

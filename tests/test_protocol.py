@@ -122,11 +122,13 @@ def _lone_agent(n_recipients=3, threshold=2):
 
 def test_share_counting_example():
     # n=3 recipients, t=2: two secrets, one retained share each -> 4 outbound
+    # shares, packed two to a record for the 2 other recipients
     agent, tokens, counters = _lone_agent()
     out = agent.distribute_shares()
-    assert len(out) == 4
+    assert len(out) == 2
+    assert sum(len(m.secret_types()) for m in out) == 4
     assert counters.shares_created == 6
-    assert {m.secret_type for m in out} == {SECRET_MASK_KEY, SECRET_SELF_SEED}
+    assert {stype for m in out for stype in m.secret_types()} == {SECRET_MASK_KEY, SECRET_SELF_SEED}
 
 
 def test_share_reconstruct_self_seed():
@@ -134,10 +136,9 @@ def test_share_reconstruct_self_seed():
 
     agent, tokens, _ = _lone_agent()
     out = agent.distribute_shares()
-    seed_shares = [m for m in out if m.secret_type == SECRET_SELF_SEED]
     from secaggsim.crypto import Share
 
-    shares = [Share(m.share_index, m.limbs, m.threshold) for m in seed_shares]
+    shares = [Share(m.share_index, m.self_seed, m.threshold) for m in out]
     got = reconstruct_secret(shares[:2])
     assert got == int.from_bytes(agent.self_seed, "big")
 
@@ -163,16 +164,47 @@ def test_phase_skip_is_protocol_abort():
 def test_share_type_tag_enforced():
     agent, tokens, _ = _lone_agent()
     agent.distribute_shares()
-    bogus = ShareMsg(b"owner--1", tokens[0], 9, 1, 2, (5,))
+    empty = ShareMsg(b"owner--1", tokens[0], 1, 2)
     with pytest.raises(ValueError):
-        agent.receive_share(bogus)
-    # a second share re-tagged under an already-held (owner, type) slot is
+        agent.receive_share(empty)
+    # a second share filed under an already-held (owner, type) slot is
     # rejected; share/type binding is otherwise the trusted channel's job
-    legit = ShareMsg(b"owner--1", tokens[0], SECRET_SELF_SEED, 1, 2, (5,))
+    legit = ShareMsg(b"owner--1", tokens[0], 1, 2, (), (5,))
     agent.receive_share(legit)
-    retagged = ShareMsg(b"owner--1", tokens[0], SECRET_SELF_SEED, 2, 2, (6,))
+    retagged = ShareMsg(b"owner--1", tokens[0], 2, 2, (), (6,))
     with pytest.raises(ValueError):
         agent.receive_share(retagged)
+    # a packed record that repeats one held slot is rejected whole
+    packed = ShareMsg(b"owner--1", tokens[0], 2, 2, (7,), (6,))
+    with pytest.raises(ValueError):
+        agent.receive_share(packed)
+    assert (b"owner--1", SECRET_MASK_KEY) not in agent._held_shares
+
+
+def test_wide_mask_key_shares_reconstruct():
+    """A 2048-bit exponent travels as 8 key limbs beside 1 seed limb in each
+    record, and both secrets reconstruct from any t records."""
+    import itertools
+
+    from secaggsim.crypto import STRONG_GROUP, Share, reconstruct_secret
+
+    agent = UserAgent(
+        0, group=STRONG_GROUP, spec=SPEC, inter_mask_bits=10, share_threshold=3, counters=OpCounters()
+    )
+    agent.begin_round(Random(4), bytes(32))
+    agent.open_rand(bytes(32))
+    tokens = tuple(bytes([i]) * 8 for i in range(6))
+    agent.receive_peer_list(PeerListMsg(tokens[2], (), tokens))
+    out = agent.distribute_shares()
+    assert [m.recipient_token for m in out] == [tok for tok in tokens if tok != tokens[2]]
+    assert all((len(m.mask_key), len(m.self_seed)) == (8, 1) for m in out)
+    assert all(ShareMsg.from_bytes(m.to_bytes()) == m for m in out)
+    seed = int.from_bytes(agent.self_seed, "big")
+    for picked in itertools.combinations(out, 3):
+        key_shares = [Share(m.share_index, m.mask_key, m.threshold) for m in picked]
+        seed_shares = [Share(m.share_index, m.self_seed, m.threshold) for m in picked]
+        assert reconstruct_secret(key_shares) == agent.mask_keys.secret
+        assert reconstruct_secret(seed_shares) == seed
 
 
 # -- unmask and the never-both rule ---------------------------------------------------
@@ -181,8 +213,7 @@ def test_share_type_tag_enforced():
 def _agent_with_shares():
     agent, tokens, _ = _lone_agent()
     owner = b"owner--7"
-    agent.receive_share(ShareMsg(owner, tokens[0], SECRET_SELF_SEED, 1, 2, (11,)))
-    agent.receive_share(ShareMsg(owner, tokens[0], SECRET_MASK_KEY, 1, 2, (22,)))
+    agent.receive_share(ShareMsg(owner, tokens[0], 1, 2, mask_key=(22,), self_seed=(11,)))
     agent.distribute_shares()
     agent.phase = "upload"
     return agent, owner
@@ -192,6 +223,7 @@ def test_unmask_online_target_releases_self_seed():
     agent, owner = _agent_with_shares()
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
     assert [m.secret_type for m in resp.shares] == [SECRET_SELF_SEED]
+    assert (resp.shares[0].mask_key, resp.shares[0].self_seed) == ((), (11,))
     assert not resp.refused
 
 
@@ -247,6 +279,41 @@ def test_fifteen_percent_dropouts_exact_sum():
     result, *_ = run_plain_round(90, tree, SPEC, inputs, seed=33, pre_drop=drop)
     survivors = {u: x for u, x in inputs.items() if u not in drop}
     assert np.array_equal(result.total.values, plaintext_sum(survivors, 12, SPEC))
+
+
+class _FlagFirstLeaf:
+    """Detector stand-in that flags the first non-void subgroup."""
+
+    def detect(self, aggregates, model):
+        from types import SimpleNamespace
+
+        return SimpleNamespace(flagged=[next(a.leaf for a in aggregates if not a.void)])
+
+
+def test_oracle_dropout_round_with_exclusion():
+    """The North-star oracle on a round with dropouts and an excluded leaf:
+    the total is the included survivors' plaintext sum plus n_i * X_t for
+    each excluded leaf, and every survivor counts once in n_eff."""
+    from secaggsim.simulation import execute_round
+
+    tree = TreeConfig(height=2, degree=3, neighbor_radius=2, share_threshold=2)
+    model = quantize_vector(np.linspace(-1, 1, 10), SPEC)
+    inputs = random_inputs(72, 10, SPEC, seed=61)
+    drop = set(Random(61).sample(range(72), 11))
+    online = {u: x for u, x in inputs.items() if u not in drop}
+    server, users, transport, counters = build_round(72, tree, SPEC)
+    result = execute_round(
+        server=server, users=users, transport=transport, model=model,
+        inputs=online, round_seed=(61, 0), pre_drop=drop, detector=_FlagFirstLeaf(),
+    )
+    leaf_of = server.setup.mask_assignment.leaf_of
+    excluded = server.excluded_leaves(result.flagged)
+    included = {u: x for u, x in online.items() if leaf_of[u] not in excluded}
+    n_excluded = len(online) - len(included)
+    assert n_excluded > 0 and counters.mask_cancellations > 0
+    expect = (plaintext_sum(included, 10, SPEC) + model.values * np.uint64(n_excluded)) & np.uint64(SPEC.word_mask)
+    assert np.array_equal(result.total.values, expect)
+    assert result.n_eff == len(online)
 
 
 def test_unrecoverable_below_threshold():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,18 @@ from secaggsim.simulation import (
 )
 from secaggsim.wire import StarTransport
 from secaggsim.counters import OpCounters
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m secaggsim.cli`` on the package under ``src/``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "secaggsim.cli", *args], capture_output=True, text=True, env=env
+    )
 
 
 def small_config(**kw) -> ScenarioConfig:
@@ -56,6 +69,13 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         cfg = small_config(inter_mask_margin_bits=16)
         cfg.validate()  # no room left for inter-group masks
+
+
+def test_uniform_dropout_timing_rejected():
+    # "uniform" drew post-upload drops and then ignored them, halving the rate
+    with pytest.raises(ConfigError, match="ROADMAP item 3"):
+        small_config(dropout_rate=0.1, dropout_timing="uniform").validate()
+    small_config(dropout_rate=0.1, dropout_timing="after_shares").validate()
 
 
 def test_config_json_roundtrip():
@@ -147,11 +167,7 @@ def test_cli_run_and_determinism(tmp_path: Path):
     cfg_path.write_text(cfg.to_json())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        proc = subprocess.run(
-            [sys.executable, "-m", "secaggsim.cli", "run", "--config", str(cfg_path), "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_cli("run", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
     assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
     assert (out_a / "transcript.json").read_bytes() == (out_b / "transcript.json").read_bytes()
@@ -161,11 +177,7 @@ def test_cli_config_error_exit_code(tmp_path: Path):
     cfg = small_config(n_users=6)
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text(cfg.to_json())
-    proc = subprocess.run(
-        [sys.executable, "-m", "secaggsim.cli", "run", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
 
 
@@ -173,14 +185,8 @@ def test_cli_flag_overrides(tmp_path: Path):
     cfg = small_config()
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(cfg.to_json())
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "secaggsim.cli", "run",
-            "--config", str(cfg_path), "--rounds", "1", "--seed", "99",
-            "--out", str(tmp_path / "o"),
-        ],
-        capture_output=True,
-        text=True,
+    proc = _run_cli(
+        "run", "--config", str(cfg_path), "--rounds", "1", "--seed", "99", "--out", str(tmp_path / "o")
     )
     assert proc.returncode == 0, proc.stderr
     report = (tmp_path / "o" / "report.csv").read_text()

@@ -1,11 +1,19 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from secaggsim.errors import WireError
 from secaggsim.wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
+    SHARE_LIMB_BYTES,
     TAG_GLOBAL_MODEL,
+    TAG_RAND_OPEN,
+    TAG_SHARE_MSG,
+    TAG_TREE_COMMIT,
     AdvertMsg,
     GlobalModelMsg,
     MaskedUploadMsg,
@@ -19,10 +27,11 @@ from secaggsim.wire import (
     UnmaskRequestMsg,
     UnmaskResponseMsg,
     decode_record,
+    encode_record,
 )
 
 TOK = [bytes([i]) * 8 for i in range(4)]
-SHARE = ShareMsg(TOK[0], TOK[1], SECRET_MASK_KEY, 2, 3, (5, (1 << 520) + 7))
+SHARE = ShareMsg(TOK[0], TOK[1], 2, 3, (5, (1 << 263) + 7), (11,))
 
 # one instance of each of the 11 message types
 MESSAGES = [
@@ -38,7 +47,7 @@ MESSAGES = [
     SHARE,
     MaskedUploadMsg.from_vector(TOK[2], np.array([0, 1, 2**63 + 5], dtype=np.uint64)),
     UnmaskRequestMsg(((TOK[1], SECRET_SELF_SEED), (TOK[2], SECRET_MASK_KEY)), forced=(TOK[2],)),
-    UnmaskResponseMsg((SHARE, ShareMsg(TOK[2], TOK[1], SECRET_SELF_SEED, 1, 3, (9,))), ((TOK[3], SECRET_MASK_KEY),)),
+    UnmaskResponseMsg((ShareMsg(TOK[0], TOK[1], 2, 3, (5,)), ShareMsg(TOK[2], TOK[1], 1, 3, (), (9,))), ((TOK[3], SECRET_MASK_KEY),)),
     RevealMsg(b"rs", b"rs-nonce", b"tree:h=2,d=3", b"tree-nonce", ((b"sp", b"mp", b"ru", b"nu"),)),
     GlobalModelMsg.from_vector(np.array([3, 4], dtype=np.uint64)),
 ]
@@ -76,3 +85,88 @@ def test_message_types_covered():
 def test_decode_record_errors_are_value_errors():
     with pytest.raises(ValueError):
         decode_record(b"\x01\x00")
+
+
+# -- packed share records --------------------------------------------------------
+
+WIDE = ShareMsg(TOK[0], TOK[1], 4, 3, tuple((1 << 256) - 1 - i for i in range(8)), ((1 << 256) + 296,))
+
+
+def test_share_packed_wide_roundtrip():
+    data = WIDE.to_bytes()
+    assert len(data) == 5 + 2 * 8 + 10 + SHARE_LIMB_BYTES * 9
+    assert ShareMsg.from_bytes(data) == WIDE
+    assert WIDE.secret_types() == (SECRET_MASK_KEY, SECRET_SELF_SEED)
+
+
+def test_share_secret_type_single_records_only():
+    assert ShareMsg(TOK[0], TOK[1], 4, 3, WIDE.mask_key).secret_type == SECRET_MASK_KEY
+    assert ShareMsg(TOK[0], TOK[1], 4, 3, (), WIDE.self_seed).secret_type == SECRET_SELF_SEED
+    with pytest.raises(ValueError):
+        WIDE.secret_type
+
+
+def _share_payload(nkey: int, nseed: int, limbs: int) -> bytes:
+    return TOK[0] + TOK[1] + struct.pack(">IHHH", 1, 2, nkey, nseed) + bytes(SHARE_LIMB_BYTES * limbs)
+
+
+def test_share_limb_counts_must_match_payload():
+    assert ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _share_payload(1, 1, 2))).mask_key == (0,)
+    for nkey, nseed, limbs in ((2, 1, 2), (1, 0, 2), (1, 1, 3), (8, 1, 8)):
+        with pytest.raises(WireError):
+            ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _share_payload(nkey, nseed, limbs)))
+
+
+def test_share_record_without_secret_rejected():
+    with pytest.raises(WireError):
+        ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _share_payload(0, 0, 0)))
+
+
+# -- field parsers inside a well-framed record ------------------------------------------
+
+
+def test_short_fixed_field_raises_wire_error():
+    with pytest.raises(WireError):
+        TreeCommitMsg.from_bytes(encode_record(TAG_TREE_COMMIT, bytes(10)))
+
+
+def test_overstated_length_prefix_raises_wire_error():
+    # a prefix claiming 9 bytes with only 3 left, in the first and in the last field
+    for payload in (b"\x00\x00\x00\x09abc", b"\x00\x00\x00\x01r\x00\x00\x00\x09abc"):
+        with pytest.raises(WireError):
+            RandOpenMsg.from_bytes(encode_record(TAG_RAND_OPEN, payload))
+
+
+DECODERS = {m.to_bytes()[0]: type(m) for m in MESSAGES}
+
+
+def _decodes_or_wire_error(tag: int, payload: bytes) -> None:
+    cls = DECODERS[tag]
+    try:
+        msg = cls.from_bytes(encode_record(tag, payload))
+    except WireError:
+        return
+    assert isinstance(msg, cls)
+
+
+@given(st.sampled_from(sorted(DECODERS)), st.binary(max_size=200))
+def test_fuzz_arbitrary_payloads(tag, payload):
+    """Any payload framed under any tag decodes or raises WireError."""
+    _decodes_or_wire_error(tag, payload)
+
+
+@given(st.sampled_from(MESSAGES), st.data())
+def test_fuzz_mutated_payloads(msg, data):
+    """Valid payloads with one byte changed, cut or inserted decode or raise
+    WireError; mutating count and length fields reaches the inner parsers."""
+    tag, payload = decode_record(msg.to_bytes())
+    pos = data.draw(st.integers(0, len(payload)))
+    byte = bytes([data.draw(st.integers(0, 255))])
+    edit = data.draw(st.sampled_from(("replace", "cut", "insert")))
+    if edit == "replace":
+        payload = payload[:pos] + byte + payload[pos + 1 :]
+    elif edit == "cut":
+        payload = payload[:pos]
+    else:
+        payload = payload[:pos] + byte + payload[pos:]
+    _decodes_or_wire_error(tag, payload)
