@@ -11,13 +11,24 @@ vectors they imply are recomputed transiently.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from random import Random
 
 import numpy as np
 
 from .counters import OpCounters
-from .crypto import DhGroup, Share, derive_shared_seed, prg_expand, randomize_pub, reconstruct_secret
+from .crypto import (
+    Commitment,
+    DhGroup,
+    Share,
+    commit,
+    derive_shared_seed,
+    prg_expand,
+    randomize_pub,
+    reconstruct_secret,
+    verify_commitment,
+)
 from .errors import ProtocolAbort, UnrecoverableRoundError
 from .fixedpoint import (
     ParamVector,
@@ -26,7 +37,7 @@ from .fixedpoint import (
     quantize_vector,
     signed_values,
 )
-from .orgtree import TreeConfig, TreeSetup, masking_pairs, build_peer_sets, run_tree_setup
+from .orgtree import TreeConfig, TreeSetup, build_peer_sets, commits_digest, masking_pairs, run_tree_setup
 from .wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
@@ -35,6 +46,7 @@ from .wire import (
     PeerHandle,
     PeerListMsg,
     RandOpenMsg,
+    RevealMsg,
     ServerCommitMsg,
     ShareMsg,
     TreeCommitMsg,
@@ -106,8 +118,6 @@ class AggServer:
     # -- setup phase ---------------------------------------------------------
 
     def begin_round(self, n_users: int, rng: Random) -> ServerCommitMsg:
-        from .crypto import commit
-
         self.n_users = n_users
         self.rng = rng
         self.server_rand = rng.randbytes(32)
@@ -119,8 +129,8 @@ class AggServer:
         self._rand_commits: list[bytes | None] = [None] * n_users
         self._uploads: dict[int, np.ndarray] = {}
         self._dropped: set[int] = set()
-        # (owner token, secret type) -> share index -> (threshold, limbs)
-        self._collected: dict[tuple[bytes, int], dict[int, tuple[int, tuple[int, ...]]]] = {}
+        # (owner token, secret type) -> share index -> limbs
+        self._collected: dict[tuple[bytes, int], dict[int, tuple[int, ...]]] = {}
         self._mask_secrets: dict[int, int] = {}
         self._leaf_sums: dict[int, np.ndarray] = {}
         self._cancelled_pairs: set[tuple[int, int]] = set()
@@ -133,18 +143,16 @@ class AggServer:
         self._rand_commits[user] = msg.rand_commit
 
     def commit_tree(self) -> TreeCommitMsg:
-        """Fix the tree shape after all keys are in, before any opening."""
-        from .crypto import commit
-
+        """Fix the tree shape after all keys are in, before any opening, and
+        bind the advertised randomness commitments by their digest."""
         if any(p is None for p in self._share_pubs):
             raise ProtocolAbort("missing advertisements", blamed="server")
-        self._tree_nonce = __import__("hashlib").sha256(b"tree-nonce" + self.server_nonce).digest()
+        self._tree_nonce = hashlib.sha256(b"tree-nonce" + self.server_nonce).digest()
         digest = commit(self.tree.describe(), self._tree_nonce).digest
-        return TreeCommitMsg(digest, tuple(self._rand_commits))  # type: ignore[arg-type]
+        commits = commits_digest(self._rand_commits)  # type: ignore[arg-type]
+        return TreeCommitMsg(digest, self.n_users, commits)
 
     def receive_open(self, user: int, msg: RandOpenMsg) -> None:
-        from .crypto import Commitment, verify_commitment
-
         if not verify_commitment(Commitment(self._rand_commits[user]), msg.user_rand, msg.nonce):
             raise ProtocolAbort(f"user {user} opened a different randomness", blamed=f"user:{user}")
         self._user_rands[user] = msg.user_rand
@@ -260,25 +268,33 @@ class AggServer:
         return reqs
 
     def receive_unmask(self, user: int, msg: UnmaskResponseMsg) -> None:
+        """Collect released shares; the threshold is the configured t, so a
+        record claiming another one is rejected rather than trusted."""
         collected = self._collected
+        t = self.tree.share_threshold
         for record in msg.shares:
+            if record.threshold != t:
+                raise ProtocolAbort(
+                    f"user {user} released a share with threshold {record.threshold}, not {t}",
+                    blamed=f"user:{user}",
+                )
             for stype in record.secret_types():
                 key = (record.owner_token, stype)
                 store = collected.get(key)
                 if store is None:
                     store = collected[key] = {}
-                store[record.share_index] = (record.threshold, record.part(stype))
+                store[record.share_index] = record.part(stype)
 
     def _reconstruct(self, token: bytes, secret_type: int) -> int:
         store = self._collected.get((token, secret_type), {})
-        indices = sorted(store)
-        if not indices or len(indices) < store[indices[0]][0]:
+        t = self.tree.share_threshold
+        if len(store) < t:
             owner = self.user_of_token[token]
             raise UnrecoverableRoundError(
-                f"only {len(indices)} shares for user {owner} secret type {secret_type}"
+                f"only {len(store)} shares for user {owner} secret type {secret_type}"
             )
-        use = indices[: store[indices[0]][0]]
-        secret = reconstruct_secret([Share(index=i, values=store[i][1], threshold=store[i][0]) for i in use])
+        use = sorted(store)[:t]
+        secret = reconstruct_secret([Share(index=i, values=store[i], threshold=t) for i in use])
         self.counters.shares_reconstructed += 1
         return secret
 
@@ -440,7 +456,14 @@ class AggServer:
                 n_eff += agg.survivor_count
         return ParamVector(total & wordmask, self.spec), n_eff
 
-    def reveal(self) -> TreeSetup:
-        """Post-upload opening of the tree, server randomness, and user
-        randomness list for client-side verification."""
-        return self.setup
+    def reveal(self) -> RevealMsg:
+        """Post-upload opening of the tree, server randomness, and every
+        user's keys and randomness, for client-side verification."""
+        tr = self.setup.transcript
+        return RevealMsg(
+            server_rand=tr.server_rand,
+            server_nonce=tr.server_nonce,
+            tree_desc=tr.tree_desc,
+            tree_nonce=tr.tree_nonce,
+            user_records=tuple(zip(tr.share_pubs, tr.mask_pubs, tr.user_rands, tr.user_nonces)),
+        )

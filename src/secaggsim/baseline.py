@@ -26,6 +26,7 @@ from .wire import (
     SECRET_SELF_SEED,
     PeerHandle,
     PeerListMsg,
+    TreeCommitMsg,
     UnmaskRequestMsg,
 )
 
@@ -71,7 +72,7 @@ def run_baseline_round(
     ]
     for u, agent in enumerate(users):
         agent.begin_round(Random(rng.getrandbits(64)), server_commit=bytes(32))
-        agent.open_rand(tree_commit=bytes(32))
+        agent.open_rand(TreeCommitMsg(bytes(32), n, bytes(32)))
 
     tokens = [u.to_bytes(8, "big") for u in range(n)]
     user_of_token = {tok: u for u, tok in enumerate(tokens)}
@@ -134,7 +135,7 @@ def run_baseline_round(
             store = collected.setdefault(record.owner_token, {})
             for stype in record.secret_types():
                 store[(stype, record.share_index)] = Share(
-                    index=record.share_index, values=record.part(stype), threshold=record.threshold
+                    index=record.share_index, values=record.part(stype), threshold=threshold
                 )
 
     def reconstruct(token: bytes, stype: int) -> int:

@@ -270,6 +270,8 @@ def reconstruct_secret(shares: list[Share]) -> int:
     if not shares:
         raise InsufficientSharesError("no shares supplied")
     t = shares[0].threshold
+    if t < 2:
+        raise ValueError(f"threshold {t} is below 2")
     p = shares[0].prime
     nlimbs = len(shares[0].values)
     for s in shares:

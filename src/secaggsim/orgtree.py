@@ -12,6 +12,21 @@ user can steer the grouping: the server commits its randomness before
 seeing user keys, users commit theirs before the tree shape is fixed, and
 each user's final identity hashes the XOR of everyone else's preliminary
 identity, so it is determined by all parties except the user itself.
+
+The tree commitment carries the N advertised randomness commitments as one
+digest (``commits_digest``), not as a list.  After upload the server
+reveals every opening; a verifying user recomputes the digest from them
+and compares it with the one it received before any opening, so a server
+that swaps a user's randomness afterwards, even with a freshly computed
+commitment, is caught.  A server that puts a substituted commitment into
+the digest in the first place is caught by its victim, which checks that
+its own revealed record holds its own keys and randomness.  Doing that
+own-record check after upload loses nothing against checking the
+inclusion of one's commitment in a list at tree-commit time: the grouping
+depends on every opening and on the server randomness, which are opened
+only in the reveal, so no user can check the grouping before the reveal
+in either design, and the reveal check still aborts the round before any
+unmask share is released.
 """
 
 from __future__ import annotations
@@ -20,10 +35,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .crypto import Commitment, commit, verify_commitment
 from .errors import ConfigError, ProtocolAbort
 
 _ID_TAG = b"identity-v1"
 _FINAL_TAG = b"final-identity-v1"
+_COMMITS_TAG = b"rand-commits-v1"
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +269,11 @@ def masking_pairs(peer_sets: list[PeerSet]) -> list[tuple[int, int, str, int]]:
 # ---------------------------------------------------------------------------
 
 
+def commits_digest(commits: list[bytes]) -> bytes:
+    """Digest of the advertised randomness commitments, in user order."""
+    return hashlib.sha256(b"".join((_COMMITS_TAG, *commits))).digest()
+
+
 @dataclass
 class SetupTranscript:
     """Everything the server must later open for verification."""
@@ -297,8 +319,6 @@ def run_tree_setup(
     shape; users open their randomness; identities and both assignments
     are computed.  ``verify_setup`` replays the openings afterwards.
     """
-    from .crypto import commit
-
     n = len(share_pubs)
     tree.validate_for(n)
     server_c = commit(server_rand, server_nonce)
@@ -341,8 +361,6 @@ def verify_setup(setup: TreeSetup, tree: TreeConfig) -> None:
     the simulator this runs once on the shared transcript; every honest
     user would perform the identical computation.
     """
-    from .crypto import Commitment, verify_commitment
-
     t = setup.transcript
     if not verify_commitment(Commitment(t.server_commit), t.server_rand, t.server_nonce):
         raise ProtocolAbort("server randomness opening failed", blamed="server")

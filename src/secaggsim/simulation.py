@@ -38,7 +38,7 @@ from .errors import ConfigError
 from .fixedpoint import ParamVector, SegmentSpec, dequantize_vector, quantize_vector, zeros
 from .orgtree import TreeConfig
 from .useragent import UserAgent
-from .wire import SERVER, GlobalModelMsg, RevealMsg, StarTransport
+from .wire import SERVER, GlobalModelMsg, RevealMsg, StarTransport, TreeCommitMsg
 
 REPORT_SCHEMA = "run-report-v1"
 CSV_COLUMNS = [
@@ -442,11 +442,10 @@ def execute_round(
         transport.deliver(f"user:{u}", SERVER, advert.to_bytes())
         server.receive_advert(u, advert)
 
-    tree_msg = server.commit_tree()
-    tree_bytes = tree_msg.to_bytes()
+    tree_bytes = server.commit_tree().to_bytes()
     for u, agent in enumerate(users):
-        transport.deliver(SERVER, f"user:{u}", tree_bytes)
-        opening = agent.open_rand(tree_msg.tree_digest)
+        received = transport.deliver(SERVER, f"user:{u}", tree_bytes)
+        opening = agent.open_rand(TreeCommitMsg.from_bytes(received))
         transport.deliver(f"user:{u}", SERVER, opening.to_bytes())
         server.receive_open(u, opening)
     server.finish_setup()
@@ -475,21 +474,13 @@ def execute_round(
         server.receive_upload(u, upload)
 
     if verify:
-        # post-upload opening; every honest user runs this same check
-        tr = server.setup.transcript
-        reveal_bytes = RevealMsg(
-            server_rand=tr.server_rand,
-            server_nonce=tr.server_nonce,
-            tree_desc=tr.tree_desc,
-            tree_nonce=tr.tree_nonce,
-            user_records=tuple(
-                (tr.share_pubs[u], tr.mask_pubs[u], tr.user_rands[u], tr.user_nonces[u])
-                for u in range(n_users)
-            ),
-        ).to_bytes()
+        # post-upload opening; every honest user would run the same check,
+        # the simulator decodes and checks it once
+        reveal_bytes = server.reveal().to_bytes()
         for u in server.online_users:
             transport.deliver(SERVER, f"user:{u}", reveal_bytes)
-        users[server.online_users[0]].verify_reveal(server.reveal(), server.tree)
+        verifier = server.online_users[0]
+        users[verifier].verify_reveal(RevealMsg.from_bytes(reveal_bytes), server.setup, server.tree)
 
     for u, req in server.unmask_requests().items():
         transport.deliver(SERVER, f"user:{u}", req.to_bytes())

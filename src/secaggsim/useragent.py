@@ -19,9 +19,20 @@ from __future__ import annotations
 from random import Random
 
 from .counters import OpCounters
-from .crypto import DhGroup, KeyPair, derive_shared_seed, limb_count, prg_expand, share_secret
+from .crypto import (
+    Commitment,
+    DhGroup,
+    KeyPair,
+    commit,
+    derive_shared_seed,
+    limb_count,
+    prg_expand,
+    share_secret,
+    verify_commitment,
+)
 from .errors import ProtocolAbort
 from .fixedpoint import ParamVector, SegmentSpec, vec_add_mod, vec_sub_mod
+from .orgtree import TreeConfig, TreeSetup, commits_digest, verify_setup
 from .wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
@@ -30,7 +41,9 @@ from .wire import (
     PeerHandle,
     PeerListMsg,
     RandOpenMsg,
+    RevealMsg,
     ShareMsg,
+    TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
 )
@@ -105,9 +118,7 @@ class UserAgent:
         self._held_shares: dict[tuple[bytes, int], tuple[int, int, tuple[int, ...]]] = {}
         self._released: dict[bytes, int] = {}  # owner token -> bits 1 << released type
         self.forced_releases: list[bytes] = []
-        self.seen_tree_commit = b""
-        from .crypto import commit
-
+        self.seen_tree_commit: TreeCommitMsg | None = None
         digest = commit(self.round_rand, self.rand_nonce).digest
         self._advance(PHASE_IDLE, PHASE_ADVERTISE)
         return AdvertMsg(
@@ -116,8 +127,9 @@ class UserAgent:
             rand_commit=digest,
         )
 
-    def open_rand(self, tree_commit: bytes) -> RandOpenMsg:
-        """Open the grouping randomness once the tree shape is committed."""
+    def open_rand(self, tree_commit: TreeCommitMsg) -> RandOpenMsg:
+        """Open the grouping randomness once the tree shape and the digest
+        of everyone's randomness commitments are fixed."""
         self.seen_tree_commit = tree_commit
         self._advance(PHASE_ADVERTISE, PHASE_COMMIT)
         return RandOpenMsg(self.round_rand, self.rand_nonce)
@@ -244,13 +256,54 @@ class UserAgent:
 
     # -- verification -----------------------------------------------------------
 
-    def verify_reveal(self, setup, tree) -> None:
-        """Check the post-upload opening against what this user saw."""
-        from .orgtree import verify_setup
+    def verify_reveal(self, reveal: RevealMsg, setup: TreeSetup, tree: TreeConfig) -> None:
+        """Check the post-upload opening against what this user saw.
 
+        The reveal must open the server and tree commitments this user
+        received, list as many users as the tree commitment named, and
+        hash, through each user's commitment, to the commitments digest of
+        the tree commitment, so no user's randomness can change after the
+        openings were sent.  This user's own record must be its own keys
+        and randomness: a commitment substituted before the digest was
+        taken shows up there, at the latest point before any unmask share
+        is released, as the grouping it could steer cannot be checked
+        before the reveal anyway (see ``orgtree``).  The revealed records
+        must be the ones the setup was run on; ``verify_setup`` then
+        replays the identity derivation and both assignments.
+        """
+        seen = self.seen_tree_commit
+        if seen is None:
+            raise ProtocolAbort(f"user {self.index} saw no tree commitment", blamed="server")
+        if not verify_commitment(Commitment(self.seen_server_commit), reveal.server_rand, reveal.server_nonce):
+            raise ProtocolAbort("server randomness opening failed", blamed="server")
+        if reveal.tree_desc != tree.describe() or not verify_commitment(
+            Commitment(seen.tree_digest), reveal.tree_desc, reveal.tree_nonce
+        ):
+            raise ProtocolAbort("tree shape opening failed", blamed="server")
+        records = reveal.user_records
+        if len(records) != seen.n_users:
+            raise ProtocolAbort(
+                f"reveal lists {len(records)} users, tree commitment {seen.n_users}", blamed="server"
+            )
+        try:
+            revealed = commits_digest([commit(rand, nonce).digest for _, _, rand, nonce in records])
+        except ValueError:  # a nonce too short to open any commitment
+            revealed = b""
+        if revealed != seen.commits_digest:
+            raise ProtocolAbort("revealed randomness does not match the committed digest", blamed="server")
+        own = (
+            self.group.encode(self.id_keys.public),
+            self.group.encode(self.mask_keys.public),
+            self.round_rand,
+            self.rand_nonce,
+        )
+        if self.index >= len(records) or records[self.index] != own:
+            raise ProtocolAbort(f"user {self.index} own record altered in the reveal", blamed="server")
         t = setup.transcript
-        if t.server_commit != self.seen_server_commit:
-            raise ProtocolAbort("server randomness commitment changed", blamed="server")
-        if t.tree_commit != self.seen_tree_commit:
-            raise ProtocolAbort("tree commitment changed", blamed="server")
+        if (
+            (reveal.server_rand, reveal.server_nonce, reveal.tree_desc, reveal.tree_nonce)
+            != (t.server_rand, t.server_nonce, t.tree_desc, t.tree_nonce)
+            or records != tuple(zip(t.share_pubs, t.mask_pubs, t.user_rands, t.user_nonces))
+        ):
+            raise ProtocolAbort("reveal differs from the setup it opens", blamed="server")
         verify_setup(setup, tree)

@@ -15,6 +15,17 @@ self-seed limbs under one evaluation point, so a user sends one record per
 share recipient.  An unmask release carries exactly one of the two parts,
 which is what the never-both rule counts.
 
+The two verification broadcasts stay small.  The tree commitment carries
+the N advertised randomness commitments as one SHA-256 digest plus N, not
+as a list: no user reads the list before the openings exist, and a user
+that later verifies the reveal recomputes the digest from the revealed
+openings, which catches a server that changes any of them (see
+``orgtree`` for why checking one's own record then, rather than one's
+inclusion earlier, loses nothing).  The reveal packs its N user records
+at one width given once in a header, because the group fixes the key
+width and the protocol the randomness and nonce widths; a payload that is
+not exactly that header plus N records raises ``WireError``.
+
 Decoding a truncated record, one whose tag is not the expected message's,
 or one whose fields overrun the payload raises ``WireError``.
 
@@ -91,6 +102,11 @@ def _check_words(words: bytes) -> bytes:
     return words
 
 
+def _pack_targets(targets: tuple[tuple[bytes, int], ...]) -> bytes:
+    """A 4-byte count followed by that many (token, secret type) pairs."""
+    return b"".join((struct.pack(">I", len(targets)), *(token + bytes((stype,)) for token, stype in targets)))
+
+
 def _unpack_targets(buf: bytes, off: int) -> tuple[tuple[tuple[bytes, int], ...], int]:
     """A 4-byte count followed by that many (token, secret type) pairs."""
     (k,) = _unpack(">I", buf, off)
@@ -160,24 +176,30 @@ class AdvertMsg:
         return AdvertMsg(share_pub, mask_pub, payload[off:])
 
 
+_TREE_COMMIT = struct.Struct(">32sI32s")  # tree digest, N, commits digest
+
+
 @dataclass(frozen=True)
 class TreeCommitMsg:
+    """The committed tree shape plus a digest of the N advertised randomness
+    commitments (``orgtree.commits_digest``), in user order."""
+
     tree_digest: bytes
-    user_commits: tuple[bytes, ...]
+    n_users: int
+    commits_digest: bytes
 
     def to_bytes(self) -> bytes:
-        payload = self.tree_digest + struct.pack(">I", len(self.user_commits))
-        payload += b"".join(self.user_commits)
+        if len(self.tree_digest) != 32 or len(self.commits_digest) != 32:
+            raise ValueError("tree commitment digests must be 32 bytes")  # "32s" would pad or cut them
+        payload = _TREE_COMMIT.pack(self.tree_digest, self.n_users, self.commits_digest)
         return encode_record(TAG_TREE_COMMIT, payload)
 
     @staticmethod
     def from_bytes(data: bytes) -> "TreeCommitMsg":
         payload = _payload_of(data, TAG_TREE_COMMIT)
-        digest, off = _take(payload, 0, 32)
-        (n,) = _unpack(">I", payload, off)
-        raw, _ = _take(payload, off + 4, 32 * n)
-        commits = tuple(raw[32 * i : 32 * (i + 1)] for i in range(n))
-        return TreeCommitMsg(digest, commits)
+        if len(payload) != _TREE_COMMIT.size:
+            raise WireError(f"tree commitment of {len(payload)} bytes, expected {_TREE_COMMIT.size}")
+        return TreeCommitMsg(*_TREE_COMMIT.unpack(payload))
 
 
 @dataclass(frozen=True)
@@ -363,11 +385,8 @@ class UnmaskRequestMsg:
     forced: tuple[bytes, ...] = ()
 
     def to_bytes(self) -> bytes:
-        payload = struct.pack(">I", len(self.targets))
-        for token, stype in self.targets:
-            payload += token + struct.pack(">B", stype)
-        payload += struct.pack(">I", len(self.forced)) + b"".join(self.forced)
-        return encode_record(TAG_UNMASK_REQUEST, payload)
+        parts = (_pack_targets(self.targets), struct.pack(">I", len(self.forced)), *self.forced)
+        return encode_record(TAG_UNMASK_REQUEST, b"".join(parts))
 
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskRequestMsg":
@@ -383,13 +402,12 @@ class UnmaskResponseMsg:
     refused: tuple[tuple[bytes, int], ...] = ()  # (owner token, refused type)
 
     def to_bytes(self) -> bytes:
-        inner = struct.pack(">I", len(self.shares)) + b"".join(
-            _pack_bytes(s.to_bytes()) for s in self.shares
+        parts = (
+            struct.pack(">I", len(self.shares)),
+            *(_pack_bytes(s.to_bytes()) for s in self.shares),
+            _pack_targets(self.refused),
         )
-        inner += struct.pack(">I", len(self.refused))
-        for token, stype in self.refused:
-            inner += token + struct.pack(">B", stype)
-        return encode_record(TAG_UNMASK_RESPONSE, inner)
+        return encode_record(TAG_UNMASK_RESPONSE, b"".join(parts))
 
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskResponseMsg":
@@ -404,10 +422,19 @@ class UnmaskResponseMsg:
         return UnmaskResponseMsg(tuple(shares), refused)
 
 
+_REVEAL_WIDTHS = struct.Struct(">IHHHH")  # N, then the four field widths
+
+
 @dataclass(frozen=True)
 class RevealMsg:
     """Post-upload opening: server randomness, tree shape, and the full
-    per-user opening list, broadcast for client-side verification."""
+    per-user opening list, broadcast for client-side verification.
+
+    The N records follow one header carrying their four field widths and
+    are packed back to back without per-field prefixes: every record has
+    the same widths, because the group fixes the key width and the
+    protocol the randomness and nonce widths.
+    """
 
     server_rand: bytes
     server_nonce: bytes
@@ -416,13 +443,21 @@ class RevealMsg:
     user_records: tuple[tuple[bytes, bytes, bytes, bytes], ...]  # (share_pub, mask_pub, rand, nonce)
 
     def to_bytes(self) -> bytes:
-        payload = _pack_bytes(self.server_rand) + _pack_bytes(self.server_nonce)
-        payload += _pack_bytes(self.tree_desc) + _pack_bytes(self.tree_nonce)
-        payload += struct.pack(">I", len(self.user_records))
-        for rec in self.user_records:
-            for part in rec:
-                payload += _pack_bytes(part)
-        return encode_record(TAG_REVEAL, payload)
+        records = self.user_records
+        widths = tuple(map(len, records[0])) if records else (0, 0, 0, 0)
+        if len(widths) != 4 or any(tuple(map(len, rec)) != widths for rec in records):
+            raise ValueError("reveal records must all be four fields of the same widths")
+        if records and not sum(widths):
+            raise ValueError("reveal records must not be empty")
+        parts = (
+            _pack_bytes(self.server_rand),
+            _pack_bytes(self.server_nonce),
+            _pack_bytes(self.tree_desc),
+            _pack_bytes(self.tree_nonce),
+            _REVEAL_WIDTHS.pack(len(records), *widths),
+            *(part for rec in records for part in rec),
+        )
+        return encode_record(TAG_REVEAL, b"".join(parts))
 
     @staticmethod
     def from_bytes(data: bytes) -> "RevealMsg":
@@ -431,16 +466,19 @@ class RevealMsg:
         server_nonce, off = _unpack_bytes(payload, off)
         tree_desc, off = _unpack_bytes(payload, off)
         tree_nonce, off = _unpack_bytes(payload, off)
-        (n,) = _unpack(">I", payload, off)
-        off += 4
-        records = []
-        for _ in range(n):
-            parts = []
-            for _ in range(4):
-                part, off = _unpack_bytes(payload, off)
-                parts.append(part)
-            records.append(tuple(parts))
-        return RevealMsg(server_rand, server_nonce, tree_desc, tree_nonce, tuple(records))
+        n, w0, w1, w2, w3 = _unpack(_REVEAL_WIDTHS.format, payload, off)
+        off += _REVEAL_WIDTHS.size
+        width = w0 + w1 + w2 + w3
+        if n and not width:
+            raise WireError(f"{n} reveal records of zero width")
+        if len(payload) != off + n * width:
+            raise WireError(f"reveal payload of {len(payload)} bytes does not hold {n} records of {width}")
+        a, b, c = w0, w0 + w1, w0 + w1 + w2
+        records = tuple(
+            (payload[o : o + a], payload[o + a : o + b], payload[o + b : o + c], payload[o + c : o + width])
+            for o in (range(off, len(payload), width) if n else ())
+        )
+        return RevealMsg(server_rand, server_nonce, tree_desc, tree_nonce, records)
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,14 @@ def test_share_threshold_errors():
         share_secret(1, 4, 3, rng)  # t > n
 
 
+def test_reconstruct_rejects_threshold_below_two():
+    # one share of a real 3-of-5 sharing that claims threshold 1 would
+    # "reconstruct" to its own value, not the secret
+    s = share_secret(123456789, 3, 5, Random(3))[0]
+    with pytest.raises(ValueError):
+        reconstruct_secret([Share(s.index, s.values, 1)])
+
+
 @given(st.integers(2, 12), st.integers(0, 2**64 - 1), st.integers(0, 2**32))
 def test_share_reconstruct_grid(n, secret, seed):
     rng = Random(seed)

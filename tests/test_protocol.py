@@ -1,3 +1,4 @@
+import dataclasses
 import numpy as np
 import pytest
 from random import Random
@@ -7,7 +8,7 @@ from conftest import build_round, plaintext_sum, random_inputs, run_plain_round
 from secaggsim.aggserver import fedsgd_update
 from secaggsim.counters import OpCounters
 from secaggsim.crypto import SIM_GROUP
-from secaggsim.errors import UnrecoverableRoundError
+from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError
 from secaggsim.fixedpoint import (
     ParamVector,
     SegmentSpec,
@@ -16,7 +17,8 @@ from secaggsim.fixedpoint import (
     quantize_vector,
     zeros,
 )
-from secaggsim.orgtree import TreeConfig
+from secaggsim.orgtree import TreeConfig, commits_digest, verify_setup
+from secaggsim.simulation import execute_round
 from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
     SECRET_MASK_KEY,
@@ -24,12 +26,15 @@ from secaggsim.wire import (
     PeerHandle,
     PeerListMsg,
     ShareMsg,
+    TreeCommitMsg,
     UnmaskRequestMsg,
+    UnmaskResponseMsg,
 )
 
 SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 TREE22 = TreeConfig(height=2, degree=2, neighbor_radius=1, share_threshold=2)
 TREE23 = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=2)
+NO_TREE = TreeCommitMsg(bytes(32), 0, bytes(32))  # for agents driven without a server
 
 
 # -- masking algebra ---------------------------------------------------------------
@@ -48,7 +53,7 @@ def test_two_user_masks_cancel():
     ]
     for agent in agents:
         agent.begin_round(Random(rng.getrandbits(64)), bytes(32))
-        agent.open_rand(bytes(32))
+        agent.open_rand(NO_TREE)
     r = SIM_GROUP.random_exponent(rng)
     tok = [b"token--0", b"token--1"]
     handles = [
@@ -114,7 +119,7 @@ def _lone_agent(n_recipients=3, threshold=2):
     counters = OpCounters()
     agent = UserAgent(0, group=SIM_GROUP, spec=SPEC, inter_mask_bits=10, share_threshold=threshold, counters=counters)
     agent.begin_round(Random(0), bytes(32))
-    agent.open_rand(bytes(32))
+    agent.open_rand(NO_TREE)
     tokens = tuple(bytes([i]) * 8 for i in range(n_recipients))
     agent.receive_peer_list(PeerListMsg(tokens[0], (), tokens))
     return agent, tokens, counters
@@ -192,7 +197,7 @@ def test_wide_mask_key_shares_reconstruct():
         0, group=STRONG_GROUP, spec=SPEC, inter_mask_bits=10, share_threshold=3, counters=OpCounters()
     )
     agent.begin_round(Random(4), bytes(32))
-    agent.open_rand(bytes(32))
+    agent.open_rand(NO_TREE)
     tokens = tuple(bytes([i]) * 8 for i in range(6))
     agent.receive_peer_list(PeerListMsg(tokens[2], (), tokens))
     out = agent.distribute_shares()
@@ -502,3 +507,127 @@ def test_users_never_learn_grouping():
             assert not any(word in attr.lower() for word in banned), attr
         for handle in agent._peer_handles:
             assert set(vars(handle)) == {"token", "randomized_pub", "sign", "kind", "layer"}
+
+
+# -- setup verification against a cheating server -------------------------------------
+
+
+def _run_16(server, users, transport, seed):
+    execute_round(
+        server=server,
+        users=users,
+        transport=transport,
+        model=zeros(4, SPEC),
+        inputs=random_inputs(16, 4, SPEC, seed=seed),
+        round_seed=(seed, 0),
+    )
+
+
+def _swap_opening(server):
+    # a fresh (rand, nonce) for user 5 before setup: transcript, commitment
+    # and reveal all agree with it, only the tree-commit digest does not
+    finish = server.finish_setup
+
+    def cheat():
+        server._user_rands[5] = bytes(32)
+        server._user_nonces[5] = bytes(16)
+        finish()
+
+    server.finish_setup = cheat
+
+
+def _digest_over_changed_list(server):
+    commit_tree = server.commit_tree
+
+    def cheat():
+        msg = commit_tree()
+        commits = list(server._rand_commits)
+        commits[5] = bytes(32)
+        return TreeCommitMsg(msg.tree_digest, msg.n_users, commits_digest(commits))
+
+    server.commit_tree = cheat
+
+
+def _verifier_record_altered(server):
+    # user 0 verifies; the server grinds the grouping with another key for it
+    finish = server.finish_setup
+
+    def cheat():
+        server._share_pubs[0] = bytes(len(server._share_pubs[0]))
+        finish()
+
+    server.finish_setup = cheat
+
+
+def _wrong_population(server):
+    commit_tree = server.commit_tree
+
+    def cheat():
+        return dataclasses.replace(commit_tree(), n_users=server.n_users + 1)
+
+    server.commit_tree = cheat
+
+
+def _reveal_not_the_setup(server):
+    reveal = server.reveal
+
+    def cheat():
+        msg = reveal()
+        records = list(msg.user_records)
+        records[7] = (records[7][0], bytes(len(records[7][1])), *records[7][2:])
+        return dataclasses.replace(msg, user_records=tuple(records))
+
+    server.reveal = cheat
+
+
+def _short_nonce_in_reveal(server):
+    reveal = server.reveal
+
+    def cheat():
+        msg = reveal()
+        return dataclasses.replace(msg, user_records=tuple(r[:3] + (r[3][:8],) for r in msg.user_records))
+
+    server.reveal = cheat
+
+
+@pytest.mark.parametrize(
+    "cheat, match",
+    [
+        pytest.param(_swap_opening, "committed digest", id="swap_opening"),
+        pytest.param(_digest_over_changed_list, "committed digest", id="digest_over_changed_list"),
+        pytest.param(_verifier_record_altered, "own record", id="verifier_record_altered"),
+        pytest.param(_wrong_population, "lists 16 users", id="wrong_population"),
+        pytest.param(_reveal_not_the_setup, "differs from the setup", id="reveal_not_the_setup"),
+        pytest.param(_short_nonce_in_reveal, "committed digest", id="short_nonce_in_reveal"),
+    ],
+)
+def test_cheating_server_caught_by_verifier(cheat, match):
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    cheat(server)
+    with pytest.raises(ProtocolAbort, match=match) as exc:
+        _run_16(server, users, transport, 70)
+    assert exc.value.blamed == "server"
+
+
+def test_consistent_opening_swap_passes_replay_alone():
+    """The swap above is invisible to the transcript replay; only the
+    digest from before the openings exposes it."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    _swap_opening(server)
+    with pytest.raises(ProtocolAbort):
+        _run_16(server, users, transport, 70)
+    verify_setup(server.setup, TREE22)
+
+
+def test_lying_threshold_rejected_at_receive_unmask():
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    honest = users[3].unmask_response
+
+    def lie(req):
+        resp = honest(req)
+        return UnmaskResponseMsg(tuple(dataclasses.replace(s, threshold=1) for s in resp.shares), resp.refused)
+
+    users[3].unmask_response = lie
+    with pytest.raises(ProtocolAbort) as exc:
+        _run_16(server, users, transport, 71)
+    assert exc.value.blamed == "user:3"

@@ -1,17 +1,24 @@
 import struct
+from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from secaggsim.aggserver import AggServer
+from secaggsim.counters import OpCounters
+from secaggsim.crypto import SIM_GROUP
 from secaggsim.errors import WireError
+from secaggsim.fixedpoint import SegmentSpec
+from secaggsim.orgtree import TreeConfig
 from secaggsim.wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SHARE_LIMB_BYTES,
     TAG_GLOBAL_MODEL,
     TAG_RAND_OPEN,
+    TAG_REVEAL,
     TAG_SHARE_MSG,
     TAG_TREE_COMMIT,
     AdvertMsg,
@@ -37,7 +44,7 @@ SHARE = ShareMsg(TOK[0], TOK[1], 2, 3, (5, (1 << 263) + 7), (11,))
 MESSAGES = [
     ServerCommitMsg(b"\x11" * 32),
     AdvertMsg(b"share-pub", b"mask-pub", b"\x22" * 32),
-    TreeCommitMsg(b"\x33" * 32, (b"\x44" * 32, b"\x55" * 32)),
+    TreeCommitMsg(b"\x33" * 32, 2, b"\x44" * 32),
     RandOpenMsg(b"\x66" * 32, b"\x77" * 16),
     PeerListMsg(
         TOK[0],
@@ -48,7 +55,9 @@ MESSAGES = [
     MaskedUploadMsg.from_vector(TOK[2], np.array([0, 1, 2**63 + 5], dtype=np.uint64)),
     UnmaskRequestMsg(((TOK[1], SECRET_SELF_SEED), (TOK[2], SECRET_MASK_KEY)), forced=(TOK[2],)),
     UnmaskResponseMsg((ShareMsg(TOK[0], TOK[1], 2, 3, (5,)), ShareMsg(TOK[2], TOK[1], 1, 3, (), (9,))), ((TOK[3], SECRET_MASK_KEY),)),
-    RevealMsg(b"rs", b"rs-nonce", b"tree:h=2,d=3", b"tree-nonce", ((b"sp", b"mp", b"ru", b"nu"),)),
+    RevealMsg(
+        b"rs", b"rs-nonce", b"tree:h=2,d=3", b"tree-nonce", ((b"sp", b"mp", b"ru", b"nu-0"), (b"SP", b"MP", b"RU", b"NU-1"))
+    ),
     GlobalModelMsg.from_vector(np.array([3, 4], dtype=np.uint64)),
 ]
 
@@ -85,6 +94,87 @@ def test_message_types_covered():
 def test_decode_record_errors_are_value_errors():
     with pytest.raises(ValueError):
         decode_record(b"\x01\x00")
+
+
+# -- byte-stable encodings -------------------------------------------------------------
+
+UNMASK_HEX = {
+    "UnmaskRequestMsg": "080000002200000002010101010101010102020202020202020201000000010202020202020202",
+    "UnmaskResponseMsg": (
+        "09000000990000000200000040060000003b000000000000000001010101010101010000000200030001"
+        "000000000000000000000000000000000000000000000000000000000000000000000500000040060000"
+        "003b02020202020202020101010101010101000000010003000000010000000000000000000000000000"
+        "0000000000000000000000000000000000000900000001030303030303030301"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNMASK_HEX))
+def test_unmask_encodings_unchanged(name):
+    (msg,) = [m for m in MESSAGES if type(m).__name__ == name]
+    assert msg.to_bytes().hex() == UNMASK_HEX[name]
+
+
+# -- fixed-width broadcasts ---------------------------------------------------------
+
+
+def _tree_commit_bytes(n: int) -> bytes:
+    spec = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
+    server = AggServer(
+        tree=TreeConfig(height=1, degree=2), group=SIM_GROUP, spec=spec, inter_mask_bits=10, counters=OpCounters()
+    )
+    rng = Random(n)
+    server.begin_round(n, rng)
+    for u in range(n):
+        server.receive_advert(u, AdvertMsg(rng.randbytes(32), rng.randbytes(32), rng.randbytes(32)))
+    return server.commit_tree().to_bytes()
+
+
+def test_tree_commit_length_independent_of_population():
+    small, large = _tree_commit_bytes(10), _tree_commit_bytes(1000)
+    assert len(small) == len(large) == 5 + 32 + 4 + 32
+    assert TreeCommitMsg.from_bytes(large).n_users == 1000
+    for short in (TreeCommitMsg(bytes(31), 10, bytes(32)), TreeCommitMsg(bytes(32), 10, bytes(33))):
+        with pytest.raises(ValueError):
+            short.to_bytes()
+
+
+def _reveal(records) -> RevealMsg:
+    return RevealMsg(b"r" * 32, b"n" * 16, b"tree:h=2,d=3", b"t" * 32, tuple(records))
+
+
+def test_reveal_length_is_header_plus_fixed_records():
+    widths = (8, 8, 32, 16)
+    rng = Random(7)
+    for n in (0, 1, 7):
+        msg = _reveal(tuple(rng.randbytes(w) for w in widths) for _ in range(n))
+        data = msg.to_bytes()
+        header = 5 + 4 * 4 + 32 + 16 + len(b"tree:h=2,d=3") + 32 + 4 + 2 * 4
+        assert len(data) == header + n * sum(widths)
+        assert RevealMsg.from_bytes(data) == msg
+
+
+def test_reveal_unequal_widths_rejected_on_encode():
+    good = (b"s" * 8, b"m" * 8, b"r" * 32, b"n" * 16)
+    for bad in ((b"s" * 9, b"m" * 7, b"r" * 32, b"n" * 16), (b"s" * 8, b"m" * 8, b"r" * 32, b"n" * 17)):
+        with pytest.raises(ValueError):
+            _reveal((good, bad)).to_bytes()
+    with pytest.raises(ValueError):
+        _reveal(((b"", b"", b"", b""),)).to_bytes()
+
+
+def test_reveal_truncated_or_padded_payload_rejected():
+    _, payload = decode_record(_reveal([(b"s" * 8, b"m" * 8, b"r" * 32, b"n" * 16)] * 3).to_bytes())
+    for bad in (payload[:-1], payload[:-64], payload + b"\x00", payload + bytes(64)):
+        with pytest.raises(WireError):
+            RevealMsg.from_bytes(encode_record(TAG_REVEAL, bad))
+
+
+def test_reveal_zero_width_records_rejected():
+    # four empty fields, N = 2^32 - 1 records of width 0: no record fits, none is built
+    payload = bytes(16) + b"\xff\xff\xff\xff" + bytes(8)
+    with pytest.raises(WireError):
+        RevealMsg.from_bytes(encode_record(TAG_REVEAL, payload))
 
 
 # -- packed share records --------------------------------------------------------
