@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Instrumented cost comparison: tree protocol vs full-pairwise baseline.
 
-Prints per-user PRG expansions, per-user traffic, and per-dropout
-recovery work across population sizes and tree shapes, then the
-1000-user tree-shape traffic comparison.
+The baseline runs on the same engine as a one-leaf tree whose ring
+covers every user.  Prints per-user PRG expansions, per-user traffic,
+and per-dropout recovery work across population sizes and tree shapes,
+then the 1000-user tree-shape traffic comparison.
 """
 
 import argparse

@@ -59,9 +59,12 @@ from .wire import (
 class SubgroupAggregate:
     """One leaf's partial sum after self-mask removal and dropout repair.
 
-    ``revealed_high`` carries only the high segments; the low segments of
-    ``full_sum`` are still covered by inter-group masks and are not
-    interpretable per subgroup.  ``void`` marks leaves with fewer than two
+    ``revealed_high`` carries only the high segments.  ``full_sum`` is
+    not hidden below them: it differs from the true leaf sum only by the
+    signed sum of the leaf's uncancelled inter-group masks, each below
+    2^``inter_mask_bits``, so most of the low segment is in the clear too
+    (at most 514 off against a 2^13 cell in the 243-user detection
+    scenario; ROADMAP item 3).  ``void`` marks leaves with fewer than two
     survivors, which are excluded like flagged ones.
     """
 

@@ -3,8 +3,9 @@
 ``run`` executes one scenario from a JSON config (flags override config
 keys) and writes ``report.csv`` plus ``transcript.json`` into the output
 directory.  ``bench`` sweeps a grid of population sizes, tree shapes, and
-dropout rates through single instrumented rounds for both protocols and
-writes ``bench.csv``.  Exit codes: 1 for configuration errors, 2 for a
+dropout rates through single instrumented rounds and, with ``--baseline``,
+the full-pairwise protocol (a one-leaf tree whose ring covers every
+user), and writes ``bench.csv``.  Exit codes: 1 for configuration errors, 2 for a
 protocol abort.
 """
 

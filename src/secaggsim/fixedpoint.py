@@ -176,14 +176,6 @@ def vec_sub_mod(a: ParamVector, b: ParamVector) -> ParamVector:
     return ParamVector(out, a.spec)
 
 
-def vec_scale_mod(x: ParamVector, factor: int) -> ParamVector:
-    """Element-wise (factor * x) mod 2^w for a nonnegative integer factor."""
-    if factor < 0:
-        raise ValueError("factor must be nonnegative")
-    out = (x.values * np.uint64(factor & x.spec.word_mask)) & np.uint64(x.spec.word_mask)
-    return ParamVector(out, x.spec)
-
-
 def vec_sum_mod(vectors, spec: SegmentSpec) -> ParamVector:
     """Modular sum of a sequence of vectors (order-independent, bit-exact)."""
     acc = np.zeros(0, dtype=np.uint64)
@@ -237,18 +229,6 @@ def apply_partial_mask(x: ParamVector, mask: ParamVector, sign: int) -> ParamVec
     new_low = (low + mlow if sign == 1 else low - mlow) & lm
     out = (x.values & ~lm) | new_low
     return ParamVector(out, spec)
-
-
-def high_words_signed(x: ParamVector) -> np.ndarray:
-    """High segments decoded as signed (w-k)-bit integers, as float64.
-
-    Equals floor(signed(x) / 2^k) element-wise; meaningful when the ring
-    value represents a (possibly negative) two's complement quantity.
-    """
-    spec = x.spec
-    high = (x.values >> np.uint64(spec.low_bits)).astype(np.float64)
-    half = float(1 << (spec.high_bits - 1))
-    return np.where(high >= half, high - float(1 << spec.high_bits), high)
 
 
 def circular_high_diff(a: ParamVector, b: ParamVector) -> np.ndarray:

@@ -5,7 +5,10 @@ leaves of a d-ary tree of height h.  Two independent assignments are
 derived from one protocol run: one tree scopes secret sharing, the other
 scopes pairwise masking.  Masking peers are the circular neighbors inside
 a leaf plus, per tree layer, the users at the same relative position in
-the +/-1 (mod d) sibling subtrees.
+the +/-1 (mod d) sibling subtrees.  A tree of height 0 is one leaf; a
+ring of radius floor(N/2) over it is the complete graph, so the
+full-pairwise protocol (Bonawitz et al., CCS 2017) is the one-leaf tree
+whose ring covers every user.
 
 Identity derivation is commitment-ordered so neither the server nor any
 user can steer the grouping: the server commits its randomness before
@@ -52,15 +55,15 @@ _COMMITS_TAG = b"rand-commits-v1"
 class TreeConfig:
     """Geometry and masking parameters of the grouping tree."""
 
-    height: int  # layers above the leaves
+    height: int  # layers above the leaves; 0 is a single leaf
     degree: int  # children per internal node
     neighbor_radius: int = 1  # intra-group circular radius (kappa)
     inter_radius: int = 1  # sibling neighborhood radius at inter layers
     share_threshold: int = 2  # t for secret sharing inside a leaf
 
     def __post_init__(self) -> None:
-        if self.height < 1 or self.degree < 2:
-            raise ConfigError("tree needs height >= 1 and degree >= 2")
+        if self.height < 0 or self.degree < 2:
+            raise ConfigError("tree needs height >= 0 and degree >= 2")
         if self.neighbor_radius < 1 or self.inter_radius < 1:
             raise ConfigError("neighbor radii must be >= 1")
         if self.share_threshold < 2:
@@ -79,10 +82,9 @@ class TreeConfig:
             raise ConfigError(f"{n_users} users cannot fill {g} subgroups with >= 2 each")
         smallest = n_users // g
         size = self.subgroup_size(n_users)
-        if size < 2 * self.neighbor_radius + 1:
-            raise ConfigError(
-                f"subgroup size {size} < 2*kappa+1 = {2 * self.neighbor_radius + 1}"
-            )
+        # at size 2*kappa the +kappa and -kappa neighbours are one user
+        if size < 2 * self.neighbor_radius:
+            raise ConfigError(f"subgroup size {size} < 2*kappa = {2 * self.neighbor_radius}")
         if self.share_threshold > smallest:
             raise ConfigError(
                 f"share threshold {self.share_threshold} exceeds smallest subgroup {smallest}"

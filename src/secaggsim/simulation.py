@@ -31,7 +31,6 @@ from .adversary import (
     benign_update_task,
 )
 from .aggserver import AggServer, fedsgd_update
-from .baseline import run_baseline_round
 from .counters import OpCounters
 from .crypto import GROUPS, DhGroup
 from .errors import ConfigError
@@ -117,7 +116,7 @@ class ScenarioConfig:
     rounds: int = 20
     eta: float = 1.0
     seed: int = 0
-    protocol: str = "tree"  # "tree" | "baseline"
+    protocol: str = "tree"  # "tree" | "baseline": a one-leaf tree whose ring covers every user
     mode: str = "synthetic"  # "synthetic" | "toy_task"
     dh_group: str = "sim256"
     word_bits: int = 32
@@ -138,6 +137,15 @@ class ScenarioConfig:
     # -- derived pieces ------------------------------------------------------
 
     def tree(self) -> TreeConfig:
+        if self.protocol == "baseline":
+            return TreeConfig(
+                height=0,
+                degree=2,
+                neighbor_radius=self.n_users // 2,
+                share_threshold=self.share_threshold,
+            )
+        if self.protocol != "tree":
+            raise ConfigError(f"unknown protocol {self.protocol!r}")
         return TreeConfig(
             height=self.tree_height,
             degree=self.tree_degree,
@@ -174,8 +182,6 @@ class ScenarioConfig:
         return bits
 
     def validate(self) -> None:
-        if self.protocol not in ("tree", "baseline"):
-            raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.mode not in ("synthetic", "toy_task"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.rounds < 1:
@@ -187,22 +193,17 @@ class ScenarioConfig:
                 f"dropout timing {self.dropout_timing!r} is not implemented, only 'after_shares' "
                 "(dropouts at every phase are ROADMAP item 3)"
             )
-        spec = self.segment_spec()
-        if self.protocol == "tree":
-            tree = self.tree()
-            tree.validate_for(self.n_users)
-            self.inter_mask_bits(spec)
-            # the carry bound needs inter masks 2^margin times smaller than
-            # the low segment; closure can add a few peers in uneven trees
-            max_inter = 4 * self.inter_radius * self.tree_height
-            if (1 << self.inter_mask_margin_bits) < max_inter:
-                raise ConfigError(
-                    f"margin {self.inter_mask_margin_bits} bits too small for "
-                    f"up to {max_inter} inter-group masks per user"
-                )
-        else:
-            if self.share_threshold > self.n_users:
-                raise ConfigError("share threshold exceeds population")
+        tree = self.tree()
+        tree.validate_for(self.n_users)
+        self.inter_mask_bits(self.segment_spec())
+        # the carry bound needs inter masks 2^margin times smaller than
+        # the low segment; closure can add a few peers in uneven trees
+        max_inter = 4 * tree.inter_radius * tree.height
+        if (1 << self.inter_mask_margin_bits) < max_inter:
+            raise ConfigError(
+                f"margin {self.inter_mask_margin_bits} bits too small for "
+                f"up to {max_inter} inter-group masks per user"
+            )
         if self.attack is not None:
             self.attack.validate(self.n_users, self.rounds)
             bad = [a for a in self.attack.attacker_ids if not (0 <= a < self.n_users)]
@@ -474,13 +475,17 @@ def execute_round(
         server.receive_upload(u, upload)
 
     if verify:
-        # post-upload opening; every honest user would run the same check,
-        # the simulator decodes and checks it once
+        # post-upload opening; every honest user would run the full check,
+        # the simulator decodes and replays it once, then every online user
+        # checks its own record in the same decoded reveal
         reveal_bytes = server.reveal().to_bytes()
         for u in server.online_users:
             transport.deliver(SERVER, f"user:{u}", reveal_bytes)
-        verifier = server.online_users[0]
-        users[verifier].verify_reveal(RevealMsg.from_bytes(reveal_bytes), server.setup, server.tree)
+        reveal = RevealMsg.from_bytes(reveal_bytes)
+        online = server.online_users
+        users[online[0]].verify_reveal(reveal, server.setup, server.tree)
+        for u in online[1:]:
+            users[u].check_own_record(reveal)
 
     for u, req in server.unmask_requests().items():
         transport.deliver(SERVER, f"user:{u}", req.to_bytes())
@@ -526,12 +531,6 @@ def _draw_dropouts(config: ScenarioConfig, round_index: int) -> set[int]:
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
     config.validate()
-    if config.protocol == "baseline":
-        return _run_baseline_scenario(config)
-    return _run_tree_scenario(config)
-
-
-def _run_tree_scenario(config: ScenarioConfig) -> RunReport:
     tree = config.tree()
     spec = config.segment_spec()
     group = config.group()
@@ -554,17 +553,20 @@ def _run_tree_scenario(config: ScenarioConfig) -> RunReport:
         )
         for u in range(config.n_users)
     ]
-    detector = det.Detector(
-        det.DetectionConfig(
-            expansion=config.detection.expansion,
-            window=config.detection.window,
-            warmup_rounds=config.detection.warmup_rounds,
-            record_pre_replacement=config.detection.record_pre_replacement,
-            replacement=config.detection.replacement,
-            min_threshold=config.detection.min_threshold,
-            rounded_comparison=config.detection.rounded_comparison,
+    # a single leaf has no other subgroup to be compared with
+    detector = None
+    if config.detection.enabled and tree.leaf_count > 1:
+        detector = det.Detector(
+            det.DetectionConfig(
+                expansion=config.detection.expansion,
+                window=config.detection.window,
+                warmup_rounds=config.detection.warmup_rounds,
+                record_pre_replacement=config.detection.record_pre_replacement,
+                replacement=config.detection.replacement,
+                min_threshold=config.detection.min_threshold,
+                rounded_comparison=config.detection.rounded_comparison,
+            )
         )
-    )
 
     model = workload.initial_model()
     rows: list[RoundRow] = []
@@ -587,7 +589,7 @@ def _run_tree_scenario(config: ScenarioConfig) -> RunReport:
             inputs=inputs,
             round_seed=(config.seed, t),
             pre_drop=pre_drop,
-            detector=detector if config.detection.enabled else None,
+            detector=detector,
             eta=config.eta,
         )
         model = result.new_model
@@ -605,7 +607,7 @@ def _run_tree_scenario(config: ScenarioConfig) -> RunReport:
             1 for a in attackers_active if a not in pre_drop and mask_leaf_of[a] in flagged
         )
         detection_active = (
-            config.detection.enabled and detector.round_index > detector.config.effective_warmup
+            detector is not None and detector.round_index > detector.config.effective_warmup
         )
         metric_rounds.append(
             det.MetricsRound(
@@ -650,59 +652,6 @@ def _run_tree_scenario(config: ScenarioConfig) -> RunReport:
         rows=rows,
         counters=counters,
         metrics=metrics,
-        transcript=transcript,
-        final_main_acc=main_acc,
-        final_backdoor_acc=backdoor_acc,
-    )
-
-
-def _run_baseline_scenario(config: ScenarioConfig) -> RunReport:
-    spec = config.segment_spec()
-    group = config.group()
-    counters = OpCounters()
-    workload = _Workload(config, spec)
-    model = workload.initial_model()
-    rows: list[RoundRow] = []
-    transcript: list[dict] = []
-    main_acc, backdoor_acc = workload.evaluate(model)
-
-    for t in range(config.rounds):
-        pre_drop = _draw_dropouts(config, t)
-        inputs = [workload.input_for(u, t, model) for u in range(config.n_users)]
-        result = run_baseline_round(
-            inputs,
-            threshold=config.share_threshold,
-            group=group,
-            spec=spec,
-            rng=_sub_rng(config.seed, "baseline", t),
-            dropouts=pre_drop,
-            counters=counters,
-        )
-        model = fedsgd_update(model, result.total, len(result.included), config.eta)
-        main_acc, backdoor_acc = workload.evaluate(model)
-        rows.append(
-            RoundRow(
-                round_index=t,
-                dropouts=len(pre_drop),
-                flagged=[],
-                std=float("nan"),
-                threshold=float("nan"),
-                dr=float("nan"),
-                cr=float("nan"),
-                fpr=0.0,
-                main_acc=main_acc,
-                backdoor_acc=backdoor_acc,
-                main_loss=workload.main_loss(model),
-                n_eff=len(result.included),
-            )
-        )
-        transcript.append({"round": t, "dropouts": sorted(pre_drop), "flagged": [], "n_eff": len(result.included)})
-
-    return RunReport(
-        config=config,
-        rows=rows,
-        counters=counters,
-        metrics={"DR": float("nan"), "CR": float("nan"), "FPR": 0.0},
         transcript=transcript,
         final_main_acc=main_acc,
         final_backdoor_acc=backdoor_acc,

@@ -256,6 +256,19 @@ class UserAgent:
 
     # -- verification -----------------------------------------------------------
 
+    def check_own_record(self, reveal: RevealMsg) -> None:
+        """Check that this user's record in the reveal is its own keys and
+        randomness; O(1), so every online user runs it on the one REVEAL."""
+        records = reveal.user_records
+        own = (
+            self.group.encode(self.id_keys.public),
+            self.group.encode(self.mask_keys.public),
+            self.round_rand,
+            self.rand_nonce,
+        )
+        if self.index >= len(records) or records[self.index] != own:
+            raise ProtocolAbort(f"user {self.index} own record altered in the reveal", blamed="server")
+
     def verify_reveal(self, reveal: RevealMsg, setup: TreeSetup, tree: TreeConfig) -> None:
         """Check the post-upload opening against what this user saw.
 
@@ -291,14 +304,7 @@ class UserAgent:
             revealed = b""
         if revealed != seen.commits_digest:
             raise ProtocolAbort("revealed randomness does not match the committed digest", blamed="server")
-        own = (
-            self.group.encode(self.id_keys.public),
-            self.group.encode(self.mask_keys.public),
-            self.round_rand,
-            self.rand_nonce,
-        )
-        if self.index >= len(records) or records[self.index] != own:
-            raise ProtocolAbort(f"user {self.index} own record altered in the reveal", blamed="server")
+        self.check_own_record(reveal)
         t = setup.transcript
         if (
             (reveal.server_rand, reveal.server_nonce, reveal.tree_desc, reveal.tree_nonce)

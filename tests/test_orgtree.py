@@ -44,7 +44,7 @@ def _setup_inputs(n: int, seed: int = 0):
 
 def test_tree_config_validation():
     with pytest.raises(ConfigError):
-        TreeConfig(height=0, degree=3)
+        TreeConfig(height=-1, degree=3)
     with pytest.raises(ConfigError):
         TreeConfig(height=2, degree=1)
     tree = TreeConfig(height=3, degree=3, neighbor_radius=4, share_threshold=5)
@@ -54,6 +54,17 @@ def test_tree_config_validation():
         tree.validate_for(40)  # fewer than 2 users per subgroup
     with pytest.raises(ConfigError):
         TreeConfig(height=3, degree=3, neighbor_radius=20).validate_for(1000)
+
+
+@pytest.mark.parametrize("n", [2, 7, 10])
+def test_height_zero_is_the_complete_graph(n):
+    tree = TreeConfig(height=0, degree=2, neighbor_radius=n // 2, share_threshold=2)
+    tree.validate_for(n)
+    peer_sets = build_peer_sets(assign_subgroups(_ids(n), tree))
+    for u, ps in enumerate(peer_sets):
+        assert ps.intra == [v for v in range(n) if v != u]
+        assert ps.inter == []
+    assert len(masking_pairs(peer_sets)) == n * (n - 1) // 2
 
 
 def test_assignment_sizes_1000_users():

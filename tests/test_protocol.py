@@ -548,15 +548,18 @@ def _digest_over_changed_list(server):
     server.commit_tree = cheat
 
 
-def _verifier_record_altered(server):
-    # user 0 verifies; the server grinds the grouping with another key for it
-    finish = server.finish_setup
+def _record_altered(user):
+    # the server grinds the grouping with another key for one user
+    def install(server):
+        finish = server.finish_setup
 
-    def cheat():
-        server._share_pubs[0] = bytes(len(server._share_pubs[0]))
-        finish()
+        def cheat():
+            server._share_pubs[user] = bytes(len(server._share_pubs[user]))
+            finish()
 
-    server.finish_setup = cheat
+        server.finish_setup = cheat
+
+    return install
 
 
 def _wrong_population(server):
@@ -595,7 +598,9 @@ def _short_nonce_in_reveal(server):
     [
         pytest.param(_swap_opening, "committed digest", id="swap_opening"),
         pytest.param(_digest_over_changed_list, "committed digest", id="digest_over_changed_list"),
-        pytest.param(_verifier_record_altered, "own record", id="verifier_record_altered"),
+        # user 0 runs the full check; every other online user checks its own record
+        pytest.param(_record_altered(0), "user 0 own record", id="verifier_record_altered"),
+        pytest.param(_record_altered(5), "user 5 own record", id="other_record_altered"),
         pytest.param(_wrong_population, "lists 16 users", id="wrong_population"),
         pytest.param(_reveal_not_the_setup, "differs from the setup", id="reveal_not_the_setup"),
         pytest.param(_short_nonce_in_reveal, "committed digest", id="short_nonce_in_reveal"),

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -25,13 +26,16 @@ from secaggsim.counters import OpCounters
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _run_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python -m secaggsim.cli`` on the package under ``src/``."""
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with the package under ``src/`` on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "secaggsim.cli", *args], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m secaggsim.cli`` on the package under ``src/``."""
+    return _run_python("-m", "secaggsim.cli", *args)
 
 
 def small_config(**kw) -> ScenarioConfig:
@@ -154,8 +158,21 @@ def test_bench_rows():
     row = bench_once(small_config())
     assert row.protocol == "tree"
     assert row.per_user_prg > 0
-    text = bench_csv([row])
+    base = bench_once(small_config(protocol="baseline", n_users=10))
+    assert base.per_user_prg == 10  # N-1 pairwise masks + 1 self mask
+    assert base.per_user_bytes > 0
+    text = bench_csv([row, base])
     assert text.splitlines()[0].startswith("protocol,")
+
+
+def test_complexity_bench_script(tmp_path: Path):
+    out = tmp_path / "bench.csv"
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_complexity_bench.py"
+    proc = _run_python(str(script), "--sizes", "16", "--big", "128", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with out.open() as f:
+        rows = [r for r in csv.DictReader(f) if r["protocol"] == "baseline"]
+    assert rows and all(float(r["per_user_bytes"]) > 0 for r in rows)
 
 
 # -- CLI --------------------------------------------------------------------------------
