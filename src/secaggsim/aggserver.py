@@ -7,12 +7,17 @@ state is limited to masked uploads, per-leaf partial sums, and the global
 model.  Self-mask removal and pairwise-mask cancellation work directly on
 the partial sums; reconstructed secrets are integers, and the mask
 vectors they imply are recomputed transiently.
+
+Exclusion is dropout recovery run late.  The online members of an
+excluded leaf are marked dropped, their mask keys are reconstructed, and
+``recover_dropout`` cancels the masks they share with included leaves,
+as for a user that never uploaded.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 import numpy as np
@@ -77,14 +82,14 @@ class SubgroupAggregate:
 
 
 @dataclass
-class _PairInfo:
-    u: int
-    v: int
+class _PeerEnd:
+    """One end of a masking pair, as its owner sees it."""
+
+    peer: int
+    sign: int  # sign the owner applies; the peer applies the negative
+    rand_pub: int  # peer's mask pub ** r, handed to the owner
     kind: str
     layer: int
-    rand_pub_for_u: int  # pub_v ** r, handed to u
-    rand_pub_for_v: int  # pub_u ** r, handed to v
-    sign_u: int  # sign u applies; v applies the negative
 
 
 def fedsgd_update(model: ParamVector, total: ParamVector, n_eff: int, eta: float) -> ParamVector:
@@ -120,8 +125,9 @@ class AggServer:
 
     # -- setup phase ---------------------------------------------------------
 
-    def begin_round(self, n_users: int, rng: Random) -> ServerCommitMsg:
+    def begin_round(self, n_users: int, rng: Random, model_len: int) -> ServerCommitMsg:
         self.n_users = n_users
+        self.model_len = model_len
         self.rng = rng
         self.server_rand = rng.randbytes(32)
         self.server_nonce = rng.randbytes(16)
@@ -136,7 +142,6 @@ class AggServer:
         self._collected: dict[tuple[bytes, int], dict[int, tuple[int, ...]]] = {}
         self._mask_secrets: dict[int, int] = {}
         self._leaf_sums: dict[int, np.ndarray] = {}
-        self._cancelled_pairs: set[tuple[int, int]] = set()
         self.setup: TreeSetup | None = None
         return ServerCommitMsg(commit(self.server_rand, self.server_nonce).digest)
 
@@ -185,49 +190,26 @@ class AggServer:
         self.user_of_token = {tok: u for u, tok in enumerate(tokens)}
 
         mask_ids = self.setup.mask_ids
-        peer_sets = build_peer_sets(self.setup.mask_assignment)
-        self.peer_sets = peer_sets
-        self._pairs: dict[tuple[int, int], _PairInfo] = {}
-        self._pairs_of: dict[int, list[_PairInfo]] = {u: [] for u in range(n)}
-        for u, v, kind, layer in masking_pairs(peer_sets):
+        pubs = [int.from_bytes(pub, "big") for pub in self._mask_pubs]
+        self._ends: list[list[_PeerEnd]] = [[] for _ in range(n)]
+        for u, v, kind, layer in masking_pairs(build_peer_sets(self.setup.mask_assignment)):
             r = self.group.random_exponent(self.rng)
-            pub_u = int.from_bytes(self._mask_pubs[u], "big")
-            pub_v = int.from_bytes(self._mask_pubs[v], "big")
-            info = _PairInfo(
-                u=u,
-                v=v,
-                kind=kind,
-                layer=layer,
-                rand_pub_for_u=randomize_pub(self.group, pub_v, r),
-                rand_pub_for_v=randomize_pub(self.group, pub_u, r),
-                sign_u=1 if (mask_ids[u], u) < (mask_ids[v], v) else -1,
-            )
+            sign = 1 if (mask_ids[u], u) < (mask_ids[v], v) else -1
+            self._ends[u].append(_PeerEnd(v, sign, randomize_pub(self.group, pubs[v], r), kind, layer))
+            self._ends[v].append(_PeerEnd(u, -sign, randomize_pub(self.group, pubs[u], r), kind, layer))
             self.counters.key_randomizations_server += 2
-            self._pairs[(u, v)] = info
-            self._pairs_of[u].append(info)
-            self._pairs_of[v].append(info)
 
     def peer_list_for(self, user: int) -> PeerListMsg:
-        handles = []
-        for info in self._pairs_of[user]:
-            peer = info.v if info.u == user else info.u
-            sign = info.sign_u if info.u == user else -info.sign_u
-            rand_pub = info.rand_pub_for_u if info.u == user else info.rand_pub_for_v
-            handles.append(
-                PeerHandle(
-                    token=self.tokens[peer],
-                    randomized_pub=self.group.encode(rand_pub),
-                    sign=sign,
-                    kind=info.kind,
-                    layer=info.layer,
-                )
-            )
+        handles = tuple(
+            PeerHandle(self.tokens[end.peer], self.group.encode(end.rand_pub), end.sign, end.kind, end.layer)
+            for end in self._ends[user]
+        )
         share_asn = self.setup.share_assignment
         leaf = share_asn.leaf_of[user]
         recipients = tuple(self.tokens[u] for u in share_asn.members[leaf])
         return PeerListMsg(
             own_token=self.tokens[user],
-            peers=tuple(handles),
+            peers=handles,
             share_recipients=recipients,
         )
 
@@ -240,7 +222,12 @@ class AggServer:
     def receive_upload(self, user: int, msg: MaskedUploadMsg) -> None:
         if user in self._dropped:
             return  # late upload from a dropped user is discarded
-        self._uploads[user] = msg.vector()
+        vector = msg.vector()
+        if len(vector) != self.model_len:
+            raise ProtocolAbort(
+                f"user {user} uploaded {len(vector)} words, not {self.model_len}", blamed=f"user:{user}"
+            )
+        self._uploads[user] = vector
 
     def mark_dropout(self, user: int) -> None:
         self._dropped.add(user)
@@ -252,23 +239,28 @@ class AggServer:
 
     # -- unmask ------------------------------------------------------------------
 
+    def _requests(self, owners: dict[int, int], *, forced: bool = False) -> dict[int, UnmaskRequestMsg]:
+        """Ask every online member of each owner's share leaf for its share
+        of the owner's secret of the given type.  With ``forced``, each
+        request marks its own targets as force-dropped."""
+        share_asn = self.setup.share_assignment
+        targets: dict[int, list[tuple[bytes, int]]] = {}
+        for owner, stype in owners.items():
+            for holder in share_asn.members[share_asn.leaf_of[owner]]:
+                if holder in self._uploads:
+                    targets.setdefault(holder, []).append((self.tokens[owner], stype))
+        return {
+            holder: UnmaskRequestMsg(tuple(pairs), tuple(tok for tok, _ in pairs) if forced else ())
+            for holder, pairs in targets.items()
+        }
+
     def unmask_requests(self) -> dict[int, UnmaskRequestMsg]:
         """Per-user requests: self-seed shares for online users, mask-key
         shares for dropped ones; each user is asked only about its own
         share subgroup."""
-        share_asn = self.setup.share_assignment
-        online = set(self._uploads)
-        reqs: dict[int, UnmaskRequestMsg] = {}
-        for user in online:
-            leaf = share_asn.leaf_of[user]
-            targets = []
-            for mate in share_asn.members[leaf]:
-                if mate in online:
-                    targets.append((self.tokens[mate], SECRET_SELF_SEED))
-                elif mate in self._dropped:
-                    targets.append((self.tokens[mate], SECRET_MASK_KEY))
-            reqs[user] = UnmaskRequestMsg(tuple(targets))
-        return reqs
+        owners = dict.fromkeys(self._uploads, SECRET_SELF_SEED)
+        owners.update(dict.fromkeys(self._dropped, SECRET_MASK_KEY))
+        return self._requests(owners)
 
     def receive_unmask(self, user: int, msg: UnmaskResponseMsg) -> None:
         """Collect released shares; the threshold is the configured t, so a
@@ -301,45 +293,36 @@ class AggServer:
         self.counters.shares_reconstructed += 1
         return secret
 
-    def _pair_seed_via(self, owner: int, info: _PairInfo) -> bytes:
-        """Recompute the pair seed from the owner's reconstructed key."""
-        rand_pub = info.rand_pub_for_u if info.u == owner else info.rand_pub_for_v
-        return derive_shared_seed(self.group, rand_pub, self._mask_secrets[owner])
-
     def recover_dropout(self, user: int, m: int) -> None:
         """Reconstruct a dropped user's mask key and cancel every mask an
-        online peer applied with it from that peer's leaf sum."""
+        online peer applied with it from that peer's leaf sum.  A pair is
+        cancelled only from its dropped end while the other end is online,
+        so no pair is cancelled twice."""
         if user not in self._mask_secrets:
             self._mask_secrets[user] = self._reconstruct(self.tokens[user], SECRET_MASK_KEY)
-        mask_asn = self.setup.mask_assignment
-        for info in self._pairs_of[user]:
-            peer = info.v if info.u == user else info.u
-            if peer not in self._uploads:
+        secret = self._mask_secrets[user]
+        leaf_of = self.setup.mask_assignment.leaf_of
+        wordmask = np.uint64(self.spec.word_mask)
+        for end in self._ends[user]:
+            if end.peer not in self._uploads:
                 continue  # neither side uploaded; nothing to cancel
-            key = (min(user, peer), max(user, peer))
-            if key in self._cancelled_pairs:
-                continue
-            self._cancelled_pairs.add(key)
-            seed = self._pair_seed_via(user, info)
-            bits = None if info.kind == "intra" else self.inter_mask_bits
+            seed = derive_shared_seed(self.group, end.rand_pub, secret)
+            bits = None if end.kind == "intra" else self.inter_mask_bits
             mask = prg_expand(seed, m, self.spec, mask_bits=bits)
             self.counters.prg_server += 1
             self.counters.mask_cancellations += 1
-            peer_sign = info.sign_u if info.u == peer else -info.sign_u
-            leaf = mask_asn.leaf_of[peer]
-            wordmask = np.uint64(self.spec.word_mask)
-            if peer_sign == 1:
-                self._leaf_sums[leaf] = (self._leaf_sums[leaf] - mask.values) & wordmask
-            else:
+            # the peer applied -sign; rebind, as aggregates alias the old sums
+            leaf = leaf_of[end.peer]
+            if end.sign == 1:
                 self._leaf_sums[leaf] = (self._leaf_sums[leaf] + mask.values) & wordmask
+            else:
+                self._leaf_sums[leaf] = (self._leaf_sums[leaf] - mask.values) & wordmask
 
     def aggregate_subgroups(self) -> list[SubgroupAggregate]:
         """Per-leaf survivor sums with self masks removed, dropout masks
         cancelled, and only the high segments exposed."""
-        if not self._uploads:
-            raise UnrecoverableRoundError("no uploads this round")
         mask_asn = self.setup.mask_assignment
-        m = len(next(iter(self._uploads.values())))
+        m = self.model_len
         wordmask = np.uint64(self.spec.word_mask)
 
         for leaf, members in enumerate(mask_asn.members):
@@ -386,78 +369,39 @@ class AggServer:
         voids = {a.leaf for a in self._aggregates if a.void}
         return set(flagged) | voids
 
+    def _online_in(self, leaves: set[int]) -> list[int]:
+        """Online members of the given leaves, leaf by leaf."""
+        members = self.setup.mask_assignment.members
+        return [u for leaf in sorted(leaves) for u in members[leaf] if u in self._uploads]
+
     def exclusion_requests(self, flagged: set[int]) -> dict[int, UnmaskRequestMsg]:
-        """Ask for mask-key shares of every online member of an excluded
-        leaf, marking them force-dropped.  Their uploads are discarded, so
-        recovery does not expose any input the server still holds."""
-        excluded = self.excluded_leaves(flagged)
-        mask_asn = self.setup.mask_assignment
-        share_asn = self.setup.share_assignment
-        targets_by_holder: dict[int, list[tuple[bytes, int]]] = {}
-        forced_by_holder: dict[int, list[bytes]] = {}
-        for leaf in sorted(excluded):
-            for member in mask_asn.members[leaf]:
-                if member not in self._uploads:
-                    continue  # already handled by dropout recovery
-                token = self.tokens[member]
-                sleaf = share_asn.leaf_of[member]
-                for holder in share_asn.members[sleaf]:
-                    if holder in self._uploads:
-                        targets_by_holder.setdefault(holder, []).append((token, SECRET_MASK_KEY))
-                        forced_by_holder.setdefault(holder, []).append(token)
-        return {
-            holder: UnmaskRequestMsg(tuple(targets), tuple(forced_by_holder[holder]))
-            for holder, targets in targets_by_holder.items()
-        }
+        """Ask for the mask-key shares of every online member of an excluded
+        leaf, marked force-dropped: ``finalize`` recovers them like any
+        dropout and discards their uploads, so recovery does not expose
+        any input the server still holds."""
+        owners = dict.fromkeys(self._online_in(self.excluded_leaves(flagged)), SECRET_MASK_KEY)
+        return self._requests(owners, forced=True)
 
     def finalize(self, flagged: set[int], model: ParamVector) -> tuple[ParamVector, int]:
-        """Global sum over included leaves, with excluded members' residual
-        inter-group masks cancelled and n_i * X_t substituted per excluded
-        leaf.  Returns the total and the effective contribution count."""
+        """Exclude each excluded leaf as a dropout: mark its online members
+        dropped and let ``recover_dropout`` cancel the masks they share with
+        included leaves.  The total is the included leaf sums plus
+        n_i * X_t per excluded leaf; every survivor counts once in the
+        returned effective contribution count."""
         excluded = self.excluded_leaves(flagged)
-        mask_asn = self.setup.mask_assignment
-        m = len(model)
-        wordmask = np.uint64(self.spec.word_mask)
-
-        total = np.zeros(m, dtype=np.uint64)
-        for leaf in range(self.tree.leaf_count):
-            if leaf not in excluded:
-                total = total + self._leaf_sums[leaf]
-        total &= wordmask
-
-        for leaf in sorted(excluded):
-            for member in mask_asn.members[leaf]:
-                if member not in self._uploads:
-                    continue
-                self._uploads.pop(member)  # discard the excluded upload
-                if member not in self._mask_secrets:
-                    self._mask_secrets[member] = self._reconstruct(
-                        self.tokens[member], SECRET_MASK_KEY
-                    )
-                for info in self._pairs_of[member]:
-                    if info.kind != "inter":
-                        continue  # intra masks live inside the discarded sum
-                    peer = info.v if info.u == member else info.u
-                    if peer not in self._uploads:
-                        continue
-                    if mask_asn.leaf_of[peer] in excluded:
-                        continue
-                    seed = self._pair_seed_via(member, info)
-                    mask = prg_expand(seed, m, self.spec, mask_bits=self.inter_mask_bits)
-                    self.counters.prg_server += 1
-                    self.counters.mask_cancellations += 1
-                    peer_sign = info.sign_u if info.u == peer else -info.sign_u
-                    if peer_sign == 1:
-                        total = (total - mask.values) & wordmask
-                    else:
-                        total = (total + mask.values) & wordmask
-
-        n_eff = len(self._uploads)
+        forced = self._online_in(excluded)
+        for user in forced:
+            self.mark_dropout(user)
+        for user in forced:
+            self.recover_dropout(user, len(model))
+        total = np.zeros(len(model), dtype=np.uint64)
         for agg in self._aggregates:
-            if agg.leaf in excluded and agg.survivor_count:
-                total = (total + model.values * np.uint64(agg.survivor_count)) & wordmask
-                n_eff += agg.survivor_count
-        return ParamVector(total & wordmask, self.spec), n_eff
+            if agg.leaf in excluded:
+                total += model.values * np.uint64(agg.survivor_count)
+            else:
+                total += self._leaf_sums[agg.leaf]
+        n_eff = sum(agg.survivor_count for agg in self._aggregates)
+        return ParamVector(total & np.uint64(self.spec.word_mask), self.spec), n_eff
 
     def reveal(self) -> RevealMsg:
         """Post-upload opening of the tree, server randomness, and every

@@ -33,7 +33,7 @@ from .adversary import (
 from .aggserver import AggServer, fedsgd_update
 from .counters import OpCounters
 from .crypto import GROUPS, DhGroup
-from .errors import ConfigError
+from .errors import ConfigError, UnrecoverableRoundError
 from .fixedpoint import ParamVector, SegmentSpec, dequantize_vector, quantize_vector, zeros
 from .orgtree import TreeConfig
 from .useragent import UserAgent
@@ -97,17 +97,12 @@ class TaskWorkload:
 
 
 @dataclass
-class DetectionSettings:
+class DetectionSettings(det.DetectionConfig):
+    """The detector's own settings plus the ones that size the disclosure."""
+
     enabled: bool = True
-    expansion: float = 1.2
-    window: int = 5
-    warmup_rounds: int | None = None
     epsilon: float | None = None  # disclosure radius; None = spec default
     low_bits_override: int | None = None
-    record_pre_replacement: bool = False
-    replacement: str = "min"  # flagged-distance replacement: "min" | "zero"
-    min_threshold: float = 0.0
-    rounded_comparison: bool = True
 
 
 @dataclass
@@ -411,6 +406,17 @@ class RoundResult:
     new_model: ParamVector
 
 
+def _exchange_unmask(
+    server: AggServer, users: list[UserAgent], transport: StarTransport, requests: dict
+) -> None:
+    """Send each unmask request and hand its response to the server."""
+    for u, req in requests.items():
+        transport.deliver(SERVER, f"user:{u}", req.to_bytes())
+        resp = users[u].unmask_response(req)
+        transport.deliver(f"user:{u}", SERVER, resp.to_bytes())
+        server.receive_unmask(u, resp)
+
+
 def execute_round(
     *,
     server: AggServer,
@@ -435,7 +441,7 @@ def execute_round(
     pre_drop = pre_drop or set()
     n_users = len(users)
 
-    commit_msg = server.begin_round(n_users, _sub_rng(seed, "server", t))
+    commit_msg = server.begin_round(n_users, _sub_rng(seed, "server", t), len(model))
     commit_bytes = commit_msg.to_bytes()
     for u, agent in enumerate(users):
         transport.deliver(SERVER, f"user:{u}", commit_bytes)
@@ -474,35 +480,27 @@ def execute_round(
         transport.deliver(f"user:{u}", SERVER, upload.to_bytes())
         server.receive_upload(u, upload)
 
+    online = server.online_users
+    if not online:
+        raise UnrecoverableRoundError("no uploads this round")
     if verify:
         # post-upload opening; every honest user would run the full check,
         # the simulator decodes and replays it once, then every online user
         # checks its own record in the same decoded reveal
         reveal_bytes = server.reveal().to_bytes()
-        for u in server.online_users:
+        for u in online:
             transport.deliver(SERVER, f"user:{u}", reveal_bytes)
         reveal = RevealMsg.from_bytes(reveal_bytes)
-        online = server.online_users
         users[online[0]].verify_reveal(reveal, server.setup, server.tree)
         for u in online[1:]:
             users[u].check_own_record(reveal)
 
-    for u, req in server.unmask_requests().items():
-        transport.deliver(SERVER, f"user:{u}", req.to_bytes())
-        resp = users[u].unmask_response(req)
-        transport.deliver(f"user:{u}", SERVER, resp.to_bytes())
-        server.receive_unmask(u, resp)
-
+    _exchange_unmask(server, users, transport, server.unmask_requests())
     aggregates = server.aggregate_subgroups()
 
     record = detector.detect(aggregates, model) if detector is not None else None
     flagged = set(record.flagged) if record is not None else set()
-
-    for u, req in server.exclusion_requests(flagged).items():
-        transport.deliver(SERVER, f"user:{u}", req.to_bytes())
-        resp = users[u].unmask_response(req)
-        transport.deliver(f"user:{u}", SERVER, resp.to_bytes())
-        server.receive_unmask(u, resp)
+    _exchange_unmask(server, users, transport, server.exclusion_requests(flagged))
 
     total, n_eff = server.finalize(flagged, model)
     new_model = fedsgd_update(model, total, n_eff, eta)
@@ -556,17 +554,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     # a single leaf has no other subgroup to be compared with
     detector = None
     if config.detection.enabled and tree.leaf_count > 1:
-        detector = det.Detector(
-            det.DetectionConfig(
-                expansion=config.detection.expansion,
-                window=config.detection.window,
-                warmup_rounds=config.detection.warmup_rounds,
-                record_pre_replacement=config.detection.record_pre_replacement,
-                replacement=config.detection.replacement,
-                min_threshold=config.detection.min_threshold,
-                rounded_comparison=config.detection.rounded_comparison,
-            )
-        )
+        detector = det.Detector(config.detection)
 
     model = workload.initial_model()
     rows: list[RoundRow] = []

@@ -2,12 +2,16 @@ import dataclasses
 import numpy as np
 import pytest
 from random import Random
+from types import SimpleNamespace
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import build_round, plaintext_sum, random_inputs, run_plain_round
 
 from secaggsim.aggserver import fedsgd_update
 from secaggsim.counters import OpCounters
-from secaggsim.crypto import SIM_GROUP
+from secaggsim.crypto import FAST_GROUP, SIM_GROUP
 from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError
 from secaggsim.fixedpoint import (
     ParamVector,
@@ -17,7 +21,9 @@ from secaggsim.fixedpoint import (
     quantize_vector,
     zeros,
 )
-from secaggsim.orgtree import TreeConfig, commits_digest, verify_setup
+from secaggsim.orgtree import TreeConfig, build_peer_sets, commits_digest, masking_pairs, verify_setup
+from secaggsim.scenarios import exactness_config
+from secaggsim.simulation import run_scenario
 from secaggsim.simulation import execute_round
 from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
@@ -290,8 +296,6 @@ class _FlagFirstLeaf:
     """Detector stand-in that flags the first non-void subgroup."""
 
     def detect(self, aggregates, model):
-        from types import SimpleNamespace
-
         return SimpleNamespace(flagged=[next(a.leaf for a in aggregates if not a.void)])
 
 
@@ -341,6 +345,93 @@ def test_unrecoverable_below_threshold():
             round_seed=(40, 0),
             pre_drop={0, 1, 2, 3},
         )
+
+
+def test_round_with_every_user_dropped_is_unrecoverable():
+    with pytest.raises(UnrecoverableRoundError, match="no uploads this round"):
+        run_scenario(exactness_config(0, 10, 1, 2, dropout_rate=0.96))
+
+
+class _FlagLeaves:
+    """Detector stand-in that flags a fixed set of leaves."""
+
+    def __init__(self, leaves: set[int]):
+        self.leaves = leaves
+
+    def detect(self, aggregates, model):
+        return SimpleNamespace(flagged=sorted(self.leaves))
+
+
+@st.composite
+def _dropout_exclusion_rounds(draw):
+    height, degree = draw(st.integers(0, 2)), draw(st.integers(2, 3))
+    leaves = degree**height
+    n = draw(st.integers(2 * leaves, 40))
+    tree = TreeConfig(
+        height=height,
+        degree=degree,
+        neighbor_radius=draw(st.integers(1, max(1, -(-n // leaves) // 2))),
+        share_threshold=draw(st.integers(2, n // leaves)),
+    )
+    tree.validate_for(n)
+    drop = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    flagged = draw(st.sets(st.integers(0, leaves - 1), max_size=leaves))
+    return tree, n, draw(st.integers(1, 8)), drop, flagged, draw(st.integers(0, 2**32))
+
+
+@given(_dropout_exclusion_rounds())
+def test_oracle_dropouts_and_exclusion(case):
+    """Exclusion is a forced dropout: sums, n_eff and the cancellation and
+    PRG counts match a plaintext oracle on random trees, dropout sets and
+    flagged sets, and a round fails exactly when a share leaf has fewer
+    than t online members."""
+    tree, n, m, drop, flagged, seed = case
+    inputs = random_inputs(n, m, SPEC, seed=seed)
+    model = quantize_vector(np.random.default_rng(seed).uniform(-1, 1, m), SPEC)
+    online = {u: x for u, x in inputs.items() if u not in drop}
+    server, users, transport, counters = build_round(n, tree, SPEC, group=FAST_GROUP)
+    try:
+        result = execute_round(
+            server=server, users=users, transport=transport, model=model, inputs=online,
+            round_seed=(seed, 0), pre_drop=drop, detector=_FlagLeaves(flagged),
+        )
+    except UnrecoverableRoundError:
+        result = None
+    t = tree.share_threshold
+    short = any(sum(u in online for u in members) < t for members in server.setup.share_assignment.members)
+    assert (result is None) == short
+    if result is None:
+        return
+    mask_asn = server.setup.mask_assignment
+    leaf_of = mask_asn.leaf_of
+    voids = {leaf for leaf, members in enumerate(mask_asn.members) if sum(u in online for u in members) < 2}
+    excluded = flagged | voids
+    forced = {u for u in online if leaf_of[u] in excluded}
+    included = {u: x for u, x in online.items() if u not in forced}
+    expect = plaintext_sum(included, m, SPEC) + model.values * np.uint64(len(forced))
+    assert np.array_equal(result.total.values, expect & np.uint64(SPEC.word_mask))
+    assert result.n_eff == len(online)
+
+    def cancelled(a, b):
+        return (a in drop and b in online) or (a in forced and b in included)
+
+    pairs = masking_pairs(build_peer_sets(mask_asn))
+    assert counters.mask_cancellations == sum(cancelled(u, v) or cancelled(v, u) for u, v, *_ in pairs)
+    assert counters.prg_server == len(online) + counters.mask_cancellations
+
+
+@pytest.mark.parametrize("length", [1, 9])
+def test_wrong_length_upload_is_blamed_on_its_sender(length):
+    tree = TreeConfig(height=1, degree=2, neighbor_radius=1, share_threshold=2)
+    inputs = random_inputs(12, 8, SPEC, seed=70)
+    inputs[5] = quantize_vector(np.zeros(length), SPEC)
+    server, users, transport, _ = build_round(12, tree, SPEC)
+    with pytest.raises(ProtocolAbort, match="uploaded") as err:
+        execute_round(
+            server=server, users=users, transport=transport, model=zeros(8, SPEC),
+            inputs=inputs, round_seed=(70, 0),
+        )
+    assert err.value.blamed == "user:5"
 
 
 # -- subgroup aggregation and the carry bound ----------------------------------------------

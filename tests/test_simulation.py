@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from secaggsim.adversary import AttackPlan
 from secaggsim.errors import ConfigError
+from secaggsim.scenarios import exactness_config
 from secaggsim.simulation import (
     CSV_COLUMNS,
     DetectionSettings,
@@ -107,6 +109,44 @@ def test_reports_byte_identical():
     b = run_scenario(small_config(dropout_rate=0.1, attack=AttackPlan(attacker_ids=(3,), strategy="one_shot", start_round=2)))
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
+
+
+PINNED_REPORTS = {
+    "dropout_72": (
+        lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
+        "5c4a7eeb071e817cb301574b22881f021ae63b837d98eb646c5ae8d05d0f5bfc",
+    ),
+    "flagging_81": (
+        lambda: ScenarioConfig(
+            n_users=81,
+            rounds=9,
+            mode="synthetic",
+            dh_group="fast64",
+            tree_height=2,
+            tree_degree=3,
+            neighbor_radius=2,
+            share_threshold=3,
+            dropout_rate=0.1,
+            seed=5,
+            detection=DetectionSettings(warmup_rounds=5, low_bits_override=13),
+            synthetic=SyntheticWorkload(vector_len=32),
+            attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
+        ),
+        "9fb29c8d563837f5a609e8b8cb74e5ab9606674f445c05b238de6bd86894fbea",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_digest_pinned(name):
+    """SHA-256 of ``to_csv() + to_json()`` for a dropout round and for a run
+    that flags and excludes leaves (rounds 5 and 7) with dropouts, so a
+    refactor that claims to keep behaviour is checked on its reports.  An
+    intended behaviour change updates these values and records the change
+    in CHANGES.md."""
+    make, digest = PINNED_REPORTS[name]
+    report = run_scenario(make())
+    assert hashlib.sha256((report.to_csv() + report.to_json()).encode()).hexdigest() == digest
 
 
 def test_different_seeds_differ():

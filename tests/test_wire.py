@@ -124,7 +124,7 @@ def _tree_commit_bytes(n: int) -> bytes:
         tree=TreeConfig(height=1, degree=2), group=SIM_GROUP, spec=spec, inter_mask_bits=10, counters=OpCounters()
     )
     rng = Random(n)
-    server.begin_round(n, rng)
+    server.begin_round(n, rng, 1)
     for u in range(n):
         server.receive_advert(u, AdvertMsg(rng.randbytes(32), rng.randbytes(32), rng.randbytes(32)))
     return server.commit_tree().to_bytes()
