@@ -34,7 +34,7 @@ from .crypto import (
     reconstruct_secret,
     verify_commitment,
 )
-from .errors import ProtocolAbort, UnrecoverableRoundError
+from .errors import ProtocolAbort, UnrecoverableRoundError, WireError
 from .fixedpoint import (
     ParamVector,
     SegmentSpec,
@@ -222,7 +222,10 @@ class AggServer:
     def receive_upload(self, user: int, msg: MaskedUploadMsg) -> None:
         if user in self._dropped:
             return  # late upload from a dropped user is discarded
-        vector = msg.vector()
+        try:
+            vector = msg.vector(self.spec)
+        except WireError as exc:
+            raise ProtocolAbort(f"user {user} sent a malformed upload: {exc}", blamed=f"user:{user}") from exc
         if len(vector) != self.model_len:
             raise ProtocolAbort(
                 f"user {user} uploaded {len(vector)} words, not {self.model_len}", blamed=f"user:{user}"
@@ -323,24 +326,25 @@ class AggServer:
         cancelled, and only the high segments exposed."""
         mask_asn = self.setup.mask_assignment
         m = self.model_len
-        wordmask = np.uint64(self.spec.word_mask)
+        sums = self._leaf_sums
 
+        # leaf sums and self-mask removal update the sums in place, wrapping
+        # mod 2^64 until one reduction: no aggregate aliases them yet
         for leaf, members in enumerate(mask_asn.members):
-            acc = np.zeros(m, dtype=np.uint64)
+            acc = sums[leaf] = np.zeros(m, dtype=np.uint64)
             for u in members:
                 if u in self._uploads:
-                    acc = acc + self._uploads[u]
-            self._leaf_sums[leaf] = acc & wordmask
+                    acc += self._uploads[u]
 
-        # remove self masks of every online user
         for user in self.online_users:
-            token = self.tokens[user]
-            seed_int = self._reconstruct(token, SECRET_SELF_SEED)
-            seed = int(seed_int).to_bytes(32, "big")
-            mask = prg_expand(seed, m, self.spec)
+            seed_int = self._reconstruct(self.tokens[user], SECRET_SELF_SEED)
+            mask = prg_expand(int(seed_int).to_bytes(32, "big"), m, self.spec)
             self.counters.prg_server += 1
-            leaf = mask_asn.leaf_of[user]
-            self._leaf_sums[leaf] = (self._leaf_sums[leaf] - mask.values) & wordmask
+            sums[mask_asn.leaf_of[user]] -= mask.values
+
+        wordmask = np.uint64(self.spec.word_mask)
+        for acc in sums.values():
+            acc &= wordmask
 
         for user in sorted(self._dropped):
             self.recover_dropout(user, m)

@@ -19,7 +19,7 @@ from random import Random
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .fixedpoint import ParamVector, SegmentSpec
+from .fixedpoint import ParamVector, SegmentSpec, word_bytes
 
 _COMMIT_TAG = b"commit-v1"
 _PRG_TAG = b"mask-prg-v1"
@@ -157,20 +157,24 @@ def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = N
     """Deterministic stream of m elements uniform in [0, 2^w).
 
     The seed is expanded with AES-128-CTR under the key
-    ``SHA-256(_PRG_TAG || seed)[:16]``, 8 keystream bytes per element read
-    as little endian 64-bit words; truncating a uniform word to w (or
-    ``mask_bits``) low bits keeps it uniform.  ``mask_bits`` confines the
-    mask to the lowest bits, which is how inter-group masks leave the
-    revealable segment untouched.
+    ``SHA-256(_PRG_TAG || seed)[:16]``.  Each element takes the next
+    ``word_bytes(bits)`` keystream bytes, the smallest native word (1, 2, 4
+    or 8 bytes) that holds the ``bits`` it keeps, read little endian;
+    truncating a uniform word to its low ``bits`` keeps it uniform.  ``bits``
+    is w, or ``mask_bits`` when given: ``mask_bits`` confines the mask to
+    the lowest bits, which is how inter-group masks leave the revealable
+    segment untouched.  So a w = 32 mask draws 4 bytes per element and a
+    10-bit inter mask 2.
 
-    The keystream comes from one AES-GCM encryption of 8*m zero bytes under
-    the all-zero 96-bit nonce with the 16-byte tag dropped: GCM encrypts
-    with plain CTR starting at counter block 0^96 || 2, and the one-shot
-    call costs far less setup than a streaming CTR cipher object.  Reusing
-    the fixed nonce is safe here because the key is the seed's own PRG key
-    and the plaintext is always zero: the output is the keystream itself,
-    so every party expanding one seed gets the same stream, which is exactly
-    the PRG contract.  Nothing else is ever encrypted under a mask key.
+    The keystream comes from one AES-GCM encryption of that many zero bytes
+    under the all-zero 96-bit nonce with the 16-byte tag dropped: GCM
+    encrypts with plain CTR starting at counter block 0^96 || 2, and the
+    one-shot call costs far less setup than a streaming CTR cipher object.
+    Reusing the fixed nonce is safe here because the key is the seed's own
+    PRG key and the plaintext is always zero: the output is the keystream
+    itself, so every party expanding one seed with the same ``bits`` gets
+    the same stream, which is exactly the PRG contract.  Nothing else is
+    ever encrypted under a mask key.
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -179,10 +183,14 @@ def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = N
         raise ValueError("mask_bits out of range")
     if bits == 0:
         return ParamVector(np.zeros(m, dtype=np.uint64), spec)
+    width = word_bytes(bits)
     key = hashlib.sha256(_PRG_TAG + seed).digest()[:16]
-    stream = AESGCM(key).encrypt(_ZERO_NONCE, bytes(8 * m), None)
-    words = np.frombuffer(stream, dtype="<u8", count=m)  # count=m drops the GCM tag
-    return ParamVector(words & np.uint64((1 << bits) - 1), spec)
+    stream = AESGCM(key).encrypt(_ZERO_NONCE, bytes(width * m), None)
+    # count=m drops the GCM tag; astype copies into an owned, writable array
+    words = np.frombuffer(stream, dtype=f"<u{width}", count=m).astype(np.uint64)
+    if bits < 8 * width:
+        words &= np.uint64((1 << bits) - 1)
+    return ParamVector(words, spec)
 
 
 # ---------------------------------------------------------------------------

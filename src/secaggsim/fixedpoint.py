@@ -66,9 +66,26 @@ class SegmentSpec:
         return float(1 << self.frac_bits)
 
 
+def word_bytes(bits: int) -> int:
+    """Bytes of the smallest native unsigned word (1, 2, 4 or 8) that holds
+    ``bits`` bits; the width of a w-bit element on the wire and of a
+    ``bits``-bit mask draw."""
+    for width in (1, 2, 4, 8):
+        if bits <= 8 * width:
+            return width
+    raise ValueError(f"{bits} bits do not fit in a 64-bit word")
+
+
 @dataclass(frozen=True)
 class ParamVector:
-    """A length-m vector of ring elements under a shared SegmentSpec."""
+    """A length-m vector of ring elements under a shared SegmentSpec.
+
+    Construction coerces the dtype but does not scan the elements: every
+    element is below 2^w because vectors enter the program only through
+    the boundaries that reduce or check them (``from_ints`` and
+    ``quantize_vector`` reduce mod 2^w, the wire decoders reject an
+    element >= 2^w), and the ring operations reduce their results.
+    """
 
     values: np.ndarray  # dtype uint64, every element < 2^w
     spec: SegmentSpec
@@ -76,9 +93,6 @@ class ParamVector:
     def __post_init__(self) -> None:
         if self.values.dtype != np.uint64:
             object.__setattr__(self, "values", self.values.astype(np.uint64))
-        if self.spec.word_bits < 64 and self.values.size:
-            if int(self.values.max()) > self.spec.max_value:
-                raise ValueError("element exceeds ring modulus")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -97,6 +111,7 @@ def zeros(m: int, spec: SegmentSpec) -> ParamVector:
 
 
 def from_ints(ints, spec: SegmentSpec) -> ParamVector:
+    """Ring elements from Python integers, each reduced mod 2^w."""
     arr = np.array([int(v) & spec.word_mask for v in ints], dtype=np.uint64)
     return ParamVector(arr, spec)
 
@@ -128,6 +143,8 @@ def dequantize(element: int, spec: SegmentSpec) -> float:
 
 
 def quantize_vector(values, spec: SegmentSpec) -> ParamVector:
+    """Vector form of :func:`quantize`: raises SaturationError when any value
+    overflows w-bit fixed point, and reduces the rest mod 2^w."""
     arr = np.asarray(values, dtype=np.float64)
     scaled = np.rint(arr * spec.scale)
     half = float(1 << (spec.word_bits - 1))

@@ -40,7 +40,7 @@ from .errors import ConfigError, UnrecoverableRoundError
 from .fixedpoint import ParamVector, SegmentSpec, dequantize_vector, quantize_vector, zeros
 from .orgtree import TreeConfig
 from .useragent import UserAgent
-from .wire import SERVER, GlobalModelMsg, RevealMsg, StarTransport, TreeCommitMsg
+from .wire import SERVER, GlobalModelMsg, MaskedUploadMsg, RevealMsg, StarTransport, TreeCommitMsg
 
 REPORT_SCHEMA = "run-report-v1"
 CSV_COLUMNS = [
@@ -503,9 +503,8 @@ def execute_round(
     for u, agent in enumerate(users):
         if u in pre_drop:
             continue
-        upload = agent.mask_input(inputs[u])
-        transport.deliver(f"user:{u}", SERVER, upload.to_bytes())
-        server.receive_upload(u, upload)
+        received = transport.deliver(f"user:{u}", SERVER, agent.mask_input(inputs[u]).to_bytes())
+        server.receive_upload(u, MaskedUploadMsg.from_bytes(received))
 
     online = server.online_users
     if not online:
@@ -531,7 +530,7 @@ def execute_round(
 
     total, n_eff = server.finalize(flagged, model)
     new_model = fedsgd_update(model, total, n_eff, eta)
-    model_bytes = GlobalModelMsg.from_vector(new_model.values).to_bytes()
+    model_bytes = GlobalModelMsg.from_vector(new_model.values, new_model.spec).to_bytes()
     for u in range(n_users):
         transport.deliver(SERVER, f"user:{u}", model_bytes)
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from random import Random
 
+import numpy as np
+
 from .counters import OpCounters
 from .crypto import (
     Commitment,
@@ -31,7 +33,7 @@ from .crypto import (
     verify_commitment,
 )
 from .errors import ProtocolAbort
-from .fixedpoint import ParamVector, SegmentSpec, vec_add_mod, vec_sub_mod
+from .fixedpoint import ParamVector, SegmentSpec
 from .orgtree import TreeConfig, TreeSetup, commits_digest, verify_setup
 from .wire import (
     SECRET_MASK_KEY,
@@ -202,21 +204,29 @@ class UserAgent:
 
         Intra-group masks span the full word; inter-group masks are
         confined to the low ``inter_mask_bits`` bits so the revealable
-        high segment of a subgroup aggregate stays meaningful.
+        high segment of a subgroup aggregate stays meaningful.  The masks
+        accumulate in one uint64 array, wrapping mod 2^64, and are reduced
+        mod 2^w once at the end.
         """
         self._advance(PHASE_SHARE, PHASE_UPLOAD)
+        if x.spec != self.spec:
+            raise ValueError("SegmentSpec mismatch")
         m = len(x)
-        y = vec_add_mod(x, prg_expand(self.self_seed, m, self.spec))
+        y = x.values + prg_expand(self.self_seed, m, self.spec).values
         self.counters.prg_by_user[self.index] += 1
         for handle in self._peer_handles:
             seed = self._pair_seeds.get(handle.token)
             if seed is None:
                 raise ProtocolAbort(f"user {self.index} missing a peer seed", blamed="server")
             bits = None if handle.kind == "intra" else self.inter_mask_bits
-            mask = prg_expand(seed, m, self.spec, mask_bits=bits)
+            mask = prg_expand(seed, m, self.spec, mask_bits=bits).values
             self.counters.prg_by_user[self.index] += 1
-            y = vec_add_mod(y, mask) if handle.sign == 1 else vec_sub_mod(y, mask)
-        return MaskedUploadMsg.from_vector(self._own_token, y.values)
+            if handle.sign == 1:
+                y += mask
+            else:
+                y -= mask
+        y &= np.uint64(self.spec.word_mask)
+        return MaskedUploadMsg.from_vector(self._own_token, y, self.spec)
 
     # -- unmask ----------------------------------------------------------------
 

@@ -5,9 +5,13 @@ Every protocol message is one length-prefixed record::
     tag (1 byte) || payload_length (4 bytes, big endian) || payload
 
 Variable-length payload fields are themselves prefixed with a 4-byte big
-endian length.  Vector elements travel as 8-byte little endian words (the
-ring uses at most 64 bits).  Shamir share limbs are 33-byte big endian
-field elements (the share field is the 257-bit prime 2^256 + 297).
+endian length.  Vector elements travel as little endian words of the
+smallest native width (1, 2, 4 or 8 bytes) that holds w bits, so 4 bytes
+at w = 32.  No record carries the width: the receiver decodes a vector
+under its own ``SegmentSpec``, and a vector that is not a whole number of
+elements, or holds an element >= 2^w, raises ``WireError`` there.  Shamir
+share limbs are 33-byte big endian field elements (the share field is the
+257-bit prime 2^256 + 297).
 
 A share record comes in two forms.  A distribution record carries both of
 its owner's secrets for one recipient, the mask-key limbs and then the
@@ -43,6 +47,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .errors import WireError
+from .fixedpoint import SegmentSpec, word_bytes
 
 TAG_SERVER_COMMIT = 1
 TAG_ADVERT = 2
@@ -96,10 +101,24 @@ def _unpack_tokens(buf: bytes, off: int) -> tuple[tuple[bytes, ...], int]:
     return tuple(raw[TOKEN_BYTES * i : TOKEN_BYTES * (i + 1)] for i in range(k)), end
 
 
-def _check_words(words: bytes) -> bytes:
-    if len(words) % 8:
-        raise WireError(f"{len(words)} vector bytes are not whole 8-byte words")
-    return words
+def _encode_words(values: np.ndarray, spec: SegmentSpec) -> bytes:
+    """Ring elements as ``word_bytes(w)``-byte little endian words; an
+    element >= 2^w raises ``ValueError`` rather than being cut to w bits."""
+    if values.size and int(values.max()) > spec.max_value:
+        raise ValueError(f"vector element exceeds the {spec.word_bits}-bit ring")
+    return values.astype(f"<u{word_bytes(spec.word_bits)}").tobytes()
+
+
+def _decode_words(words: bytes, spec: SegmentSpec) -> np.ndarray:
+    """Inverse of :func:`_encode_words`: ``WireError`` unless the bytes are
+    whole elements, each below 2^w."""
+    width = word_bytes(spec.word_bits)
+    if len(words) % width:
+        raise WireError(f"{len(words)} vector bytes are not whole {width}-byte elements")
+    values = np.frombuffer(words, dtype=f"<u{width}").astype(np.uint64)
+    if spec.word_bits < 8 * width and values.size and int(values.max()) > spec.max_value:
+        raise WireError(f"vector element exceeds the {spec.word_bits}-bit ring")
+    return values
 
 
 def _pack_targets(targets: tuple[tuple[bytes, int], ...]) -> bytes:
@@ -354,14 +373,15 @@ class ShareMsg:
 @dataclass(frozen=True)
 class MaskedUploadMsg:
     token: bytes
-    words: bytes  # m little endian 8-byte words
+    words: bytes  # m little endian words of word_bytes(w) bytes each
 
     @staticmethod
-    def from_vector(token: bytes, values: np.ndarray) -> "MaskedUploadMsg":
-        return MaskedUploadMsg(token, values.astype("<u8").tobytes())
+    def from_vector(token: bytes, values: np.ndarray, spec: SegmentSpec) -> "MaskedUploadMsg":
+        return MaskedUploadMsg(token, _encode_words(values, spec))
 
-    def vector(self) -> np.ndarray:
-        return np.frombuffer(self.words, dtype="<u8").astype(np.uint64)
+    def vector(self, spec: SegmentSpec) -> np.ndarray:
+        """The uint64 elements, decoded at the width of the receiver's w."""
+        return _decode_words(self.words, spec)
 
     def to_bytes(self) -> bytes:
         return encode_record(TAG_MASKED_UPLOAD, self.token + self.words)
@@ -370,7 +390,7 @@ class MaskedUploadMsg:
     def from_bytes(data: bytes) -> "MaskedUploadMsg":
         payload = _payload_of(data, TAG_MASKED_UPLOAD)
         token, off = _take(payload, 0, TOKEN_BYTES)
-        return MaskedUploadMsg(token, _check_words(payload[off:]))
+        return MaskedUploadMsg(token, payload[off:])
 
 
 @dataclass(frozen=True)
@@ -483,22 +503,22 @@ class RevealMsg:
 
 @dataclass(frozen=True)
 class GlobalModelMsg:
-    words: bytes
+    words: bytes  # m little endian words of word_bytes(w) bytes each
 
     @staticmethod
-    def from_vector(values: np.ndarray) -> "GlobalModelMsg":
-        return GlobalModelMsg(values.astype("<u8").tobytes())
+    def from_vector(values: np.ndarray, spec: SegmentSpec) -> "GlobalModelMsg":
+        return GlobalModelMsg(_encode_words(values, spec))
 
-    def vector(self) -> np.ndarray:
-        return np.frombuffer(self.words, dtype="<u8").astype(np.uint64)
+    def vector(self, spec: SegmentSpec) -> np.ndarray:
+        """The uint64 elements, decoded at the width of the receiver's w."""
+        return _decode_words(self.words, spec)
 
     def to_bytes(self) -> bytes:
         return encode_record(TAG_GLOBAL_MODEL, self.words)
 
     @staticmethod
     def from_bytes(data: bytes) -> "GlobalModelMsg":
-        payload = _payload_of(data, TAG_GLOBAL_MODEL)
-        return GlobalModelMsg(_check_words(payload))
+        return GlobalModelMsg(_payload_of(data, TAG_GLOBAL_MODEL))
 
 
 # ---------------------------------------------------------------------------

@@ -132,20 +132,26 @@ def test_prg_mask_bits():
 
 def _ctr_reference(seed: bytes, m: int, bits: int) -> np.ndarray:
     """AES-128-CTR keystream through the generic cipher interface, starting
-    at counter block 0^96 || 2 as GCM does."""
+    at counter block 0^96 || 2 as GCM does, read as one little endian word
+    of the smallest native width (1, 2, 4 or 8 bytes) per element."""
+    width = next(b for b in (1, 2, 4, 8) if bits <= 8 * b)
     key = hashlib.sha256(b"mask-prg-v1" + seed).digest()[:16]
     enc = Cipher(algorithms.AES(key), modes.CTR(bytes(12) + (2).to_bytes(4, "big"))).encryptor()
-    stream = enc.update(bytes(8 * m)) + enc.finalize()
-    return np.frombuffer(stream, dtype="<u8") & np.uint64((1 << bits) - 1)
+    stream = enc.update(bytes(width * m)) + enc.finalize()
+    return np.frombuffer(stream, dtype=f"<u{width}").astype(np.uint64) & np.uint64((1 << bits) - 1)
 
 
 @pytest.mark.parametrize("seed", [b"", b"seed", bytes(range(32)), b"\xff" * 32])
 @pytest.mark.parametrize("m", [1, 24, 330, 20_000])
 def test_prg_known_answer_aes_ctr(seed, m):
+    """Every width: 8-, 4-, 2- and 1-byte draws, both as the full word of a
+    ring of that width and as a mask confined to that many low bits."""
     wide = SegmentSpec(word_bits=64, frac_bits=16, low_bits=32)
-    assert np.array_equal(prg_expand(seed, m, wide).values, _ctr_reference(seed, m, 64))
-    assert np.array_equal(prg_expand(seed, m, SPEC).values, _ctr_reference(seed, m, SPEC.word_bits))
-    assert np.array_equal(prg_expand(seed, m, SPEC, mask_bits=13).values, _ctr_reference(seed, m, 13))
+    for bits in (64, 32, 13, 10, 7, 4):
+        expect = _ctr_reference(seed, m, bits)
+        narrow = SegmentSpec(word_bits=bits, frac_bits=1, low_bits=2)
+        assert np.array_equal(prg_expand(seed, m, narrow).values, expect), bits
+        assert np.array_equal(prg_expand(seed, m, wide, mask_bits=bits).values, expect), bits
 
 
 def test_prg_avalanche():

@@ -38,6 +38,7 @@ from secaggsim.wire import (
 )
 
 SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
+SPEC20 = SegmentSpec(word_bits=20, frac_bits=4, low_bits=12)  # 4-byte elements with 12 spare bits
 TREE22 = TreeConfig(height=2, degree=2, neighbor_radius=1, share_threshold=2)
 TREE23 = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=2)
 NO_TREE = TreeCommitMsg(bytes(32), 0, bytes(32))  # for agents driven without a server
@@ -70,11 +71,38 @@ def test_two_user_masks_cancel():
         agent.receive_peer_list(PeerListMsg(tok[u], (handles[u],), (tok[0], tok[1])))
         agent.distribute_shares()
     xs = random_inputs(2, 16, SPEC, seed=5)
-    ys = [agents[u].mask_input(xs[u]).vector() for u in range(2)]
+    ys = [agents[u].mask_input(xs[u]).vector(SPEC) for u in range(2)]
     masked_sum = (ys[0] + ys[1]) & np.uint64(SPEC.word_mask)
     for agent in agents:
         masked_sum = (masked_sum - prg_expand(agent.self_seed, 16, SPEC).values) & np.uint64(SPEC.word_mask)
     assert np.array_equal(masked_sum, plaintext_sum(xs, 16, SPEC))
+
+
+@pytest.mark.parametrize("spec", [SPEC, SPEC20], ids=["w32", "w20"])
+def test_mask_input_matches_rebinding_reference(spec):
+    """The in-place accumulation equals the vec_add_mod / vec_sub_mod chain
+    over the self mask and every pair mask, intra and inter, both signs."""
+    from secaggsim.crypto import KeyPair, derive_shared_seed, prg_expand
+    from secaggsim.fixedpoint import vec_add_mod, vec_sub_mod
+
+    agent = UserAgent(0, group=SIM_GROUP, spec=spec, inter_mask_bits=6, share_threshold=2, counters=OpCounters())
+    agent.begin_round(Random(3), bytes(32))
+    agent.open_rand(NO_TREE)
+    rng = Random(4)
+    plan = [(1, "intra", 0), (-1, "intra", 0), (1, "inter", 1), (-1, "inter", 2)]
+    handles = tuple(
+        PeerHandle(bytes([i]) * 8, SIM_GROUP.encode(KeyPair.generate(SIM_GROUP, rng).public), sign, kind, layer)
+        for i, (sign, kind, layer) in enumerate(plan, 1)
+    )
+    agent.receive_peer_list(PeerListMsg(b"own-tok!", handles, (b"own-tok!", handles[0].token)))
+    agent.distribute_shares()
+    x = random_inputs(1, 50, spec, seed=8)[0]
+    expect = vec_add_mod(x, prg_expand(agent.self_seed, 50, spec))
+    for h in handles:
+        seed = derive_shared_seed(SIM_GROUP, int.from_bytes(h.randomized_pub, "big"), agent.mask_keys.secret)
+        mask = prg_expand(seed, 50, spec, mask_bits=None if h.kind == "intra" else 6)
+        expect = vec_add_mod(expect, mask) if h.sign == 1 else vec_sub_mod(expect, mask)
+    assert np.array_equal(agent.mask_input(x).vector(spec), expect.values)
 
 
 def test_full_round_zero_inputs():
@@ -430,6 +458,30 @@ def test_wrong_length_upload_is_blamed_on_its_sender(length):
         execute_round(
             server=server, users=users, transport=transport, model=zeros(8, SPEC),
             inputs=inputs, round_seed=(70, 0),
+        )
+    assert err.value.blamed == "user:5"
+
+
+@pytest.mark.parametrize("spec, tamper", [(SPEC, "partial"), (SPEC20, "partial"), (SPEC20, "beyond_ring")])
+def test_malformed_upload_is_blamed_on_its_sender(spec, tamper):
+    """The server decodes the delivered upload bytes, so a partial element
+    or an element >= 2^w aborts the round instead of skewing the total."""
+    tree = TreeConfig(height=1, degree=2, neighbor_radius=1, share_threshold=2)
+    inputs = random_inputs(12, 8, spec, seed=71)
+    server, users, transport, _ = build_round(12, tree, spec)
+    honest = users[5].mask_input
+
+    def tampered(x):
+        msg = honest(x)
+        if tamper == "partial":
+            return dataclasses.replace(msg, words=msg.words + b"\x00")
+        return dataclasses.replace(msg, words=(1 << spec.word_bits).to_bytes(4, "little") + msg.words[4:])
+
+    users[5].mask_input = tampered
+    with pytest.raises(ProtocolAbort, match="malformed upload") as err:
+        execute_round(
+            server=server, users=users, transport=transport, model=zeros(8, spec),
+            inputs=inputs, round_seed=(71, 0),
         )
     assert err.value.blamed == "user:5"
 

@@ -114,7 +114,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "5c4a7eeb071e817cb301574b22881f021ae63b837d98eb646c5ae8d05d0f5bfc",
+        "66a16ea168e28339551ea9b268b583d009f3b5e0277bdf1686501bee6cd913d3",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -132,7 +132,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "9fb29c8d563837f5a609e8b8cb74e5ab9606674f445c05b238de6bd86894fbea",
+        "a1dbe5cd5bf30794bfd1b6c5d7543801b0061403a4d1a75aef18252f217d44a1",
     ),
 }
 
@@ -140,7 +140,7 @@ PINNED_REPORTS = {
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_report_digest_pinned(name):
     """SHA-256 of ``to_csv() + to_json()`` for a dropout round and for a run
-    that flags and excludes leaves (rounds 5 and 7) with dropouts, so a
+    that flags and excludes leaves (rounds 7 and 8) with dropouts, so a
     refactor that claims to keep behaviour is checked on its reports.  An
     intended behaviour change updates these values and records the change
     in CHANGES.md."""

@@ -17,6 +17,7 @@ from secaggsim.wire import (
     SECRET_SELF_SEED,
     SHARE_LIMB_BYTES,
     TAG_GLOBAL_MODEL,
+    TAG_MASKED_UPLOAD,
     TAG_RAND_OPEN,
     TAG_REVEAL,
     TAG_SHARE_MSG,
@@ -38,6 +39,7 @@ from secaggsim.wire import (
 )
 
 TOK = [bytes([i]) * 8 for i in range(4)]
+SPEC32 = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 SHARE = ShareMsg(TOK[0], TOK[1], 2, 3, (5, (1 << 263) + 7), (11,))
 
 # one instance of each of the 11 message types
@@ -52,13 +54,13 @@ MESSAGES = [
         (TOK[0], TOK[1], TOK[3]),
     ),
     SHARE,
-    MaskedUploadMsg.from_vector(TOK[2], np.array([0, 1, 2**63 + 5], dtype=np.uint64)),
+    MaskedUploadMsg.from_vector(TOK[2], np.array([0, 1, 2**32 - 5], dtype=np.uint64), SPEC32),
     UnmaskRequestMsg(((TOK[1], SECRET_SELF_SEED), (TOK[2], SECRET_MASK_KEY)), forced=(TOK[2],)),
     UnmaskResponseMsg((ShareMsg(TOK[0], TOK[1], 2, 3, (5,)), ShareMsg(TOK[2], TOK[1], 1, 3, (), (9,))), ((TOK[3], SECRET_MASK_KEY),)),
     RevealMsg(
         b"rs", b"rs-nonce", b"tree:h=2,d=3", b"tree-nonce", ((b"sp", b"mp", b"ru", b"nu-0"), (b"SP", b"MP", b"RU", b"NU-1"))
     ),
-    GlobalModelMsg.from_vector(np.array([3, 4], dtype=np.uint64)),
+    GlobalModelMsg.from_vector(np.array([3, 4], dtype=np.uint64), SPEC32),
 ]
 
 
@@ -175,6 +177,54 @@ def test_reveal_zero_width_records_rejected():
     payload = bytes(16) + b"\xff\xff\xff\xff" + bytes(8)
     with pytest.raises(WireError):
         RevealMsg.from_bytes(encode_record(TAG_REVEAL, payload))
+
+
+# -- vectors at the width of w -------------------------------------------------------
+
+
+def _spec(w: int) -> SegmentSpec:
+    return SegmentSpec(word_bits=w, frac_bits=2, low_bits=4)
+
+
+@given(st.sampled_from((8, 16, 32, 64)), st.data())
+def test_vector_roundtrip_at_native_width(w, data):
+    spec, width = _spec(w), w // 8
+    m = data.draw(st.integers(1, 40))
+    values = np.array(data.draw(st.lists(st.integers(0, (1 << w) - 1), min_size=m, max_size=m)), dtype=np.uint64)
+    upload = MaskedUploadMsg.from_vector(TOK[1], values, spec).to_bytes()
+    model = GlobalModelMsg.from_vector(values, spec).to_bytes()
+    assert len(upload) == 5 + 8 + m * width
+    assert len(model) == 5 + m * width
+    decoded = MaskedUploadMsg.from_bytes(upload)
+    assert decoded.token == TOK[1]
+    assert np.array_equal(decoded.vector(spec), values)
+    assert np.array_equal(GlobalModelMsg.from_bytes(model).vector(spec), values)
+
+
+@pytest.mark.parametrize("w, width", [(8, 1), (12, 2), (16, 2), (20, 4), (32, 4), (40, 8)])
+def test_vector_element_beyond_ring_rejected(w, width):
+    spec, wide = _spec(w), np.array([1, 1 << w], dtype=np.uint64)
+    with pytest.raises(ValueError):
+        MaskedUploadMsg.from_vector(TOK[1], wide, spec)
+    with pytest.raises(ValueError):
+        GlobalModelMsg.from_vector(wide, spec)
+    if w < 8 * width:  # the element fits the native word, so the decoder must catch it
+        words = wide.astype(f"<u{width}").tobytes()
+        with pytest.raises(WireError):
+            MaskedUploadMsg.from_bytes(encode_record(TAG_MASKED_UPLOAD, TOK[1] + words)).vector(spec)
+        with pytest.raises(WireError):
+            GlobalModelMsg.from_bytes(encode_record(TAG_GLOBAL_MODEL, words)).vector(spec)
+
+
+@pytest.mark.parametrize("w", [16, 20, 32, 64])
+def test_vector_partial_element_rejected(w):
+    spec = _spec(w)
+    words = GlobalModelMsg.from_vector(np.array([7, 9], dtype=np.uint64), spec).words
+    for cut in (words[:-1], words + b"\x00"):
+        with pytest.raises(WireError):
+            MaskedUploadMsg.from_bytes(encode_record(TAG_MASKED_UPLOAD, TOK[1] + cut)).vector(spec)
+        with pytest.raises(WireError):
+            GlobalModelMsg.from_bytes(encode_record(TAG_GLOBAL_MODEL, cut)).vector(spec)
 
 
 # -- packed share records --------------------------------------------------------
