@@ -4,14 +4,47 @@
 The baseline runs on the same engine as a one-leaf tree whose ring
 covers every user.  Prints per-user PRG expansions, per-user traffic,
 and per-dropout recovery work across population sizes and tree shapes,
-then the 1000-user tree-shape traffic comparison.
+then the 1000-user tree-shape traffic comparison, then fast64
+Diffie-Hellman exponentiations per second, one builtin ``pow`` each and
+batched through ``pow_many``, at the batch sizes of a 243-user and a
+2000-user round's server key blinding.
 """
 
 import argparse
+import sys
+import time
 from pathlib import Path
+from random import Random
 
+from secaggsim.crypto import FAST_GROUP, pow_many
 from secaggsim.scenarios import exactness_config
 from secaggsim.simulation import bench_csv, bench_once
+
+DH_BATCH_SIZES = (2_430, 24_060)
+
+
+def _best_rate(run, n: int, repeats: int) -> tuple[float, list[int]]:
+    """Highest rate of ``run`` over ``repeats`` timed calls, and its output."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        out = run()
+        best = min(best, time.perf_counter() - started)
+    return n / best, out
+
+
+def dh_throughput(n: int, repeats: int = 3) -> tuple[float, float]:
+    """Exponentiations per second for builtin pow and pow_many on n random
+    fast64 bases and exponents; exits if the two disagree."""
+    rng = Random(n)
+    p = FAST_GROUP.p
+    bases = [rng.randrange(p) for _ in range(n)]
+    exps = [FAST_GROUP.random_exponent(rng) for _ in range(n)]
+    builtin, expect = _best_rate(lambda: [pow(b, e, p) for b, e in zip(bases, exps)], n, repeats)
+    batched, got = _best_rate(lambda: pow_many(p, bases, exps), n, repeats)
+    if got != expect:
+        sys.exit(f"pow_many differs from builtin pow at batch size {n}")
+    return builtin, batched
 
 
 def main() -> int:
@@ -36,6 +69,12 @@ def main() -> int:
             f"{row.protocol:8s} N={row.n_users:5d} {row.tree_shape:4s} "
             f"prg/user={row.per_user_prg:8.2f} bytes/user={row.per_user_bytes:12.1f} "
             f"cancel/drop={row.cancellations_per_dropout:8.2f} wall={row.wall_ms:9.1f}ms"
+        )
+    for n in DH_BATCH_SIZES:
+        builtin, batched = dh_throughput(n)
+        print(
+            f"dh fast64 batch={n:6d} builtin pow={builtin:10.0f} exp/s "
+            f"pow_many={batched:10.0f} exp/s ({batched / builtin:.1f}x)"
         )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -28,9 +28,9 @@ from .crypto import (
     DhGroup,
     Share,
     commit,
-    derive_shared_seed,
+    derive_shared_seeds,
     prg_expand,
-    randomize_pub,
+    randomize_pubs,
     reconstruct_secret,
     verify_commitment,
 )
@@ -191,13 +191,20 @@ class AggServer:
 
         mask_ids = self.setup.mask_ids
         pubs = [int.from_bytes(pub, "big") for pub in self._mask_pubs]
+        pairs = masking_pairs(build_peer_sets(self.setup.mask_assignment))
+        rs = [self.group.random_exponent(self.rng) for _ in pairs]
+        # one pair's r blinds v's key for u, then u's key for v
+        blinded = randomize_pubs(
+            self.group,
+            [pub for u, v, _, _ in pairs for pub in (pubs[v], pubs[u])],
+            [r for r in rs for _ in range(2)],
+        )
         self._ends: list[list[_PeerEnd]] = [[] for _ in range(n)]
-        for u, v, kind, layer in masking_pairs(build_peer_sets(self.setup.mask_assignment)):
-            r = self.group.random_exponent(self.rng)
+        for i, (u, v, kind, layer) in enumerate(pairs):
             sign = 1 if (mask_ids[u], u) < (mask_ids[v], v) else -1
-            self._ends[u].append(_PeerEnd(v, sign, randomize_pub(self.group, pubs[v], r), kind, layer))
-            self._ends[v].append(_PeerEnd(u, -sign, randomize_pub(self.group, pubs[u], r), kind, layer))
-            self.counters.key_randomizations_server += 2
+            self._ends[u].append(_PeerEnd(v, sign, blinded[2 * i], kind, layer))
+            self._ends[v].append(_PeerEnd(u, -sign, blinded[2 * i + 1], kind, layer))
+        self.counters.key_randomizations_server += len(blinded)
 
     def peer_list_for(self, user: int) -> PeerListMsg:
         handles = tuple(
@@ -296,20 +303,27 @@ class AggServer:
         self.counters.shares_reconstructed += 1
         return secret
 
-    def recover_dropout(self, user: int, m: int) -> None:
-        """Reconstruct a dropped user's mask key and cancel every mask an
+    def recover_dropout(self, users: list[int], m: int) -> None:
+        """Reconstruct each dropped user's mask key and cancel every mask an
         online peer applied with it from that peer's leaf sum.  A pair is
         cancelled only from its dropped end while the other end is online,
-        so no pair is cancelled twice."""
-        if user not in self._mask_secrets:
-            self._mask_secrets[user] = self._reconstruct(self.tokens[user], SECRET_MASK_KEY)
-        secret = self._mask_secrets[user]
+        so no pair is cancelled twice.  The seeds of all those pairs are
+        derived in one batch; each uses only the reconstructed key of its
+        dropped end and the blinded key the server handed that end."""
+        secrets = self._mask_secrets
+        ends: list[_PeerEnd] = []
+        keys: list[int] = []
+        for user in users:
+            if user not in secrets:
+                secrets[user] = self._reconstruct(self.tokens[user], SECRET_MASK_KEY)
+            for end in self._ends[user]:
+                if end.peer in self._uploads:  # else neither side uploaded; nothing to cancel
+                    ends.append(end)
+                    keys.append(secrets[user])
+        seeds = derive_shared_seeds(self.group, [end.rand_pub for end in ends], keys)
         leaf_of = self.setup.mask_assignment.leaf_of
         wordmask = np.uint64(self.spec.word_mask)
-        for end in self._ends[user]:
-            if end.peer not in self._uploads:
-                continue  # neither side uploaded; nothing to cancel
-            seed = derive_shared_seed(self.group, end.rand_pub, secret)
+        for end, seed in zip(ends, seeds):
             bits = None if end.kind == "intra" else self.inter_mask_bits
             mask = prg_expand(seed, m, self.spec, mask_bits=bits)
             self.counters.prg_server += 1
@@ -346,8 +360,7 @@ class AggServer:
         for acc in sums.values():
             acc &= wordmask
 
-        for user in sorted(self._dropped):
-            self.recover_dropout(user, m)
+        self.recover_dropout(sorted(self._dropped), m)
 
         out = []
         k = np.uint64(self.spec.low_bits)
@@ -396,8 +409,7 @@ class AggServer:
         forced = self._online_in(excluded)
         for user in forced:
             self.mark_dropout(user)
-        for user in forced:
-            self.recover_dropout(user, len(model))
+        self.recover_dropout(forced, len(model))
         total = np.zeros(len(model), dtype=np.uint64)
         for agg in self._aggregates:
             if agg.leaf in excluded:

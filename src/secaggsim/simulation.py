@@ -39,7 +39,7 @@ from .crypto import GROUPS, DhGroup
 from .errors import ConfigError, UnrecoverableRoundError
 from .fixedpoint import ParamVector, SegmentSpec, dequantize_vector, quantize_vector, zeros
 from .orgtree import TreeConfig
-from .useragent import UserAgent
+from .useragent import UserAgent, receive_peer_lists
 from .wire import SERVER, GlobalModelMsg, MaskedUploadMsg, RevealMsg, StarTransport, TreeCommitMsg
 
 REPORT_SCHEMA = "run-report-v1"
@@ -484,10 +484,10 @@ def execute_round(
         server.receive_open(u, opening)
     server.finish_setup()
 
-    for u, agent in enumerate(users):
-        peer_msg = server.peer_list_for(u)
+    peer_msgs = [server.peer_list_for(u) for u in range(n_users)]
+    for u, peer_msg in enumerate(peer_msgs):
         transport.deliver(SERVER, f"user:{u}", peer_msg.to_bytes())
-        agent.receive_peer_list(peer_msg)
+    receive_peer_lists(users, peer_msgs)
 
     for u, agent in enumerate(users):
         sender = f"user:{u}"
@@ -529,10 +529,13 @@ def execute_round(
     _exchange_unmask(server, users, transport, server.exclusion_requests(flagged))
 
     total, n_eff = server.finalize(flagged, model)
-    new_model = fedsgd_update(model, total, n_eff, eta)
-    model_bytes = GlobalModelMsg.from_vector(new_model.values, new_model.spec).to_bytes()
+    updated = fedsgd_update(model, total, n_eff, eta)
+    model_bytes = GlobalModelMsg.from_vector(updated.values, updated.spec).to_bytes()
     for u in range(n_users):
-        transport.deliver(SERVER, f"user:{u}", model_bytes)
+        received = transport.deliver(SERVER, f"user:{u}", model_bytes)
+    # every user receives the same broadcast; the simulator decodes one copy
+    spec = users[-1].spec
+    new_model = ParamVector(GlobalModelMsg.from_bytes(received).vector(spec), spec)
 
     return RoundResult(
         total=total,

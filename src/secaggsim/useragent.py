@@ -7,6 +7,13 @@ requests under the release rules.  Users never see identities or
 subgroup structure: peers arrive as server-randomized key handles and
 share recipients as anonymous round tokens.
 
+Every user derives one shared seed per peer handle from its own mask
+secret and the handle's blinded key.  ``receive_peer_lists`` runs that
+step for many agents at once so the simulator can evaluate all their
+exponentiations in one batch; it is only an evaluation order, as each
+agent's seeds still depend on nothing but its own secret and its own
+peer list.
+
 Release rule: within a round, a user never hands the server shares of
 both a target's mask key and the same target's self-mask seed.  The only
 sanctioned override is a target the server has excluded after detection
@@ -26,7 +33,7 @@ from .crypto import (
     DhGroup,
     KeyPair,
     commit,
-    derive_shared_seed,
+    derive_shared_seeds,
     limb_count,
     prg_expand,
     share_secret,
@@ -140,14 +147,7 @@ class UserAgent:
 
     def receive_peer_list(self, msg: PeerListMsg) -> None:
         """Store opaque peer handles and derive one shared seed per peer."""
-        self._own_token = msg.own_token
-        self._peer_handles = msg.peers
-        self._recipients = msg.share_recipients
-        for handle in msg.peers:
-            pub = int.from_bytes(handle.randomized_pub, "big")
-            seed = derive_shared_seed(self.group, pub, self.mask_keys.secret)
-            self._pair_seeds[handle.token] = seed
-            self.counters.key_agreements_by_user[self.index] += 1
+        receive_peer_lists([self], [msg])
 
     def distribute_shares(self) -> list[ShareMsg]:
         """Emit one record per recipient carrying both secrets' shares.
@@ -323,3 +323,33 @@ class UserAgent:
         ):
             raise ProtocolAbort("reveal differs from the setup it opens", blamed="server")
         verify_setup(setup, tree)
+
+
+def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None:
+    """Run ``UserAgent.receive_peer_list`` for every agent with its own
+    message, deriving all their seeds in lockstep in one batch.
+
+    Each seed comes from its agent's own mask secret and one handle of its
+    own message, exactly as if each agent ran alone; only the evaluation
+    order is shared.  All agents must use one group.
+    """
+    if not agents:
+        return
+    group = agents[0].group
+    if any(agent.group != group for agent in agents):
+        raise ValueError("agents of one batch must share a DH group")
+    pubs: list[int] = []
+    secrets: list[int] = []
+    for agent, msg in zip(agents, msgs, strict=True):
+        agent._own_token = msg.own_token
+        agent._peer_handles = msg.peers
+        agent._recipients = msg.share_recipients
+        secret = agent.mask_keys.secret
+        for handle in msg.peers:
+            pubs.append(int.from_bytes(handle.randomized_pub, "big"))
+            secrets.append(secret)
+    seeds = iter(derive_shared_seeds(group, pubs, secrets))
+    for agent, msg in zip(agents, msgs):
+        for handle in msg.peers:
+            agent._pair_seeds[handle.token] = next(seeds)
+        agent.counters.key_agreements_by_user[agent.index] += len(msg.peers)

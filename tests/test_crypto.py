@@ -9,8 +9,11 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import strategies as st
 from scipy import stats
 
+from secaggsim import crypto
 from secaggsim.crypto import (
+    FAST_GROUP,
     LIMB_BITS,
+    POW_BATCH_MIN,
     SHARE_PRIME,
     SIM_GROUP,
     STRONG_GROUP,
@@ -21,8 +24,11 @@ from secaggsim.crypto import (
     Share,
     commit,
     derive_shared_seed,
+    derive_shared_seeds,
+    pow_many,
     prg_expand,
     randomize_pub,
+    randomize_pubs,
     reconstruct_secret,
     limb_count,
     share_secret,
@@ -108,6 +114,77 @@ def test_shared_seed_agreement_random(group):
         seed_a = derive_shared_seed(group, randomize_pub(group, kp_b.public, r), kp_a.secret)
         seed_b = derive_shared_seed(group, randomize_pub(group, kp_a.public, r), kp_b.secret)
         assert seed_a == seed_b
+
+
+# -- batched exponentiation ---------------------------------------------------------
+
+_POW_MODULI = [23, FAST_GROUP.p, 2**61 - 1, 2**64 - 59]
+_BATCH_SIZES = [1, POW_BATCH_MIN - 1, POW_BATCH_MIN, POW_BATCH_MIN + 45]
+
+
+@st.composite
+def _pow_batches(draw):
+    """(p, bases, exps) whose head hypothesis picks from edge values and
+    whose tail is seeded filler up to a batch size on either side of the
+    kernel threshold."""
+    p = draw(st.sampled_from(_POW_MODULI))
+    q = (p - 1) // 2
+    base = st.one_of(st.sampled_from([0, 1, p - 1, p, p + 1, 2 * p - 1]), st.integers(0, 4 * p))
+    exp = st.one_of(st.sampled_from([0, 1, q - 1, q, p - 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
+    n = draw(st.sampled_from(_BATCH_SIZES))
+    head = draw(st.lists(st.tuples(base, exp), max_size=min(n, 8)))
+    rng = Random(draw(st.integers(0, 2**32)))
+    pairs = head + [(rng.randrange(2 * p), rng.getrandbits(64)) for _ in range(n - len(head))]
+    return p, [b for b, _ in pairs], [e for _, e in pairs]
+
+
+@settings(max_examples=40)
+@given(_pow_batches())
+def test_pow_many_matches_builtin_pow(batch):
+    p, bases, exps = batch
+    assert pow_many(p, bases, exps) == [pow(b, e, p) for b, e in zip(bases, exps)]
+
+
+@pytest.mark.parametrize("bad", [-1, -(2**70), 2**64, 2**200])
+def test_pow_many_out_of_range_exponent_falls_back(bad, monkeypatch):
+    """An exponent outside [0, 2^64) sends the whole batch to builtin pow,
+    which also gives a negative exponent its modular-inverse meaning."""
+
+    def kernel(*_):
+        raise AssertionError("the batch kernel ran")
+
+    monkeypatch.setattr(crypto, "_pow_montgomery", kernel)
+    rng = Random(5)
+    p = FAST_GROUP.p
+    bases = [rng.randrange(2, p) for _ in range(POW_BATCH_MIN + 3)]
+    exps = [rng.getrandbits(64) for _ in bases]
+    exps[POW_BATCH_MIN // 2] = bad
+    assert pow_many(p, bases, exps) == [pow(b, e, p) for b, e in zip(bases, exps)]
+
+
+def test_pow_many_rejects_unpaired_lists():
+    with pytest.raises(ValueError):
+        pow_many(FAST_GROUP.p, [2, 3], [1])
+
+
+@pytest.mark.parametrize("where", [0, POW_BATCH_MIN // 2, POW_BATCH_MIN])
+@pytest.mark.parametrize("bad_r", [0, FAST_GROUP.order, FAST_GROUP.order + 1])
+def test_randomize_pubs_rejects_bad_r_at_any_position(where, bad_r):
+    rng = Random(6)
+    pubs = [KeyPair.generate(FAST_GROUP, rng).public for _ in range(POW_BATCH_MIN + 1)]
+    rs = [FAST_GROUP.random_exponent(rng) for _ in pubs]
+    assert randomize_pubs(FAST_GROUP, pubs, rs) == [randomize_pub(FAST_GROUP, x, r) for x, r in zip(pubs, rs)]
+    rs[where] = bad_r
+    with pytest.raises(ValueError):
+        randomize_pubs(FAST_GROUP, pubs, rs)
+
+
+def test_derive_shared_seeds_match_one_at_a_time():
+    rng = Random(8)
+    pubs = [KeyPair.generate(FAST_GROUP, rng).public for _ in range(POW_BATCH_MIN)]
+    secrets = [FAST_GROUP.random_exponent(rng) for _ in pubs]
+    one_by_one = [derive_shared_seed(FAST_GROUP, x, s) for x, s in zip(pubs, secrets)]
+    assert derive_shared_seeds(FAST_GROUP, pubs, secrets) == one_by_one
 
 
 # -- PRG expansion ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from conftest import build_round, plaintext_sum, random_inputs, run_plain_round
 
 from secaggsim.aggserver import fedsgd_update
 from secaggsim.counters import OpCounters
-from secaggsim.crypto import FAST_GROUP, SIM_GROUP
-from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError
+from secaggsim import simulation, useragent
+from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, SIM_GROUP
+from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError, WireError
 from secaggsim.fixedpoint import (
     ParamVector,
     SegmentSpec,
@@ -29,6 +31,7 @@ from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
+    TAG_GLOBAL_MODEL,
     PeerHandle,
     PeerListMsg,
     ShareMsg,
@@ -484,6 +487,54 @@ def test_malformed_upload_is_blamed_on_its_sender(spec, tamper):
             inputs=inputs, round_seed=(71, 0),
         )
     assert err.value.blamed == "user:5"
+
+
+def test_corrupted_model_broadcast_raises_wire_error():
+    """The round's new model is decoded from the delivered GLOBAL_MODEL
+    bytes, so a broadcast cut mid-element fails instead of handing the
+    next round a wrong model."""
+    server, users, transport, _ = build_round(12, TREE22, SPEC)
+    deliver = transport.deliver
+
+    def truncating(sender, receiver, encoded):
+        received = deliver(sender, receiver, encoded)
+        return received[:-1] if received[0] == TAG_GLOBAL_MODEL else received
+
+    transport.deliver = truncating
+    with pytest.raises(WireError):
+        execute_round(
+            server=server, users=users, transport=transport, model=zeros(8, SPEC),
+            inputs=random_inputs(12, 8, SPEC, seed=72), round_seed=(72, 0),
+        )
+
+
+def test_receive_peer_lists_matches_per_agent(monkeypatch):
+    """Over a 300-user round, the one-batch peer-list step gives every agent
+    the seeds and key-agreement counts it derives alone: the batch takes the
+    numpy path, each lone agent's few handles take builtin pow."""
+    tree = TreeConfig(height=2, degree=3, neighbor_radius=2, share_threshold=2)
+    server, users, transport, counters = build_round(300, tree, SPEC, group=FAST_GROUP)
+    checked = []
+
+    def compare(agents, msgs):
+        alone = copy.deepcopy(agents)
+        for agent, msg in zip(alone, msgs):
+            assert len(msg.peers) < POW_BATCH_MIN
+            agent.receive_peer_list(msg)
+        assert sum(len(msg.peers) for msg in msgs) >= POW_BATCH_MIN
+        useragent.receive_peer_lists(agents, msgs)
+        assert [a._pair_seeds for a in agents] == [a._pair_seeds for a in alone]
+        assert counters.key_agreements_by_user == alone[0].counters.key_agreements_by_user
+        checked.append(len(agents))
+
+    monkeypatch.setattr(simulation, "receive_peer_lists", compare)
+    inputs = random_inputs(300, 4, SPEC, seed=73)
+    result = execute_round(
+        server=server, users=users, transport=transport, model=zeros(4, SPEC),
+        inputs=inputs, round_seed=(73, 0),
+    )
+    assert checked == [300]
+    assert np.array_equal(result.total.values, plaintext_sum(inputs, 4, SPEC))
 
 
 # -- subgroup aggregation and the carry bound ----------------------------------------------

@@ -213,6 +213,7 @@ def test_complexity_bench_script(tmp_path: Path):
     with out.open() as f:
         rows = [r for r in csv.DictReader(f) if r["protocol"] == "baseline"]
     assert rows and all(float(r["per_user_bytes"]) > 0 for r in rows)
+    assert proc.stdout.count("dh fast64 batch=") == 2
 
 
 # -- CLI --------------------------------------------------------------------------------
