@@ -7,7 +7,11 @@ and per-dropout recovery work across population sizes and tree shapes,
 then the 1000-user tree-shape traffic comparison, then fast64
 Diffie-Hellman exponentiations per second, one builtin ``pow`` each and
 batched through ``pow_many``, at the batch sizes of a 243-user and a
-2000-user round's server key blinding.
+2000-user round's server key blinding, then Shamir share and
+reconstruct rates at the threshold and share-leaf sizes of those rounds.
+
+Runs from a plain checkout: the package is imported from ``src/`` next to
+this directory.
 """
 
 import argparse
@@ -16,11 +20,16 @@ import time
 from pathlib import Path
 from random import Random
 
-from secaggsim.crypto import FAST_GROUP, pow_many
-from secaggsim.scenarios import exactness_config
-from secaggsim.simulation import bench_csv, bench_once
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from secaggsim.crypto import FAST_GROUP, Share, pow_many, reconstruct_secret, share_secret  # noqa: E402
+from secaggsim.scenarios import exactness_config  # noqa: E402
+from secaggsim.simulation import bench_csv, bench_once  # noqa: E402
 
 DH_BATCH_SIZES = (2_430, 24_060)
+# (threshold, share-leaf size): the 243-user 3x3 detection tree and the 2000-user 4x3 tree
+SHAMIR_POINTS = ((3, 9), (2, 25))
+SHAMIR_OWNERS = 200
 
 
 def _best_rate(run, n: int, repeats: int) -> tuple[float, list[int]]:
@@ -45,6 +54,27 @@ def dh_throughput(n: int, repeats: int = 3) -> tuple[float, float]:
     if got != expect:
         sys.exit(f"pow_many differs from builtin pow at batch size {n}")
     return builtin, batched
+
+
+def shamir_throughput(t: int, n: int, repeats: int = 3) -> tuple[float, float]:
+    """Single-secret shares per second made by ``share_secret``, sharing a
+    fast64 mask key and a self seed together as a user does, and secrets
+    per second recovered by ``reconstruct_secret`` from t shares; exits if
+    a recovered secret differs."""
+    rng = Random(t * 1000 + n)
+    owners = [(FAST_GROUP.random_exponent(rng), rng.getrandbits(256)) for _ in range(SHAMIR_OWNERS)]
+
+    def deal():
+        return [share_secret(pair, t, n, rng) for pair in owners]
+
+    share_rate, dealt = _best_rate(deal, 2 * n * len(owners), repeats)
+    picked = [
+        [Share(s.index, s.values[part : part + 1], t) for s in shares[:t]] for shares in dealt for part in (0, 1)
+    ]
+    rate, got = _best_rate(lambda: [reconstruct_secret(shares) for shares in picked], len(picked), repeats)
+    if got != [secret for pair in owners for secret in pair]:
+        sys.exit(f"reconstruct_secret differs from the shared secrets at t={t}, n={n}")
+    return share_rate, rate
 
 
 def main() -> int:
@@ -76,6 +106,9 @@ def main() -> int:
             f"dh fast64 batch={n:6d} builtin pow={builtin:10.0f} exp/s "
             f"pow_many={batched:10.0f} exp/s ({batched / builtin:.1f}x)"
         )
+    for t, n in SHAMIR_POINTS:
+        share_rate, rate = shamir_throughput(t, n)
+        print(f"shamir t={t} n={n:3d} share={share_rate:10.0f} shares/s reconstruct={rate:10.0f} secrets/s")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(bench_csv(rows))

@@ -24,6 +24,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .crypto import (
+    SELF_SEED_BYTES,
     Commitment,
     DhGroup,
     Share,
@@ -32,6 +33,7 @@ from .crypto import (
     prg_expand,
     randomize_pubs,
     reconstruct_secret,
+    share_limbs,
     verify_commitment,
 )
 from .errors import ProtocolAbort, UnrecoverableRoundError, WireError
@@ -57,6 +59,8 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
+    decode_from,
+    limb_values,
 )
 
 
@@ -138,8 +142,10 @@ class AggServer:
         self._rand_commits: list[bytes | None] = [None] * n_users
         self._uploads: dict[int, np.ndarray] = {}
         self._dropped: set[int] = set()
-        # (owner token, secret type) -> share index -> limbs
-        self._collected: dict[tuple[bytes, int], dict[int, tuple[int, ...]]] = {}
+        # share leaf -> sender -> entry bodies of its SHARE bundle
+        self._share_inbox: dict[int, dict[int, bytes]] = {}
+        # (owner token, secret type) -> share index -> limb bytes
+        self._collected: dict[tuple[bytes, int], dict[int, bytes]] = {}
         self._mask_secrets: dict[int, int] = {}
         self._leaf_sums: dict[int, np.ndarray] = {}
         self.setup: TreeSetup | None = None
@@ -220,9 +226,60 @@ class AggServer:
             share_recipients=recipients,
         )
 
-    def route_share(self, msg: ShareMsg) -> int:
-        """Relay an opaque share record to its recipient."""
-        return self.user_of_token[msg.recipient_token]
+    def route_share(self, sender: int, data: bytes) -> list[tuple[int, ShareMsg]]:
+        """Check one sender's SHARE bundle and hold it; once every member of
+        the sender's share leaf has sent, re-slice the leaf's bundles into
+        one per member and return them with their recipients.
+
+        The relay moves entry bodies by position and never decodes a
+        limb, but the limbs are plaintext: the server could read them
+        until ROADMAP item 7 encrypts each entry body.
+        """
+        blamed = f"user:{sender}"
+        msg = decode_from(blamed, ShareMsg, data)
+        share_asn = self.setup.share_assignment
+        leaf = share_asn.leaf_of[sender]
+        members = share_asn.members[leaf]
+        self._check_bundle(sender, msg, members)
+        inbox = self._share_inbox.setdefault(leaf, {})
+        if sender in inbox:
+            raise ProtocolAbort(f"user {sender} sent a second share bundle", blamed=blamed)
+        inbox[sender] = msg.bodies
+        if len(inbox) < len(members):
+            return []
+        # owner i's bundle skips i, so recipient j is entry j - 1 of the
+        # bundles of owners before it and entry j of those after it
+        w = msg.width
+        rows = [inbox[owner] for owner in members]
+        out = []
+        for j, recipient in enumerate(members):
+            before, after = (j - 1) * w, j * w
+            bodies = [row[before:after] for row in rows[:j]] + [row[after : after + w] for row in rows[j + 1 :]]
+            out.append((recipient, ShareMsg(self.tokens[recipient], msg.threshold, msg.limbs, b"".join(bodies))))
+        return out
+
+    def _check_bundle(self, sender: int, msg: ShareMsg, members: list[int]) -> None:
+        """The bundle must be the sender's own, at the configured threshold
+        and the group's entry width, with one entry for every other member
+        of its share leaf in ``share_recipients`` order."""
+        t, limbs = self.tree.share_threshold, share_limbs(self.group)
+        expected = tuple(self.tokens[u] for u in members if u != sender)
+        got = msg.peer_tokens
+        if msg.token != self.tokens[sender]:
+            fault = "filed shares under another owner's token"
+        elif (msg.threshold, msg.limbs) != (t, limbs):
+            fault = f"sent shares of threshold {msg.threshold} in {msg.limbs} limb slots, not {t} in {limbs}"
+        elif got == expected:
+            return
+        elif not set(got) <= set(expected):
+            fault = "addressed a share to a token that is not another member of its share leaf"
+        elif len(set(got)) < len(got):
+            fault = "addressed two shares to one recipient"
+        elif len(got) < len(expected):
+            fault = f"sent shares for {len(got)} of its {len(expected)} share recipients"
+        else:
+            fault = "did not send its shares in share_recipients order"
+        raise ProtocolAbort(f"user {sender} {fault}", blamed=f"user:{sender}")
 
     # -- upload and dropout ----------------------------------------------------
 
@@ -254,11 +311,12 @@ class AggServer:
         of the owner's secret of the given type.  With ``forced``, each
         request marks its own targets as force-dropped."""
         share_asn = self.setup.share_assignment
+        online = [[u for u in members if u in self._uploads] for members in share_asn.members]
         targets: dict[int, list[tuple[bytes, int]]] = {}
         for owner, stype in owners.items():
-            for holder in share_asn.members[share_asn.leaf_of[owner]]:
-                if holder in self._uploads:
-                    targets.setdefault(holder, []).append((self.tokens[owner], stype))
+            target = (self.tokens[owner], stype)
+            for holder in online[share_asn.leaf_of[owner]]:
+                targets.setdefault(holder, []).append(target)
         return {
             holder: UnmaskRequestMsg(tuple(pairs), tuple(tok for tok, _ in pairs) if forced else ())
             for holder, pairs in targets.items()
@@ -273,22 +331,20 @@ class AggServer:
         return self._requests(owners)
 
     def receive_unmask(self, user: int, msg: UnmaskResponseMsg) -> None:
-        """Collect released shares; the threshold is the configured t, so a
-        record claiming another one is rejected rather than trusted."""
-        collected = self._collected
+        """Collect released shares as limb bytes; the threshold is the
+        configured t, so a table claiming another one is rejected rather
+        than trusted."""
         t = self.tree.share_threshold
-        for record in msg.shares:
-            if record.threshold != t:
-                raise ProtocolAbort(
-                    f"user {user} released a share with threshold {record.threshold}, not {t}",
-                    blamed=f"user:{user}",
-                )
-            for stype in record.secret_types():
-                key = (record.owner_token, stype)
-                store = collected.get(key)
-                if store is None:
-                    store = collected[key] = {}
-                store[record.share_index] = record.part(stype)
+        if msg.threshold != t:
+            raise ProtocolAbort(
+                f"user {user} released shares with threshold {msg.threshold}, not {t}", blamed=f"user:{user}"
+            )
+        collected = self._collected
+        for owner, stype, index, limbs in msg.shares:
+            store = collected.get((owner, stype))
+            if store is None:
+                store = collected[owner, stype] = {}
+            store[index] = limbs
 
     def _reconstruct(self, token: bytes, secret_type: int) -> int:
         store = self._collected.get((token, secret_type), {})
@@ -299,7 +355,7 @@ class AggServer:
                 f"only {len(store)} shares for user {owner} secret type {secret_type}"
             )
         use = sorted(store)[:t]
-        secret = reconstruct_secret([Share(index=i, values=store[i], threshold=t) for i in use])
+        secret = reconstruct_secret([Share(index=i, values=limb_values(store[i]), threshold=t) for i in use])
         self.counters.shares_reconstructed += 1
         return secret
 
@@ -352,7 +408,7 @@ class AggServer:
 
         for user in self.online_users:
             seed_int = self._reconstruct(self.tokens[user], SECRET_SELF_SEED)
-            mask = prg_expand(int(seed_int).to_bytes(32, "big"), m, self.spec)
+            mask = prg_expand(int(seed_int).to_bytes(SELF_SEED_BYTES, "big"), m, self.spec)
             self.counters.prg_server += 1
             sums[mask_asn.leaf_of[user]] -= mask.values
 

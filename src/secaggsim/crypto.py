@@ -28,8 +28,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from random import Random
+from typing import NamedTuple
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -392,8 +393,11 @@ SHARE_PRIME = (1 << 256) + 297
 LIMB_BITS = 256
 
 
-@dataclass(frozen=True)
-class Share:
+class Share(NamedTuple):
+    """One point of a sharing; a named tuple because a round makes one per
+    user and recipient, and a tuple builds several times faster than a
+    frozen dataclass."""
+
     index: int  # nonzero evaluation point
     values: tuple[int, ...]  # one field element per limb
     threshold: int
@@ -426,6 +430,16 @@ def limb_count(secret: int) -> int:
     return len(_limbs_of(secret))
 
 
+SELF_SEED_BYTES = 32  # a user's per-round self-mask seed
+
+
+@cache
+def share_limbs(group: DhGroup) -> int:
+    """Limb slots for the two secrets a user shares: its widest possible
+    mask key, an exponent of ``group``, then its self seed."""
+    return limb_count(group.order - 1) + limb_count((1 << 8 * SELF_SEED_BYTES) - 1)
+
+
 def _limbs_join(limbs: list[int]) -> int:
     acc = 0
     for limb in reversed(limbs):
@@ -455,7 +469,7 @@ def share_secret(
             raise ValueError("limb exceeds field prime")
         poly = [limb] + [rng.randrange(prime) for _ in range(t - 1)]
         columns.append([_eval_poly(poly, i, prime) for i in range(1, n + 1)])
-    return [Share(index=i, values=vals, threshold=t, prime=prime) for i, vals in enumerate(zip(*columns), 1)]
+    return [Share(i, vals, t, prime) for i, vals in enumerate(zip(*columns), 1)]
 
 
 def reconstruct_secret(shares: list[Share]) -> int:

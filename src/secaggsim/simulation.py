@@ -40,7 +40,17 @@ from .errors import ConfigError, UnrecoverableRoundError
 from .fixedpoint import ParamVector, SegmentSpec, dequantize_vector, quantize_vector, zeros
 from .orgtree import TreeConfig
 from .useragent import UserAgent, receive_peer_lists
-from .wire import SERVER, GlobalModelMsg, MaskedUploadMsg, RevealMsg, StarTransport, TreeCommitMsg
+from .wire import (
+    SERVER,
+    GlobalModelMsg,
+    MaskedUploadMsg,
+    RevealMsg,
+    StarTransport,
+    TreeCommitMsg,
+    UnmaskRequestMsg,
+    UnmaskResponseMsg,
+    decode_from,
+)
 
 REPORT_SCHEMA = "run-report-v1"
 CSV_COLUMNS = [
@@ -436,12 +446,14 @@ class RoundResult:
 def _exchange_unmask(
     server: AggServer, users: list[UserAgent], transport: StarTransport, requests: dict
 ) -> None:
-    """Send each unmask request and hand its response to the server."""
+    """Send each unmask request and hand its response to the server, each
+    decoded from the bytes its receiver got."""
     for u, req in requests.items():
-        transport.deliver(SERVER, f"user:{u}", req.to_bytes())
-        resp = users[u].unmask_response(req)
-        transport.deliver(f"user:{u}", SERVER, resp.to_bytes())
-        server.receive_unmask(u, resp)
+        user = f"user:{u}"
+        received = transport.deliver(SERVER, user, req.to_bytes())
+        resp = users[u].unmask_response(decode_from(SERVER, UnmaskRequestMsg, received))
+        received = transport.deliver(user, SERVER, resp.to_bytes())
+        server.receive_unmask(u, decode_from(user, UnmaskResponseMsg, received))
 
 
 def execute_round(
@@ -489,14 +501,11 @@ def execute_round(
         transport.deliver(SERVER, f"user:{u}", peer_msg.to_bytes())
     receive_peer_lists(users, peer_msgs)
 
+    # the server forwards a share leaf's bundles once all its members sent theirs
     for u, agent in enumerate(users):
-        sender = f"user:{u}"
-        for share in agent.distribute_shares():
-            share_bytes = share.to_bytes()
-            transport.deliver(sender, SERVER, share_bytes)
-            recipient = server.route_share(share)
-            transport.deliver(SERVER, f"user:{recipient}", share_bytes)
-            users[recipient].receive_share(share)
+        sent = transport.deliver(f"user:{u}", SERVER, agent.distribute_shares().to_bytes())
+        for recipient, bundle in server.route_share(u, sent):
+            users[recipient].receive_share(transport.deliver(SERVER, f"user:{recipient}", bundle.to_bytes()))
 
     for u in pre_drop:
         server.mark_dropout(u)

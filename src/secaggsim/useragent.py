@@ -1,11 +1,18 @@
 """Per-user protocol state machine.
 
 A user advertises one-time keys, commits and opens its grouping
-randomness, secret-shares its mask key and self-mask seed inside an
-opaque recipient list, uploads its masked input, and answers unmask
+randomness, secret-shares its mask key and self-mask seed among an
+anonymous recipient list, uploads its masked input, and answers unmask
 requests under the release rules.  Users never see identities or
 subgroup structure: peers arrive as server-randomized key handles and
 share recipients as anonymous round tokens.
+
+Shares travel as bundles relayed by the server (see ``wire``): one from
+each user with an entry per recipient, and one to each user with an
+entry per share-group mate.  A user keeps its bundle as bytes, indexed by
+owner token, and only slices out the limbs it releases.  The entries are
+not encrypted, so the relay can read every limb until ROADMAP item 7
+encrypts each entry body.
 
 Every user derives one shared seed per peer handle from its own mask
 secret and the handle's blinded key.  ``receive_peer_lists`` runs that
@@ -29,6 +36,7 @@ import numpy as np
 
 from .counters import OpCounters
 from .crypto import (
+    SELF_SEED_BYTES,
     Commitment,
     DhGroup,
     KeyPair,
@@ -36,6 +44,7 @@ from .crypto import (
     derive_shared_seeds,
     limb_count,
     prg_expand,
+    share_limbs,
     share_secret,
     verify_commitment,
 )
@@ -45,6 +54,7 @@ from .orgtree import TreeConfig, TreeSetup, commits_digest, verify_setup
 from .wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
+    SERVER,
     AdvertMsg,
     MaskedUploadMsg,
     PeerHandle,
@@ -55,6 +65,9 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
+    decode_from,
+    share_bodies,
+    share_part,
 )
 
 # Monotone round phases.
@@ -66,8 +79,6 @@ PHASE_UPLOAD = "upload"
 PHASE_UNMASK = "unmask"
 
 _ORDER = [PHASE_IDLE, PHASE_ADVERTISE, PHASE_COMMIT, PHASE_SHARE, PHASE_UPLOAD, PHASE_UNMASK]
-
-SELF_SEED_BYTES = 32
 
 
 class UserAgent:
@@ -123,8 +134,9 @@ class UserAgent:
         self._pair_seeds: dict[bytes, bytes] = {}
         self._recipients: tuple[bytes, ...] = ()
         self._own_token = b""
-        # (owner token, secret type) -> (share index, threshold, limbs)
-        self._held_shares: dict[tuple[bytes, int], tuple[int, int, tuple[int, ...]]] = {}
+        # entry bodies in share_recipients order, and each owner's offset
+        self._held = b""
+        self._held_at: dict[bytes, int] = {}
         self._released: dict[bytes, int] = {}  # owner token -> bits 1 << released type
         self.forced_releases: list[bytes] = []
         self.seen_tree_commit: TreeCommitMsg | None = None
@@ -149,16 +161,17 @@ class UserAgent:
         """Store opaque peer handles and derive one shared seed per peer."""
         receive_peer_lists([self], [msg])
 
-    def distribute_shares(self) -> list[ShareMsg]:
-        """Emit one record per recipient carrying both secrets' shares.
+    def distribute_shares(self) -> ShareMsg:
+        """Bundle one entry per other recipient carrying both secrets' shares.
 
         The mask key and the self seed are shared in one call under the
         same evaluation points.  Evaluation point i goes to the i-th
-        recipient token; the record at the user's own position is retained
-        locally.
+        recipient token; the bundle lists the other recipients in that
+        order, and the entry at the user's own position is retained.
         """
         self._advance(PHASE_COMMIT, PHASE_SHARE)
-        n = len(self._recipients)
+        recipients = self._recipients
+        n = len(recipients)
         t = self.share_threshold
         if n < t:
             raise ProtocolAbort(
@@ -167,35 +180,45 @@ class UserAgent:
             )
         if self._rng is None:
             raise ProtocolAbort(f"user {self.index} has no round randomness", blamed=f"user:{self.index}")
-        my_pos = self._recipients.index(self._own_token)
+        my_pos = recipients.index(self._own_token)
         key = self.mask_keys.secret
         shares = share_secret((key, int.from_bytes(self.self_seed, "big")), t, n, self._rng)
         self.counters.shares_created += 2 * n
-        split = limb_count(key)
-        own = self._own_token
-        out: list[ShareMsg] = []
-        for token, share in zip(self._recipients, shares):
-            vals = share.values
-            out.append(ShareMsg(own, token, share.index, t, vals[:split], vals[split:]))
-        self._store_share(out.pop(my_pos))
-        return out
+        limbs = share_limbs(self.group)
+        bodies = share_bodies([(share.index, share.values) for share in shares], limb_count(key), limbs)
+        self._held = bodies.pop(my_pos)
+        self._held_at = {self._own_token: 0}
+        others = recipients[:my_pos] + recipients[my_pos + 1 :]
+        return ShareMsg(self._own_token, t, limbs, b"".join(bodies), others)
 
-    def _store_share(self, msg: ShareMsg) -> None:
-        """File each secret the record carries under (owner, type)."""
-        owner, types = msg.owner_token, msg.secret_types()
-        if not types:
-            raise ValueError("share record carries no secret")
-        held = self._held_shares
-        for stype in types:
-            if (owner, stype) in held:
-                raise ValueError("duplicate share for this owner and type")
-        for stype in types:
-            held[owner, stype] = (msg.share_index, msg.threshold, msg.part(stype))
+    def receive_share(self, data: bytes) -> None:
+        """Keep the server's bundle of this user's shares as bytes.
 
-    def receive_share(self, msg: ShareMsg) -> None:
-        if msg.recipient_token != self._own_token:
-            raise ValueError("share not addressed to this user")
-        self._store_share(msg)
+        The bundle holds one entry per share-group mate, in
+        ``share_recipients`` order without this user.  With the retained
+        entry spliced in at this user's position, each owner's entry sits
+        at a fixed offset, so nothing is decoded before it is released.
+        Anything but one such bundle for this user, after its own shares
+        went out, is the server's fault and is rejected whole.
+        """
+        msg = decode_from(SERVER, ShareMsg, data)
+        recipients = self._recipients
+        fault = None
+        if self.phase != PHASE_SHARE:
+            fault = f"got shares in phase {self.phase}"
+        elif msg.token != self._own_token:
+            fault = "got a share bundle addressed to another user"
+        elif len(self._held_at) != 1:
+            fault = "got a second share bundle, repeating held share slots"
+        elif msg.peer_tokens or (msg.threshold, msg.limbs) != (self.share_threshold, share_limbs(self.group)):
+            fault = f"got a share bundle of threshold {msg.threshold} and {msg.limbs} limb slots"
+        elif len(msg.bodies) != (len(recipients) - 1) * msg.width:
+            fault = f"got {len(msg.bodies) // msg.width} share entries for {len(recipients) - 1} mates"
+        if fault is not None:
+            raise ProtocolAbort(f"user {self.index} {fault}", blamed="server")
+        cut = recipients.index(self._own_token) * msg.width
+        self._held = msg.bodies[:cut] + self._held + msg.bodies[cut:]
+        self._held_at = dict(zip(recipients, range(0, len(self._held), msg.width)))
 
     # -- masked upload --------------------------------------------------------
 
@@ -244,13 +267,14 @@ class UserAgent:
                 f"unmask request in phase {self.phase}", blamed="server"
             )
         forced = set(req.forced)
-        released: list[ShareMsg] = []
+        held, held_at, done_for = self._held, self._held_at, self._released
+        released: list[tuple[bytes, int, int, bytes]] = []
         refused: list[tuple[bytes, int]] = []
         for token, stype in req.targets:
-            held = self._held_shares.get((token, stype))
-            if held is None:
+            off = held_at.get(token)
+            if off is None:
                 continue
-            done = self._released.get(token, 0)
+            done = done_for.get(token, 0)
             other = SECRET_MASK_KEY if stype == SECRET_SELF_SEED else SECRET_SELF_SEED
             if done & (1 << other):
                 if token in forced and stype == SECRET_MASK_KEY:
@@ -258,11 +282,10 @@ class UserAgent:
                 else:
                     refused.append((token, stype))
                     continue
-            self._released[token] = done | (1 << stype)
-            index, threshold, limbs = held
-            key, seed = (limbs, ()) if stype == SECRET_MASK_KEY else ((), limbs)
-            released.append(ShareMsg(token, self._own_token, index, threshold, key, seed))
-        return UnmaskResponseMsg(tuple(released), tuple(refused))
+            done_for[token] = done | (1 << stype)
+            index, limbs = share_part(held, off, stype)
+            released.append((token, stype, index, limbs))
+        return UnmaskResponseMsg(self.share_threshold, tuple(released), tuple(refused))
 
     # -- verification -----------------------------------------------------------
 

@@ -13,11 +13,43 @@ elements, or holds an element >= 2^w, raises ``WireError`` there.  Shamir
 share limbs are 33-byte big endian field elements (the share field is the
 257-bit prime 2^256 + 297).
 
-A share record comes in two forms.  A distribution record carries both of
-its owner's secrets for one recipient, the mask-key limbs and then the
-self-seed limbs under one evaluation point, so a user sends one record per
-share recipient.  An unmask release carries exactly one of the two parts,
-which is what the never-both rule counts.
+Shamir shares travel in bundles, one per sender to the server and one
+per recipient from the server (the message layout of Bonawitz et al.,
+CCS 2017, section 4).  A bundle is::
+
+    own token (8) || threshold (2) || token width (1) || limb slots L (1)
+    || entry count n (4) || n other-end tokens || n entry bodies
+
+An upload bundle comes from a share owner: its own token is the owner's
+and the token column names each entry's recipient, in the
+``share_recipients`` order the server handed out, without the owner.  A
+download bundle goes to one recipient: its own token is the recipient's
+and its token width is 0, because its entries follow the recipient's
+``share_recipients`` order with the recipient skipped, so each entry's
+position names its owner.  The tokens sit in one column ahead of the
+bodies, so the relay reads the routing in one slice.  Every body has the
+same width::
+
+    evaluation point (4) || key limbs (1) || seed limbs (1) || L limbs of 33 bytes
+
+carrying the mask-key limbs, then the self-seed limbs, then zero limbs up
+to L, so a strong2048 key of 7 limbs fits where the widest key takes 8.
+Every entry carries both secrets.  The relay reads only the tokens and
+each body's limb counts, but the limbs are plaintext: it could read every
+one until ROADMAP item 7 replaces each body with a ciphertext.
+
+An unmask response carries released shares as a fixed-width release
+table, one row per released share of one secret, which is what the
+never-both rule counts::
+
+    threshold (2) || limb slots L (1) || row count (4)
+    || rows of: owner token (8) || secret type (1) || evaluation point (4)
+                || limb count (1) || L limbs of 33 bytes
+    || refused (owner token, secret type) targets
+
+A row's limbs after its limb count are zero; a table that mixes secrets
+of different widths (strong2048 keys and seeds) pads the narrow rows.
+Bundles, release tables and unmask requests reject trailing bytes.
 
 The two verification broadcasts stay small.  The tree commitment carries
 the N advertised randomness commitments as one SHA-256 digest plus N, not
@@ -40,13 +72,18 @@ direction, which is what the communication-cost benchmarks report.
 
 from __future__ import annotations
 
+import functools
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat, starmap
+from operator import add, itemgetter
+from typing import TypeVar
 
 import numpy as np
 
 from .counters import OpCounters
-from .errors import WireError
+from .errors import ProtocolAbort, WireError
 from .fixedpoint import SegmentSpec, word_bytes
 
 TAG_SERVER_COMMIT = 1
@@ -65,6 +102,8 @@ SHARE_LIMB_BYTES = 33  # holds one element of the 2^256 + 297 share field
 
 SECRET_MASK_KEY = 1  # share of a user's pairwise-mask private key
 SECRET_SELF_SEED = 2  # share of a user's per-round self-mask seed
+
+_SECRET_TYPES = bytes((SECRET_MASK_KEY, SECRET_SELF_SEED))
 
 TOKEN_BYTES = 8
 
@@ -93,12 +132,16 @@ def _unpack_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
     return _take(buf, off + 4, n)
 
 
+def _split_tokens(raw: bytes) -> tuple[bytes, ...]:
+    """Consecutive tokens, ``len(raw)`` a multiple of ``TOKEN_BYTES``."""
+    return struct.unpack(f"{TOKEN_BYTES}s" * (len(raw) // TOKEN_BYTES), raw)
+
+
 def _unpack_tokens(buf: bytes, off: int) -> tuple[tuple[bytes, ...], int]:
     """A 4-byte count followed by that many tokens."""
     (k,) = _unpack(">I", buf, off)
-    off += 4
-    raw, end = _take(buf, off, TOKEN_BYTES * k)
-    return tuple(raw[TOKEN_BYTES * i : TOKEN_BYTES * (i + 1)] for i in range(k)), end
+    raw, end = _take(buf, off + 4, TOKEN_BYTES * k)
+    return _split_tokens(raw), end
 
 
 def _encode_words(values: np.ndarray, spec: SegmentSpec) -> bytes:
@@ -121,18 +164,26 @@ def _decode_words(words: bytes, spec: SegmentSpec) -> np.ndarray:
     return values
 
 
+_TARGET = struct.Struct(">8sB")  # owner token, secret type
+
+
 def _pack_targets(targets: tuple[tuple[bytes, int], ...]) -> bytes:
     """A 4-byte count followed by that many (token, secret type) pairs."""
-    return b"".join((struct.pack(">I", len(targets)), *(token + bytes((stype,)) for token, stype in targets)))
+    return struct.pack(">I", len(targets)) + b"".join(starmap(_TARGET.pack, targets))
 
 
 def _unpack_targets(buf: bytes, off: int) -> tuple[tuple[tuple[bytes, int], ...], int]:
     """A 4-byte count followed by that many (token, secret type) pairs."""
     (k,) = _unpack(">I", buf, off)
-    off += 4
-    raw, end = _take(buf, off, (TOKEN_BYTES + 1) * k)
-    step = TOKEN_BYTES + 1
-    return tuple((raw[step * i : step * i + TOKEN_BYTES], raw[step * i + TOKEN_BYTES]) for i in range(k)), end
+    raw, end = _take(buf, off + 4, _TARGET.size * k)
+    if raw[TOKEN_BYTES :: _TARGET.size].translate(None, _SECRET_TYPES):
+        raise WireError("unknown secret type tag in a target list")
+    return tuple(_TARGET.iter_unpack(raw)), end
+
+
+def _check_end(payload: bytes, end: int) -> None:
+    if end != len(payload):
+        raise WireError(f"{len(payload) - end} trailing bytes after the last field")
 
 
 def encode_record(tag: int, payload: bytes) -> bytes:
@@ -296,78 +347,111 @@ class PeerListMsg:
         return PeerListMsg(own, tuple(peers), recips)
 
 
-_SHARE_HEAD = struct.Struct(">IHHH")  # share index, threshold, limb counts
-_SHARE_FIXED = 2 * TOKEN_BYTES + _SHARE_HEAD.size
+_BUNDLE_HEAD = struct.Struct(">8sHBBI")  # own token, threshold, token width, limb slots, entries
+_BODY_HEAD = struct.Struct(">IBB")  # evaluation point, key limbs, seed limbs
+_KEY_COUNT, _SEED_COUNT = 4, 5  # offsets of the limb counts in a body
+
+
+def body_width(limbs: int) -> int:
+    """Bytes of one bundle entry body with ``limbs`` limb slots."""
+    return _BODY_HEAD.size + SHARE_LIMB_BYTES * limbs
+
+
+def share_bodies(points: Sequence[tuple[int, Sequence[int]]], key_limbs: int, limbs: int) -> list[bytes]:
+    """One entry body per (evaluation point, values) pair of one owner: the
+    point, the limb counts of the mask key (the first ``key_limbs`` values)
+    and of the self seed (the rest), then the values as limbs, zero-padded
+    to ``limbs`` slots."""
+    bodies = []
+    for index, values in points:
+        count = len(values)
+        if not 0 < key_limbs < count <= limbs:
+            raise ValueError(f"{count} values with {key_limbs} key limbs do not fit {limbs} slots")
+        limb_bytes = map(int.to_bytes, values, repeat(SHARE_LIMB_BYTES))
+        bodies.append(_body_struct(count, limbs).pack(index, key_limbs, count - key_limbs, *limb_bytes))
+    return bodies
+
+
+@functools.cache
+def _body_struct(count: int, limbs: int) -> struct.Struct:
+    """A body of ``count`` limbs, zero-padded to ``limbs`` slots."""
+    return struct.Struct(f"{_BODY_HEAD.format}{f'{SHARE_LIMB_BYTES}s' * count}{SHARE_LIMB_BYTES * (limbs - count)}x")
+
+
+def share_part(bodies: bytes, off: int, secret_type: int) -> tuple[int, bytes]:
+    """Evaluation point and limb bytes of one secret in the body at ``off``."""
+    index, key_limbs, seed_limbs = _BODY_HEAD.unpack_from(bodies, off)
+    start = off + _BODY_HEAD.size
+    if secret_type == SECRET_MASK_KEY:
+        return index, bodies[start : start + SHARE_LIMB_BYTES * key_limbs]
+    if secret_type == SECRET_SELF_SEED:
+        start += SHARE_LIMB_BYTES * key_limbs
+        return index, bodies[start : start + SHARE_LIMB_BYTES * seed_limbs]
+    raise ValueError(f"unknown secret type tag {secret_type}")
+
+
+def limb_values(raw: bytes) -> tuple[int, ...]:
+    """The field elements of consecutive 33-byte big endian limbs."""
+    return tuple(int.from_bytes(raw[i : i + SHARE_LIMB_BYTES], "big") for i in range(0, len(raw), SHARE_LIMB_BYTES))
+
+
+def _check_bodies(bodies: bytes, width: int, limbs: int) -> None:
+    """``WireError`` unless every body carries both secrets within ``limbs``
+    slots and zeros after them."""
+    keys, seeds = bodies[_KEY_COUNT::width], bodies[_SEED_COUNT::width]
+    used = list(map(add, keys, seeds))
+    if 0 in keys or 0 in seeds or max(used, default=0) > limbs:
+        raise WireError(f"a share entry without both secrets in {limbs} limb slots")
+    for off, count in zip(range(0, len(bodies), width), used):
+        if count < limbs and bodies[off + body_width(count) : off + width].strip(b"\0"):
+            raise WireError("share entry padding is not zero")
 
 
 @dataclass(frozen=True)
 class ShareMsg:
-    """Shamir shares of one owner's secrets for one recipient.
+    """A bundle of Shamir share entries between one user and the server.
 
-    A distribution record carries both parts, the mask-key limbs and the
-    self-seed limbs at the same evaluation point; an unmask release
-    carries exactly one of them.
+    In an upload bundle ``token`` is the owner's and ``peer_tokens`` names
+    each entry's recipient.  In a download bundle ``token`` is the
+    recipient's and ``peer_tokens`` is empty: the entries follow the
+    recipient's ``share_recipients`` order without the recipient.
+    ``bodies`` holds one ``body_width(limbs)``-byte body per entry (see
+    ``share_bodies``).
     """
 
-    owner_token: bytes
-    recipient_token: bytes
-    share_index: int
+    token: bytes
     threshold: int
-    mask_key: tuple[int, ...] = ()
-    self_seed: tuple[int, ...] = ()
-
-    def secret_types(self) -> tuple[int, ...]:
-        """The secret types this record carries, mask key first."""
-        if self.mask_key:
-            return (SECRET_MASK_KEY, SECRET_SELF_SEED) if self.self_seed else (SECRET_MASK_KEY,)
-        return (SECRET_SELF_SEED,) if self.self_seed else ()
-
-    def part(self, secret_type: int) -> tuple[int, ...]:
-        """The limbs of one secret type; empty if this record lacks it."""
-        if secret_type == SECRET_MASK_KEY:
-            return self.mask_key
-        if secret_type == SECRET_SELF_SEED:
-            return self.self_seed
-        raise ValueError(f"unknown secret type tag {secret_type}")
+    limbs: int  # limb slots per entry body
+    bodies: bytes
+    peer_tokens: tuple[bytes, ...] = ()
 
     @property
-    def secret_type(self) -> int:
-        """The secret type of a single-type record."""
-        types = self.secret_types()
-        if len(types) != 1:
-            raise ValueError(f"record carries {len(types)} secret types, not one")
-        return types[0]
+    def width(self) -> int:
+        return body_width(self.limbs)
 
     def to_bytes(self) -> bytes:
-        mask_key, self_seed = self.mask_key, self.self_seed
-        parts = [
-            self.owner_token,
-            self.recipient_token,
-            _SHARE_HEAD.pack(self.share_index, self.threshold, len(mask_key), len(self_seed)),
-        ]
-        parts += [limb.to_bytes(SHARE_LIMB_BYTES, "big") for limb in mask_key + self_seed]
-        return encode_record(TAG_SHARE_MSG, b"".join(parts))
+        entries, partial = divmod(len(self.bodies), self.width)
+        tokens = b"".join(self.peer_tokens)
+        if partial or len(self.token) != TOKEN_BYTES or len(tokens) not in (0, TOKEN_BYTES * entries):
+            raise ValueError("share bundle tokens and bodies do not form whole entries")
+        token_width = TOKEN_BYTES if tokens else 0
+        head = _BUNDLE_HEAD.pack(self.token, self.threshold, token_width, self.limbs, entries)
+        return encode_record(TAG_SHARE_MSG, head + tokens + self.bodies)
 
     @staticmethod
     def from_bytes(data: bytes) -> "ShareMsg":
         payload = _payload_of(data, TAG_SHARE_MSG)
-        idx, thr, nkey, nseed = _unpack(_SHARE_HEAD.format, payload, 2 * TOKEN_BYTES)
-        if len(payload) != _SHARE_FIXED + SHARE_LIMB_BYTES * (nkey + nseed):
-            raise WireError(f"share record of {len(payload)} bytes does not hold {nkey} + {nseed} limbs")
-        if nkey + nseed == 0:
-            raise WireError("share record carries no secret")
-        limbs = tuple(
-            int.from_bytes(payload[off : off + SHARE_LIMB_BYTES], "big")
-            for off in range(_SHARE_FIXED, len(payload), SHARE_LIMB_BYTES)
-        )
-        return ShareMsg(
-            payload[:TOKEN_BYTES],
-            payload[TOKEN_BYTES : 2 * TOKEN_BYTES],
-            idx,
-            thr,
-            limbs[:nkey],
-            limbs[nkey:],
-        )
+        token, threshold, token_width, limbs, entries = _unpack(_BUNDLE_HEAD.format, payload, 0)
+        if token_width not in (0, TOKEN_BYTES):
+            raise WireError(f"share bundle tokens of {token_width} bytes")
+        width = body_width(limbs)
+        off = _BUNDLE_HEAD.size
+        if len(payload) != off + entries * (token_width + width):
+            raise WireError(f"share bundle of {len(payload)} bytes does not hold {entries} entries of {width}")
+        tokens_end = off + entries * token_width
+        bodies = payload[tokens_end:]
+        _check_bodies(bodies, width, limbs)
+        return ShareMsg(token, threshold, limbs, bodies, _split_tokens(payload[off:tokens_end]))
 
 
 @dataclass(frozen=True)
@@ -412,34 +496,73 @@ class UnmaskRequestMsg:
     def from_bytes(data: bytes) -> "UnmaskRequestMsg":
         payload = _payload_of(data, TAG_UNMASK_REQUEST)
         targets, off = _unpack_targets(payload, 0)
-        forced, _ = _unpack_tokens(payload, off)
+        forced, end = _unpack_tokens(payload, off)
+        _check_end(payload, end)
         return UnmaskRequestMsg(targets, forced)
+
+
+_RELEASE_HEAD = struct.Struct(">HBI")  # threshold, limb slots, rows
+_ROW_TYPE, _ROW_COUNT = 8, 13  # offsets of the secret type and the limb count in a row
+
+
+@functools.cache
+def _release_row(limbs: int) -> struct.Struct:
+    """Owner token, secret type, evaluation point, limb count, limb slots."""
+    return struct.Struct(f">8sBIB{SHARE_LIMB_BYTES * limbs}s")
 
 
 @dataclass(frozen=True)
 class UnmaskResponseMsg:
-    shares: tuple[ShareMsg, ...]
+    """Released shares as a release table, plus the refused targets.
+
+    Each ``shares`` row is (owner token, secret type, evaluation point,
+    limb bytes) for one secret; ``threshold`` is the holder's t, which the
+    server checks against its own.
+    """
+
+    threshold: int
+    shares: tuple[tuple[bytes, int, int, bytes], ...] = ()
     refused: tuple[tuple[bytes, int], ...] = ()  # (owner token, refused type)
 
     def to_bytes(self) -> bytes:
-        parts = (
-            struct.pack(">I", len(self.shares)),
-            *(_pack_bytes(s.to_bytes()) for s in self.shares),
-            _pack_targets(self.refused),
+        rows = self.shares
+        sizes = set(map(len, map(itemgetter(3), rows)))
+        if any(size % SHARE_LIMB_BYTES or not size for size in sizes):
+            raise ValueError("release rows must carry whole limbs")
+        if set(map(len, map(itemgetter(0), rows))) - {TOKEN_BYTES}:
+            raise ValueError("release rows need 8-byte owner tokens")
+        limbs = max(sizes, default=0) // SHARE_LIMB_BYTES
+        pack = _release_row(limbs).pack  # "s" zero-pads narrower limbs
+        table = b"".join(
+            [pack(owner, stype, index, len(raw) // SHARE_LIMB_BYTES, raw) for owner, stype, index, raw in rows]
         )
-        return encode_record(TAG_UNMASK_RESPONSE, b"".join(parts))
+        head = _RELEASE_HEAD.pack(self.threshold, limbs, len(rows))
+        return encode_record(TAG_UNMASK_RESPONSE, head + table + _pack_targets(self.refused))
 
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskResponseMsg":
         payload = _payload_of(data, TAG_UNMASK_RESPONSE)
-        (n,) = _unpack(">I", payload, 0)
-        off = 4
-        shares = []
-        for _ in range(n):
-            raw, off = _unpack_bytes(payload, off)
-            shares.append(ShareMsg.from_bytes(raw))
-        refused, _ = _unpack_targets(payload, off)
-        return UnmaskResponseMsg(tuple(shares), refused)
+        threshold, limbs, count = _unpack(_RELEASE_HEAD.format, payload, 0)
+        row = _release_row(limbs)
+        table, off = _take(payload, _RELEASE_HEAD.size, count * row.size)
+        types, used = table[_ROW_TYPE :: row.size], table[_ROW_COUNT :: row.size]
+        if types.translate(None, _SECRET_TYPES) or used.translate(None, bytes(range(1, limbs + 1))):
+            raise WireError(f"release rows of an unknown secret type or outside 1..{limbs} limbs")
+        rows = row.iter_unpack(table)
+        if used.count(limbs) == count:  # one width, no padding
+            shares = tuple(map(itemgetter(0, 1, 2, 4), rows))
+        else:
+            shares = tuple(starmap(_trimmed_row, rows))
+        refused, end = _unpack_targets(payload, off)
+        _check_end(payload, end)
+        return UnmaskResponseMsg(threshold, shares, refused)
+
+
+def _trimmed_row(owner: bytes, stype: int, index: int, used: int, raw: bytes) -> tuple[bytes, int, int, bytes]:
+    """A release row with its zero padding checked and cut off."""
+    if raw[SHARE_LIMB_BYTES * used :].strip(b"\0"):
+        raise WireError("release row padding is not zero")
+    return owner, stype, index, raw[: SHARE_LIMB_BYTES * used]
 
 
 _REVEAL_WIDTHS = struct.Struct(">IHHHH")  # N, then the four field widths
@@ -526,6 +649,18 @@ class GlobalModelMsg:
 # ---------------------------------------------------------------------------
 
 SERVER = "server"
+
+_Msg = TypeVar("_Msg")
+
+
+def decode_from(sender: str, cls: type[_Msg], data: bytes) -> _Msg:
+    """``cls.from_bytes(data)`` for a record that ``sender`` (``SERVER`` or
+    ``"user:<u>"``) sent; a malformed one aborts the round with
+    ``ProtocolAbort`` blamed on the sender."""
+    try:
+        return cls.from_bytes(data)  # type: ignore[attr-defined]
+    except WireError as exc:
+        raise ProtocolAbort(f"{sender} sent a malformed {cls.__name__}: {exc}", blamed=sender) from exc
 
 
 @dataclass

@@ -13,7 +13,7 @@ from conftest import build_round, plaintext_sum, random_inputs, run_plain_round
 from secaggsim.aggserver import fedsgd_update
 from secaggsim.counters import OpCounters
 from secaggsim import simulation, useragent
-from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, SIM_GROUP
+from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, SIM_GROUP, share_limbs
 from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError, WireError
 from secaggsim.fixedpoint import (
     ParamVector,
@@ -31,13 +31,21 @@ from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
+    SHARE_LIMB_BYTES,
     TAG_GLOBAL_MODEL,
+    TAG_SHARE_MSG,
+    TAG_UNMASK_REQUEST,
+    TAG_UNMASK_RESPONSE,
     PeerHandle,
     PeerListMsg,
     ShareMsg,
     TreeCommitMsg,
     UnmaskRequestMsg,
-    UnmaskResponseMsg,
+    decode_record,
+    encode_record,
+    limb_values,
+    share_bodies,
+    share_part,
 )
 
 SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
@@ -162,26 +170,32 @@ def _lone_agent(n_recipients=3, threshold=2):
     return agent, tokens, counters
 
 
+def _entry_share(bundle: ShareMsg, j: int, secret_type: int):
+    """Entry j's share of one secret, as ``reconstruct_secret`` takes it."""
+    from secaggsim.crypto import Share
+
+    index, limbs = share_part(bundle.bodies, j * bundle.width, secret_type)
+    return Share(index, limb_values(limbs), bundle.threshold)
+
+
 def test_share_counting_example():
     # n=3 recipients, t=2: two secrets, one retained share each -> 4 outbound
-    # shares, packed two to a record for the 2 other recipients
+    # shares, packed two to an entry for the 2 other recipients
     agent, tokens, counters = _lone_agent()
-    out = agent.distribute_shares()
-    assert len(out) == 2
-    assert sum(len(m.secret_types()) for m in out) == 4
+    bundle = agent.distribute_shares()
+    assert bundle.token == tokens[0] and bundle.peer_tokens == tokens[1:]
+    assert len(bundle.bodies) == 2 * bundle.width
+    parts = [share_part(bundle.bodies, j * bundle.width, stype) for j in range(2) for stype in (1, 2)]
+    assert len(parts) == 4 and all(len(limbs) == SHARE_LIMB_BYTES for _, limbs in parts)
     assert counters.shares_created == 6
-    assert {stype for m in out for stype in m.secret_types()} == {SECRET_MASK_KEY, SECRET_SELF_SEED}
 
 
 def test_share_reconstruct_self_seed():
     from secaggsim.crypto import reconstruct_secret
 
     agent, tokens, _ = _lone_agent()
-    out = agent.distribute_shares()
-    from secaggsim.crypto import Share
-
-    shares = [Share(m.share_index, m.self_seed, m.threshold) for m in out]
-    got = reconstruct_secret(shares[:2])
+    bundle = agent.distribute_shares()
+    got = reconstruct_secret([_entry_share(bundle, j, SECRET_SELF_SEED) for j in range(2)])
     assert got == int.from_bytes(agent.self_seed, "big")
 
 
@@ -203,32 +217,48 @@ def test_phase_skip_is_protocol_abort():
         agent._advance(PHASE_COMMIT, PHASE_UPLOAD)
 
 
+def _download(agent, owners_values, threshold=2, token=None):
+    """Bytes of a download bundle for ``agent``: one entry per other
+    recipient, at the agent's evaluation point, with the given key and seed
+    values."""
+    point = agent._recipients.index(agent._own_token) + 1
+    limbs = share_limbs(agent.group)
+    bodies = share_bodies([(point, values) for values in owners_values], 1, limbs)
+    return ShareMsg(token or agent._own_token, threshold, limbs, b"".join(bodies)).to_bytes()
+
+
 def test_share_type_tag_enforced():
     agent, tokens, _ = _lone_agent()
     agent.distribute_shares()
-    empty = ShareMsg(b"owner--1", tokens[0], 1, 2)
-    with pytest.raises(ValueError):
+    own = dict(agent._held_at)
+    # an entry that carries no secret is malformed, blamed on the relay
+    tag, payload = decode_record(_download(agent, [(5, 6), (7, 8)]))
+    payload = bytearray(payload)
+    payload[-2 - 2 * SHARE_LIMB_BYTES : -2 * SHARE_LIMB_BYTES] = bytes(2)  # the last entry's limb counts
+    empty = encode_record(tag, bytes(payload))
+    with pytest.raises(ProtocolAbort) as exc:
         agent.receive_share(empty)
-    # a second share filed under an already-held (owner, type) slot is
-    # rejected; share/type binding is otherwise the trusted channel's job
-    legit = ShareMsg(b"owner--1", tokens[0], 1, 2, (), (5,))
-    agent.receive_share(legit)
-    retagged = ShareMsg(b"owner--1", tokens[0], 2, 2, (), (6,))
-    with pytest.raises(ValueError):
-        agent.receive_share(retagged)
-    # a packed record that repeats one held slot is rejected whole
-    packed = ShareMsg(b"owner--1", tokens[0], 2, 2, (7,), (6,))
-    with pytest.raises(ValueError):
-        agent.receive_share(packed)
-    assert (b"owner--1", SECRET_MASK_KEY) not in agent._held_shares
+    assert exc.value.blamed == "server" and agent._held_at == own
+    # a bundle addressed to someone else, or with an entry missing, is rejected whole
+    for bad in (_download(agent, [(5, 6), (7, 8)], token=tokens[1]), _download(agent, [(5, 6)])):
+        with pytest.raises(ProtocolAbort) as exc:
+            agent.receive_share(bad)
+        assert exc.value.blamed == "server" and agent._held_at == own
+    # a second bundle repeats every held (owner, type) slot and is rejected whole
+    agent.receive_share(_download(agent, [(5, 6), (7, 8)]))
+    held = agent._held
+    with pytest.raises(ProtocolAbort) as exc:
+        agent.receive_share(_download(agent, [(9, 9), (9, 9)]))
+    assert exc.value.blamed == "server" and agent._held == held
+    assert share_part(held, agent._held_at[tokens[1]], SECRET_MASK_KEY) == (1, (5).to_bytes(SHARE_LIMB_BYTES, "big"))
 
 
 def test_wide_mask_key_shares_reconstruct():
     """A 2048-bit exponent travels as 8 key limbs beside 1 seed limb in each
-    record, and both secrets reconstruct from any t records."""
+    entry, and both secrets reconstruct from any t entries."""
     import itertools
 
-    from secaggsim.crypto import STRONG_GROUP, Share, reconstruct_secret
+    from secaggsim.crypto import STRONG_GROUP, reconstruct_secret
 
     agent = UserAgent(
         0, group=STRONG_GROUP, spec=SPEC, inter_mask_bits=10, share_threshold=3, counters=OpCounters()
@@ -237,14 +267,14 @@ def test_wide_mask_key_shares_reconstruct():
     agent.open_rand(NO_TREE)
     tokens = tuple(bytes([i]) * 8 for i in range(6))
     agent.receive_peer_list(PeerListMsg(tokens[2], (), tokens))
-    out = agent.distribute_shares()
-    assert [m.recipient_token for m in out] == [tok for tok in tokens if tok != tokens[2]]
-    assert all((len(m.mask_key), len(m.self_seed)) == (8, 1) for m in out)
-    assert all(ShareMsg.from_bytes(m.to_bytes()) == m for m in out)
+    bundle = agent.distribute_shares()
+    assert bundle.peer_tokens == tuple(tok for tok in tokens if tok != tokens[2])
+    assert bundle.limbs == 9 and ShareMsg.from_bytes(bundle.to_bytes()) == bundle
     seed = int.from_bytes(agent.self_seed, "big")
-    for picked in itertools.combinations(out, 3):
-        key_shares = [Share(m.share_index, m.mask_key, m.threshold) for m in picked]
-        seed_shares = [Share(m.share_index, m.self_seed, m.threshold) for m in picked]
+    for picked in itertools.combinations(range(5), 3):
+        key_shares = [_entry_share(bundle, j, SECRET_MASK_KEY) for j in picked]
+        seed_shares = [_entry_share(bundle, j, SECRET_SELF_SEED) for j in picked]
+        assert all(len(s.values) == 8 for s in key_shares) and all(len(s.values) == 1 for s in seed_shares)
         assert reconstruct_secret(key_shares) == agent.mask_keys.secret
         assert reconstruct_secret(seed_shares) == seed
 
@@ -254,25 +284,23 @@ def test_wide_mask_key_shares_reconstruct():
 
 def _agent_with_shares():
     agent, tokens, _ = _lone_agent()
-    owner = b"owner--7"
-    agent.receive_share(ShareMsg(owner, tokens[0], 1, 2, mask_key=(22,), self_seed=(11,)))
     agent.distribute_shares()
+    agent.receive_share(_download(agent, [(22, 11), (33, 44)]))
     agent.phase = "upload"
-    return agent, owner
+    return agent, tokens[1]
 
 
 def test_unmask_online_target_releases_self_seed():
     agent, owner = _agent_with_shares()
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
-    assert [m.secret_type for m in resp.shares] == [SECRET_SELF_SEED]
-    assert (resp.shares[0].mask_key, resp.shares[0].self_seed) == ((), (11,))
-    assert not resp.refused
+    assert resp.shares == ((owner, SECRET_SELF_SEED, 1, (11).to_bytes(SHARE_LIMB_BYTES, "big")),)
+    assert resp.threshold == 2 and not resp.refused
 
 
 def test_unmask_dropped_target_releases_mask_key():
     agent, owner = _agent_with_shares()
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),)))
-    assert [m.secret_type for m in resp.shares] == [SECRET_MASK_KEY]
+    assert resp.shares == ((owner, SECRET_MASK_KEY, 1, (22).to_bytes(SHARE_LIMB_BYTES, "big")),)
 
 
 def test_never_both_refused():
@@ -287,7 +315,7 @@ def test_never_both_forced_exclusion_is_recorded():
     agent, owner = _agent_with_shares()
     agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),), forced=(owner,)))
-    assert [m.secret_type for m in resp.shares] == [SECRET_MASK_KEY]
+    assert [stype for _, stype, _, _ in resp.shares] == [SECRET_MASK_KEY]
     assert agent.forced_releases == [owner]
 
 
@@ -823,10 +851,111 @@ def test_lying_threshold_rejected_at_receive_unmask():
     honest = users[3].unmask_response
 
     def lie(req):
-        resp = honest(req)
-        return UnmaskResponseMsg(tuple(dataclasses.replace(s, threshold=1) for s in resp.shares), resp.refused)
+        return dataclasses.replace(honest(req), threshold=1)
 
     users[3].unmask_response = lie
     with pytest.raises(ProtocolAbort) as exc:
         _run_16(server, users, transport, 71)
     assert exc.value.blamed == "user:3"
+
+
+# -- share relay and typed errors at every receiver -------------------------------------
+
+
+def _set_peer(bundle, j, token):
+    peers = list(bundle.peer_tokens)
+    peers[j] = token
+    return dataclasses.replace(bundle, peer_tokens=tuple(peers))
+
+
+def _short(bundle):
+    return dataclasses.replace(bundle, bodies=bundle.bodies[: -bundle.width], peer_tokens=bundle.peer_tokens[:-1])
+
+
+@pytest.mark.parametrize(
+    "tamper, match",
+    [
+        pytest.param(lambda b: dataclasses.replace(b, token=b.peer_tokens[0]), "another owner", id="forged_owner"),
+        pytest.param(lambda b: _set_peer(b, 0, b"\xff" * 8), "not another member", id="unknown_recipient"),
+        pytest.param(lambda b: _set_peer(b, 0, b.token), "not another member", id="own_token_recipient"),
+        pytest.param(lambda b: _set_peer(b, 1, b.peer_tokens[0]), "two shares to one", id="repeated_recipient"),
+        pytest.param(_short, "for 2 of its 3", id="short_bundle"),
+        pytest.param(lambda b: dataclasses.replace(b, peer_tokens=b.peer_tokens[::-1]), "order", id="out_of_order"),
+        pytest.param(lambda b: dataclasses.replace(b, threshold=1), "threshold 1", id="wrong_threshold"),
+    ],
+)
+def test_relay_checks_the_sender_bundle(tamper, match):
+    """The relay files nothing a sender addresses wrongly or under another
+    owner's token; each such bundle is blamed on its sender."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    honest = users[3].distribute_shares
+    users[3].distribute_shares = lambda: tamper(honest())
+    with pytest.raises(ProtocolAbort, match=match) as exc:
+        _run_16(server, users, transport, 73)
+    assert exc.value.blamed == "user:3"
+    assert 3 not in server._share_inbox.get(server.setup.share_assignment.leaf_of[3], {})
+
+
+def test_relay_rejects_a_second_bundle():
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    route = server.route_share
+
+    def twice(sender, data):
+        out = route(sender, data)
+        return route(sender, data) if sender == 3 else out
+
+    server.route_share = twice
+    with pytest.raises(ProtocolAbort, match="second share bundle") as exc:
+        _run_16(server, users, transport, 74)
+    assert exc.value.blamed == "user:3"
+
+
+def _append_byte(transport, sender, tag):
+    """Make ``transport`` hand over every ``tag`` record from ``sender``
+    with one byte appended to its payload."""
+    deliver = transport.deliver
+
+    def corrupting(s, receiver, encoded):
+        received = deliver(s, receiver, encoded)
+        if s == sender and received[0] == tag:
+            _, payload = decode_record(received)
+            return encode_record(tag, payload + b"\x00")
+        return received
+
+    transport.deliver = corrupting
+
+
+@pytest.mark.parametrize(
+    "sender, tag",
+    [
+        ("user:3", TAG_SHARE_MSG),
+        ("server", TAG_SHARE_MSG),
+        ("server", TAG_UNMASK_REQUEST),
+        ("user:3", TAG_UNMASK_RESPONSE),
+    ],
+)
+def test_malformed_bytes_blamed_on_their_sender(sender, tag):
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    _append_byte(transport, sender, tag)
+    with pytest.raises(ProtocolAbort, match="malformed") as exc:
+        _run_16(server, users, transport, 75)
+    assert exc.value.blamed == sender
+
+
+def test_bundle_for_another_user_rejected_at_the_receiver():
+    """A relay that swaps two recipients' bundles is caught by the first
+    recipient, which files nothing."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    route = server.route_share
+
+    def swapping(sender, data):
+        out = route(sender, data)
+        if len(out) > 1:
+            (a, first), (b, second) = out[:2]
+            out[:2] = [(a, second), (b, first)]
+        return out
+
+    server.route_share = swapping
+    with pytest.raises(ProtocolAbort, match="addressed to another user") as exc:
+        _run_16(server, users, transport, 76)
+    assert exc.value.blamed == "server"

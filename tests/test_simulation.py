@@ -114,7 +114,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "66a16ea168e28339551ea9b268b583d009f3b5e0277bdf1686501bee6cd913d3",
+        "5bd5e57539dbc38eaa6d059f94ffac94b42ba93c46b8902e4e142756ade3b491",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -132,7 +132,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "a1dbe5cd5bf30794bfd1b6c5d7543801b0061403a4d1a75aef18252f217d44a1",
+        "f53126a255a60d510044a8da057532ab3f7a2ae437ca88b218f89b4f459ea73d",
     ),
 }
 
@@ -206,14 +206,25 @@ def test_bench_rows():
 
 
 def test_complexity_bench_script(tmp_path: Path):
+    """The script runs from a plain checkout, with no PYTHONPATH and from
+    another directory, and prints the DH and Shamir primitive rates."""
     out = tmp_path / "bench.csv"
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_complexity_bench.py"
-    proc = _run_python(str(script), "--sizes", "16", "--big", "128", "--out", str(out))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(script), "--sizes", "16", "--big", "128", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
     assert proc.returncode == 0, proc.stderr
     with out.open() as f:
         rows = [r for r in csv.DictReader(f) if r["protocol"] == "baseline"]
     assert rows and all(float(r["per_user_bytes"]) > 0 for r in rows)
     assert proc.stdout.count("dh fast64 batch=") == 2
+    shamir = [line for line in proc.stdout.splitlines() if line.startswith("shamir t=")]
+    assert len(shamir) == 2 and all(" shares/s reconstruct=" in line and line.endswith(" secrets/s") for line in shamir)
 
 
 # -- CLI --------------------------------------------------------------------------------

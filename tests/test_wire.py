@@ -3,25 +3,28 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from secaggsim.aggserver import AggServer
 from secaggsim.counters import OpCounters
-from secaggsim.crypto import SIM_GROUP
-from secaggsim.errors import WireError
+from secaggsim.crypto import SHARE_PRIME, SIM_GROUP
+from secaggsim.errors import ProtocolAbort, WireError
 from secaggsim.fixedpoint import SegmentSpec
 from secaggsim.orgtree import TreeConfig
 from secaggsim.wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SHARE_LIMB_BYTES,
+    TOKEN_BYTES,
     TAG_GLOBAL_MODEL,
     TAG_MASKED_UPLOAD,
     TAG_RAND_OPEN,
     TAG_REVEAL,
     TAG_SHARE_MSG,
     TAG_TREE_COMMIT,
+    TAG_UNMASK_REQUEST,
+    TAG_UNMASK_RESPONSE,
     AdvertMsg,
     GlobalModelMsg,
     MaskedUploadMsg,
@@ -34,13 +37,25 @@ from secaggsim.wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
+    body_width,
+    decode_from,
     decode_record,
     encode_record,
+    limb_values,
+    share_bodies,
+    share_part,
 )
 
 TOK = [bytes([i]) * 8 for i in range(4)]
 SPEC32 = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
-SHARE = ShareMsg(TOK[0], TOK[1], 2, 3, (5, (1 << 263) + 7), (11,))
+SHARE = ShareMsg(
+    TOK[0], 3, 3, b"".join(share_bodies([(2, (5, (1 << 263) + 7, 11)), (3, (1, 2, 3))], 2, 3)), (TOK[1], TOK[2])
+)
+
+
+def _limbs(*values: int) -> bytes:
+    return b"".join(v.to_bytes(SHARE_LIMB_BYTES, "big") for v in values)
+
 
 # one instance of each of the 11 message types
 MESSAGES = [
@@ -56,7 +71,11 @@ MESSAGES = [
     SHARE,
     MaskedUploadMsg.from_vector(TOK[2], np.array([0, 1, 2**32 - 5], dtype=np.uint64), SPEC32),
     UnmaskRequestMsg(((TOK[1], SECRET_SELF_SEED), (TOK[2], SECRET_MASK_KEY)), forced=(TOK[2],)),
-    UnmaskResponseMsg((ShareMsg(TOK[0], TOK[1], 2, 3, (5,)), ShareMsg(TOK[2], TOK[1], 1, 3, (), (9,))), ((TOK[3], SECRET_MASK_KEY),)),
+    UnmaskResponseMsg(
+        3,
+        ((TOK[0], SECRET_MASK_KEY, 2, _limbs(5)), (TOK[2], SECRET_SELF_SEED, 1, _limbs(9))),
+        ((TOK[3], SECRET_MASK_KEY),),
+    ),
     RevealMsg(
         b"rs", b"rs-nonce", b"tree:h=2,d=3", b"tree-nonce", ((b"sp", b"mp", b"ru", b"nu-0"), (b"SP", b"MP", b"RU", b"NU-1"))
     ),
@@ -103,10 +122,9 @@ def test_decode_record_errors_are_value_errors():
 UNMASK_HEX = {
     "UnmaskRequestMsg": "080000002200000002010101010101010102020202020202020201000000010202020202020202",
     "UnmaskResponseMsg": (
-        "09000000990000000200000040060000003b000000000000000001010101010101010000000200030001"
-        "000000000000000000000000000000000000000000000000000000000000000000000500000040060000"
-        "003b02020202020202020101010101010101000000010003000000010000000000000000000000000000"
-        "0000000000000000000000000000000000000900000001030303030303030301"
+        "090000007200030100000002000000000000000001000000020100000000000000000000000000000000"
+        "000000000000000000000000000000000502020202020202020200000001010000000000000000000000"
+        "0000000000000000000000000000000000000000000900000001030303030303030301"
     ),
 }
 
@@ -227,39 +245,151 @@ def test_vector_partial_element_rejected(w):
             GlobalModelMsg.from_bytes(encode_record(TAG_GLOBAL_MODEL, cut)).vector(spec)
 
 
-# -- packed share records --------------------------------------------------------
+# -- share bundles and release tables ----------------------------------------------
 
-WIDE = ShareMsg(TOK[0], TOK[1], 4, 3, tuple((1 << 256) - 1 - i for i in range(8)), ((1 << 256) + 296,))
+WIDE_KEY = tuple((1 << 256) - 1 - i for i in range(8))
+WIDE_SEED = (1 << 256) + 296
+WIDE = ShareMsg(TOK[0], 3, 9, share_bodies([(4, (*WIDE_KEY, WIDE_SEED))], 8, 9)[0], (TOK[1],))
 
 
 def test_share_packed_wide_roundtrip():
     data = WIDE.to_bytes()
-    assert len(data) == 5 + 2 * 8 + 10 + SHARE_LIMB_BYTES * 9
+    assert len(data) == 5 + 16 + 8 + 6 + SHARE_LIMB_BYTES * 9
     assert ShareMsg.from_bytes(data) == WIDE
-    assert WIDE.secret_types() == (SECRET_MASK_KEY, SECRET_SELF_SEED)
+    assert share_part(WIDE.bodies, 0, SECRET_MASK_KEY) == (4, _limbs(*WIDE_KEY))
+    assert share_part(WIDE.bodies, 0, SECRET_SELF_SEED) == (4, _limbs(WIDE_SEED))
 
 
 def test_share_secret_type_single_records_only():
-    assert ShareMsg(TOK[0], TOK[1], 4, 3, WIDE.mask_key).secret_type == SECRET_MASK_KEY
-    assert ShareMsg(TOK[0], TOK[1], 4, 3, (), WIDE.self_seed).secret_type == SECRET_SELF_SEED
+    """A bundle entry carries both secrets; a release row carries one, of a
+    known type."""
+    _, key = share_part(WIDE.bodies, 0, SECRET_MASK_KEY)
+    assert limb_values(key) == WIDE_KEY
     with pytest.raises(ValueError):
-        WIDE.secret_type
+        share_part(WIDE.bodies, 0, 3)
+    resp = UnmaskResponseMsg(3, ((TOK[0], SECRET_MASK_KEY, 4, key), (TOK[0], SECRET_SELF_SEED, 4, _limbs(WIDE_SEED))))
+    assert UnmaskResponseMsg.from_bytes(resp.to_bytes()) == resp
+    with pytest.raises(WireError):
+        UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(3, ((TOK[0], 3, 4, key),)).to_bytes())
+    with pytest.raises(ValueError):
+        share_bodies([(1, (5,))], 1, 2)  # a seed-less entry cannot be built
 
 
-def _share_payload(nkey: int, nseed: int, limbs: int) -> bytes:
-    return TOK[0] + TOK[1] + struct.pack(">IHHH", 1, 2, nkey, nseed) + bytes(SHARE_LIMB_BYTES * limbs)
+def _bundle_payload(nkey: int, nseed: int, slots: int, limbs: int | None = None, entries: int = 1) -> bytes:
+    """A download bundle whose entries claim the given counts and carry
+    ``limbs`` zero limbs each (``slots`` by default)."""
+    head = TOK[0] + struct.pack(">HBBI", 2, 0, slots, entries)
+    body = struct.pack(">IBB", 1, nkey, nseed) + bytes(SHARE_LIMB_BYTES * (slots if limbs is None else limbs))
+    return head + body * entries
 
 
 def test_share_limb_counts_must_match_payload():
-    assert ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _share_payload(1, 1, 2))).mask_key == (0,)
-    for nkey, nseed, limbs in ((2, 1, 2), (1, 0, 2), (1, 1, 3), (8, 1, 8)):
+    assert ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(1, 1, 2))).limbs == 2
+    assert ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(1, 1, 3))).bodies[-99:] == bytes(99)
+    for nkey, nseed, slots, limbs in ((2, 1, 2, 2), (1, 1, 2, 3), (1, 1, 3, 2), (8, 1, 8, 8), (1, 1, 2, 1)):
         with pytest.raises(WireError):
-            ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _share_payload(nkey, nseed, limbs)))
+            ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(nkey, nseed, slots, limbs)))
 
 
 def test_share_record_without_secret_rejected():
+    for nkey, nseed in ((0, 0), (0, 1), (1, 0)):
+        with pytest.raises(WireError):
+            ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(nkey, nseed, 2)))
+
+
+def test_share_padding_must_be_zero():
+    payload = bytearray(_bundle_payload(1, 1, 3))
+    payload[-1] = 1
     with pytest.raises(WireError):
-        ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _share_payload(0, 0, 0)))
+        ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, bytes(payload)))
+    resp = UnmaskResponseMsg(3, ((TOK[0], 1, 1, _limbs(5, 6)), (TOK[1], 2, 1, _limbs(7))))
+    tag, payload = decode_record(resp.to_bytes())
+    assert UnmaskResponseMsg.from_bytes(resp.to_bytes()) == resp  # the second row is padded to 2 limbs
+    row_end = 7 + 2 * (14 + 2 * SHARE_LIMB_BYTES)
+    with pytest.raises(WireError):
+        UnmaskResponseMsg.from_bytes(encode_record(tag, payload[: row_end - 1] + b"\x01" + payload[row_end:]))
+
+
+_limb = st.integers(0, SHARE_PRIME - 1)
+_index = st.integers(1, 2**32 - 1)
+
+
+@given(st.integers(1, 8), st.integers(0, 2), st.booleans(), st.data())
+@example(8, 0, True, None)
+def test_bundle_roundtrip(key_limbs, spare, upload, data):
+    """Both bundle directions round-trip: 1-8 key limbs and a seed limb,
+    spare zero slots, 0 to many entries, indices up to 2^32 - 1."""
+    slots = key_limbs + 1 + spare
+    if data is None:  # the widest key, no spare slot, one entry at the largest index
+        points = [(2**32 - 1, tuple(range(key_limbs + 1)))]
+    else:
+        n = data.draw(st.integers(0, 40))
+        points = [
+            (data.draw(_index), tuple(data.draw(st.lists(_limb, min_size=key_limbs + 1, max_size=key_limbs + 1))))
+            for _ in range(n)
+        ]
+    peers = tuple(i.to_bytes(TOKEN_BYTES, "big") for i in range(len(points))) if upload else ()
+    msg = ShareMsg(TOK[1], 2, slots, b"".join(share_bodies(points, key_limbs, slots)), peers)
+    data_bytes = msg.to_bytes()
+    assert len(data_bytes) == 5 + 16 + len(points) * ((TOKEN_BYTES if upload else 0) + body_width(slots))
+    decoded = ShareMsg.from_bytes(data_bytes)
+    assert decoded == msg
+    for j, (index, values) in enumerate(points):
+        off = j * msg.width
+        assert share_part(decoded.bodies, off, SECRET_MASK_KEY) == (index, _limbs(*values[:key_limbs]))
+        assert share_part(decoded.bodies, off, SECRET_SELF_SEED) == (index, _limbs(*values[key_limbs:]))
+
+
+_row = st.tuples(
+    st.binary(min_size=8, max_size=8),
+    st.sampled_from((SECRET_MASK_KEY, SECRET_SELF_SEED)),
+    _index,
+    st.lists(_limb, min_size=1, max_size=8).map(lambda values: _limbs(*values)),
+)
+
+
+@given(st.lists(_row, max_size=40), st.lists(st.tuples(st.binary(min_size=8, max_size=8), st.sampled_from((1, 2)))))
+@example([(TOK[0], SECRET_SELF_SEED, 2**32 - 1, _limbs(1))], [])
+@example([], [])
+def test_release_table_roundtrip(rows, refused):
+    msg = UnmaskResponseMsg(3, tuple(rows), tuple(refused))
+    limbs = max((len(raw) for *_, raw in rows), default=0) // SHARE_LIMB_BYTES
+    data = msg.to_bytes()
+    assert len(data) == 5 + 7 + len(rows) * (14 + SHARE_LIMB_BYTES * limbs) + 4 + 9 * len(refused)
+    assert UnmaskResponseMsg.from_bytes(data) == msg
+
+
+NEW_FORMATS = [m for m in MESSAGES if isinstance(m, (ShareMsg, UnmaskRequestMsg, UnmaskResponseMsg))]
+
+
+@pytest.mark.parametrize("msg", NEW_FORMATS, ids=_ids(NEW_FORMATS))
+def test_new_formats_reject_trailing_and_overrun(msg):
+    tag, payload = decode_record(msg.to_bytes())
+    with pytest.raises(WireError):
+        type(msg).from_bytes(encode_record(tag, payload + b"\x00"))
+    for cut in range(len(payload)):
+        with pytest.raises(WireError):
+            type(msg).from_bytes(encode_record(tag, payload[:cut]))
+
+
+def test_counts_that_overrun_the_payload_rejected():
+    with pytest.raises(WireError):  # 2^32 - 1 entries claimed, none present
+        ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, TOK[0] + struct.pack(">HBBI", 2, 0, 2, 2**32 - 1)))
+    with pytest.raises(WireError):  # 2^32 - 1 rows of 8 limbs claimed, none present
+        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, struct.pack(">HBI", 2, 8, 2**32 - 1)))
+    with pytest.raises(WireError):  # rows without limb slots
+        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, struct.pack(">HBI", 2, 0, 1) + bytes(18)))
+    unknown_type = struct.pack(">I", 1) + TOK[0] + b"\x03" + bytes(4)
+    with pytest.raises(WireError):  # an unknown secret type in a request
+        UnmaskRequestMsg.from_bytes(encode_record(TAG_UNMASK_REQUEST, unknown_type))
+
+
+def test_decode_from_blames_the_sender():
+    assert decode_from("user:4", ShareMsg, WIDE.to_bytes()) == WIDE
+    for sender in ("server", "user:4"):
+        with pytest.raises(ProtocolAbort) as exc:
+            decode_from(sender, ShareMsg, WIDE.to_bytes()[:-1])
+        assert exc.value.blamed == sender
 
 
 # -- field parsers inside a well-framed record ------------------------------------------
