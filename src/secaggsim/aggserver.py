@@ -261,24 +261,17 @@ class AggServer:
     def _check_bundle(self, sender: int, msg: ShareMsg, members: list[int]) -> None:
         """The bundle must be the sender's own, at the configured threshold
         and the group's entry width, with one entry for every other member
-        of its share leaf in ``share_recipients`` order."""
+        of its share leaf."""
         t, limbs = self.tree.share_threshold, share_limbs(self.group)
-        expected = tuple(self.tokens[u] for u in members if u != sender)
-        got = msg.peer_tokens
+        entries, mates = len(msg.bodies) // msg.width, len(members) - 1
         if msg.token != self.tokens[sender]:
             fault = "filed shares under another owner's token"
         elif (msg.threshold, msg.limbs) != (t, limbs):
             fault = f"sent shares of threshold {msg.threshold} in {msg.limbs} limb slots, not {t} in {limbs}"
-        elif got == expected:
-            return
-        elif not set(got) <= set(expected):
-            fault = "addressed a share to a token that is not another member of its share leaf"
-        elif len(set(got)) < len(got):
-            fault = "addressed two shares to one recipient"
-        elif len(got) < len(expected):
-            fault = f"sent shares for {len(got)} of its {len(expected)} share recipients"
+        elif entries != mates:
+            fault = f"sent {entries} share entries for its {mates} share recipients"
         else:
-            fault = "did not send its shares in share_recipients order"
+            return
         raise ProtocolAbort(f"user {sender} {fault}", blamed=f"user:{sender}")
 
     # -- upload and dropout ----------------------------------------------------

@@ -166,8 +166,8 @@ class UserAgent:
 
         The mask key and the self seed are shared in one call under the
         same evaluation points.  Evaluation point i goes to the i-th
-        recipient token; the bundle lists the other recipients in that
-        order, and the entry at the user's own position is retained.
+        recipient token; the bundle holds the other recipients' entries in
+        that order, and the entry at the user's own position is retained.
         """
         self._advance(PHASE_COMMIT, PHASE_SHARE)
         recipients = self._recipients
@@ -188,8 +188,7 @@ class UserAgent:
         bodies = share_bodies([(share.index, share.values) for share in shares], limb_count(key), limbs)
         self._held = bodies.pop(my_pos)
         self._held_at = {self._own_token: 0}
-        others = recipients[:my_pos] + recipients[my_pos + 1 :]
-        return ShareMsg(self._own_token, t, limbs, b"".join(bodies), others)
+        return ShareMsg(self._own_token, t, limbs, b"".join(bodies))
 
     def receive_share(self, data: bytes) -> None:
         """Keep the server's bundle of this user's shares as bytes.
@@ -210,7 +209,7 @@ class UserAgent:
             fault = "got a share bundle addressed to another user"
         elif len(self._held_at) != 1:
             fault = "got a second share bundle, repeating held share slots"
-        elif msg.peer_tokens or (msg.threshold, msg.limbs) != (self.share_threshold, share_limbs(self.group)):
+        elif (msg.threshold, msg.limbs) != (self.share_threshold, share_limbs(self.group)):
             fault = f"got a share bundle of threshold {msg.threshold} and {msg.limbs} limb slots"
         elif len(msg.bodies) != (len(recipients) - 1) * msg.width:
             fault = f"got {len(msg.bodies) // msg.width} share entries for {len(recipients) - 1} mates"

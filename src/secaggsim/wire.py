@@ -17,25 +17,23 @@ Shamir shares travel in bundles, one per sender to the server and one
 per recipient from the server (the message layout of Bonawitz et al.,
 CCS 2017, section 4).  A bundle is::
 
-    own token (8) || threshold (2) || token width (1) || limb slots L (1)
-    || entry count n (4) || n other-end tokens || n entry bodies
+    own token (8) || threshold (2) || limb slots L (1) || entry count n (4)
+    || n entry bodies
 
-An upload bundle comes from a share owner: its own token is the owner's
-and the token column names each entry's recipient, in the
-``share_recipients`` order the server handed out, without the owner.  A
-download bundle goes to one recipient: its own token is the recipient's
-and its token width is 0, because its entries follow the recipient's
-``share_recipients`` order with the recipient skipped, so each entry's
-position names its owner.  The tokens sit in one column ahead of the
-bodies, so the relay reads the routing in one slice.  Every body has the
-same width::
+and carries no other-end tokens: its entries are positional.  An upload
+bundle comes from a share owner, whose token it carries, and holds one
+entry per recipient in the ``share_recipients`` order the server handed
+out, without the owner.  A download bundle goes to one recipient, whose
+token it carries, and holds one entry per owner in the recipient's
+``share_recipients`` order, without the recipient.  Either way each
+entry's position names its other end.  Every body has the same width::
 
     evaluation point (4) || key limbs (1) || seed limbs (1) || L limbs of 33 bytes
 
 carrying the mask-key limbs, then the self-seed limbs, then zero limbs up
 to L, so a strong2048 key of 7 limbs fits where the widest key takes 8.
-Every entry carries both secrets.  The relay reads only the tokens and
-each body's limb counts, but the limbs are plaintext: it could read every
+Every entry carries both secrets.  The relay moves bodies by position and
+never decodes a limb, but the limbs are plaintext: it could read every
 one until ROADMAP item 7 replaces each body with a ciphertext.
 
 An unmask response carries released shares as a fixed-width release
@@ -132,16 +130,11 @@ def _unpack_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
     return _take(buf, off + 4, n)
 
 
-def _split_tokens(raw: bytes) -> tuple[bytes, ...]:
-    """Consecutive tokens, ``len(raw)`` a multiple of ``TOKEN_BYTES``."""
-    return struct.unpack(f"{TOKEN_BYTES}s" * (len(raw) // TOKEN_BYTES), raw)
-
-
 def _unpack_tokens(buf: bytes, off: int) -> tuple[tuple[bytes, ...], int]:
     """A 4-byte count followed by that many tokens."""
     (k,) = _unpack(">I", buf, off)
     raw, end = _take(buf, off + 4, TOKEN_BYTES * k)
-    return _split_tokens(raw), end
+    return struct.unpack(f"{TOKEN_BYTES}s" * k, raw), end
 
 
 def _encode_words(values: np.ndarray, spec: SegmentSpec) -> bytes:
@@ -347,7 +340,7 @@ class PeerListMsg:
         return PeerListMsg(own, tuple(peers), recips)
 
 
-_BUNDLE_HEAD = struct.Struct(">8sHBBI")  # own token, threshold, token width, limb slots, entries
+_BUNDLE_HEAD = struct.Struct(">8sHBI")  # own token, threshold, limb slots, entries
 _BODY_HEAD = struct.Struct(">IBB")  # evaluation point, key limbs, seed limbs
 _KEY_COUNT, _SEED_COUNT = 4, 5  # offsets of the limb counts in a body
 
@@ -411,19 +404,16 @@ def _check_bodies(bodies: bytes, width: int, limbs: int) -> None:
 class ShareMsg:
     """A bundle of Shamir share entries between one user and the server.
 
-    In an upload bundle ``token`` is the owner's and ``peer_tokens`` names
-    each entry's recipient.  In a download bundle ``token`` is the
-    recipient's and ``peer_tokens`` is empty: the entries follow the
-    recipient's ``share_recipients`` order without the recipient.
-    ``bodies`` holds one ``body_width(limbs)``-byte body per entry (see
-    ``share_bodies``).
+    ``token`` is the user's own: the owner's in an upload bundle, the
+    recipient's in a download bundle.  ``bodies`` holds one
+    ``body_width(limbs)``-byte body per entry (see ``share_bodies``), in
+    that user's ``share_recipients`` order without the user itself.
     """
 
     token: bytes
     threshold: int
     limbs: int  # limb slots per entry body
     bodies: bytes
-    peer_tokens: tuple[bytes, ...] = ()
 
     @property
     def width(self) -> int:
@@ -431,27 +421,21 @@ class ShareMsg:
 
     def to_bytes(self) -> bytes:
         entries, partial = divmod(len(self.bodies), self.width)
-        tokens = b"".join(self.peer_tokens)
-        if partial or len(self.token) != TOKEN_BYTES or len(tokens) not in (0, TOKEN_BYTES * entries):
-            raise ValueError("share bundle tokens and bodies do not form whole entries")
-        token_width = TOKEN_BYTES if tokens else 0
-        head = _BUNDLE_HEAD.pack(self.token, self.threshold, token_width, self.limbs, entries)
-        return encode_record(TAG_SHARE_MSG, head + tokens + self.bodies)
+        if partial or len(self.token) != TOKEN_BYTES:
+            raise ValueError("share bundle needs an 8-byte token and whole entry bodies")
+        head = _BUNDLE_HEAD.pack(self.token, self.threshold, self.limbs, entries)
+        return encode_record(TAG_SHARE_MSG, head + self.bodies)
 
     @staticmethod
     def from_bytes(data: bytes) -> "ShareMsg":
         payload = _payload_of(data, TAG_SHARE_MSG)
-        token, threshold, token_width, limbs, entries = _unpack(_BUNDLE_HEAD.format, payload, 0)
-        if token_width not in (0, TOKEN_BYTES):
-            raise WireError(f"share bundle tokens of {token_width} bytes")
+        token, threshold, limbs, entries = _unpack(_BUNDLE_HEAD.format, payload, 0)
         width = body_width(limbs)
-        off = _BUNDLE_HEAD.size
-        if len(payload) != off + entries * (token_width + width):
+        bodies = payload[_BUNDLE_HEAD.size :]
+        if len(bodies) != entries * width:
             raise WireError(f"share bundle of {len(payload)} bytes does not hold {entries} entries of {width}")
-        tokens_end = off + entries * token_width
-        bodies = payload[tokens_end:]
         _check_bodies(bodies, width, limbs)
-        return ShareMsg(token, threshold, limbs, bodies, _split_tokens(payload[off:tokens_end]))
+        return ShareMsg(token, threshold, limbs, bodies)
 
 
 @dataclass(frozen=True)
@@ -548,11 +532,7 @@ class UnmaskResponseMsg:
         types, used = table[_ROW_TYPE :: row.size], table[_ROW_COUNT :: row.size]
         if types.translate(None, _SECRET_TYPES) or used.translate(None, bytes(range(1, limbs + 1))):
             raise WireError(f"release rows of an unknown secret type or outside 1..{limbs} limbs")
-        rows = row.iter_unpack(table)
-        if used.count(limbs) == count:  # one width, no padding
-            shares = tuple(map(itemgetter(0, 1, 2, 4), rows))
-        else:
-            shares = tuple(starmap(_trimmed_row, rows))
+        shares = tuple(starmap(_trimmed_row, row.iter_unpack(table)))
         refused, end = _unpack_targets(payload, off)
         _check_end(payload, end)
         return UnmaskResponseMsg(threshold, shares, refused)

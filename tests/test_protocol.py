@@ -183,7 +183,7 @@ def test_share_counting_example():
     # shares, packed two to an entry for the 2 other recipients
     agent, tokens, counters = _lone_agent()
     bundle = agent.distribute_shares()
-    assert bundle.token == tokens[0] and bundle.peer_tokens == tokens[1:]
+    assert bundle.token == tokens[0]
     assert len(bundle.bodies) == 2 * bundle.width
     parts = [share_part(bundle.bodies, j * bundle.width, stype) for j in range(2) for stype in (1, 2)]
     assert len(parts) == 4 and all(len(limbs) == SHARE_LIMB_BYTES for _, limbs in parts)
@@ -268,7 +268,7 @@ def test_wide_mask_key_shares_reconstruct():
     tokens = tuple(bytes([i]) * 8 for i in range(6))
     agent.receive_peer_list(PeerListMsg(tokens[2], (), tokens))
     bundle = agent.distribute_shares()
-    assert bundle.peer_tokens == tuple(tok for tok in tokens if tok != tokens[2])
+    assert len(bundle.bodies) == 5 * bundle.width
     assert bundle.limbs == 9 and ShareMsg.from_bytes(bundle.to_bytes()) == bundle
     seed = int.from_bytes(agent.self_seed, "big")
     for picked in itertools.combinations(range(5), 3):
@@ -862,34 +862,30 @@ def test_lying_threshold_rejected_at_receive_unmask():
 # -- share relay and typed errors at every receiver -------------------------------------
 
 
-def _set_peer(bundle, j, token):
-    peers = list(bundle.peer_tokens)
-    peers[j] = token
-    return dataclasses.replace(bundle, peer_tokens=tuple(peers))
-
-
-def _short(bundle):
-    return dataclasses.replace(bundle, bodies=bundle.bodies[: -bundle.width], peer_tokens=bundle.peer_tokens[:-1])
+def _resized(bundle, entries):
+    """The bundle with its first entry dropped or repeated."""
+    w = bundle.width
+    bodies = bundle.bodies[w:] if entries < 0 else bundle.bodies[:w] + bundle.bodies
+    return dataclasses.replace(bundle, bodies=bodies)
 
 
 @pytest.mark.parametrize(
     "tamper, match",
     [
-        pytest.param(lambda b: dataclasses.replace(b, token=b.peer_tokens[0]), "another owner", id="forged_owner"),
-        pytest.param(lambda b: _set_peer(b, 0, b"\xff" * 8), "not another member", id="unknown_recipient"),
-        pytest.param(lambda b: _set_peer(b, 0, b.token), "not another member", id="own_token_recipient"),
-        pytest.param(lambda b: _set_peer(b, 1, b.peer_tokens[0]), "two shares to one", id="repeated_recipient"),
-        pytest.param(_short, "for 2 of its 3", id="short_bundle"),
-        pytest.param(lambda b: dataclasses.replace(b, peer_tokens=b.peer_tokens[::-1]), "order", id="out_of_order"),
-        pytest.param(lambda b: dataclasses.replace(b, threshold=1), "threshold 1", id="wrong_threshold"),
+        pytest.param(lambda b, other: dataclasses.replace(b, token=other), "another owner", id="forged_owner"),
+        pytest.param(lambda b, _: _resized(b, -1), "2 share entries for its 3", id="short_bundle"),
+        pytest.param(lambda b, _: _resized(b, 1), "4 share entries for its 3", id="long_bundle"),
+        pytest.param(lambda b, _: dataclasses.replace(b, threshold=1), "threshold 1", id="wrong_threshold"),
+        pytest.param(lambda b, _: dataclasses.replace(b, limbs=3, bodies=b""), "in 3 limb slots", id="wrong_limbs"),
     ],
 )
 def test_relay_checks_the_sender_bundle(tamper, match):
-    """The relay files nothing a sender addresses wrongly or under another
-    owner's token; each such bundle is blamed on its sender."""
+    """The relay files nothing a sender files under another owner's token
+    or that does not hold one entry per share recipient; each such bundle
+    is blamed on its sender."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     honest = users[3].distribute_shares
-    users[3].distribute_shares = lambda: tamper(honest())
+    users[3].distribute_shares = lambda: tamper(honest(), server.tokens[4])
     with pytest.raises(ProtocolAbort, match=match) as exc:
         _run_16(server, users, transport, 73)
     assert exc.value.blamed == "user:3"

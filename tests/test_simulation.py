@@ -114,7 +114,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "5bd5e57539dbc38eaa6d059f94ffac94b42ba93c46b8902e4e142756ade3b491",
+        "4897ac29bbda569ecbfa487880934044316dec002fff5bcdd0d4af5acb3e8f85",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -132,7 +132,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "f53126a255a60d510044a8da057532ab3f7a2ae437ca88b218f89b4f459ea73d",
+        "0105ef99a1e4e672cf835d755a40c0aa722dde56579c9f7264cb7f9fe1699263",
     ),
 }
 

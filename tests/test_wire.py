@@ -16,7 +16,6 @@ from secaggsim.wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SHARE_LIMB_BYTES,
-    TOKEN_BYTES,
     TAG_GLOBAL_MODEL,
     TAG_MASKED_UPLOAD,
     TAG_RAND_OPEN,
@@ -48,9 +47,7 @@ from secaggsim.wire import (
 
 TOK = [bytes([i]) * 8 for i in range(4)]
 SPEC32 = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
-SHARE = ShareMsg(
-    TOK[0], 3, 3, b"".join(share_bodies([(2, (5, (1 << 263) + 7, 11)), (3, (1, 2, 3))], 2, 3)), (TOK[1], TOK[2])
-)
+SHARE = ShareMsg(TOK[0], 3, 3, b"".join(share_bodies([(2, (5, (1 << 263) + 7, 11)), (3, (1, 2, 3))], 2, 3)))
 
 
 def _limbs(*values: int) -> bytes:
@@ -249,12 +246,12 @@ def test_vector_partial_element_rejected(w):
 
 WIDE_KEY = tuple((1 << 256) - 1 - i for i in range(8))
 WIDE_SEED = (1 << 256) + 296
-WIDE = ShareMsg(TOK[0], 3, 9, share_bodies([(4, (*WIDE_KEY, WIDE_SEED))], 8, 9)[0], (TOK[1],))
+WIDE = ShareMsg(TOK[0], 3, 9, share_bodies([(4, (*WIDE_KEY, WIDE_SEED))], 8, 9)[0])
 
 
 def test_share_packed_wide_roundtrip():
     data = WIDE.to_bytes()
-    assert len(data) == 5 + 16 + 8 + 6 + SHARE_LIMB_BYTES * 9
+    assert len(data) == 5 + 15 + 6 + SHARE_LIMB_BYTES * 9
     assert ShareMsg.from_bytes(data) == WIDE
     assert share_part(WIDE.bodies, 0, SECRET_MASK_KEY) == (4, _limbs(*WIDE_KEY))
     assert share_part(WIDE.bodies, 0, SECRET_SELF_SEED) == (4, _limbs(WIDE_SEED))
@@ -276,9 +273,9 @@ def test_share_secret_type_single_records_only():
 
 
 def _bundle_payload(nkey: int, nseed: int, slots: int, limbs: int | None = None, entries: int = 1) -> bytes:
-    """A download bundle whose entries claim the given counts and carry
-    ``limbs`` zero limbs each (``slots`` by default)."""
-    head = TOK[0] + struct.pack(">HBBI", 2, 0, slots, entries)
+    """A bundle whose entries claim the given counts and carry ``limbs``
+    zero limbs each (``slots`` by default)."""
+    head = TOK[0] + struct.pack(">HBI", 2, slots, entries)
     body = struct.pack(">IBB", 1, nkey, nseed) + bytes(SHARE_LIMB_BYTES * (slots if limbs is None else limbs))
     return head + body * entries
 
@@ -314,11 +311,12 @@ _limb = st.integers(0, SHARE_PRIME - 1)
 _index = st.integers(1, 2**32 - 1)
 
 
-@given(st.integers(1, 8), st.integers(0, 2), st.booleans(), st.data())
-@example(8, 0, True, None)
-def test_bundle_roundtrip(key_limbs, spare, upload, data):
-    """Both bundle directions round-trip: 1-8 key limbs and a seed limb,
-    spare zero slots, 0 to many entries, indices up to 2^32 - 1."""
+@given(st.integers(1, 8), st.integers(0, 2), st.data())
+@example(8, 0, None)
+def test_bundle_roundtrip(key_limbs, spare, data):
+    """Bundles (one layout for both directions) round-trip: 1-8 key limbs
+    and a seed limb, spare zero slots, 0 to many entries, indices up to
+    2^32 - 1."""
     slots = key_limbs + 1 + spare
     if data is None:  # the widest key, no spare slot, one entry at the largest index
         points = [(2**32 - 1, tuple(range(key_limbs + 1)))]
@@ -328,10 +326,9 @@ def test_bundle_roundtrip(key_limbs, spare, upload, data):
             (data.draw(_index), tuple(data.draw(st.lists(_limb, min_size=key_limbs + 1, max_size=key_limbs + 1))))
             for _ in range(n)
         ]
-    peers = tuple(i.to_bytes(TOKEN_BYTES, "big") for i in range(len(points))) if upload else ()
-    msg = ShareMsg(TOK[1], 2, slots, b"".join(share_bodies(points, key_limbs, slots)), peers)
+    msg = ShareMsg(TOK[1], 2, slots, b"".join(share_bodies(points, key_limbs, slots)))
     data_bytes = msg.to_bytes()
-    assert len(data_bytes) == 5 + 16 + len(points) * ((TOKEN_BYTES if upload else 0) + body_width(slots))
+    assert len(data_bytes) == 5 + 15 + len(points) * body_width(slots)
     decoded = ShareMsg.from_bytes(data_bytes)
     assert decoded == msg
     for j, (index, values) in enumerate(points):
@@ -374,7 +371,7 @@ def test_new_formats_reject_trailing_and_overrun(msg):
 
 def test_counts_that_overrun_the_payload_rejected():
     with pytest.raises(WireError):  # 2^32 - 1 entries claimed, none present
-        ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, TOK[0] + struct.pack(">HBBI", 2, 0, 2, 2**32 - 1)))
+        ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, TOK[0] + struct.pack(">HBI", 2, 2, 2**32 - 1)))
     with pytest.raises(WireError):  # 2^32 - 1 rows of 8 limbs claimed, none present
         UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, struct.pack(">HBI", 2, 8, 2**32 - 1)))
     with pytest.raises(WireError):  # rows without limb slots
