@@ -59,7 +59,6 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
-    decode_from,
     limb_values,
 )
 
@@ -226,7 +225,7 @@ class AggServer:
             share_recipients=recipients,
         )
 
-    def route_share(self, sender: int, data: bytes) -> list[tuple[int, ShareMsg]]:
+    def route_share(self, sender: int, msg: ShareMsg) -> list[tuple[int, ShareMsg]]:
         """Check one sender's SHARE bundle and hold it; once every member of
         the sender's share leaf has sent, re-slice the leaf's bundles into
         one per member and return them with their recipients.
@@ -235,15 +234,13 @@ class AggServer:
         limb, but the limbs are plaintext: the server could read them
         until ROADMAP item 7 encrypts each entry body.
         """
-        blamed = f"user:{sender}"
-        msg = decode_from(blamed, ShareMsg, data)
         share_asn = self.setup.share_assignment
         leaf = share_asn.leaf_of[sender]
         members = share_asn.members[leaf]
         self._check_bundle(sender, msg, members)
         inbox = self._share_inbox.setdefault(leaf, {})
         if sender in inbox:
-            raise ProtocolAbort(f"user {sender} sent a second share bundle", blamed=blamed)
+            raise ProtocolAbort(f"user {sender} sent a second share bundle", blamed=f"user:{sender}")
         inbox[sender] = msg.bodies
         if len(inbox) < len(members):
             return []

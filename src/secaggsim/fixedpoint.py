@@ -193,23 +193,6 @@ def vec_sub_mod(a: ParamVector, b: ParamVector) -> ParamVector:
     return ParamVector(out, a.spec)
 
 
-def vec_sum_mod(vectors, spec: SegmentSpec) -> ParamVector:
-    """Modular sum of a sequence of vectors (order-independent, bit-exact)."""
-    acc = np.zeros(0, dtype=np.uint64)
-    first = True
-    for v in vectors:
-        if v.spec != spec:
-            raise ValueError("SegmentSpec mismatch")
-        if first:
-            acc = v.values.copy()
-            first = False
-        else:
-            acc = acc + v.values
-    if first:
-        raise ValueError("empty sum needs an explicit length")
-    return ParamVector(acc & np.uint64(spec.word_mask), spec)
-
-
 # ---------------------------------------------------------------------------
 # bit segments
 # ---------------------------------------------------------------------------

@@ -187,9 +187,6 @@ class PeerSet:
     intra: list[int] = field(default_factory=list)
     inter: list[tuple[int, int]] = field(default_factory=list)  # (peer, layer)
 
-    def all_peers(self) -> list[int]:
-        return self.intra + [p for p, _ in self.inter]
-
 
 def _sibling_leaves(leaf: int, layer: int, tree: TreeConfig) -> list[int]:
     """Leaves reached by stepping the layer-th base-d digit by +/-1..radius."""

@@ -36,15 +36,20 @@ from .adversary import (
 from .aggserver import AggServer, fedsgd_update
 from .counters import OpCounters
 from .crypto import GROUPS, DhGroup
-from .errors import ConfigError, UnrecoverableRoundError
+from .errors import ConfigError, ProtocolAbort, UnrecoverableRoundError, WireError
 from .fixedpoint import ParamVector, SegmentSpec, dequantize_vector, quantize_vector, zeros
 from .orgtree import TreeConfig
 from .useragent import UserAgent, receive_peer_lists
 from .wire import (
     SERVER,
+    AdvertMsg,
     GlobalModelMsg,
     MaskedUploadMsg,
+    PeerListMsg,
+    RandOpenMsg,
     RevealMsg,
+    ServerCommitMsg,
+    ShareMsg,
     StarTransport,
     TreeCommitMsg,
     UnmaskRequestMsg,
@@ -443,19 +448,6 @@ class RoundResult:
     new_model: ParamVector
 
 
-def _exchange_unmask(
-    server: AggServer, users: list[UserAgent], transport: StarTransport, requests: dict
-) -> None:
-    """Send each unmask request and hand its response to the server, each
-    decoded from the bytes its receiver got."""
-    for u, req in requests.items():
-        user = f"user:{u}"
-        received = transport.deliver(SERVER, user, req.to_bytes())
-        resp = users[u].unmask_response(decode_from(SERVER, UnmaskRequestMsg, received))
-        received = transport.deliver(user, SERVER, resp.to_bytes())
-        server.receive_unmask(u, decode_from(user, UnmaskResponseMsg, received))
-
-
 def execute_round(
     *,
     server: AggServer,
@@ -474,77 +466,82 @@ def execute_round(
     ``inputs`` maps every non-dropped user to its vector.  ``round_seed``
     is (scenario seed, round index); all per-party randomness derives from
     it.  When ``detector`` is None no subgroup is flagged (void subgroups
-    are still excluded).
+    are still excluded).  Every message goes through ``send`` or
+    ``broadcast``: its receiver gets what ``decode_from`` made of the
+    bytes delivered, so a malformed record is blamed on its sender.
     """
     seed, t = round_seed
     pre_drop = pre_drop or set()
     n_users = len(users)
 
-    commit_msg = server.begin_round(n_users, _sub_rng(seed, "server", t), len(model))
-    commit_bytes = commit_msg.to_bytes()
-    for u, agent in enumerate(users):
-        transport.deliver(SERVER, f"user:{u}", commit_bytes)
-        advert = agent.begin_round(_sub_rng(seed, "user", t, u), commit_msg.digest)
-        transport.deliver(f"user:{u}", SERVER, advert.to_bytes())
-        server.receive_advert(u, advert)
+    def send(sender: str, receiver: str, msg, cls):
+        return decode_from(sender, cls, transport.deliver(sender, receiver, msg.to_bytes()))
 
-    tree_bytes = server.commit_tree().to_bytes()
-    for u, agent in enumerate(users):
-        received = transport.deliver(SERVER, f"user:{u}", tree_bytes)
-        opening = agent.open_rand(TreeCommitMsg.from_bytes(received))
-        transport.deliver(f"user:{u}", SERVER, opening.to_bytes())
-        server.receive_open(u, opening)
+    def broadcast(msg, cls, receivers) -> list:
+        """The server's ``msg`` as each receiver decoded it: encoded once,
+        and each distinct received copy decoded once."""
+        encoded = msg.to_bytes()
+        copies = [transport.deliver(SERVER, f"user:{u}", encoded) for u in receivers]
+        decoded = {data: decode_from(SERVER, cls, data) for data in dict.fromkeys(copies)}
+        return [decoded[data] for data in copies]
+
+    commit = server.begin_round(n_users, _sub_rng(seed, "server", t), len(model))
+    for u, got in enumerate(broadcast(commit, ServerCommitMsg, range(n_users))):
+        advert = users[u].begin_round(_sub_rng(seed, "user", t, u), got.digest)
+        server.receive_advert(u, send(f"user:{u}", SERVER, advert, AdvertMsg))
+
+    for u, got in enumerate(broadcast(server.commit_tree(), TreeCommitMsg, range(n_users))):
+        server.receive_open(u, send(f"user:{u}", SERVER, users[u].open_rand(got), RandOpenMsg))
     server.finish_setup()
 
-    peer_msgs = [server.peer_list_for(u) for u in range(n_users)]
-    for u, peer_msg in enumerate(peer_msgs):
-        transport.deliver(SERVER, f"user:{u}", peer_msg.to_bytes())
-    receive_peer_lists(users, peer_msgs)
+    peer_lists = [send(SERVER, f"user:{u}", server.peer_list_for(u), PeerListMsg) for u in range(n_users)]
+    receive_peer_lists(users, peer_lists)
 
     # the server forwards a share leaf's bundles once all its members sent theirs
     for u, agent in enumerate(users):
-        sent = transport.deliver(f"user:{u}", SERVER, agent.distribute_shares().to_bytes())
-        for recipient, bundle in server.route_share(u, sent):
-            users[recipient].receive_share(transport.deliver(SERVER, f"user:{recipient}", bundle.to_bytes()))
+        bundle = send(f"user:{u}", SERVER, agent.distribute_shares(), ShareMsg)
+        for recipient, routed in server.route_share(u, bundle):
+            users[recipient].receive_share(send(SERVER, f"user:{recipient}", routed, ShareMsg))
 
     for u in pre_drop:
         server.mark_dropout(u)
     for u, agent in enumerate(users):
-        if u in pre_drop:
-            continue
-        received = transport.deliver(f"user:{u}", SERVER, agent.mask_input(inputs[u]).to_bytes())
-        server.receive_upload(u, MaskedUploadMsg.from_bytes(received))
+        if u not in pre_drop:
+            server.receive_upload(u, send(f"user:{u}", SERVER, agent.mask_input(inputs[u]), MaskedUploadMsg))
 
     online = server.online_users
     if not online:
         raise UnrecoverableRoundError("no uploads this round")
     if verify:
         # post-upload opening; every honest user would run the full check,
-        # the simulator decodes and replays it once, then every online user
-        # checks its own record in the same decoded reveal
-        reveal_bytes = server.reveal().to_bytes()
-        for u in online:
-            transport.deliver(SERVER, f"user:{u}", reveal_bytes)
-        reveal = RevealMsg.from_bytes(reveal_bytes)
-        users[online[0]].verify_reveal(reveal, server.setup, server.tree)
-        for u in online[1:]:
+        # the simulator replays it once, on the first online user's copy,
+        # and every other online user checks its own record in its copy
+        reveals = broadcast(server.reveal(), RevealMsg, online)
+        users[online[0]].verify_reveal(reveals[0], server.setup, server.tree)
+        for u, reveal in zip(online[1:], reveals[1:]):
             users[u].check_own_record(reveal)
 
-    _exchange_unmask(server, users, transport, server.unmask_requests())
+    for u, req in server.unmask_requests().items():
+        resp = users[u].unmask_response(send(SERVER, f"user:{u}", req, UnmaskRequestMsg))
+        server.receive_unmask(u, send(f"user:{u}", SERVER, resp, UnmaskResponseMsg))
     aggregates = server.aggregate_subgroups()
 
     record = detector.detect(aggregates, model) if detector is not None else None
     flagged = set(record.flagged) if record is not None else set()
-    _exchange_unmask(server, users, transport, server.exclusion_requests(flagged))
+    for u, req in server.exclusion_requests(flagged).items():
+        resp = users[u].unmask_response(send(SERVER, f"user:{u}", req, UnmaskRequestMsg))
+        server.receive_unmask(u, send(f"user:{u}", SERVER, resp, UnmaskResponseMsg))
 
     total, n_eff = server.finalize(flagged, model)
     updated = fedsgd_update(model, total, n_eff, eta)
-    model_bytes = GlobalModelMsg.from_vector(updated.values, updated.spec).to_bytes()
-    for u in range(n_users):
-        received = transport.deliver(SERVER, f"user:{u}", model_bytes)
-    # every user receives the same broadcast; the simulator decodes one copy
+    models = broadcast(GlobalModelMsg.from_vector(updated.values, updated.spec), GlobalModelMsg, range(n_users))
+    # the simulator holds one model for all users: the last user's copy,
+    # whose words are decoded under that user's spec
     spec = users[-1].spec
-    new_model = ParamVector(GlobalModelMsg.from_bytes(received).vector(spec), spec)
+    try:
+        new_model = ParamVector(models[-1].vector(spec), spec)
+    except WireError as exc:
+        raise ProtocolAbort(f"server sent a malformed GlobalModelMsg: {exc}", blamed=SERVER) from exc
 
     return RoundResult(
         total=total,

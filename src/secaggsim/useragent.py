@@ -54,7 +54,6 @@ from .orgtree import TreeConfig, TreeSetup, commits_digest, verify_setup
 from .wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
-    SERVER,
     AdvertMsg,
     MaskedUploadMsg,
     PeerHandle,
@@ -65,7 +64,6 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
-    decode_from,
     share_bodies,
     share_part,
 )
@@ -190,7 +188,7 @@ class UserAgent:
         self._held_at = {self._own_token: 0}
         return ShareMsg(self._own_token, t, limbs, b"".join(bodies))
 
-    def receive_share(self, data: bytes) -> None:
+    def receive_share(self, msg: ShareMsg) -> None:
         """Keep the server's bundle of this user's shares as bytes.
 
         The bundle holds one entry per share-group mate, in
@@ -200,7 +198,6 @@ class UserAgent:
         Anything but one such bundle for this user, after its own shares
         went out, is the server's fault and is rejected whole.
         """
-        msg = decode_from(SERVER, ShareMsg, data)
         recipients = self._recipients
         fault = None
         if self.phase != PHASE_SHARE:

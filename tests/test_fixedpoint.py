@@ -18,7 +18,6 @@ from secaggsim.fixedpoint import (
     split_segments,
     vec_add_mod,
     vec_sub_mod,
-    vec_sum_mod,
 )
 
 SPEC16 = SegmentSpec(word_bits=16, frac_bits=4, low_bits=8)
@@ -95,15 +94,6 @@ def test_add_sub_inverse_bulk():
         b = [int(v) for v in rng.integers(0, mod, 4)]
         got = vec_sub_mod(vec_add_mod(from_ints(a, spec), from_ints(b, spec)), from_ints(b, spec))
         assert [int(v) for v in got.values] == [x % mod for x in a]
-
-
-def test_sum_order_independent():
-    rng = np.random.default_rng(3)
-    spec = SegmentSpec(32, 8, 16)
-    vecs = [ParamVector(rng.integers(0, 2**32, 32, dtype=np.uint64), spec) for _ in range(9)]
-    fwd = vec_sum_mod(vecs, spec)
-    rev = vec_sum_mod(list(reversed(vecs)), spec)
-    assert fwd == rev
 
 
 def test_split_segments_examples():

@@ -14,7 +14,7 @@ from secaggsim.aggserver import fedsgd_update
 from secaggsim.counters import OpCounters
 from secaggsim import simulation, useragent
 from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, SIM_GROUP, share_limbs
-from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError, WireError
+from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError
 from secaggsim.fixedpoint import (
     ParamVector,
     SegmentSpec,
@@ -31,9 +31,17 @@ from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
+    SERVER,
     SHARE_LIMB_BYTES,
+    TAG_ADVERT,
     TAG_GLOBAL_MODEL,
+    TAG_MASKED_UPLOAD,
+    TAG_PEER_LIST,
+    TAG_RAND_OPEN,
+    TAG_REVEAL,
+    TAG_SERVER_COMMIT,
     TAG_SHARE_MSG,
+    TAG_TREE_COMMIT,
     TAG_UNMASK_REQUEST,
     TAG_UNMASK_RESPONSE,
     PeerHandle,
@@ -41,6 +49,7 @@ from secaggsim.wire import (
     ShareMsg,
     TreeCommitMsg,
     UnmaskRequestMsg,
+    decode_from,
     decode_record,
     encode_record,
     limb_values,
@@ -218,13 +227,14 @@ def test_phase_skip_is_protocol_abort():
 
 
 def _download(agent, owners_values, threshold=2, token=None):
-    """Bytes of a download bundle for ``agent``: one entry per other
-    recipient, at the agent's evaluation point, with the given key and seed
-    values."""
+    """A download bundle for ``agent``, decoded from its bytes as a round
+    hands it over: one entry per other recipient, at the agent's evaluation
+    point, with the given key and seed values."""
     point = agent._recipients.index(agent._own_token) + 1
     limbs = share_limbs(agent.group)
     bodies = share_bodies([(point, values) for values in owners_values], 1, limbs)
-    return ShareMsg(token or agent._own_token, threshold, limbs, b"".join(bodies)).to_bytes()
+    data = ShareMsg(token or agent._own_token, threshold, limbs, b"".join(bodies)).to_bytes()
+    return decode_from(SERVER, ShareMsg, data)
 
 
 def test_share_type_tag_enforced():
@@ -232,12 +242,12 @@ def test_share_type_tag_enforced():
     agent.distribute_shares()
     own = dict(agent._held_at)
     # an entry that carries no secret is malformed, blamed on the relay
-    tag, payload = decode_record(_download(agent, [(5, 6), (7, 8)]))
+    tag, payload = decode_record(_download(agent, [(5, 6), (7, 8)]).to_bytes())
     payload = bytearray(payload)
     payload[-2 - 2 * SHARE_LIMB_BYTES : -2 * SHARE_LIMB_BYTES] = bytes(2)  # the last entry's limb counts
     empty = encode_record(tag, bytes(payload))
     with pytest.raises(ProtocolAbort) as exc:
-        agent.receive_share(empty)
+        decode_from(SERVER, ShareMsg, empty)
     assert exc.value.blamed == "server" and agent._held_at == own
     # a bundle addressed to someone else, or with an entry missing, is rejected whole
     for bad in (_download(agent, [(5, 6), (7, 8)], token=tokens[1]), _download(agent, [(5, 6)])):
@@ -515,25 +525,6 @@ def test_malformed_upload_is_blamed_on_its_sender(spec, tamper):
             inputs=inputs, round_seed=(71, 0),
         )
     assert err.value.blamed == "user:5"
-
-
-def test_corrupted_model_broadcast_raises_wire_error():
-    """The round's new model is decoded from the delivered GLOBAL_MODEL
-    bytes, so a broadcast cut mid-element fails instead of handing the
-    next round a wrong model."""
-    server, users, transport, _ = build_round(12, TREE22, SPEC)
-    deliver = transport.deliver
-
-    def truncating(sender, receiver, encoded):
-        received = deliver(sender, receiver, encoded)
-        return received[:-1] if received[0] == TAG_GLOBAL_MODEL else received
-
-    transport.deliver = truncating
-    with pytest.raises(WireError):
-        execute_round(
-            server=server, users=users, transport=transport, model=zeros(8, SPEC),
-            inputs=random_inputs(12, 8, SPEC, seed=72), round_seed=(72, 0),
-        )
 
 
 def test_receive_peer_lists_matches_per_agent(monkeypatch):
@@ -924,13 +915,25 @@ def _append_byte(transport, sender, tag):
 @pytest.mark.parametrize(
     "sender, tag",
     [
+        ("server", TAG_SERVER_COMMIT),
+        ("user:3", TAG_ADVERT),
+        ("server", TAG_TREE_COMMIT),
+        ("user:3", TAG_RAND_OPEN),
+        ("server", TAG_PEER_LIST),
         ("user:3", TAG_SHARE_MSG),
         ("server", TAG_SHARE_MSG),
+        ("user:3", TAG_MASKED_UPLOAD),
+        ("server", TAG_REVEAL),
         ("server", TAG_UNMASK_REQUEST),
         ("user:3", TAG_UNMASK_RESPONSE),
+        ("server", TAG_GLOBAL_MODEL),
     ],
 )
 def test_malformed_bytes_blamed_on_their_sender(sender, tag):
+    """Every (sender, tag) a round carries: each record is decoded from the
+    bytes its receiver got, so one trailing byte aborts the round blamed on
+    the sender.  A vector message fails on its words, as a partial
+    element; the new model is checked so before the next round uses it."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     _append_byte(transport, sender, tag)
     with pytest.raises(ProtocolAbort, match="malformed") as exc:

@@ -114,7 +114,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "4897ac29bbda569ecbfa487880934044316dec002fff5bcdd0d4af5acb3e8f85",
+        "fbf0b8306547c69e4d8a0906e4b4d02b88541bd19fc5686cfd05a0aff5729651",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -132,7 +132,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "0105ef99a1e4e672cf835d755a40c0aa722dde56579c9f7264cb7f9fe1699263",
+        "19477af35cb9368673561c13cd6db32edf857a37ead65a67562d9effbcf141b1",
     ),
 }
 

@@ -356,17 +356,27 @@ def test_release_table_roundtrip(rows, refused):
     assert UnmaskResponseMsg.from_bytes(data) == msg
 
 
-NEW_FORMATS = [m for m in MESSAGES if isinstance(m, (ShareMsg, UnmaskRequestMsg, UnmaskResponseMsg))]
+# every type but the two vector messages, whose words are checked under the receiver's spec
+STRICT_FORMATS = [m for m in MESSAGES if not isinstance(m, (MaskedUploadMsg, GlobalModelMsg))]
+# the first peer handle's sign and kind code: (offset in the payload, invalid values)
+_HANDLE_FIELDS = ((8 + 2 + 4 + 8, (0, 2, 0x80)), (8 + 2 + 4 + 9, (0, 3, 7)))
 
 
-@pytest.mark.parametrize("msg", NEW_FORMATS, ids=_ids(NEW_FORMATS))
+@pytest.mark.parametrize("msg", STRICT_FORMATS, ids=_ids(STRICT_FORMATS))
 def test_new_formats_reject_trailing_and_overrun(msg):
+    """A trailing byte or any cut is rejected, which also holds digests to
+    32 bytes; a peer list rejects a sign other than +-1 and a kind code
+    other than 1 or 2."""
     tag, payload = decode_record(msg.to_bytes())
     with pytest.raises(WireError):
         type(msg).from_bytes(encode_record(tag, payload + b"\x00"))
     for cut in range(len(payload)):
         with pytest.raises(WireError):
             type(msg).from_bytes(encode_record(tag, payload[:cut]))
+    for off, values in _HANDLE_FIELDS if isinstance(msg, PeerListMsg) else ():
+        for value in values:
+            with pytest.raises(WireError):
+                PeerListMsg.from_bytes(encode_record(tag, payload[:off] + bytes([value]) + payload[off + 1 :]))
 
 
 def test_counts_that_overrun_the_payload_rejected():
