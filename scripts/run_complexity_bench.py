@@ -2,9 +2,10 @@
 """Instrumented cost comparison: tree protocol vs full-pairwise baseline.
 
 The baseline runs on the same engine as a one-leaf tree whose ring
-covers every user.  Prints per-user PRG expansions, per-user traffic,
-and per-dropout recovery work across population sizes and tree shapes,
-then the 1000-user tree-shape traffic comparison, then fast64
+covers every user.  Prints per-user PRG expansions, per-user traffic
+(in total, up and down), and per-dropout recovery work across
+population sizes and tree shapes, then the 1000-user tree-shape traffic
+comparison, then fast64
 Diffie-Hellman exponentiations per second, one builtin ``pow`` each and
 batched through ``pow_many``, at the batch sizes of a 243-user and a
 2000-user round's server key blinding, then Shamir share and
@@ -98,6 +99,7 @@ def main() -> int:
         print(
             f"{row.protocol:8s} N={row.n_users:5d} {row.tree_shape:4s} "
             f"prg/user={row.per_user_prg:8.2f} bytes/user={row.per_user_bytes:12.1f} "
+            f"up={row.up_bytes_per_user:10.1f} down={row.down_bytes_per_user:12.1f} "
             f"cancel/drop={row.cancellations_per_dropout:8.2f} wall={row.wall_ms:9.1f}ms"
         )
     for n in DH_BATCH_SIZES:

@@ -12,6 +12,18 @@ Exclusion is dropout recovery run late.  The online members of an
 excluded leaf are marked dropped, their mask keys are reconstructed, and
 ``recover_dropout`` cancels the masks they share with included leaves,
 as for a user that never uploaded.
+
+Unmask asks exactly t holders per secret.  A secret's holders are the
+online members of its owner's share leaf, taken in leaf order and
+cyclically from just after the owner, so the owner is asked last and
+each holder is asked about roughly t owners.  A shortfall (a missing or
+refused row) is asked again: each further call of ``unmask_requests`` or
+``exclusion_requests`` asks holders not yet asked for the secrets still
+below t, and returns nothing once no holder is left, so the exchange
+loop ends and reconstruction raises ``UnrecoverableRoundError``.  The
+server files a released row only from a holder it asked for that
+secret, at that holder's own evaluation point, once; anything else is
+blamed on the holder.
 """
 
 from __future__ import annotations
@@ -145,6 +157,8 @@ class AggServer:
         self._share_inbox: dict[int, dict[int, bytes]] = {}
         # (owner token, secret type) -> share index -> limb bytes
         self._collected: dict[tuple[bytes, int], dict[int, bytes]] = {}
+        # (owner token, secret type) -> holders asked for it this round
+        self._asked: dict[tuple[bytes, int], set[int]] = {}
         self._mask_secrets: dict[int, int] = {}
         self._leaf_sums: dict[int, np.ndarray] = {}
         self.setup: TreeSetup | None = None
@@ -193,6 +207,11 @@ class AggServer:
             tokens.append(tok)
         self.tokens = tokens
         self.user_of_token = {tok: u for u, tok in enumerate(tokens)}
+        # each user's evaluation point: its 1-based place in its share leaf
+        self._point = [0] * n
+        for members in self.setup.share_assignment.members:
+            for i, u in enumerate(members, 1):
+                self._point[u] = i
 
         mask_ids = self.setup.mask_ids
         pubs = [int.from_bytes(pub, "big") for pub in self._mask_pubs]
@@ -297,16 +316,34 @@ class AggServer:
     # -- unmask ------------------------------------------------------------------
 
     def _requests(self, owners: dict[int, int], *, forced: bool = False) -> dict[int, UnmaskRequestMsg]:
-        """Ask every online member of each owner's share leaf for its share
-        of the owner's secret of the given type.  With ``forced``, each
-        request marks its own targets as force-dropped."""
-        share_asn = self.setup.share_assignment
-        online = [[u for u in members if u in self._uploads] for members in share_asn.members]
+        """Ask for each owner's secret of the given type from as many new
+        holders as it is short of t filed rows.
+
+        The holders are the online members of the owner's share leaf in
+        leaf order, cyclically from just after the owner, skipping any
+        already asked for that secret this round.  So a first call asks t
+        holders per secret, and a later one asks one new holder per
+        missing row while any is left.  With ``forced``, each request
+        marks its own targets as force-dropped."""
+        members_of = self.setup.share_assignment.members
+        leaf_of = self.setup.share_assignment.leaf_of
+        t, point, uploads = self.tree.share_threshold, self._point, self._uploads
         targets: dict[int, list[tuple[bytes, int]]] = {}
         for owner, stype in owners.items():
             target = (self.tokens[owner], stype)
-            for holder in online[share_asn.leaf_of[owner]]:
-                targets.setdefault(holder, []).append(target)
+            store = self._collected.setdefault(target, {})
+            asked = self._asked.setdefault(target, set())
+            need = t - len(store)
+            members = members_of[leaf_of[owner]]
+            n, at = len(members), point[owner]
+            for step in range(n):
+                if need <= 0:
+                    break
+                holder = members[(at + step) % n]
+                if holder in uploads and holder not in asked:
+                    asked.add(holder)
+                    targets.setdefault(holder, []).append(target)
+                    need -= 1
         return {
             holder: UnmaskRequestMsg(tuple(pairs), tuple(tok for tok, _ in pairs) if forced else ())
             for holder, pairs in targets.items()
@@ -314,27 +351,41 @@ class AggServer:
 
     def unmask_requests(self) -> dict[int, UnmaskRequestMsg]:
         """Per-user requests: self-seed shares for online users, mask-key
-        shares for dropped ones; each user is asked only about its own
-        share subgroup."""
+        shares for dropped ones, t holders per secret from the owner's
+        share subgroup.  Call again after the responses: the next requests
+        re-ask for the secrets still short of t rows, and none are left
+        once every secret has t rows or no holder to ask."""
         owners = dict.fromkeys(self._uploads, SECRET_SELF_SEED)
         owners.update(dict.fromkeys(self._dropped, SECRET_MASK_KEY))
         return self._requests(owners)
 
     def receive_unmask(self, user: int, msg: UnmaskResponseMsg) -> None:
-        """Collect released shares as limb bytes; the threshold is the
-        configured t, so a table claiming another one is rejected rather
-        than trusted."""
+        """Collect released shares as limb bytes.
+
+        The threshold is the configured t, so a table claiming another one
+        is rejected rather than trusted.  Each row must be for a secret
+        this user was asked for, at its own evaluation point, and not
+        filed before; any other row aborts the round blamed on the user.
+        A row with wrong limbs at the right point is filed: it cannot be
+        told from an honest one without verifiable shares."""
         t = self.tree.share_threshold
         if msg.threshold != t:
             raise ProtocolAbort(
                 f"user {user} released shares with threshold {msg.threshold}, not {t}", blamed=f"user:{user}"
             )
-        collected = self._collected
+        point, collected, asked = self._point[user], self._collected, self._asked
         for owner, stype, index, limbs in msg.shares:
-            store = collected.get((owner, stype))
-            if store is None:
-                store = collected[owner, stype] = {}
-            store[index] = limbs
+            target = (owner, stype)
+            if user not in asked.get(target, ()):
+                fault = "a share it was not asked for"
+            elif index != point:
+                fault = f"a share at evaluation point {index}, not its own {point}"
+            elif index in collected[target]:
+                fault = "a share twice"
+            else:
+                collected[target][index] = limbs
+                continue
+            raise ProtocolAbort(f"user {user} released {fault}", blamed=f"user:{user}")
 
     def _reconstruct(self, token: bytes, secret_type: int) -> int:
         store = self._collected.get((token, secret_type), {})
@@ -438,10 +489,11 @@ class AggServer:
         return [u for leaf in sorted(leaves) for u in members[leaf] if u in self._uploads]
 
     def exclusion_requests(self, flagged: set[int]) -> dict[int, UnmaskRequestMsg]:
-        """Ask for the mask-key shares of every online member of an excluded
-        leaf, marked force-dropped: ``finalize`` recovers them like any
-        dropout and discards their uploads, so recovery does not expose
-        any input the server still holds."""
+        """Ask t holders for the mask-key shares of every online member of
+        an excluded leaf, marked force-dropped: ``finalize`` recovers them
+        like any dropout and discards their uploads, so recovery does not
+        expose any input the server still holds.  Like ``unmask_requests``,
+        a further call re-asks for the secrets still short of t rows."""
         owners = dict.fromkeys(self._online_in(self.excluded_leaves(flagged)), SECRET_MASK_KEY)
         return self._requests(owners, forced=True)
 

@@ -521,16 +521,20 @@ def execute_round(
         for u, reveal in zip(online[1:], reveals[1:]):
             users[u].check_own_record(reveal)
 
-    for u, req in server.unmask_requests().items():
-        resp = users[u].unmask_response(send(SERVER, f"user:{u}", req, UnmaskRequestMsg))
-        server.receive_unmask(u, send(f"user:{u}", SERVER, resp, UnmaskResponseMsg))
+    def exchange(requests: dict[int, UnmaskRequestMsg]) -> None:
+        for u, req in requests.items():
+            resp = users[u].unmask_response(send(SERVER, f"user:{u}", req, UnmaskRequestMsg))
+            server.receive_unmask(u, send(f"user:{u}", SERVER, resp, UnmaskResponseMsg))
+
+    # each pass re-asks new holders for the secrets still short of t shares
+    while requests := server.unmask_requests():
+        exchange(requests)
     aggregates = server.aggregate_subgroups()
 
     record = detector.detect(aggregates, model) if detector is not None else None
     flagged = set(record.flagged) if record is not None else set()
-    for u, req in server.exclusion_requests(flagged).items():
-        resp = users[u].unmask_response(send(SERVER, f"user:{u}", req, UnmaskRequestMsg))
-        server.receive_unmask(u, send(f"user:{u}", SERVER, resp, UnmaskResponseMsg))
+    while requests := server.exclusion_requests(flagged):
+        exchange(requests)
 
     total, n_eff = server.finalize(flagged, model)
     updated = fedsgd_update(model, total, n_eff, eta)
@@ -696,6 +700,8 @@ class BenchRow:
     dropout_rate: float
     per_user_prg: float
     per_user_bytes: float
+    up_bytes_per_user: float
+    down_bytes_per_user: float
     cancellations_per_dropout: float
     server_prg: int
     wall_ms: float
@@ -710,6 +716,8 @@ class BenchRow:
             "dropout_rate",
             "per_user_prg",
             "per_user_bytes",
+            "up_bytes_per_user",
+            "down_bytes_per_user",
             "cancellations_per_dropout",
             "server_prg",
             "wall_ms",
@@ -724,6 +732,8 @@ class BenchRow:
             repr(self.dropout_rate),
             repr(self.per_user_prg),
             repr(self.per_user_bytes),
+            repr(self.up_bytes_per_user),
+            repr(self.down_bytes_per_user),
             repr(self.cancellations_per_dropout),
             self.server_prg,
             repr(self.wall_ms),
@@ -751,6 +761,8 @@ def bench_once(config: ScenarioConfig) -> BenchRow:
         dropout_rate=config.dropout_rate,
         per_user_prg=c.per_user_prg(config.n_users),
         per_user_bytes=c.per_user_bytes(config.n_users),
+        up_bytes_per_user=c.bytes_user_to_server / config.n_users,
+        down_bytes_per_user=c.bytes_server_to_user / config.n_users,
         cancellations_per_dropout=(c.mask_cancellations / n_drop) if n_drop else 0.0,
         server_prg=c.prg_server,
         wall_ms=wall_ms,

@@ -25,7 +25,10 @@ Release rule: within a round, a user never hands the server shares of
 both a target's mask key and the same target's self-mask seed.  The only
 sanctioned override is a target the server has excluded after detection
 (a forced dropout, whose upload the server discards); those releases are
-recorded so a transcript audit can list every override.
+recorded so a transcript audit can list every override.  The rule binds
+each holder alone: the server asks only t holders per secret, so holders
+it did not ask for a target's self seed would still release that
+target's mask key.
 """
 
 from __future__ import annotations

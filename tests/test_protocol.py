@@ -49,6 +49,7 @@ from secaggsim.wire import (
     ShareMsg,
     TreeCommitMsg,
     UnmaskRequestMsg,
+    UnmaskResponseMsg,
     decode_from,
     decode_record,
     encode_record,
@@ -453,12 +454,22 @@ def test_oracle_dropouts_and_exclusion(case):
     """Exclusion is a forced dropout: sums, n_eff and the cancellation and
     PRG counts match a plaintext oracle on random trees, dropout sets and
     flagged sets, and a round fails exactly when a share leaf has fewer
-    than t online members."""
+    than t online members.  The server takes exactly t rows per secret it
+    reconstructs, and forced releases target excluded leaves only."""
     tree, n, m, drop, flagged, seed = case
     inputs = random_inputs(n, m, SPEC, seed=seed)
     model = quantize_vector(np.random.default_rng(seed).uniform(-1, 1, m), SPEC)
     online = {u: x for u, x in inputs.items() if u not in drop}
     server, users, transport, counters = build_round(n, tree, SPEC, group=FAST_GROUP)
+    rows = refused = 0
+    receive = server.receive_unmask
+
+    def counting(user, msg):
+        nonlocal rows, refused
+        rows, refused = rows + len(msg.shares), refused + len(msg.refused)
+        receive(user, msg)
+
+    server.receive_unmask = counting
     try:
         result = execute_round(
             server=server, users=users, transport=transport, model=model, inputs=online,
@@ -487,6 +498,11 @@ def test_oracle_dropouts_and_exclusion(case):
     pairs = masking_pairs(build_peer_sets(mask_asn))
     assert counters.mask_cancellations == sum(cancelled(u, v) or cancelled(v, u) for u, v, *_ in pairs)
     assert counters.prg_server == len(online) + counters.mask_cancellations
+    # t holders asked per secret, each answering once; every never-both
+    # override is of a member of an excluded leaf
+    assert refused == 0 and rows == tree.share_threshold * counters.shares_reconstructed
+    forced_tokens = {server.tokens[u] for u in forced}
+    assert all(tok in forced_tokens for agent in users for tok in agent.forced_releases)
 
 
 @pytest.mark.parametrize("length", [1, 9])
@@ -848,6 +864,143 @@ def test_lying_threshold_rejected_at_receive_unmask():
     with pytest.raises(ProtocolAbort) as exc:
         _run_16(server, users, transport, 71)
     assert exc.value.blamed == "user:3"
+
+
+def _relabelled(resp, server):
+    """Every row claims evaluation point 1; user 3's own point is 3."""
+    return dataclasses.replace(resp, shares=tuple((owner, stype, 1, limbs) for owner, stype, _, limbs in resp.shares))
+
+
+def _unasked_rows(resp, server):
+    """Self-seed rows, at the holder's own point, for every owner it was
+    not asked about."""
+    asked = {owner for owner, *_ in resp.shares}
+    _, _, index, limbs = resp.shares[0]
+    extra = tuple((tok, SECRET_SELF_SEED, index, limbs) for tok in server.tokens if tok not in asked)
+    return dataclasses.replace(resp, shares=resp.shares + extra)
+
+
+def _repeated_row(resp, server):
+    return dataclasses.replace(resp, shares=resp.shares + resp.shares[:1])
+
+
+@pytest.mark.parametrize(
+    "tamper, match",
+    [
+        pytest.param(_relabelled, "evaluation point 1, not its own 3", id="relabelled_point"),
+        pytest.param(_unasked_rows, "not asked for", id="unasked_owners"),
+        pytest.param(_repeated_row, "a share twice", id="repeated_row"),
+    ],
+)
+def test_unrequested_release_rows_rejected_at_receive_unmask(tamper, match):
+    """The server files a release row only for a secret it asked that
+    holder for, at the holder's own evaluation point, once; each other
+    row aborts the round blamed on the holder, where filing it would give
+    a wrong total.  Out of scope: wrong limbs at the right point, which
+    cannot be detected without verifiable shares."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    honest = users[3].unmask_response
+    users[3].unmask_response = lambda req: tamper(honest(req), server)
+    with pytest.raises(ProtocolAbort, match=match) as exc:
+        _run_16(server, users, transport, 71)
+    assert exc.value.blamed == "user:3"
+
+
+# -- asking t holders, and again on a shortfall -------------------------------------------
+
+
+def _silent(honest, req):
+    return UnmaskResponseMsg(TREE22.share_threshold)
+
+
+def _refusing(honest, req):
+    """Release the other secret of every target first, then refuse the
+    request under the never-both rule."""
+    other = {SECRET_MASK_KEY: SECRET_SELF_SEED, SECRET_SELF_SEED: SECRET_MASK_KEY}
+    honest(UnmaskRequestMsg(tuple((tok, other[stype]) for tok, stype in req.targets)))
+    resp = honest(req)
+    assert resp.refused == req.targets and not resp.shares
+    return resp
+
+
+@pytest.mark.parametrize("answer", [_silent, _refusing], ids=["empty_table", "never_both_refusal"])
+def test_shortfall_is_asked_of_the_next_online_holder(answer):
+    """A holder that returns no rows, or refuses, leaves its secrets one
+    row short; the next call asks the next online holder in each owner's
+    cyclic order for exactly those, and the total is still exact."""
+    server, users, transport, counters = build_round(16, TREE22, SPEC)
+    honest = users[3].unmask_response
+    users[3].unmask_response = lambda req: answer(honest, req)
+    calls = []
+    requests = server.unmask_requests
+
+    def recorded():
+        calls.append(requests())
+        return calls[-1]
+
+    server.unmask_requests = recorded
+    inputs = random_inputs(16, 4, SPEC, seed=77)
+    result = execute_round(
+        server=server, users=users, transport=transport, model=zeros(4, SPEC),
+        inputs=inputs, round_seed=(77, 0),
+    )
+    assert np.array_equal(result.total.values, plaintext_sum(inputs, 4, SPEC))
+    first, again, done = calls
+    assert done == {} and 3 not in again
+    assert sorted(target for req in again.values() for target in req.targets) == sorted(first[3].targets)
+    share_asn, t = server.setup.share_assignment, TREE22.share_threshold
+    for holder, req in again.items():
+        for token, _ in req.targets:
+            owner = server.user_of_token[token]
+            members = share_asn.members[share_asn.leaf_of[owner]]
+            at = members.index(owner) + 1
+            assert (members[at:] + members[:at]).index(holder) == t
+    assert counters.shares_reconstructed == 16
+
+
+def test_exclusion_shortfall_is_asked_again():
+    """A holder silent on the forced mask-key requests of an exclusion is
+    replaced as in the unmask step, and the total keeps the oracle."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    honest = users[3].unmask_response
+    silenced = []
+
+    def silent_when_forced(req):
+        if req.forced:
+            silenced.append(req)
+            return UnmaskResponseMsg(TREE22.share_threshold)
+        return honest(req)
+
+    users[3].unmask_response = silent_when_forced
+    model = quantize_vector(np.linspace(-1, 1, 4), SPEC)
+    inputs = random_inputs(16, 4, SPEC, seed=79)
+    flagged = {0, 1, 2}
+    result = execute_round(
+        server=server, users=users, transport=transport, model=model,
+        inputs=inputs, round_seed=(79, 0), detector=_FlagLeaves(flagged),
+    )
+    assert silenced
+    leaf_of = server.setup.mask_assignment.leaf_of
+    included = {u: x for u, x in inputs.items() if leaf_of[u] not in flagged}
+    expect = plaintext_sum(included, 4, SPEC) + model.values * np.uint64(16 - len(included))
+    assert np.array_equal(result.total.values, expect & np.uint64(SPEC.word_mask))
+
+
+def test_leaf_with_t_minus_one_answering_holders_is_unrecoverable():
+    """Every member of a share leaf is asked in turn, and with only t - 1
+    of them answering no holder is left: the round fails, typed."""
+    tree = TreeConfig(height=1, degree=2, neighbor_radius=1, share_threshold=3)
+    server, users, transport, _ = build_round(16, tree, SPEC)
+    finish = server.finish_setup
+
+    def silence_a_leaf():
+        finish()
+        for u in server.setup.share_assignment.members[0][tree.share_threshold - 1 :]:
+            users[u].unmask_response = lambda req: UnmaskResponseMsg(tree.share_threshold)
+
+    server.finish_setup = silence_a_leaf
+    with pytest.raises(UnrecoverableRoundError, match="only 2 shares"):
+        _run_16(server, users, transport, 78)
 
 
 # -- share relay and typed errors at every receiver -------------------------------------

@@ -114,7 +114,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "fbf0b8306547c69e4d8a0906e4b4d02b88541bd19fc5686cfd05a0aff5729651",
+        "ebc25873fb8590862bcb4abe1e44b1b2082a31b43bf84d80fdd97d54220e956c",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -132,7 +132,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "19477af35cb9368673561c13cd6db32edf857a37ead65a67562d9effbcf141b1",
+        "f955e1a46cb5e61f2e85fd243e08750c414db207eef27c1a70b71a826d1dddd1",
     ),
 }
 
@@ -201,6 +201,8 @@ def test_bench_rows():
     base = bench_once(small_config(protocol="baseline", n_users=10))
     assert base.per_user_prg == 10  # N-1 pairwise masks + 1 self mask
     assert base.per_user_bytes > 0
+    assert base.up_bytes_per_user > 0 and base.down_bytes_per_user > 0
+    assert base.up_bytes_per_user + base.down_bytes_per_user == pytest.approx(base.per_user_bytes)
     text = bench_csv([row, base])
     assert text.splitlines()[0].startswith("protocol,")
 
@@ -222,6 +224,8 @@ def test_complexity_bench_script(tmp_path: Path):
     with out.open() as f:
         rows = [r for r in csv.DictReader(f) if r["protocol"] == "baseline"]
     assert rows and all(float(r["per_user_bytes"]) > 0 for r in rows)
+    assert all(float(r["up_bytes_per_user"]) > 0 and float(r["down_bytes_per_user"]) > 0 for r in rows)
+    assert all(" up=" in line and " down=" in line for line in proc.stdout.splitlines() if " prg/user=" in line)
     assert proc.stdout.count("dh fast64 batch=") == 2
     shamir = [line for line in proc.stdout.splitlines() if line.startswith("shamir t=")]
     assert len(shamir) == 2 and all(" shares/s reconstruct=" in line and line.endswith(" secrets/s") for line in shamir)
