@@ -104,7 +104,6 @@ class _PeerEnd:
     sign: int  # sign the owner applies; the peer applies the negative
     rand_pub: int  # peer's mask pub ** r, handed to the owner
     kind: str
-    layer: int
 
 
 def fedsgd_update(model: ParamVector, total: ParamVector, n_eff: int, eta: float) -> ParamVector:
@@ -190,11 +189,9 @@ class AggServer:
         self.setup = run_tree_setup(
             self.tree,
             self.server_rand,
-            self.server_nonce,
             self._share_pubs,  # type: ignore[arg-type]
             self._mask_pubs,  # type: ignore[arg-type]
             self._user_rands,  # type: ignore[arg-type]
-            self._user_nonces,  # type: ignore[arg-type]
         )
         n = self.n_users
         tokens: list[bytes] = []
@@ -220,19 +217,19 @@ class AggServer:
         # one pair's r blinds v's key for u, then u's key for v
         blinded = randomize_pubs(
             self.group,
-            [pub for u, v, _, _ in pairs for pub in (pubs[v], pubs[u])],
+            [pub for u, v, _ in pairs for pub in (pubs[v], pubs[u])],
             [r for r in rs for _ in range(2)],
         )
         self._ends: list[list[_PeerEnd]] = [[] for _ in range(n)]
-        for i, (u, v, kind, layer) in enumerate(pairs):
+        for i, (u, v, kind) in enumerate(pairs):
             sign = 1 if (mask_ids[u], u) < (mask_ids[v], v) else -1
-            self._ends[u].append(_PeerEnd(v, sign, blinded[2 * i], kind, layer))
-            self._ends[v].append(_PeerEnd(u, -sign, blinded[2 * i + 1], kind, layer))
+            self._ends[u].append(_PeerEnd(v, sign, blinded[2 * i], kind))
+            self._ends[v].append(_PeerEnd(u, -sign, blinded[2 * i + 1], kind))
         self.counters.key_randomizations_server += len(blinded)
 
     def peer_list_for(self, user: int) -> PeerListMsg:
         handles = tuple(
-            PeerHandle(self.tokens[end.peer], self.group.encode(end.rand_pub), end.sign, end.kind, end.layer)
+            PeerHandle(self.tokens[end.peer], self.group.encode(end.rand_pub), end.sign, end.kind)
             for end in self._ends[user]
         )
         share_asn = self.setup.share_assignment
@@ -518,13 +515,13 @@ class AggServer:
         return ParamVector(total & np.uint64(self.spec.word_mask), self.spec), n_eff
 
     def reveal(self) -> RevealMsg:
-        """Post-upload opening of the tree, server randomness, and every
-        user's keys and randomness, for client-side verification."""
-        tr = self.setup.transcript
+        """Post-upload opening for client-side verification: the server
+        randomness, the tree shape under ``commit_tree``'s nonce, and every
+        user's keys and randomness from the lists the grouping used."""
         return RevealMsg(
-            server_rand=tr.server_rand,
-            server_nonce=tr.server_nonce,
-            tree_desc=tr.tree_desc,
-            tree_nonce=tr.tree_nonce,
-            user_records=tuple(zip(tr.share_pubs, tr.mask_pubs, tr.user_rands, tr.user_nonces)),
+            server_rand=self.server_rand,
+            server_nonce=self.server_nonce,
+            tree_desc=self.tree.describe(),
+            tree_nonce=self._tree_nonce,
+            user_records=tuple(zip(self._share_pubs, self._mask_pubs, self._user_rands, self._user_nonces)),
         )

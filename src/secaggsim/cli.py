@@ -1,24 +1,21 @@
-"""Command-line entry point: ``secaggsim run`` and ``secaggsim bench``.
+"""Command-line entry point: ``secaggsim run``.
 
 ``run`` executes one scenario from a JSON config (flags override config
 keys) and writes ``report.csv`` plus ``transcript.json`` into the output
-directory.  ``bench`` sweeps a grid of population sizes, tree shapes, and
-dropout rates through single instrumented rounds and, with ``--baseline``,
-the full-pairwise protocol (a one-leaf tree whose ring covers every
-user), and writes ``bench.csv``.  Exit codes: 1 for configuration errors, 2 for a
-protocol abort.
+directory.  Exit codes: 1 for configuration errors, 2 for a protocol
+abort.  Single-round cost sweeps over population sizes, tree shapes and
+the full-pairwise baseline are ``scripts/run_complexity_bench.py``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .adversary import AttackPlan
 from .errors import ConfigError, ProtocolAbort, UnrecoverableRoundError
-from .simulation import ScenarioConfig, bench_csv, bench_grid, run_scenario
+from .simulation import ScenarioConfig, run_scenario
 
 
 def _load_config(path: str | None) -> ScenarioConfig:
@@ -61,54 +58,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    shapes = [tuple(int(x) for x in s.split("x")) for s in args.trees.split(",")]
-    configs = []
-    for n in sizes:
-        for height, degree in shapes:
-            configs.append(
-                ScenarioConfig(
-                    n_users=n,
-                    protocol="tree",
-                    tree_height=height,
-                    tree_degree=degree,
-                    neighbor_radius=args.kappa,
-                    share_threshold=2,
-                    dropout_rate=args.dropout,
-                    seed=args.seed or 0,
-                    detection=_bench_detection(),
-                    dh_group=args.group,
-                )
-            )
-        if args.baseline:
-            configs.append(
-                ScenarioConfig(
-                    n_users=n,
-                    protocol="baseline",
-                    share_threshold=2,
-                    dropout_rate=args.dropout,
-                    seed=args.seed or 0,
-                    detection=_bench_detection(),
-                    dh_group=args.group,
-                )
-            )
-    rows = bench_grid(configs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "bench.csv").write_text(bench_csv(rows))
-    for row in rows:
-        print(json.dumps(row.__dict__, sort_keys=True))
-    print(f"wrote {out / 'bench.csv'}")
-    return 0
-
-
-def _bench_detection():
-    from .simulation import DetectionSettings
-
-    return DetectionSettings(enabled=False, low_bits_override=16)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="secaggsim")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,17 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--rho", type=float, help="detection threshold expansion")
     run_p.add_argument("--out", default="out")
     run_p.set_defaults(func=cmd_run)
-
-    bench_p = sub.add_parser("bench", help="sweep instrumented single rounds")
-    bench_p.add_argument("--sizes", default="64,128,256")
-    bench_p.add_argument("--trees", default="2x2,3x2,3x3")
-    bench_p.add_argument("--kappa", type=int, default=4)
-    bench_p.add_argument("--dropout", type=float, default=0.0)
-    bench_p.add_argument("--baseline", action="store_true")
-    bench_p.add_argument("--group", default="sim256")
-    bench_p.add_argument("--seed", type=int)
-    bench_p.add_argument("--out", default="out")
-    bench_p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -30,15 +30,19 @@ depends on every opening and on the server randomness, which are opened
 only in the reveal, so no user can check the grouping before the reveal
 in either design, and the reveal check still aborts the round before any
 unmask share is released.
+
+The server keeps no copy of the setup: it reveals its own lists, and
+``verify_setup`` replays ``run_tree_setup`` from the revealed records to
+compare with the grouping the server used.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .crypto import Commitment, commit, verify_commitment
 from .errors import ConfigError, ProtocolAbort
 
 _ID_TAG = b"identity-v1"
@@ -185,7 +189,7 @@ class PeerSet:
     same-rank users in +/-1 (mod d) sibling subtrees at each layer."""
 
     intra: list[int] = field(default_factory=list)
-    inter: list[tuple[int, int]] = field(default_factory=list)  # (peer, layer)
+    inter: list[int] = field(default_factory=list)
 
 
 def _sibling_leaves(leaf: int, layer: int, tree: TreeConfig) -> list[int]:
@@ -215,7 +219,7 @@ def build_peer_sets(assignment: Assignment) -> list[PeerSet]:
     tree = assignment.tree
     n = assignment.n_users
     intra: list[set[int]] = [set() for _ in range(n)]
-    inter: list[dict[int, int]] = [dict() for _ in range(n)]
+    inter: list[set[int]] = [set() for _ in range(n)]
 
     for users in assignment.members:
         size = len(users)
@@ -231,22 +235,14 @@ def build_peer_sets(assignment: Assignment) -> list[PeerSet]:
                 sib_users = assignment.members[sib]
                 for rank, u in enumerate(users):
                     v = sib_users[rank % len(sib_users)]
-                    inter[u].setdefault(v, layer)
-                    inter[v].setdefault(u, layer)  # symmetric closure
+                    inter[u].add(v)
+                    inter[v].add(u)  # symmetric closure
 
-    out = []
-    for u in range(n):
-        out.append(
-            PeerSet(
-                intra=sorted(intra[u]),
-                inter=sorted(inter[u].items()),
-            )
-        )
-    return out
+    return [PeerSet(intra=sorted(intra[u]), inter=sorted(inter[u])) for u in range(n)]
 
 
-def masking_pairs(peer_sets: list[PeerSet]) -> list[tuple[int, int, str, int]]:
-    """All unordered masking pairs as (u, v, kind, layer) with u < v by index."""
+def masking_pairs(peer_sets: list[PeerSet]) -> list[tuple[int, int, str]]:
+    """All unordered masking pairs as (u, v, kind) with u < v by index."""
     pairs = []
     seen = set()
     for u, ps in enumerate(peer_sets):
@@ -254,12 +250,12 @@ def masking_pairs(peer_sets: list[PeerSet]) -> list[tuple[int, int, str, int]]:
             key = (min(u, v), max(u, v))
             if key not in seen:
                 seen.add(key)
-                pairs.append((key[0], key[1], "intra", 0))
-        for v, layer in ps.inter:
+                pairs.append((key[0], key[1], "intra"))
+        for v in ps.inter:
             key = (min(u, v), max(u, v))
             if key not in seen:
                 seen.add(key)
-                pairs.append((key[0], key[1], "inter", layer))
+                pairs.append((key[0], key[1], "inter"))
     return pairs
 
 
@@ -274,116 +270,66 @@ def commits_digest(commits: list[bytes]) -> bytes:
 
 
 @dataclass
-class SetupTranscript:
-    """Everything the server must later open for verification."""
-
-    server_rand: bytes
-    server_nonce: bytes
-    server_commit: bytes
-    tree_desc: bytes
-    tree_nonce: bytes
-    tree_commit: bytes
-    share_pubs: list[bytes]
-    mask_pubs: list[bytes]
-    user_rands: list[bytes]
-    user_nonces: list[bytes]
-    user_commits: list[bytes]
-
-
-@dataclass
 class TreeSetup:
-    """Output of one grouping run: both assignments plus the transcript."""
+    """Output of one grouping run: both assignments and the identities
+    they sort."""
 
     share_assignment: Assignment
     mask_assignment: Assignment
     share_ids: list[bytes]
     mask_ids: list[bytes]
-    transcript: SetupTranscript
 
 
 def run_tree_setup(
     tree: TreeConfig,
     server_rand: bytes,
-    server_nonce: bytes,
     share_pubs: list[bytes],
     mask_pubs: list[bytes],
     user_rands: list[bytes],
-    user_nonces: list[bytes],
 ) -> TreeSetup:
-    """Execute the commitment-ordered grouping with all openings in hand.
+    """Derive both trees' identities and assignments from the openings.
 
     Message order (enforced by the caller's phase structure): the server
     commits its randomness; users advertise one-time public keys plus a
     commitment to their randomness; the server fixes and commits the tree
-    shape; users open their randomness; identities and both assignments
-    are computed.  ``verify_setup`` replays the openings afterwards.
+    shape; users open their randomness; this function then computes the
+    grouping.  Nonces and commitments do not feed it: they only bind the
+    inputs, and ``verify_setup`` replays this function from the reveal.
     """
     n = len(share_pubs)
     tree.validate_for(n)
-    server_c = commit(server_rand, server_nonce)
-    tree_desc = tree.describe()
-    tree_nonce = hashlib.sha256(b"tree-nonce" + server_nonce).digest()
-    tree_c = commit(tree_desc, tree_nonce)
-    user_commits = [commit(user_rands[u], user_nonces[u]).digest for u in range(n)]
-
-    share_prelim = [preliminary_identity(server_rand, share_pubs[u], user_rands[u]) for u in range(n)]
-    mask_prelim = [preliminary_identity(server_rand, mask_pubs[u], user_rands[u]) for u in range(n)]
-    share_ids = finalize_identities(share_prelim)
-    mask_ids = finalize_identities(mask_prelim)
-
-    transcript = SetupTranscript(
-        server_rand=server_rand,
-        server_nonce=server_nonce,
-        server_commit=server_c.digest,
-        tree_desc=tree_desc,
-        tree_nonce=tree_nonce,
-        tree_commit=tree_c.digest,
-        share_pubs=list(share_pubs),
-        mask_pubs=list(mask_pubs),
-        user_rands=list(user_rands),
-        user_nonces=list(user_nonces),
-        user_commits=user_commits,
-    )
+    share_ids = finalize_identities([preliminary_identity(server_rand, share_pubs[u], user_rands[u]) for u in range(n)])
+    mask_ids = finalize_identities([preliminary_identity(server_rand, mask_pubs[u], user_rands[u]) for u in range(n)])
     return TreeSetup(
         share_assignment=assign_subgroups(share_ids, tree),
         mask_assignment=assign_subgroups(mask_ids, tree),
         share_ids=share_ids,
         mask_ids=mask_ids,
-        transcript=transcript,
     )
 
 
-def verify_setup(setup: TreeSetup, tree: TreeConfig) -> None:
-    """Replay every commitment opening and the identity derivation.
+def verify_setup(
+    setup: TreeSetup, tree: TreeConfig, server_rand: bytes, records: Sequence[tuple[bytes, bytes, bytes, bytes]]
+) -> None:
+    """Replay ``run_tree_setup`` from revealed (share_pub, mask_pub, rand,
+    nonce) records and compare it with the grouping the server used.
 
-    Raises ProtocolAbort naming the first party whose opening fails.  In
-    the simulator this runs once on the shared transcript; every honest
-    user would perform the identical computation.
+    The caller checks first that the records and ``server_rand`` open what
+    was committed (see ``UserAgent.verify_reveal``); any difference left
+    here is the server's, so every mismatch is blamed on it, as is a
+    population too small for the tree.
     """
-    t = setup.transcript
-    if not verify_commitment(Commitment(t.server_commit), t.server_rand, t.server_nonce):
-        raise ProtocolAbort("server randomness opening failed", blamed="server")
-    if t.tree_desc != tree.describe() or not verify_commitment(
-        Commitment(t.tree_commit), t.tree_desc, t.tree_nonce
-    ):
-        raise ProtocolAbort("tree shape opening failed", blamed="server")
-    for u, digest in enumerate(t.user_commits):
-        if not verify_commitment(Commitment(digest), t.user_rands[u], t.user_nonces[u]):
-            raise ProtocolAbort(f"user {u} randomness opening failed", blamed=f"user:{u}")
-
-    share_prelim = [
-        preliminary_identity(t.server_rand, t.share_pubs[u], t.user_rands[u])
-        for u in range(len(t.share_pubs))
-    ]
-    mask_prelim = [
-        preliminary_identity(t.server_rand, t.mask_pubs[u], t.user_rands[u])
-        for u in range(len(t.mask_pubs))
-    ]
-    if finalize_identities(share_prelim) != setup.share_ids:
-        raise ProtocolAbort("share-tree identities do not match openings", blamed="server")
-    if finalize_identities(mask_prelim) != setup.mask_ids:
-        raise ProtocolAbort("mask-tree identities do not match openings", blamed="server")
-    if assign_subgroups(setup.share_ids, tree).members != setup.share_assignment.members:
-        raise ProtocolAbort("share-tree assignment does not match identities", blamed="server")
-    if assign_subgroups(setup.mask_ids, tree).members != setup.mask_assignment.members:
-        raise ProtocolAbort("mask-tree assignment does not match identities", blamed="server")
+    try:
+        replay = run_tree_setup(
+            tree, server_rand, [r[0] for r in records], [r[1] for r in records], [r[2] for r in records]
+        )
+    except ConfigError as exc:
+        raise ProtocolAbort(f"revealed population does not fit the tree: {exc}", blamed="server") from exc
+    if replay.share_ids != setup.share_ids:
+        raise ProtocolAbort("share-tree identities do not match the reveal", blamed="server")
+    if replay.mask_ids != setup.mask_ids:
+        raise ProtocolAbort("mask-tree identities do not match the reveal", blamed="server")
+    if replay.share_assignment.members != setup.share_assignment.members:
+        raise ProtocolAbort("share-tree assignment does not match the reveal", blamed="server")
+    if replay.mask_assignment.members != setup.mask_assignment.members:
+        raise ProtocolAbort("mask-tree assignment does not match the reveal", blamed="server")

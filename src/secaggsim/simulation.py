@@ -459,7 +459,6 @@ def execute_round(
     pre_drop: set[int] | None = None,
     detector: "det.Detector | None" = None,
     eta: float = 1.0,
-    verify: bool = True,
 ) -> RoundResult:
     """One full protocol round over explicit per-user inputs.
 
@@ -512,14 +511,13 @@ def execute_round(
     online = server.online_users
     if not online:
         raise UnrecoverableRoundError("no uploads this round")
-    if verify:
-        # post-upload opening; every honest user would run the full check,
-        # the simulator replays it once, on the first online user's copy,
-        # and every other online user checks its own record in its copy
-        reveals = broadcast(server.reveal(), RevealMsg, online)
-        users[online[0]].verify_reveal(reveals[0], server.setup, server.tree)
-        for u, reveal in zip(online[1:], reveals[1:]):
-            users[u].check_own_record(reveal)
+    # post-upload opening; every honest user would run the full check,
+    # the simulator replays it once, on the first online user's copy,
+    # and every other online user checks its own record in its copy
+    reveals = broadcast(server.reveal(), RevealMsg, online)
+    users[online[0]].verify_reveal(reveals[0], server.setup, server.tree)
+    for u, reveal in zip(online[1:], reveals[1:]):
+        users[u].check_own_record(reveal)
 
     def exchange(requests: dict[int, UnmaskRequestMsg]) -> None:
         for u, req in requests.items():
@@ -767,10 +765,6 @@ def bench_once(config: ScenarioConfig) -> BenchRow:
         server_prg=c.prg_server,
         wall_ms=wall_ms,
     )
-
-
-def bench_grid(configs: list[ScenarioConfig]) -> list[BenchRow]:
-    return [bench_once(c) for c in configs]
 
 
 def bench_csv(rows: list[BenchRow]) -> str:

@@ -312,9 +312,11 @@ class UserAgent:
         and randomness: a commitment substituted before the digest was
         taken shows up there, at the latest point before any unmask share
         is released, as the grouping it could steer cannot be checked
-        before the reveal anyway (see ``orgtree``).  The revealed records
-        must be the ones the setup was run on; ``verify_setup`` then
-        replays the identity derivation and both assignments.
+        before the reveal anyway (see ``orgtree``).  ``verify_setup`` then
+        replays the grouping from the revealed records and compares it with
+        the one the server used: a changed key or randomness changes the
+        replayed identities, a changed nonce breaks the digest, and a
+        changed server or tree nonce fails its opening above.
         """
         seen = self.seen_tree_commit
         if seen is None:
@@ -337,14 +339,7 @@ class UserAgent:
         if revealed != seen.commits_digest:
             raise ProtocolAbort("revealed randomness does not match the committed digest", blamed="server")
         self.check_own_record(reveal)
-        t = setup.transcript
-        if (
-            (reveal.server_rand, reveal.server_nonce, reveal.tree_desc, reveal.tree_nonce)
-            != (t.server_rand, t.server_nonce, t.tree_desc, t.tree_nonce)
-            or records != tuple(zip(t.share_pubs, t.mask_pubs, t.user_rands, t.user_nonces))
-        ):
-            raise ProtocolAbort("reveal differs from the setup it opens", blamed="server")
-        verify_setup(setup, tree)
+        verify_setup(setup, tree, reveal.server_rand, records)
 
 
 def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None:

@@ -50,10 +50,12 @@ of different widths (strong2048 keys and seeds) pads the narrow rows.
 
 A peer list packs its handles at the one blinded key width W the group
 fixes, as the reveal packs its records, with a sign of +1 or -1 and a
-kind code of 1 (intra) or 2 (inter) in each row::
+kind code of 1 (intra) or 2 (inter) in each row, which is all a user
+needs to apply the pair's mask; no row says where in the tree the peer
+sits::
 
     own token (8) || W (2) || handle count n (4)
-    || n rows of: pair token (8) || sign (1) || kind (1) || layer (1) || W key bytes
+    || n rows of: pair token (8) || sign (1) || kind (1) || W key bytes
     || recipient count (4) || recipient tokens of 8 bytes
 
 The two verification broadcasts stay small.  The tree commitment carries
@@ -307,7 +309,6 @@ class PeerHandle:
     randomized_pub: bytes
     sign: int  # +1 add the pair mask, -1 subtract it
     kind: str  # "intra" or "inter"
-    layer: int  # 0 for intra, tree layer for inter
 
 
 _KIND_CODES = {"intra": 1, "inter": 2}
@@ -318,8 +319,8 @@ _SIGN, _KIND = 8, 9  # offsets of the sign and the kind code in a handle row
 
 @functools.lru_cache(maxsize=16)  # the width comes off the wire, so the cache is bounded
 def _handle_row(width: int) -> struct.Struct:
-    """Pair token, sign, kind code, layer, blinded key of ``width`` bytes."""
-    return struct.Struct(f">8sbBB{width}s")
+    """Pair token, sign, kind code, blinded key of ``width`` bytes."""
+    return struct.Struct(f">8sbB{width}s")
 
 
 @dataclass(frozen=True)
@@ -342,7 +343,7 @@ class PeerListMsg:
         if len(self.own_token) != TOKEN_BYTES or shapes - {(TOKEN_BYTES, width)}:
             raise ValueError("peer lists need 8-byte tokens and blinded keys of one width")
         pack = _handle_row(width).pack
-        table = b"".join([pack(p.token, p.sign, _KIND_CODES[p.kind], p.layer, p.randomized_pub) for p in peers])
+        table = b"".join([pack(p.token, p.sign, _KIND_CODES[p.kind], p.randomized_pub) for p in peers])
         recips = self.share_recipients
         parts = (_PEER_HEAD.pack(self.own_token, width, len(peers)), table, struct.pack(">I", len(recips)), *recips)
         return encode_record(TAG_PEER_LIST, b"".join(parts))
@@ -357,7 +358,7 @@ class PeerListMsg:
         if signs.translate(None, b"\x01\xff") or kinds.translate(None, b"\x01\x02"):
             raise WireError("a peer handle with a sign other than +-1 or a kind code other than 1 or 2")
         rows = row.iter_unpack(table)
-        peers = tuple([PeerHandle(tok, pub, sign, _KINDS[kind], layer) for tok, sign, kind, layer, pub in rows])
+        peers = tuple([PeerHandle(tok, pub, sign, _KINDS[kind]) for tok, sign, kind, pub in rows])
         recips, end = _unpack_tokens(payload, off)
         _check_end(payload, end)
         return PeerListMsg(own, peers, recips)

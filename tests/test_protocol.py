@@ -46,6 +46,7 @@ from secaggsim.wire import (
     TAG_UNMASK_RESPONSE,
     PeerHandle,
     PeerListMsg,
+    RandOpenMsg,
     ShareMsg,
     TreeCommitMsg,
     UnmaskRequestMsg,
@@ -85,8 +86,8 @@ def test_two_user_masks_cancel():
     r = SIM_GROUP.random_exponent(rng)
     tok = [b"token--0", b"token--1"]
     handles = [
-        PeerHandle(tok[1], SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[1].mask_keys.public, r)), 1, "intra", 0),
-        PeerHandle(tok[0], SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[0].mask_keys.public, r)), -1, "intra", 0),
+        PeerHandle(tok[1], SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[1].mask_keys.public, r)), 1, "intra"),
+        PeerHandle(tok[0], SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[0].mask_keys.public, r)), -1, "intra"),
     ]
     for u, agent in enumerate(agents):
         agent.receive_peer_list(PeerListMsg(tok[u], (handles[u],), (tok[0], tok[1])))
@@ -110,10 +111,10 @@ def test_mask_input_matches_rebinding_reference(spec):
     agent.begin_round(Random(3), bytes(32))
     agent.open_rand(NO_TREE)
     rng = Random(4)
-    plan = [(1, "intra", 0), (-1, "intra", 0), (1, "inter", 1), (-1, "inter", 2)]
+    plan = [(1, "intra"), (-1, "intra"), (1, "inter"), (-1, "inter")]
     handles = tuple(
-        PeerHandle(bytes([i]) * 8, SIM_GROUP.encode(KeyPair.generate(SIM_GROUP, rng).public), sign, kind, layer)
-        for i, (sign, kind, layer) in enumerate(plan, 1)
+        PeerHandle(bytes([i]) * 8, SIM_GROUP.encode(KeyPair.generate(SIM_GROUP, rng).public), sign, kind)
+        for i, (sign, kind) in enumerate(plan, 1)
     )
     agent.receive_peer_list(PeerListMsg(b"own-tok!", handles, (b"own-tok!", handles[0].token)))
     agent.distribute_shares()
@@ -159,7 +160,6 @@ def test_masked_upload_looks_uniform():
             model=zeros(1, SPEC),
             inputs=inputs,
             round_seed=(seed, 0),
-            verify=False,
         )
         values.append(int(server._uploads[0][0]) if 0 in server._uploads else None)
     arr = np.array([v for v in values if v is not None], dtype=np.float64)
@@ -735,7 +735,7 @@ def test_users_never_learn_grouping():
         for attr in vars(agent):
             assert not any(word in attr.lower() for word in banned), attr
         for handle in agent._peer_handles:
-            assert set(vars(handle)) == {"token", "randomized_pub", "sign", "kind", "layer"}
+            assert set(vars(handle)) == {"token", "randomized_pub", "sign", "kind"}
 
 
 # -- setup verification against a cheating server -------------------------------------
@@ -753,7 +753,7 @@ def _run_16(server, users, transport, seed):
 
 
 def _swap_opening(server):
-    # a fresh (rand, nonce) for user 5 before setup: transcript, commitment
+    # a fresh (rand, nonce) for user 5 before setup: grouping, commitment
     # and reveal all agree with it, only the tree-commit digest does not
     finish = server.finish_setup
 
@@ -800,6 +800,22 @@ def _wrong_population(server):
     server.commit_tree = cheat
 
 
+def _population_too_small(server):
+    # commitment and reveal agree on one user, the verifier itself, which
+    # cannot fill the tree the replay is run on
+    commit_tree, reveal = server.commit_tree, server.reveal
+
+    def cheat_commit():
+        msg = commit_tree()
+        return TreeCommitMsg(msg.tree_digest, 1, commits_digest(server._rand_commits[:1]))
+
+    def cheat_reveal():
+        msg = reveal()
+        return dataclasses.replace(msg, user_records=msg.user_records[:1])
+
+    server.commit_tree, server.reveal = cheat_commit, cheat_reveal
+
+
 def _reveal_not_the_setup(server):
     reveal = server.reveal
 
@@ -831,7 +847,8 @@ def _short_nonce_in_reveal(server):
         pytest.param(_record_altered(0), "user 0 own record", id="verifier_record_altered"),
         pytest.param(_record_altered(5), "user 5 own record", id="other_record_altered"),
         pytest.param(_wrong_population, "lists 16 users", id="wrong_population"),
-        pytest.param(_reveal_not_the_setup, "differs from the setup", id="reveal_not_the_setup"),
+        pytest.param(_population_too_small, "does not fit the tree", id="population_too_small"),
+        pytest.param(_reveal_not_the_setup, "identities do not match", id="reveal_not_the_setup"),
         pytest.param(_short_nonce_in_reveal, "committed digest", id="short_nonce_in_reveal"),
     ],
 )
@@ -844,13 +861,25 @@ def test_cheating_server_caught_by_verifier(cheat, match):
 
 
 def test_consistent_opening_swap_passes_replay_alone():
-    """The swap above is invisible to the transcript replay; only the
+    """The swap above is invisible to the grouping replay; only the
     digest from before the openings exposes it."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     _swap_opening(server)
     with pytest.raises(ProtocolAbort):
         _run_16(server, users, transport, 70)
-    verify_setup(server.setup, TREE22)
+    verify_setup(server.setup, TREE22, server.server_rand, server.reveal().user_records)
+
+
+def test_mismatched_opening_caught_at_receive_open():
+    """A user that opens other randomness than it committed is caught by
+    the server as the opening arrives, blamed on that user; without this
+    check the round would run on and the reveal's digest would blame the
+    server."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    users[3].open_rand = lambda tree_commit: RandOpenMsg(bytes(32), bytes(16))
+    with pytest.raises(ProtocolAbort, match="user 3 opened a different randomness") as exc:
+        _run_16(server, users, transport, 72)
+    assert exc.value.blamed == "user:3"
 
 
 def test_lying_threshold_rejected_at_receive_unmask():

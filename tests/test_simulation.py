@@ -114,7 +114,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "ebc25873fb8590862bcb4abe1e44b1b2082a31b43bf84d80fdd97d54220e956c",
+        "75b21b95ed9414f311090a5650e07826ecb311f6554cf59b4db49ad85e24c589",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -132,7 +132,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "f955e1a46cb5e61f2e85fd243e08750c414db207eef27c1a70b71a826d1dddd1",
+        "ecd5ba3df674bea43aa49a223f0bc9362d79188695e876e465bb7a56ce151f2a",
     ),
 }
 

@@ -62,7 +62,7 @@ MESSAGES = [
     RandOpenMsg(b"\x66" * 32, b"\x77" * 16),
     PeerListMsg(
         TOK[0],
-        (PeerHandle(TOK[1], b"pub-1", 1, "intra", 0), PeerHandle(TOK[2], b"pub-2", -1, "inter", 2)),
+        (PeerHandle(TOK[1], b"pub-1", 1, "intra"), PeerHandle(TOK[2], b"pub-2", -1, "inter")),
         (TOK[0], TOK[1], TOK[3]),
     ),
     SHARE,
