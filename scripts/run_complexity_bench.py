@@ -2,13 +2,14 @@
 """Instrumented cost comparison: tree protocol vs full-pairwise baseline.
 
 The baseline runs on the same engine as a one-leaf tree whose ring
-covers every user.  Prints per-user PRG expansions, per-user traffic
-(in total, up and down), and per-dropout recovery work across
-population sizes and tree shapes, then the 1000-user tree-shape traffic
-comparison, then fast64
-Diffie-Hellman exponentiations per second, one builtin ``pow`` each and
-batched through ``pow_many``, at the batch sizes of a 243-user and a
-2000-user round's server key blinding, then Shamir share and
+covers every user.  Runs each point of the benchmark grid for one round
+and prints its per-user PRG expansions, per-user traffic (in total, up
+and down), and per-dropout recovery work across population sizes and
+tree shapes, then the 1000-user tree-shape traffic comparison; the rows
+go to a CSV whose columns are the fields of ``BenchRow``.  Then prints
+fast64 Diffie-Hellman exponentiations per second, one builtin ``pow``
+each and batched through ``pow_many``, at the batch sizes of a 243-user
+and a 2000-user round's server key blinding, then Shamir share and
 reconstruct rates at the threshold and share-leaf sizes of those rounds.
 
 Runs from a plain checkout: the package is imported from ``src/`` next to
@@ -16,8 +17,10 @@ this directory.
 """
 
 import argparse
+import csv
 import sys
 import time
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from random import Random
 
@@ -25,12 +28,52 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from secaggsim.crypto import FAST_GROUP, Share, pow_many, reconstruct_secret, share_secret  # noqa: E402
 from secaggsim.scenarios import exactness_config  # noqa: E402
-from secaggsim.simulation import bench_csv, bench_once  # noqa: E402
+from secaggsim.simulation import ScenarioConfig, run_scenario  # noqa: E402
 
 DH_BATCH_SIZES = (2_430, 24_060)
 # (threshold, share-leaf size): the 243-user 3x3 detection tree and the 2000-user 4x3 tree
 SHAMIR_POINTS = ((3, 9), (2, 25))
 SHAMIR_OWNERS = 200
+
+
+@dataclass
+class BenchRow:
+    protocol: str
+    n_users: int
+    tree_shape: str
+    vector_len: int
+    dropout_rate: float
+    per_user_prg: float
+    per_user_bytes: float
+    up_bytes_per_user: float
+    down_bytes_per_user: float
+    cancellations_per_dropout: float
+    server_prg: int
+    wall_ms: float
+
+
+def bench_once(config: ScenarioConfig) -> BenchRow:
+    """Run a single-round config (an ``exactness_config``) and count its cost."""
+    started = time.perf_counter()
+    report = run_scenario(config)
+    wall_ms = (time.perf_counter() - started) * 1e3
+    c = report.counters
+    n_drop = int(round(config.dropout_rate * config.n_users))
+    shape = f"{config.tree_height}x{config.tree_degree}" if config.protocol == "tree" else "flat"
+    return BenchRow(
+        protocol=config.protocol,
+        n_users=config.n_users,
+        tree_shape=shape,
+        vector_len=config.synthetic.vector_len,
+        dropout_rate=config.dropout_rate,
+        per_user_prg=c.per_user_prg(config.n_users),
+        per_user_bytes=c.per_user_bytes(config.n_users),
+        up_bytes_per_user=c.bytes_user_to_server / config.n_users,
+        down_bytes_per_user=c.bytes_server_to_user / config.n_users,
+        cancellations_per_dropout=(c.mask_cancellations / n_drop) if n_drop else 0.0,
+        server_prg=c.prg_server,
+        wall_ms=wall_ms,
+    )
 
 
 def _best_rate(run, n: int, repeats: int) -> tuple[float, list[int]]:
@@ -113,7 +156,10 @@ def main() -> int:
         print(f"shamir t={t} n={n:3d} share={share_rate:10.0f} shares/s reconstruct={rate:10.0f} secrets/s")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(bench_csv(rows))
+    with out.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(f.name for f in fields(BenchRow))
+        writer.writerows(astuple(row) for row in rows)
     print(f"wrote {out}")
     return 0
 

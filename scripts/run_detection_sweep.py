@@ -3,14 +3,20 @@
 
 Writes one CSV row per run with final DR/CR/FPR and after-attack
 accuracies.  Mirrors the converging-phase attack experiments.
+
+Runs from a plain checkout: the package is imported from ``src/`` next to
+this directory.
 """
 
 import argparse
 import csv
+import sys
 from pathlib import Path
 
-from secaggsim.scenarios import converging_attack_config
-from secaggsim.simulation import run_scenario
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from secaggsim.scenarios import converging_attack_config  # noqa: E402
+from secaggsim.simulation import run_scenario  # noqa: E402
 
 
 def main() -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fixedpoint import ParamVector, SegmentSpec, dequantize_vector, quantize_vector
+from .fixedpoint import ParamVector, dequantize_vector, quantize_vector
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Each round the server compares every subgroup's revealed high segments
 against the current global model, flags the farthest subgroups while the
-distance dispersion exceeds an adaptive threshold, and records the final
-dispersion for future thresholds.  The module also houses the disclosure
-budget calculators that size the revealable segment, and the detection
+distance dispersion exceeds an adaptive threshold, and records the
+dispersion left after those replacements for future thresholds.  The
+module also sizes the revealable segment from the disclosure radius
+(``reveal_threshold``, ``segment_bits_for``) and computes the detection
 quality metrics.
 """
 
@@ -58,30 +59,6 @@ def default_epsilon(spec: SegmentSpec) -> float:
     return float(1 << (spec.word_bits - spec.frac_bits - 1))
 
 
-def chebyshev_bound(variance: float, radius: float) -> float:
-    """P(|X - mean| >= radius) <= variance / radius^2, clamped to [0, 1]."""
-    if radius <= 0:
-        raise ConfigError("radius must be positive")
-    return min(1.0, max(0.0, variance / radius**2))
-
-
-def expected_subset_variance_ratio(subgroup_size: int) -> float:
-    """E[sample variance of n draws] / population variance = (n-1)/n."""
-    n = subgroup_size
-    if n < 2:
-        raise ConfigError("subgroup size must be >= 2")
-    return (n - 1) / n
-
-
-def disclosure_tail_bound(subset_variance: float, epsilon: float, threshold: float) -> float:
-    """Tail bound after revealing a window of width ``threshold`` around
-    the subgroup mean: variance / (epsilon - threshold/2)^2."""
-    margin = epsilon - threshold / 2.0
-    if margin <= 0:
-        raise ConfigError("epsilon must exceed half the reveal threshold")
-    return min(1.0, subset_variance / margin**2)
-
-
 # ---------------------------------------------------------------------------
 # detector
 # ---------------------------------------------------------------------------
@@ -92,7 +69,6 @@ class DetectionConfig:
     expansion: float = 1.2  # threshold expansion factor
     window: int = 5  # rounds averaged into the adaptive threshold
     warmup_rounds: int | None = None  # detection disabled before this round
-    record_pre_replacement: bool = False  # history records the entry dispersion
     # replacement value for a flagged subgroup's distance: "min" keeps the
     # dispersion of the remaining set monotone; "zero" is the literal
     # replace-with-global-model distance, which inflates dispersion when
@@ -209,8 +185,7 @@ class Detector:
             work[top] = 0.0 if self.config.replacement == "zero" else float(work.min())
             stds.append(float(np.std(work)))
 
-        recorded = stds[0] if self.config.record_pre_replacement else stds[-1]
-        self.history.append(recorded)
+        self.history.append(stds[-1])
         return DetectionRecord(
             round_index=self.round_index,
             distances=entry,

@@ -40,16 +40,8 @@ class SegmentSpec:
             )
 
     @property
-    def modulus(self) -> int:
-        return 1 << self.word_bits
-
-    @property
-    def max_value(self) -> int:
-        """Largest ring element (all w bits set)."""
-        return (1 << self.word_bits) - 1
-
-    @property
     def word_mask(self) -> int:
+        """Largest ring element (all w bits set), and the mask that reduces mod 2^w."""
         return (1 << self.word_bits) - 1
 
     @property
@@ -121,30 +113,11 @@ def from_ints(ints, spec: SegmentSpec) -> ParamVector:
 # ---------------------------------------------------------------------------
 
 
-def quantize(value: float, spec: SegmentSpec) -> int:
-    """Map a real to the ring: round(value * 2^q) mod 2^w, two's complement.
-
-    Raises SaturationError when the scaled value does not fit in w bits.
-    """
-    scaled = int(round(float(value) * spec.scale))
-    half = 1 << (spec.word_bits - 1)
-    if not (-half <= scaled < half):
-        raise SaturationError(f"{value!r} overflows {spec.word_bits}-bit fixed point")
-    return scaled & spec.word_mask
-
-
-def dequantize(element: int, spec: SegmentSpec) -> float:
-    """Inverse of :func:`quantize` up to 2^-(q+1): signed decode then rescale."""
-    element = int(element) & spec.word_mask
-    half = 1 << (spec.word_bits - 1)
-    if element >= half:
-        element -= 1 << spec.word_bits
-    return element / spec.scale
-
-
 def quantize_vector(values, spec: SegmentSpec) -> ParamVector:
-    """Vector form of :func:`quantize`: raises SaturationError when any value
-    overflows w-bit fixed point, and reduces the rest mod 2^w."""
+    """Map reals to the ring: round(value * 2^q) mod 2^w, two's complement.
+
+    Raises SaturationError when any scaled value does not fit in w bits.
+    """
     arr = np.asarray(values, dtype=np.float64)
     scaled = np.rint(arr * spec.scale)
     half = float(1 << (spec.word_bits - 1))

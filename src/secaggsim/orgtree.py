@@ -39,7 +39,6 @@ compare with the grouping the server used.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -135,24 +134,10 @@ class Assignment:
     tree: TreeConfig
     members: list[list[int]]  # leaf -> users in identity order
     leaf_of: list[int]  # user -> leaf index
-    rank_of: list[int]  # user -> position inside its leaf
 
     @property
     def n_users(self) -> int:
         return len(self.leaf_of)
-
-    def leaf_sizes(self) -> list[int]:
-        return [len(m) for m in self.members]
-
-    def to_json(self) -> str:
-        """Stable audit dump of the grouping."""
-        doc = {
-            "schema": "assignment-v1",
-            "height": self.tree.height,
-            "degree": self.tree.degree,
-            "members": self.members,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def assign_subgroups(finalized_ids: list[bytes], tree: TreeConfig) -> Assignment:
@@ -175,12 +160,10 @@ def assign_subgroups(finalized_ids: list[bytes], tree: TreeConfig) -> Assignment
         members.append(order[pos : pos + size])
         pos += size
     leaf_of = [0] * n
-    rank_of = [0] * n
     for leaf, users in enumerate(members):
-        for rank, u in enumerate(users):
+        for u in users:
             leaf_of[u] = leaf
-            rank_of[u] = rank
-    return Assignment(tree=tree, members=members, leaf_of=leaf_of, rank_of=rank_of)
+    return Assignment(tree=tree, members=members, leaf_of=leaf_of)
 
 
 @dataclass

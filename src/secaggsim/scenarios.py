@@ -1,10 +1,12 @@
 """Canonical scenario presets.
 
 These encode tuned operating points for the standard experiments: the
-desk-scale detection study (243 users, 27 subgroups), the ever-present
-attack study, and the exactness/benchmark grids.  Scripts, sample
-configs, and the acceptance suite all build from here so the numbers
-stay in one place.
+desk-scale detection study (243 users, 27 subgroups) and the
+exactness/benchmark grids.  Scripts, the benchmark and the acceptance
+suite build from here so the numbers stay in one place.  The
+ever-present attack study (attack from round zero on a slow task, with a
+contracting threshold expansion) is kept only as
+``configs/ever_present.json``.
 
 The detection study reveals high words of 2 real units (12 fractional
 bits, low segment of 13 bits), which a converging-phase amplified attack
@@ -73,63 +75,6 @@ def converging_attack_config(
             strategy=strategy,
             start_round=start,
             duration=duration,
-        )
-    return cfg
-
-
-def ever_present_config(
-    seed: int,
-    n_attackers: int,
-    *,
-    rounds: int = 30,
-    cap: float | None = None,
-    detection_enabled: bool = True,
-) -> ScenarioConfig:
-    """Attack from round zero on a slow task.
-
-    The task converges over tens of rounds so model replacement visibly
-    stagnates training.  The detector uses a contracting expansion factor
-    (below one), the tight-threshold regime for standing attacks; the
-    occasional benign false positive it allows is a no-op substitution.
-    """
-    cfg = ScenarioConfig(
-        n_users=243,
-        rounds=rounds,
-        mode="toy_task",
-        dh_group="fast64",
-        word_bits=32,
-        frac_bits=12,
-        tree_height=3,
-        tree_degree=3,
-        neighbor_radius=2,
-        share_threshold=3,
-        inter_mask_margin_bits=9,
-        detection=DetectionSettings(
-            enabled=detection_enabled,
-            expansion=0.75,
-            window=5,
-            warmup_rounds=5,
-            low_bits_override=13,
-            min_threshold=0.3,
-        ),
-        task=TaskWorkload(
-            local_lr=0.07,
-            lr_decay=1.0,
-            weight_decay=0.25,
-            noise=1.3,
-            classes_per_user=2,
-            attacker_steps=150,
-            attacker_lr=1.0,
-        ),
-        seed=seed,
-    )
-    if n_attackers:
-        cfg.attack = AttackPlan(
-            attacker_ids=tuple(range(n_attackers)),
-            strategy="ever_present",
-            start_round=0,
-            target_refresh=True,
-            cap=cap,
         )
     return cfg
 

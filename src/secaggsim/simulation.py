@@ -19,8 +19,7 @@ import hashlib
 import io
 import json
 import platform
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from random import Random
 
 import numpy as np
@@ -131,7 +130,6 @@ class TaskWorkload:
     classes_per_user: int | None = None  # < n_classes gives non-iid data
     local_lr: float = 0.5
     lr_decay: float = 1.0  # per-round factor on the local learning rate
-    min_lr: float = 0.0  # floor of the decayed learning rate
     weight_decay: float = 0.0
     noise: float = 0.6
     attacker_steps: int = 60
@@ -257,19 +255,30 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ScenarioConfig":
+        """The config a JSON document describes; ``ConfigError`` names any
+        key, at the top level or in a section, that no field takes."""
         doc = dict(doc)
         for key, cls in (("detection", DetectionSettings), ("synthetic", SyntheticWorkload), ("task", TaskWorkload)):
-            if key in doc and isinstance(doc[key], dict):
-                doc[key] = cls(**doc[key])
-        if doc.get("attack") is not None and isinstance(doc["attack"], dict):
+            if isinstance(doc.get(key), dict):
+                doc[key] = _from_fields(cls, doc[key], key)
+        if isinstance(doc.get("attack"), dict):
             attack = dict(doc["attack"])
             attack["attacker_ids"] = tuple(attack["attacker_ids"])
-            doc["attack"] = AttackPlan(**attack)
-        return ScenarioConfig(**doc)
+            doc["attack"] = _from_fields(AttackPlan, attack, "attack")
+        return _from_fields(ScenarioConfig, doc, "config")
 
     @staticmethod
     def from_json(text: str) -> "ScenarioConfig":
         return ScenarioConfig.from_dict(json.loads(text))
+
+
+def _from_fields(cls, doc: dict, section: str):
+    """``cls(**doc)``, or ``ConfigError`` naming the keys of ``doc`` that
+    are not fields of ``cls``."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {section} key(s): {', '.join(unknown)}")
+    return cls(**doc)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +419,7 @@ class _Workload:
             )
             return attacker_update(model, self.target_theta, scale=scale, cap=self.plan.cap)
         if self.task is not None:
-            lr = max(
-                self.config.task.local_lr * self.config.task.lr_decay**round_index,
-                self.config.task.min_lr,
-            )
+            lr = self.config.task.local_lr * self.config.task.lr_decay**round_index
             return benign_update_task(
                 model, self.task, user, lr, weight_decay=self.config.task.weight_decay
             )
@@ -682,95 +688,3 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         final_main_acc=main_acc,
         final_backdoor_acc=backdoor_acc,
     )
-
-
-# ---------------------------------------------------------------------------
-# benchmark grid
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BenchRow:
-    protocol: str
-    n_users: int
-    tree_shape: str
-    vector_len: int
-    dropout_rate: float
-    per_user_prg: float
-    per_user_bytes: float
-    up_bytes_per_user: float
-    down_bytes_per_user: float
-    cancellations_per_dropout: float
-    server_prg: int
-    wall_ms: float
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        return [
-            "protocol",
-            "n_users",
-            "tree_shape",
-            "vector_len",
-            "dropout_rate",
-            "per_user_prg",
-            "per_user_bytes",
-            "up_bytes_per_user",
-            "down_bytes_per_user",
-            "cancellations_per_dropout",
-            "server_prg",
-            "wall_ms",
-        ]
-
-    def csv_row(self) -> list:
-        return [
-            self.protocol,
-            self.n_users,
-            self.tree_shape,
-            self.vector_len,
-            repr(self.dropout_rate),
-            repr(self.per_user_prg),
-            repr(self.per_user_bytes),
-            repr(self.up_bytes_per_user),
-            repr(self.down_bytes_per_user),
-            repr(self.cancellations_per_dropout),
-            self.server_prg,
-            repr(self.wall_ms),
-        ]
-
-
-def bench_once(config: ScenarioConfig) -> BenchRow:
-    """Single-round instrumented run used by the benchmark grid."""
-    config = ScenarioConfig.from_dict(json.loads(config.to_json()))
-    config.rounds = 1
-    config.detection.enabled = False
-    started = time.perf_counter()
-    report = run_scenario(config)
-    wall_ms = (time.perf_counter() - started) * 1e3
-    c = report.counters
-    n_drop = int(round(config.dropout_rate * config.n_users))
-    shape = (
-        f"{config.tree_height}x{config.tree_degree}" if config.protocol == "tree" else "flat"
-    )
-    return BenchRow(
-        protocol=config.protocol,
-        n_users=config.n_users,
-        tree_shape=shape,
-        vector_len=config.synthetic.vector_len,
-        dropout_rate=config.dropout_rate,
-        per_user_prg=c.per_user_prg(config.n_users),
-        per_user_bytes=c.per_user_bytes(config.n_users),
-        up_bytes_per_user=c.bytes_user_to_server / config.n_users,
-        down_bytes_per_user=c.bytes_server_to_user / config.n_users,
-        cancellations_per_dropout=(c.mask_cancellations / n_drop) if n_drop else 0.0,
-        server_prg=c.prg_server,
-        wall_ms=wall_ms,
-    )
-
-
-def bench_csv(rows: list[BenchRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BenchRow.csv_header())
-    for row in rows:
-        writer.writerow(row.csv_row())
-    return buf.getvalue()

@@ -248,7 +248,7 @@ class UserAgent:
             else:
                 y -= mask
         y &= np.uint64(self.spec.word_mask)
-        return MaskedUploadMsg.from_vector(self._own_token, y, self.spec)
+        return MaskedUploadMsg.from_vector(y, self.spec)
 
     # -- unmask ----------------------------------------------------------------
 

@@ -9,7 +9,9 @@ endian length.  Vector elements travel as little endian words of the
 smallest native width (1, 2, 4 or 8 bytes) that holds w bits, so 4 bytes
 at w = 32.  No record carries the width: the receiver decodes a vector
 under its own ``SegmentSpec``, and a vector that is not a whole number of
-elements, or holds an element >= 2^w, raises ``WireError`` there.  Shamir
+elements, or holds an element >= 2^w, raises ``WireError`` there.  The
+masked upload and the global model are nothing but those words; the
+server knows an upload's sender from the channel it arrived on.  Shamir
 share limbs are 33-byte big endian field elements (the share field is the
 257-bit prime 2^256 + 297).
 
@@ -153,7 +155,7 @@ def _unpack_tokens(buf: bytes, off: int) -> tuple[tuple[bytes, ...], int]:
 def _encode_words(values: np.ndarray, spec: SegmentSpec) -> bytes:
     """Ring elements as ``word_bytes(w)``-byte little endian words; an
     element >= 2^w raises ``ValueError`` rather than being cut to w bits."""
-    if values.size and int(values.max()) > spec.max_value:
+    if values.size and int(values.max()) > spec.word_mask:
         raise ValueError(f"vector element exceeds the {spec.word_bits}-bit ring")
     return values.astype(f"<u{word_bytes(spec.word_bits)}").tobytes()
 
@@ -165,7 +167,7 @@ def _decode_words(words: bytes, spec: SegmentSpec) -> np.ndarray:
     if len(words) % width:
         raise WireError(f"{len(words)} vector bytes are not whole {width}-byte elements")
     values = np.frombuffer(words, dtype=f"<u{width}").astype(np.uint64)
-    if spec.word_bits < 8 * width and values.size and int(values.max()) > spec.max_value:
+    if spec.word_bits < 8 * width and values.size and int(values.max()) > spec.word_mask:
         raise WireError(f"vector element exceeds the {spec.word_bits}-bit ring")
     return values
 
@@ -464,25 +466,24 @@ class ShareMsg:
 
 @dataclass(frozen=True)
 class MaskedUploadMsg:
-    token: bytes
+    """A user's masked input; the server knows the sender from the channel."""
+
     words: bytes  # m little endian words of word_bytes(w) bytes each
 
     @staticmethod
-    def from_vector(token: bytes, values: np.ndarray, spec: SegmentSpec) -> "MaskedUploadMsg":
-        return MaskedUploadMsg(token, _encode_words(values, spec))
+    def from_vector(values: np.ndarray, spec: SegmentSpec) -> "MaskedUploadMsg":
+        return MaskedUploadMsg(_encode_words(values, spec))
 
     def vector(self, spec: SegmentSpec) -> np.ndarray:
         """The uint64 elements, decoded at the width of the receiver's w."""
         return _decode_words(self.words, spec)
 
     def to_bytes(self) -> bytes:
-        return encode_record(TAG_MASKED_UPLOAD, self.token + self.words)
+        return encode_record(TAG_MASKED_UPLOAD, self.words)
 
     @staticmethod
     def from_bytes(data: bytes) -> "MaskedUploadMsg":
-        payload = _payload_of(data, TAG_MASKED_UPLOAD)
-        token, off = _take(payload, 0, TOKEN_BYTES)
-        return MaskedUploadMsg(token, payload[off:])
+        return MaskedUploadMsg(_payload_of(data, TAG_MASKED_UPLOAD))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 
 from secaggsim.aggserver import AggServer
 from secaggsim.counters import OpCounters
-from secaggsim.crypto import SIM_GROUP, TOY_GROUP
+from secaggsim.crypto import SIM_GROUP
 from secaggsim.fixedpoint import SegmentSpec, quantize_vector, zeros
 from secaggsim.orgtree import TreeConfig
 from secaggsim.simulation import execute_round

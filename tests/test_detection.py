@@ -3,7 +3,6 @@ import statistics
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from secaggsim.aggserver import SubgroupAggregate
 from secaggsim.detection import (
@@ -11,11 +10,8 @@ from secaggsim.detection import (
     Detector,
     MetricsRound,
     adaptive_threshold,
-    chebyshev_bound,
     compute_metrics,
     default_epsilon,
-    disclosure_tail_bound,
-    expected_subset_variance_ratio,
     reveal_threshold,
     segment_bits_for,
     subgroup_distance,
@@ -52,31 +48,9 @@ def test_default_epsilon():
     assert default_epsilon(SPEC) == float(1 << 23)
 
 
-def test_chebyshev_examples():
-    assert chebyshev_bound(1.0, 2.0) == 0.25
-    assert chebyshev_bound(0.0, 1.0) == 0.0
-    assert chebyshev_bound(100.0, 1.0) == 1.0
-    with pytest.raises(ConfigError):
-        chebyshev_bound(1.0, 0.0)
-
-
-def test_chebyshev_monte_carlo():
-    rng = np.random.default_rng(0)
-    xs = rng.normal(0.0, 1.0, 100_000)
-    for radius in (1.0, 2.0, 3.0):
-        empirical = float(np.mean(np.abs(xs) >= radius))
-        assert empirical <= chebyshev_bound(1.0, radius) + 1e-9
-
-
-def test_subset_variance_ratio_and_tail_bound():
-    assert expected_subset_variance_ratio(4) == 0.75
-    assert disclosure_tail_bound(1.0, 2.0, 1.0) == 1.0 / 1.5**2
-    with pytest.raises(ConfigError):
-        disclosure_tail_bound(1.0, 1.0, 2.0)
-
-
 def test_theorem_numerics_small():
-    # sample variance of n-subsets averages (n-1)/n of the population
+    # sample variance of n-subsets averages (n-1)/n of the population,
+    # the ratio under the square root of reveal_threshold
     rng = np.random.default_rng(1)
     pop = rng.normal(0.0, 2.0, 5000)
     pop_var = float(np.var(pop))
@@ -84,7 +58,8 @@ def test_theorem_numerics_small():
     idx = rng.integers(0, len(pop), size=(4000, n))
     sample_vars = np.var(pop[idx], axis=1)
     ratio = float(np.mean(sample_vars)) / pop_var
-    assert ratio == pytest.approx(expected_subset_variance_ratio(n), rel=0.02)
+    assert ratio == pytest.approx((n - 1) / n, rel=0.02)
+    assert reveal_threshold(n, 1.0) == pytest.approx(2.0 * (1.0 - math.sqrt((n - 1) / n)))
 
 
 # -- adaptive threshold -------------------------------------------------------

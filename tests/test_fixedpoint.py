@@ -10,10 +10,8 @@ from secaggsim.fixedpoint import (
     apply_partial_mask,
     circular_high_diff,
     combine_segments,
-    dequantize,
     dequantize_vector,
     from_ints,
-    quantize,
     quantize_vector,
     split_segments,
     vec_add_mod,
@@ -31,7 +29,7 @@ def test_spec_invariants():
         SegmentSpec(word_bits=70, frac_bits=8, low_bits=16)  # w > 64
     spec = SegmentSpec(32, 8, 16)
     assert spec.low_mask == 0xFFFF
-    assert spec.max_value == 2**32 - 1
+    assert spec.word_mask == 2**32 - 1
     # keep-low mask has exactly bits [0, k) set and [k, w) clear
     assert spec.low_mask & (1 << spec.low_bits) == 0
     assert bin(spec.low_mask).count("1") == spec.low_bits
@@ -39,15 +37,14 @@ def test_spec_invariants():
 
 def test_quantize_examples():
     spec = SegmentSpec(32, 8, 16)
-    assert quantize(1.5, spec) == 384  # 1.5 * 256
-    assert quantize(0.0, spec) == 0
-    assert quantize(-1.0, SegmentSpec(16, 8, 12)) == 65280  # two's complement
+    assert quantize_vector([1.5, 0.0], spec).values.tolist() == [384, 0]  # 1.5 * 256
+    assert quantize_vector([-1.0], SegmentSpec(16, 8, 12)).values.tolist() == [65280]  # two's complement
 
 
 def test_quantize_saturation():
     spec = SegmentSpec(16, 8, 12)
     with pytest.raises(SaturationError):
-        quantize(200.0, spec)  # 200*256 > 2^15
+        quantize_vector([200.0], spec)  # 200*256 > 2^15
     with pytest.raises(SaturationError):
         quantize_vector([0.0, -200.0], spec)
 
@@ -55,7 +52,7 @@ def test_quantize_saturation():
 @given(st.floats(min_value=-100.0, max_value=100.0))
 def test_quantize_round_trip(value):
     spec = SegmentSpec(32, 8, 16)
-    err = abs(dequantize(quantize(value, spec), spec) - value)
+    err = abs(dequantize_vector(quantize_vector([value], spec))[0] - value)
     assert err <= 2.0 ** (-spec.frac_bits - 1) + 1e-12
 
 
@@ -88,7 +85,7 @@ def test_add_sub_inverse_bulk():
     # direct integer-arithmetic oracle over many random vectors
     rng = np.random.default_rng(0)
     spec = SegmentSpec(32, 8, 16)
-    mod = spec.modulus
+    mod = 1 << spec.word_bits
     for _ in range(1000):
         a = [int(v) for v in rng.integers(0, mod, 4)]
         b = [int(v) for v in rng.integers(0, mod, 4)]

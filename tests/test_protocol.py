@@ -19,7 +19,6 @@ from secaggsim.fixedpoint import (
     ParamVector,
     SegmentSpec,
     dequantize_vector,
-    from_ints,
     quantize_vector,
     zeros,
 )
@@ -163,7 +162,7 @@ def test_masked_upload_looks_uniform():
         )
         values.append(int(server._uploads[0][0]) if 0 in server._uploads else None)
     arr = np.array([v for v in values if v is not None], dtype=np.float64)
-    counts, _ = np.histogram(arr, bins=8, range=(0, float(SPEC.modulus)))
+    counts, _ = np.histogram(arr, bins=8, range=(0, float(1 << SPEC.word_bits)))
     assert stats.chisquare(counts).pvalue > 0.01
 
 
@@ -638,7 +637,7 @@ def test_exclude_empty_equals_plain_sum():
 def test_excluded_noop_subgroup_is_noop():
     """Flagging a subgroup of users whose updates equal the global model
     leaves the final model unchanged."""
-    from secaggsim.detection import DetectionConfig, Detector
+    from secaggsim.detection import Detector
     from secaggsim.simulation import execute_round
 
     model_vals = np.arange(8, dtype=np.float64) / 4.0

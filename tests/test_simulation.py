@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from secaggsim.adversary import AttackPlan
@@ -17,15 +16,14 @@ from secaggsim.simulation import (
     DetectionSettings,
     ScenarioConfig,
     SyntheticWorkload,
-    bench_csv,
-    bench_once,
     run_scenario,
 )
 from secaggsim.wire import StarTransport
 from secaggsim.counters import OpCounters
 
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:
@@ -91,6 +89,19 @@ def test_config_json_roundtrip():
     assert again == cfg
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [(None, "bogus"), ("detection", "record_pre_replacement"), ("task", "min_lr"), ("synthetic", "bogus"), ("attack", "bogus")],
+)
+def test_config_unknown_key_rejected(section, key):
+    cfg = small_config()
+    cfg.attack = AttackPlan(attacker_ids=(1,))
+    doc = json.loads(cfg.to_json())
+    (doc[section] if section else doc)[key] = 1
+    with pytest.raises(ConfigError, match=key):
+        ScenarioConfig.from_dict(doc)
+
+
 def test_segment_spec_from_epsilon():
     cfg = small_config(detection=DetectionSettings(enabled=True, epsilon=70.0))
     spec = cfg.segment_spec()
@@ -114,7 +125,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "75b21b95ed9414f311090a5650e07826ecb311f6554cf59b4db49ad85e24c589",
+        "46578fa24c38f75902a40d09e9fda84cd9723e2f229cb1399e13894fe24aeb2f",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -132,7 +143,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "ecd5ba3df674bea43aa49a223f0bc9362d79188695e876e465bb7a56ce151f2a",
+        "6e3277aa5d9b259f612db848284a2ee56fa12497e7372a82549bbe237bf6cd42",
     ),
 }
 
@@ -194,44 +205,51 @@ def test_star_transport_rejects_user_to_user():
 # -- bench -----------------------------------------------------------------------------
 
 
-def test_bench_rows():
-    row = bench_once(small_config())
-    assert row.protocol == "tree"
-    assert row.per_user_prg > 0
-    base = bench_once(small_config(protocol="baseline", n_users=10))
-    assert base.per_user_prg == 10  # N-1 pairwise masks + 1 self mask
-    assert base.per_user_bytes > 0
-    assert base.up_bytes_per_user > 0 and base.down_bytes_per_user > 0
-    assert base.up_bytes_per_user + base.down_bytes_per_user == pytest.approx(base.per_user_bytes)
-    text = bench_csv([row, base])
-    assert text.splitlines()[0].startswith("protocol,")
+def _run_script(cwd: Path, name: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``scripts/<name>`` from ``cwd`` with no PYTHONPATH, as from a
+    plain checkout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
 
 
 def test_complexity_bench_script(tmp_path: Path):
     """The script runs from a plain checkout, with no PYTHONPATH and from
-    another directory, and prints the DH and Shamir primitive rates."""
+    another directory, writes tree and baseline rows whose up and down
+    traffic add up to the total, and prints the DH and Shamir primitive
+    rates."""
     out = tmp_path / "bench.csv"
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_complexity_bench.py"
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, str(script), "--sizes", "16", "--big", "128", "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-    )
+    proc = _run_script(tmp_path, "run_complexity_bench.py", "--sizes", "16", "--big", "128", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    with out.open() as f:
-        rows = [r for r in csv.DictReader(f) if r["protocol"] == "baseline"]
-    assert rows and all(float(r["per_user_bytes"]) > 0 for r in rows)
-    assert all(float(r["up_bytes_per_user"]) > 0 and float(r["down_bytes_per_user"]) > 0 for r in rows)
+    text = out.read_text()
+    assert text.startswith("protocol,")
+    rows = list(csv.DictReader(text.splitlines()))
+    assert {r["protocol"] for r in rows} == {"tree", "baseline"}
+    for r in rows:
+        up, down = float(r["up_bytes_per_user"]), float(r["down_bytes_per_user"])
+        assert up > 0 and down > 0
+        assert up + down == pytest.approx(float(r["per_user_bytes"]))
     assert all(" up=" in line and " down=" in line for line in proc.stdout.splitlines() if " prg/user=" in line)
     assert proc.stdout.count("dh fast64 batch=") == 2
     shamir = [line for line in proc.stdout.splitlines() if line.startswith("shamir t=")]
     assert len(shamir) == 2 and all(" shares/s reconstruct=" in line and line.endswith(" secrets/s") for line in shamir)
 
 
+def test_detection_sweep_script_help(tmp_path: Path):
+    proc = _run_script(tmp_path, "run_detection_sweep.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- CLI --------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
+def test_committed_config_runs(path: Path, tmp_path: Path):
+    ScenarioConfig.from_json(path.read_text()).validate()
+    proc = _run_cli("run", "--config", str(path), "--rounds", "1", "--attackers", "0", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 2  # header + one round
 
 
 def test_cli_run_and_determinism(tmp_path: Path):
@@ -252,6 +270,14 @@ def test_cli_config_error_exit_code(tmp_path: Path):
     cfg_path.write_text(cfg.to_json())
     proc = _run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
+
+
+def test_cli_unknown_config_key(tmp_path: Path):
+    cfg_path = tmp_path / "stray.json"
+    cfg_path.write_text(json.dumps({"bogus": 1}))
+    proc = _run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr and "bogus" in proc.stderr
 
 
 def test_cli_flag_overrides(tmp_path: Path):

@@ -66,7 +66,7 @@ MESSAGES = [
         (TOK[0], TOK[1], TOK[3]),
     ),
     SHARE,
-    MaskedUploadMsg.from_vector(TOK[2], np.array([0, 1, 2**32 - 5], dtype=np.uint64), SPEC32),
+    MaskedUploadMsg.from_vector(np.array([0, 1, 2**32 - 5], dtype=np.uint64), SPEC32),
     UnmaskRequestMsg(((TOK[1], SECRET_SELF_SEED), (TOK[2], SECRET_MASK_KEY)), forced=(TOK[2],)),
     UnmaskResponseMsg(
         3,
@@ -206,13 +206,10 @@ def test_vector_roundtrip_at_native_width(w, data):
     spec, width = _spec(w), w // 8
     m = data.draw(st.integers(1, 40))
     values = np.array(data.draw(st.lists(st.integers(0, (1 << w) - 1), min_size=m, max_size=m)), dtype=np.uint64)
-    upload = MaskedUploadMsg.from_vector(TOK[1], values, spec).to_bytes()
+    upload = MaskedUploadMsg.from_vector(values, spec).to_bytes()
     model = GlobalModelMsg.from_vector(values, spec).to_bytes()
-    assert len(upload) == 5 + 8 + m * width
-    assert len(model) == 5 + m * width
-    decoded = MaskedUploadMsg.from_bytes(upload)
-    assert decoded.token == TOK[1]
-    assert np.array_equal(decoded.vector(spec), values)
+    assert len(upload) == len(model) == 5 + m * width
+    assert np.array_equal(MaskedUploadMsg.from_bytes(upload).vector(spec), values)
     assert np.array_equal(GlobalModelMsg.from_bytes(model).vector(spec), values)
 
 
@@ -220,13 +217,13 @@ def test_vector_roundtrip_at_native_width(w, data):
 def test_vector_element_beyond_ring_rejected(w, width):
     spec, wide = _spec(w), np.array([1, 1 << w], dtype=np.uint64)
     with pytest.raises(ValueError):
-        MaskedUploadMsg.from_vector(TOK[1], wide, spec)
+        MaskedUploadMsg.from_vector(wide, spec)
     with pytest.raises(ValueError):
         GlobalModelMsg.from_vector(wide, spec)
     if w < 8 * width:  # the element fits the native word, so the decoder must catch it
         words = wide.astype(f"<u{width}").tobytes()
         with pytest.raises(WireError):
-            MaskedUploadMsg.from_bytes(encode_record(TAG_MASKED_UPLOAD, TOK[1] + words)).vector(spec)
+            MaskedUploadMsg.from_bytes(encode_record(TAG_MASKED_UPLOAD, words)).vector(spec)
         with pytest.raises(WireError):
             GlobalModelMsg.from_bytes(encode_record(TAG_GLOBAL_MODEL, words)).vector(spec)
 
@@ -237,7 +234,7 @@ def test_vector_partial_element_rejected(w):
     words = GlobalModelMsg.from_vector(np.array([7, 9], dtype=np.uint64), spec).words
     for cut in (words[:-1], words + b"\x00"):
         with pytest.raises(WireError):
-            MaskedUploadMsg.from_bytes(encode_record(TAG_MASKED_UPLOAD, TOK[1] + cut)).vector(spec)
+            MaskedUploadMsg.from_bytes(encode_record(TAG_MASKED_UPLOAD, cut)).vector(spec)
         with pytest.raises(WireError):
             GlobalModelMsg.from_bytes(encode_record(TAG_GLOBAL_MODEL, cut)).vector(spec)
 
