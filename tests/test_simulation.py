@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -212,6 +214,30 @@ def _run_script(cwd: Path, name: str, *args: str) -> subprocess.CompletedProcess
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args], capture_output=True, text=True, env=env, cwd=cwd
     )
+
+
+def _load_script(name: str):
+    """Import ``scripts/<name>`` as a module, without running its ``main``."""
+    path = ROOT / "scripts" / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_rows():
+    bench = _load_script("run_complexity_bench.py")
+    # bench_once counts the cost of the one round of a single-round config
+    single = dict(rounds=1, detection=DetectionSettings(enabled=False))
+    row = bench.bench_once(small_config(**single))
+    assert row.protocol == "tree"
+    assert row.per_user_prg > 0
+    base = bench.bench_once(small_config(protocol="baseline", n_users=10, **single))
+    assert base.per_user_prg == 10  # N-1 pairwise masks + 1 self mask
+    assert base.per_user_bytes > 0
+    assert base.up_bytes_per_user > 0 and base.down_bytes_per_user > 0
+    assert base.up_bytes_per_user + base.down_bytes_per_user == pytest.approx(base.per_user_bytes)
+    assert fields(bench.BenchRow)[0].name == "protocol"
 
 
 def test_complexity_bench_script(tmp_path: Path):
