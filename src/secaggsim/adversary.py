@@ -132,17 +132,13 @@ class ToyTask:
         gb = p.sum(axis=0)
         return np.concatenate([gw.ravel(), gb])
 
-    def local_update(
-        self, theta: np.ndarray, user: int, lr: float, epochs: int = 1, weight_decay: float = 0.0
-    ) -> np.ndarray:
-        # optional decay keeps converged weights stationary (separable data
-        # otherwise grows softmax weights without bound)
+    def local_update(self, theta: np.ndarray, user: int, lr: float, weight_decay: float = 0.0) -> np.ndarray:
+        """One gradient step on the user's own data.  Optional decay keeps
+        converged weights stationary (separable data otherwise grows
+        softmax weights without bound)."""
         sl = self.user_slices[user]
         x, y = self.train_x[sl], self.train_y[sl]
-        out = theta.copy()
-        for _ in range(epochs):
-            out -= lr * (self.grad(out, x, y) + weight_decay * out)
-        return out
+        return theta - lr * (self.grad(theta, x, y) + weight_decay * theta)
 
     def apply_trigger(self, x: np.ndarray) -> np.ndarray:
         out = x.copy()

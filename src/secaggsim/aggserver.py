@@ -45,7 +45,6 @@ from .crypto import (
     prg_expand,
     randomize_pubs,
     reconstruct_secret,
-    share_limbs,
     verify_commitment,
 )
 from .errors import ProtocolAbort, UnrecoverableRoundError, WireError
@@ -58,6 +57,7 @@ from .fixedpoint import (
 )
 from .orgtree import TreeConfig, TreeSetup, build_peer_sets, commits_digest, masking_pairs, run_tree_setup
 from .wire import (
+    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     AdvertMsg,
@@ -71,7 +71,6 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
-    limb_values,
 )
 
 
@@ -154,7 +153,7 @@ class AggServer:
         self._dropped: set[int] = set()
         # share leaf -> sender -> entry bodies of its SHARE bundle
         self._share_inbox: dict[int, dict[int, bytes]] = {}
-        # (owner token, secret type) -> share index -> limb bytes
+        # (owner token, secret type) -> share index -> share bytes
         self._collected: dict[tuple[bytes, int], dict[int, bytes]] = {}
         # (owner token, secret type) -> holders asked for it this round
         self._asked: dict[tuple[bytes, int], set[int]] = {}
@@ -246,46 +245,42 @@ class AggServer:
         the sender's share leaf has sent, re-slice the leaf's bundles into
         one per member and return them with their recipients.
 
-        The relay moves entry bodies by position and never decodes a
-        limb, but the limbs are plaintext: the server could read them
-        until ROADMAP item 7 encrypts each entry body.
+        A bundle must be the sender's first, filed under its own token at
+        the configured threshold, with one entry for every other member of
+        its share leaf; any other is blamed on the sender.  The relay moves
+        entry bodies by position and never decodes a share, but the shares
+        are plaintext: the server could read them until ROADMAP item 7
+        encrypts each entry body.
         """
         share_asn = self.setup.share_assignment
         leaf = share_asn.leaf_of[sender]
         members = share_asn.members[leaf]
-        self._check_bundle(sender, msg, members)
         inbox = self._share_inbox.setdefault(leaf, {})
-        if sender in inbox:
-            raise ProtocolAbort(f"user {sender} sent a second share bundle", blamed=f"user:{sender}")
+        t, entries, mates = self.tree.share_threshold, len(msg.bodies) // ENTRY_BYTES, len(members) - 1
+        fault = None
+        if msg.token != self.tokens[sender]:
+            fault = "filed shares under another owner's token"
+        elif msg.threshold != t:
+            fault = f"sent shares of threshold {msg.threshold}, not {t}"
+        elif entries != mates:
+            fault = f"sent {entries} share entries for its {mates} share recipients"
+        elif sender in inbox:
+            fault = "sent a second share bundle"
+        if fault is not None:
+            raise ProtocolAbort(f"user {sender} {fault}", blamed=f"user:{sender}")
         inbox[sender] = msg.bodies
         if len(inbox) < len(members):
             return []
         # owner i's bundle skips i, so recipient j is entry j - 1 of the
         # bundles of owners before it and entry j of those after it
-        w = msg.width
+        w = ENTRY_BYTES
         rows = [inbox[owner] for owner in members]
         out = []
         for j, recipient in enumerate(members):
             before, after = (j - 1) * w, j * w
             bodies = [row[before:after] for row in rows[:j]] + [row[after : after + w] for row in rows[j + 1 :]]
-            out.append((recipient, ShareMsg(self.tokens[recipient], msg.threshold, msg.limbs, b"".join(bodies))))
+            out.append((recipient, ShareMsg(self.tokens[recipient], t, b"".join(bodies))))
         return out
-
-    def _check_bundle(self, sender: int, msg: ShareMsg, members: list[int]) -> None:
-        """The bundle must be the sender's own, at the configured threshold
-        and the group's entry width, with one entry for every other member
-        of its share leaf."""
-        t, limbs = self.tree.share_threshold, share_limbs(self.group)
-        entries, mates = len(msg.bodies) // msg.width, len(members) - 1
-        if msg.token != self.tokens[sender]:
-            fault = "filed shares under another owner's token"
-        elif (msg.threshold, msg.limbs) != (t, limbs):
-            fault = f"sent shares of threshold {msg.threshold} in {msg.limbs} limb slots, not {t} in {limbs}"
-        elif entries != mates:
-            fault = f"sent {entries} share entries for its {mates} share recipients"
-        else:
-            return
-        raise ProtocolAbort(f"user {sender} {fault}", blamed=f"user:{sender}")
 
     # -- upload and dropout ----------------------------------------------------
 
@@ -357,13 +352,13 @@ class AggServer:
         return self._requests(owners)
 
     def receive_unmask(self, user: int, msg: UnmaskResponseMsg) -> None:
-        """Collect released shares as limb bytes.
+        """Collect released shares as share bytes.
 
         The threshold is the configured t, so a table claiming another one
         is rejected rather than trusted.  Each row must be for a secret
         this user was asked for, at its own evaluation point, and not
         filed before; any other row aborts the round blamed on the user.
-        A row with wrong limbs at the right point is filed: it cannot be
+        A row with a wrong share at the right point is filed: it cannot be
         told from an honest one without verifiable shares."""
         t = self.tree.share_threshold
         if msg.threshold != t:
@@ -371,7 +366,7 @@ class AggServer:
                 f"user {user} released shares with threshold {msg.threshold}, not {t}", blamed=f"user:{user}"
             )
         point, collected, asked = self._point[user], self._collected, self._asked
-        for owner, stype, index, limbs in msg.shares:
+        for owner, stype, index, share in msg.shares:
             target = (owner, stype)
             if user not in asked.get(target, ()):
                 fault = "a share it was not asked for"
@@ -380,7 +375,7 @@ class AggServer:
             elif index in collected[target]:
                 fault = "a share twice"
             else:
-                collected[target][index] = limbs
+                collected[target][index] = share
                 continue
             raise ProtocolAbort(f"user {user} released {fault}", blamed=f"user:{user}")
 
@@ -393,7 +388,7 @@ class AggServer:
                 f"only {len(store)} shares for user {owner} secret type {secret_type}"
             )
         use = sorted(store)[:t]
-        secret = reconstruct_secret([Share(index=i, values=limb_values(store[i]), threshold=t) for i in use])
+        secret = reconstruct_secret([Share(i, (int.from_bytes(store[i], "big"),), t) for i in use])
         self.counters.shares_reconstructed += 1
         return secret
 

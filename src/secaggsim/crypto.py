@@ -9,6 +9,12 @@ prime for throughput-bound runs, a 256-bit safe prime for simulation runs,
 and a 2048-bit safe prime when realistic key sizes matter.  None of this
 code attempts side-channel hardening.
 
+Exponents are short (RFC 7919, section 5.2): ``DhGroup.random_exponent``
+draws from [1, min(q, 2^256)), twice the 128-bit security level.  Only
+the 2048-bit group's q exceeds 2^256, so only its keys and blinding
+factors are shortened; every shared secret is then one Shamir field
+element, and an exponentiation takes 256 squarings, not 2048.
+
 A round makes tens of thousands of Diffie-Hellman exponentiations
 (blinding every pair's keys, each user's seed derivations, and dropout
 recovery), so ``pow_many`` evaluates a whole batch in one numpy pass.  It
@@ -28,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from random import Random
 from typing import NamedTuple
 
@@ -80,6 +86,9 @@ def verify_commitment(c: Commitment, payload: bytes, nonce: bytes) -> bool:
 # ---------------------------------------------------------------------------
 
 
+EXPONENT_BITS = 256  # see the module docstring
+
+
 @dataclass(frozen=True)
 class DhGroup:
     """Multiplicative group mod a safe prime p, generator of the order-q
@@ -101,7 +110,8 @@ class DhGroup:
         return int(element).to_bytes(self.element_bytes, "big")
 
     def random_exponent(self, rng: Random) -> int:
-        return rng.randrange(1, self.order)
+        """A uniform exponent in [1, min(q, 2^EXPONENT_BITS))."""
+        return rng.randrange(1, min(self.order, 1 << EXPONENT_BITS))
 
 
 # Tiny group for exhaustive oracles: 3 generates the order-11 subgroup mod 23.
@@ -384,13 +394,13 @@ def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = N
 # ---------------------------------------------------------------------------
 
 # Field prime for shares: 2^256 + 297, the smallest prime above 2^256.
-# Every secret the protocol shares in the common groups is at most 256 bits
-# wide (a self-mask seed, or a fast64/sim256 exponent), so the smallest
-# field that holds any 256-bit value keeps each of them in one limb of 33
-# bytes; a wider field would only add bytes and multiply width.  Wider
-# secrets (strong2048 exponents) split into 256-bit limbs.
+# Every secret the protocol shares is below 2^256: a 32-byte self-mask
+# seed, or an exponent, which ``random_exponent`` keeps short.  So each
+# secret is one field element of 33 bytes, and the smallest field that
+# holds any 256-bit value keeps it that small.
 SHARE_PRIME = (1 << 256) + 297
-LIMB_BITS = 256
+
+SELF_SEED_BYTES = 32  # a user's per-round self-mask seed
 
 
 class Share(NamedTuple):
@@ -399,7 +409,7 @@ class Share(NamedTuple):
     frozen dataclass."""
 
     index: int  # nonzero evaluation point
-    values: tuple[int, ...]  # one field element per limb
+    values: tuple[int, ...]  # one field element per secret shared together
     threshold: int
     prime: int = SHARE_PRIME
 
@@ -413,93 +423,54 @@ def _eval_poly(coeffs: list[int], x: int, p: int) -> int:
     return acc % p
 
 
-def _limbs_of(secret: int) -> list[int]:
-    if secret < 0:
-        raise ValueError("secret must be nonnegative")
-    if secret == 0:
-        return [0]
-    limbs = []
-    while secret:
-        limbs.append(secret & ((1 << LIMB_BITS) - 1))
-        secret >>= LIMB_BITS
-    return limbs
-
-
-def limb_count(secret: int) -> int:
-    """Number of field elements ``share_secret`` splits ``secret`` into."""
-    return len(_limbs_of(secret))
-
-
-SELF_SEED_BYTES = 32  # a user's per-round self-mask seed
-
-
-@cache
-def share_limbs(group: DhGroup) -> int:
-    """Limb slots for the two secrets a user shares: its widest possible
-    mask key, an exponent of ``group``, then its self seed."""
-    return limb_count(group.order - 1) + limb_count((1 << 8 * SELF_SEED_BYTES) - 1)
-
-
-def _limbs_join(limbs: list[int]) -> int:
-    acc = 0
-    for limb in reversed(limbs):
-        acc = (acc << LIMB_BITS) | limb
-    return acc
-
-
 def share_secret(
     secret: int | tuple[int, ...], t: int, n: int, rng: Random, prime: int = SHARE_PRIME
 ) -> list[Share]:
-    """Split a secret into n shares, any t of which reconstruct it.
+    """Split a secret, a field element, into n shares, any t of which
+    reconstruct it.
 
-    Secrets wider than one field element are split into 256-bit limbs that
-    are shared independently under the same evaluation points.  A tuple of
-    secrets is shared in one call under the same points: each share's
-    ``values`` lists the first secret's limbs, then the next one's, and
-    ``limb_count`` of each secret says where one ends.
+    A tuple of secrets is shared in one call under the same evaluation
+    points: each share's ``values`` holds one field element per secret, in
+    the tuple's order.
     """
     if not (1 < t <= n):
         raise ValueError("need 1 < t <= n")
     if n >= prime:
         raise ValueError("n must be smaller than the field prime")
     secrets = secret if isinstance(secret, tuple) else (secret,)
-    columns = []  # one polynomial per limb, evaluated at every point
-    for limb in [limb for s in secrets for limb in _limbs_of(s)]:
-        if limb >= prime:
-            raise ValueError("limb exceeds field prime")
-        poly = [limb] + [rng.randrange(prime) for _ in range(t - 1)]
+    columns = []  # one polynomial per secret, evaluated at every point
+    for s in secrets:
+        if not 0 <= s < prime:
+            raise ValueError("secret outside the share field")
+        poly = [s] + [rng.randrange(prime) for _ in range(t - 1)]
         columns.append([_eval_poly(poly, i, prime) for i in range(1, n + 1)])
     return [Share(i, vals, t, prime) for i, vals in enumerate(zip(*columns), 1)]
 
 
 def reconstruct_secret(shares: list[Share]) -> int:
-    """Lagrange interpolation at 0 from at least threshold distinct shares."""
+    """Lagrange interpolation at 0 from at least threshold distinct shares
+    of one secret, each carrying one value."""
     if not shares:
         raise InsufficientSharesError("no shares supplied")
     t = shares[0].threshold
     if t < 2:
         raise ValueError(f"threshold {t} is below 2")
     p = shares[0].prime
-    nlimbs = len(shares[0].values)
     for s in shares:
-        if s.threshold != t or s.prime != p or len(s.values) != nlimbs:
+        if s.threshold != t or s.prime != p or len(s.values) != 1:
             raise ValueError("incompatible shares")
     if len({s.index for s in shares}) != len(shares):
         raise ValueError("duplicate share indices")
     if len(shares) < t:
         raise InsufficientSharesError(f"need {t} shares, got {len(shares)}")
     use = shares[:t]
-    limbs = []
-    for limb_i in range(nlimbs):
-        acc = 0
-        for i, si in enumerate(use):
-            num, den = 1, 1
-            for j, sj in enumerate(use):
-                if i == j:
-                    continue
-                num = (num * (-sj.index)) % p
-                den = (den * (si.index - sj.index)) % p
-            lag = num * pow(den, -1, p) % p
-            acc = (acc + si.values[limb_i] * lag) % p
-        limbs.append(acc)
-    return _limbs_join(limbs)
+    acc = 0
+    for i, si in enumerate(use):
+        num, den = 1, 1
+        for j, sj in enumerate(use):
+            if i == j:
+                continue
+            num = (num * (-sj.index)) % p
+            den = (den * (si.index - sj.index)) % p
+        acc = (acc + si.values[0] * num * pow(den, -1, p)) % p
+    return acc

@@ -61,14 +61,13 @@ class TreeConfig:
     height: int  # layers above the leaves; 0 is a single leaf
     degree: int  # children per internal node
     neighbor_radius: int = 1  # intra-group circular radius (kappa)
-    inter_radius: int = 1  # sibling neighborhood radius at inter layers
     share_threshold: int = 2  # t for secret sharing inside a leaf
 
     def __post_init__(self) -> None:
         if self.height < 0 or self.degree < 2:
             raise ConfigError("tree needs height >= 0 and degree >= 2")
-        if self.neighbor_radius < 1 or self.inter_radius < 1:
-            raise ConfigError("neighbor radii must be >= 1")
+        if self.neighbor_radius < 1:
+            raise ConfigError("neighbor radius must be >= 1")
         if self.share_threshold < 2:
             raise ConfigError("share threshold must be >= 2")
 
@@ -176,20 +175,12 @@ class PeerSet:
 
 
 def _sibling_leaves(leaf: int, layer: int, tree: TreeConfig) -> list[int]:
-    """Leaves reached by stepping the layer-th base-d digit by +/-1..radius."""
+    """Leaves reached by stepping the layer-th base-d digit by +1 and -1
+    (mod d); one leaf when d = 2."""
     stride = tree.degree ** (layer - 1)
     digit = (leaf // stride) % tree.degree
     rest = leaf - digit * stride
-    out = []
-    for step in range(1, tree.inter_radius + 1):
-        for signed in (step, -step):
-            nd = (digit + signed) % tree.degree
-            if nd == digit:
-                continue
-            cand = rest + nd * stride
-            if cand not in out:
-                out.append(cand)
-    return out
+    return list(dict.fromkeys(rest + (digit + step) % tree.degree * stride for step in (1, -1)))
 
 
 def build_peer_sets(assignment: Assignment) -> list[PeerSet]:

@@ -19,7 +19,9 @@ import hashlib
 import io
 import json
 import platform
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from random import Random
 
 import numpy as np
@@ -160,10 +162,8 @@ class ScenarioConfig:
     tree_height: int = 3
     tree_degree: int = 3
     neighbor_radius: int = 2
-    inter_radius: int = 1
     share_threshold: int = 3
-    dropout_rate: float = 0.0
-    dropout_timing: str = "after_shares"  # drops after share distribution, the worst case
+    dropout_rate: float = 0.0  # users drop after share distribution, the worst case
     detection: DetectionSettings = field(default_factory=DetectionSettings)
     synthetic: SyntheticWorkload = field(default_factory=SyntheticWorkload)
     task: TaskWorkload = field(default_factory=TaskWorkload)
@@ -185,7 +185,6 @@ class ScenarioConfig:
             height=self.tree_height,
             degree=self.tree_degree,
             neighbor_radius=self.neighbor_radius,
-            inter_radius=self.inter_radius,
             share_threshold=self.share_threshold,
         )
 
@@ -223,17 +222,12 @@ class ScenarioConfig:
             raise ConfigError("rounds must be >= 1")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout rate must be in [0, 1)")
-        if self.dropout_timing != "after_shares":
-            raise ConfigError(
-                f"dropout timing {self.dropout_timing!r} is not implemented, only 'after_shares' "
-                "(dropouts at every phase are ROADMAP item 3)"
-            )
         tree = self.tree()
         tree.validate_for(self.n_users)
         self.inter_mask_bits(self.segment_spec())
         # the carry bound needs inter masks 2^margin times smaller than
         # the low segment; closure can add a few peers in uneven trees
-        max_inter = 4 * tree.inter_radius * tree.height
+        max_inter = 4 * tree.height
         if (1 << self.inter_mask_margin_bits) < max_inter:
             raise ConfigError(
                 f"margin {self.inter_mask_margin_bits} bits too small for "
@@ -256,15 +250,12 @@ class ScenarioConfig:
     @staticmethod
     def from_dict(doc: dict) -> "ScenarioConfig":
         """The config a JSON document describes; ``ConfigError`` names any
-        key, at the top level or in a section, that no field takes."""
+        key, at the top level or in a section, that no field takes, any
+        field left without a value, and any value of the wrong type."""
         doc = dict(doc)
-        for key, cls in (("detection", DetectionSettings), ("synthetic", SyntheticWorkload), ("task", TaskWorkload)):
+        for key, cls in _SECTIONS.items():
             if isinstance(doc.get(key), dict):
                 doc[key] = _from_fields(cls, doc[key], key)
-        if isinstance(doc.get("attack"), dict):
-            attack = dict(doc["attack"])
-            attack["attacker_ids"] = tuple(attack["attacker_ids"])
-            doc["attack"] = _from_fields(AttackPlan, attack, "attack")
         return _from_fields(ScenarioConfig, doc, "config")
 
     @staticmethod
@@ -272,13 +263,40 @@ class ScenarioConfig:
         return ScenarioConfig.from_dict(json.loads(text))
 
 
+_SECTIONS = {"detection": DetectionSettings, "synthetic": SyntheticWorkload, "task": TaskWorkload, "attack": AttackPlan}
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field's type: an int fits a float, a
+    bool no number, and a list of ints a ``tuple[int, ...]``."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if hint is float:
+        return type(value) in (int, float)
+    if hint is int:
+        return type(value) is int
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+    return isinstance(value, hint)
+
+
 def _from_fields(cls, doc: dict, section: str):
     """``cls(**doc)``, or ``ConfigError`` naming the keys of ``doc`` that
-    are not fields of ``cls``."""
+    are not fields of ``cls``, or the first field that ``doc`` lacks
+    though it has no default, or gives a value of the wrong type."""
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {section} key(s): {', '.join(unknown)}")
-    return cls(**doc)
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        hint = hints[f.name]
+        if f.name not in doc:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{section} key {f.name} is missing")
+        elif not _has_type(doc[f.name], hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{section} key {f.name} is {doc[f.name]!r}, not {name}")
+    return cls(**{key: tuple(value) if isinstance(value, list) else value for key, value in doc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +413,8 @@ class _Workload:
         return self.plan is not None and self.plan.is_active(round_index)
 
     def _refresh_target(self, model: ParamVector, round_index: int) -> None:
-        assert self.task is not None and self.plan is not None
+        if self.task is None or self.plan is None:
+            raise ConfigError("a backdoor target needs mode 'toy_task' and an attack plan")
         theta = dequantize_vector(model)
         self.target_theta = self.task.train_backdoor_target(
             theta,

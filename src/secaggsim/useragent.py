@@ -10,8 +10,8 @@ share recipients as anonymous round tokens.
 Shares travel as bundles relayed by the server (see ``wire``): one from
 each user with an entry per recipient, and one to each user with an
 entry per share-group mate.  A user keeps its bundle as bytes, indexed by
-owner token, and only slices out the limbs it releases.  The entries are
-not encrypted, so the relay can read every limb until ROADMAP item 7
+owner token, and only slices out the shares it releases.  The entries are
+not encrypted, so the relay can read every share until ROADMAP item 7
 encrypts each entry body.
 
 Every user derives one shared seed per peer handle from its own mask
@@ -45,9 +45,7 @@ from .crypto import (
     KeyPair,
     commit,
     derive_shared_seeds,
-    limb_count,
     prg_expand,
-    share_limbs,
     share_secret,
     verify_commitment,
 )
@@ -55,6 +53,7 @@ from .errors import ProtocolAbort
 from .fixedpoint import ParamVector, SegmentSpec
 from .orgtree import TreeConfig, TreeSetup, commits_digest, verify_setup
 from .wire import (
+    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     AdvertMsg,
@@ -182,14 +181,12 @@ class UserAgent:
         if self._rng is None:
             raise ProtocolAbort(f"user {self.index} has no round randomness", blamed=f"user:{self.index}")
         my_pos = recipients.index(self._own_token)
-        key = self.mask_keys.secret
-        shares = share_secret((key, int.from_bytes(self.self_seed, "big")), t, n, self._rng)
+        shares = share_secret((self.mask_keys.secret, int.from_bytes(self.self_seed, "big")), t, n, self._rng)
         self.counters.shares_created += 2 * n
-        limbs = share_limbs(self.group)
-        bodies = share_bodies([(share.index, share.values) for share in shares], limb_count(key), limbs)
+        bodies = share_bodies([(share.index, *share.values) for share in shares])
         self._held = bodies.pop(my_pos)
         self._held_at = {self._own_token: 0}
-        return ShareMsg(self._own_token, t, limbs, b"".join(bodies))
+        return ShareMsg(self._own_token, t, b"".join(bodies))
 
     def receive_share(self, msg: ShareMsg) -> None:
         """Keep the server's bundle of this user's shares as bytes.
@@ -209,15 +206,15 @@ class UserAgent:
             fault = "got a share bundle addressed to another user"
         elif len(self._held_at) != 1:
             fault = "got a second share bundle, repeating held share slots"
-        elif (msg.threshold, msg.limbs) != (self.share_threshold, share_limbs(self.group)):
-            fault = f"got a share bundle of threshold {msg.threshold} and {msg.limbs} limb slots"
-        elif len(msg.bodies) != (len(recipients) - 1) * msg.width:
-            fault = f"got {len(msg.bodies) // msg.width} share entries for {len(recipients) - 1} mates"
+        elif msg.threshold != self.share_threshold:
+            fault = f"got a share bundle of threshold {msg.threshold}"
+        elif len(msg.bodies) != (len(recipients) - 1) * ENTRY_BYTES:
+            fault = f"got {len(msg.bodies) // ENTRY_BYTES} share entries for {len(recipients) - 1} mates"
         if fault is not None:
             raise ProtocolAbort(f"user {self.index} {fault}", blamed="server")
-        cut = recipients.index(self._own_token) * msg.width
+        cut = recipients.index(self._own_token) * ENTRY_BYTES
         self._held = msg.bodies[:cut] + self._held + msg.bodies[cut:]
-        self._held_at = dict(zip(recipients, range(0, len(self._held), msg.width)))
+        self._held_at = dict(zip(recipients, range(0, len(self._held), ENTRY_BYTES)))
 
     # -- masked upload --------------------------------------------------------
 
@@ -282,8 +279,8 @@ class UserAgent:
                     refused.append((token, stype))
                     continue
             done_for[token] = done | (1 << stype)
-            index, limbs = share_part(held, off, stype)
-            released.append((token, stype, index, limbs))
+            index, share = share_part(held, off, stype)
+            released.append((token, stype, index, share))
         return UnmaskResponseMsg(self.share_threshold, tuple(released), tuple(refused))
 
     # -- verification -----------------------------------------------------------

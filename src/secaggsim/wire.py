@@ -11,16 +11,16 @@ at w = 32.  No record carries the width: the receiver decodes a vector
 under its own ``SegmentSpec``, and a vector that is not a whole number of
 elements, or holds an element >= 2^w, raises ``WireError`` there.  The
 masked upload and the global model are nothing but those words; the
-server knows an upload's sender from the channel it arrived on.  Shamir
-share limbs are 33-byte big endian field elements (the share field is the
-257-bit prime 2^256 + 297).
+server knows an upload's sender from the channel it arrived on.  A
+Shamir share value is one 33-byte big endian field element (the share
+field is the 257-bit prime 2^256 + 297), as every shared secret is below
+2^256 (see ``crypto``).
 
 Shamir shares travel in bundles, one per sender to the server and one
 per recipient from the server (the message layout of Bonawitz et al.,
 CCS 2017, section 4).  A bundle is::
 
-    own token (8) || threshold (2) || limb slots L (1) || entry count n (4)
-    || n entry bodies
+    own token (8) || threshold (2) || entry count n (4) || n entry bodies
 
 and carries no other-end tokens: its entries are positional.  An upload
 bundle comes from a share owner, whose token it carries, and holds one
@@ -28,27 +28,23 @@ entry per recipient in the ``share_recipients`` order the server handed
 out, without the owner.  A download bundle goes to one recipient, whose
 token it carries, and holds one entry per owner in the recipient's
 ``share_recipients`` order, without the recipient.  Either way each
-entry's position names its other end.  Every body has the same width::
+entry's position names its other end.  Every body is 70 bytes::
 
-    evaluation point (4) || key limbs (1) || seed limbs (1) || L limbs of 33 bytes
+    evaluation point (4) || mask-key share (33) || self-seed share (33)
 
-carrying the mask-key limbs, then the self-seed limbs, then zero limbs up
-to L, so a strong2048 key of 7 limbs fits where the widest key takes 8.
-Every entry carries both secrets.  The relay moves bodies by position and
-never decodes a limb, but the limbs are plaintext: it could read every
-one until ROADMAP item 7 replaces each body with a ciphertext.
+so every entry carries both secrets, and a bundle that is not exactly
+n such bodies raises ``WireError``.  The relay moves bodies by position
+and never decodes a share, but the shares are plaintext: it could read
+every one until ROADMAP item 7 replaces each body with a ciphertext.
 
 An unmask response carries released shares as a fixed-width release
 table, one row per released share of one secret, which is what the
 never-both rule counts::
 
-    threshold (2) || limb slots L (1) || row count (4)
+    threshold (2) || row count (4)
     || rows of: owner token (8) || secret type (1) || evaluation point (4)
-                || limb count (1) || L limbs of 33 bytes
+                || share (33)
     || refused (owner token, secret type) targets
-
-A row's limbs after its limb count are zero; a table that mixes secrets
-of different widths (strong2048 keys and seeds) pads the narrow rows.
 
 A peer list packs its handles at the one blinded key width W the group
 fixes, as the reveal packs its records, with a sign of +1 or -1 and a
@@ -88,8 +84,7 @@ import functools
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat, starmap
-from operator import add, itemgetter
+from itertools import starmap
 from typing import TypeVar
 
 import numpy as np
@@ -110,7 +105,7 @@ TAG_UNMASK_RESPONSE = 9
 TAG_REVEAL = 10
 TAG_GLOBAL_MODEL = 11
 
-SHARE_LIMB_BYTES = 33  # holds one element of the 2^256 + 297 share field
+SHARE_VALUE_BYTES = 33  # holds one element of the 2^256 + 297 share field
 
 SECRET_MASK_KEY = 1  # share of a user's pairwise-mask private key
 SECRET_SELF_SEED = 2  # share of a user's per-round self-mask seed
@@ -366,64 +361,26 @@ class PeerListMsg:
         return PeerListMsg(own, peers, recips)
 
 
-_BUNDLE_HEAD = struct.Struct(">8sHBI")  # own token, threshold, limb slots, entries
-_BODY_HEAD = struct.Struct(">IBB")  # evaluation point, key limbs, seed limbs
-_KEY_COUNT, _SEED_COUNT = 4, 5  # offsets of the limb counts in a body
+_BUNDLE_HEAD = struct.Struct(">8sHI")  # own token, threshold, entries
+_BODY = struct.Struct(f">I{SHARE_VALUE_BYTES}s{SHARE_VALUE_BYTES}s")  # point, key share, seed share
+ENTRY_BYTES = _BODY.size
 
 
-def body_width(limbs: int) -> int:
-    """Bytes of one bundle entry body with ``limbs`` limb slots."""
-    return _BODY_HEAD.size + SHARE_LIMB_BYTES * limbs
-
-
-def share_bodies(points: Sequence[tuple[int, Sequence[int]]], key_limbs: int, limbs: int) -> list[bytes]:
-    """One entry body per (evaluation point, values) pair of one owner: the
-    point, the limb counts of the mask key (the first ``key_limbs`` values)
-    and of the self seed (the rest), then the values as limbs, zero-padded
-    to ``limbs`` slots."""
-    bodies = []
-    for index, values in points:
-        count = len(values)
-        if not 0 < key_limbs < count <= limbs:
-            raise ValueError(f"{count} values with {key_limbs} key limbs do not fit {limbs} slots")
-        limb_bytes = map(int.to_bytes, values, repeat(SHARE_LIMB_BYTES))
-        bodies.append(_body_struct(count, limbs).pack(index, key_limbs, count - key_limbs, *limb_bytes))
-    return bodies
-
-
-@functools.cache
-def _body_struct(count: int, limbs: int) -> struct.Struct:
-    """A body of ``count`` limbs, zero-padded to ``limbs`` slots."""
-    return struct.Struct(f"{_BODY_HEAD.format}{f'{SHARE_LIMB_BYTES}s' * count}{SHARE_LIMB_BYTES * (limbs - count)}x")
+def share_bodies(points: Sequence[tuple[int, int, int]]) -> list[bytes]:
+    """One entry body per (evaluation point, key share, seed share) of one
+    owner."""
+    return [
+        _BODY.pack(index, key.to_bytes(SHARE_VALUE_BYTES, "big"), seed.to_bytes(SHARE_VALUE_BYTES, "big"))
+        for index, key, seed in points
+    ]
 
 
 def share_part(bodies: bytes, off: int, secret_type: int) -> tuple[int, bytes]:
-    """Evaluation point and limb bytes of one secret in the body at ``off``."""
-    index, key_limbs, seed_limbs = _BODY_HEAD.unpack_from(bodies, off)
-    start = off + _BODY_HEAD.size
-    if secret_type == SECRET_MASK_KEY:
-        return index, bodies[start : start + SHARE_LIMB_BYTES * key_limbs]
-    if secret_type == SECRET_SELF_SEED:
-        start += SHARE_LIMB_BYTES * key_limbs
-        return index, bodies[start : start + SHARE_LIMB_BYTES * seed_limbs]
-    raise ValueError(f"unknown secret type tag {secret_type}")
-
-
-def limb_values(raw: bytes) -> tuple[int, ...]:
-    """The field elements of consecutive 33-byte big endian limbs."""
-    return tuple(int.from_bytes(raw[i : i + SHARE_LIMB_BYTES], "big") for i in range(0, len(raw), SHARE_LIMB_BYTES))
-
-
-def _check_bodies(bodies: bytes, width: int, limbs: int) -> None:
-    """``WireError`` unless every body carries both secrets within ``limbs``
-    slots and zeros after them."""
-    keys, seeds = bodies[_KEY_COUNT::width], bodies[_SEED_COUNT::width]
-    used = list(map(add, keys, seeds))
-    if 0 in keys or 0 in seeds or max(used, default=0) > limbs:
-        raise WireError(f"a share entry without both secrets in {limbs} limb slots")
-    for off, count in zip(range(0, len(bodies), width), used):
-        if count < limbs and bodies[off + body_width(count) : off + width].strip(b"\0"):
-            raise WireError("share entry padding is not zero")
+    """Evaluation point and share bytes of one secret in the body at ``off``."""
+    if secret_type not in (SECRET_MASK_KEY, SECRET_SELF_SEED):
+        raise ValueError(f"unknown secret type tag {secret_type}")
+    index, key, seed = _BODY.unpack_from(bodies, off)
+    return index, key if secret_type == SECRET_MASK_KEY else seed
 
 
 @dataclass(frozen=True)
@@ -432,36 +389,29 @@ class ShareMsg:
 
     ``token`` is the user's own: the owner's in an upload bundle, the
     recipient's in a download bundle.  ``bodies`` holds one
-    ``body_width(limbs)``-byte body per entry (see ``share_bodies``), in
-    that user's ``share_recipients`` order without the user itself.
+    ``ENTRY_BYTES``-byte body per entry (see ``share_bodies``), in that
+    user's ``share_recipients`` order without the user itself.
     """
 
     token: bytes
     threshold: int
-    limbs: int  # limb slots per entry body
     bodies: bytes
 
-    @property
-    def width(self) -> int:
-        return body_width(self.limbs)
-
     def to_bytes(self) -> bytes:
-        entries, partial = divmod(len(self.bodies), self.width)
+        entries, partial = divmod(len(self.bodies), ENTRY_BYTES)
         if partial or len(self.token) != TOKEN_BYTES:
             raise ValueError("share bundle needs an 8-byte token and whole entry bodies")
-        head = _BUNDLE_HEAD.pack(self.token, self.threshold, self.limbs, entries)
+        head = _BUNDLE_HEAD.pack(self.token, self.threshold, entries)
         return encode_record(TAG_SHARE_MSG, head + self.bodies)
 
     @staticmethod
     def from_bytes(data: bytes) -> "ShareMsg":
         payload = _payload_of(data, TAG_SHARE_MSG)
-        token, threshold, limbs, entries = _unpack(_BUNDLE_HEAD.format, payload, 0)
-        width = body_width(limbs)
+        token, threshold, entries = _unpack(_BUNDLE_HEAD.format, payload, 0)
         bodies = payload[_BUNDLE_HEAD.size :]
-        if len(bodies) != entries * width:
-            raise WireError(f"share bundle of {len(payload)} bytes does not hold {entries} entries of {width}")
-        _check_bodies(bodies, width, limbs)
-        return ShareMsg(token, threshold, limbs, bodies)
+        if len(bodies) != entries * ENTRY_BYTES:
+            raise WireError(f"share bundle of {len(payload)} bytes does not hold {entries} entries of {ENTRY_BYTES}")
+        return ShareMsg(token, threshold, bodies)
 
 
 @dataclass(frozen=True)
@@ -510,14 +460,9 @@ class UnmaskRequestMsg:
         return UnmaskRequestMsg(targets, forced)
 
 
-_RELEASE_HEAD = struct.Struct(">HBI")  # threshold, limb slots, rows
-_ROW_TYPE, _ROW_COUNT = 8, 13  # offsets of the secret type and the limb count in a row
-
-
-@functools.cache
-def _release_row(limbs: int) -> struct.Struct:
-    """Owner token, secret type, evaluation point, limb count, limb slots."""
-    return struct.Struct(f">8sBIB{SHARE_LIMB_BYTES * limbs}s")
+_RELEASE_HEAD = struct.Struct(">HI")  # threshold, rows
+_RELEASE_ROW = struct.Struct(f">8sBI{SHARE_VALUE_BYTES}s")  # owner token, secret type, point, share
+_ROW_TYPE = 8  # offset of the secret type in a row
 
 
 @dataclass(frozen=True)
@@ -525,7 +470,7 @@ class UnmaskResponseMsg:
     """Released shares as a release table, plus the refused targets.
 
     Each ``shares`` row is (owner token, secret type, evaluation point,
-    limb bytes) for one secret; ``threshold`` is the holder's t, which the
+    share bytes) for one secret; ``threshold`` is the holder's t, which the
     server checks against its own.
     """
 
@@ -535,39 +480,23 @@ class UnmaskResponseMsg:
 
     def to_bytes(self) -> bytes:
         rows = self.shares
-        sizes = set(map(len, map(itemgetter(3), rows)))
-        if any(size % SHARE_LIMB_BYTES or not size for size in sizes):
-            raise ValueError("release rows must carry whole limbs")
-        if set(map(len, map(itemgetter(0), rows))) - {TOKEN_BYTES}:
-            raise ValueError("release rows need 8-byte owner tokens")
-        limbs = max(sizes, default=0) // SHARE_LIMB_BYTES
-        pack = _release_row(limbs).pack  # "s" zero-pads narrower limbs
-        table = b"".join(
-            [pack(owner, stype, index, len(raw) // SHARE_LIMB_BYTES, raw) for owner, stype, index, raw in rows]
-        )
-        head = _RELEASE_HEAD.pack(self.threshold, limbs, len(rows))
+        if any(len(owner) != TOKEN_BYTES or len(raw) != SHARE_VALUE_BYTES for owner, _, _, raw in rows):
+            raise ValueError("release rows need 8-byte owner tokens and 33-byte shares")  # "s" would pad or cut them
+        table = b"".join(starmap(_RELEASE_ROW.pack, rows))
+        head = _RELEASE_HEAD.pack(self.threshold, len(rows))
         return encode_record(TAG_UNMASK_RESPONSE, head + table + _pack_targets(self.refused))
 
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskResponseMsg":
         payload = _payload_of(data, TAG_UNMASK_RESPONSE)
-        threshold, limbs, count = _unpack(_RELEASE_HEAD.format, payload, 0)
-        row = _release_row(limbs)
-        table, off = _take(payload, _RELEASE_HEAD.size, count * row.size)
-        types, used = table[_ROW_TYPE :: row.size], table[_ROW_COUNT :: row.size]
-        if types.translate(None, _SECRET_TYPES) or used.translate(None, bytes(range(1, limbs + 1))):
-            raise WireError(f"release rows of an unknown secret type or outside 1..{limbs} limbs")
-        shares = tuple(starmap(_trimmed_row, row.iter_unpack(table)))
+        threshold, count = _unpack(_RELEASE_HEAD.format, payload, 0)
+        table, off = _take(payload, _RELEASE_HEAD.size, count * _RELEASE_ROW.size)
+        if table[_ROW_TYPE :: _RELEASE_ROW.size].translate(None, _SECRET_TYPES):
+            raise WireError("release rows of an unknown secret type")
+        shares = tuple(_RELEASE_ROW.iter_unpack(table))
         refused, end = _unpack_targets(payload, off)
         _check_end(payload, end)
         return UnmaskResponseMsg(threshold, shares, refused)
-
-
-def _trimmed_row(owner: bytes, stype: int, index: int, used: int, raw: bytes) -> tuple[bytes, int, int, bytes]:
-    """A release row with its zero padding checked and cut off."""
-    if raw[SHARE_LIMB_BYTES * used :].strip(b"\0"):
-        raise WireError("release row padding is not zero")
-    return owner, stype, index, raw[: SHARE_LIMB_BYTES * used]
 
 
 _REVEAL_WIDTHS = struct.Struct(">IHHHH")  # N, then the four field widths

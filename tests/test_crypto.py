@@ -12,7 +12,6 @@ from scipy import stats
 from secaggsim import crypto
 from secaggsim.crypto import (
     FAST_GROUP,
-    LIMB_BITS,
     POW_BATCH_MIN,
     SHARE_PRIME,
     SIM_GROUP,
@@ -29,7 +28,6 @@ from secaggsim.crypto import (
     randomize_pub,
     randomize_pubs,
     reconstruct_secret,
-    limb_count,
     share_secret,
     _eval_poly,
 )
@@ -101,6 +99,17 @@ def test_shared_seed_agreement_exhaustive_toy():
         seed_a = derive_shared_seed(TOY_GROUP, randomize_pub(TOY_GROUP, pub_b, r), a)
         seed_b = derive_shared_seed(TOY_GROUP, randomize_pub(TOY_GROUP, pub_a, r), b)
         assert seed_a == seed_b
+
+
+@pytest.mark.parametrize("group", [TOY_GROUP, FAST_GROUP, SIM_GROUP, STRONG_GROUP], ids=lambda g: g.name)
+def test_random_exponent_draws_below_order_and_2_256(group):
+    """Exponents are uniform below min(q, 2^256): groups of order below
+    2^256 draw exactly as ``randrange(1, q)``, so their keys, masks and
+    reports do not depend on the cap, and strong2048's are short."""
+    bound = min(group.order, 1 << 256)
+    assert (bound < group.order) == (group is STRONG_GROUP)
+    a, b = Random(5), Random(5)
+    assert [group.random_exponent(a) for _ in range(50)] == [b.randrange(1, bound) for _ in range(50)]
 
 
 @pytest.mark.parametrize("group", [SIM_GROUP, STRONG_GROUP], ids=lambda g: g.name)
@@ -298,34 +307,35 @@ def test_share_reconstruct_wide_grid():
         assert reconstruct_secret(rng.sample(shares, t)) == secret
 
 
-def test_share_limbs_wide_secret():
+def test_share_secret_outside_field_rejected():
     rng = Random(9)
-    secret = rng.getrandbits(2040)  # wider than one field element
-    shares = share_secret(secret, 3, 5, rng)
-    assert len(shares[0].values) == -(-2040 // LIMB_BITS) == 8
-    assert reconstruct_secret(shares[1:4]) == secret
+    for secret in (-1, SHARE_PRIME, (5, SHARE_PRIME + 1)):
+        with pytest.raises(ValueError):
+            share_secret(secret, 3, 5, rng)
+    assert reconstruct_secret(share_secret(SHARE_PRIME - 1, 3, 5, rng)[1:4]) == SHARE_PRIME - 1
 
 
 def test_share_prime_is_smallest_above_2_256():
     sympy = pytest.importorskip("sympy")
     assert sympy.isprime(SHARE_PRIME)
-    assert sympy.nextprime(1 << LIMB_BITS) == SHARE_PRIME
+    assert sympy.nextprime(1 << 256) == SHARE_PRIME
 
 
 def test_share_tuple_of_secrets_same_points():
-    """A tuple is shared under one set of evaluation points; each secret's
-    limb slice of the shares reconstructs that secret alone."""
+    """A tuple is shared under one set of evaluation points, one field
+    element per secret in each share; each secret's value of the shares
+    reconstructs that secret alone, and a share carrying both does not
+    reconstruct at all."""
     rng = Random(13)
-    wide, seed = rng.getrandbits(2040), rng.getrandbits(256)
-    shares = share_secret((wide, seed), 3, 6, rng)
-    split = limb_count(wide)
-    assert (split, limb_count(seed)) == (8, 1)
-    assert all(len(s.values) == split + 1 for s in shares)
+    key, seed = STRONG_GROUP.random_exponent(rng), rng.getrandbits(256)
+    shares = share_secret((key, seed), 3, 6, rng)
+    assert [s.index for s in shares] == [1, 2, 3, 4, 5, 6]
+    assert all(len(s.values) == 2 for s in shares)
     picked = rng.sample(shares, 3)
-    key_part = [Share(s.index, s.values[:split], s.threshold) for s in picked]
-    seed_part = [Share(s.index, s.values[split:], s.threshold) for s in picked]
-    assert reconstruct_secret(key_part) == wide
-    assert reconstruct_secret(seed_part) == seed
+    assert reconstruct_secret([Share(s.index, s.values[:1], s.threshold) for s in picked]) == key
+    assert reconstruct_secret([Share(s.index, s.values[1:], s.threshold) for s in picked]) == seed
+    with pytest.raises(ValueError):
+        reconstruct_secret(picked)
 
 
 def test_share_hiding_distribution():

@@ -13,7 +13,7 @@ from conftest import build_round, plaintext_sum, random_inputs, run_plain_round
 from secaggsim.aggserver import fedsgd_update
 from secaggsim.counters import OpCounters
 from secaggsim import simulation, useragent
-from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, SIM_GROUP, share_limbs
+from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, SIM_GROUP
 from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError
 from secaggsim.fixedpoint import (
     ParamVector,
@@ -28,10 +28,11 @@ from secaggsim.simulation import run_scenario
 from secaggsim.simulation import execute_round
 from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
+    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SERVER,
-    SHARE_LIMB_BYTES,
+    SHARE_VALUE_BYTES,
     TAG_ADVERT,
     TAG_GLOBAL_MODEL,
     TAG_MASKED_UPLOAD,
@@ -53,7 +54,6 @@ from secaggsim.wire import (
     decode_from,
     decode_record,
     encode_record,
-    limb_values,
     share_bodies,
     share_part,
 )
@@ -183,8 +183,8 @@ def _entry_share(bundle: ShareMsg, j: int, secret_type: int):
     """Entry j's share of one secret, as ``reconstruct_secret`` takes it."""
     from secaggsim.crypto import Share
 
-    index, limbs = share_part(bundle.bodies, j * bundle.width, secret_type)
-    return Share(index, limb_values(limbs), bundle.threshold)
+    index, share = share_part(bundle.bodies, j * ENTRY_BYTES, secret_type)
+    return Share(index, (int.from_bytes(share, "big"),), bundle.threshold)
 
 
 def test_share_counting_example():
@@ -193,9 +193,9 @@ def test_share_counting_example():
     agent, tokens, counters = _lone_agent()
     bundle = agent.distribute_shares()
     assert bundle.token == tokens[0]
-    assert len(bundle.bodies) == 2 * bundle.width
-    parts = [share_part(bundle.bodies, j * bundle.width, stype) for j in range(2) for stype in (1, 2)]
-    assert len(parts) == 4 and all(len(limbs) == SHARE_LIMB_BYTES for _, limbs in parts)
+    assert len(bundle.bodies) == 2 * ENTRY_BYTES
+    parts = [share_part(bundle.bodies, j * ENTRY_BYTES, stype) for j in range(2) for stype in (1, 2)]
+    assert len(parts) == 4 and all(len(share) == SHARE_VALUE_BYTES for _, share in parts)
     assert counters.shares_created == 6
 
 
@@ -231,9 +231,8 @@ def _download(agent, owners_values, threshold=2, token=None):
     hands it over: one entry per other recipient, at the agent's evaluation
     point, with the given key and seed values."""
     point = agent._recipients.index(agent._own_token) + 1
-    limbs = share_limbs(agent.group)
-    bodies = share_bodies([(point, values) for values in owners_values], 1, limbs)
-    data = ShareMsg(token or agent._own_token, threshold, limbs, b"".join(bodies)).to_bytes()
+    bodies = share_bodies([(point, key, seed) for key, seed in owners_values])
+    data = ShareMsg(token or agent._own_token, threshold, b"".join(bodies)).to_bytes()
     return decode_from(SERVER, ShareMsg, data)
 
 
@@ -241,14 +240,6 @@ def test_share_type_tag_enforced():
     agent, tokens, _ = _lone_agent()
     agent.distribute_shares()
     own = dict(agent._held_at)
-    # an entry that carries no secret is malformed, blamed on the relay
-    tag, payload = decode_record(_download(agent, [(5, 6), (7, 8)]).to_bytes())
-    payload = bytearray(payload)
-    payload[-2 - 2 * SHARE_LIMB_BYTES : -2 * SHARE_LIMB_BYTES] = bytes(2)  # the last entry's limb counts
-    empty = encode_record(tag, bytes(payload))
-    with pytest.raises(ProtocolAbort) as exc:
-        decode_from(SERVER, ShareMsg, empty)
-    assert exc.value.blamed == "server" and agent._held_at == own
     # a bundle addressed to someone else, or with an entry missing, is rejected whole
     for bad in (_download(agent, [(5, 6), (7, 8)], token=tokens[1]), _download(agent, [(5, 6)])):
         with pytest.raises(ProtocolAbort) as exc:
@@ -260,12 +251,13 @@ def test_share_type_tag_enforced():
     with pytest.raises(ProtocolAbort) as exc:
         agent.receive_share(_download(agent, [(9, 9), (9, 9)]))
     assert exc.value.blamed == "server" and agent._held == held
-    assert share_part(held, agent._held_at[tokens[1]], SECRET_MASK_KEY) == (1, (5).to_bytes(SHARE_LIMB_BYTES, "big"))
+    assert share_part(held, agent._held_at[tokens[1]], SECRET_MASK_KEY) == (1, (5).to_bytes(SHARE_VALUE_BYTES, "big"))
 
 
 def test_wide_mask_key_shares_reconstruct():
-    """A 2048-bit exponent travels as 8 key limbs beside 1 seed limb in each
-    entry, and both secrets reconstruct from any t entries."""
+    """A strong2048 key is a short exponent below 2^256, so it travels as
+    one field element beside the seed's in each 70-byte entry, and both
+    secrets reconstruct from any t entries."""
     import itertools
 
     from secaggsim.crypto import STRONG_GROUP, reconstruct_secret
@@ -277,14 +269,14 @@ def test_wide_mask_key_shares_reconstruct():
     agent.open_rand(NO_TREE)
     tokens = tuple(bytes([i]) * 8 for i in range(6))
     agent.receive_peer_list(PeerListMsg(tokens[2], (), tokens))
+    assert 1 <= agent.mask_keys.secret < 1 << 256
     bundle = agent.distribute_shares()
-    assert len(bundle.bodies) == 5 * bundle.width
-    assert bundle.limbs == 9 and ShareMsg.from_bytes(bundle.to_bytes()) == bundle
+    assert len(bundle.bodies) == 5 * ENTRY_BYTES
+    assert ShareMsg.from_bytes(bundle.to_bytes()) == bundle
     seed = int.from_bytes(agent.self_seed, "big")
     for picked in itertools.combinations(range(5), 3):
         key_shares = [_entry_share(bundle, j, SECRET_MASK_KEY) for j in picked]
         seed_shares = [_entry_share(bundle, j, SECRET_SELF_SEED) for j in picked]
-        assert all(len(s.values) == 8 for s in key_shares) and all(len(s.values) == 1 for s in seed_shares)
         assert reconstruct_secret(key_shares) == agent.mask_keys.secret
         assert reconstruct_secret(seed_shares) == seed
 
@@ -303,14 +295,14 @@ def _agent_with_shares():
 def test_unmask_online_target_releases_self_seed():
     agent, owner = _agent_with_shares()
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
-    assert resp.shares == ((owner, SECRET_SELF_SEED, 1, (11).to_bytes(SHARE_LIMB_BYTES, "big")),)
+    assert resp.shares == ((owner, SECRET_SELF_SEED, 1, (11).to_bytes(SHARE_VALUE_BYTES, "big")),)
     assert resp.threshold == 2 and not resp.refused
 
 
 def test_unmask_dropped_target_releases_mask_key():
     agent, owner = _agent_with_shares()
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),)))
-    assert resp.shares == ((owner, SECRET_MASK_KEY, 1, (22).to_bytes(SHARE_LIMB_BYTES, "big")),)
+    assert resp.shares == ((owner, SECRET_MASK_KEY, 1, (22).to_bytes(SHARE_VALUE_BYTES, "big")),)
 
 
 def test_never_both_refused():
@@ -359,6 +351,19 @@ def test_fifteen_percent_dropouts_exact_sum():
     result, *_ = run_plain_round(90, tree, SPEC, inputs, seed=33, pre_drop=drop)
     survivors = {u: x for u, x in inputs.items() if u not in drop}
     assert np.array_equal(result.total.values, plaintext_sum(survivors, 12, SPEC))
+
+
+def test_strong_group_round_with_dropouts_matches_oracle():
+    """strong2048's short exponents share as one field element each, and a
+    round with dropouts recovers their mask keys exactly."""
+    from secaggsim.crypto import STRONG_GROUP
+
+    inputs = random_inputs(24, 8, SPEC, seed=35)
+    drop = {2, 11, 17}
+    result, server, _, counters = run_plain_round(24, TREE22, SPEC, inputs, seed=35, pre_drop=drop, group=STRONG_GROUP)
+    survivors = {u: x for u, x in inputs.items() if u not in drop}
+    assert np.array_equal(result.total.values, plaintext_sum(survivors, 8, SPEC))
+    assert counters.mask_cancellations > 0 and len(server._mask_secrets) == len(drop)
 
 
 class _FlagFirstLeaf:
@@ -896,15 +901,15 @@ def test_lying_threshold_rejected_at_receive_unmask():
 
 def _relabelled(resp, server):
     """Every row claims evaluation point 1; user 3's own point is 3."""
-    return dataclasses.replace(resp, shares=tuple((owner, stype, 1, limbs) for owner, stype, _, limbs in resp.shares))
+    return dataclasses.replace(resp, shares=tuple((owner, stype, 1, share) for owner, stype, _, share in resp.shares))
 
 
 def _unasked_rows(resp, server):
     """Self-seed rows, at the holder's own point, for every owner it was
     not asked about."""
     asked = {owner for owner, *_ in resp.shares}
-    _, _, index, limbs = resp.shares[0]
-    extra = tuple((tok, SECRET_SELF_SEED, index, limbs) for tok in server.tokens if tok not in asked)
+    _, _, index, share = resp.shares[0]
+    extra = tuple((tok, SECRET_SELF_SEED, index, share) for tok in server.tokens if tok not in asked)
     return dataclasses.replace(resp, shares=resp.shares + extra)
 
 
@@ -924,7 +929,7 @@ def test_unrequested_release_rows_rejected_at_receive_unmask(tamper, match):
     """The server files a release row only for a secret it asked that
     holder for, at the holder's own evaluation point, once; each other
     row aborts the round blamed on the holder, where filing it would give
-    a wrong total.  Out of scope: wrong limbs at the right point, which
+    a wrong total.  Out of scope: a wrong share at the right point, which
     cannot be detected without verifiable shares."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     honest = users[3].unmask_response
@@ -1036,7 +1041,7 @@ def test_leaf_with_t_minus_one_answering_holders_is_unrecoverable():
 
 def _resized(bundle, entries):
     """The bundle with its first entry dropped or repeated."""
-    w = bundle.width
+    w = ENTRY_BYTES
     bodies = bundle.bodies[w:] if entries < 0 else bundle.bodies[:w] + bundle.bodies
     return dataclasses.replace(bundle, bodies=bodies)
 
@@ -1048,7 +1053,6 @@ def _resized(bundle, entries):
         pytest.param(lambda b, _: _resized(b, -1), "2 share entries for its 3", id="short_bundle"),
         pytest.param(lambda b, _: _resized(b, 1), "4 share entries for its 3", id="long_bundle"),
         pytest.param(lambda b, _: dataclasses.replace(b, threshold=1), "threshold 1", id="wrong_threshold"),
-        pytest.param(lambda b, _: dataclasses.replace(b, limbs=3, bodies=b""), "in 3 limb slots", id="wrong_limbs"),
     ],
 )
 def test_relay_checks_the_sender_bundle(tamper, match):

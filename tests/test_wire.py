@@ -13,9 +13,10 @@ from secaggsim.errors import ProtocolAbort, WireError
 from secaggsim.fixedpoint import SegmentSpec
 from secaggsim.orgtree import TreeConfig
 from secaggsim.wire import (
+    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
-    SHARE_LIMB_BYTES,
+    SHARE_VALUE_BYTES,
     TAG_GLOBAL_MODEL,
     TAG_MASKED_UPLOAD,
     TAG_RAND_OPEN,
@@ -36,22 +37,20 @@ from secaggsim.wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
-    body_width,
     decode_from,
     decode_record,
     encode_record,
-    limb_values,
     share_bodies,
     share_part,
 )
 
 TOK = [bytes([i]) * 8 for i in range(4)]
 SPEC32 = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
-SHARE = ShareMsg(TOK[0], 3, 3, b"".join(share_bodies([(2, (5, (1 << 263) + 7, 11)), (3, (1, 2, 3))], 2, 3)))
+SHARE = ShareMsg(TOK[0], 3, b"".join(share_bodies([(2, 5, (1 << 256) + 7), (3, 1, 2)])))
 
 
-def _limbs(*values: int) -> bytes:
-    return b"".join(v.to_bytes(SHARE_LIMB_BYTES, "big") for v in values)
+def _share(value: int) -> bytes:
+    return value.to_bytes(SHARE_VALUE_BYTES, "big")
 
 
 # one instance of each of the 11 message types
@@ -70,7 +69,7 @@ MESSAGES = [
     UnmaskRequestMsg(((TOK[1], SECRET_SELF_SEED), (TOK[2], SECRET_MASK_KEY)), forced=(TOK[2],)),
     UnmaskResponseMsg(
         3,
-        ((TOK[0], SECRET_MASK_KEY, 2, _limbs(5)), (TOK[2], SECRET_SELF_SEED, 1, _limbs(9))),
+        ((TOK[0], SECRET_MASK_KEY, 2, _share(5)), (TOK[2], SECRET_SELF_SEED, 1, _share(9))),
         ((TOK[3], SECRET_MASK_KEY),),
     ),
     RevealMsg(
@@ -119,9 +118,9 @@ def test_decode_record_errors_are_value_errors():
 UNMASK_HEX = {
     "UnmaskRequestMsg": "080000002200000002010101010101010102020202020202020201000000010202020202020202",
     "UnmaskResponseMsg": (
-        "090000007200030100000002000000000000000001000000020100000000000000000000000000000000"
-        "000000000000000000000000000000000502020202020202020200000001010000000000000000000000"
-        "0000000000000000000000000000000000000000000900000001030303030303030301"
+        "090000006f00030000000200000000000000000100000002000000000000000000000000000000000000"
+        "000000000000000000000000000005020202020202020202000000010000000000000000000000000000"
+        "0000000000000000000000000000000000000900000001030303030303030301"
     ),
 }
 
@@ -241,115 +240,90 @@ def test_vector_partial_element_rejected(w):
 
 # -- share bundles and release tables ----------------------------------------------
 
-WIDE_KEY = tuple((1 << 256) - 1 - i for i in range(8))
-WIDE_SEED = (1 << 256) + 296
-WIDE = ShareMsg(TOK[0], 3, 9, share_bodies([(4, (*WIDE_KEY, WIDE_SEED))], 8, 9)[0])
+WIDE_KEY = (1 << 256) - 1  # above every short exponent
+WIDE_SEED = SHARE_PRIME - 1
+WIDE = ShareMsg(TOK[0], 3, share_bodies([(4, WIDE_KEY, WIDE_SEED)])[0])
 
 
 def test_share_packed_wide_roundtrip():
     data = WIDE.to_bytes()
-    assert len(data) == 5 + 15 + 6 + SHARE_LIMB_BYTES * 9
+    assert ENTRY_BYTES == 4 + 2 * SHARE_VALUE_BYTES == 70
+    assert len(data) == 5 + 14 + ENTRY_BYTES
     assert ShareMsg.from_bytes(data) == WIDE
-    assert share_part(WIDE.bodies, 0, SECRET_MASK_KEY) == (4, _limbs(*WIDE_KEY))
-    assert share_part(WIDE.bodies, 0, SECRET_SELF_SEED) == (4, _limbs(WIDE_SEED))
+    assert share_part(WIDE.bodies, 0, SECRET_MASK_KEY) == (4, _share(WIDE_KEY))
+    assert share_part(WIDE.bodies, 0, SECRET_SELF_SEED) == (4, _share(WIDE_SEED))
 
 
 def test_share_secret_type_single_records_only():
     """A bundle entry carries both secrets; a release row carries one, of a
     known type."""
     _, key = share_part(WIDE.bodies, 0, SECRET_MASK_KEY)
-    assert limb_values(key) == WIDE_KEY
+    assert int.from_bytes(key, "big") == WIDE_KEY
     with pytest.raises(ValueError):
         share_part(WIDE.bodies, 0, 3)
-    resp = UnmaskResponseMsg(3, ((TOK[0], SECRET_MASK_KEY, 4, key), (TOK[0], SECRET_SELF_SEED, 4, _limbs(WIDE_SEED))))
+    resp = UnmaskResponseMsg(3, ((TOK[0], SECRET_MASK_KEY, 4, key), (TOK[0], SECRET_SELF_SEED, 4, _share(WIDE_SEED))))
     assert UnmaskResponseMsg.from_bytes(resp.to_bytes()) == resp
     with pytest.raises(WireError):
         UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(3, ((TOK[0], 3, 4, key),)).to_bytes())
-    with pytest.raises(ValueError):
-        share_bodies([(1, (5,))], 1, 2)  # a seed-less entry cannot be built
+    for short in (key[1:], key + key):  # a row holds exactly one share
+        with pytest.raises(ValueError):
+            UnmaskResponseMsg(3, ((TOK[0], SECRET_MASK_KEY, 4, short),)).to_bytes()
 
 
-def _bundle_payload(nkey: int, nseed: int, slots: int, limbs: int | None = None, entries: int = 1) -> bytes:
-    """A bundle whose entries claim the given counts and carry ``limbs``
-    zero limbs each (``slots`` by default)."""
-    head = TOK[0] + struct.pack(">HBI", 2, slots, entries)
-    body = struct.pack(">IBB", 1, nkey, nseed) + bytes(SHARE_LIMB_BYTES * (slots if limbs is None else limbs))
-    return head + body * entries
-
-
-def test_share_limb_counts_must_match_payload():
-    assert ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(1, 1, 2))).limbs == 2
-    assert ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(1, 1, 3))).bodies[-99:] == bytes(99)
-    for nkey, nseed, slots, limbs in ((2, 1, 2, 2), (1, 1, 2, 3), (1, 1, 3, 2), (8, 1, 8, 8), (1, 1, 2, 1)):
-        with pytest.raises(WireError):
-            ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(nkey, nseed, slots, limbs)))
+def _bundle_payload(entries: int, body_bytes: int, count: int | None = None) -> bytes:
+    """A bundle of ``entries`` zero bodies of ``body_bytes`` each, whose
+    header claims ``count`` entries (``entries`` by default)."""
+    head = TOK[0] + struct.pack(">HI", 2, entries if count is None else count)
+    return head + bytes(body_bytes) * entries
 
 
 def test_share_record_without_secret_rejected():
-    for nkey, nseed in ((0, 0), (0, 1), (1, 0)):
+    """A bundle must be exactly its claimed count of 70-byte bodies: an
+    entry that holds only its point or one of the two shares, or is a byte
+    off, is not a body."""
+    assert ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(2, ENTRY_BYTES))).bodies == bytes(140)
+    for entries, body_bytes, count in ((2, 4, None), (2, 37, None), (1, 69, None), (1, 71, None), (2, 70, 1), (0, 0, 1)):
         with pytest.raises(WireError):
-            ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(nkey, nseed, 2)))
+            ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(entries, body_bytes, count)))
+    with pytest.raises(ValueError):
+        ShareMsg(TOK[0], 2, bytes(ENTRY_BYTES + 1)).to_bytes()
 
 
-def test_share_padding_must_be_zero():
-    payload = bytearray(_bundle_payload(1, 1, 3))
-    payload[-1] = 1
-    with pytest.raises(WireError):
-        ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, bytes(payload)))
-    resp = UnmaskResponseMsg(3, ((TOK[0], 1, 1, _limbs(5, 6)), (TOK[1], 2, 1, _limbs(7))))
-    tag, payload = decode_record(resp.to_bytes())
-    assert UnmaskResponseMsg.from_bytes(resp.to_bytes()) == resp  # the second row is padded to 2 limbs
-    row_end = 7 + 2 * (14 + 2 * SHARE_LIMB_BYTES)
-    with pytest.raises(WireError):
-        UnmaskResponseMsg.from_bytes(encode_record(tag, payload[: row_end - 1] + b"\x01" + payload[row_end:]))
-
-
-_limb = st.integers(0, SHARE_PRIME - 1)
+_value = st.integers(0, SHARE_PRIME - 1)
 _index = st.integers(1, 2**32 - 1)
 
 
-@given(st.integers(1, 8), st.integers(0, 2), st.data())
-@example(8, 0, None)
-def test_bundle_roundtrip(key_limbs, spare, data):
-    """Bundles (one layout for both directions) round-trip: 1-8 key limbs
-    and a seed limb, spare zero slots, 0 to many entries, indices up to
-    2^32 - 1."""
-    slots = key_limbs + 1 + spare
-    if data is None:  # the widest key, no spare slot, one entry at the largest index
-        points = [(2**32 - 1, tuple(range(key_limbs + 1)))]
-    else:
-        n = data.draw(st.integers(0, 40))
-        points = [
-            (data.draw(_index), tuple(data.draw(st.lists(_limb, min_size=key_limbs + 1, max_size=key_limbs + 1))))
-            for _ in range(n)
-        ]
-    msg = ShareMsg(TOK[1], 2, slots, b"".join(share_bodies(points, key_limbs, slots)))
+@given(st.lists(st.tuples(_index, _value, _value), max_size=40))
+@example([(2**32 - 1, SHARE_PRIME - 1, 0)])
+def test_bundle_roundtrip(points):
+    """Bundles (one layout for both directions) round-trip: 0 to many
+    entries of any two field elements, indices up to 2^32 - 1."""
+    msg = ShareMsg(TOK[1], 2, b"".join(share_bodies(points)))
     data_bytes = msg.to_bytes()
-    assert len(data_bytes) == 5 + 15 + len(points) * body_width(slots)
+    assert len(data_bytes) == 5 + 14 + len(points) * ENTRY_BYTES
     decoded = ShareMsg.from_bytes(data_bytes)
     assert decoded == msg
-    for j, (index, values) in enumerate(points):
-        off = j * msg.width
-        assert share_part(decoded.bodies, off, SECRET_MASK_KEY) == (index, _limbs(*values[:key_limbs]))
-        assert share_part(decoded.bodies, off, SECRET_SELF_SEED) == (index, _limbs(*values[key_limbs:]))
+    for j, (index, key, seed) in enumerate(points):
+        off = j * ENTRY_BYTES
+        assert share_part(decoded.bodies, off, SECRET_MASK_KEY) == (index, _share(key))
+        assert share_part(decoded.bodies, off, SECRET_SELF_SEED) == (index, _share(seed))
 
 
 _row = st.tuples(
     st.binary(min_size=8, max_size=8),
     st.sampled_from((SECRET_MASK_KEY, SECRET_SELF_SEED)),
     _index,
-    st.lists(_limb, min_size=1, max_size=8).map(lambda values: _limbs(*values)),
+    _value.map(_share),
 )
 
 
 @given(st.lists(_row, max_size=40), st.lists(st.tuples(st.binary(min_size=8, max_size=8), st.sampled_from((1, 2)))))
-@example([(TOK[0], SECRET_SELF_SEED, 2**32 - 1, _limbs(1))], [])
+@example([(TOK[0], SECRET_SELF_SEED, 2**32 - 1, _share(1))], [])
 @example([], [])
 def test_release_table_roundtrip(rows, refused):
     msg = UnmaskResponseMsg(3, tuple(rows), tuple(refused))
-    limbs = max((len(raw) for *_, raw in rows), default=0) // SHARE_LIMB_BYTES
     data = msg.to_bytes()
-    assert len(data) == 5 + 7 + len(rows) * (14 + SHARE_LIMB_BYTES * limbs) + 4 + 9 * len(refused)
+    assert len(data) == 5 + 6 + len(rows) * (13 + SHARE_VALUE_BYTES) + 4 + 9 * len(refused)
     assert UnmaskResponseMsg.from_bytes(data) == msg
 
 
@@ -378,11 +352,11 @@ def test_new_formats_reject_trailing_and_overrun(msg):
 
 def test_counts_that_overrun_the_payload_rejected():
     with pytest.raises(WireError):  # 2^32 - 1 entries claimed, none present
-        ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, TOK[0] + struct.pack(">HBI", 2, 2, 2**32 - 1)))
-    with pytest.raises(WireError):  # 2^32 - 1 rows of 8 limbs claimed, none present
-        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, struct.pack(">HBI", 2, 8, 2**32 - 1)))
-    with pytest.raises(WireError):  # rows without limb slots
-        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, struct.pack(">HBI", 2, 0, 1) + bytes(18)))
+        ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, TOK[0] + struct.pack(">HI", 2, 2**32 - 1)))
+    with pytest.raises(WireError):  # 2^32 - 1 rows claimed, none present
+        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, struct.pack(">HI", 2, 2**32 - 1)))
+    with pytest.raises(WireError):  # a row one byte short of its share
+        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, struct.pack(">HI", 2, 1) + bytes(45)))
     unknown_type = struct.pack(">I", 1) + TOK[0] + b"\x03" + bytes(4)
     with pytest.raises(WireError):  # an unknown secret type in a request
         UnmaskRequestMsg.from_bytes(encode_record(TAG_UNMASK_REQUEST, unknown_type))
