@@ -10,7 +10,8 @@ go to a CSV whose columns are the fields of ``BenchRow``.  Then prints
 fast64 Diffie-Hellman exponentiations per second, one builtin ``pow``
 each and batched through ``pow_many``, at the batch sizes of a 243-user
 and a 2000-user round's server key blinding, then Shamir share and
-reconstruct rates at the threshold and share-leaf sizes of those rounds.
+reconstruct rates at the threshold and share-leaf sizes of those rounds,
+in each of the two share fields a fast64 user shares in.
 
 Runs from a plain checkout: the package is imported from ``src/`` next to
 this directory.
@@ -26,7 +27,7 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from secaggsim.crypto import FAST_GROUP, Share, pow_many, reconstruct_secret, share_secret  # noqa: E402
+from secaggsim.crypto import FAST_GROUP, SHARE_PRIME, pow_many, reconstruct_secret, share_secret  # noqa: E402
 from secaggsim.scenarios import exactness_config  # noqa: E402
 from secaggsim.simulation import ScenarioConfig, run_scenario  # noqa: E402
 
@@ -34,6 +35,8 @@ DH_BATCH_SIZES = (2_430, 24_060)
 # (threshold, share-leaf size): the 243-user 3x3 detection tree and the 2000-user 4x3 tree
 SHAMIR_POINTS = ((3, 9), (2, 25))
 SHAMIR_OWNERS = 200
+# the fields a fast64 user shares its mask key and then its self seed in
+SHAMIR_FIELDS = (("2^64+13", FAST_GROUP.key_prime), ("2^256+297", SHARE_PRIME))
 
 
 @dataclass
@@ -100,25 +103,26 @@ def dh_throughput(n: int, repeats: int = 3) -> tuple[float, float]:
     return builtin, batched
 
 
-def shamir_throughput(t: int, n: int, repeats: int = 3) -> tuple[float, float]:
-    """Single-secret shares per second made by ``share_secret``, sharing a
-    fast64 mask key and a self seed together as a user does, and secrets
-    per second recovered by ``reconstruct_secret`` from t shares; exits if
-    a recovered secret differs."""
+def shamir_throughput(t: int, n: int, repeats: int = 3) -> list[tuple[str, float, float]]:
+    """Per share field, as a fast64 user shares its mask key and then its
+    self seed, one ``share_secret`` call each: the field, the shares per
+    second ``share_secret`` makes and the secrets per second
+    ``reconstruct_secret`` recovers from t shares; exits if a recovered
+    secret differs."""
     rng = Random(t * 1000 + n)
     owners = [(FAST_GROUP.random_exponent(rng), rng.getrandbits(256)) for _ in range(SHAMIR_OWNERS)]
-
-    def deal():
-        return [share_secret(pair, t, n, rng) for pair in owners]
-
-    share_rate, dealt = _best_rate(deal, 2 * n * len(owners), repeats)
-    picked = [
-        [Share(s.index, s.values[part : part + 1], t) for s in shares[:t]] for shares in dealt for part in (0, 1)
-    ]
-    rate, got = _best_rate(lambda: [reconstruct_secret(shares) for shares in picked], len(picked), repeats)
-    if got != [secret for pair in owners for secret in pair]:
-        sys.exit(f"reconstruct_secret differs from the shared secrets at t={t}, n={n}")
-    return share_rate, rate
+    rates = []
+    for part, (field, prime) in enumerate(SHAMIR_FIELDS):
+        secrets = [pair[part] for pair in owners]
+        share_rate, dealt = _best_rate(
+            lambda: [share_secret(s, t, n, rng, prime) for s in secrets], n * len(secrets), repeats
+        )
+        picked = [shares[:t] for shares in dealt]
+        rate, got = _best_rate(lambda: [reconstruct_secret(shares) for shares in picked], len(picked), repeats)
+        if got != secrets:
+            sys.exit(f"reconstruct_secret differs from the shared secrets at t={t}, n={n} in {field}")
+        rates.append((field, share_rate, rate))
+    return rates
 
 
 def main() -> int:
@@ -152,8 +156,11 @@ def main() -> int:
             f"pow_many={batched:10.0f} exp/s ({batched / builtin:.1f}x)"
         )
     for t, n in SHAMIR_POINTS:
-        share_rate, rate = shamir_throughput(t, n)
-        print(f"shamir t={t} n={n:3d} share={share_rate:10.0f} shares/s reconstruct={rate:10.0f} secrets/s")
+        for field, share_rate, rate in shamir_throughput(t, n):
+            print(
+                f"shamir t={t} n={n:3d} field={field:9s} share={share_rate:10.0f} shares/s "
+                f"reconstruct={rate:10.0f} secrets/s"
+            )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:

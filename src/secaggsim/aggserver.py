@@ -37,6 +37,7 @@ import numpy as np
 from .counters import OpCounters
 from .crypto import (
     SELF_SEED_BYTES,
+    SHARE_PRIME,
     Commitment,
     DhGroup,
     Share,
@@ -57,7 +58,6 @@ from .fixedpoint import (
 )
 from .orgtree import TreeConfig, TreeSetup, build_peer_sets, commits_digest, masking_pairs, run_tree_setup
 from .wire import (
-    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     AdvertMsg,
@@ -71,6 +71,7 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
+    entry_bytes,
 )
 
 
@@ -245,23 +246,30 @@ class AggServer:
         the sender's share leaf has sent, re-slice the leaf's bundles into
         one per member and return them with their recipients.
 
-        A bundle must be the sender's first, filed under its own token at
-        the configured threshold, with one entry for every other member of
-        its share leaf; any other is blamed on the sender.  The relay moves
-        entry bodies by position and never decodes a share, but the shares
-        are plaintext: the server could read them until ROADMAP item 7
-        encrypts each entry body.
+        A bundle is a header of owner token (8), threshold (2) and key-share
+        width (1), then one body of point (4), key share (the width) and
+        seed share (33) per entry (see ``wire``).  It must be the sender's
+        first, filed under its own token at the configured threshold, with
+        key shares of the group's width and one entry for every other
+        member of its share leaf; any other is blamed on the sender.  The
+        relay moves entry bodies by position and never decodes a share, but
+        the shares are plaintext: the server could read them until ROADMAP
+        item 7 encrypts each entry body.
         """
         share_asn = self.setup.share_assignment
         leaf = share_asn.leaf_of[sender]
         members = share_asn.members[leaf]
         inbox = self._share_inbox.setdefault(leaf, {})
-        t, entries, mates = self.tree.share_threshold, len(msg.bodies) // ENTRY_BYTES, len(members) - 1
+        width = self.group.key_share_bytes
+        w = entry_bytes(width)
+        t, entries, mates = self.tree.share_threshold, len(msg.bodies) // w, len(members) - 1
         fault = None
         if msg.token != self.tokens[sender]:
             fault = "filed shares under another owner's token"
         elif msg.threshold != t:
             fault = f"sent shares of threshold {msg.threshold}, not {t}"
+        elif msg.key_width != width:
+            fault = f"sent key shares of {msg.key_width} bytes, not {width}"
         elif entries != mates:
             fault = f"sent {entries} share entries for its {mates} share recipients"
         elif sender in inbox:
@@ -273,13 +281,12 @@ class AggServer:
             return []
         # owner i's bundle skips i, so recipient j is entry j - 1 of the
         # bundles of owners before it and entry j of those after it
-        w = ENTRY_BYTES
         rows = [inbox[owner] for owner in members]
         out = []
         for j, recipient in enumerate(members):
             before, after = (j - 1) * w, j * w
             bodies = [row[before:after] for row in rows[:j]] + [row[after : after + w] for row in rows[j + 1 :]]
-            out.append((recipient, ShareMsg(self.tokens[recipient], t, b"".join(bodies))))
+            out.append((recipient, ShareMsg(self.tokens[recipient], t, width, b"".join(bodies))))
         return out
 
     # -- upload and dropout ----------------------------------------------------
@@ -354,8 +361,9 @@ class AggServer:
     def receive_unmask(self, user: int, msg: UnmaskResponseMsg) -> None:
         """Collect released shares as share bytes.
 
-        The threshold is the configured t, so a table claiming another one
-        is rejected rather than trusted.  Each row must be for a secret
+        The threshold is the configured t and the key-share width the
+        group's, so a table claiming another is rejected rather than
+        trusted.  Each row must be for a secret
         this user was asked for, at its own evaluation point, and not
         filed before; any other row aborts the round blamed on the user.
         A row with a wrong share at the right point is filed: it cannot be
@@ -365,21 +373,30 @@ class AggServer:
             raise ProtocolAbort(
                 f"user {user} released shares with threshold {msg.threshold}, not {t}", blamed=f"user:{user}"
             )
+        if msg.key_width != self.group.key_share_bytes:
+            raise ProtocolAbort(
+                f"user {user} released key shares of {msg.key_width} bytes, not {self.group.key_share_bytes}",
+                blamed=f"user:{user}",
+            )
         point, collected, asked = self._point[user], self._collected, self._asked
-        for owner, stype, index, share in msg.shares:
-            target = (owner, stype)
-            if user not in asked.get(target, ()):
-                fault = "a share it was not asked for"
-            elif index != point:
-                fault = f"a share at evaluation point {index}, not its own {point}"
-            elif index in collected[target]:
-                fault = "a share twice"
-            else:
-                collected[target][index] = share
-                continue
-            raise ProtocolAbort(f"user {user} released {fault}", blamed=f"user:{user}")
+        for stype, rows in ((SECRET_MASK_KEY, msg.keys), (SECRET_SELF_SEED, msg.seeds)):
+            for owner, index, share in rows:
+                target = (owner, stype)
+                if user not in asked.get(target, ()):
+                    fault = "a share it was not asked for"
+                elif index != point:
+                    fault = f"a share at evaluation point {index}, not its own {point}"
+                elif index in collected[target]:
+                    fault = "a share twice"
+                else:
+                    collected[target][index] = share
+                    continue
+                raise ProtocolAbort(f"user {user} released {fault}", blamed=f"user:{user}")
 
     def _reconstruct(self, token: bytes, secret_type: int) -> int:
+        """The secret from its first t filed rows, interpolated in its own
+        field: the group's key field for a mask key, ``SHARE_PRIME`` for a
+        self seed."""
         store = self._collected.get((token, secret_type), {})
         t = self.tree.share_threshold
         if len(store) < t:
@@ -388,7 +405,8 @@ class AggServer:
                 f"only {len(store)} shares for user {owner} secret type {secret_type}"
             )
         use = sorted(store)[:t]
-        secret = reconstruct_secret([Share(i, (int.from_bytes(store[i], "big"),), t) for i in use])
+        prime = self.group.key_prime if secret_type == SECRET_MASK_KEY else SHARE_PRIME
+        secret = reconstruct_secret([Share(i, int.from_bytes(store[i], "big"), t, prime) for i in use])
         self.counters.shares_reconstructed += 1
         return secret
 

@@ -12,8 +12,15 @@ code attempts side-channel hardening.
 Exponents are short (RFC 7919, section 5.2): ``DhGroup.random_exponent``
 draws from [1, min(q, 2^256)), twice the 128-bit security level.  Only
 the 2048-bit group's q exceeds 2^256, so only its keys and blinding
-factors are shortened; every shared secret is then one Shamir field
-element, and an exponentiation takes 256 squarings, not 2048.
+factors are shortened, and an exponentiation takes 256 squarings, not
+2048.
+
+Shamir sharing uses two prime fields, and every shared secret is one
+element of one of them.  A self-mask seed, and the mask key of a group
+whose q exceeds 2^64 (sim256, strong2048), is shared in ``SHARE_PRIME``,
+2^256 + 297, with 33-byte shares.  The mask key of a group whose q is
+below 2^64 (toy, fast64) is shared in ``SHARE_PRIME_64``, 2^64 + 13, with
+9-byte shares; ``DhGroup.key_prime`` names the field of each group's key.
 
 A round makes tens of thousands of Diffie-Hellman exponentiations
 (blinding every pair's keys, each user's seed derivations, and dropout
@@ -35,6 +42,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from random import Random
 from typing import NamedTuple
 
@@ -112,6 +120,18 @@ class DhGroup:
     def random_exponent(self, rng: Random) -> int:
         """A uniform exponent in [1, min(q, 2^EXPONENT_BITS))."""
         return rng.randrange(1, min(self.order, 1 << EXPONENT_BITS))
+
+    @cached_property
+    def key_prime(self) -> int:
+        """The Shamir field a mask key is shared in: the smaller share
+        field above every exponent ``random_exponent`` draws."""
+        return SHARE_PRIME_64 if self.order < 1 << 64 else SHARE_PRIME
+
+    @cached_property
+    def key_share_bytes(self) -> int:
+        """Bytes of one mask-key share: 9 in ``SHARE_PRIME_64``, 33 in
+        ``SHARE_PRIME``."""
+        return (self.key_prime.bit_length() + 7) // 8
 
 
 # Tiny group for exhaustive oracles: 3 generates the order-11 subgroup mod 23.
@@ -393,63 +413,53 @@ def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = N
 # Shamir t-out-of-n secret sharing
 # ---------------------------------------------------------------------------
 
-# Field prime for shares: 2^256 + 297, the smallest prime above 2^256.
-# Every secret the protocol shares is below 2^256: a 32-byte self-mask
-# seed, or an exponent, which ``random_exponent`` keeps short.  So each
-# secret is one field element of 33 bytes, and the smallest field that
-# holds any 256-bit value keeps it that small.
+# The two share fields (see the module docstring).  2^256 + 297 is the
+# smallest prime above 2^256, so it holds a 32-byte self-mask seed and any
+# short exponent; 2^64 + 13 is the smallest prime above 2^64, so it holds
+# any exponent of a group whose q is below 2^64 in a third of the bytes.
 SHARE_PRIME = (1 << 256) + 297
+SHARE_PRIME_64 = (1 << 64) + 13
 
 SELF_SEED_BYTES = 32  # a user's per-round self-mask seed
 
 
 class Share(NamedTuple):
-    """One point of a sharing; a named tuple because a round makes one per
+    """One point of a sharing; a named tuple because a round makes two per
     user and recipient, and a tuple builds several times faster than a
     frozen dataclass."""
 
     index: int  # nonzero evaluation point
-    values: tuple[int, ...]  # one field element per secret shared together
+    value: int  # a field element
     threshold: int
     prime: int = SHARE_PRIME
 
 
-def _eval_poly(coeffs: list[int], x: int, p: int) -> int:
-    # evaluation points are small, so Horner's rule without intermediate
-    # reductions grows the accumulator by a few bits per step only
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc % p
-
-
-def share_secret(
-    secret: int | tuple[int, ...], t: int, n: int, rng: Random, prime: int = SHARE_PRIME
-) -> list[Share]:
-    """Split a secret, a field element, into n shares, any t of which
-    reconstruct it.
-
-    A tuple of secrets is shared in one call under the same evaluation
-    points: each share's ``values`` holds one field element per secret, in
-    the tuple's order.
-    """
+def share_secret(secret: int, t: int, n: int, rng: Random, prime: int = SHARE_PRIME) -> list[Share]:
+    """Split a secret, an element of the field mod ``prime``, into n shares
+    at evaluation points 1..n, any t of which reconstruct it."""
     if not (1 < t <= n):
         raise ValueError("need 1 < t <= n")
     if n >= prime:
         raise ValueError("n must be smaller than the field prime")
-    secrets = secret if isinstance(secret, tuple) else (secret,)
-    columns = []  # one polynomial per secret, evaluated at every point
-    for s in secrets:
-        if not 0 <= s < prime:
-            raise ValueError("secret outside the share field")
-        poly = [s] + [rng.randrange(prime) for _ in range(t - 1)]
-        columns.append([_eval_poly(poly, i, prime) for i in range(1, n + 1)])
-    return [Share(i, vals, t, prime) for i, vals in enumerate(zip(*columns), 1)]
+    if not 0 <= secret < prime:
+        raise ValueError("secret outside the share field")
+    poly = [secret] + [rng.randrange(prime) for _ in range(t - 1)]
+    # Horner's rule at every point at once, one pass per coefficient; the
+    # points are small, so reducing only in the last pass grows each value
+    # by a few bits per pass only
+    points = range(1, n + 1)
+    values = [poly[-1]] * n
+    for c in reversed(poly[1:-1]):
+        values = [v * x + c for v, x in zip(values, points)]
+    values = [(v * x + secret) % prime for v, x in zip(values, points)]
+    # tuple.__new__ builds each Share as Share._make does, without a Python
+    # call per share: a round makes two shares per user and recipient
+    return list(map(tuple.__new__, repeat(Share), zip(points, values, repeat(t), repeat(prime))))
 
 
 def reconstruct_secret(shares: list[Share]) -> int:
     """Lagrange interpolation at 0 from at least threshold distinct shares
-    of one secret, each carrying one value."""
+    of one secret, all in one field."""
     if not shares:
         raise InsufficientSharesError("no shares supplied")
     t = shares[0].threshold
@@ -457,7 +467,7 @@ def reconstruct_secret(shares: list[Share]) -> int:
         raise ValueError(f"threshold {t} is below 2")
     p = shares[0].prime
     for s in shares:
-        if s.threshold != t or s.prime != p or len(s.values) != 1:
+        if s.threshold != t or s.prime != p:
             raise ValueError("incompatible shares")
     if len({s.index for s in shares}) != len(shares):
         raise ValueError("duplicate share indices")
@@ -472,5 +482,5 @@ def reconstruct_secret(shares: list[Share]) -> int:
                 continue
             num = (num * (-sj.index)) % p
             den = (den * (si.index - sj.index)) % p
-        acc = (acc + si.values[0] * num * pow(den, -1, p)) % p
+        acc = (acc + si.value * num * pow(den, -1, p)) % p
     return acc

@@ -53,7 +53,6 @@ from .errors import ProtocolAbort
 from .fixedpoint import ParamVector, SegmentSpec
 from .orgtree import TreeConfig, TreeSetup, commits_digest, verify_setup
 from .wire import (
-    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     AdvertMsg,
@@ -66,6 +65,7 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
+    entry_bytes,
     share_bodies,
     share_part,
 )
@@ -164,10 +164,11 @@ class UserAgent:
     def distribute_shares(self) -> ShareMsg:
         """Bundle one entry per other recipient carrying both secrets' shares.
 
-        The mask key and the self seed are shared in one call under the
-        same evaluation points.  Evaluation point i goes to the i-th
-        recipient token; the bundle holds the other recipients' entries in
-        that order, and the entry at the user's own position is retained.
+        The mask key is shared in its group's key field, then the self seed
+        in ``SHARE_PRIME``, under the same evaluation points.  Evaluation
+        point i goes to the i-th recipient token; the bundle holds the other
+        recipients' entries in that order, and the entry at the user's own
+        position is retained.
         """
         self._advance(PHASE_COMMIT, PHASE_SHARE)
         recipients = self._recipients
@@ -181,12 +182,14 @@ class UserAgent:
         if self._rng is None:
             raise ProtocolAbort(f"user {self.index} has no round randomness", blamed=f"user:{self.index}")
         my_pos = recipients.index(self._own_token)
-        shares = share_secret((self.mask_keys.secret, int.from_bytes(self.self_seed, "big")), t, n, self._rng)
+        keys = share_secret(self.mask_keys.secret, t, n, self._rng, self.group.key_prime)
+        seeds = share_secret(int.from_bytes(self.self_seed, "big"), t, n, self._rng)
         self.counters.shares_created += 2 * n
-        bodies = share_bodies([(share.index, *share.values) for share in shares])
+        width = self.group.key_share_bytes
+        bodies = share_bodies([(key.index, key.value, seed.value) for key, seed in zip(keys, seeds)], width)
         self._held = bodies.pop(my_pos)
         self._held_at = {self._own_token: 0}
-        return ShareMsg(self._own_token, t, b"".join(bodies))
+        return ShareMsg(self._own_token, t, width, b"".join(bodies))
 
     def receive_share(self, msg: ShareMsg) -> None:
         """Keep the server's bundle of this user's shares as bytes.
@@ -195,10 +198,12 @@ class UserAgent:
         ``share_recipients`` order without this user.  With the retained
         entry spliced in at this user's position, each owner's entry sits
         at a fixed offset, so nothing is decoded before it is released.
-        Anything but one such bundle for this user, after its own shares
-        went out, is the server's fault and is rejected whole.
+        Anything but one such bundle for this user, with key shares of its
+        group's width, after its own shares went out, is the server's fault
+        and is rejected whole.
         """
         recipients = self._recipients
+        w = entry_bytes(self.group.key_share_bytes)
         fault = None
         if self.phase != PHASE_SHARE:
             fault = f"got shares in phase {self.phase}"
@@ -208,13 +213,15 @@ class UserAgent:
             fault = "got a second share bundle, repeating held share slots"
         elif msg.threshold != self.share_threshold:
             fault = f"got a share bundle of threshold {msg.threshold}"
-        elif len(msg.bodies) != (len(recipients) - 1) * ENTRY_BYTES:
-            fault = f"got {len(msg.bodies) // ENTRY_BYTES} share entries for {len(recipients) - 1} mates"
+        elif msg.key_width != self.group.key_share_bytes:
+            fault = f"got key shares of {msg.key_width} bytes, not {self.group.key_share_bytes}"
+        elif len(msg.bodies) != (len(recipients) - 1) * w:
+            fault = f"got {len(msg.bodies) // w} share entries for {len(recipients) - 1} mates"
         if fault is not None:
             raise ProtocolAbort(f"user {self.index} {fault}", blamed="server")
-        cut = recipients.index(self._own_token) * ENTRY_BYTES
+        cut = recipients.index(self._own_token) * w
         self._held = msg.bodies[:cut] + self._held + msg.bodies[cut:]
-        self._held_at = dict(zip(recipients, range(0, len(self._held), ENTRY_BYTES)))
+        self._held_at = dict(zip(recipients, range(0, len(self._held), w)))
 
     # -- masked upload --------------------------------------------------------
 
@@ -264,7 +271,9 @@ class UserAgent:
             )
         forced = set(req.forced)
         held, held_at, done_for = self._held, self._held_at, self._released
-        released: list[tuple[bytes, int, int, bytes]] = []
+        width = self.group.key_share_bytes
+        keys: list[tuple[bytes, int, bytes]] = []
+        seeds: list[tuple[bytes, int, bytes]] = []
         refused: list[tuple[bytes, int]] = []
         for token, stype in req.targets:
             off = held_at.get(token)
@@ -279,9 +288,9 @@ class UserAgent:
                     refused.append((token, stype))
                     continue
             done_for[token] = done | (1 << stype)
-            index, share = share_part(held, off, stype)
-            released.append((token, stype, index, share))
-        return UnmaskResponseMsg(self.share_threshold, tuple(released), tuple(refused))
+            index, share = share_part(held, off, stype, width)
+            (keys if stype == SECRET_MASK_KEY else seeds).append((token, index, share))
+        return UnmaskResponseMsg(self.share_threshold, width, tuple(keys), tuple(seeds), tuple(refused))
 
     # -- verification -----------------------------------------------------------
 

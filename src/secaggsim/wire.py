@@ -12,15 +12,18 @@ under its own ``SegmentSpec``, and a vector that is not a whole number of
 elements, or holds an element >= 2^w, raises ``WireError`` there.  The
 masked upload and the global model are nothing but those words; the
 server knows an upload's sender from the channel it arrived on.  A
-Shamir share value is one 33-byte big endian field element (the share
-field is the 257-bit prime 2^256 + 297), as every shared secret is below
-2^256 (see ``crypto``).
+Shamir share value is one big endian field element (see ``crypto``): 33
+bytes in the 2^256 + 297 field, which holds every self-seed share and the
+mask-key shares of the sim256 and strong2048 groups, and 9 bytes in the
+2^64 + 13 field, which holds the mask-key shares of the toy and fast64
+groups.  The key-share width W travels in a header byte, and each
+receiver rejects a W other than its group's.
 
 Shamir shares travel in bundles, one per sender to the server and one
 per recipient from the server (the message layout of Bonawitz et al.,
 CCS 2017, section 4).  A bundle is::
 
-    own token (8) || threshold (2) || entry count n (4) || n entry bodies
+    own token (8) || threshold (2) || key-share width W (1) || entry bodies
 
 and carries no other-end tokens: its entries are positional.  An upload
 bundle comes from a share owner, whose token it carries, and holds one
@@ -28,22 +31,24 @@ entry per recipient in the ``share_recipients`` order the server handed
 out, without the owner.  A download bundle goes to one recipient, whose
 token it carries, and holds one entry per owner in the recipient's
 ``share_recipients`` order, without the recipient.  Either way each
-entry's position names its other end.  Every body is 70 bytes::
+entry's position names its other end.  Every body is 4 + W + 33 bytes
+(46 at W = 9, 70 at W = 33)::
 
-    evaluation point (4) || mask-key share (33) || self-seed share (33)
+    evaluation point (4) || mask-key share (W) || self-seed share (33)
 
-so every entry carries both secrets, and a bundle that is not exactly
-n such bodies raises ``WireError``.  The relay moves bodies by position
-and never decodes a share, but the shares are plaintext: it could read
-every one until ROADMAP item 7 replaces each body with a ciphertext.
+so every entry carries both secrets, the entry count is the body bytes
+over the body width, and bodies that are not whole entries raise
+``WireError``.  The relay moves bodies by position and never decodes a
+share, but the shares are plaintext: it could read every one until
+ROADMAP item 7 replaces each body with a ciphertext.
 
-An unmask response carries released shares as a fixed-width release
-table, one row per released share of one secret, which is what the
-never-both rule counts::
+An unmask response carries released shares as one fixed-width release
+table per secret type, one row per released share of one secret, which
+is what the never-both rule counts::
 
-    threshold (2) || row count (4)
-    || rows of: owner token (8) || secret type (1) || evaluation point (4)
-                || share (33)
+    threshold (2) || key-share width W (1) || key row count k (4) || seed row count s (4)
+    || k key rows of: owner token (8) || evaluation point (4) || share (W)
+    || s seed rows of: owner token (8) || evaluation point (4) || share (33)
     || refused (owner token, secret type) targets
 
 A peer list packs its handles at the one blinded key width W the group
@@ -105,7 +110,7 @@ TAG_UNMASK_RESPONSE = 9
 TAG_REVEAL = 10
 TAG_GLOBAL_MODEL = 11
 
-SHARE_VALUE_BYTES = 33  # holds one element of the 2^256 + 297 share field
+SHARE_VALUE_BYTES = 33  # one element of the 2^256 + 297 field: every seed share, wide key shares
 
 SECRET_MASK_KEY = 1  # share of a user's pairwise-mask private key
 SECRET_SELF_SEED = 2  # share of a user's per-round self-mask seed
@@ -361,57 +366,73 @@ class PeerListMsg:
         return PeerListMsg(own, peers, recips)
 
 
-_BUNDLE_HEAD = struct.Struct(">8sHI")  # own token, threshold, entries
-_BODY = struct.Struct(f">I{SHARE_VALUE_BYTES}s{SHARE_VALUE_BYTES}s")  # point, key share, seed share
-ENTRY_BYTES = _BODY.size
+_BUNDLE_HEAD = struct.Struct(">8sHB")  # own token, threshold, key-share width
 
 
-def share_bodies(points: Sequence[tuple[int, int, int]]) -> list[bytes]:
+@functools.lru_cache(maxsize=16)  # one per key-share width in use
+def _entry_body(key_width: int) -> struct.Struct:
+    """Evaluation point, key share of ``key_width`` bytes, seed share."""
+    return struct.Struct(f">I{key_width}s{SHARE_VALUE_BYTES}s")
+
+
+def entry_bytes(key_width: int) -> int:
+    """Bytes of one bundle entry body whose key share is ``key_width`` bytes."""
+    return 4 + key_width + SHARE_VALUE_BYTES
+
+
+def share_bodies(points: Sequence[tuple[int, int, int]], key_width: int) -> list[bytes]:
     """One entry body per (evaluation point, key share, seed share) of one
-    owner."""
+    owner, with key shares of ``key_width`` bytes."""
+    pack = _entry_body(key_width).pack
     return [
-        _BODY.pack(index, key.to_bytes(SHARE_VALUE_BYTES, "big"), seed.to_bytes(SHARE_VALUE_BYTES, "big"))
+        pack(index, key.to_bytes(key_width, "big"), seed.to_bytes(SHARE_VALUE_BYTES, "big"))
         for index, key, seed in points
     ]
 
 
-def share_part(bodies: bytes, off: int, secret_type: int) -> tuple[int, bytes]:
+def share_part(bodies: bytes, off: int, secret_type: int, key_width: int) -> tuple[int, bytes]:
     """Evaluation point and share bytes of one secret in the body at ``off``."""
     if secret_type not in (SECRET_MASK_KEY, SECRET_SELF_SEED):
         raise ValueError(f"unknown secret type tag {secret_type}")
-    index, key, seed = _BODY.unpack_from(bodies, off)
+    index, key, seed = _entry_body(key_width).unpack_from(bodies, off)
     return index, key if secret_type == SECRET_MASK_KEY else seed
 
 
 @dataclass(frozen=True)
 class ShareMsg:
-    """A bundle of Shamir share entries between one user and the server.
+    """A bundle of Shamir share entries between one user and the server:
+    token (8) || threshold (2) || key-share width W (1) || bodies, each body
+    point (4) || key share (W) || seed share (33).
 
     ``token`` is the user's own: the owner's in an upload bundle, the
     recipient's in a download bundle.  ``bodies`` holds one
-    ``ENTRY_BYTES``-byte body per entry (see ``share_bodies``), in that
-    user's ``share_recipients`` order without the user itself.
+    ``entry_bytes(key_width)``-byte body per entry (see ``share_bodies``),
+    in that user's ``share_recipients`` order without the user itself.
     """
 
     token: bytes
     threshold: int
+    key_width: int
     bodies: bytes
 
     def to_bytes(self) -> bytes:
-        entries, partial = divmod(len(self.bodies), ENTRY_BYTES)
-        if partial or len(self.token) != TOKEN_BYTES:
-            raise ValueError("share bundle needs an 8-byte token and whole entry bodies")
-        head = _BUNDLE_HEAD.pack(self.token, self.threshold, entries)
+        if len(self.token) != TOKEN_BYTES or not 0 < self.key_width < 256:
+            raise ValueError("share bundle needs an 8-byte token and a key-share width of 1 to 255 bytes")
+        if len(self.bodies) % entry_bytes(self.key_width):
+            raise ValueError("share bundle needs whole entry bodies")
+        head = _BUNDLE_HEAD.pack(self.token, self.threshold, self.key_width)
         return encode_record(TAG_SHARE_MSG, head + self.bodies)
 
     @staticmethod
     def from_bytes(data: bytes) -> "ShareMsg":
         payload = _payload_of(data, TAG_SHARE_MSG)
-        token, threshold, entries = _unpack(_BUNDLE_HEAD.format, payload, 0)
+        token, threshold, key_width = _unpack(_BUNDLE_HEAD.format, payload, 0)
         bodies = payload[_BUNDLE_HEAD.size :]
-        if len(bodies) != entries * ENTRY_BYTES:
-            raise WireError(f"share bundle of {len(payload)} bytes does not hold {entries} entries of {ENTRY_BYTES}")
-        return ShareMsg(token, threshold, bodies)
+        if not key_width:
+            raise WireError("share bundle with zero-byte key shares")
+        if len(bodies) % entry_bytes(key_width):
+            raise WireError(f"{len(bodies)} share bundle bytes are not whole entries of {entry_bytes(key_width)}")
+        return ShareMsg(token, threshold, key_width, bodies)
 
 
 @dataclass(frozen=True)
@@ -460,43 +481,76 @@ class UnmaskRequestMsg:
         return UnmaskRequestMsg(targets, forced)
 
 
-_RELEASE_HEAD = struct.Struct(">HI")  # threshold, rows
-_RELEASE_ROW = struct.Struct(f">8sBI{SHARE_VALUE_BYTES}s")  # owner token, secret type, point, share
-_ROW_TYPE = 8  # offset of the secret type in a row
+_RELEASE_HEAD = struct.Struct(">HBII")  # threshold, key-share width, key rows, seed rows
+
+ReleaseRow = tuple[bytes, int, bytes]  # (owner token, evaluation point, share bytes)
+
+
+@functools.lru_cache(maxsize=16)  # the width comes off the wire, so the cache is bounded
+def _release_row(width: int) -> struct.Struct:
+    """Owner token, evaluation point, share of ``width`` bytes."""
+    return struct.Struct(f">8sI{width}s")
+
+
+_SEED_ROW = _release_row(SHARE_VALUE_BYTES)
 
 
 @dataclass(frozen=True)
 class UnmaskResponseMsg:
-    """Released shares as a release table, plus the refused targets.
+    """Released shares as one release table per secret type, plus the
+    refused targets: threshold (2) || key-share width W (1) || key row
+    count (4) || seed row count (4) || key rows || seed rows || refused
+    targets, each row owner token (8) || point (4) || share (W for keys,
+    33 for seeds).
 
-    Each ``shares`` row is (owner token, secret type, evaluation point,
-    share bytes) for one secret; ``threshold`` is the holder's t, which the
-    server checks against its own.
+    ``keys`` and ``seeds`` hold (owner token, evaluation point, share
+    bytes) rows of mask-key shares of ``key_width`` bytes and of self-seed
+    shares of ``SHARE_VALUE_BYTES``; ``threshold`` is the holder's t and
+    ``key_width`` its group's key-share width, which the server checks
+    against its own.
     """
 
     threshold: int
-    shares: tuple[tuple[bytes, int, int, bytes], ...] = ()
+    key_width: int
+    keys: tuple[ReleaseRow, ...] = ()
+    seeds: tuple[ReleaseRow, ...] = ()
     refused: tuple[tuple[bytes, int], ...] = ()  # (owner token, refused type)
 
+    @property
+    def shares(self) -> tuple[tuple[bytes, int, int, bytes], ...]:
+        """Every released row as (owner token, secret type, evaluation
+        point, share bytes), key rows first."""
+        return tuple((owner, SECRET_MASK_KEY, index, raw) for owner, index, raw in self.keys) + tuple(
+            (owner, SECRET_SELF_SEED, index, raw) for owner, index, raw in self.seeds
+        )
+
     def to_bytes(self) -> bytes:
-        rows = self.shares
-        if any(len(owner) != TOKEN_BYTES or len(raw) != SHARE_VALUE_BYTES for owner, _, _, raw in rows):
-            raise ValueError("release rows need 8-byte owner tokens and 33-byte shares")  # "s" would pad or cut them
-        table = b"".join(starmap(_RELEASE_ROW.pack, rows))
-        head = _RELEASE_HEAD.pack(self.threshold, len(rows))
+        keys, seeds, width = self.keys, self.seeds, self.key_width
+        if not 0 < width < 256:
+            raise ValueError("a release table needs a key-share width of 1 to 255 bytes")
+        # "s" fields would pad or cut a token or share of another length
+        if any(len(owner) != TOKEN_BYTES or len(raw) != width for owner, _, raw in keys) or any(
+            len(owner) != TOKEN_BYTES or len(raw) != SHARE_VALUE_BYTES for owner, _, raw in seeds
+        ):
+            raise ValueError("release rows need 8-byte owner tokens and shares of their table's width")
+        table = b"".join(starmap(_release_row(width).pack, keys)) + b"".join(starmap(_SEED_ROW.pack, seeds))
+        head = _RELEASE_HEAD.pack(self.threshold, width, len(keys), len(seeds))
         return encode_record(TAG_UNMASK_RESPONSE, head + table + _pack_targets(self.refused))
 
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskResponseMsg":
         payload = _payload_of(data, TAG_UNMASK_RESPONSE)
-        threshold, count = _unpack(_RELEASE_HEAD.format, payload, 0)
-        table, off = _take(payload, _RELEASE_HEAD.size, count * _RELEASE_ROW.size)
-        if table[_ROW_TYPE :: _RELEASE_ROW.size].translate(None, _SECRET_TYPES):
-            raise WireError("release rows of an unknown secret type")
-        shares = tuple(_RELEASE_ROW.iter_unpack(table))
+        threshold, width, k, n = _unpack(_RELEASE_HEAD.format, payload, 0)
+        if not width:
+            raise WireError("release table with zero-byte key shares")
+        key_row = _release_row(width)
+        keys, off = _take(payload, _RELEASE_HEAD.size, k * key_row.size)
+        seeds, off = _take(payload, off, n * _SEED_ROW.size)
         refused, end = _unpack_targets(payload, off)
         _check_end(payload, end)
-        return UnmaskResponseMsg(threshold, shares, refused)
+        return UnmaskResponseMsg(
+            threshold, width, tuple(key_row.iter_unpack(keys)), tuple(_SEED_ROW.iter_unpack(seeds)), refused
+        )
 
 
 _REVEAL_WIDTHS = struct.Struct(">IHHHH")  # N, then the four field widths

@@ -14,6 +14,7 @@ from secaggsim.crypto import (
     FAST_GROUP,
     POW_BATCH_MIN,
     SHARE_PRIME,
+    SHARE_PRIME_64,
     SIM_GROUP,
     STRONG_GROUP,
     TOY_GROUP,
@@ -29,7 +30,6 @@ from secaggsim.crypto import (
     randomize_pubs,
     reconstruct_secret,
     share_secret,
-    _eval_poly,
 )
 from secaggsim.fixedpoint import SegmentSpec
 
@@ -257,14 +257,27 @@ def test_prg_uniformity_chi_square():
 # -- Shamir sharing -----------------------------------------------------------------
 
 
+class _Coefficients:
+    """An rng stand-in whose ``randrange`` hands out fixed coefficients."""
+
+    def __init__(self, *coeffs: int):
+        self.coeffs = iter(coeffs)
+
+    def randrange(self, bound: int) -> int:
+        return next(self.coeffs)
+
+
 def test_share_hand_polynomial_oracle():
     # polynomial 42 + 5x over GF(257): shares at x=1..3, reconstruct from two
     p = 257
-    coeffs = [42, 5]
-    shares = [Share(index=i, values=(_eval_poly(coeffs, i, p),), threshold=2, prime=p) for i in (1, 2, 3)]
-    assert [s.values[0] for s in shares] == [47, 52, 57]
+    shares = share_secret(42, 2, 3, _Coefficients(5), prime=p)
+    assert shares == [Share(1, 47, 2, p), Share(2, 52, 2, p), Share(3, 57, 2, p)]
     assert reconstruct_secret([shares[0], shares[2]]) == 42
     assert reconstruct_secret(shares) == 42  # superset of the threshold
+    # 42 + 5x + 250x^2 reduces mod 257 at every point: 40, 24, 251, 207
+    shares = share_secret(42, 3, 4, _Coefficients(5, 250), prime=p)
+    assert [(s.index, s.value) for s in shares] == [(1, 40), (2, 24), (3, 251), (4, 207)]
+    assert reconstruct_secret(shares[1:]) == 42
 
 
 def test_share_threshold_errors():
@@ -272,7 +285,7 @@ def test_share_threshold_errors():
     shares = share_secret(42, 2, 3, rng, prime=257)
     with pytest.raises(InsufficientSharesError):
         reconstruct_secret(shares[:1])
-    dup = [shares[0], Share(index=1, values=shares[0].values, threshold=2, prime=257)]
+    dup = [shares[0], Share(index=1, value=shares[0].value, threshold=2, prime=257)]
     with pytest.raises(ValueError):
         reconstruct_secret(dup)
     with pytest.raises(ValueError):
@@ -286,7 +299,7 @@ def test_reconstruct_rejects_threshold_below_two():
     # "reconstruct" to its own value, not the secret
     s = share_secret(123456789, 3, 5, Random(3))[0]
     with pytest.raises(ValueError):
-        reconstruct_secret([Share(s.index, s.values, 1)])
+        reconstruct_secret([Share(s.index, s.value, 1)])
 
 
 @given(st.integers(2, 12), st.integers(0, 2**64 - 1), st.integers(0, 2**32))
@@ -309,10 +322,11 @@ def test_share_reconstruct_wide_grid():
 
 def test_share_secret_outside_field_rejected():
     rng = Random(9)
-    for secret in (-1, SHARE_PRIME, (5, SHARE_PRIME + 1)):
+    for secret, prime in ((-1, SHARE_PRIME), (SHARE_PRIME, SHARE_PRIME), (SHARE_PRIME_64, SHARE_PRIME_64)):
         with pytest.raises(ValueError):
-            share_secret(secret, 3, 5, rng)
-    assert reconstruct_secret(share_secret(SHARE_PRIME - 1, 3, 5, rng)[1:4]) == SHARE_PRIME - 1
+            share_secret(secret, 3, 5, rng, prime)
+    for prime in (SHARE_PRIME, SHARE_PRIME_64):
+        assert reconstruct_secret(share_secret(prime - 1, 3, 5, rng, prime)[1:4]) == prime - 1
 
 
 def test_share_prime_is_smallest_above_2_256():
@@ -321,27 +335,36 @@ def test_share_prime_is_smallest_above_2_256():
     assert sympy.nextprime(1 << 256) == SHARE_PRIME
 
 
-def test_share_tuple_of_secrets_same_points():
-    """A tuple is shared under one set of evaluation points, one field
-    element per secret in each share; each secret's value of the shares
-    reconstructs that secret alone, and a share carrying both does not
-    reconstruct at all."""
+def test_key_share_prime_is_smallest_above_2_64():
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(SHARE_PRIME_64)
+    assert sympy.nextprime(1 << 64) == SHARE_PRIME_64
+
+
+KEY_FIELDS = {TOY_GROUP: (SHARE_PRIME_64, 9), FAST_GROUP: (SHARE_PRIME_64, 9), SIM_GROUP: (SHARE_PRIME, 33), STRONG_GROUP: (SHARE_PRIME, 33)}
+
+
+@pytest.mark.parametrize("group", KEY_FIELDS, ids=lambda g: g.name)
+def test_mask_key_field_holds_every_exponent(group):
+    """A group's mask key is shared in the smaller field above every
+    exponent it draws: 2^64 + 13 (9-byte shares) below a 64-bit order,
+    2^256 + 297 (33-byte shares) above; its largest exponent and a drawn
+    key reconstruct from any t shares there."""
+    prime, width = KEY_FIELDS[group]
+    assert (group.key_prime, group.key_share_bytes) == (prime, width)
+    largest = min(group.order, 1 << 256) - 1
+    assert largest < prime and (prime == SHARE_PRIME or group.order <= 1 << 64)
     rng = Random(13)
-    key, seed = STRONG_GROUP.random_exponent(rng), rng.getrandbits(256)
-    shares = share_secret((key, seed), 3, 6, rng)
-    assert [s.index for s in shares] == [1, 2, 3, 4, 5, 6]
-    assert all(len(s.values) == 2 for s in shares)
-    picked = rng.sample(shares, 3)
-    assert reconstruct_secret([Share(s.index, s.values[:1], s.threshold) for s in picked]) == key
-    assert reconstruct_secret([Share(s.index, s.values[1:], s.threshold) for s in picked]) == seed
-    with pytest.raises(ValueError):
-        reconstruct_secret(picked)
+    for key in (largest, group.random_exponent(rng)):
+        shares = share_secret(key, 3, 6, rng, group.key_prime)
+        assert all(s.value.bit_length() <= 8 * width for s in shares)
+        assert reconstruct_secret(rng.sample(shares, 3)) == key
 
 
 def test_share_hiding_distribution():
     # with t-1 = 1 share, the share value is uniform over re-randomized polys
     rng = Random(11)
     p = 257
-    values = [share_secret(123, 2, 3, rng, prime=p)[0].values[0] for _ in range(20_000)]
+    values = [share_secret(123, 2, 3, rng, prime=p)[0].value for _ in range(20_000)]
     counts = np.bincount(values, minlength=p)
     assert stats.chisquare(counts).pvalue > 0.01

@@ -13,7 +13,7 @@ from conftest import build_round, plaintext_sum, random_inputs, run_plain_round
 from secaggsim.aggserver import fedsgd_update
 from secaggsim.counters import OpCounters
 from secaggsim import simulation, useragent
-from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, SIM_GROUP
+from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, SIM_GROUP, STRONG_GROUP, reconstruct_secret
 from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError
 from secaggsim.fixedpoint import (
     ParamVector,
@@ -28,7 +28,6 @@ from secaggsim.simulation import run_scenario
 from secaggsim.simulation import execute_round
 from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
-    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SERVER,
@@ -54,6 +53,7 @@ from secaggsim.wire import (
     decode_from,
     decode_record,
     encode_record,
+    entry_bytes,
     share_bodies,
     share_part,
 )
@@ -169,9 +169,9 @@ def test_masked_upload_looks_uniform():
 # -- share distribution -------------------------------------------------------------
 
 
-def _lone_agent(n_recipients=3, threshold=2):
+def _lone_agent(n_recipients=3, threshold=2, group=SIM_GROUP):
     counters = OpCounters()
-    agent = UserAgent(0, group=SIM_GROUP, spec=SPEC, inter_mask_bits=10, share_threshold=threshold, counters=counters)
+    agent = UserAgent(0, group=group, spec=SPEC, inter_mask_bits=10, share_threshold=threshold, counters=counters)
     agent.begin_round(Random(0), bytes(32))
     agent.open_rand(NO_TREE)
     tokens = tuple(bytes([i]) * 8 for i in range(n_recipients))
@@ -179,29 +179,35 @@ def _lone_agent(n_recipients=3, threshold=2):
     return agent, tokens, counters
 
 
-def _entry_share(bundle: ShareMsg, j: int, secret_type: int):
-    """Entry j's share of one secret, as ``reconstruct_secret`` takes it."""
-    from secaggsim.crypto import Share
+def _entry_share(bundle: ShareMsg, j: int, secret_type: int, group=SIM_GROUP):
+    """Entry j's share of one secret, in that secret's field, as
+    ``reconstruct_secret`` takes it."""
+    from secaggsim.crypto import SHARE_PRIME, Share
 
-    index, share = share_part(bundle.bodies, j * ENTRY_BYTES, secret_type)
-    return Share(index, (int.from_bytes(share, "big"),), bundle.threshold)
+    width = bundle.key_width
+    index, share = share_part(bundle.bodies, j * entry_bytes(width), secret_type, width)
+    prime = group.key_prime if secret_type == SECRET_MASK_KEY else SHARE_PRIME
+    return Share(index, int.from_bytes(share, "big"), bundle.threshold, prime)
 
 
 def test_share_counting_example():
     # n=3 recipients, t=2: two secrets, one retained share each -> 4 outbound
-    # shares, packed two to an entry for the 2 other recipients
-    agent, tokens, counters = _lone_agent()
-    bundle = agent.distribute_shares()
-    assert bundle.token == tokens[0]
-    assert len(bundle.bodies) == 2 * ENTRY_BYTES
-    parts = [share_part(bundle.bodies, j * ENTRY_BYTES, stype) for j in range(2) for stype in (1, 2)]
-    assert len(parts) == 4 and all(len(share) == SHARE_VALUE_BYTES for _, share in parts)
-    assert counters.shares_created == 6
+    # shares, packed two to an entry for the 2 other recipients; a fast64
+    # key share takes 9 bytes, a sim256 one 33, a seed share 33
+    for group, width in ((SIM_GROUP, SHARE_VALUE_BYTES), (FAST_GROUP, 9)):
+        agent, tokens, counters = _lone_agent(group=group)
+        bundle = agent.distribute_shares()
+        assert bundle.token == tokens[0] and bundle.key_width == width
+        assert len(bundle.bodies) == 2 * entry_bytes(width) == 2 * (4 + width + SHARE_VALUE_BYTES)
+        parts = [share_part(bundle.bodies, j * entry_bytes(width), stype, width) for j in range(2) for stype in (1, 2)]
+        assert [len(share) for _, share in parts] == [width, SHARE_VALUE_BYTES] * 2
+        assert counters.shares_created == 6
+        seed = int.from_bytes(agent.self_seed, "big")
+        for stype, secret in ((SECRET_MASK_KEY, agent.mask_keys.secret), (SECRET_SELF_SEED, seed)):
+            assert reconstruct_secret([_entry_share(bundle, j, stype, group) for j in range(2)]) == secret
 
 
 def test_share_reconstruct_self_seed():
-    from secaggsim.crypto import reconstruct_secret
-
     agent, tokens, _ = _lone_agent()
     bundle = agent.distribute_shares()
     got = reconstruct_secret([_entry_share(bundle, j, SECRET_SELF_SEED) for j in range(2)])
@@ -226,13 +232,15 @@ def test_phase_skip_is_protocol_abort():
         agent._advance(PHASE_COMMIT, PHASE_UPLOAD)
 
 
-def _download(agent, owners_values, threshold=2, token=None):
+def _download(agent, owners_values, threshold=2, token=None, width=None):
     """A download bundle for ``agent``, decoded from its bytes as a round
     hands it over: one entry per other recipient, at the agent's evaluation
-    point, with the given key and seed values."""
+    point, with the given key and seed values, and key shares of the
+    agent's group's width unless ``width`` is given."""
     point = agent._recipients.index(agent._own_token) + 1
-    bodies = share_bodies([(point, key, seed) for key, seed in owners_values])
-    data = ShareMsg(token or agent._own_token, threshold, b"".join(bodies)).to_bytes()
+    width = width or agent.group.key_share_bytes
+    bodies = share_bodies([(point, key, seed) for key, seed in owners_values], width)
+    data = ShareMsg(token or agent._own_token, threshold, width, b"".join(bodies)).to_bytes()
     return decode_from(SERVER, ShareMsg, data)
 
 
@@ -240,8 +248,10 @@ def test_share_type_tag_enforced():
     agent, tokens, _ = _lone_agent()
     agent.distribute_shares()
     own = dict(agent._held_at)
-    # a bundle addressed to someone else, or with an entry missing, is rejected whole
-    for bad in (_download(agent, [(5, 6), (7, 8)], token=tokens[1]), _download(agent, [(5, 6)])):
+    # a bundle addressed to someone else, with an entry missing, or with key
+    # shares of another group's width, is rejected whole
+    wrong_width = _download(agent, [(5, 6), (7, 8)], width=9)
+    for bad in (_download(agent, [(5, 6), (7, 8)], token=tokens[1]), _download(agent, [(5, 6)]), wrong_width):
         with pytest.raises(ProtocolAbort) as exc:
             agent.receive_share(bad)
         assert exc.value.blamed == "server" and agent._held_at == own
@@ -251,16 +261,15 @@ def test_share_type_tag_enforced():
     with pytest.raises(ProtocolAbort) as exc:
         agent.receive_share(_download(agent, [(9, 9), (9, 9)]))
     assert exc.value.blamed == "server" and agent._held == held
-    assert share_part(held, agent._held_at[tokens[1]], SECRET_MASK_KEY) == (1, (5).to_bytes(SHARE_VALUE_BYTES, "big"))
+    width = SHARE_VALUE_BYTES
+    assert share_part(held, agent._held_at[tokens[1]], SECRET_MASK_KEY, width) == (1, (5).to_bytes(width, "big"))
 
 
 def test_wide_mask_key_shares_reconstruct():
     """A strong2048 key is a short exponent below 2^256, so it travels as
-    one field element beside the seed's in each 70-byte entry, and both
-    secrets reconstruct from any t entries."""
+    one 33-byte element of the 2^256 + 297 field beside the seed's in each
+    70-byte entry, and both secrets reconstruct from any t entries."""
     import itertools
-
-    from secaggsim.crypto import STRONG_GROUP, reconstruct_secret
 
     agent = UserAgent(
         0, group=STRONG_GROUP, spec=SPEC, inter_mask_bits=10, share_threshold=3, counters=OpCounters()
@@ -271,12 +280,12 @@ def test_wide_mask_key_shares_reconstruct():
     agent.receive_peer_list(PeerListMsg(tokens[2], (), tokens))
     assert 1 <= agent.mask_keys.secret < 1 << 256
     bundle = agent.distribute_shares()
-    assert len(bundle.bodies) == 5 * ENTRY_BYTES
+    assert bundle.key_width == SHARE_VALUE_BYTES and len(bundle.bodies) == 5 * entry_bytes(SHARE_VALUE_BYTES) == 350
     assert ShareMsg.from_bytes(bundle.to_bytes()) == bundle
     seed = int.from_bytes(agent.self_seed, "big")
     for picked in itertools.combinations(range(5), 3):
-        key_shares = [_entry_share(bundle, j, SECRET_MASK_KEY) for j in picked]
-        seed_shares = [_entry_share(bundle, j, SECRET_SELF_SEED) for j in picked]
+        key_shares = [_entry_share(bundle, j, SECRET_MASK_KEY, STRONG_GROUP) for j in picked]
+        seed_shares = [_entry_share(bundle, j, SECRET_SELF_SEED, STRONG_GROUP) for j in picked]
         assert reconstruct_secret(key_shares) == agent.mask_keys.secret
         assert reconstruct_secret(seed_shares) == seed
 
@@ -353,17 +362,20 @@ def test_fifteen_percent_dropouts_exact_sum():
     assert np.array_equal(result.total.values, plaintext_sum(survivors, 12, SPEC))
 
 
-def test_strong_group_round_with_dropouts_matches_oracle():
-    """strong2048's short exponents share as one field element each, and a
-    round with dropouts recovers their mask keys exactly."""
-    from secaggsim.crypto import STRONG_GROUP
-
+@pytest.mark.parametrize(
+    "group, width", [(FAST_GROUP, 9), (SIM_GROUP, 33), (STRONG_GROUP, 33)], ids=["fast64", "sim256", "strong2048"]
+)
+def test_dropout_round_matches_oracle_in_each_key_field(group, width):
+    """Mask keys are shared in their group's field (9-byte shares for
+    fast64, 33-byte ones for sim256 and strong2048's short exponents), and
+    a round with dropouts reconstructs them there exactly."""
     inputs = random_inputs(24, 8, SPEC, seed=35)
     drop = {2, 11, 17}
-    result, server, _, counters = run_plain_round(24, TREE22, SPEC, inputs, seed=35, pre_drop=drop, group=STRONG_GROUP)
+    result, server, users, counters = run_plain_round(24, TREE22, SPEC, inputs, seed=35, pre_drop=drop, group=group)
     survivors = {u: x for u, x in inputs.items() if u not in drop}
     assert np.array_equal(result.total.values, plaintext_sum(survivors, 8, SPEC))
     assert counters.mask_cancellations > 0 and len(server._mask_secrets) == len(drop)
+    assert all(len(u._held) == len(u._recipients) * (4 + width + SHARE_VALUE_BYTES) for u in users)
 
 
 class _FlagFirstLeaf:
@@ -901,20 +913,26 @@ def test_lying_threshold_rejected_at_receive_unmask():
 
 def _relabelled(resp, server):
     """Every row claims evaluation point 1; user 3's own point is 3."""
-    return dataclasses.replace(resp, shares=tuple((owner, stype, 1, share) for owner, stype, _, share in resp.shares))
+    keys, seeds = (tuple((owner, 1, share) for owner, _, share in rows) for rows in (resp.keys, resp.seeds))
+    return dataclasses.replace(resp, keys=keys, seeds=seeds)
 
 
 def _unasked_rows(resp, server):
     """Self-seed rows, at the holder's own point, for every owner it was
     not asked about."""
     asked = {owner for owner, *_ in resp.shares}
-    _, _, index, share = resp.shares[0]
-    extra = tuple((tok, SECRET_SELF_SEED, index, share) for tok in server.tokens if tok not in asked)
-    return dataclasses.replace(resp, shares=resp.shares + extra)
+    _, index, share = resp.seeds[0]
+    extra = tuple((tok, index, share) for tok in server.tokens if tok not in asked)
+    return dataclasses.replace(resp, seeds=resp.seeds + extra)
 
 
 def _repeated_row(resp, server):
-    return dataclasses.replace(resp, shares=resp.shares + resp.shares[:1])
+    return dataclasses.replace(resp, seeds=resp.seeds + resp.seeds[:1])
+
+
+def _narrow_key_table(resp, server):
+    """A sim256 holder's table claiming fast64's 9-byte key shares."""
+    return dataclasses.replace(resp, key_width=9)
 
 
 @pytest.mark.parametrize(
@@ -923,6 +941,7 @@ def _repeated_row(resp, server):
         pytest.param(_relabelled, "evaluation point 1, not its own 3", id="relabelled_point"),
         pytest.param(_unasked_rows, "not asked for", id="unasked_owners"),
         pytest.param(_repeated_row, "a share twice", id="repeated_row"),
+        pytest.param(_narrow_key_table, "key shares of 9 bytes, not 33", id="wrong_key_width"),
     ],
 )
 def test_unrequested_release_rows_rejected_at_receive_unmask(tamper, match):
@@ -943,7 +962,7 @@ def test_unrequested_release_rows_rejected_at_receive_unmask(tamper, match):
 
 
 def _silent(honest, req):
-    return UnmaskResponseMsg(TREE22.share_threshold)
+    return UnmaskResponseMsg(TREE22.share_threshold, SIM_GROUP.key_share_bytes)
 
 
 def _refusing(honest, req):
@@ -1001,7 +1020,7 @@ def test_exclusion_shortfall_is_asked_again():
     def silent_when_forced(req):
         if req.forced:
             silenced.append(req)
-            return UnmaskResponseMsg(TREE22.share_threshold)
+            return UnmaskResponseMsg(TREE22.share_threshold, SIM_GROUP.key_share_bytes)
         return honest(req)
 
     users[3].unmask_response = silent_when_forced
@@ -1029,7 +1048,7 @@ def test_leaf_with_t_minus_one_answering_holders_is_unrecoverable():
     def silence_a_leaf():
         finish()
         for u in server.setup.share_assignment.members[0][tree.share_threshold - 1 :]:
-            users[u].unmask_response = lambda req: UnmaskResponseMsg(tree.share_threshold)
+            users[u].unmask_response = lambda req: UnmaskResponseMsg(tree.share_threshold, SIM_GROUP.key_share_bytes)
 
     server.finish_setup = silence_a_leaf
     with pytest.raises(UnrecoverableRoundError, match="only 2 shares"):
@@ -1041,7 +1060,7 @@ def test_leaf_with_t_minus_one_answering_holders_is_unrecoverable():
 
 def _resized(bundle, entries):
     """The bundle with its first entry dropped or repeated."""
-    w = ENTRY_BYTES
+    w = entry_bytes(bundle.key_width)
     bodies = bundle.bodies[w:] if entries < 0 else bundle.bodies[:w] + bundle.bodies
     return dataclasses.replace(bundle, bodies=bodies)
 
@@ -1124,6 +1143,72 @@ def test_malformed_bytes_blamed_on_their_sender(sender, tag):
     with pytest.raises(ProtocolAbort, match="malformed") as exc:
         _run_16(server, users, transport, 75)
     assert exc.value.blamed == sender
+
+
+def _rewidth(bundle, width):
+    """The bundle with every entry re-packed around a ``width``-byte key share."""
+    w = bundle.key_width
+    points = []
+    for off in range(0, len(bundle.bodies), entry_bytes(w)):
+        index, key = share_part(bundle.bodies, off, SECRET_MASK_KEY, w)
+        _, seed = share_part(bundle.bodies, off, SECRET_SELF_SEED, w)
+        points.append((index, int.from_bytes(key, "big"), int.from_bytes(seed, "big")))
+    return dataclasses.replace(bundle, key_width=width, bodies=b"".join(share_bodies(points, width)))
+
+
+def _wide_upload(server, users, transport):
+    honest = users[3].distribute_shares
+    users[3].distribute_shares = lambda: _rewidth(honest(), 33)
+
+
+def _wide_download(server, users, transport):
+    route = server.route_share
+
+    def rewidth_first(sender, msg):
+        out = route(sender, msg)
+        return [(r, _rewidth(b, 33)) for r, b in out[:1]] + out[1:]
+
+    server.route_share = rewidth_first
+
+
+def _width_byte(sender):
+    """Set the key-share width byte of every SHARE record ``sender`` sends
+    to 33, leaving the 46-byte bodies as they are."""
+
+    def install(server, users, transport):
+        deliver = transport.deliver
+
+        def corrupting(s, receiver, encoded):
+            received = deliver(s, receiver, encoded)
+            if s == sender and received[0] == TAG_SHARE_MSG:
+                _, payload = decode_record(received)
+                return encode_record(TAG_SHARE_MSG, payload[:10] + bytes([33]) + payload[11:])
+            return received
+
+        transport.deliver = corrupting
+
+    return install
+
+
+@pytest.mark.parametrize(
+    "tamper, blamed, match",
+    [
+        pytest.param(_wide_upload, "user:3", "user 3 sent key shares of 33 bytes, not 9", id="upload_repacked"),
+        pytest.param(_wide_download, "server", "got key shares of 33 bytes, not 9", id="download_repacked"),
+        pytest.param(_width_byte("user:3"), "user:3", "malformed ShareMsg", id="upload_width_byte"),
+        pytest.param(_width_byte("server"), "server", "malformed ShareMsg", id="download_width_byte"),
+    ],
+)
+def test_wrong_key_share_width_aborts_the_round(tamper, blamed, match):
+    """In a fast64 round every bundle carries 9-byte key shares.  One with
+    33-byte key shares is blamed on its sender: on the user at
+    ``route_share``, on the server at ``receive_share``; a width byte that
+    does not fit the bodies fails to decode, blamed the same way."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC, group=FAST_GROUP)
+    tamper(server, users, transport)
+    with pytest.raises(ProtocolAbort, match=match) as exc:
+        _run_16(server, users, transport, 80)
+    assert exc.value.blamed == blamed
 
 
 def test_bundle_for_another_user_rejected_at_the_receiver():

@@ -128,7 +128,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "9d3da7c4f2be6c7c86c6ea64a77d3ff5968bfa467adddcfdfec30184508cebca",
+        "0e60734fa15ce92a1082f63442aa4f7bab7339524539267c63136223ce77900e",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -146,7 +146,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "4c5fda3158f4513c8a282227698cb435984088d58563d4f22e7c098d9127f00a",
+        "a32b15ae21cf6a39bc3b56ce2182d2ea507ad2828a7ab90c94e627ba6a9f352c",
     ),
 }
 
@@ -260,7 +260,8 @@ def test_complexity_bench_script(tmp_path: Path):
     assert all(" up=" in line and " down=" in line for line in proc.stdout.splitlines() if " prg/user=" in line)
     assert proc.stdout.count("dh fast64 batch=") == 2
     shamir = [line for line in proc.stdout.splitlines() if line.startswith("shamir t=")]
-    assert len(shamir) == 2 and all(" shares/s reconstruct=" in line and line.endswith(" secrets/s") for line in shamir)
+    assert len(shamir) == 4 and all(" shares/s reconstruct=" in line and line.endswith(" secrets/s") for line in shamir)
+    assert [line.split("field=")[1].split()[0] for line in shamir] == ["2^64+13", "2^256+297"] * 2
 
 
 def test_detection_sweep_script_help(tmp_path: Path):

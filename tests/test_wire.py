@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from secaggsim.aggserver import AggServer
 from secaggsim.counters import OpCounters
-from secaggsim.crypto import SHARE_PRIME, SIM_GROUP
+from secaggsim.crypto import SHARE_PRIME, SHARE_PRIME_64, SIM_GROUP
 from secaggsim.errors import ProtocolAbort, WireError
 from secaggsim.fixedpoint import SegmentSpec
 from secaggsim.orgtree import TreeConfig
 from secaggsim.wire import (
-    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SHARE_VALUE_BYTES,
@@ -40,17 +39,19 @@ from secaggsim.wire import (
     decode_from,
     decode_record,
     encode_record,
+    entry_bytes,
     share_bodies,
     share_part,
 )
 
 TOK = [bytes([i]) * 8 for i in range(4)]
 SPEC32 = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
-SHARE = ShareMsg(TOK[0], 3, b"".join(share_bodies([(2, 5, (1 << 256) + 7), (3, 1, 2)])))
+KEY64 = 9  # bytes of a mask-key share in the 2^64 + 13 field
+SHARE = ShareMsg(TOK[0], 3, KEY64, b"".join(share_bodies([(2, 5, (1 << 256) + 7), (3, (1 << 64) + 1, 2)], KEY64)))
 
 
-def _share(value: int) -> bytes:
-    return value.to_bytes(SHARE_VALUE_BYTES, "big")
+def _share(value: int, width: int = SHARE_VALUE_BYTES) -> bytes:
+    return value.to_bytes(width, "big")
 
 
 # one instance of each of the 11 message types
@@ -69,8 +70,10 @@ MESSAGES = [
     UnmaskRequestMsg(((TOK[1], SECRET_SELF_SEED), (TOK[2], SECRET_MASK_KEY)), forced=(TOK[2],)),
     UnmaskResponseMsg(
         3,
-        ((TOK[0], SECRET_MASK_KEY, 2, _share(5)), (TOK[2], SECRET_SELF_SEED, 1, _share(9))),
-        ((TOK[3], SECRET_MASK_KEY),),
+        KEY64,
+        keys=((TOK[0], 2, _share(5, KEY64)),),
+        seeds=((TOK[2], 1, _share(9)),),
+        refused=((TOK[3], SECRET_MASK_KEY),),
     ),
     RevealMsg(
         b"rs", b"rs-nonce", b"tree:h=2,d=3", b"tree-nonce", ((b"sp", b"mp", b"ru", b"nu-0"), (b"SP", b"MP", b"RU", b"NU-1"))
@@ -118,9 +121,9 @@ def test_decode_record_errors_are_value_errors():
 UNMASK_HEX = {
     "UnmaskRequestMsg": "080000002200000002010101010101010102020202020202020201000000010202020202020202",
     "UnmaskResponseMsg": (
-        "090000006f00030000000200000000000000000100000002000000000000000000000000000000000000"
-        "000000000000000000000000000005020202020202020202000000010000000000000000000000000000"
-        "0000000000000000000000000000000000000900000001030303030303030301"
+        "090000005a000309000000010000000100000000000000000000000200000000000000000502020202020202"
+        "020000000100000000000000000000000000000000000000000000000000000000000000000900000001030303"
+        "030303030301"
     ),
 }
 
@@ -242,88 +245,118 @@ def test_vector_partial_element_rejected(w):
 
 WIDE_KEY = (1 << 256) - 1  # above every short exponent
 WIDE_SEED = SHARE_PRIME - 1
-WIDE = ShareMsg(TOK[0], 3, share_bodies([(4, WIDE_KEY, WIDE_SEED)])[0])
+WIDE = ShareMsg(TOK[0], 3, SHARE_VALUE_BYTES, share_bodies([(4, WIDE_KEY, WIDE_SEED)], SHARE_VALUE_BYTES)[0])
+NARROW_KEY = SHARE_PRIME_64 - 1  # the largest element of the 2^64 + 13 field
+NARROW = ShareMsg(TOK[0], 3, KEY64, share_bodies([(4, NARROW_KEY, WIDE_SEED)], KEY64)[0])
 
 
 def test_share_packed_wide_roundtrip():
-    data = WIDE.to_bytes()
-    assert ENTRY_BYTES == 4 + 2 * SHARE_VALUE_BYTES == 70
-    assert len(data) == 5 + 14 + ENTRY_BYTES
-    assert ShareMsg.from_bytes(data) == WIDE
-    assert share_part(WIDE.bodies, 0, SECRET_MASK_KEY) == (4, _share(WIDE_KEY))
-    assert share_part(WIDE.bodies, 0, SECRET_SELF_SEED) == (4, _share(WIDE_SEED))
+    """A body is point (4) || key share (W) || seed share (33): 70 bytes
+    with sim256 and strong2048 key shares, 46 with toy and fast64 ones,
+    after an 11-byte header."""
+    assert entry_bytes(SHARE_VALUE_BYTES) == 4 + 2 * SHARE_VALUE_BYTES == 70
+    assert entry_bytes(KEY64) == 4 + KEY64 + SHARE_VALUE_BYTES == 46
+    for msg, key in ((WIDE, WIDE_KEY), (NARROW, NARROW_KEY)):
+        data = msg.to_bytes()
+        assert len(data) == 5 + 11 + entry_bytes(msg.key_width)
+        assert ShareMsg.from_bytes(data) == msg
+        assert share_part(msg.bodies, 0, SECRET_MASK_KEY, msg.key_width) == (4, _share(key, msg.key_width))
+        assert share_part(msg.bodies, 0, SECRET_SELF_SEED, msg.key_width) == (4, _share(WIDE_SEED))
 
 
 def test_share_secret_type_single_records_only():
-    """A bundle entry carries both secrets; a release row carries one, of a
-    known type."""
-    _, key = share_part(WIDE.bodies, 0, SECRET_MASK_KEY)
-    assert int.from_bytes(key, "big") == WIDE_KEY
+    """A bundle entry carries both secrets; a release row carries one, and
+    its table names its type."""
+    _, key = share_part(NARROW.bodies, 0, SECRET_MASK_KEY, KEY64)
+    assert int.from_bytes(key, "big") == NARROW_KEY
     with pytest.raises(ValueError):
-        share_part(WIDE.bodies, 0, 3)
-    resp = UnmaskResponseMsg(3, ((TOK[0], SECRET_MASK_KEY, 4, key), (TOK[0], SECRET_SELF_SEED, 4, _share(WIDE_SEED))))
+        share_part(NARROW.bodies, 0, 3, KEY64)
+    resp = UnmaskResponseMsg(3, KEY64, keys=((TOK[0], 4, key),), seeds=((TOK[0], 4, _share(WIDE_SEED)),))
     assert UnmaskResponseMsg.from_bytes(resp.to_bytes()) == resp
-    with pytest.raises(WireError):
-        UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(3, ((TOK[0], 3, 4, key),)).to_bytes())
-    for short in (key[1:], key + key):  # a row holds exactly one share
+    assert resp.shares == ((TOK[0], SECRET_MASK_KEY, 4, key), (TOK[0], SECRET_SELF_SEED, 4, _share(WIDE_SEED)))
+    for short in (key[1:], key + key, _share(NARROW_KEY)):  # a row holds exactly one share of its table's width
         with pytest.raises(ValueError):
-            UnmaskResponseMsg(3, ((TOK[0], SECRET_MASK_KEY, 4, short),)).to_bytes()
+            UnmaskResponseMsg(3, KEY64, keys=((TOK[0], 4, short),)).to_bytes()
+    with pytest.raises(ValueError):
+        UnmaskResponseMsg(3, KEY64, seeds=((TOK[0], 4, key),)).to_bytes()
 
 
-def _bundle_payload(entries: int, body_bytes: int, count: int | None = None) -> bytes:
+def _bundle_payload(entries: int, body_bytes: int, width: int) -> bytes:
     """A bundle of ``entries`` zero bodies of ``body_bytes`` each, whose
-    header claims ``count`` entries (``entries`` by default)."""
-    head = TOK[0] + struct.pack(">HI", 2, entries if count is None else count)
-    return head + bytes(body_bytes) * entries
+    header gives key shares of ``width`` bytes."""
+    return TOK[0] + struct.pack(">HB", 2, width) + bytes(body_bytes) * entries
 
 
 def test_share_record_without_secret_rejected():
-    """A bundle must be exactly its claimed count of 70-byte bodies: an
-    entry that holds only its point or one of the two shares, or is a byte
-    off, is not a body."""
-    assert ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(2, ENTRY_BYTES))).bodies == bytes(140)
-    for entries, body_bytes, count in ((2, 4, None), (2, 37, None), (1, 69, None), (1, 71, None), (2, 70, 1), (0, 0, 1)):
+    """A bundle must be whole bodies of 4 + W + 33 bytes for its header's
+    key-share width W of at least one byte: an entry that holds only its
+    point or one of the two shares, or is a byte off, is not a body."""
+    for width, body in ((KEY64, 46), (SHARE_VALUE_BYTES, 70)):
+        decoded = ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(2, body, width)))
+        assert (decoded.key_width, decoded.bodies) == (width, bytes(2 * body))
+    bad = ((1, 4, KEY64), (1, 45, KEY64), (1, 47, KEY64), (1, 70, KEY64), (1, 37, SHARE_VALUE_BYTES),
+           (1, 69, SHARE_VALUE_BYTES), (1, 71, SHARE_VALUE_BYTES), (2, 46, SHARE_VALUE_BYTES), (1, 37, 0), (0, 0, 0))
+    for entries, body_bytes, width in bad:
         with pytest.raises(WireError):
-            ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(entries, body_bytes, count)))
-    with pytest.raises(ValueError):
-        ShareMsg(TOK[0], 2, bytes(ENTRY_BYTES + 1)).to_bytes()
+            ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(entries, body_bytes, width)))
+    for width, bodies in ((SHARE_VALUE_BYTES, bytes(71)), (KEY64, bytes(70)), (0, b""), (256, b"")):
+        with pytest.raises(ValueError):
+            ShareMsg(TOK[0], 2, width, bodies).to_bytes()
 
 
 _value = st.integers(0, SHARE_PRIME - 1)
 _index = st.integers(1, 2**32 - 1)
+# a key-share width with the elements of its field
+_key_field = st.sampled_from(((KEY64, SHARE_PRIME_64), (SHARE_VALUE_BYTES, SHARE_PRIME)))
 
 
-@given(st.lists(st.tuples(_index, _value, _value), max_size=40))
-@example([(2**32 - 1, SHARE_PRIME - 1, 0)])
-def test_bundle_roundtrip(points):
-    """Bundles (one layout for both directions) round-trip: 0 to many
-    entries of any two field elements, indices up to 2^32 - 1."""
-    msg = ShareMsg(TOK[1], 2, b"".join(share_bodies(points)))
+@st.composite
+def _bundles(draw):
+    width, prime = draw(_key_field)
+    return width, draw(st.lists(st.tuples(_index, st.integers(0, prime - 1), _value), max_size=40))
+
+
+@given(_bundles())
+@example((KEY64, [(2**32 - 1, SHARE_PRIME_64 - 1, SHARE_PRIME - 1)]))
+@example((SHARE_VALUE_BYTES, [(2**32 - 1, SHARE_PRIME - 1, 0)]))
+def test_bundle_roundtrip(bundle):
+    """Bundles (one layout for both directions) round-trip at both key-share
+    widths: 0 to many entries of a key share and a seed share, indices up
+    to 2^32 - 1."""
+    width, points = bundle
+    msg = ShareMsg(TOK[1], 2, width, b"".join(share_bodies(points, width)))
     data_bytes = msg.to_bytes()
-    assert len(data_bytes) == 5 + 14 + len(points) * ENTRY_BYTES
+    assert len(data_bytes) == 5 + 11 + len(points) * (4 + width + SHARE_VALUE_BYTES)
     decoded = ShareMsg.from_bytes(data_bytes)
     assert decoded == msg
     for j, (index, key, seed) in enumerate(points):
-        off = j * ENTRY_BYTES
-        assert share_part(decoded.bodies, off, SECRET_MASK_KEY) == (index, _share(key))
-        assert share_part(decoded.bodies, off, SECRET_SELF_SEED) == (index, _share(seed))
+        off = j * entry_bytes(width)
+        assert share_part(decoded.bodies, off, SECRET_MASK_KEY, width) == (index, _share(key, width))
+        assert share_part(decoded.bodies, off, SECRET_SELF_SEED, width) == (index, _share(seed))
 
 
-_row = st.tuples(
-    st.binary(min_size=8, max_size=8),
-    st.sampled_from((SECRET_MASK_KEY, SECRET_SELF_SEED)),
-    _index,
-    _value.map(_share),
-)
+_token = st.binary(min_size=8, max_size=8)
 
 
-@given(st.lists(_row, max_size=40), st.lists(st.tuples(st.binary(min_size=8, max_size=8), st.sampled_from((1, 2)))))
-@example([(TOK[0], SECRET_SELF_SEED, 2**32 - 1, _share(1))], [])
-@example([], [])
-def test_release_table_roundtrip(rows, refused):
-    msg = UnmaskResponseMsg(3, tuple(rows), tuple(refused))
+@st.composite
+def _release_tables(draw):
+    width, prime = draw(_key_field)
+    keys = draw(st.lists(st.tuples(_token, _index, st.integers(0, prime - 1).map(lambda v: _share(v, width))), max_size=20))
+    seeds = draw(st.lists(st.tuples(_token, _index, _value.map(_share)), max_size=20))
+    return width, tuple(keys), tuple(seeds)
+
+
+@given(_release_tables(), st.lists(st.tuples(_token, st.sampled_from((1, 2)))))
+@example((KEY64, (), ((TOK[0], 2**32 - 1, _share(1)),)), [])
+@example((SHARE_VALUE_BYTES, ((TOK[0], 2**32 - 1, _share(1)),), ()), [])
+@example((KEY64, (), ()), [])
+def test_release_table_roundtrip(table, refused):
+    """Release tables round-trip at both key-share widths: a key table of
+    (12 + W)-byte rows, a seed table of 45-byte rows, then the refusals."""
+    width, keys, seeds = table
+    msg = UnmaskResponseMsg(3, width, keys, seeds, tuple(refused))
     data = msg.to_bytes()
-    assert len(data) == 5 + 6 + len(rows) * (13 + SHARE_VALUE_BYTES) + 4 + 9 * len(refused)
+    assert len(data) == 5 + 3 + 4 + len(keys) * (12 + width) + 4 + len(seeds) * 45 + 4 + 9 * len(refused)
     assert UnmaskResponseMsg.from_bytes(data) == msg
 
 
@@ -342,6 +375,11 @@ def test_new_formats_reject_trailing_and_overrun(msg):
     with pytest.raises(WireError):
         type(msg).from_bytes(encode_record(tag, payload + b"\x00"))
     for cut in range(len(payload)):
+        if isinstance(msg, ShareMsg) and cut >= 11 and (cut - 11) % entry_bytes(msg.key_width) == 0:
+            # a bundle carries no entry count, so a cut between two entries
+            # is a shorter bundle, which each receiver counts against its mates
+            assert ShareMsg.from_bytes(encode_record(tag, payload[:cut])).bodies == msg.bodies[: cut - 11]
+            continue
         with pytest.raises(WireError):
             type(msg).from_bytes(encode_record(tag, payload[:cut]))
     for off, values in _HANDLE_FIELDS if isinstance(msg, PeerListMsg) else ():
@@ -351,12 +389,16 @@ def test_new_formats_reject_trailing_and_overrun(msg):
 
 
 def test_counts_that_overrun_the_payload_rejected():
-    with pytest.raises(WireError):  # 2^32 - 1 entries claimed, none present
-        ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, TOK[0] + struct.pack(">HI", 2, 2**32 - 1)))
-    with pytest.raises(WireError):  # 2^32 - 1 rows claimed, none present
-        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, struct.pack(">HI", 2, 2**32 - 1)))
-    with pytest.raises(WireError):  # a row one byte short of its share
-        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, struct.pack(">HI", 2, 1) + bytes(45)))
+    tables = (
+        struct.pack(">HBII", 2, KEY64, 2**32 - 1, 0),  # 2^32 - 1 key rows claimed, none present
+        struct.pack(">HBII", 2, KEY64, 0, 2**32 - 1),  # 2^32 - 1 seed rows claimed, none present
+        struct.pack(">HBII", 2, KEY64, 1, 0) + bytes(12 + KEY64 - 1),  # a key row one byte short of its share
+        struct.pack(">HBII", 2, KEY64, 0, 1) + bytes(44),  # a seed row one byte short of its share
+        struct.pack(">HBIII", 2, 0, 0, 0, 0),  # zero-byte key shares
+    )
+    for payload in tables:
+        with pytest.raises(WireError):
+            UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload))
     unknown_type = struct.pack(">I", 1) + TOK[0] + b"\x03" + bytes(4)
     with pytest.raises(WireError):  # an unknown secret type in a request
         UnmaskRequestMsg.from_bytes(encode_record(TAG_UNMASK_REQUEST, unknown_type))
