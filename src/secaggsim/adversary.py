@@ -261,8 +261,6 @@ class AttackPlan:
     strategy: str = "one_shot"
     start_round: int = 0
     duration: int = 1  # continuous window length
-    scale_override: float | None = None
-    min_scale: float | None = None  # continuous per-round floor
     cap: float | None = None  # L2 budget on the injected offset
     target_refresh: bool = False  # retrain the target model each round
 
@@ -290,13 +288,9 @@ class AttackPlan:
 
     def scale_for(self, round_index: int, n_users: int, eta: float, n_leaves: int) -> float:
         """Per-round amplification; continuous attacks split the one-shot
-        scale across the window but never go below the effectiveness floor."""
-        gamma = self.scale_override
-        if gamma is None:
-            gamma = replacement_scale(n_users, eta, len(self.attacker_ids))
+        scale across the window but never go below the effectiveness floor
+        N / (eta * leaves)."""
+        gamma = replacement_scale(n_users, eta, len(self.attacker_ids))
         if self.strategy == "continuous":
-            floor = self.min_scale
-            if floor is None:
-                floor = n_users / (eta * n_leaves)
-            return max(gamma / self.duration, floor)
+            return max(gamma / self.duration, n_users / (eta * n_leaves))
         return gamma

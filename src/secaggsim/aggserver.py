@@ -91,7 +91,6 @@ class SubgroupAggregate:
     leaf: int
     revealed_high: ParamVector
     survivor_count: int
-    member_tokens: list[bytes]
     full_sum: ParamVector
     void: bool = False
 
@@ -229,7 +228,7 @@ class AggServer:
 
     def peer_list_for(self, user: int) -> PeerListMsg:
         handles = tuple(
-            PeerHandle(self.tokens[end.peer], self.group.encode(end.rand_pub), end.sign, end.kind)
+            PeerHandle(self.group.encode(end.rand_pub), end.sign, end.kind)
             for end in self._ends[user]
         )
         share_asn = self.setup.share_assignment
@@ -363,11 +362,11 @@ class AggServer:
 
         The threshold is the configured t and the key-share width the
         group's, so a table claiming another is rejected rather than
-        trusted.  Each row must be for a secret
-        this user was asked for, at its own evaluation point, and not
-        filed before; any other row aborts the round blamed on the user.
-        A row with a wrong share at the right point is filed: it cannot be
-        told from an honest one without verifiable shares."""
+        trusted.  Each row must be for a secret this user was asked for, at
+        its own evaluation point, with a share below its field's prime, and
+        not filed before; any other row aborts the round blamed on the
+        user.  A row with a wrong share at the right point is filed: it
+        cannot be told from an honest one without verifiable shares."""
         t = self.tree.share_threshold
         if msg.threshold != t:
             raise ProtocolAbort(
@@ -379,13 +378,16 @@ class AggServer:
                 blamed=f"user:{user}",
             )
         point, collected, asked = self._point[user], self._collected, self._asked
-        for stype, rows in ((SECRET_MASK_KEY, msg.keys), (SECRET_SELF_SEED, msg.seeds)):
+        tables = ((SECRET_MASK_KEY, self.group.key_prime, msg.keys), (SECRET_SELF_SEED, SHARE_PRIME, msg.seeds))
+        for stype, prime, rows in tables:
             for owner, index, share in rows:
                 target = (owner, stype)
                 if user not in asked.get(target, ()):
                     fault = "a share it was not asked for"
                 elif index != point:
                     fault = f"a share at evaluation point {index}, not its own {point}"
+                elif int.from_bytes(share, "big") >= prime:
+                    fault = "a share outside its field"
                 elif index in collected[target]:
                     fault = "a share twice"
                 else:
@@ -479,7 +481,6 @@ class AggServer:
                     leaf=leaf,
                     revealed_high=ParamVector(full.values >> k, self.spec),
                     survivor_count=len(survivors),
-                    member_tokens=[self.tokens[u] for u in members],
                     full_sum=full,
                     void=len(survivors) < 2,
                 )

@@ -1,9 +1,11 @@
 """Command-line entry point: ``secaggsim run``.
 
-``run`` executes one scenario from a JSON config (flags override config
-keys) and writes ``report.csv`` plus ``transcript.json`` into the output
-directory.  Exit codes: 1 for configuration errors, 2 for a protocol
-abort.  Single-round cost sweeps over population sizes, tree shapes and
+``run`` executes the one scenario its JSON config document describes
+(``--config``; without it, the ``ScenarioConfig`` defaults) and writes
+``report.csv`` plus ``transcript.json`` into the ``--out`` directory.
+Every setting of a run lives in that document: no flag overrides it.
+Exit codes: 1 for configuration errors, 2 for a protocol abort.
+Single-round cost sweeps over population sizes, tree shapes and
 the full-pairwise baseline are ``scripts/run_complexity_bench.py``.
 """
 
@@ -13,7 +15,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .adversary import AttackPlan
 from .errors import ConfigError, ProtocolAbort, UnrecoverableRoundError
 from .simulation import ScenarioConfig, run_scenario
 
@@ -24,30 +25,8 @@ def _load_config(path: str | None) -> ScenarioConfig:
     return ScenarioConfig.from_json(Path(path).read_text())
 
 
-def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.rounds is not None:
-        config.rounds = args.rounds
-    if args.protocol is not None:
-        config.protocol = args.protocol
-    if args.rho is not None:
-        config.detection.expansion = args.rho
-    if args.attackers is not None:
-        if args.attackers == 0:
-            config.attack = None
-        else:
-            plan = config.attack or AttackPlan(attacker_ids=(0,))
-            plan.attacker_ids = tuple(range(args.attackers))
-            config.attack = plan
-    if args.scale is not None and config.attack is not None:
-        config.attack.scale_override = args.scale
-    return config
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
-    report = run_scenario(config)
+    report = run_scenario(_load_config(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(report.to_csv())
@@ -64,12 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario")
     run_p.add_argument("--config", help="scenario JSON path")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--rounds", type=int)
-    run_p.add_argument("--protocol", choices=["tree", "baseline"])
-    run_p.add_argument("--attackers", type=int, help="first K users attack (0 disables)")
-    run_p.add_argument("--scale", type=float, help="attacker scale override")
-    run_p.add_argument("--rho", type=float, help="detection threshold expansion")
     run_p.add_argument("--out", default="out")
     run_p.set_defaults(func=cmd_run)
     return parser

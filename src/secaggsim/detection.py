@@ -69,11 +69,6 @@ class DetectionConfig:
     expansion: float = 1.2  # threshold expansion factor
     window: int = 5  # rounds averaged into the adaptive threshold
     warmup_rounds: int | None = None  # detection disabled before this round
-    # replacement value for a flagged subgroup's distance: "min" keeps the
-    # dispersion of the remaining set monotone; "zero" is the literal
-    # replace-with-global-model distance, which inflates dispersion when
-    # benign distances have a quantization noise floor above zero
-    replacement: str = "min"
     # lower bound on the threshold; distances are counted in high-word
     # flips, so dispersion below a fraction of one flip is pure noise
     min_threshold: float = 0.0
@@ -182,7 +177,12 @@ class Detector:
         while len(work) and stds[-1] > threshold:
             top = int(np.argmax(work))  # argmax breaks ties toward the lowest leaf
             flagged.append(leaves[top])
-            work[top] = 0.0 if self.config.replacement == "zero" else float(work.min())
+            # a flagged distance drops to the smallest one left, which keeps
+            # the dispersion of the remaining set monotone; the literal
+            # replace-with-global-model distance of zero would inflate it
+            # whenever benign distances sit on a quantization noise floor
+            # above zero
+            work[top] = float(work.min())
             stds.append(float(np.std(work)))
 
         self.history.append(stds[-1])

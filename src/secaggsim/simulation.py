@@ -114,21 +114,22 @@ def _sub_np_rng(seed: int, *labels) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+# synthetic benign updates: X_t + Normal(drift_t, sigma_t^2), where sigma_t
+# decays from SIGMA0 by SIGMA_DECAY per round down to SIGMA_FLOOR and the
+# drift shrinks with it from DRIFT_SCALE; the initial model coordinates are
+# U(-VALUE_RANGE, VALUE_RANGE)
+DRIFT_SCALE, SIGMA0, SIGMA_DECAY, SIGMA_FLOOR, VALUE_RANGE = 0.05, 0.2, 0.9, 0.01, 4.0
+
+
 @dataclass
 class SyntheticWorkload:
     """Benign updates X_t + Normal(drift_t, sigma_t^2) with decaying noise."""
 
     vector_len: int = 64
-    drift_scale: float = 0.05
-    sigma0: float = 0.2
-    sigma_decay: float = 0.9
-    sigma_floor: float = 0.01
-    value_range: float = 4.0  # initial model coordinates ~ U(-range, range)
 
 
 @dataclass
 class TaskWorkload:
-    samples_per_user: int = 8
     classes_per_user: int | None = None  # < n_classes gives non-iid data
     local_lr: float = 0.5
     lr_decay: float = 1.0  # per-round factor on the local learning rate
@@ -242,10 +243,7 @@ class ScenarioConfig:
     # -- (de)serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        if self.attack is not None:
-            doc["attack"] = asdict(self.attack)
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @staticmethod
     def from_dict(doc: dict) -> "ScenarioConfig":
@@ -386,7 +384,6 @@ class _Workload:
             self.task = ToyTask.generate(
                 _sub_rng(config.seed, "task").getrandbits(63),
                 config.n_users,
-                samples_per_user=config.task.samples_per_user,
                 noise=config.task.noise,
                 classes_per_user=config.task.classes_per_user,
             )
@@ -402,12 +399,11 @@ class _Workload:
         if self.task is not None:
             return zeros(self.vector_len, self.spec)
         rng = _sub_np_rng(self.config.seed, "init")
-        vals = rng.uniform(-self.config.synthetic.value_range, self.config.synthetic.value_range, self.vector_len)
-        return quantize_vector(vals, self.spec)
+        return quantize_vector(rng.uniform(-VALUE_RANGE, VALUE_RANGE, self.vector_len), self.spec)
 
-    def _sigma(self, round_index: int) -> float:
-        s = self.config.synthetic
-        return max(s.sigma0 * (s.sigma_decay**round_index), s.sigma_floor)
+    @staticmethod
+    def _sigma(round_index: int) -> float:
+        return max(SIGMA0 * (SIGMA_DECAY**round_index), SIGMA_FLOOR)
 
     def attack_active(self, round_index: int) -> bool:
         return self.plan is not None and self.plan.is_active(round_index)
@@ -443,8 +439,8 @@ class _Workload:
                 model, self.task, user, lr, weight_decay=self.config.task.weight_decay
             )
         rng = _sub_np_rng(self.config.seed, "benign", round_index, user)
-        drift = self.config.synthetic.drift_scale * self._sigma(round_index) / self.config.synthetic.sigma0
-        return benign_update_synthetic(model, drift * self.drift_dir, self._sigma(round_index), rng)
+        sigma = self._sigma(round_index)
+        return benign_update_synthetic(model, DRIFT_SCALE * sigma / SIGMA0 * self.drift_dir, sigma, rng)
 
     def evaluate(self, model: ParamVector) -> tuple[float, float]:
         if self.task is None:

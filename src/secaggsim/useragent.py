@@ -15,11 +15,13 @@ not encrypted, so the relay can read every share until ROADMAP item 7
 encrypts each entry body.
 
 Every user derives one shared seed per peer handle from its own mask
-secret and the handle's blinded key.  ``receive_peer_lists`` runs that
-step for many agents at once so the simulator can evaluate all their
-exponentiations in one batch; it is only an evaluation order, as each
-agent's seeds still depend on nothing but its own secret and its own
-peer list.
+secret and the handle's blinded key, and keeps the seeds in handle
+order: a handle carries no token, so a user cannot tell which of its
+masking peers are among its share recipients.  ``receive_peer_lists``
+runs that step for many agents at once so the simulator can evaluate all
+their exponentiations in one batch; it is only an evaluation order, as
+each agent's seeds still depend on nothing but its own secret and its
+own peer list.
 
 Release rule: within a round, a user never hands the server shares of
 both a target's mask key and the same target's self-mask seed.  The only
@@ -40,6 +42,7 @@ import numpy as np
 from .counters import OpCounters
 from .crypto import (
     SELF_SEED_BYTES,
+    SHARE_PRIME,
     Commitment,
     DhGroup,
     KeyPair,
@@ -131,7 +134,7 @@ class UserAgent:
         self.round_rand = rng.randbytes(32)
         self.rand_nonce = rng.randbytes(16)
         self._peer_handles: tuple[PeerHandle, ...] = ()
-        self._pair_seeds: dict[bytes, bytes] = {}
+        self._pair_seeds: list[bytes] = []  # one per peer handle, in order
         self._recipients: tuple[bytes, ...] = ()
         self._own_token = b""
         # entry bodies in share_recipients order, and each owner's offset
@@ -179,8 +182,6 @@ class UserAgent:
                 f"user {self.index} got {n} share recipients for threshold {t}",
                 blamed="server",
             )
-        if self._rng is None:
-            raise ProtocolAbort(f"user {self.index} has no round randomness", blamed=f"user:{self.index}")
         my_pos = recipients.index(self._own_token)
         keys = share_secret(self.mask_keys.secret, t, n, self._rng, self.group.key_prime)
         seeds = share_secret(int.from_bytes(self.self_seed, "big"), t, n, self._rng)
@@ -240,10 +241,7 @@ class UserAgent:
         m = len(x)
         y = x.values + prg_expand(self.self_seed, m, self.spec).values
         self.counters.prg_by_user[self.index] += 1
-        for handle in self._peer_handles:
-            seed = self._pair_seeds.get(handle.token)
-            if seed is None:
-                raise ProtocolAbort(f"user {self.index} missing a peer seed", blamed="server")
+        for handle, seed in zip(self._peer_handles, self._pair_seeds):
             bits = None if handle.kind == "intra" else self.inter_mask_bits
             mask = prg_expand(seed, m, self.spec, mask_bits=bits).values
             self.counters.prg_by_user[self.index] += 1
@@ -262,6 +260,10 @@ class UserAgent:
         A request for the complementary type of an already-released target
         is refused unless the request marks the target as force-dropped
         (post-detection exclusion); overrides land in ``forced_releases``.
+        A held share at or above its field's prime (2^64 + 13 for a toy or
+        fast64 key share, ``SHARE_PRIME`` otherwise) came in a bundle the
+        server relayed, so releasing it aborts the round blamed on the
+        server.
         """
         if self.phase == PHASE_UPLOAD:
             self._advance(PHASE_UPLOAD, PHASE_UNMASK)
@@ -272,6 +274,7 @@ class UserAgent:
         forced = set(req.forced)
         held, held_at, done_for = self._held, self._held_at, self._released
         width = self.group.key_share_bytes
+        prime_of = {SECRET_MASK_KEY: self.group.key_prime, SECRET_SELF_SEED: SHARE_PRIME}
         keys: list[tuple[bytes, int, bytes]] = []
         seeds: list[tuple[bytes, int, bytes]] = []
         refused: list[tuple[bytes, int]] = []
@@ -287,8 +290,10 @@ class UserAgent:
                 else:
                     refused.append((token, stype))
                     continue
-            done_for[token] = done | (1 << stype)
             index, share = share_part(held, off, stype, width)
+            if int.from_bytes(share, "big") >= prime_of[stype]:
+                raise ProtocolAbort(f"user {self.index} holds a share outside its field", blamed="server")
+            done_for[token] = done | (1 << stype)
             (keys if stype == SECRET_MASK_KEY else seeds).append((token, index, share))
         return UnmaskResponseMsg(self.share_threshold, width, tuple(keys), tuple(seeds), tuple(refused))
 
@@ -373,6 +378,5 @@ def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None
             secrets.append(secret)
     seeds = iter(derive_shared_seeds(group, pubs, secrets))
     for agent, msg in zip(agents, msgs):
-        for handle in msg.peers:
-            agent._pair_seeds[handle.token] = next(seeds)
+        agent._pair_seeds = [next(seeds) for _ in msg.peers]
         agent.counters.key_agreements_by_user[agent.index] += len(msg.peers)

@@ -17,7 +17,9 @@ bytes in the 2^256 + 297 field, which holds every self-seed share and the
 mask-key shares of the sim256 and strong2048 groups, and 9 bytes in the
 2^64 + 13 field, which holds the mask-key shares of the toy and fast64
 groups.  The key-share width W travels in a header byte, and each
-receiver rejects a W other than its group's.
+receiver rejects a W other than its group's.  A share value at or above
+its field's prime is rejected where it is read: by the holder about to
+release it and by the server filing the released row.
 
 Shamir shares travel in bundles, one per sender to the server and one
 per recipient from the server (the message layout of Bonawitz et al.,
@@ -54,11 +56,12 @@ is what the never-both rule counts::
 A peer list packs its handles at the one blinded key width W the group
 fixes, as the reveal packs its records, with a sign of +1 or -1 and a
 kind code of 1 (intra) or 2 (inter) in each row, which is all a user
-needs to apply the pair's mask; no row says where in the tree the peer
-sits::
+needs to apply the pair's mask.  No row says where in the tree the peer
+sits or which token it holds, so a user cannot match its masking peers
+against its share recipients::
 
     own token (8) || W (2) || handle count n (4)
-    || n rows of: pair token (8) || sign (1) || kind (1) || W key bytes
+    || n rows of: sign (1) || kind (1) || W key bytes
     || recipient count (4) || recipient tokens of 8 bytes
 
 The two verification broadcasts stay small.  The tree commitment carries
@@ -303,11 +306,11 @@ class RandOpenMsg:
 
 @dataclass
 class PeerHandle:
-    """Opaque view of one masking peer: no identity, only what masking needs.
-    Not frozen, which makes the 24K handles of a 2000-user round about 4x
-    faster to build."""
+    """Opaque view of one masking peer: no identity and no token, only what
+    masking needs; a user keeps its pair seeds in handle order.  Not frozen,
+    which makes the 24K handles of a 2000-user round about 4x faster to
+    build."""
 
-    token: bytes  # random per-round pair token
     randomized_pub: bytes
     sign: int  # +1 add the pair mask, -1 subtract it
     kind: str  # "intra" or "inter"
@@ -316,22 +319,25 @@ class PeerHandle:
 _KIND_CODES = {"intra": 1, "inter": 2}
 _KINDS = (None, "intra", "inter")
 _PEER_HEAD = struct.Struct(">8sHI")  # own token, key width, handle count
-_SIGN, _KIND = 8, 9  # offsets of the sign and the kind code in a handle row
+_SIGN, _KIND = 0, 1  # offsets of the sign and the kind code in a handle row
 
 
 @functools.lru_cache(maxsize=16)  # the width comes off the wire, so the cache is bounded
 def _handle_row(width: int) -> struct.Struct:
-    """Pair token, sign, kind code, blinded key of ``width`` bytes."""
-    return struct.Struct(f">8sbB{width}s")
+    """Sign, kind code, blinded key of ``width`` bytes."""
+    return struct.Struct(f">bB{width}s")
 
 
 @dataclass(frozen=True)
 class PeerListMsg:
     """Masking peer handles plus opaque share-recipient tokens.
 
-    ``share_recipients`` lists the round tokens of the user's whole share
-    subgroup in a fixed order (the user included); share evaluation points
-    are 1-based positions in that order.
+    A handle row is sign (1) || kind (1) || blinded key (W), with no token:
+    the user's own round token and its share recipients' are the only
+    tokens a peer list carries.  ``share_recipients`` lists the round
+    tokens of the user's whole share subgroup in a fixed order (the user
+    included); share evaluation points are 1-based positions in that
+    order.
     """
 
     own_token: bytes
@@ -340,12 +346,12 @@ class PeerListMsg:
 
     def to_bytes(self) -> bytes:
         peers = self.peers
-        shapes = {(len(p.token), len(p.randomized_pub)) for p in peers}
-        width = max(shapes)[1] if shapes else 0
-        if len(self.own_token) != TOKEN_BYTES or shapes - {(TOKEN_BYTES, width)}:
-            raise ValueError("peer lists need 8-byte tokens and blinded keys of one width")
+        widths = {len(p.randomized_pub) for p in peers}
+        width = max(widths, default=0)
+        if len(self.own_token) != TOKEN_BYTES or widths - {width}:
+            raise ValueError("peer lists need an 8-byte token and blinded keys of one width")
         pack = _handle_row(width).pack
-        table = b"".join([pack(p.token, p.sign, _KIND_CODES[p.kind], p.randomized_pub) for p in peers])
+        table = b"".join([pack(p.sign, _KIND_CODES[p.kind], p.randomized_pub) for p in peers])
         recips = self.share_recipients
         parts = (_PEER_HEAD.pack(self.own_token, width, len(peers)), table, struct.pack(">I", len(recips)), *recips)
         return encode_record(TAG_PEER_LIST, b"".join(parts))
@@ -360,7 +366,7 @@ class PeerListMsg:
         if signs.translate(None, b"\x01\xff") or kinds.translate(None, b"\x01\x02"):
             raise WireError("a peer handle with a sign other than +-1 or a kind code other than 1 or 2")
         rows = row.iter_unpack(table)
-        peers = tuple([PeerHandle(tok, pub, sign, _KINDS[kind]) for tok, sign, kind, pub in rows])
+        peers = tuple([PeerHandle(pub, sign, _KINDS[kind]) for sign, kind, pub in rows])
         recips, end = _unpack_tokens(payload, off)
         _check_end(payload, end)
         return PeerListMsg(own, peers, recips)

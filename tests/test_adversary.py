@@ -115,8 +115,9 @@ def test_one_shot_schedule():
 
 
 def test_continuous_schedule_telescopes():
-    # without the floor, the per-round scale sums back to the one-shot scale
-    plan = AttackPlan(attacker_ids=(0,), strategy="continuous", start_round=2, duration=5, min_scale=0.0)
+    # while the floor 100/9 stays below gamma/5 = 20, the per-round scale
+    # sums back to the one-shot scale
+    plan = AttackPlan(attacker_ids=(0,), strategy="continuous", start_round=2, duration=5)
     active = [t for t in range(12) if plan.is_active(t)]
     assert active == [2, 3, 4, 5, 6]
     per_round = plan.scale_for(3, 100, 1.0, 9)

@@ -80,7 +80,6 @@ def _agg(leaf: int, high_words: np.ndarray, n: int = 1) -> SubgroupAggregate:
         leaf=leaf,
         revealed_high=ParamVector(high_words.astype(np.uint64), SPEC),
         survivor_count=n,
-        member_tokens=[],
         full_sum=full,
         void=False,
     )
@@ -93,32 +92,20 @@ def _outlier_aggregates():
     return aggs
 
 
-def test_detect_flags_single_outlier_zero_replacement():
-    # the literal replace-with-zero distance update
-    detector = Detector(DetectionConfig(expansion=1.2, window=5, replacement="zero"))
-    detector.history = [0.5] * 5
-    detector.round_index = 10  # past warm-up
-    record = detector.detect(_outlier_aggregates(), zeros(1, SPEC))
-    assert record.threshold == pytest.approx(0.6)
-    assert record.flagged == [26]
-    # dispersion values against an independent oracle
-    d = [1.0] * 26 + [50.0]
-    assert record.std_sequence[0] == pytest.approx(statistics.pstdev(d))
-    assert record.std_sequence[-1] == pytest.approx(statistics.pstdev([1.0] * 26 + [0.0]))
-    assert record.std_sequence[-1] < 0.6
-    # the exit dispersion is what lands in the history
-    assert detector.history[-1] == pytest.approx(record.std_sequence[-1])
-
-
 def test_detect_flags_single_outlier_min_replacement():
-    # default mode: the flagged entry drops to the benign floor, so the
-    # exit dispersion reflects only the remaining set
+    # the flagged entry drops to the benign floor, so the exit dispersion
+    # reflects only the remaining set
     detector = Detector(DetectionConfig(expansion=1.2, window=5))
     detector.history = [0.5] * 5
     detector.round_index = 10
     record = detector.detect(_outlier_aggregates(), zeros(1, SPEC))
+    assert record.threshold == pytest.approx(0.6)
     assert record.flagged == [26]
+    # the entry dispersion against an independent oracle
+    assert record.std_sequence[0] == pytest.approx(statistics.pstdev([1.0] * 26 + [50.0]))
     assert record.std_sequence[-1] == pytest.approx(0.0)
+    # the exit dispersion is what lands in the history
+    assert detector.history[-1] == pytest.approx(record.std_sequence[-1])
 
 
 def test_detect_no_dispersion_no_flags():
@@ -142,17 +129,15 @@ def test_detect_warmup_disables_flagging():
 def test_detect_all_malicious_flags_everything():
     rng = np.random.default_rng(2)
     values = rng.integers(10, 500, 12)
-    for mode, expected in (("zero", 12), ("min", 11)):
-        detector = Detector(DetectionConfig(expansion=1.2, window=3, replacement=mode))
-        detector.history = [0.001] * 3
-        detector.round_index = 10
-        aggs = [_agg(i, np.array([int(v)], dtype=np.uint64)) for i, v in enumerate(values)]
-        record = detector.detect(aggs, zeros(1, SPEC))
-        # dispersed hostile distances: the round is effectively abandoned
-        # (min mode leaves the final survivor, zero mode clears them all)
-        assert len(record.flagged) == expected
-        assert len(set(record.flagged)) == len(record.flagged)
-        assert len(record.flagged) <= len(aggs)  # terminates within G iterations
+    detector = Detector(DetectionConfig(expansion=1.2, window=3))
+    detector.history = [0.001] * 3
+    detector.round_index = 10
+    aggs = [_agg(i, np.array([int(v)], dtype=np.uint64)) for i, v in enumerate(values)]
+    record = detector.detect(aggs, zeros(1, SPEC))
+    # dispersed hostile distances: the round is effectively abandoned, all
+    # but the final survivor flagged, and the loop ends within G iterations
+    assert len(record.flagged) == 11
+    assert len(set(record.flagged)) == len(record.flagged)
 
 
 def test_detect_min_threshold_floor():
@@ -200,7 +185,6 @@ def test_distance_zero_for_noop_subgroup():
         leaf=0,
         revealed_high=ParamVector(summed.values >> np.uint64(SPEC.low_bits), SPEC),
         survivor_count=n,
-        member_tokens=[],
         full_sum=summed,
     )
     assert subgroup_distance(agg, model) == 0.0
@@ -222,7 +206,6 @@ def test_distance_translation_invariant():
             leaf=0,
             revealed_high=ParamVector(member_sum.values >> np.uint64(SPEC.low_bits), SPEC),
             survivor_count=n,
-            member_tokens=[],
             full_sum=member_sum,
         )
         return subgroup_distance(agg, model)
@@ -240,7 +223,6 @@ def test_distance_negative_coordinates_wrap_safely():
         leaf=0,
         revealed_high=ParamVector(summed.values >> np.uint64(SPEC.low_bits), SPEC),
         survivor_count=n,
-        member_tokens=[],
         full_sum=summed,
     )
     assert subgroup_distance(agg, model) <= 1.0  # truncation only
@@ -268,7 +250,6 @@ def test_scale_sensitivity_argmax():
                 leaf=g,
                 revealed_high=ParamVector(member_sum.values >> np.uint64(spec.low_bits), spec),
                 survivor_count=n,
-                member_tokens=[],
                 full_sum=member_sum,
             )
             distances.append(subgroup_distance(agg, quantize_vector(model_real, spec)))

@@ -85,8 +85,8 @@ def test_two_user_masks_cancel():
     r = SIM_GROUP.random_exponent(rng)
     tok = [b"token--0", b"token--1"]
     handles = [
-        PeerHandle(tok[1], SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[1].mask_keys.public, r)), 1, "intra"),
-        PeerHandle(tok[0], SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[0].mask_keys.public, r)), -1, "intra"),
+        PeerHandle(SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[1].mask_keys.public, r)), 1, "intra"),
+        PeerHandle(SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[0].mask_keys.public, r)), -1, "intra"),
     ]
     for u, agent in enumerate(agents):
         agent.receive_peer_list(PeerListMsg(tok[u], (handles[u],), (tok[0], tok[1])))
@@ -112,10 +112,9 @@ def test_mask_input_matches_rebinding_reference(spec):
     rng = Random(4)
     plan = [(1, "intra"), (-1, "intra"), (1, "inter"), (-1, "inter")]
     handles = tuple(
-        PeerHandle(bytes([i]) * 8, SIM_GROUP.encode(KeyPair.generate(SIM_GROUP, rng).public), sign, kind)
-        for i, (sign, kind) in enumerate(plan, 1)
+        PeerHandle(SIM_GROUP.encode(KeyPair.generate(SIM_GROUP, rng).public), sign, kind) for sign, kind in plan
     )
-    agent.receive_peer_list(PeerListMsg(b"own-tok!", handles, (b"own-tok!", handles[0].token)))
+    agent.receive_peer_list(PeerListMsg(b"own-tok!", handles, (b"own-tok!", b"mate-tok")))
     agent.distribute_shares()
     x = random_inputs(1, 50, spec, seed=8)[0]
     expect = vec_add_mod(x, prg_expand(agent.self_seed, 50, spec))
@@ -337,6 +336,25 @@ def test_conflicting_forced_self_seed_still_refused():
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),), forced=(owner,)))
     assert resp.shares == ()
     assert resp.refused == ((owner, SECRET_SELF_SEED),)
+
+
+def test_held_share_outside_its_field_not_released():
+    """A held share at or above its field's prime came in a bundle the
+    server relayed: releasing it aborts the round blamed on the server,
+    while p - 1, the largest element of each field, is released."""
+    from secaggsim.crypto import SHARE_PRIME, SHARE_PRIME_64
+
+    agent, tokens, _ = _lone_agent(n_recipients=5, group=FAST_GROUP)
+    agent.distribute_shares()
+    entries = [(SHARE_PRIME_64, 1), (SHARE_PRIME_64 - 1, 1), (1, SHARE_PRIME), (1, SHARE_PRIME - 1)]
+    agent.receive_share(_download(agent, entries))
+    agent.phase = "upload"
+    resp = agent.unmask_response(UnmaskRequestMsg(((tokens[2], SECRET_MASK_KEY), (tokens[4], SECRET_SELF_SEED))))
+    assert [int.from_bytes(raw, "big") for *_, raw in resp.shares] == [SHARE_PRIME_64 - 1, SHARE_PRIME - 1]
+    for target in ((tokens[1], SECRET_MASK_KEY), (tokens[3], SECRET_SELF_SEED)):
+        with pytest.raises(ProtocolAbort, match="outside its field") as exc:
+            agent.unmask_response(UnmaskRequestMsg((target,)))
+        assert exc.value.blamed == "server"
 
 
 # -- dropout recovery ------------------------------------------------------------------
@@ -743,7 +761,8 @@ def test_server_never_stores_plaintext_vector():
 
 def test_users_never_learn_grouping():
     """User-side state carries no subgroup indices or identities: only
-    opaque tokens, randomized keys, and signs."""
+    opaque tokens, randomized keys, and signs.  A peer handle carries no
+    token, so a user cannot tell which masking peers share its share leaf."""
     inputs = random_inputs(16, 4, SPEC, seed=61)
     _, server, users, _ = run_plain_round(16, TREE22, SPEC, inputs, seed=61)
     banned = ("assignment", "leaf", "subgroup", "identity")
@@ -751,7 +770,7 @@ def test_users_never_learn_grouping():
         for attr in vars(agent):
             assert not any(word in attr.lower() for word in banned), attr
         for handle in agent._peer_handles:
-            assert set(vars(handle)) == {"token", "randomized_pub", "sign", "kind"}
+            assert set(vars(handle)) == {"randomized_pub", "sign", "kind"}
 
 
 # -- setup verification against a cheating server -------------------------------------
@@ -930,6 +949,14 @@ def _repeated_row(resp, server):
     return dataclasses.replace(resp, seeds=resp.seeds + resp.seeds[:1])
 
 
+def _seed_past_field(resp, server):
+    """A seed row whose share is 2^256 + 297, one past its field."""
+    from secaggsim.crypto import SHARE_PRIME
+
+    (owner, index, _), *rest = resp.seeds
+    return dataclasses.replace(resp, seeds=((owner, index, SHARE_PRIME.to_bytes(SHARE_VALUE_BYTES, "big")), *rest))
+
+
 def _narrow_key_table(resp, server):
     """A sim256 holder's table claiming fast64's 9-byte key shares."""
     return dataclasses.replace(resp, key_width=9)
@@ -941,21 +968,58 @@ def _narrow_key_table(resp, server):
         pytest.param(_relabelled, "evaluation point 1, not its own 3", id="relabelled_point"),
         pytest.param(_unasked_rows, "not asked for", id="unasked_owners"),
         pytest.param(_repeated_row, "a share twice", id="repeated_row"),
+        pytest.param(_seed_past_field, "a share outside its field", id="seed_past_field"),
         pytest.param(_narrow_key_table, "key shares of 9 bytes, not 33", id="wrong_key_width"),
     ],
 )
 def test_unrequested_release_rows_rejected_at_receive_unmask(tamper, match):
     """The server files a release row only for a secret it asked that
-    holder for, at the holder's own evaluation point, once; each other
-    row aborts the round blamed on the holder, where filing it would give
-    a wrong total.  Out of scope: a wrong share at the right point, which
-    cannot be detected without verifiable shares."""
+    holder for, at the holder's own evaluation point, with a share inside
+    its field, once; each other row aborts the round blamed on the holder,
+    where filing it would give a wrong total.  Out of scope: a wrong share
+    inside the field at the right point, which cannot be detected without
+    verifiable shares."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     honest = users[3].unmask_response
     users[3].unmask_response = lambda req: tamper(honest(req), server)
     with pytest.raises(ProtocolAbort, match=match) as exc:
         _run_16(server, users, transport, 71)
     assert exc.value.blamed == "user:3"
+
+
+def test_key_row_outside_its_field_rejected_at_receive_unmask():
+    """A released fast64 key share of 2^64 + 13, one past its field, is
+    blamed on the holder that released it, where filing it would read it
+    mod p as another share.  User 0 drops, so its mask key is asked for."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC, group=FAST_GROUP)
+    released = []
+
+    def at_prime(agent, honest):
+        def respond(req):
+            resp = honest(req)
+            if not resp.keys:
+                return resp
+            released.append(f"user:{agent.index}")
+            (owner, index, _), *rest = resp.keys
+            return dataclasses.replace(resp, keys=((owner, index, FAST_GROUP.key_prime.to_bytes(9, "big")), *rest))
+
+        return respond
+
+    for agent in users:
+        agent.unmask_response = at_prime(agent, agent.unmask_response)
+    inputs = random_inputs(16, 4, SPEC, seed=71)
+    del inputs[0]
+    with pytest.raises(ProtocolAbort, match="outside its field") as exc:
+        execute_round(
+            server=server,
+            users=users,
+            transport=transport,
+            model=zeros(4, SPEC),
+            inputs=inputs,
+            round_seed=(71, 0),
+            pre_drop={0},
+        )
+    assert exc.value.blamed == released[0]
 
 
 # -- asking t holders, and again on a shortfall -------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from secaggsim.adversary import AttackPlan
 from secaggsim.errors import ConfigError
-from secaggsim.scenarios import exactness_config
+from secaggsim.scenarios import converging_attack_config, exactness_config
 from secaggsim.simulation import (
     CSV_COLUMNS,
     DetectionSettings,
@@ -94,6 +94,15 @@ def test_config_json_roundtrip():
         ("attack", "bogus"),
         (None, "dropout_timing"),
         (None, "inter_radius"),
+        ("synthetic", "drift_scale"),
+        ("synthetic", "sigma0"),
+        ("synthetic", "sigma_decay"),
+        ("synthetic", "sigma_floor"),
+        ("synthetic", "value_range"),
+        ("task", "samples_per_user"),
+        ("attack", "min_scale"),
+        ("attack", "scale_override"),
+        ("detection", "replacement"),
     ],
 )
 def test_config_unknown_key_rejected(section, key):
@@ -128,7 +137,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "0e60734fa15ce92a1082f63442aa4f7bab7339524539267c63136223ce77900e",
+        "7d762b6be24dc780e8884db75d6ac70a0369ba30073f45d0990dac5a4001c796",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -146,7 +155,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "a32b15ae21cf6a39bc3b56ce2182d2ea507ad2828a7ab90c94e627ba6a9f352c",
+        "85c4629450901b867a1878c50430ce88f082efd97923bcb638a62b3a167661ad",
     ),
 }
 
@@ -274,10 +283,29 @@ def test_detection_sweep_script_help(tmp_path: Path):
 
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
 def test_committed_config_runs(path: Path, tmp_path: Path):
-    ScenarioConfig.from_json(path.read_text()).validate()
-    proc = _run_cli("run", "--config", str(path), "--rounds", "1", "--attackers", "0", "--out", str(tmp_path))
+    """A one-round, attack-free copy of each committed config runs through
+    the CLI, which takes nothing but the document and the output path."""
+    doc = json.loads(path.read_text())
+    ScenarioConfig.from_dict(doc).validate()
+    doc.update(rounds=1, attack=None)
+    cfg_path = tmp_path / path.name
+    cfg_path.write_text(json.dumps(doc))
+    proc = _run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert proc.returncode == 0, proc.stderr
-    assert len((tmp_path / "report.csv").read_text().splitlines()) == 2  # header + one round
+    assert len((tmp_path / "o" / "report.csv").read_text().splitlines()) == 2  # header + one round
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("converging_attack.json", lambda: converging_attack_config(0, 5, "continuous")),
+        ("exact_aggregation.json", lambda: exactness_config(0, 81, 2, 3, dropout_rate=0.15)),
+    ],
+)
+def test_committed_config_is_its_preset(name, make):
+    """The committed configs that a preset describes are that preset's
+    document, byte for byte, so neither can drift from the other."""
+    assert (ROOT / "configs" / name).read_text() == make().to_json() + "\n"
 
 
 def test_cli_run_and_determinism(tmp_path: Path):
@@ -310,15 +338,3 @@ def test_cli_unknown_config_key(tmp_path: Path):
         proc = _run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1, name
         assert "config error" in proc.stderr and name in proc.stderr and "Traceback" not in proc.stderr
-
-
-def test_cli_flag_overrides(tmp_path: Path):
-    cfg = small_config()
-    cfg_path = tmp_path / "scenario.json"
-    cfg_path.write_text(cfg.to_json())
-    proc = _run_cli(
-        "run", "--config", str(cfg_path), "--rounds", "1", "--seed", "99", "--out", str(tmp_path / "o")
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = (tmp_path / "o" / "report.csv").read_text()
-    assert len(report.splitlines()) == 2  # header + one round

@@ -62,7 +62,7 @@ MESSAGES = [
     RandOpenMsg(b"\x66" * 32, b"\x77" * 16),
     PeerListMsg(
         TOK[0],
-        (PeerHandle(TOK[1], b"pub-1", 1, "intra"), PeerHandle(TOK[2], b"pub-2", -1, "inter")),
+        (PeerHandle(b"pub-1", 1, "intra"), PeerHandle(b"pub-2", -1, "inter")),
         (TOK[0], TOK[1], TOK[3]),
     ),
     SHARE,
@@ -363,7 +363,7 @@ def test_release_table_roundtrip(table, refused):
 # every type but the two vector messages, whose words are checked under the receiver's spec
 STRICT_FORMATS = [m for m in MESSAGES if not isinstance(m, (MaskedUploadMsg, GlobalModelMsg))]
 # the first peer handle's sign and kind code: (offset in the payload, invalid values)
-_HANDLE_FIELDS = ((8 + 2 + 4 + 8, (0, 2, 0x80)), (8 + 2 + 4 + 9, (0, 3, 7)))
+_HANDLE_FIELDS = ((8 + 2 + 4, (0, 2, 0x80)), (8 + 2 + 4 + 1, (0, 3, 7)))
 
 
 @pytest.mark.parametrize("msg", STRICT_FORMATS, ids=_ids(STRICT_FORMATS))
