@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fixedpoint import ParamVector, dequantize_vector, quantize_vector
+from .fixedpoint import ParamVector, SegmentSpec, quantize_vector
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +202,23 @@ class ToyTask:
 
 
 def benign_update_synthetic(
-    model: ParamVector,
-    drift: np.ndarray,
-    sigma: float,
-    rng: np.random.Generator,
+    center: np.ndarray, spec: SegmentSpec, sigma: float, rng: np.random.Generator
 ) -> ParamVector:
-    """x_u = X_t + Normal(drift, sigma^2) per coordinate."""
-    base = dequantize_vector(model)
-    noise = rng.normal(0.0, sigma, size=base.shape) if sigma > 0 else 0.0
-    return quantize_vector(base + drift + noise, model.spec)
+    """x_u = center + Normal(0, sigma^2) per coordinate, where ``center`` is
+    the decoded model X_t plus this round's drift.  ``center`` is shared by
+    every user of a round and is left as it is."""
+    if sigma <= 0:
+        return quantize_vector(center, spec)
+    noise = rng.normal(0.0, sigma, size=center.shape)
+    noise += center
+    return quantize_vector(noise, spec)
 
 
 def benign_update_task(
-    model: ParamVector, task: ToyTask, user: int, lr: float, weight_decay: float = 0.0
+    theta: np.ndarray, spec: SegmentSpec, task: ToyTask, user: int, lr: float, weight_decay: float = 0.0
 ) -> ParamVector:
-    theta = dequantize_vector(model)
-    return quantize_vector(task.local_update(theta, user, lr, weight_decay=weight_decay), model.spec)
+    """One local step from the decoded model ``theta``, quantized."""
+    return quantize_vector(task.local_update(theta, user, lr, weight_decay=weight_decay), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +227,21 @@ def benign_update_task(
 
 
 def attacker_update(
-    model: ParamVector,
+    theta: np.ndarray,
+    spec: SegmentSpec,
     target: np.ndarray,
     *,
     scale: float,
     cap: float | None = None,
 ) -> ParamVector:
-    """x_a = X_t + scale * (target - X_t), offset norm optionally capped."""
-    base = dequantize_vector(model)
-    offset = scale * (target - base)
+    """x_a = X_t + scale * (target - X_t) from the decoded model ``theta``,
+    offset norm optionally capped."""
+    offset = scale * (target - theta)
     if cap is not None:
         norm = float(np.linalg.norm(offset))
         if norm > cap:
             offset *= cap / norm
-    return quantize_vector(base + offset, model.spec)
+    return quantize_vector(theta + offset, spec)
 
 
 def replacement_scale(n_users: int, eta: float, n_attackers: int) -> float:

@@ -36,17 +36,17 @@ import numpy as np
 
 from .counters import OpCounters
 from .crypto import (
+    RAND_BYTES,
     SELF_SEED_BYTES,
     SHARE_PRIME,
-    Commitment,
     DhGroup,
     Share,
     commit,
+    commit_random,
     derive_shared_seeds,
     prg_expand,
     randomize_pubs,
     reconstruct_secret,
-    verify_commitment,
 )
 from .errors import ProtocolAbort, UnrecoverableRoundError, WireError
 from .fixedpoint import (
@@ -72,6 +72,7 @@ from .wire import (
     UnmaskRequestMsg,
     UnmaskResponseMsg,
     entry_bytes,
+    entry_points,
 )
 
 
@@ -147,7 +148,6 @@ class AggServer:
         self._share_pubs: list[bytes | None] = [None] * n_users
         self._mask_pubs: list[bytes | None] = [None] * n_users
         self._user_rands: list[bytes | None] = [None] * n_users
-        self._user_nonces: list[bytes | None] = [None] * n_users
         self._rand_commits: list[bytes | None] = [None] * n_users
         self._uploads: dict[int, np.ndarray] = {}
         self._dropped: set[int] = set()
@@ -178,10 +178,9 @@ class AggServer:
         return TreeCommitMsg(digest, self.n_users, commits)
 
     def receive_open(self, user: int, msg: RandOpenMsg) -> None:
-        if not verify_commitment(Commitment(self._rand_commits[user]), msg.user_rand, msg.nonce):
+        if len(msg.user_rand) != RAND_BYTES or commit_random(msg.user_rand).digest != self._rand_commits[user]:
             raise ProtocolAbort(f"user {user} opened a different randomness", blamed=f"user:{user}")
         self._user_rands[user] = msg.user_rand
-        self._user_nonces[user] = msg.nonce
 
     def finish_setup(self) -> None:
         """Derive identities, both assignments, tokens, and the pair plan."""
@@ -250,10 +249,11 @@ class AggServer:
         seed share (33) per entry (see ``wire``).  It must be the sender's
         first, filed under its own token at the configured threshold, with
         key shares of the group's width and one entry for every other
-        member of its share leaf; any other is blamed on the sender.  The
-        relay moves entry bodies by position and never decodes a share, but
-        the shares are plaintext: the server could read them until ROADMAP
-        item 7 encrypts each entry body.
+        member of its share leaf, each at its recipient's evaluation point
+        (the recipient's 1-based place in the leaf); any other is blamed on
+        the sender.  The relay moves entry bodies by position and never
+        decodes a share, but the shares are plaintext: the server could read
+        them until ROADMAP item 7 encrypts each entry body.
         """
         share_asn = self.setup.share_assignment
         leaf = share_asn.leaf_of[sender]
@@ -261,7 +261,7 @@ class AggServer:
         inbox = self._share_inbox.setdefault(leaf, {})
         width = self.group.key_share_bytes
         w = entry_bytes(width)
-        t, entries, mates = self.tree.share_threshold, len(msg.bodies) // w, len(members) - 1
+        t, mates, point = self.tree.share_threshold, len(members) - 1, self._point[sender]
         fault = None
         if msg.token != self.tokens[sender]:
             fault = "filed shares under another owner's token"
@@ -269,10 +269,12 @@ class AggServer:
             fault = f"sent shares of threshold {msg.threshold}, not {t}"
         elif msg.key_width != width:
             fault = f"sent key shares of {msg.key_width} bytes, not {width}"
-        elif entries != mates:
-            fault = f"sent {entries} share entries for its {mates} share recipients"
+        elif len(msg.bodies) != mates * w:
+            fault = f"sent {len(msg.bodies) / w:g} share entries for its {mates} share recipients"
         elif sender in inbox:
             fault = "sent a second share bundle"
+        elif entry_points(msg.bodies, width) != (*range(1, point), *range(point + 1, mates + 2)):
+            fault = "sent a share entry at another recipient's evaluation point"
         if fault is not None:
             raise ProtocolAbort(f"user {sender} {fault}", blamed=f"user:{sender}")
         inbox[sender] = msg.bodies
@@ -537,5 +539,5 @@ class AggServer:
             server_nonce=self.server_nonce,
             tree_desc=self.tree.describe(),
             tree_nonce=self._tree_nonce,
-            user_records=tuple(zip(self._share_pubs, self._mask_pubs, self._user_rands, self._user_nonces)),
+            user_records=tuple(zip(self._share_pubs, self._mask_pubs, self._user_rands)),
         )

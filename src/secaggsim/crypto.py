@@ -1,6 +1,11 @@
 """Cryptographic building blocks: commitments, randomized Diffie-Hellman,
 AES-128-CTR mask expansion, and Shamir threshold secret sharing.
 
+``commit`` adds a nonce of at least 16 bytes: a bare hash would give away
+which of its few shapes a tree is, and the tree's nonce derives from the
+server's.  ``commit_random`` hashes a user's 32 uniform grouping bytes
+alone, which hide themselves (Blum's coin flipping by telephone, 1981).
+
 Everything here is deterministic given its inputs; randomness is always
 injected by the caller (a seeded ``random.Random`` or raw bytes), so whole
 simulator runs replay bit-identically.  The Diffie-Hellman group is a
@@ -52,12 +57,14 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .fixedpoint import ParamVector, SegmentSpec, word_bytes
 
 _COMMIT_TAG = b"commit-v1"
+_RAND_COMMIT_TAG = b"rand-commit-v1"
 _PRG_TAG = b"mask-prg-v1"
 _SEED_TAG = b"shared-seed-v1"
 
 _ZERO_NONCE = bytes(12)
 
 MIN_NONCE_BYTES = 16
+RAND_BYTES = 32  # a user's grouping randomness; the least ``commit_random`` takes
 
 
 class InsufficientSharesError(ValueError):
@@ -83,10 +90,14 @@ def commit(payload: bytes, nonce: bytes) -> Commitment:
 
 def verify_commitment(c: Commitment, payload: bytes, nonce: bytes) -> bool:
     """True iff (payload, nonce) opens c.  Never raises on mismatch."""
-    if len(nonce) < MIN_NONCE_BYTES:
-        return False
-    expect = hashlib.sha256(_COMMIT_TAG + payload + nonce).digest()
-    return hmac.compare_digest(expect, c.digest)
+    return len(nonce) >= MIN_NONCE_BYTES and hmac.compare_digest(commit(payload, nonce).digest, c.digest)
+
+
+def commit_random(value: bytes) -> Commitment:
+    """Commit to a uniformly random value of at least 32 bytes, nonce-free."""
+    if len(value) < RAND_BYTES:
+        raise ValueError(f"a value committed without a nonce must be >= {RAND_BYTES} bytes")
+    return Commitment(hashlib.sha256(_RAND_COMMIT_TAG + value).digest())
 
 
 # ---------------------------------------------------------------------------

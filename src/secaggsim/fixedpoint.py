@@ -121,9 +121,9 @@ def quantize_vector(values, spec: SegmentSpec) -> ParamVector:
     arr = np.asarray(values, dtype=np.float64)
     scaled = np.rint(arr * spec.scale)
     half = float(1 << (spec.word_bits - 1))
-    if np.any(scaled >= half) or np.any(scaled < -half):
+    if scaled.size and (scaled.max() >= half or scaled.min() < -half):
         raise SaturationError("vector overflows fixed-point range")
-    out = scaled.astype(np.int64).astype(np.uint64) & np.uint64(spec.word_mask)
+    out = scaled.astype(np.int64).view(np.uint64) & np.uint64(spec.word_mask)
     return ParamVector(out, spec)
 
 

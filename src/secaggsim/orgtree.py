@@ -267,8 +267,8 @@ def run_tree_setup(
     commits its randomness; users advertise one-time public keys plus a
     commitment to their randomness; the server fixes and commits the tree
     shape; users open their randomness; this function then computes the
-    grouping.  Nonces and commitments do not feed it: they only bind the
-    inputs, and ``verify_setup`` replays this function from the reveal.
+    grouping.  Commitments do not feed it: they only bind the inputs, and
+    ``verify_setup`` replays this function from the reveal.
     """
     n = len(share_pubs)
     tree.validate_for(n)
@@ -283,10 +283,10 @@ def run_tree_setup(
 
 
 def verify_setup(
-    setup: TreeSetup, tree: TreeConfig, server_rand: bytes, records: Sequence[tuple[bytes, bytes, bytes, bytes]]
+    setup: TreeSetup, tree: TreeConfig, server_rand: bytes, records: Sequence[tuple[bytes, bytes, bytes]]
 ) -> None:
-    """Replay ``run_tree_setup`` from revealed (share_pub, mask_pub, rand,
-    nonce) records and compare it with the grouping the server used.
+    """Replay ``run_tree_setup`` from revealed (share_pub, mask_pub, rand)
+    records and compare it with the grouping the server used.
 
     The caller checks first that the records and ``server_rand`` open what
     was committed (see ``UserAgent.verify_reveal``); any difference left

@@ -408,10 +408,9 @@ class _Workload:
     def attack_active(self, round_index: int) -> bool:
         return self.plan is not None and self.plan.is_active(round_index)
 
-    def _refresh_target(self, model: ParamVector, round_index: int) -> None:
+    def _refresh_target(self, theta: np.ndarray, round_index: int) -> None:
         if self.task is None or self.plan is None:
             raise ConfigError("a backdoor target needs mode 'toy_task' and an attack plan")
-        theta = dequantize_vector(model)
         self.target_theta = self.task.train_backdoor_target(
             theta,
             steps=self.config.task.attacker_steps,
@@ -421,26 +420,38 @@ class _Workload:
             users=sorted(self.attackers),
         )
 
-    def input_for(self, user: int, round_index: int, model: ParamVector) -> ParamVector:
-        if self.attack_active(round_index) and user in self.attackers:
+    def inputs_for(self, users: list[int], round_index: int, model: ParamVector) -> dict[int, ParamVector]:
+        """Each listed user's input for the round.  The model is decoded, the
+        attack target refreshed and the synthetic drift added once per
+        round, not once per user."""
+        theta, spec = dequantize_vector(model), model.spec
+        attackers = set(users) & self.attackers if self.attack_active(round_index) else set()
+        if attackers:
             if self.target_theta is None or (self.plan.target_refresh and self.task is not None):
                 if self.task is not None:
-                    self._refresh_target(model, round_index)
+                    self._refresh_target(theta, round_index)
                 else:
                     rng = _sub_np_rng(self.config.seed, "synthtarget")
-                    self.target_theta = dequantize_vector(model) + rng.normal(0.0, 1.0, self.vector_len)
+                    self.target_theta = theta + rng.normal(0.0, 1.0, self.vector_len)
             scale = self.plan.scale_for(
                 round_index, self.config.n_users, self.config.eta, self.config.tree().leaf_count
             )
-            return attacker_update(model, self.target_theta, scale=scale, cap=self.plan.cap)
         if self.task is not None:
             lr = self.config.task.local_lr * self.config.task.lr_decay**round_index
-            return benign_update_task(
-                model, self.task, user, lr, weight_decay=self.config.task.weight_decay
-            )
-        rng = _sub_np_rng(self.config.seed, "benign", round_index, user)
-        sigma = self._sigma(round_index)
-        return benign_update_synthetic(model, DRIFT_SCALE * sigma / SIGMA0 * self.drift_dir, sigma, rng)
+            decay = self.config.task.weight_decay
+        else:
+            sigma = self._sigma(round_index)
+            center = theta + DRIFT_SCALE * sigma / SIGMA0 * self.drift_dir
+        inputs = {}
+        for u in users:
+            if u in attackers:
+                inputs[u] = attacker_update(theta, spec, self.target_theta, scale=scale, cap=self.plan.cap)
+            elif self.task is not None:
+                inputs[u] = benign_update_task(theta, spec, self.task, u, lr, weight_decay=decay)
+            else:
+                rng = _sub_np_rng(self.config.seed, "benign", round_index, u)
+                inputs[u] = benign_update_synthetic(center, spec, sigma, rng)
+        return inputs
 
     def evaluate(self, model: ParamVector) -> tuple[float, float]:
         if self.task is None:
@@ -623,11 +634,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
     for t in range(config.rounds):
         pre_drop = _draw_dropouts(config, t)
-        inputs = {
-            u: workload.input_for(u, t, model)
-            for u in range(config.n_users)
-            if u not in pre_drop
-        }
+        inputs = workload.inputs_for([u for u in range(config.n_users) if u not in pre_drop], t, model)
         result = execute_round(
             server=server,
             users=users,

@@ -41,12 +41,13 @@ import numpy as np
 
 from .counters import OpCounters
 from .crypto import (
+    RAND_BYTES,
     SELF_SEED_BYTES,
     SHARE_PRIME,
     Commitment,
     DhGroup,
     KeyPair,
-    commit,
+    commit_random,
     derive_shared_seeds,
     prg_expand,
     share_secret,
@@ -69,6 +70,7 @@ from .wire import (
     UnmaskRequestMsg,
     UnmaskResponseMsg,
     entry_bytes,
+    entry_points,
     share_bodies,
     share_part,
 )
@@ -131,24 +133,23 @@ class UserAgent:
         self.mask_keys = KeyPair.generate(self.group, rng)
         self.id_keys = KeyPair.generate(self.group, rng)
         self.self_seed = rng.randbytes(SELF_SEED_BYTES)
-        self.round_rand = rng.randbytes(32)
-        self.rand_nonce = rng.randbytes(16)
+        self.round_rand = rng.randbytes(RAND_BYTES)
         self._peer_handles: tuple[PeerHandle, ...] = ()
         self._pair_seeds: list[bytes] = []  # one per peer handle, in order
         self._recipients: tuple[bytes, ...] = ()
         self._own_token = b""
+        self._own_pos = 0  # place in _recipients; its evaluation point is one more
         # entry bodies in share_recipients order, and each owner's offset
         self._held = b""
         self._held_at: dict[bytes, int] = {}
         self._released: dict[bytes, int] = {}  # owner token -> bits 1 << released type
         self.forced_releases: list[bytes] = []
         self.seen_tree_commit: TreeCommitMsg | None = None
-        digest = commit(self.round_rand, self.rand_nonce).digest
         self._advance(PHASE_IDLE, PHASE_ADVERTISE)
         return AdvertMsg(
             share_pub=self.group.encode(self.id_keys.public),
             mask_pub=self.group.encode(self.mask_keys.public),
-            rand_commit=digest,
+            rand_commit=commit_random(self.round_rand).digest,
         )
 
     def open_rand(self, tree_commit: TreeCommitMsg) -> RandOpenMsg:
@@ -156,7 +157,7 @@ class UserAgent:
         of everyone's randomness commitments are fixed."""
         self.seen_tree_commit = tree_commit
         self._advance(PHASE_ADVERTISE, PHASE_COMMIT)
-        return RandOpenMsg(self.round_rand, self.rand_nonce)
+        return RandOpenMsg(self.round_rand)
 
     # -- share distribution --------------------------------------------------
 
@@ -182,13 +183,12 @@ class UserAgent:
                 f"user {self.index} got {n} share recipients for threshold {t}",
                 blamed="server",
             )
-        my_pos = recipients.index(self._own_token)
         keys = share_secret(self.mask_keys.secret, t, n, self._rng, self.group.key_prime)
         seeds = share_secret(int.from_bytes(self.self_seed, "big"), t, n, self._rng)
         self.counters.shares_created += 2 * n
         width = self.group.key_share_bytes
         bodies = share_bodies([(key.index, key.value, seed.value) for key, seed in zip(keys, seeds)], width)
-        self._held = bodies.pop(my_pos)
+        self._held = bodies.pop(self._own_pos)
         self._held_at = {self._own_token: 0}
         return ShareMsg(self._own_token, t, width, b"".join(bodies))
 
@@ -200,8 +200,8 @@ class UserAgent:
         entry spliced in at this user's position, each owner's entry sits
         at a fixed offset, so nothing is decoded before it is released.
         Anything but one such bundle for this user, with key shares of its
-        group's width, after its own shares went out, is the server's fault
-        and is rejected whole.
+        group's width and every entry at this user's evaluation point, after
+        its own shares went out, is the server's fault and is rejected whole.
         """
         recipients = self._recipients
         w = entry_bytes(self.group.key_share_bytes)
@@ -218,9 +218,11 @@ class UserAgent:
             fault = f"got key shares of {msg.key_width} bytes, not {self.group.key_share_bytes}"
         elif len(msg.bodies) != (len(recipients) - 1) * w:
             fault = f"got {len(msg.bodies) // w} share entries for {len(recipients) - 1} mates"
+        elif entry_points(msg.bodies, msg.key_width) != (self._own_pos + 1,) * (len(recipients) - 1):
+            fault = "got a share entry at another evaluation point"
         if fault is not None:
             raise ProtocolAbort(f"user {self.index} {fault}", blamed="server")
-        cut = recipients.index(self._own_token) * w
+        cut = self._own_pos * w
         self._held = msg.bodies[:cut] + self._held + msg.bodies[cut:]
         self._held_at = dict(zip(recipients, range(0, len(self._held), w)))
 
@@ -303,12 +305,7 @@ class UserAgent:
         """Check that this user's record in the reveal is its own keys and
         randomness; O(1), so every online user runs it on the one REVEAL."""
         records = reveal.user_records
-        own = (
-            self.group.encode(self.id_keys.public),
-            self.group.encode(self.mask_keys.public),
-            self.round_rand,
-            self.rand_nonce,
-        )
+        own = (self.group.encode(self.id_keys.public), self.group.encode(self.mask_keys.public), self.round_rand)
         if self.index >= len(records) or records[self.index] != own:
             raise ProtocolAbort(f"user {self.index} own record altered in the reveal", blamed="server")
 
@@ -326,8 +323,8 @@ class UserAgent:
         before the reveal anyway (see ``orgtree``).  ``verify_setup`` then
         replays the grouping from the revealed records and compares it with
         the one the server used: a changed key or randomness changes the
-        replayed identities, a changed nonce breaks the digest, and a
-        changed server or tree nonce fails its opening above.
+        replayed identities, and a changed server or tree nonce fails its
+        opening above.
         """
         seen = self.seen_tree_commit
         if seen is None:
@@ -343,11 +340,10 @@ class UserAgent:
             raise ProtocolAbort(
                 f"reveal lists {len(records)} users, tree commitment {seen.n_users}", blamed="server"
             )
-        try:
-            revealed = commits_digest([commit(rand, nonce).digest for _, _, rand, nonce in records])
-        except ValueError:  # a nonce too short to open any commitment
-            revealed = b""
-        if revealed != seen.commits_digest:
+        rands = [rand for _, _, rand in records]
+        if any(len(rand) != RAND_BYTES for rand in rands) or seen.commits_digest != commits_digest(
+            [commit_random(rand).digest for rand in rands]
+        ):
             raise ProtocolAbort("revealed randomness does not match the committed digest", blamed="server")
         self.check_own_record(reveal)
         verify_setup(setup, tree, reveal.server_rand, records)
@@ -359,7 +355,9 @@ def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None
 
     Each seed comes from its agent's own mask secret and one handle of its
     own message, exactly as if each agent ran alone; only the evaluation
-    order is shared.  All agents must use one group.
+    order is shared.  All agents must use one group.  A message whose
+    ``share_recipients`` repeat a token, or do not hold the agent's own
+    token, aborts the round blamed on the server.
     """
     if not agents:
         return
@@ -369,9 +367,15 @@ def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None
     pubs: list[int] = []
     secrets: list[int] = []
     for agent, msg in zip(agents, msgs, strict=True):
+        recipients = msg.share_recipients
+        if len(set(recipients)) != len(recipients) or msg.own_token not in recipients:
+            raise ProtocolAbort(
+                f"user {agent.index} got share recipients that repeat a token or lack its own", blamed="server"
+            )
         agent._own_token = msg.own_token
+        agent._own_pos = recipients.index(msg.own_token)
         agent._peer_handles = msg.peers
-        agent._recipients = msg.share_recipients
+        agent._recipients = recipients
         secret = agent.mask_keys.secret
         for handle in msg.peers:
             pubs.append(int.from_bytes(handle.randomized_pub, "big"))

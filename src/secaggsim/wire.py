@@ -71,9 +71,10 @@ that later verifies the reveal recomputes the digest from the revealed
 openings, which catches a server that changes any of them (see
 ``orgtree`` for why checking one's own record then, rather than one's
 inclusion earlier, loses nothing).  The reveal packs its N user records
-at one width given once in a header, because the group fixes the key
-width and the protocol the randomness and nonce widths; a payload that is
-not exactly that header plus N records raises ``WireError``.
+(share key, mask key, randomness: no nonce, see ``crypto``) at one width
+given once in a header, because the group fixes the key width and the
+protocol the randomness width; a payload that is not exactly that header
+plus N records raises ``WireError``.
 
 Decoding raises ``WireError`` for a truncated record, one whose tag is not
 the expected message's, one whose fields overrun the payload, a digest
@@ -289,19 +290,19 @@ class TreeCommitMsg:
 
 @dataclass(frozen=True)
 class RandOpenMsg:
+    """The grouping randomness, which alone opens its ADVERT commitment."""
+
     user_rand: bytes
-    nonce: bytes
 
     def to_bytes(self) -> bytes:
-        return encode_record(TAG_RAND_OPEN, _pack_bytes(self.user_rand) + _pack_bytes(self.nonce))
+        return encode_record(TAG_RAND_OPEN, _pack_bytes(self.user_rand))
 
     @staticmethod
     def from_bytes(data: bytes) -> "RandOpenMsg":
         payload = _payload_of(data, TAG_RAND_OPEN)
-        r, off = _unpack_bytes(payload, 0)
-        nonce, end = _unpack_bytes(payload, off)
+        r, end = _unpack_bytes(payload, 0)
         _check_end(payload, end)
-        return RandOpenMsg(r, nonce)
+        return RandOpenMsg(r)
 
 
 @dataclass
@@ -384,6 +385,18 @@ def _entry_body(key_width: int) -> struct.Struct:
 def entry_bytes(key_width: int) -> int:
     """Bytes of one bundle entry body whose key share is ``key_width`` bytes."""
     return 4 + key_width + SHARE_VALUE_BYTES
+
+
+@functools.lru_cache(maxsize=32)  # one per (key-share width, leaf size) in use
+def _entry_points(key_width: int, count: int) -> struct.Struct:
+    """The evaluation points of ``count`` entry bodies, skipping their shares."""
+    return struct.Struct(">" + f"I{key_width + SHARE_VALUE_BYTES}x" * count)
+
+
+def entry_points(bodies: bytes, key_width: int) -> tuple[int, ...]:
+    """The evaluation point of each entry body in ``bodies``, in order;
+    ``bodies`` holds whole entries, as every ``ShareMsg`` does."""
+    return _entry_points(key_width, len(bodies) // entry_bytes(key_width)).unpack(bodies)
 
 
 def share_bodies(points: Sequence[tuple[int, int, int]], key_width: int) -> list[bytes]:
@@ -559,7 +572,7 @@ class UnmaskResponseMsg:
         )
 
 
-_REVEAL_WIDTHS = struct.Struct(">IHHHH")  # N, then the four field widths
+_REVEAL_WIDTHS = struct.Struct(">IHHH")  # N, then the three field widths
 
 
 @dataclass(frozen=True)
@@ -567,23 +580,23 @@ class RevealMsg:
     """Post-upload opening: server randomness, tree shape, and the full
     per-user opening list, broadcast for client-side verification.
 
-    The N records follow one header carrying their four field widths and
-    are packed back to back without per-field prefixes: every record has
-    the same widths, because the group fixes the key width and the
-    protocol the randomness and nonce widths.
+    The N records follow one header carrying their three field widths
+    and are packed back to back without per-field prefixes: every record
+    has the same widths, because the group fixes the key width and the
+    protocol the randomness width, which alone opens a commitment.
     """
 
     server_rand: bytes
     server_nonce: bytes
     tree_desc: bytes
     tree_nonce: bytes
-    user_records: tuple[tuple[bytes, bytes, bytes, bytes], ...]  # (share_pub, mask_pub, rand, nonce)
+    user_records: tuple[tuple[bytes, bytes, bytes], ...]  # (share_pub, mask_pub, rand)
 
     def to_bytes(self) -> bytes:
         records = self.user_records
-        widths = tuple(map(len, records[0])) if records else (0, 0, 0, 0)
-        if len(widths) != 4 or any(tuple(map(len, rec)) != widths for rec in records):
-            raise ValueError("reveal records must all be four fields of the same widths")
+        widths = tuple(map(len, records[0])) if records else (0, 0, 0)
+        if len(widths) != 3 or any(tuple(map(len, rec)) != widths for rec in records):
+            raise ValueError("reveal records must all be three fields of the same widths")
         if records and not sum(widths):
             raise ValueError("reveal records must not be empty")
         parts = (
@@ -603,18 +616,14 @@ class RevealMsg:
         server_nonce, off = _unpack_bytes(payload, off)
         tree_desc, off = _unpack_bytes(payload, off)
         tree_nonce, off = _unpack_bytes(payload, off)
-        n, w0, w1, w2, w3 = _unpack(_REVEAL_WIDTHS.format, payload, off)
+        n, *widths = _unpack(_REVEAL_WIDTHS.format, payload, off)
         off += _REVEAL_WIDTHS.size
-        width = w0 + w1 + w2 + w3
-        if n and not width:
+        row = struct.Struct("".join(f"{w}s" for w in widths))
+        if n and not row.size:
             raise WireError(f"{n} reveal records of zero width")
-        if len(payload) != off + n * width:
-            raise WireError(f"reveal payload of {len(payload)} bytes does not hold {n} records of {width}")
-        a, b, c = w0, w0 + w1, w0 + w1 + w2
-        records = tuple(
-            (payload[o : o + a], payload[o + a : o + b], payload[o + b : o + c], payload[o + c : o + width])
-            for o in (range(off, len(payload), width) if n else ())
-        )
+        if len(payload) != off + n * row.size:
+            raise WireError(f"reveal payload of {len(payload)} bytes does not hold {n} records of {row.size}")
+        records = tuple(row.iter_unpack(payload[off:])) if n else ()
         return RevealMsg(server_rand, server_nonce, tree_desc, tree_nonce, records)
 
 

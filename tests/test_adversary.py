@@ -25,7 +25,7 @@ def make_task(n_users=20, seed=0):
 def test_benign_synthetic_zero_noise_exact():
     model = quantize_vector(np.linspace(-1, 1, 8), SPEC)
     drift = np.full(8, 0.25)
-    out = benign_update_synthetic(model, drift, 0.0, np.random.default_rng(0))
+    out = benign_update_synthetic(dequantize_vector(model) + drift, SPEC, 0.0, np.random.default_rng(0))
     assert np.allclose(dequantize_vector(out), dequantize_vector(model) + 0.25)
 
 
@@ -37,7 +37,7 @@ def test_benign_synthetic_mean():
     acc = np.zeros(4)
     n = 10_000
     for _ in range(n):
-        acc += dequantize_vector(benign_update_synthetic(model, drift, sigma, rng))
+        acc += dequantize_vector(benign_update_synthetic(dequantize_vector(model) + drift, SPEC, sigma, rng))
     err = np.abs(acc / n - drift)
     assert np.all(err <= 3 * sigma / np.sqrt(n) + 1.0 / SPEC.scale)
 
@@ -48,7 +48,8 @@ def test_benign_task_loss_decreases():
     losses = [task.loss(theta, task.train_x, task.train_y)]
     model = zeros(task.model_dim, SPEC)
     for _ in range(10):
-        updates = [dequantize_vector(benign_update_task(model, task, u, lr=0.5)) for u in range(20)]
+        decoded = dequantize_vector(model)
+        updates = [dequantize_vector(benign_update_task(decoded, SPEC, task, u, lr=0.5)) for u in range(20)]
         theta = np.mean(updates, axis=0)
         model = quantize_vector(theta, SPEC)
         losses.append(task.loss(theta, task.train_x, task.train_y))
@@ -63,19 +64,19 @@ def test_attacker_update_example():
     target = np.array([10.0])
     scale = replacement_scale(1000, 1.0, 10)
     assert scale == 100.0
-    out = attacker_update(model, target, scale=scale)
+    out = attacker_update(dequantize_vector(model), SPEC, target, scale=scale)
     assert dequantize_vector(out)[0] == pytest.approx(1000.0)
 
 
 def test_attacker_noop_when_target_equals_model():
     model = quantize_vector([1.5, -2.0], SPEC)
-    out = attacker_update(model, dequantize_vector(model), scale=50.0)
+    out = attacker_update(dequantize_vector(model), SPEC, dequantize_vector(model), scale=50.0)
     assert out == model
 
 
 def test_attacker_cap_limits_offset():
     model = zeros(4, SPEC)
-    out = attacker_update(model, np.full(4, 10.0), scale=100.0, cap=2.0)
+    out = attacker_update(dequantize_vector(model), SPEC, np.full(4, 10.0), scale=100.0, cap=2.0)
     assert np.linalg.norm(dequantize_vector(out)) == pytest.approx(2.0, abs=0.01)
 
 
@@ -89,7 +90,7 @@ def test_model_replacement_identity():
     scale = replacement_scale(n_users, eta, n_attackers)
     benign = dequantize_vector(model)
     updates = [benign] * (n_users - n_attackers)
-    updates += [dequantize_vector(attacker_update(model, target, scale=scale))] * n_attackers
+    updates += [dequantize_vector(attacker_update(benign, SPEC, target, scale=scale))] * n_attackers
     new_model = benign + (eta / n_users) * sum(u - benign for u in updates)
     assert np.allclose(new_model, target, atol=n_attackers * 2.0 ** (-SPEC.frac_bits - 1) * scale / 50)
 

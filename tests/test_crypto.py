@@ -22,6 +22,7 @@ from secaggsim.crypto import (
     KeyPair,
     Share,
     commit,
+    commit_random,
     derive_shared_seed,
     derive_shared_seeds,
     pow_many,
@@ -51,6 +52,25 @@ def test_commit_verify_roundtrip():
 def test_commit_nonce_length_enforced():
     with pytest.raises(ValueError):
         commit(b"p", b"short")
+
+
+def test_commit_random_binds_every_bit():
+    rng = Random(1)
+    value = rng.randbytes(32)
+    digest = commit_random(value).digest
+    assert commit_random(value).digest == digest
+    assert digest != commit(value[:16], value[16:]).digest  # its own domain tag
+    for bit in (0, 7, 100, 255):
+        flipped = bytearray(value)
+        flipped[bit // 8] ^= 1 << bit % 8
+        assert commit_random(bytes(flipped)).digest != digest
+
+
+def test_commit_random_needs_32_bytes():
+    commit_random(bytes(33))
+    for short in (b"", bytes(16), bytes(31)):
+        with pytest.raises(ValueError):
+            commit_random(short)
 
 
 def test_commit_collision_scan():

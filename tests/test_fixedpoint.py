@@ -39,6 +39,7 @@ def test_quantize_examples():
     spec = SegmentSpec(32, 8, 16)
     assert quantize_vector([1.5, 0.0], spec).values.tolist() == [384, 0]  # 1.5 * 256
     assert quantize_vector([-1.0], SegmentSpec(16, 8, 12)).values.tolist() == [65280]  # two's complement
+    assert quantize_vector([], spec).values.tolist() == []
 
 
 def test_quantize_saturation():

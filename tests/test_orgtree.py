@@ -37,9 +37,9 @@ def _setup_inputs(n: int, seed: int = 0):
     )
 
 
-def _records(inputs: dict) -> list[tuple[bytes, bytes, bytes, bytes]]:
-    """Reveal records of the setup inputs; the nonces do not feed the replay."""
-    return [(*rec, bytes(16)) for rec in zip(inputs["share_pubs"], inputs["mask_pubs"], inputs["user_rands"])]
+def _records(inputs: dict) -> list[tuple[bytes, bytes, bytes]]:
+    """Reveal records of the setup inputs."""
+    return list(zip(inputs["share_pubs"], inputs["mask_pubs"], inputs["user_rands"]))
 
 
 # -- geometry and assignment ----------------------------------------------------

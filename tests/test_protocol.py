@@ -788,13 +788,12 @@ def _run_16(server, users, transport, seed):
 
 
 def _swap_opening(server):
-    # a fresh (rand, nonce) for user 5 before setup: grouping, commitment
-    # and reveal all agree with it, only the tree-commit digest does not
+    # a fresh randomness for user 5 before setup: grouping, commitment and
+    # reveal all agree with it, only the tree-commit digest does not
     finish = server.finish_setup
 
     def cheat():
         server._user_rands[5] = bytes(32)
-        server._user_nonces[5] = bytes(16)
         finish()
 
     server.finish_setup = cheat
@@ -863,12 +862,13 @@ def _reveal_not_the_setup(server):
     server.reveal = cheat
 
 
-def _short_nonce_in_reveal(server):
+def _short_rand_in_reveal(server):
+    # a randomness too short to be committed without a nonce opens nothing
     reveal = server.reveal
 
     def cheat():
         msg = reveal()
-        return dataclasses.replace(msg, user_records=tuple(r[:3] + (r[3][:8],) for r in msg.user_records))
+        return dataclasses.replace(msg, user_records=tuple(r[:2] + (r[2][:8],) for r in msg.user_records))
 
     server.reveal = cheat
 
@@ -884,7 +884,7 @@ def _short_nonce_in_reveal(server):
         pytest.param(_wrong_population, "lists 16 users", id="wrong_population"),
         pytest.param(_population_too_small, "does not fit the tree", id="population_too_small"),
         pytest.param(_reveal_not_the_setup, "identities do not match", id="reveal_not_the_setup"),
-        pytest.param(_short_nonce_in_reveal, "committed digest", id="short_nonce_in_reveal"),
+        pytest.param(_short_rand_in_reveal, "committed digest", id="short_rand_in_reveal"),
     ],
 )
 def test_cheating_server_caught_by_verifier(cheat, match):
@@ -911,7 +911,27 @@ def test_mismatched_opening_caught_at_receive_open():
     check the round would run on and the reveal's digest would blame the
     server."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
-    users[3].open_rand = lambda tree_commit: RandOpenMsg(bytes(32), bytes(16))
+    users[3].open_rand = lambda tree_commit: RandOpenMsg(bytes(32))
+    with pytest.raises(ProtocolAbort, match="user 3 opened a different randomness") as exc:
+        _run_16(server, users, transport, 72)
+    assert exc.value.blamed == "user:3"
+
+
+@pytest.mark.parametrize(
+    "resize",
+    [
+        pytest.param(lambda rand: rand[:16], id="short"),
+        pytest.param(lambda rand: rand[:31], id="one_byte_short"),
+        pytest.param(lambda rand: rand + b"\x00", id="one_byte_long"),
+    ],
+)
+def test_opening_not_32_bytes_caught_at_receive_open(resize):
+    """A RAND_OPEN whose randomness is not 32 bytes opens no commitment,
+    even one that starts with the committed randomness; it is blamed on
+    its sender."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    honest = users[3].open_rand
+    users[3].open_rand = lambda tree_commit: RandOpenMsg(resize(honest(tree_commit).user_rand))
     with pytest.raises(ProtocolAbort, match="user 3 opened a different randomness") as exc:
         _run_16(server, users, transport, 72)
     assert exc.value.blamed == "user:3"
@@ -1151,6 +1171,19 @@ def test_relay_checks_the_sender_bundle(tamper, match):
     assert 3 not in server._share_inbox.get(server.setup.share_assignment.leaf_of[3], {})
 
 
+def test_relay_rejects_a_partial_entry():
+    """A bundle one byte past whole entries, handed to the relay without
+    the wire's decoder, is blamed on its sender, not read as entries."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    route = server.route_share
+    server.route_share = lambda sender, msg: route(
+        sender, dataclasses.replace(msg, bodies=msg.bodies + b"\x00") if sender == 3 else msg
+    )
+    with pytest.raises(ProtocolAbort, match="user 3 sent 3.0") as exc:
+        _run_16(server, users, transport, 73)
+    assert exc.value.blamed == "user:3"
+
+
 def test_relay_rejects_a_second_bundle():
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     route = server.route_share
@@ -1292,3 +1325,84 @@ def test_bundle_for_another_user_rejected_at_the_receiver():
     with pytest.raises(ProtocolAbort, match="addressed to another user") as exc:
         _run_16(server, users, transport, 76)
     assert exc.value.blamed == "server"
+
+
+# -- peer lists and evaluation points -----------------------------------------------------
+
+
+def _mates(msg):
+    return [tok for tok in msg.share_recipients if tok != msg.own_token]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(
+            lambda msg: tuple(bytes(8) if tok == msg.own_token else tok for tok in msg.share_recipients),
+            id="own_token_missing",
+        ),
+        pytest.param(lambda msg: msg.share_recipients + (msg.own_token,), id="own_token_twice"),
+        pytest.param(
+            lambda msg: tuple(_mates(msg)[0] if tok == _mates(msg)[-1] else tok for tok in msg.share_recipients),
+            id="mate_repeated",
+        ),
+    ],
+)
+def test_bad_share_recipients_blamed_on_the_server(edit):
+    """A PEER_LIST whose share recipients do not hold the user's own token
+    exactly once, or repeat a token, aborts the round blamed on the server
+    before any share is made."""
+    server, users, transport, counters = build_round(16, TREE22, SPEC)
+    peer_list_for = server.peer_list_for
+
+    def cheat(user):
+        msg = peer_list_for(user)
+        return dataclasses.replace(msg, share_recipients=edit(msg)) if user == 3 else msg
+
+    server.peer_list_for = cheat
+    with pytest.raises(ProtocolAbort, match="user 3 got share recipients that repeat a token or lack its own") as exc:
+        _run_16(server, users, transport, 77)
+    assert exc.value.blamed == "server"
+    assert counters.shares_created == 0
+
+
+def _point_flipped(bundle, entry):
+    """The bundle with the low bit of one entry's evaluation point flipped."""
+    bodies = bytearray(bundle.bodies)
+    bodies[entry * entry_bytes(bundle.key_width) + 3] ^= 1
+    return dataclasses.replace(bundle, bodies=bytes(bodies))
+
+
+def _flip_by_sender(server, users):
+    honest = users[3].distribute_shares
+    users[3].distribute_shares = lambda: _point_flipped(honest(), 1)
+
+
+def _flip_by_relay(server, users):
+    route = server.route_share
+
+    def flipping(sender, msg):
+        out = route(sender, msg)
+        return [(r, _point_flipped(b, 0)) for r, b in out[:1]] + out[1:]
+
+    server.route_share = flipping
+
+
+@pytest.mark.parametrize(
+    "flip, blamed, match",
+    [
+        pytest.param(_flip_by_sender, "user:3", "user 3 sent a share entry at another recipient's", id="sender"),
+        pytest.param(_flip_by_relay, "server", "got a share entry at another evaluation point", id="relay"),
+    ],
+)
+def test_flipped_evaluation_point_blamed_on_who_flipped_it(flip, blamed, match):
+    """An entry's point must be its recipient's 1-based place in the share
+    leaf.  The relay checks each sender's entries, and each recipient checks
+    that every entry it gets is at its own point, so a flipped point aborts
+    the round blamed on whoever flipped it, not later on the honest holder
+    that would release the share."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    flip(server, users)
+    with pytest.raises(ProtocolAbort, match=match) as exc:
+        _run_16(server, users, transport, 78)
+    assert exc.value.blamed == blamed

@@ -13,11 +13,16 @@ import pytest
 from secaggsim.adversary import AttackPlan
 from secaggsim.errors import ConfigError
 from secaggsim.scenarios import converging_attack_config, exactness_config
+from secaggsim.fixedpoint import dequantize_vector, quantize_vector
 from secaggsim.simulation import (
     CSV_COLUMNS,
+    DRIFT_SCALE,
+    SIGMA0,
     DetectionSettings,
     ScenarioConfig,
     SyntheticWorkload,
+    _sub_np_rng,
+    _Workload,
     run_scenario,
 )
 from secaggsim.wire import StarTransport
@@ -137,7 +142,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "7d762b6be24dc780e8884db75d6ac70a0369ba30073f45d0990dac5a4001c796",
+        "e9c0c76b379514c4153d8172218e0f8dc4d1d3184febdd81cd93634cdf968713",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -155,7 +160,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "85c4629450901b867a1878c50430ce88f082efd97923bcb638a62b3a167661ad",
+        "ac0d3116fc46cc37ea9da603aec13d3eaee5cc26a885a11d81e38f4f215eb9cb",
     ),
 }
 
@@ -170,6 +175,29 @@ def test_report_digest_pinned(name):
     make, digest = PINNED_REPORTS[name]
     report = run_scenario(make())
     assert hashlib.sha256((report.to_csv() + report.to_json()).encode()).hexdigest() == digest
+
+
+def test_round_inputs_equal_the_per_user_formula():
+    """Decoding the model once per round changes no input by a bit: each
+    benign user gets quantize((X_t + drift) + noise) and the attacker
+    quantize(X_t + scale * (target - X_t)), computed here user by user."""
+    cfg = small_config(attack=AttackPlan(attacker_ids=(3,), strategy="one_shot", start_round=2))
+    spec = cfg.segment_spec()
+    workload = _Workload(cfg, spec)
+    model, t = workload.initial_model(), 2
+    users = [u for u in range(cfg.n_users) if u != 5]
+    inputs = workload.inputs_for(users, t, model)
+    assert sorted(inputs) == users
+    sigma = workload._sigma(t)
+    scale = cfg.attack.scale_for(t, cfg.n_users, cfg.eta, cfg.tree().leaf_count)
+    for u in users:
+        theta = dequantize_vector(model)
+        if u == 3:
+            expect = theta + scale * (workload.target_theta - theta)
+        else:
+            noise = _sub_np_rng(cfg.seed, "benign", t, u).normal(0.0, sigma, size=theta.shape)
+            expect = theta + DRIFT_SCALE * sigma / SIGMA0 * workload.drift_dir + noise
+        assert inputs[u] == quantize_vector(expect, spec)
 
 
 def test_different_seeds_differ():

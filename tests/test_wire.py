@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import random_inputs, run_plain_round
+
 from secaggsim.aggserver import AggServer
 from secaggsim.counters import OpCounters
-from secaggsim.crypto import SHARE_PRIME, SHARE_PRIME_64, SIM_GROUP
+from secaggsim.crypto import FAST_GROUP, RAND_BYTES, SHARE_PRIME, SHARE_PRIME_64, SIM_GROUP
 from secaggsim.errors import ProtocolAbort, WireError
 from secaggsim.fixedpoint import SegmentSpec
 from secaggsim.orgtree import TreeConfig
@@ -16,6 +18,7 @@ from secaggsim.wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SHARE_VALUE_BYTES,
+    TAG_ADVERT,
     TAG_GLOBAL_MODEL,
     TAG_MASKED_UPLOAD,
     TAG_RAND_OPEN,
@@ -59,7 +62,7 @@ MESSAGES = [
     ServerCommitMsg(b"\x11" * 32),
     AdvertMsg(b"share-pub", b"mask-pub", b"\x22" * 32),
     TreeCommitMsg(b"\x33" * 32, 2, b"\x44" * 32),
-    RandOpenMsg(b"\x66" * 32, b"\x77" * 16),
+    RandOpenMsg(b"\x66" * 32),
     PeerListMsg(
         TOK[0],
         (PeerHandle(b"pub-1", 1, "intra"), PeerHandle(b"pub-2", -1, "inter")),
@@ -75,9 +78,7 @@ MESSAGES = [
         seeds=((TOK[2], 1, _share(9)),),
         refused=((TOK[3], SECRET_MASK_KEY),),
     ),
-    RevealMsg(
-        b"rs", b"rs-nonce", b"tree:h=2,d=3", b"tree-nonce", ((b"sp", b"mp", b"ru", b"nu-0"), (b"SP", b"MP", b"RU", b"NU-1"))
-    ),
+    RevealMsg(b"rs", b"rs-nonce", b"tree:h=2,d=3", b"tree-nonce", ((b"sp", b"mp", b"ru-0"), (b"SP", b"MP", b"RU-1"))),
     GlobalModelMsg.from_vector(np.array([3, 4], dtype=np.uint64), SPEC32),
 ]
 
@@ -163,35 +164,50 @@ def _reveal(records) -> RevealMsg:
 
 
 def test_reveal_length_is_header_plus_fixed_records():
-    widths = (8, 8, 32, 16)
+    widths = (8, 8, 32)
     rng = Random(7)
     for n in (0, 1, 7):
         msg = _reveal(tuple(rng.randbytes(w) for w in widths) for _ in range(n))
         data = msg.to_bytes()
-        header = 5 + 4 * 4 + 32 + 16 + len(b"tree:h=2,d=3") + 32 + 4 + 2 * 4
+        header = 5 + 4 * 4 + 32 + 16 + len(b"tree:h=2,d=3") + 32 + 4 + 2 * 3
         assert len(data) == header + n * sum(widths)
         assert RevealMsg.from_bytes(data) == msg
 
 
+def test_fast64_reveal_records_are_two_keys_and_the_randomness():
+    """A fast64 round reveals (share key, mask key, randomness) per user and
+    no nonce: 2 * element_bytes + 32 = 48 bytes a record."""
+    n, width = 16, 2 * FAST_GROUP.element_bytes + RAND_BYTES
+    _, server, _, _ = run_plain_round(
+        n, TreeConfig(height=1, degree=2), SPEC32, random_inputs(n, 4, SPEC32, seed=3), seed=3, group=FAST_GROUP
+    )
+    msg = server.reveal()
+    assert width == 48
+    assert {tuple(map(len, rec)) for rec in msg.user_records} == {(8, 8, 32)}
+    header = 5 + 4 * 4 + len(msg.server_rand + msg.server_nonce + msg.tree_desc + msg.tree_nonce) + 4 + 2 * 3
+    assert len(msg.to_bytes()) == header + n * width
+    assert RevealMsg.from_bytes(msg.to_bytes()) == msg
+
+
 def test_reveal_unequal_widths_rejected_on_encode():
-    good = (b"s" * 8, b"m" * 8, b"r" * 32, b"n" * 16)
-    for bad in ((b"s" * 9, b"m" * 7, b"r" * 32, b"n" * 16), (b"s" * 8, b"m" * 8, b"r" * 32, b"n" * 17)):
+    good = (b"s" * 8, b"m" * 8, b"r" * 32)
+    for bad in ((b"s" * 9, b"m" * 7, b"r" * 32), (b"s" * 8, b"m" * 8, b"r" * 33), good + (b"n" * 16,)):
         with pytest.raises(ValueError):
             _reveal((good, bad)).to_bytes()
     with pytest.raises(ValueError):
-        _reveal(((b"", b"", b"", b""),)).to_bytes()
+        _reveal(((b"", b"", b""),)).to_bytes()
 
 
 def test_reveal_truncated_or_padded_payload_rejected():
-    _, payload = decode_record(_reveal([(b"s" * 8, b"m" * 8, b"r" * 32, b"n" * 16)] * 3).to_bytes())
-    for bad in (payload[:-1], payload[:-64], payload + b"\x00", payload + bytes(64)):
+    _, payload = decode_record(_reveal([(b"s" * 8, b"m" * 8, b"r" * 32)] * 3).to_bytes())
+    for bad in (payload[:-1], payload[:-48], payload + b"\x00", payload + bytes(48)):
         with pytest.raises(WireError):
             RevealMsg.from_bytes(encode_record(TAG_REVEAL, bad))
 
 
 def test_reveal_zero_width_records_rejected():
-    # four empty fields, N = 2^32 - 1 records of width 0: no record fits, none is built
-    payload = bytes(16) + b"\xff\xff\xff\xff" + bytes(8)
+    # three empty fields, N = 2^32 - 1 records of width 0: no record fits, none is built
+    payload = bytes(16) + b"\xff\xff\xff\xff" + bytes(6)
     with pytest.raises(WireError):
         RevealMsg.from_bytes(encode_record(TAG_REVEAL, payload))
 
@@ -421,10 +437,11 @@ def test_short_fixed_field_raises_wire_error():
 
 
 def test_overstated_length_prefix_raises_wire_error():
-    # a prefix claiming 9 bytes with only 3 left, in the first and in the last field
-    for payload in (b"\x00\x00\x00\x09abc", b"\x00\x00\x00\x01r\x00\x00\x00\x09abc"):
-        with pytest.raises(WireError):
-            RandOpenMsg.from_bytes(encode_record(TAG_RAND_OPEN, payload))
+    # a prefix claiming 9 bytes with only 3 left, in a first and in a later field
+    with pytest.raises(WireError):
+        RandOpenMsg.from_bytes(encode_record(TAG_RAND_OPEN, b"\x00\x00\x00\x09abc"))
+    with pytest.raises(WireError):
+        AdvertMsg.from_bytes(encode_record(TAG_ADVERT, b"\x00\x00\x00\x01s\x00\x00\x00\x09abc"))
 
 
 DECODERS = {m.to_bytes()[0]: type(m) for m in MESSAGES}
