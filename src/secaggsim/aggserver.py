@@ -28,7 +28,6 @@ blamed on the holder.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from random import Random
 
@@ -41,7 +40,6 @@ from .crypto import (
     SHARE_PRIME,
     DhGroup,
     Share,
-    commit,
     commit_random,
     derive_shared_seeds,
     prg_expand,
@@ -143,8 +141,10 @@ class AggServer:
         self.n_users = n_users
         self.model_len = model_len
         self.rng = rng
-        self.server_rand = rng.randbytes(32)
-        self.server_nonce = rng.randbytes(16)
+        self.server_rand = rng.randbytes(RAND_BYTES)
+        # unused: dropping this draw would shift every later one (tokens,
+        # blinding factors), and with them the masks and which leaves flag
+        rng.randbytes(16)
         self._share_pubs: list[bytes | None] = [None] * n_users
         self._mask_pubs: list[bytes | None] = [None] * n_users
         self._user_rands: list[bytes | None] = [None] * n_users
@@ -160,25 +160,33 @@ class AggServer:
         self._mask_secrets: dict[int, int] = {}
         self._leaf_sums: dict[int, np.ndarray] = {}
         self.setup: TreeSetup | None = None
-        return ServerCommitMsg(commit(self.server_rand, self.server_nonce).digest)
+        return ServerCommitMsg(commit_random(self.server_rand))
 
     def receive_advert(self, user: int, msg: AdvertMsg) -> None:
+        """File a user's keys and randomness commitment; a key that is not
+        one ``element_bytes``-long element below p is blamed on the user."""
+        width, p = self.group.element_bytes, self.group.p
+        for name, key in (("share", msg.share_pub), ("mask", msg.mask_pub)):
+            if len(key) != width or int.from_bytes(key, "big") >= p:
+                raise ProtocolAbort(
+                    f"user {user} advertised a {name} key that is not a {width}-byte element below p",
+                    blamed=f"user:{user}",
+                )
         self._share_pubs[user] = msg.share_pub
         self._mask_pubs[user] = msg.mask_pub
         self._rand_commits[user] = msg.rand_commit
 
     def commit_tree(self) -> TreeCommitMsg:
-        """Fix the tree shape after all keys are in, before any opening, and
-        bind the advertised randomness commitments by their digest."""
+        """Bind the advertised randomness commitments by N and their digest,
+        once all keys are in and before any opening; the tree shape is
+        public, and each user's ``verify_reveal`` replays the grouping
+        under its own copy."""
         if any(p is None for p in self._share_pubs):
             raise ProtocolAbort("missing advertisements", blamed="server")
-        self._tree_nonce = hashlib.sha256(b"tree-nonce" + self.server_nonce).digest()
-        digest = commit(self.tree.describe(), self._tree_nonce).digest
-        commits = commits_digest(self._rand_commits)  # type: ignore[arg-type]
-        return TreeCommitMsg(digest, self.n_users, commits)
+        return TreeCommitMsg(self.n_users, commits_digest(self._rand_commits))  # type: ignore[arg-type]
 
     def receive_open(self, user: int, msg: RandOpenMsg) -> None:
-        if len(msg.user_rand) != RAND_BYTES or commit_random(msg.user_rand).digest != self._rand_commits[user]:
+        if len(msg.user_rand) != RAND_BYTES or commit_random(msg.user_rand) != self._rand_commits[user]:
             raise ProtocolAbort(f"user {user} opened a different randomness", blamed=f"user:{user}")
         self._user_rands[user] = msg.user_rand
 
@@ -532,12 +540,6 @@ class AggServer:
 
     def reveal(self) -> RevealMsg:
         """Post-upload opening for client-side verification: the server
-        randomness, the tree shape under ``commit_tree``'s nonce, and every
+        randomness, which opens the SERVER_COMMIT digest alone, and every
         user's keys and randomness from the lists the grouping used."""
-        return RevealMsg(
-            server_rand=self.server_rand,
-            server_nonce=self.server_nonce,
-            tree_desc=self.tree.describe(),
-            tree_nonce=self._tree_nonce,
-            user_records=tuple(zip(self._share_pubs, self._mask_pubs, self._user_rands)),
-        )
+        return RevealMsg(self.server_rand, tuple(zip(self._share_pubs, self._mask_pubs, self._user_rands)))

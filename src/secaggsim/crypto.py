@@ -1,10 +1,10 @@
 """Cryptographic building blocks: commitments, randomized Diffie-Hellman,
 AES-128-CTR mask expansion, and Shamir threshold secret sharing.
 
-``commit`` adds a nonce of at least 16 bytes: a bare hash would give away
-which of its few shapes a tree is, and the tree's nonce derives from the
-server's.  ``commit_random`` hashes a user's 32 uniform grouping bytes
-alone, which hide themselves (Blum's coin flipping by telephone, 1981).
+There is one commitment primitive, ``commit_random``: SHA-256 over a tag
+and at least 32 uniform bytes, with no nonce, as such a value hides
+itself (Blum's coin flipping by telephone, 1981).  The setup commits only
+32-byte grouping randomness, the server's and each user's.
 
 Everything here is deterministic given its inputs; randomness is always
 injected by the caller (a seeded ``random.Random`` or raw bytes), so whole
@@ -44,7 +44,6 @@ conditional add, no division.  Results equal ``pow``'s bit for bit.
 from __future__ import annotations
 
 import hashlib
-import hmac
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -56,15 +55,13 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .fixedpoint import ParamVector, SegmentSpec, word_bytes
 
-_COMMIT_TAG = b"commit-v1"
 _RAND_COMMIT_TAG = b"rand-commit-v1"
 _PRG_TAG = b"mask-prg-v1"
 _SEED_TAG = b"shared-seed-v1"
 
 _ZERO_NONCE = bytes(12)
 
-MIN_NONCE_BYTES = 16
-RAND_BYTES = 32  # a user's grouping randomness; the least ``commit_random`` takes
+RAND_BYTES = 32  # grouping randomness, the server's and each user's; the least ``commit_random`` takes
 
 
 class InsufficientSharesError(ValueError):
@@ -76,28 +73,11 @@ class InsufficientSharesError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Commitment:
-    digest: bytes
-
-
-def commit(payload: bytes, nonce: bytes) -> Commitment:
-    """Commit to payload under a random nonce of at least 16 bytes."""
-    if len(nonce) < MIN_NONCE_BYTES:
-        raise ValueError(f"nonce must be >= {MIN_NONCE_BYTES} bytes")
-    return Commitment(hashlib.sha256(_COMMIT_TAG + payload + nonce).digest())
-
-
-def verify_commitment(c: Commitment, payload: bytes, nonce: bytes) -> bool:
-    """True iff (payload, nonce) opens c.  Never raises on mismatch."""
-    return len(nonce) >= MIN_NONCE_BYTES and hmac.compare_digest(commit(payload, nonce).digest, c.digest)
-
-
-def commit_random(value: bytes) -> Commitment:
-    """Commit to a uniformly random value of at least 32 bytes, nonce-free."""
+def commit_random(value: bytes) -> bytes:
+    """The digest committing to a uniformly random value of >= 32 bytes."""
     if len(value) < RAND_BYTES:
         raise ValueError(f"a value committed without a nonce must be >= {RAND_BYTES} bytes")
-    return Commitment(hashlib.sha256(_RAND_COMMIT_TAG + value).digest())
+    return hashlib.sha256(_RAND_COMMIT_TAG + value).digest()
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,15 @@ whose ring covers every user.
 
 Identity derivation is commitment-ordered so neither the server nor any
 user can steer the grouping: the server commits its randomness before
-seeing user keys, users commit theirs before the tree shape is fixed, and
-each user's final identity hashes the XOR of everyone else's preliminary
-identity, so it is determined by all parties except the user itself.
+seeing user keys, users commit theirs before any is opened, and each
+user's final identity hashes the XOR of everyone else's preliminary
+identity, so it is determined by all parties except the user itself.  The
+tree shape is public, not committed: a verifying user replays the
+grouping under its own ``TreeConfig``, which catches a server that
+grouped under another shape.
 
-The tree commitment carries the N advertised randomness commitments as one
-digest (``commits_digest``), not as a list.  After upload the server
+The TREE_COMMIT broadcast carries the N advertised randomness commitments
+as one digest (``commits_digest``), not as a list.  After upload the server
 reveals every opening; a verifying user recomputes the digest from them
 and compares it with the one it received before any opening, so a server
 that swaps a user's randomness afterwards, even with a freshly computed
@@ -91,10 +94,6 @@ class TreeConfig:
             raise ConfigError(
                 f"share threshold {self.share_threshold} exceeds smallest subgroup {smallest}"
             )
-
-    def describe(self) -> bytes:
-        """Canonical encoding of the tree shape for commitment."""
-        return f"tree:h={self.height},d={self.degree}".encode()
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +264,10 @@ def run_tree_setup(
 
     Message order (enforced by the caller's phase structure): the server
     commits its randomness; users advertise one-time public keys plus a
-    commitment to their randomness; the server fixes and commits the tree
-    shape; users open their randomness; this function then computes the
-    grouping.  Commitments do not feed it: they only bind the inputs, and
+    commitment to their randomness; the server broadcasts the digest of
+    those commitments; users open their randomness; this function then
+    computes the grouping under the public tree shape.  Commitments do
+    not feed it: they only bind the inputs, and
     ``verify_setup`` replays this function from the reveal.
     """
     n = len(share_pubs)
@@ -289,9 +289,10 @@ def verify_setup(
     records and compare it with the grouping the server used.
 
     The caller checks first that the records and ``server_rand`` open what
-    was committed (see ``UserAgent.verify_reveal``); any difference left
-    here is the server's, so every mismatch is blamed on it, as is a
-    population too small for the tree.
+    was committed, and passes its own copy of the tree shape (see
+    ``UserAgent.verify_reveal``); any difference left here is the
+    server's, so every mismatch is blamed on it, as is a population too
+    small for the tree.
     """
     try:
         replay = run_tree_setup(

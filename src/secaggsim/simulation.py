@@ -547,7 +547,7 @@ def execute_round(
     # the simulator replays it once, on the first online user's copy,
     # and every other online user checks its own record in its copy
     reveals = broadcast(server.reveal(), RevealMsg, online)
-    users[online[0]].verify_reveal(reveals[0], server.setup, server.tree)
+    users[online[0]].verify_reveal(reveals[0], server.setup)
     for u, reveal in zip(online[1:], reveals[1:]):
         users[u].check_own_record(reveal)
 
@@ -616,7 +616,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             group=group,
             spec=spec,
             inter_mask_bits=inter_bits,
-            share_threshold=tree.share_threshold,
+            tree=tree,
             counters=counters,
         )
         for u in range(config.n_users)

@@ -44,14 +44,12 @@ from .crypto import (
     RAND_BYTES,
     SELF_SEED_BYTES,
     SHARE_PRIME,
-    Commitment,
     DhGroup,
     KeyPair,
     commit_random,
     derive_shared_seeds,
     prg_expand,
     share_secret,
-    verify_commitment,
 )
 from .errors import ProtocolAbort
 from .fixedpoint import ParamVector, SegmentSpec
@@ -87,7 +85,9 @@ _ORDER = [PHASE_IDLE, PHASE_ADVERTISE, PHASE_COMMIT, PHASE_SHARE, PHASE_UPLOAD, 
 
 
 class UserAgent:
-    """One protocol participant; owns its keys and round state."""
+    """One protocol participant; owns its keys and round state.  ``tree``
+    is the public shape it was set up for: its t, and the shape
+    ``verify_reveal`` replays the grouping under."""
 
     def __init__(
         self,
@@ -96,14 +96,14 @@ class UserAgent:
         group: DhGroup,
         spec: SegmentSpec,
         inter_mask_bits: int,
-        share_threshold: int,
+        tree: TreeConfig,
         counters: OpCounters,
     ):
         self.index = index
         self.group = group
         self.spec = spec
         self.inter_mask_bits = inter_mask_bits
-        self.share_threshold = share_threshold
+        self.tree = tree
         self.counters = counters
         self.phase = PHASE_IDLE
         self._rng: Random | None = None
@@ -149,12 +149,12 @@ class UserAgent:
         return AdvertMsg(
             share_pub=self.group.encode(self.id_keys.public),
             mask_pub=self.group.encode(self.mask_keys.public),
-            rand_commit=commit_random(self.round_rand).digest,
+            rand_commit=commit_random(self.round_rand),
         )
 
     def open_rand(self, tree_commit: TreeCommitMsg) -> RandOpenMsg:
-        """Open the grouping randomness once the tree shape and the digest
-        of everyone's randomness commitments are fixed."""
+        """Open the grouping randomness once the digest of everyone's
+        randomness commitments is fixed."""
         self.seen_tree_commit = tree_commit
         self._advance(PHASE_ADVERTISE, PHASE_COMMIT)
         return RandOpenMsg(self.round_rand)
@@ -177,7 +177,7 @@ class UserAgent:
         self._advance(PHASE_COMMIT, PHASE_SHARE)
         recipients = self._recipients
         n = len(recipients)
-        t = self.share_threshold
+        t = self.tree.share_threshold
         if n < t:
             raise ProtocolAbort(
                 f"user {self.index} got {n} share recipients for threshold {t}",
@@ -212,7 +212,7 @@ class UserAgent:
             fault = "got a share bundle addressed to another user"
         elif len(self._held_at) != 1:
             fault = "got a second share bundle, repeating held share slots"
-        elif msg.threshold != self.share_threshold:
+        elif msg.threshold != self.tree.share_threshold:
             fault = f"got a share bundle of threshold {msg.threshold}"
         elif msg.key_width != self.group.key_share_bytes:
             fault = f"got key shares of {msg.key_width} bytes, not {self.group.key_share_bytes}"
@@ -297,7 +297,7 @@ class UserAgent:
                 raise ProtocolAbort(f"user {self.index} holds a share outside its field", blamed="server")
             done_for[token] = done | (1 << stype)
             (keys if stype == SECRET_MASK_KEY else seeds).append((token, index, share))
-        return UnmaskResponseMsg(self.share_threshold, width, tuple(keys), tuple(seeds), tuple(refused))
+        return UnmaskResponseMsg(self.tree.share_threshold, width, tuple(keys), tuple(seeds), tuple(refused))
 
     # -- verification -----------------------------------------------------------
 
@@ -309,32 +309,29 @@ class UserAgent:
         if self.index >= len(records) or records[self.index] != own:
             raise ProtocolAbort(f"user {self.index} own record altered in the reveal", blamed="server")
 
-    def verify_reveal(self, reveal: RevealMsg, setup: TreeSetup, tree: TreeConfig) -> None:
+    def verify_reveal(self, reveal: RevealMsg, setup: TreeSetup) -> None:
         """Check the post-upload opening against what this user saw.
 
-        The reveal must open the server and tree commitments this user
-        received, list as many users as the tree commitment named, and
-        hash, through each user's commitment, to the commitments digest of
-        the tree commitment, so no user's randomness can change after the
-        openings were sent.  This user's own record must be its own keys
-        and randomness: a commitment substituted before the digest was
-        taken shows up there, at the latest point before any unmask share
-        is released, as the grouping it could steer cannot be checked
-        before the reveal anyway (see ``orgtree``).  ``verify_setup`` then
-        replays the grouping from the revealed records and compares it with
-        the one the server used: a changed key or randomness changes the
-        replayed identities, and a changed server or tree nonce fails its
-        opening above.
+        The reveal's server randomness must open the SERVER_COMMIT digest
+        this user received, and its records must be as many as TREE_COMMIT
+        named and hash, through each user's commitment, to TREE_COMMIT's
+        commitments digest, so no randomness can change after the openings
+        were sent.  This user's own record must be its own keys and
+        randomness: a commitment substituted before the digest was taken
+        shows up there, at the latest point before any unmask share is
+        released, as the grouping it could steer cannot be checked before
+        the reveal anyway (see ``orgtree``).  ``verify_setup`` then replays
+        the grouping from the revealed records under this user's own
+        ``tree`` and compares it with ``setup``, the grouping the server
+        used: a changed key or randomness changes the replayed identities,
+        and another tree shape changes the replayed assignments.  So
+        ``setup`` is the one input a user does not hold a copy of.
         """
         seen = self.seen_tree_commit
         if seen is None:
             raise ProtocolAbort(f"user {self.index} saw no tree commitment", blamed="server")
-        if not verify_commitment(Commitment(self.seen_server_commit), reveal.server_rand, reveal.server_nonce):
+        if commit_random(reveal.server_rand) != self.seen_server_commit:  # 32 bytes by the wire layout
             raise ProtocolAbort("server randomness opening failed", blamed="server")
-        if reveal.tree_desc != tree.describe() or not verify_commitment(
-            Commitment(seen.tree_digest), reveal.tree_desc, reveal.tree_nonce
-        ):
-            raise ProtocolAbort("tree shape opening failed", blamed="server")
         records = reveal.user_records
         if len(records) != seen.n_users:
             raise ProtocolAbort(
@@ -342,11 +339,11 @@ class UserAgent:
             )
         rands = [rand for _, _, rand in records]
         if any(len(rand) != RAND_BYTES for rand in rands) or seen.commits_digest != commits_digest(
-            [commit_random(rand).digest for rand in rands]
+            [commit_random(rand) for rand in rands]
         ):
             raise ProtocolAbort("revealed randomness does not match the committed digest", blamed="server")
         self.check_own_record(reveal)
-        verify_setup(setup, tree, reveal.server_rand, records)
+        verify_setup(setup, self.tree, reveal.server_rand, records)
 
 
 def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None:

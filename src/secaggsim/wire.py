@@ -64,17 +64,19 @@ against its share recipients::
     || n rows of: sign (1) || kind (1) || W key bytes
     || recipient count (4) || recipient tokens of 8 bytes
 
-The two verification broadcasts stay small.  The tree commitment carries
-the N advertised randomness commitments as one SHA-256 digest plus N, not
-as a list: no user reads the list before the openings exist, and a user
+The two verification broadcasts stay small and carry no nonce and no
+tree shape, which is public (see ``orgtree``).  TREE_COMMIT is N (4) ||
+the SHA-256 digest of the N advertised randomness commitments (32), not
+a list: no user reads the list before the openings exist, and a user
 that later verifies the reveal recomputes the digest from the revealed
 openings, which catches a server that changes any of them (see
 ``orgtree`` for why checking one's own record then, rather than one's
-inclusion earlier, loses nothing).  The reveal packs its N user records
-(share key, mask key, randomness: no nonce, see ``crypto``) at one width
-given once in a header, because the group fixes the key width and the
-protocol the randomness width; a payload that is not exactly that header
-plus N records raises ``WireError``.
+inclusion earlier, loses nothing).  REVEAL is the server randomness (32)
+|| N (4) || three field widths (2 each) || N records of share key, mask
+key and randomness at those widths, as the group fixes the key width
+and the protocol the randomness width, which opens its commitment alone
+(see ``crypto``); a payload that is not exactly that header plus N
+records raises ``WireError``.
 
 Decoding raises ``WireError`` for a truncated record, one whose tag is not
 the expected message's, one whose fields overrun the payload, a digest
@@ -99,6 +101,7 @@ from typing import TypeVar
 import numpy as np
 
 from .counters import OpCounters
+from .crypto import RAND_BYTES
 from .errors import ProtocolAbort, WireError
 from .fixedpoint import SegmentSpec, word_bytes
 
@@ -262,22 +265,21 @@ class AdvertMsg:
         return AdvertMsg(share_pub, mask_pub, payload[off:])
 
 
-_TREE_COMMIT = struct.Struct(">32sI32s")  # tree digest, N, commits digest
+_TREE_COMMIT = struct.Struct(">I32s")  # N, commits digest
 
 
 @dataclass(frozen=True)
 class TreeCommitMsg:
-    """The committed tree shape plus a digest of the N advertised randomness
-    commitments (``orgtree.commits_digest``), in user order."""
+    """N and a digest of the N advertised randomness commitments
+    (``orgtree.commits_digest``), in user order; the shape is public."""
 
-    tree_digest: bytes
     n_users: int
     commits_digest: bytes
 
     def to_bytes(self) -> bytes:
-        if len(self.tree_digest) != 32 or len(self.commits_digest) != 32:
-            raise ValueError("tree commitment digests must be 32 bytes")  # "32s" would pad or cut them
-        payload = _TREE_COMMIT.pack(self.tree_digest, self.n_users, self.commits_digest)
+        if len(self.commits_digest) != DIGEST_BYTES:
+            raise ValueError("the commitments digest must be 32 bytes")  # "32s" would pad or cut it
+        payload = _TREE_COMMIT.pack(self.n_users, self.commits_digest)
         return encode_record(TAG_TREE_COMMIT, payload)
 
     @staticmethod
@@ -572,59 +574,43 @@ class UnmaskResponseMsg:
         )
 
 
-_REVEAL_WIDTHS = struct.Struct(">IHHH")  # N, then the three field widths
+_REVEAL_HEAD = struct.Struct(f">{RAND_BYTES}sIHHH")  # server randomness, N, the three field widths
 
 
 @dataclass(frozen=True)
 class RevealMsg:
-    """Post-upload opening: server randomness, tree shape, and the full
-    per-user opening list, broadcast for client-side verification.
-
-    The N records follow one header carrying their three field widths
-    and are packed back to back without per-field prefixes: every record
-    has the same widths, because the group fixes the key width and the
-    protocol the randomness width, which alone opens a commitment.
-    """
+    """Post-upload opening, broadcast for client-side verification: the
+    32-byte server randomness, then the N (share key, mask key, randomness)
+    records after one header giving their three widths, back to back
+    without per-field prefixes (see the module docstring)."""
 
     server_rand: bytes
-    server_nonce: bytes
-    tree_desc: bytes
-    tree_nonce: bytes
     user_records: tuple[tuple[bytes, bytes, bytes], ...]  # (share_pub, mask_pub, rand)
 
     def to_bytes(self) -> bytes:
         records = self.user_records
         widths = tuple(map(len, records[0])) if records else (0, 0, 0)
+        if len(self.server_rand) != RAND_BYTES:
+            raise ValueError("the server randomness must be 32 bytes")  # "32s" would pad or cut it
         if len(widths) != 3 or any(tuple(map(len, rec)) != widths for rec in records):
             raise ValueError("reveal records must all be three fields of the same widths")
         if records and not sum(widths):
             raise ValueError("reveal records must not be empty")
-        parts = (
-            _pack_bytes(self.server_rand),
-            _pack_bytes(self.server_nonce),
-            _pack_bytes(self.tree_desc),
-            _pack_bytes(self.tree_nonce),
-            _REVEAL_WIDTHS.pack(len(records), *widths),
-            *(part for rec in records for part in rec),
-        )
-        return encode_record(TAG_REVEAL, b"".join(parts))
+        head = _REVEAL_HEAD.pack(self.server_rand, len(records), *widths)
+        return encode_record(TAG_REVEAL, b"".join((head, *(part for rec in records for part in rec))))
 
     @staticmethod
     def from_bytes(data: bytes) -> "RevealMsg":
         payload = _payload_of(data, TAG_REVEAL)
-        server_rand, off = _unpack_bytes(payload, 0)
-        server_nonce, off = _unpack_bytes(payload, off)
-        tree_desc, off = _unpack_bytes(payload, off)
-        tree_nonce, off = _unpack_bytes(payload, off)
-        n, *widths = _unpack(_REVEAL_WIDTHS.format, payload, off)
-        off += _REVEAL_WIDTHS.size
+        server_rand, n, *widths = _unpack(_REVEAL_HEAD.format, payload, 0)
+        off = _REVEAL_HEAD.size
         row = struct.Struct("".join(f"{w}s" for w in widths))
         if n and not row.size:
             raise WireError(f"{n} reveal records of zero width")
         if len(payload) != off + n * row.size:
             raise WireError(f"reveal payload of {len(payload)} bytes does not hold {n} records of {row.size}")
         records = tuple(row.iter_unpack(payload[off:])) if n else ()
-        return RevealMsg(server_rand, server_nonce, tree_desc, tree_nonce, records)
+        return RevealMsg(server_rand, records)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ def build_round(
             group=group,
             spec=spec,
             inter_mask_bits=bits,
-            share_threshold=tree.share_threshold,
+            tree=tree,
             counters=counters,
         )
         for u in range(n_users)

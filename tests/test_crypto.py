@@ -21,7 +21,6 @@ from secaggsim.crypto import (
     InsufficientSharesError,
     KeyPair,
     Share,
-    commit,
     commit_random,
     derive_shared_seed,
     derive_shared_seeds,
@@ -40,30 +39,16 @@ SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 # -- commitments -------------------------------------------------------------
 
 
-def test_commit_verify_roundtrip():
-    c = commit(b"payload", b"n" * 16)
-    from secaggsim.crypto import verify_commitment
-
-    assert verify_commitment(c, b"payload", b"n" * 16)
-    assert not verify_commitment(c, b"payloae", b"n" * 16)
-    assert not verify_commitment(c, b"payload", b"m" * 16)
-
-
-def test_commit_nonce_length_enforced():
-    with pytest.raises(ValueError):
-        commit(b"p", b"short")
-
-
 def test_commit_random_binds_every_bit():
     rng = Random(1)
     value = rng.randbytes(32)
-    digest = commit_random(value).digest
-    assert commit_random(value).digest == digest
-    assert digest != commit(value[:16], value[16:]).digest  # its own domain tag
+    digest = commit_random(value)
+    assert commit_random(value) == digest
+    assert digest == hashlib.sha256(b"rand-commit-v1" + value).digest()  # its own domain tag
     for bit in (0, 7, 100, 255):
         flipped = bytearray(value)
         flipped[bit // 8] ^= 1 << bit % 8
-        assert commit_random(bytes(flipped)).digest != digest
+        assert commit_random(bytes(flipped)) != digest
 
 
 def test_commit_random_needs_32_bytes():
@@ -77,7 +62,7 @@ def test_commit_collision_scan():
     rng = Random(0)
     seen = set()
     for _ in range(10_000):
-        digest = commit(rng.randbytes(24), rng.randbytes(16)).digest
+        digest = commit_random(rng.randbytes(32))
         assert digest not in seen
         seen.add(digest)
 

@@ -62,7 +62,7 @@ SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 SPEC20 = SegmentSpec(word_bits=20, frac_bits=4, low_bits=12)  # 4-byte elements with 12 spare bits
 TREE22 = TreeConfig(height=2, degree=2, neighbor_radius=1, share_threshold=2)
 TREE23 = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=2)
-NO_TREE = TreeCommitMsg(bytes(32), 0, bytes(32))  # for agents driven without a server
+NO_TREE = TreeCommitMsg(0, bytes(32))  # for agents driven without a server
 
 
 # -- masking algebra ---------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_two_user_masks_cancel():
     rng = Random(1)
     counters = OpCounters()
     agents = [
-        UserAgent(u, group=SIM_GROUP, spec=SPEC, inter_mask_bits=10, share_threshold=2, counters=counters)
+        UserAgent(u, group=SIM_GROUP, spec=SPEC, inter_mask_bits=10, tree=TREE22, counters=counters)
         for u in range(2)
     ]
     for agent in agents:
@@ -106,7 +106,7 @@ def test_mask_input_matches_rebinding_reference(spec):
     from secaggsim.crypto import KeyPair, derive_shared_seed, prg_expand
     from secaggsim.fixedpoint import vec_add_mod, vec_sub_mod
 
-    agent = UserAgent(0, group=SIM_GROUP, spec=spec, inter_mask_bits=6, share_threshold=2, counters=OpCounters())
+    agent = UserAgent(0, group=SIM_GROUP, spec=spec, inter_mask_bits=6, tree=TREE22, counters=OpCounters())
     agent.begin_round(Random(3), bytes(32))
     agent.open_rand(NO_TREE)
     rng = Random(4)
@@ -170,7 +170,8 @@ def test_masked_upload_looks_uniform():
 
 def _lone_agent(n_recipients=3, threshold=2, group=SIM_GROUP):
     counters = OpCounters()
-    agent = UserAgent(0, group=group, spec=SPEC, inter_mask_bits=10, share_threshold=threshold, counters=counters)
+    tree = TreeConfig(height=0, degree=2, share_threshold=threshold)
+    agent = UserAgent(0, group=group, spec=SPEC, inter_mask_bits=10, tree=tree, counters=counters)
     agent.begin_round(Random(0), bytes(32))
     agent.open_rand(NO_TREE)
     tokens = tuple(bytes([i]) * 8 for i in range(n_recipients))
@@ -271,7 +272,12 @@ def test_wide_mask_key_shares_reconstruct():
     import itertools
 
     agent = UserAgent(
-        0, group=STRONG_GROUP, spec=SPEC, inter_mask_bits=10, share_threshold=3, counters=OpCounters()
+        0,
+        group=STRONG_GROUP,
+        spec=SPEC,
+        inter_mask_bits=10,
+        tree=TreeConfig(height=0, degree=2, share_threshold=3),
+        counters=OpCounters(),
     )
     agent.begin_round(Random(4), bytes(32))
     agent.open_rand(NO_TREE)
@@ -806,7 +812,7 @@ def _digest_over_changed_list(server):
         msg = commit_tree()
         commits = list(server._rand_commits)
         commits[5] = bytes(32)
-        return TreeCommitMsg(msg.tree_digest, msg.n_users, commits_digest(commits))
+        return TreeCommitMsg(msg.n_users, commits_digest(commits))
 
     server.commit_tree = cheat
 
@@ -841,7 +847,7 @@ def _population_too_small(server):
 
     def cheat_commit():
         msg = commit_tree()
-        return TreeCommitMsg(msg.tree_digest, 1, commits_digest(server._rand_commits[:1]))
+        return TreeCommitMsg(1, commits_digest(server._rand_commits[:1]))
 
     def cheat_reveal():
         msg = reveal()
@@ -860,6 +866,21 @@ def _reveal_not_the_setup(server):
         return dataclasses.replace(msg, user_records=tuple(records))
 
     server.reveal = cheat
+
+
+def _other_server_rand(server):
+    # a server randomness other than the committed one, of the right width
+    reveal = server.reveal
+
+    def cheat():
+        return dataclasses.replace(reveal(), server_rand=bytes(32))
+
+    server.reveal = cheat
+
+
+def _other_tree_shape(server):
+    # the server groups the 16 users into a 1x2 tree; they were set up for TREE22
+    server.tree = TreeConfig(height=1, degree=2, neighbor_radius=1, share_threshold=2)
 
 
 def _short_rand_in_reveal(server):
@@ -885,6 +906,8 @@ def _short_rand_in_reveal(server):
         pytest.param(_population_too_small, "does not fit the tree", id="population_too_small"),
         pytest.param(_reveal_not_the_setup, "identities do not match", id="reveal_not_the_setup"),
         pytest.param(_short_rand_in_reveal, "committed digest", id="short_rand_in_reveal"),
+        pytest.param(_other_server_rand, "server randomness opening failed", id="other_server_rand"),
+        pytest.param(_other_tree_shape, "share-tree assignment does not match", id="other_tree_shape"),
     ],
 )
 def test_cheating_server_caught_by_verifier(cheat, match):
@@ -915,6 +938,33 @@ def test_mismatched_opening_caught_at_receive_open():
     with pytest.raises(ProtocolAbort, match="user 3 opened a different randomness") as exc:
         _run_16(server, users, transport, 72)
     assert exc.value.blamed == "user:3"
+
+
+@pytest.mark.parametrize(
+    "field, resize",
+    [
+        pytest.param("share_pub", lambda key: key + b"\x00", id="share_key_9_bytes"),
+        pytest.param("mask_pub", lambda key: key[1:], id="mask_key_7_bytes"),
+        pytest.param("share_pub", lambda key: b"", id="share_key_empty"),
+        pytest.param("mask_pub", lambda key: FAST_GROUP.encode(FAST_GROUP.p), id="mask_key_equal_to_p"),
+    ],
+)
+def test_malformed_advert_key_caught_at_receive_advert(field, resize):
+    """A fast64 ADVERT key that is not one 8-byte element below p aborts
+    the round as the advert arrives, blamed on its sender, before any
+    reveal could fail to encode it."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC, group=FAST_GROUP)
+    honest = users[3].begin_round
+
+    def advertise(rng, server_commit):
+        msg = honest(rng, server_commit)
+        return dataclasses.replace(msg, **{field: resize(getattr(msg, field))})
+
+    users[3].begin_round = advertise
+    with pytest.raises(ProtocolAbort, match="user 3 advertised a (share|mask) key") as exc:
+        _run_16(server, users, transport, 73)
+    assert exc.value.blamed == "user:3"
+    assert server._share_pubs[3] is None  # nothing of the advert was filed
 
 
 @pytest.mark.parametrize(

@@ -142,7 +142,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "e9c0c76b379514c4153d8172218e0f8dc4d1d3184febdd81cd93634cdf968713",
+        "b3d1f981123d70732d3ad7dfb64cac03d9262a89bba1e5c87b0a965e40f3dbc6",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -160,7 +160,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "ac0d3116fc46cc37ea9da603aec13d3eaee5cc26a885a11d81e38f4f215eb9cb",
+        "c730bec621d962357462d8f342aed6446228f8638ab567ca51d13063340e86d7",
     ),
 }
 

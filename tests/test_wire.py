@@ -61,7 +61,7 @@ def _share(value: int, width: int = SHARE_VALUE_BYTES) -> bytes:
 MESSAGES = [
     ServerCommitMsg(b"\x11" * 32),
     AdvertMsg(b"share-pub", b"mask-pub", b"\x22" * 32),
-    TreeCommitMsg(b"\x33" * 32, 2, b"\x44" * 32),
+    TreeCommitMsg(2, b"\x44" * 32),
     RandOpenMsg(b"\x66" * 32),
     PeerListMsg(
         TOK[0],
@@ -78,7 +78,7 @@ MESSAGES = [
         seeds=((TOK[2], 1, _share(9)),),
         refused=((TOK[3], SECRET_MASK_KEY),),
     ),
-    RevealMsg(b"rs", b"rs-nonce", b"tree:h=2,d=3", b"tree-nonce", ((b"sp", b"mp", b"ru-0"), (b"SP", b"MP", b"RU-1"))),
+    RevealMsg(b"\x55" * 32, ((b"sp", b"mp", b"ru-0"), (b"SP", b"MP", b"RU-1"))),
     GlobalModelMsg.from_vector(np.array([3, 4], dtype=np.uint64), SPEC32),
 ]
 
@@ -145,22 +145,32 @@ def _tree_commit_bytes(n: int) -> bytes:
     )
     rng = Random(n)
     server.begin_round(n, rng, 1)
+
+    def key() -> bytes:  # a group element, as ``receive_advert`` checks
+        return SIM_GROUP.encode(rng.randrange(SIM_GROUP.p))
+
     for u in range(n):
-        server.receive_advert(u, AdvertMsg(rng.randbytes(32), rng.randbytes(32), rng.randbytes(32)))
+        server.receive_advert(u, AdvertMsg(key(), key(), rng.randbytes(32)))
     return server.commit_tree().to_bytes()
 
 
 def test_tree_commit_length_independent_of_population():
+    """TREE_COMMIT is N (4) || commitments digest (32) at any N; the old
+    layout, which led with a 32-byte tree digest, no longer decodes."""
     small, large = _tree_commit_bytes(10), _tree_commit_bytes(1000)
-    assert len(small) == len(large) == 5 + 32 + 4 + 32
+    assert len(small) == len(large) == 5 + 4 + 32
     assert TreeCommitMsg.from_bytes(large).n_users == 1000
-    for short in (TreeCommitMsg(bytes(31), 10, bytes(32)), TreeCommitMsg(bytes(32), 10, bytes(33))):
+    for bad in (TreeCommitMsg(10, bytes(31)), TreeCommitMsg(10, bytes(33))):
         with pytest.raises(ValueError):
-            short.to_bytes()
+            bad.to_bytes()
+    old = encode_record(TAG_TREE_COMMIT, bytes(32) + struct.pack(">I", 10) + bytes(32))
+    assert len(old) == 73
+    with pytest.raises(WireError):
+        TreeCommitMsg.from_bytes(old)
 
 
 def _reveal(records) -> RevealMsg:
-    return RevealMsg(b"r" * 32, b"n" * 16, b"tree:h=2,d=3", b"t" * 32, tuple(records))
+    return RevealMsg(b"r" * 32, tuple(records))
 
 
 def test_reveal_length_is_header_plus_fixed_records():
@@ -169,8 +179,7 @@ def test_reveal_length_is_header_plus_fixed_records():
     for n in (0, 1, 7):
         msg = _reveal(tuple(rng.randbytes(w) for w in widths) for _ in range(n))
         data = msg.to_bytes()
-        header = 5 + 4 * 4 + 32 + 16 + len(b"tree:h=2,d=3") + 32 + 4 + 2 * 3
-        assert len(data) == header + n * sum(widths)
+        assert len(data) == 5 + 32 + 4 + 2 * 3 + n * sum(widths)
         assert RevealMsg.from_bytes(data) == msg
 
 
@@ -184,8 +193,7 @@ def test_fast64_reveal_records_are_two_keys_and_the_randomness():
     msg = server.reveal()
     assert width == 48
     assert {tuple(map(len, rec)) for rec in msg.user_records} == {(8, 8, 32)}
-    header = 5 + 4 * 4 + len(msg.server_rand + msg.server_nonce + msg.tree_desc + msg.tree_nonce) + 4 + 2 * 3
-    assert len(msg.to_bytes()) == header + n * width
+    assert len(msg.to_bytes()) == 5 + 32 + 4 + 2 * 3 + n * width
     assert RevealMsg.from_bytes(msg.to_bytes()) == msg
 
 
@@ -198,6 +206,13 @@ def test_reveal_unequal_widths_rejected_on_encode():
         _reveal(((b"", b"", b""),)).to_bytes()
 
 
+def test_reveal_server_rand_not_32_bytes_rejected_on_encode():
+    record = (b"s" * 8, b"m" * 8, b"r" * 32)
+    for rand in (b"", bytes(16), bytes(31), bytes(33)):
+        with pytest.raises(ValueError):
+            RevealMsg(rand, (record,)).to_bytes()
+
+
 def test_reveal_truncated_or_padded_payload_rejected():
     _, payload = decode_record(_reveal([(b"s" * 8, b"m" * 8, b"r" * 32)] * 3).to_bytes())
     for bad in (payload[:-1], payload[:-48], payload + b"\x00", payload + bytes(48)):
@@ -206,8 +221,8 @@ def test_reveal_truncated_or_padded_payload_rejected():
 
 
 def test_reveal_zero_width_records_rejected():
-    # three empty fields, N = 2^32 - 1 records of width 0: no record fits, none is built
-    payload = bytes(16) + b"\xff\xff\xff\xff" + bytes(6)
+    # the server randomness, N = 2^32 - 1 records of width 0: no record fits, none is built
+    payload = bytes(32) + b"\xff\xff\xff\xff" + bytes(6)
     with pytest.raises(WireError):
         RevealMsg.from_bytes(encode_record(TAG_REVEAL, payload))
 
