@@ -20,9 +20,13 @@ each holder is asked about roughly t owners.  A shortfall (a missing or
 refused row) is asked again: each further call of ``unmask_requests`` or
 ``exclusion_requests`` asks holders not yet asked for the secrets still
 below t, and returns nothing once no holder is left, so the exchange
-loop ends and reconstruction raises ``UnrecoverableRoundError``.  The
-server files a released row only from a holder it asked for that
-secret, at that holder's own evaluation point, once; anything else is
+loop ends and reconstruction raises ``UnrecoverableRoundError``.
+
+Owners and holders are named on the wire by their evaluation points,
+their 1-based places in their share leaf, and the server maps a point
+back to a user through the leaf it sent to or heard from.  It files a
+released row only from a holder it asked for that secret, once, at that
+holder's own point, which the row does not repeat; anything else is
 blamed on the holder.
 """
 
@@ -142,9 +146,6 @@ class AggServer:
         self.model_len = model_len
         self.rng = rng
         self.server_rand = rng.randbytes(RAND_BYTES)
-        # unused: dropping this draw would shift every later one (tokens,
-        # blinding factors), and with them the masks and which leaves flag
-        rng.randbytes(16)
         self._share_pubs: list[bytes | None] = [None] * n_users
         self._mask_pubs: list[bytes | None] = [None] * n_users
         self._user_rands: list[bytes | None] = [None] * n_users
@@ -153,10 +154,10 @@ class AggServer:
         self._dropped: set[int] = set()
         # share leaf -> sender -> entry bodies of its SHARE bundle
         self._share_inbox: dict[int, dict[int, bytes]] = {}
-        # (owner token, secret type) -> share index -> share bytes
-        self._collected: dict[tuple[bytes, int], dict[int, bytes]] = {}
-        # (owner token, secret type) -> holders asked for it this round
-        self._asked: dict[tuple[bytes, int], set[int]] = {}
+        # (owner, secret type) -> holder's evaluation point -> share bytes
+        self._collected: dict[tuple[int, int], dict[int, bytes]] = {}
+        # (owner, secret type) -> holders asked for it this round
+        self._asked: dict[tuple[int, int], set[int]] = {}
         self._mask_secrets: dict[int, int] = {}
         self._leaf_sums: dict[int, np.ndarray] = {}
         self.setup: TreeSetup | None = None
@@ -164,12 +165,19 @@ class AggServer:
 
     def receive_advert(self, user: int, msg: AdvertMsg) -> None:
         """File a user's keys and randomness commitment; a key that is not
-        one ``element_bytes``-long element below p is blamed on the user."""
-        width, p = self.group.element_bytes, self.group.p
+        ``element_bytes`` long, or whose value k is outside 1 < k < p - 1
+        (RFC 7919, section 5.1), is blamed on the user.
+
+        No key is raised to q to test that it lies in the order-q subgroup:
+        p is a safe prime, so 1 and p - 1 are the only elements of order at
+        most 2, and any other key leaks at most its quadratic character.
+        ``pow(k, q, p)`` would cost 23 us per fast64 key, about 0.09 s per
+        round of 2000 users."""
+        width, top = self.group.element_bytes, self.group.p - 1
         for name, key in (("share", msg.share_pub), ("mask", msg.mask_pub)):
-            if len(key) != width or int.from_bytes(key, "big") >= p:
+            if len(key) != width or not 1 < int.from_bytes(key, "big") < top:
                 raise ProtocolAbort(
-                    f"user {user} advertised a {name} key that is not a {width}-byte element below p",
+                    f"user {user} advertised a {name} key that is not a {width}-byte k with 1 < k < p - 1",
                     blamed=f"user:{user}",
                 )
         self._share_pubs[user] = msg.share_pub
@@ -186,12 +194,13 @@ class AggServer:
         return TreeCommitMsg(self.n_users, commits_digest(self._rand_commits))  # type: ignore[arg-type]
 
     def receive_open(self, user: int, msg: RandOpenMsg) -> None:
-        if len(msg.user_rand) != RAND_BYTES or commit_random(msg.user_rand) != self._rand_commits[user]:
+        if commit_random(msg.user_rand) != self._rand_commits[user]:
             raise ProtocolAbort(f"user {user} opened a different randomness", blamed=f"user:{user}")
         self._user_rands[user] = msg.user_rand
 
     def finish_setup(self) -> None:
-        """Derive identities, both assignments, tokens, and the pair plan."""
+        """Derive identities, both assignments, evaluation points, and the
+        pair plan."""
         self.setup = run_tree_setup(
             self.tree,
             self.server_rand,
@@ -200,16 +209,10 @@ class AggServer:
             self._user_rands,  # type: ignore[arg-type]
         )
         n = self.n_users
-        tokens: list[bytes] = []
-        seen = set()
-        for _ in range(n):
-            tok = self.rng.randbytes(8)
-            while tok in seen:
-                tok = self.rng.randbytes(8)
-            seen.add(tok)
-            tokens.append(tok)
-        self.tokens = tokens
-        self.user_of_token = {tok: u for u, tok in enumerate(tokens)}
+        # unused: the 16 bytes once drawn in begin_round and 8 per user once
+        # drawn as random per-user names; drawing them leaves every later draw
+        # (blinding factors), and with it the masks and flagged leaves, unchanged
+        self.rng.randbytes(16 + 8 * n)
         # each user's evaluation point: its 1-based place in its share leaf
         self._point = [0] * n
         for members in self.setup.share_assignment.members:
@@ -239,29 +242,22 @@ class AggServer:
             for end in self._ends[user]
         )
         share_asn = self.setup.share_assignment
-        leaf = share_asn.leaf_of[user]
-        recipients = tuple(self.tokens[u] for u in share_asn.members[leaf])
-        return PeerListMsg(
-            own_token=self.tokens[user],
-            peers=handles,
-            share_recipients=recipients,
-        )
+        leaf_size = len(share_asn.members[share_asn.leaf_of[user]])
+        return PeerListMsg(own_point=self._point[user], leaf_size=leaf_size, peers=handles)
 
     def route_share(self, sender: int, msg: ShareMsg) -> list[tuple[int, ShareMsg]]:
         """Check one sender's SHARE bundle and hold it; once every member of
         the sender's share leaf has sent, re-slice the leaf's bundles into
         one per member and return them with their recipients.
 
-        A bundle is a header of owner token (8), threshold (2) and key-share
-        width (1), then one body of point (4), key share (the width) and
+        A bundle is one body of point (4), key share (the group's width) and
         seed share (33) per entry (see ``wire``).  It must be the sender's
-        first, filed under its own token at the configured threshold, with
-        key shares of the group's width and one entry for every other
-        member of its share leaf, each at its recipient's evaluation point
-        (the recipient's 1-based place in the leaf); any other is blamed on
-        the sender.  The relay moves entry bodies by position and never
-        decodes a share, but the shares are plaintext: the server could read
-        them until ROADMAP item 7 encrypts each entry body.
+        first, of whole entries, one for every other member of its share
+        leaf, each at its recipient's evaluation point (the recipient's
+        1-based place in the leaf); any other is blamed on the sender.  The
+        relay moves entry bodies by position and never decodes a share, but
+        the shares are plaintext: the server could read them until ROADMAP
+        item 7 encrypts each entry body.
         """
         share_asn = self.setup.share_assignment
         leaf = share_asn.leaf_of[sender]
@@ -269,16 +265,12 @@ class AggServer:
         inbox = self._share_inbox.setdefault(leaf, {})
         width = self.group.key_share_bytes
         w = entry_bytes(width)
-        t, mates, point = self.tree.share_threshold, len(members) - 1, self._point[sender]
+        mates, point = len(members) - 1, self._point[sender]
         fault = None
-        if msg.token != self.tokens[sender]:
-            fault = "filed shares under another owner's token"
-        elif msg.threshold != t:
-            fault = f"sent shares of threshold {msg.threshold}, not {t}"
-        elif msg.key_width != width:
-            fault = f"sent key shares of {msg.key_width} bytes, not {width}"
+        if len(msg.bodies) % w:
+            fault = f"sent a malformed ShareMsg of {len(msg.bodies)} bytes, not whole {w}-byte entries"
         elif len(msg.bodies) != mates * w:
-            fault = f"sent {len(msg.bodies) / w:g} share entries for its {mates} share recipients"
+            fault = f"sent {len(msg.bodies) // w} share entries for its {mates} share recipients"
         elif sender in inbox:
             fault = "sent a second share bundle"
         elif entry_points(msg.bodies, width) != (*range(1, point), *range(point + 1, mates + 2)):
@@ -295,7 +287,7 @@ class AggServer:
         for j, recipient in enumerate(members):
             before, after = (j - 1) * w, j * w
             bodies = [row[before:after] for row in rows[:j]] + [row[after : after + w] for row in rows[j + 1 :]]
-            out.append((recipient, ShareMsg(self.tokens[recipient], t, width, b"".join(bodies))))
+            out.append((recipient, ShareMsg(b"".join(bodies))))
         return out
 
     # -- upload and dropout ----------------------------------------------------
@@ -331,16 +323,16 @@ class AggServer:
         leaf order, cyclically from just after the owner, skipping any
         already asked for that secret this round.  So a first call asks t
         holders per secret, and a later one asks one new holder per
-        missing row while any is left.  With ``forced``, each request
-        marks its own targets as force-dropped."""
+        missing row while any is left.  Each target names its owner by
+        the owner's point.  With ``forced``, each request marks its own
+        targets as force-dropped."""
         members_of = self.setup.share_assignment.members
         leaf_of = self.setup.share_assignment.leaf_of
         t, point, uploads = self.tree.share_threshold, self._point, self._uploads
-        targets: dict[int, list[tuple[bytes, int]]] = {}
+        targets: dict[int, list[tuple[int, int]]] = {}
         for owner, stype in owners.items():
-            target = (self.tokens[owner], stype)
-            store = self._collected.setdefault(target, {})
-            asked = self._asked.setdefault(target, set())
+            store = self._collected.setdefault((owner, stype), {})
+            asked = self._asked.setdefault((owner, stype), set())
             need = t - len(store)
             members = members_of[leaf_of[owner]]
             n, at = len(members), point[owner]
@@ -350,10 +342,10 @@ class AggServer:
                 holder = members[(at + step) % n]
                 if holder in uploads and holder not in asked:
                     asked.add(holder)
-                    targets.setdefault(holder, []).append(target)
+                    targets.setdefault(holder, []).append((at, stype))
                     need -= 1
         return {
-            holder: UnmaskRequestMsg(tuple(pairs), tuple(tok for tok, _ in pairs) if forced else ())
+            holder: UnmaskRequestMsg(tuple(pairs), tuple(at for at, _ in pairs) if forced else ())
             for holder, pairs in targets.items()
         }
 
@@ -368,51 +360,51 @@ class AggServer:
         return self._requests(owners)
 
     def receive_unmask(self, user: int, msg: UnmaskResponseMsg) -> None:
-        """Collect released shares as share bytes.
+        """Collect released shares as share bytes, each at the user's own
+        evaluation point.
 
-        The threshold is the configured t and the key-share width the
-        group's, so a table claiming another is rejected rather than
-        trusted.  Each row must be for a secret this user was asked for, at
-        its own evaluation point, with a share below its field's prime, and
-        not filed before; any other row aborts the round blamed on the
-        user.  A row with a wrong share at the right point is filed: it
-        cannot be told from an honest one without verifiable shares."""
-        t = self.tree.share_threshold
-        if msg.threshold != t:
-            raise ProtocolAbort(
-                f"user {user} released shares with threshold {msg.threshold}, not {t}", blamed=f"user:{user}"
-            )
+        The key-share width must be the group's, so a table claiming another
+        is rejected rather than trusted.  Each row must name an owner point
+        inside the user's share leaf, for a secret this user was asked for,
+        with a share below its field's prime, not filed before; any other
+        row aborts the round blamed on the user.  A row with a wrong share
+        is filed: it cannot be told from an honest one without verifiable
+        shares."""
         if msg.key_width != self.group.key_share_bytes:
             raise ProtocolAbort(
                 f"user {user} released key shares of {msg.key_width} bytes, not {self.group.key_share_bytes}",
                 blamed=f"user:{user}",
             )
+        share_asn = self.setup.share_assignment
+        members = share_asn.members[share_asn.leaf_of[user]]
         point, collected, asked = self._point[user], self._collected, self._asked
         tables = ((SECRET_MASK_KEY, self.group.key_prime, msg.keys), (SECRET_SELF_SEED, SHARE_PRIME, msg.seeds))
         for stype, prime, rows in tables:
-            for owner, index, share in rows:
-                target = (owner, stype)
+            for owner_point, share in rows:
+                if not 1 <= owner_point <= len(members):
+                    raise ProtocolAbort(
+                        f"user {user} released a share of owner point {owner_point}, outside its share leaf",
+                        blamed=f"user:{user}",
+                    )
+                target = (members[owner_point - 1], stype)
                 if user not in asked.get(target, ()):
                     fault = "a share it was not asked for"
-                elif index != point:
-                    fault = f"a share at evaluation point {index}, not its own {point}"
                 elif int.from_bytes(share, "big") >= prime:
                     fault = "a share outside its field"
-                elif index in collected[target]:
+                elif point in collected[target]:
                     fault = "a share twice"
                 else:
-                    collected[target][index] = share
+                    collected[target][point] = share
                     continue
                 raise ProtocolAbort(f"user {user} released {fault}", blamed=f"user:{user}")
 
-    def _reconstruct(self, token: bytes, secret_type: int) -> int:
+    def _reconstruct(self, owner: int, secret_type: int) -> int:
         """The secret from its first t filed rows, interpolated in its own
         field: the group's key field for a mask key, ``SHARE_PRIME`` for a
         self seed."""
-        store = self._collected.get((token, secret_type), {})
+        store = self._collected.get((owner, secret_type), {})
         t = self.tree.share_threshold
         if len(store) < t:
-            owner = self.user_of_token[token]
             raise UnrecoverableRoundError(
                 f"only {len(store)} shares for user {owner} secret type {secret_type}"
             )
@@ -434,7 +426,7 @@ class AggServer:
         keys: list[int] = []
         for user in users:
             if user not in secrets:
-                secrets[user] = self._reconstruct(self.tokens[user], SECRET_MASK_KEY)
+                secrets[user] = self._reconstruct(user, SECRET_MASK_KEY)
             for end in self._ends[user]:
                 if end.peer in self._uploads:  # else neither side uploaded; nothing to cancel
                     ends.append(end)
@@ -470,7 +462,7 @@ class AggServer:
                     acc += self._uploads[u]
 
         for user in self.online_users:
-            seed_int = self._reconstruct(self.tokens[user], SECRET_SELF_SEED)
+            seed_int = self._reconstruct(user, SECRET_SELF_SEED)
             mask = prg_expand(int(seed_int).to_bytes(SELF_SEED_BYTES, "big"), m, self.spec)
             self.counters.prg_server += 1
             sums[mask_asn.leaf_of[user]] -= mask.values

@@ -4,20 +4,21 @@ A user advertises one-time keys, commits and opens its grouping
 randomness, secret-shares its mask key and self-mask seed among an
 anonymous recipient list, uploads its masked input, and answers unmask
 requests under the release rules.  Users never see identities or
-subgroup structure: peers arrive as server-randomized key handles and
-share recipients as anonymous round tokens.
+subgroup structure: peers arrive as server-randomized key handles, and
+of its share leaf a user learns only the size and its own place, which
+is its evaluation point.  A mate's place is the user's only name for it.
 
 Shares travel as bundles relayed by the server (see ``wire``): one from
-each user with an entry per recipient, and one to each user with an
-entry per share-group mate.  A user keeps its bundle as bytes, indexed by
-owner token, and only slices out the shares it releases.  The entries are
-not encrypted, so the relay can read every share until ROADMAP item 7
-encrypts each entry body.
+each user with an entry per mate, and one to each user with an entry per
+owner.  A user keeps its bundle as bytes, in leaf order, so an owner's
+entry sits at (owner point - 1) entry widths, and only slices out the
+shares it releases.  The entries are not encrypted, so the relay can read
+every share until ROADMAP item 7 encrypts each entry body.
 
 Every user derives one shared seed per peer handle from its own mask
 secret and the handle's blinded key, and keeps the seeds in handle
-order: a handle carries no token, so a user cannot tell which of its
-masking peers are among its share recipients.  ``receive_peer_lists``
+order: a handle carries no point, so a user cannot tell which of its
+masking peers are among its share leaf mates.  ``receive_peer_lists``
 runs that step for many agents at once so the simulator can evaluate all
 their exponentiations in one batch; it is only an evaluation order, as
 each agent's seeds still depend on nothing but its own secret and its
@@ -136,14 +137,11 @@ class UserAgent:
         self.round_rand = rng.randbytes(RAND_BYTES)
         self._peer_handles: tuple[PeerHandle, ...] = ()
         self._pair_seeds: list[bytes] = []  # one per peer handle, in order
-        self._recipients: tuple[bytes, ...] = ()
-        self._own_token = b""
-        self._own_pos = 0  # place in _recipients; its evaluation point is one more
-        # entry bodies in share_recipients order, and each owner's offset
-        self._held = b""
-        self._held_at: dict[bytes, int] = {}
-        self._released: dict[bytes, int] = {}  # owner token -> bits 1 << released type
-        self.forced_releases: list[bytes] = []
+        self._share_count = 0  # members of the share leaf, this user included
+        self._own_pos = 0  # 0-based place in the share leaf; the evaluation point is one more
+        self._held = b""  # entry bodies in leaf order
+        self._released: dict[int, int] = {}  # owner point -> bits 1 << released type
+        self.forced_releases: list[int] = []  # owner points
         self.seen_tree_commit: TreeCommitMsg | None = None
         self._advance(PHASE_IDLE, PHASE_ADVERTISE)
         return AdvertMsg(
@@ -166,21 +164,20 @@ class UserAgent:
         receive_peer_lists([self], [msg])
 
     def distribute_shares(self) -> ShareMsg:
-        """Bundle one entry per other recipient carrying both secrets' shares.
+        """Bundle one entry per mate carrying both secrets' shares.
 
         The mask key is shared in its group's key field, then the self seed
         in ``SHARE_PRIME``, under the same evaluation points.  Evaluation
-        point i goes to the i-th recipient token; the bundle holds the other
-        recipients' entries in that order, and the entry at the user's own
-        position is retained.
+        point i goes to the leaf's i-th member; the bundle holds the mates'
+        entries in leaf order, and the entry at the user's own point is
+        retained.
         """
         self._advance(PHASE_COMMIT, PHASE_SHARE)
-        recipients = self._recipients
-        n = len(recipients)
+        n = self._share_count
         t = self.tree.share_threshold
         if n < t:
             raise ProtocolAbort(
-                f"user {self.index} got {n} share recipients for threshold {t}",
+                f"user {self.index} got a share leaf of {n} for threshold {t}",
                 blamed="server",
             )
         keys = share_secret(self.mask_keys.secret, t, n, self._rng, self.group.key_prime)
@@ -189,42 +186,36 @@ class UserAgent:
         width = self.group.key_share_bytes
         bodies = share_bodies([(key.index, key.value, seed.value) for key, seed in zip(keys, seeds)], width)
         self._held = bodies.pop(self._own_pos)
-        self._held_at = {self._own_token: 0}
-        return ShareMsg(self._own_token, t, width, b"".join(bodies))
+        return ShareMsg(b"".join(bodies))
 
     def receive_share(self, msg: ShareMsg) -> None:
         """Keep the server's bundle of this user's shares as bytes.
 
-        The bundle holds one entry per share-group mate, in
-        ``share_recipients`` order without this user.  With the retained
-        entry spliced in at this user's position, each owner's entry sits
-        at a fixed offset, so nothing is decoded before it is released.
-        Anything but one such bundle for this user, with key shares of its
-        group's width and every entry at this user's evaluation point, after
-        its own shares went out, is the server's fault and is rejected whole.
+        The bundle holds one entry per mate, in leaf order.  With the
+        retained entry spliced in at this user's place, each owner's entry
+        sits at (owner point - 1) entry widths, so nothing is decoded before
+        it is released.  Anything but one bundle of whole entries at this
+        group's key-share width, one per mate, each at this user's
+        evaluation point, after its own shares went out, is the server's
+        fault and is rejected whole.
         """
-        recipients = self._recipients
-        w = entry_bytes(self.group.key_share_bytes)
+        width = self.group.key_share_bytes
+        w, mates = entry_bytes(width), self._share_count - 1
         fault = None
         if self.phase != PHASE_SHARE:
             fault = f"got shares in phase {self.phase}"
-        elif msg.token != self._own_token:
-            fault = "got a share bundle addressed to another user"
-        elif len(self._held_at) != 1:
+        elif len(self._held) != w:
             fault = "got a second share bundle, repeating held share slots"
-        elif msg.threshold != self.tree.share_threshold:
-            fault = f"got a share bundle of threshold {msg.threshold}"
-        elif msg.key_width != self.group.key_share_bytes:
-            fault = f"got key shares of {msg.key_width} bytes, not {self.group.key_share_bytes}"
-        elif len(msg.bodies) != (len(recipients) - 1) * w:
-            fault = f"got {len(msg.bodies) // w} share entries for {len(recipients) - 1} mates"
-        elif entry_points(msg.bodies, msg.key_width) != (self._own_pos + 1,) * (len(recipients) - 1):
+        elif len(msg.bodies) % w:
+            fault = f"got a malformed ShareMsg of {len(msg.bodies)} bytes, not whole {w}-byte entries"
+        elif len(msg.bodies) != mates * w:
+            fault = f"got {len(msg.bodies) // w} share entries for {mates} mates"
+        elif entry_points(msg.bodies, width) != (self._own_pos + 1,) * mates:
             fault = "got a share entry at another evaluation point"
         if fault is not None:
             raise ProtocolAbort(f"user {self.index} {fault}", blamed="server")
         cut = self._own_pos * w
         self._held = msg.bodies[:cut] + self._held + msg.bodies[cut:]
-        self._held_at = dict(zip(recipients, range(0, len(self._held), w)))
 
     # -- masked upload --------------------------------------------------------
 
@@ -262,10 +253,11 @@ class UserAgent:
         A request for the complementary type of an already-released target
         is refused unless the request marks the target as force-dropped
         (post-detection exclusion); overrides land in ``forced_releases``.
-        A held share at or above its field's prime (2^64 + 13 for a toy or
-        fast64 key share, ``SHARE_PRIME`` otherwise) came in a bundle the
-        server relayed, so releasing it aborts the round blamed on the
-        server.
+        A target is named by its owner's point.  A request before this
+        user's share bundle arrived, a target outside its share leaf, or a
+        held share at or above its field's prime (2^64 + 13 for a toy or
+        fast64 key share, ``SHARE_PRIME`` otherwise), which came in a bundle
+        the server relayed, aborts the round blamed on the server.
         """
         if self.phase == PHASE_UPLOAD:
             self._advance(PHASE_UPLOAD, PHASE_UNMASK)
@@ -274,30 +266,34 @@ class UserAgent:
                 f"unmask request in phase {self.phase}", blamed="server"
             )
         forced = set(req.forced)
-        held, held_at, done_for = self._held, self._held_at, self._released
+        held, done_for = self._held, self._released
         width = self.group.key_share_bytes
+        w = entry_bytes(width)
+        if len(held) != self._share_count * w:
+            raise ProtocolAbort(f"user {self.index} got an unmask request before its share bundle", blamed="server")
         prime_of = {SECRET_MASK_KEY: self.group.key_prime, SECRET_SELF_SEED: SHARE_PRIME}
-        keys: list[tuple[bytes, int, bytes]] = []
-        seeds: list[tuple[bytes, int, bytes]] = []
-        refused: list[tuple[bytes, int]] = []
-        for token, stype in req.targets:
-            off = held_at.get(token)
-            if off is None:
-                continue
-            done = done_for.get(token, 0)
+        keys: list[tuple[int, bytes]] = []
+        seeds: list[tuple[int, bytes]] = []
+        refused: list[tuple[int, int]] = []
+        for owner, stype in req.targets:
+            if not 1 <= owner <= self._share_count:
+                raise ProtocolAbort(
+                    f"user {self.index} asked for owner point {owner} outside its share leaf", blamed="server"
+                )
+            done = done_for.get(owner, 0)
             other = SECRET_MASK_KEY if stype == SECRET_SELF_SEED else SECRET_SELF_SEED
             if done & (1 << other):
-                if token in forced and stype == SECRET_MASK_KEY:
-                    self.forced_releases.append(token)
+                if owner in forced and stype == SECRET_MASK_KEY:
+                    self.forced_releases.append(owner)
                 else:
-                    refused.append((token, stype))
+                    refused.append((owner, stype))
                     continue
-            index, share = share_part(held, off, stype, width)
+            _, share = share_part(held, (owner - 1) * w, stype, width)
             if int.from_bytes(share, "big") >= prime_of[stype]:
                 raise ProtocolAbort(f"user {self.index} holds a share outside its field", blamed="server")
-            done_for[token] = done | (1 << stype)
-            (keys if stype == SECRET_MASK_KEY else seeds).append((token, index, share))
-        return UnmaskResponseMsg(self.tree.share_threshold, width, tuple(keys), tuple(seeds), tuple(refused))
+            done_for[owner] = done | (1 << stype)
+            (keys if stype == SECRET_MASK_KEY else seeds).append((owner, share))
+        return UnmaskResponseMsg(width, tuple(keys), tuple(seeds), tuple(refused))
 
     # -- verification -----------------------------------------------------------
 
@@ -352,9 +348,10 @@ def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None
 
     Each seed comes from its agent's own mask secret and one handle of its
     own message, exactly as if each agent ran alone; only the evaluation
-    order is shared.  All agents must use one group.  A message whose
-    ``share_recipients`` repeat a token, or do not hold the agent's own
-    token, aborts the round blamed on the server.
+    order is shared.  All agents must use one group.  A message whose own
+    point is outside 1 to its share-leaf size, or with a blinded key k
+    outside 1 < k < p - 1 (see ``AggServer.receive_advert``), aborts the
+    round blamed on the server.
     """
     if not agents:
         return
@@ -363,20 +360,21 @@ def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None
         raise ValueError("agents of one batch must share a DH group")
     pubs: list[int] = []
     secrets: list[int] = []
+    top = group.p - 1
     for agent, msg in zip(agents, msgs, strict=True):
-        recipients = msg.share_recipients
-        if len(set(recipients)) != len(recipients) or msg.own_token not in recipients:
+        keys = [int.from_bytes(handle.randomized_pub, "big") for handle in msg.peers]
+        if not 1 <= msg.own_point <= msg.leaf_size:
             raise ProtocolAbort(
-                f"user {agent.index} got share recipients that repeat a token or lack its own", blamed="server"
+                f"user {agent.index} got own point {msg.own_point} outside a share leaf of {msg.leaf_size}",
+                blamed="server",
             )
-        agent._own_token = msg.own_token
-        agent._own_pos = recipients.index(msg.own_token)
+        if not all(1 < k < top for k in keys):
+            raise ProtocolAbort(f"user {agent.index} got a blinded key outside 1 < k < p - 1", blamed="server")
+        agent._own_pos = msg.own_point - 1
+        agent._share_count = msg.leaf_size
         agent._peer_handles = msg.peers
-        agent._recipients = recipients
-        secret = agent.mask_keys.secret
-        for handle in msg.peers:
-            pubs.append(int.from_bytes(handle.randomized_pub, "big"))
-            secrets.append(secret)
+        pubs += keys
+        secrets += [agent.mask_keys.secret] * len(keys)
     seeds = iter(derive_shared_seeds(group, pubs, secrets))
     for agent, msg in zip(agents, msgs):
         agent._pair_seeds = [next(seeds) for _ in msg.peers]

@@ -16,73 +16,80 @@ Shamir share value is one big endian field element (see ``crypto``): 33
 bytes in the 2^256 + 297 field, which holds every self-seed share and the
 mask-key shares of the sim256 and strong2048 groups, and 9 bytes in the
 2^64 + 13 field, which holds the mask-key shares of the toy and fast64
-groups.  The key-share width W travels in a header byte, and each
-receiver rejects a W other than its group's.  A share value at or above
-its field's prime is rejected where it is read: by the holder about to
-release it and by the server filing the released row.
+groups.  A share value at or above its field's prime is rejected where it
+is read: by the holder about to release it and by the server filing the
+released row.
+
+A user names a member of its share leaf by the member's 1-based place in
+the leaf order, which is also the member's Shamir evaluation point, as
+4 bytes.  A peer list tells a user its own point and the leaf's size and
+nothing else about the leaf.
 
 Shamir shares travel in bundles, one per sender to the server and one
 per recipient from the server (the message layout of Bonawitz et al.,
-CCS 2017, section 4).  A bundle is::
-
-    own token (8) || threshold (2) || key-share width W (1) || entry bodies
-
-and carries no other-end tokens: its entries are positional.  An upload
-bundle comes from a share owner, whose token it carries, and holds one
-entry per recipient in the ``share_recipients`` order the server handed
-out, without the owner.  A download bundle goes to one recipient, whose
-token it carries, and holds one entry per owner in the recipient's
-``share_recipients`` order, without the recipient.  Either way each
-entry's position names its other end.  Every body is 4 + W + 33 bytes
-(46 at W = 9, 70 at W = 33)::
+CCS 2017, section 4).  A bundle is nothing but entry bodies, whose
+positions name their other ends: an upload bundle holds one entry per
+other member of the owner's share leaf, a download bundle one per other
+member of the recipient's, each in leaf order.  Every body is 4 + W + 33
+bytes (46 at W = 9, 70 at W = 33)::
 
     evaluation point (4) || mask-key share (W) || self-seed share (33)
 
-so every entry carries both secrets, the entry count is the body bytes
-over the body width, and bodies that are not whole entries raise
-``WireError``.  The relay moves bodies by position and never decodes a
-share, but the shares are plaintext: it could read every one until
-ROADMAP item 7 replaces each body with a ciphertext.
+so every entry carries both secrets.  Like a vector, a bundle carries no
+width: its receiver reads it at its group's key-share width W, and counts
+bytes that are not whole entries as a malformed bundle from the sender.
+The relay moves bodies by position and never decodes a share, but the
+shares are plaintext: it could read every one until ROADMAP item 7
+replaces each body with a ciphertext.
+
+An unmask request names each target by its owner's point, with the
+secret type to release, and lists the owners the server excluded::
+
+    target count (4) || targets of: owner point (4) || secret type (1)
+    || forced count (4) || forced owner points (4 each)
 
 An unmask response carries released shares as one fixed-width release
 table per secret type, one row per released share of one secret, which
-is what the never-both rule counts::
+is what the never-both rule counts.  A row holds no evaluation point,
+as every share a holder releases is at the holder's own point, which the
+server knows, and the header keeps only the row counts and the key-share
+width W, which the decoder needs and the server checks against its own::
 
-    threshold (2) || key-share width W (1) || key row count k (4) || seed row count s (4)
-    || k key rows of: owner token (8) || evaluation point (4) || share (W)
-    || s seed rows of: owner token (8) || evaluation point (4) || share (33)
-    || refused (owner token, secret type) targets
+    W (1) || key row count k (4) || seed row count s (4)
+    || k key rows of: owner point (4) || share (W)
+    || s seed rows of: owner point (4) || share (33)
+    || refused count (4) || refused targets of: owner point (4) || secret type (1)
 
 A peer list packs its handles at the one blinded key width W the group
 fixes, as the reveal packs its records, with a sign of +1 or -1 and a
 kind code of 1 (intra) or 2 (inter) in each row, which is all a user
 needs to apply the pair's mask.  No row says where in the tree the peer
-sits or which token it holds, so a user cannot match its masking peers
-against its share recipients::
+sits, so a user cannot match its masking peers against its share leaf::
 
-    own token (8) || W (2) || handle count n (4)
+    own point (4) || share-leaf size (4) || W (2) || handle count n (4)
     || n rows of: sign (1) || kind (1) || W key bytes
-    || recipient count (4) || recipient tokens of 8 bytes
 
-The two verification broadcasts stay small and carry no nonce and no
-tree shape, which is public (see ``orgtree``).  TREE_COMMIT is N (4) ||
-the SHA-256 digest of the N advertised randomness commitments (32), not
-a list: no user reads the list before the openings exist, and a user
-that later verifies the reveal recomputes the digest from the revealed
-openings, which catches a server that changes any of them (see
-``orgtree`` for why checking one's own record then, rather than one's
-inclusion earlier, loses nothing).  REVEAL is the server randomness (32)
-|| N (4) || three field widths (2 each) || N records of share key, mask
-key and randomness at those widths, as the group fixes the key width
-and the protocol the randomness width, which opens its commitment alone
-(see ``crypto``); a payload that is not exactly that header plus N
-records raises ``WireError``.
+The setup messages stay small and carry no nonce and no tree shape,
+which is public (see ``orgtree``).  SERVER_COMMIT is a 32-byte digest and
+RAND_OPEN the 32-byte randomness it opens, each the whole payload.
+TREE_COMMIT is N (4) || the SHA-256 digest of the N advertised randomness
+commitments (32), not a list: no user reads the list before the openings
+exist, and a user that later verifies the reveal recomputes the digest
+from the revealed openings, which catches a server that changes any of
+them (see ``orgtree`` for why checking one's own record then, rather
+than one's inclusion earlier, loses nothing).  REVEAL is the server
+randomness (32) || N (4) || three field widths (2 each) || N records of
+share key, mask key and randomness at those widths, as the group fixes
+the key width and the protocol the randomness width, which opens its
+commitment alone (see ``crypto``); a payload that is not exactly that
+header plus N records raises ``WireError``.
 
 Decoding raises ``WireError`` for a truncated record, one whose tag is not
-the expected message's, one whose fields overrun the payload, a digest
-that is not 32 bytes, and, in all but the two vector messages, bytes after
-the last field.  A round decodes every record from the bytes its receiver
-got through ``decode_from``, which blames a malformed one on its sender.
+the expected message's, one whose fields overrun the payload, a digest or
+randomness that is not 32 bytes, and, in all but the two vector messages
+and the share bundle, bytes after the last field.  A round decodes every
+record from the bytes its receiver got through ``decode_from``, which
+blames a malformed one on its sender.
 
 Users never address each other directly: the transport only accepts
 messages with the server on one end and counts payload bytes per
@@ -124,7 +131,6 @@ SECRET_SELF_SEED = 2  # share of a user's per-round self-mask seed
 
 _SECRET_TYPES = bytes((SECRET_MASK_KEY, SECRET_SELF_SEED))
 
-TOKEN_BYTES = 8
 DIGEST_BYTES = 32  # SHA-256 commitments
 
 
@@ -152,11 +158,15 @@ def _unpack_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
     return _take(buf, off + 4, n)
 
 
-def _unpack_tokens(buf: bytes, off: int) -> tuple[tuple[bytes, ...], int]:
-    """A 4-byte count followed by that many tokens."""
+def _pack_points(points: tuple[int, ...]) -> bytes:
+    return struct.pack(f">I{len(points)}I", len(points), *points)
+
+
+def _unpack_points(buf: bytes, off: int) -> tuple[tuple[int, ...], int]:
+    """A 4-byte count followed by that many 4-byte points."""
     (k,) = _unpack(">I", buf, off)
-    raw, end = _take(buf, off + 4, TOKEN_BYTES * k)
-    return struct.unpack(f"{TOKEN_BYTES}s" * k, raw), end
+    raw, end = _take(buf, off + 4, 4 * k)
+    return struct.unpack(f">{k}I", raw), end
 
 
 def _encode_words(values: np.ndarray, spec: SegmentSpec) -> bytes:
@@ -179,19 +189,19 @@ def _decode_words(words: bytes, spec: SegmentSpec) -> np.ndarray:
     return values
 
 
-_TARGET = struct.Struct(">8sB")  # owner token, secret type
+_TARGET = struct.Struct(">IB")  # owner point, secret type
 
 
-def _pack_targets(targets: tuple[tuple[bytes, int], ...]) -> bytes:
-    """A 4-byte count followed by that many (token, secret type) pairs."""
+def _pack_targets(targets: tuple[tuple[int, int], ...]) -> bytes:
+    """A 4-byte count followed by that many (owner point, secret type) pairs."""
     return struct.pack(">I", len(targets)) + b"".join(starmap(_TARGET.pack, targets))
 
 
-def _unpack_targets(buf: bytes, off: int) -> tuple[tuple[tuple[bytes, int], ...], int]:
-    """A 4-byte count followed by that many (token, secret type) pairs."""
+def _unpack_targets(buf: bytes, off: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A 4-byte count followed by that many (owner point, secret type) pairs."""
     (k,) = _unpack(">I", buf, off)
     raw, end = _take(buf, off + 4, _TARGET.size * k)
-    if raw[TOKEN_BYTES :: _TARGET.size].translate(None, _SECRET_TYPES):
+    if raw[4 :: _TARGET.size].translate(None, _SECRET_TYPES):  # the type byte of each pair
         raise WireError("unknown secret type tag in a target list")
     return tuple(_TARGET.iter_unpack(raw)), end
 
@@ -292,24 +302,25 @@ class TreeCommitMsg:
 
 @dataclass(frozen=True)
 class RandOpenMsg:
-    """The grouping randomness, which alone opens its ADVERT commitment."""
+    """The 32-byte grouping randomness, which alone opens its ADVERT
+    commitment."""
 
     user_rand: bytes
 
     def to_bytes(self) -> bytes:
-        return encode_record(TAG_RAND_OPEN, _pack_bytes(self.user_rand))
+        return encode_record(TAG_RAND_OPEN, self.user_rand)
 
     @staticmethod
     def from_bytes(data: bytes) -> "RandOpenMsg":
         payload = _payload_of(data, TAG_RAND_OPEN)
-        r, end = _unpack_bytes(payload, 0)
-        _check_end(payload, end)
-        return RandOpenMsg(r)
+        if len(payload) != RAND_BYTES:
+            raise WireError(f"randomness opening of {len(payload)} bytes, expected {RAND_BYTES}")
+        return RandOpenMsg(payload)
 
 
 @dataclass
 class PeerHandle:
-    """Opaque view of one masking peer: no identity and no token, only what
+    """Opaque view of one masking peer: no identity and no point, only what
     masking needs; a user keeps its pair seeds in handle order.  Not frozen,
     which makes the 24K handles of a 2000-user round about 4x faster to
     build."""
@@ -321,7 +332,7 @@ class PeerHandle:
 
 _KIND_CODES = {"intra": 1, "inter": 2}
 _KINDS = (None, "intra", "inter")
-_PEER_HEAD = struct.Struct(">8sHI")  # own token, key width, handle count
+_PEER_HEAD = struct.Struct(">IIHI")  # own point, share-leaf size, key width, handle count
 _SIGN, _KIND = 0, 1  # offsets of the sign and the kind code in a handle row
 
 
@@ -333,49 +344,40 @@ def _handle_row(width: int) -> struct.Struct:
 
 @dataclass(frozen=True)
 class PeerListMsg:
-    """Masking peer handles plus opaque share-recipient tokens.
+    """The user's own evaluation point, the size of its share leaf, and its
+    masking peer handles, each row sign (1) || kind (1) || blinded key (W).
 
-    A handle row is sign (1) || kind (1) || blinded key (W), with no token:
-    the user's own round token and its share recipients' are the only
-    tokens a peer list carries.  ``share_recipients`` lists the round
-    tokens of the user's whole share subgroup in a fixed order (the user
-    included); share evaluation points are 1-based positions in that
-    order.
+    ``own_point`` is the user's 1-based place in its share leaf's order, and
+    a mate's place there is the only name the user has for it.
     """
 
-    own_token: bytes
+    own_point: int
+    leaf_size: int
     peers: tuple[PeerHandle, ...]
-    share_recipients: tuple[bytes, ...]
 
     def to_bytes(self) -> bytes:
         peers = self.peers
         widths = {len(p.randomized_pub) for p in peers}
         width = max(widths, default=0)
-        if len(self.own_token) != TOKEN_BYTES or widths - {width}:
-            raise ValueError("peer lists need an 8-byte token and blinded keys of one width")
+        if widths - {width}:
+            raise ValueError("peer lists need blinded keys of one width")
         pack = _handle_row(width).pack
         table = b"".join([pack(p.sign, _KIND_CODES[p.kind], p.randomized_pub) for p in peers])
-        recips = self.share_recipients
-        parts = (_PEER_HEAD.pack(self.own_token, width, len(peers)), table, struct.pack(">I", len(recips)), *recips)
-        return encode_record(TAG_PEER_LIST, b"".join(parts))
+        head = _PEER_HEAD.pack(self.own_point, self.leaf_size, width, len(peers))
+        return encode_record(TAG_PEER_LIST, head + table)
 
     @staticmethod
     def from_bytes(data: bytes) -> "PeerListMsg":
         payload = _payload_of(data, TAG_PEER_LIST)
-        own, width, n = _unpack(_PEER_HEAD.format, payload, 0)
+        own, size, width, n = _unpack(_PEER_HEAD.format, payload, 0)
         row = _handle_row(width)
-        table, off = _take(payload, _PEER_HEAD.size, n * row.size)
+        table, end = _take(payload, _PEER_HEAD.size, n * row.size)
+        _check_end(payload, end)
         signs, kinds = table[_SIGN :: row.size], table[_KIND :: row.size]
         if signs.translate(None, b"\x01\xff") or kinds.translate(None, b"\x01\x02"):
             raise WireError("a peer handle with a sign other than +-1 or a kind code other than 1 or 2")
         rows = row.iter_unpack(table)
-        peers = tuple([PeerHandle(pub, sign, _KINDS[kind]) for sign, kind, pub in rows])
-        recips, end = _unpack_tokens(payload, off)
-        _check_end(payload, end)
-        return PeerListMsg(own, peers, recips)
-
-
-_BUNDLE_HEAD = struct.Struct(">8sHB")  # own token, threshold, key-share width
+        return PeerListMsg(own, size, tuple([PeerHandle(pub, sign, _KINDS[kind]) for sign, kind, pub in rows]))
 
 
 @functools.lru_cache(maxsize=16)  # one per key-share width in use
@@ -397,7 +399,7 @@ def _entry_points(key_width: int, count: int) -> struct.Struct:
 
 def entry_points(bodies: bytes, key_width: int) -> tuple[int, ...]:
     """The evaluation point of each entry body in ``bodies``, in order;
-    ``bodies`` holds whole entries, as every ``ShareMsg`` does."""
+    ``bodies`` must hold whole entries, which each receiver checks first."""
     return _entry_points(key_width, len(bodies) // entry_bytes(key_width)).unpack(bodies)
 
 
@@ -421,39 +423,19 @@ def share_part(bodies: bytes, off: int, secret_type: int, key_width: int) -> tup
 
 @dataclass(frozen=True)
 class ShareMsg:
-    """A bundle of Shamir share entries between one user and the server:
-    token (8) || threshold (2) || key-share width W (1) || bodies, each body
-    point (4) || key share (W) || seed share (33).
+    """A bundle of Shamir share entries between one user and the server,
+    nothing but the bodies, each point (4) || key share (W) || seed share
+    (33) (see ``share_bodies``), one per other member of the user's share
+    leaf in leaf order; the receiver reads them at its own W."""
 
-    ``token`` is the user's own: the owner's in an upload bundle, the
-    recipient's in a download bundle.  ``bodies`` holds one
-    ``entry_bytes(key_width)``-byte body per entry (see ``share_bodies``),
-    in that user's ``share_recipients`` order without the user itself.
-    """
-
-    token: bytes
-    threshold: int
-    key_width: int
     bodies: bytes
 
     def to_bytes(self) -> bytes:
-        if len(self.token) != TOKEN_BYTES or not 0 < self.key_width < 256:
-            raise ValueError("share bundle needs an 8-byte token and a key-share width of 1 to 255 bytes")
-        if len(self.bodies) % entry_bytes(self.key_width):
-            raise ValueError("share bundle needs whole entry bodies")
-        head = _BUNDLE_HEAD.pack(self.token, self.threshold, self.key_width)
-        return encode_record(TAG_SHARE_MSG, head + self.bodies)
+        return encode_record(TAG_SHARE_MSG, self.bodies)
 
     @staticmethod
     def from_bytes(data: bytes) -> "ShareMsg":
-        payload = _payload_of(data, TAG_SHARE_MSG)
-        token, threshold, key_width = _unpack(_BUNDLE_HEAD.format, payload, 0)
-        bodies = payload[_BUNDLE_HEAD.size :]
-        if not key_width:
-            raise WireError("share bundle with zero-byte key shares")
-        if len(bodies) % entry_bytes(key_width):
-            raise WireError(f"{len(bodies)} share bundle bytes are not whole entries of {entry_bytes(key_width)}")
-        return ShareMsg(token, threshold, key_width, bodies)
+        return ShareMsg(_payload_of(data, TAG_SHARE_MSG))
 
 
 @dataclass(frozen=True)
@@ -486,31 +468,30 @@ class UnmaskRequestMsg:
     user treats them like dropouts when applying its release rules.
     """
 
-    targets: tuple[tuple[bytes, int], ...]  # (owner token, secret type)
-    forced: tuple[bytes, ...] = ()
+    targets: tuple[tuple[int, int], ...]  # (owner point, secret type)
+    forced: tuple[int, ...] = ()  # owner points
 
     def to_bytes(self) -> bytes:
-        parts = (_pack_targets(self.targets), struct.pack(">I", len(self.forced)), *self.forced)
-        return encode_record(TAG_UNMASK_REQUEST, b"".join(parts))
+        return encode_record(TAG_UNMASK_REQUEST, _pack_targets(self.targets) + _pack_points(self.forced))
 
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskRequestMsg":
         payload = _payload_of(data, TAG_UNMASK_REQUEST)
         targets, off = _unpack_targets(payload, 0)
-        forced, end = _unpack_tokens(payload, off)
+        forced, end = _unpack_points(payload, off)
         _check_end(payload, end)
         return UnmaskRequestMsg(targets, forced)
 
 
-_RELEASE_HEAD = struct.Struct(">HBII")  # threshold, key-share width, key rows, seed rows
+_RELEASE_HEAD = struct.Struct(">BII")  # key-share width, key rows, seed rows
 
-ReleaseRow = tuple[bytes, int, bytes]  # (owner token, evaluation point, share bytes)
+ReleaseRow = tuple[int, bytes]  # (owner point, share bytes)
 
 
 @functools.lru_cache(maxsize=16)  # the width comes off the wire, so the cache is bounded
 def _release_row(width: int) -> struct.Struct:
-    """Owner token, evaluation point, share of ``width`` bytes."""
-    return struct.Struct(f">8sI{width}s")
+    """Owner point, share of ``width`` bytes."""
+    return struct.Struct(f">I{width}s")
 
 
 _SEED_ROW = _release_row(SHARE_VALUE_BYTES)
@@ -519,49 +500,45 @@ _SEED_ROW = _release_row(SHARE_VALUE_BYTES)
 @dataclass(frozen=True)
 class UnmaskResponseMsg:
     """Released shares as one release table per secret type, plus the
-    refused targets: threshold (2) || key-share width W (1) || key row
-    count (4) || seed row count (4) || key rows || seed rows || refused
-    targets, each row owner token (8) || point (4) || share (W for keys,
-    33 for seeds).
+    refused targets: key-share width W (1) || key row count (4) || seed row
+    count (4) || key rows || seed rows || refused targets, each row owner
+    point (4) || share (W for keys, 33 for seeds).
 
-    ``keys`` and ``seeds`` hold (owner token, evaluation point, share
-    bytes) rows of mask-key shares of ``key_width`` bytes and of self-seed
-    shares of ``SHARE_VALUE_BYTES``; ``threshold`` is the holder's t and
-    ``key_width`` its group's key-share width, which the server checks
-    against its own.
+    ``keys`` and ``seeds`` hold (owner point, share bytes) rows of mask-key
+    shares of ``key_width`` bytes and of self-seed shares of
+    ``SHARE_VALUE_BYTES``; every share is at the holder's own evaluation
+    point.  ``key_width`` is the holder's group's key-share width, which
+    the server checks against its own.
     """
 
-    threshold: int
     key_width: int
     keys: tuple[ReleaseRow, ...] = ()
     seeds: tuple[ReleaseRow, ...] = ()
-    refused: tuple[tuple[bytes, int], ...] = ()  # (owner token, refused type)
+    refused: tuple[tuple[int, int], ...] = ()  # (owner point, refused type)
 
     @property
-    def shares(self) -> tuple[tuple[bytes, int, int, bytes], ...]:
-        """Every released row as (owner token, secret type, evaluation
-        point, share bytes), key rows first."""
-        return tuple((owner, SECRET_MASK_KEY, index, raw) for owner, index, raw in self.keys) + tuple(
-            (owner, SECRET_SELF_SEED, index, raw) for owner, index, raw in self.seeds
+    def shares(self) -> tuple[tuple[int, int, bytes], ...]:
+        """Every released row as (owner point, secret type, share bytes),
+        key rows first."""
+        return tuple((owner, SECRET_MASK_KEY, raw) for owner, raw in self.keys) + tuple(
+            (owner, SECRET_SELF_SEED, raw) for owner, raw in self.seeds
         )
 
     def to_bytes(self) -> bytes:
         keys, seeds, width = self.keys, self.seeds, self.key_width
         if not 0 < width < 256:
             raise ValueError("a release table needs a key-share width of 1 to 255 bytes")
-        # "s" fields would pad or cut a token or share of another length
-        if any(len(owner) != TOKEN_BYTES or len(raw) != width for owner, _, raw in keys) or any(
-            len(owner) != TOKEN_BYTES or len(raw) != SHARE_VALUE_BYTES for owner, _, raw in seeds
-        ):
-            raise ValueError("release rows need 8-byte owner tokens and shares of their table's width")
+        # "s" fields would pad or cut a share of another length
+        if any(len(raw) != width for _, raw in keys) or any(len(raw) != SHARE_VALUE_BYTES for _, raw in seeds):
+            raise ValueError("release rows need shares of their table's width")
         table = b"".join(starmap(_release_row(width).pack, keys)) + b"".join(starmap(_SEED_ROW.pack, seeds))
-        head = _RELEASE_HEAD.pack(self.threshold, width, len(keys), len(seeds))
+        head = _RELEASE_HEAD.pack(width, len(keys), len(seeds))
         return encode_record(TAG_UNMASK_RESPONSE, head + table + _pack_targets(self.refused))
 
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskResponseMsg":
         payload = _payload_of(data, TAG_UNMASK_RESPONSE)
-        threshold, width, k, n = _unpack(_RELEASE_HEAD.format, payload, 0)
+        width, k, n = _unpack(_RELEASE_HEAD.format, payload, 0)
         if not width:
             raise WireError("release table with zero-byte key shares")
         key_row = _release_row(width)
@@ -569,9 +546,7 @@ class UnmaskResponseMsg:
         seeds, off = _take(payload, off, n * _SEED_ROW.size)
         refused, end = _unpack_targets(payload, off)
         _check_end(payload, end)
-        return UnmaskResponseMsg(
-            threshold, width, tuple(key_row.iter_unpack(keys)), tuple(_SEED_ROW.iter_unpack(seeds)), refused
-        )
+        return UnmaskResponseMsg(width, tuple(key_row.iter_unpack(keys)), tuple(_SEED_ROW.iter_unpack(seeds)), refused)
 
 
 _REVEAL_HEAD = struct.Struct(f">{RAND_BYTES}sIHHH")  # server randomness, N, the three field widths

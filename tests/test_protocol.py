@@ -13,7 +13,7 @@ from conftest import build_round, plaintext_sum, random_inputs, run_plain_round
 from secaggsim.aggserver import fedsgd_update
 from secaggsim.counters import OpCounters
 from secaggsim import simulation, useragent
-from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, SIM_GROUP, STRONG_GROUP, reconstruct_secret
+from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, SIM_GROUP, STRONG_GROUP, TOY_GROUP, reconstruct_secret
 from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError
 from secaggsim.fixedpoint import (
     ParamVector,
@@ -83,13 +83,12 @@ def test_two_user_masks_cancel():
         agent.begin_round(Random(rng.getrandbits(64)), bytes(32))
         agent.open_rand(NO_TREE)
     r = SIM_GROUP.random_exponent(rng)
-    tok = [b"token--0", b"token--1"]
     handles = [
         PeerHandle(SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[1].mask_keys.public, r)), 1, "intra"),
         PeerHandle(SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[0].mask_keys.public, r)), -1, "intra"),
     ]
     for u, agent in enumerate(agents):
-        agent.receive_peer_list(PeerListMsg(tok[u], (handles[u],), (tok[0], tok[1])))
+        agent.receive_peer_list(PeerListMsg(u + 1, 2, (handles[u],)))
         agent.distribute_shares()
     xs = random_inputs(2, 16, SPEC, seed=5)
     ys = [agents[u].mask_input(xs[u]).vector(SPEC) for u in range(2)]
@@ -114,7 +113,7 @@ def test_mask_input_matches_rebinding_reference(spec):
     handles = tuple(
         PeerHandle(SIM_GROUP.encode(KeyPair.generate(SIM_GROUP, rng).public), sign, kind) for sign, kind in plan
     )
-    agent.receive_peer_list(PeerListMsg(b"own-tok!", handles, (b"own-tok!", b"mate-tok")))
+    agent.receive_peer_list(PeerListMsg(1, 2, handles))
     agent.distribute_shares()
     x = random_inputs(1, 50, spec, seed=8)[0]
     expect = vec_add_mod(x, prg_expand(agent.self_seed, 50, spec))
@@ -169,25 +168,25 @@ def test_masked_upload_looks_uniform():
 
 
 def _lone_agent(n_recipients=3, threshold=2, group=SIM_GROUP):
+    """An agent at point 1 of a share leaf of ``n_recipients``."""
     counters = OpCounters()
     tree = TreeConfig(height=0, degree=2, share_threshold=threshold)
     agent = UserAgent(0, group=group, spec=SPEC, inter_mask_bits=10, tree=tree, counters=counters)
     agent.begin_round(Random(0), bytes(32))
     agent.open_rand(NO_TREE)
-    tokens = tuple(bytes([i]) * 8 for i in range(n_recipients))
-    agent.receive_peer_list(PeerListMsg(tokens[0], (), tokens))
-    return agent, tokens, counters
+    agent.receive_peer_list(PeerListMsg(1, n_recipients, ()))
+    return agent, counters
 
 
-def _entry_share(bundle: ShareMsg, j: int, secret_type: int, group=SIM_GROUP):
+def _entry_share(bundle: ShareMsg, j: int, secret_type: int, group=SIM_GROUP, t=2):
     """Entry j's share of one secret, in that secret's field, as
     ``reconstruct_secret`` takes it."""
     from secaggsim.crypto import SHARE_PRIME, Share
 
-    width = bundle.key_width
+    width = group.key_share_bytes
     index, share = share_part(bundle.bodies, j * entry_bytes(width), secret_type, width)
     prime = group.key_prime if secret_type == SECRET_MASK_KEY else SHARE_PRIME
-    return Share(index, int.from_bytes(share, "big"), bundle.threshold, prime)
+    return Share(index, int.from_bytes(share, "big"), t, prime)
 
 
 def test_share_counting_example():
@@ -195,9 +194,8 @@ def test_share_counting_example():
     # shares, packed two to an entry for the 2 other recipients; a fast64
     # key share takes 9 bytes, a sim256 one 33, a seed share 33
     for group, width in ((SIM_GROUP, SHARE_VALUE_BYTES), (FAST_GROUP, 9)):
-        agent, tokens, counters = _lone_agent(group=group)
+        agent, counters = _lone_agent(group=group)
         bundle = agent.distribute_shares()
-        assert bundle.token == tokens[0] and bundle.key_width == width
         assert len(bundle.bodies) == 2 * entry_bytes(width) == 2 * (4 + width + SHARE_VALUE_BYTES)
         parts = [share_part(bundle.bodies, j * entry_bytes(width), stype, width) for j in range(2) for stype in (1, 2)]
         assert [len(share) for _, share in parts] == [width, SHARE_VALUE_BYTES] * 2
@@ -208,7 +206,7 @@ def test_share_counting_example():
 
 
 def test_share_reconstruct_self_seed():
-    agent, tokens, _ = _lone_agent()
+    agent, _ = _lone_agent()
     bundle = agent.distribute_shares()
     got = reconstruct_secret([_entry_share(bundle, j, SECRET_SELF_SEED) for j in range(2)])
     assert got == int.from_bytes(agent.self_seed, "big")
@@ -217,7 +215,7 @@ def test_share_reconstruct_self_seed():
 def test_share_recipient_list_too_small():
     from secaggsim.errors import ProtocolAbort
 
-    agent, tokens, _ = _lone_agent(n_recipients=1, threshold=2)
+    agent, _ = _lone_agent(n_recipients=1, threshold=2)
     with pytest.raises(ProtocolAbort):
         agent.distribute_shares()
 
@@ -227,42 +225,40 @@ def test_phase_skip_is_protocol_abort():
     from secaggsim.errors import ProtocolAbort
     from secaggsim.useragent import PHASE_COMMIT, PHASE_UPLOAD
 
-    agent, _, _ = _lone_agent()
+    agent, _ = _lone_agent()
     with pytest.raises(ProtocolAbort):
         agent._advance(PHASE_COMMIT, PHASE_UPLOAD)
 
 
-def _download(agent, owners_values, threshold=2, token=None, width=None):
+def _download(agent, owners_values, width=None):
     """A download bundle for ``agent``, decoded from its bytes as a round
-    hands it over: one entry per other recipient, at the agent's evaluation
-    point, with the given key and seed values, and key shares of the
-    agent's group's width unless ``width`` is given."""
-    point = agent._recipients.index(agent._own_token) + 1
+    hands it over: one entry per mate, at the agent's evaluation point,
+    with the given key and seed values, and key shares of the agent's
+    group's width unless ``width`` is given."""
     width = width or agent.group.key_share_bytes
-    bodies = share_bodies([(point, key, seed) for key, seed in owners_values], width)
-    data = ShareMsg(token or agent._own_token, threshold, width, b"".join(bodies)).to_bytes()
-    return decode_from(SERVER, ShareMsg, data)
+    bodies = share_bodies([(agent._own_pos + 1, key, seed) for key, seed in owners_values], width)
+    return decode_from(SERVER, ShareMsg, ShareMsg(b"".join(bodies)).to_bytes())
 
 
 def test_share_type_tag_enforced():
-    agent, tokens, _ = _lone_agent()
+    agent, _ = _lone_agent()
     agent.distribute_shares()
-    own = dict(agent._held_at)
-    # a bundle addressed to someone else, with an entry missing, or with key
-    # shares of another group's width, is rejected whole
-    wrong_width = _download(agent, [(5, 6), (7, 8)], width=9)
-    for bad in (_download(agent, [(5, 6), (7, 8)], token=tokens[1]), _download(agent, [(5, 6)]), wrong_width):
+    own = agent._held
+    # a bundle with an entry missing, or with key shares of another group's
+    # width, is rejected whole
+    for bad in (_download(agent, [(5, 6)]), _download(agent, [(5, 6), (7, 8)], width=9)):
         with pytest.raises(ProtocolAbort) as exc:
             agent.receive_share(bad)
-        assert exc.value.blamed == "server" and agent._held_at == own
+        assert exc.value.blamed == "server" and agent._held == own
     # a second bundle repeats every held (owner, type) slot and is rejected whole
     agent.receive_share(_download(agent, [(5, 6), (7, 8)]))
     held = agent._held
     with pytest.raises(ProtocolAbort) as exc:
         agent.receive_share(_download(agent, [(9, 9), (9, 9)]))
     assert exc.value.blamed == "server" and agent._held == held
+    # owner point 2's entry sits one entry in
     width = SHARE_VALUE_BYTES
-    assert share_part(held, agent._held_at[tokens[1]], SECRET_MASK_KEY, width) == (1, (5).to_bytes(width, "big"))
+    assert share_part(held, entry_bytes(width), SECRET_MASK_KEY, width) == (1, (5).to_bytes(width, "big"))
 
 
 def test_wide_mask_key_shares_reconstruct():
@@ -281,16 +277,15 @@ def test_wide_mask_key_shares_reconstruct():
     )
     agent.begin_round(Random(4), bytes(32))
     agent.open_rand(NO_TREE)
-    tokens = tuple(bytes([i]) * 8 for i in range(6))
-    agent.receive_peer_list(PeerListMsg(tokens[2], (), tokens))
+    agent.receive_peer_list(PeerListMsg(3, 6, ()))
     assert 1 <= agent.mask_keys.secret < 1 << 256
     bundle = agent.distribute_shares()
-    assert bundle.key_width == SHARE_VALUE_BYTES and len(bundle.bodies) == 5 * entry_bytes(SHARE_VALUE_BYTES) == 350
+    assert len(bundle.bodies) == 5 * entry_bytes(SHARE_VALUE_BYTES) == 350
     assert ShareMsg.from_bytes(bundle.to_bytes()) == bundle
     seed = int.from_bytes(agent.self_seed, "big")
     for picked in itertools.combinations(range(5), 3):
-        key_shares = [_entry_share(bundle, j, SECRET_MASK_KEY, STRONG_GROUP) for j in picked]
-        seed_shares = [_entry_share(bundle, j, SECRET_SELF_SEED, STRONG_GROUP) for j in picked]
+        key_shares = [_entry_share(bundle, j, SECRET_MASK_KEY, STRONG_GROUP, t=3) for j in picked]
+        seed_shares = [_entry_share(bundle, j, SECRET_SELF_SEED, STRONG_GROUP, t=3) for j in picked]
         assert reconstruct_secret(key_shares) == agent.mask_keys.secret
         assert reconstruct_secret(seed_shares) == seed
 
@@ -299,24 +294,26 @@ def test_wide_mask_key_shares_reconstruct():
 
 
 def _agent_with_shares():
-    agent, tokens, _ = _lone_agent()
+    """An agent at point 1 of a leaf of 3 holding its mates' shares; the
+    owner at point 2 is returned."""
+    agent, _ = _lone_agent()
     agent.distribute_shares()
     agent.receive_share(_download(agent, [(22, 11), (33, 44)]))
     agent.phase = "upload"
-    return agent, tokens[1]
+    return agent, 2
 
 
 def test_unmask_online_target_releases_self_seed():
     agent, owner = _agent_with_shares()
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
-    assert resp.shares == ((owner, SECRET_SELF_SEED, 1, (11).to_bytes(SHARE_VALUE_BYTES, "big")),)
-    assert resp.threshold == 2 and not resp.refused
+    assert resp.shares == ((owner, SECRET_SELF_SEED, (11).to_bytes(SHARE_VALUE_BYTES, "big")),)
+    assert not resp.refused
 
 
 def test_unmask_dropped_target_releases_mask_key():
     agent, owner = _agent_with_shares()
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),)))
-    assert resp.shares == ((owner, SECRET_MASK_KEY, 1, (22).to_bytes(SHARE_VALUE_BYTES, "big")),)
+    assert resp.shares == ((owner, SECRET_MASK_KEY, (22).to_bytes(SHARE_VALUE_BYTES, "big")),)
 
 
 def test_never_both_refused():
@@ -331,7 +328,7 @@ def test_never_both_forced_exclusion_is_recorded():
     agent, owner = _agent_with_shares()
     agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),), forced=(owner,)))
-    assert [stype for _, stype, _, _ in resp.shares] == [SECRET_MASK_KEY]
+    assert [stype for _, stype, _ in resp.shares] == [SECRET_MASK_KEY]
     assert agent.forced_releases == [owner]
 
 
@@ -350,14 +347,15 @@ def test_held_share_outside_its_field_not_released():
     while p - 1, the largest element of each field, is released."""
     from secaggsim.crypto import SHARE_PRIME, SHARE_PRIME_64
 
-    agent, tokens, _ = _lone_agent(n_recipients=5, group=FAST_GROUP)
+    agent, _ = _lone_agent(n_recipients=5, group=FAST_GROUP)
     agent.distribute_shares()
+    # owners at points 2 to 5
     entries = [(SHARE_PRIME_64, 1), (SHARE_PRIME_64 - 1, 1), (1, SHARE_PRIME), (1, SHARE_PRIME - 1)]
     agent.receive_share(_download(agent, entries))
     agent.phase = "upload"
-    resp = agent.unmask_response(UnmaskRequestMsg(((tokens[2], SECRET_MASK_KEY), (tokens[4], SECRET_SELF_SEED))))
+    resp = agent.unmask_response(UnmaskRequestMsg(((3, SECRET_MASK_KEY), (5, SECRET_SELF_SEED))))
     assert [int.from_bytes(raw, "big") for *_, raw in resp.shares] == [SHARE_PRIME_64 - 1, SHARE_PRIME - 1]
-    for target in ((tokens[1], SECRET_MASK_KEY), (tokens[3], SECRET_SELF_SEED)):
+    for target in ((2, SECRET_MASK_KEY), (4, SECRET_SELF_SEED)):
         with pytest.raises(ProtocolAbort, match="outside its field") as exc:
             agent.unmask_response(UnmaskRequestMsg((target,)))
         assert exc.value.blamed == "server"
@@ -399,7 +397,7 @@ def test_dropout_round_matches_oracle_in_each_key_field(group, width):
     survivors = {u: x for u, x in inputs.items() if u not in drop}
     assert np.array_equal(result.total.values, plaintext_sum(survivors, 8, SPEC))
     assert counters.mask_cancellations > 0 and len(server._mask_secrets) == len(drop)
-    assert all(len(u._held) == len(u._recipients) * (4 + width + SHARE_VALUE_BYTES) for u in users)
+    assert all(len(u._held) == u._share_count * (4 + width + SHARE_VALUE_BYTES) for u in users)
 
 
 class _FlagFirstLeaf:
@@ -541,8 +539,10 @@ def test_oracle_dropouts_and_exclusion(case):
     # t holders asked per secret, each answering once; every never-both
     # override is of a member of an excluded leaf
     assert refused == 0 and rows == tree.share_threshold * counters.shares_reconstructed
-    forced_tokens = {server.tokens[u] for u in forced}
-    assert all(tok in forced_tokens for agent in users for tok in agent.forced_releases)
+    share_asn = server.setup.share_assignment
+    for agent in users:
+        members = share_asn.members[share_asn.leaf_of[agent.index]]
+        assert all(members[point - 1] in forced for point in agent.forced_releases)
 
 
 @pytest.mark.parametrize("length", [1, 9])
@@ -766,9 +766,10 @@ def test_server_never_stores_plaintext_vector():
 
 
 def test_users_never_learn_grouping():
-    """User-side state carries no subgroup indices or identities: only
-    opaque tokens, randomized keys, and signs.  A peer handle carries no
-    token, so a user cannot tell which masking peers share its share leaf."""
+    """User-side state carries no subgroup indices or identities: only its
+    own evaluation point and share-leaf size, randomized keys, and signs.  A
+    peer handle carries no point, so a user cannot tell which masking peers
+    share its share leaf."""
     inputs = random_inputs(16, 4, SPEC, seed=61)
     _, server, users, _ = run_plain_round(16, TREE22, SPEC, inputs, seed=61)
     banned = ("assignment", "leaf", "subgroup", "identity")
@@ -940,20 +941,32 @@ def test_mismatched_opening_caught_at_receive_open():
     assert exc.value.blamed == "user:3"
 
 
+def _key(group, value):
+    return lambda key: group.encode(value)
+
+
 @pytest.mark.parametrize(
-    "field, resize",
+    "field, resize, group",
     [
-        pytest.param("share_pub", lambda key: key + b"\x00", id="share_key_9_bytes"),
-        pytest.param("mask_pub", lambda key: key[1:], id="mask_key_7_bytes"),
-        pytest.param("share_pub", lambda key: b"", id="share_key_empty"),
-        pytest.param("mask_pub", lambda key: FAST_GROUP.encode(FAST_GROUP.p), id="mask_key_equal_to_p"),
+        pytest.param("share_pub", lambda key: key + b"\x00", FAST_GROUP, id="share_key_9_bytes"),
+        pytest.param("mask_pub", lambda key: key[1:], FAST_GROUP, id="mask_key_7_bytes"),
+        pytest.param("share_pub", lambda key: b"", FAST_GROUP, id="share_key_empty"),
+        pytest.param("mask_pub", _key(FAST_GROUP, FAST_GROUP.p), FAST_GROUP, id="mask_key_equal_to_p"),
+        pytest.param("mask_pub", _key(FAST_GROUP, 0), FAST_GROUP, id="fast64_mask_key_0"),
+        pytest.param("share_pub", _key(FAST_GROUP, 1), FAST_GROUP, id="fast64_share_key_1"),
+        pytest.param("mask_pub", _key(FAST_GROUP, FAST_GROUP.p - 1), FAST_GROUP, id="fast64_mask_key_p_minus_1"),
+        pytest.param("share_pub", _key(TOY_GROUP, 0), TOY_GROUP, id="toy_share_key_0"),
+        pytest.param("mask_pub", _key(TOY_GROUP, 1), TOY_GROUP, id="toy_mask_key_1"),
+        pytest.param("share_pub", _key(TOY_GROUP, TOY_GROUP.p - 1), TOY_GROUP, id="toy_share_key_p_minus_1"),
     ],
 )
-def test_malformed_advert_key_caught_at_receive_advert(field, resize):
-    """A fast64 ADVERT key that is not one 8-byte element below p aborts
-    the round as the advert arrives, blamed on its sender, before any
-    reveal could fail to encode it."""
-    server, users, transport, _ = build_round(16, TREE22, SPEC, group=FAST_GROUP)
+def test_malformed_advert_key_caught_at_receive_advert(field, resize, group):
+    """An ADVERT key that is not one ``element_bytes``-long k with
+    1 < k < p - 1 aborts the round as the advert arrives, blamed on its
+    sender, before any reveal could fail to encode it: 0 would make every
+    pair seed of its owner public, 1 and p - 1 (of order at most 2) almost
+    so."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC, group=group)
     honest = users[3].begin_round
 
     def advertise(rng, server_commit):
@@ -976,42 +989,33 @@ def test_malformed_advert_key_caught_at_receive_advert(field, resize):
     ],
 )
 def test_opening_not_32_bytes_caught_at_receive_open(resize):
-    """A RAND_OPEN whose randomness is not 32 bytes opens no commitment,
-    even one that starts with the committed randomness; it is blamed on
-    its sender."""
+    """A RAND_OPEN payload is the 32-byte randomness alone, so one of
+    another length, even one that starts with the committed randomness,
+    fails to decode before ``receive_open`` and is blamed on its sender."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     honest = users[3].open_rand
     users[3].open_rand = lambda tree_commit: RandOpenMsg(resize(honest(tree_commit).user_rand))
-    with pytest.raises(ProtocolAbort, match="user 3 opened a different randomness") as exc:
+    with pytest.raises(ProtocolAbort, match="user:3 sent a malformed RandOpenMsg") as exc:
         _run_16(server, users, transport, 72)
     assert exc.value.blamed == "user:3"
 
 
-def test_lying_threshold_rejected_at_receive_unmask():
-    server, users, transport, _ = build_round(16, TREE22, SPEC)
-    honest = users[3].unmask_response
+def _owner_point(point):
+    """Every row names the owner at ``point``; user 3's share leaf holds 4."""
 
-    def lie(req):
-        return dataclasses.replace(honest(req), threshold=1)
+    def tamper(resp, server):
+        keys, seeds = (tuple((point, share) for _, share in rows) for rows in (resp.keys, resp.seeds))
+        return dataclasses.replace(resp, keys=keys, seeds=seeds)
 
-    users[3].unmask_response = lie
-    with pytest.raises(ProtocolAbort) as exc:
-        _run_16(server, users, transport, 71)
-    assert exc.value.blamed == "user:3"
-
-
-def _relabelled(resp, server):
-    """Every row claims evaluation point 1; user 3's own point is 3."""
-    keys, seeds = (tuple((owner, 1, share) for owner, _, share in rows) for rows in (resp.keys, resp.seeds))
-    return dataclasses.replace(resp, keys=keys, seeds=seeds)
+    return tamper
 
 
 def _unasked_rows(resp, server):
-    """Self-seed rows, at the holder's own point, for every owner it was
-    not asked about."""
+    """Self-seed rows for every other owner in the holder's share leaf,
+    which it was not asked about."""
     asked = {owner for owner, *_ in resp.shares}
-    _, index, share = resp.seeds[0]
-    extra = tuple((tok, index, share) for tok in server.tokens if tok not in asked)
+    _, share = resp.seeds[0]
+    extra = tuple((point, share) for point in range(1, 5) if point not in asked)
     return dataclasses.replace(resp, seeds=resp.seeds + extra)
 
 
@@ -1023,8 +1027,8 @@ def _seed_past_field(resp, server):
     """A seed row whose share is 2^256 + 297, one past its field."""
     from secaggsim.crypto import SHARE_PRIME
 
-    (owner, index, _), *rest = resp.seeds
-    return dataclasses.replace(resp, seeds=((owner, index, SHARE_PRIME.to_bytes(SHARE_VALUE_BYTES, "big")), *rest))
+    (owner, _), *rest = resp.seeds
+    return dataclasses.replace(resp, seeds=((owner, SHARE_PRIME.to_bytes(SHARE_VALUE_BYTES, "big")), *rest))
 
 
 def _narrow_key_table(resp, server):
@@ -1035,7 +1039,8 @@ def _narrow_key_table(resp, server):
 @pytest.mark.parametrize(
     "tamper, match",
     [
-        pytest.param(_relabelled, "evaluation point 1, not its own 3", id="relabelled_point"),
+        pytest.param(_owner_point(0), "owner point 0, outside its share leaf", id="owner_point_zero"),
+        pytest.param(_owner_point(5), "owner point 5, outside its share leaf", id="owner_point_past_leaf"),
         pytest.param(_unasked_rows, "not asked for", id="unasked_owners"),
         pytest.param(_repeated_row, "a share twice", id="repeated_row"),
         pytest.param(_seed_past_field, "a share outside its field", id="seed_past_field"),
@@ -1043,11 +1048,11 @@ def _narrow_key_table(resp, server):
     ],
 )
 def test_unrequested_release_rows_rejected_at_receive_unmask(tamper, match):
-    """The server files a release row only for a secret it asked that
-    holder for, at the holder's own evaluation point, with a share inside
-    its field, once; each other row aborts the round blamed on the holder,
-    where filing it would give a wrong total.  Out of scope: a wrong share
-    inside the field at the right point, which cannot be detected without
+    """The server files a release row only for an owner point inside the
+    holder's share leaf, for a secret it asked that holder for, with a share
+    inside its field, once; each other row aborts the round blamed on the
+    holder, where filing it would give a wrong total.  Out of scope: a
+    wrong share inside the field, which cannot be detected without
     verifiable shares."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     honest = users[3].unmask_response
@@ -1070,8 +1075,8 @@ def test_key_row_outside_its_field_rejected_at_receive_unmask():
             if not resp.keys:
                 return resp
             released.append(f"user:{agent.index}")
-            (owner, index, _), *rest = resp.keys
-            return dataclasses.replace(resp, keys=((owner, index, FAST_GROUP.key_prime.to_bytes(9, "big")), *rest))
+            (owner, _), *rest = resp.keys
+            return dataclasses.replace(resp, keys=((owner, FAST_GROUP.key_prime.to_bytes(9, "big")), *rest))
 
         return respond
 
@@ -1096,14 +1101,14 @@ def test_key_row_outside_its_field_rejected_at_receive_unmask():
 
 
 def _silent(honest, req):
-    return UnmaskResponseMsg(TREE22.share_threshold, SIM_GROUP.key_share_bytes)
+    return UnmaskResponseMsg(SIM_GROUP.key_share_bytes)
 
 
 def _refusing(honest, req):
     """Release the other secret of every target first, then refuse the
     request under the never-both rule."""
     other = {SECRET_MASK_KEY: SECRET_SELF_SEED, SECRET_SELF_SEED: SECRET_MASK_KEY}
-    honest(UnmaskRequestMsg(tuple((tok, other[stype]) for tok, stype in req.targets)))
+    honest(UnmaskRequestMsg(tuple((owner, other[stype]) for owner, stype in req.targets)))
     resp = honest(req)
     assert resp.refused == req.targets and not resp.shares
     return resp
@@ -1136,10 +1141,8 @@ def test_shortfall_is_asked_of_the_next_online_holder(answer):
     assert sorted(target for req in again.values() for target in req.targets) == sorted(first[3].targets)
     share_asn, t = server.setup.share_assignment, TREE22.share_threshold
     for holder, req in again.items():
-        for token, _ in req.targets:
-            owner = server.user_of_token[token]
-            members = share_asn.members[share_asn.leaf_of[owner]]
-            at = members.index(owner) + 1
+        members = share_asn.members[share_asn.leaf_of[holder]]
+        for at, _ in req.targets:
             assert (members[at:] + members[:at]).index(holder) == t
     assert counters.shares_reconstructed == 16
 
@@ -1154,7 +1157,7 @@ def test_exclusion_shortfall_is_asked_again():
     def silent_when_forced(req):
         if req.forced:
             silenced.append(req)
-            return UnmaskResponseMsg(TREE22.share_threshold, SIM_GROUP.key_share_bytes)
+            return UnmaskResponseMsg(SIM_GROUP.key_share_bytes)
         return honest(req)
 
     users[3].unmask_response = silent_when_forced
@@ -1182,7 +1185,7 @@ def test_leaf_with_t_minus_one_answering_holders_is_unrecoverable():
     def silence_a_leaf():
         finish()
         for u in server.setup.share_assignment.members[0][tree.share_threshold - 1 :]:
-            users[u].unmask_response = lambda req: UnmaskResponseMsg(tree.share_threshold, SIM_GROUP.key_share_bytes)
+            users[u].unmask_response = lambda req: UnmaskResponseMsg(SIM_GROUP.key_share_bytes)
 
     server.finish_setup = silence_a_leaf
     with pytest.raises(UnrecoverableRoundError, match="only 2 shares"):
@@ -1193,8 +1196,8 @@ def test_leaf_with_t_minus_one_answering_holders_is_unrecoverable():
 
 
 def _resized(bundle, entries):
-    """The bundle with its first entry dropped or repeated."""
-    w = entry_bytes(bundle.key_width)
+    """The sim256 bundle with its first entry dropped or repeated."""
+    w = entry_bytes(SIM_GROUP.key_share_bytes)
     bodies = bundle.bodies[w:] if entries < 0 else bundle.bodies[:w] + bundle.bodies
     return dataclasses.replace(bundle, bodies=bodies)
 
@@ -1202,19 +1205,16 @@ def _resized(bundle, entries):
 @pytest.mark.parametrize(
     "tamper, match",
     [
-        pytest.param(lambda b, other: dataclasses.replace(b, token=other), "another owner", id="forged_owner"),
-        pytest.param(lambda b, _: _resized(b, -1), "2 share entries for its 3", id="short_bundle"),
-        pytest.param(lambda b, _: _resized(b, 1), "4 share entries for its 3", id="long_bundle"),
-        pytest.param(lambda b, _: dataclasses.replace(b, threshold=1), "threshold 1", id="wrong_threshold"),
+        pytest.param(lambda b: _resized(b, -1), "2 share entries for its 3", id="short_bundle"),
+        pytest.param(lambda b: _resized(b, 1), "4 share entries for its 3", id="long_bundle"),
     ],
 )
 def test_relay_checks_the_sender_bundle(tamper, match):
-    """The relay files nothing a sender files under another owner's token
-    or that does not hold one entry per share recipient; each such bundle
-    is blamed on its sender."""
+    """The relay files nothing that does not hold one entry per share
+    recipient; each such bundle is blamed on its sender."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     honest = users[3].distribute_shares
-    users[3].distribute_shares = lambda: tamper(honest(), server.tokens[4])
+    users[3].distribute_shares = lambda: tamper(honest())
     with pytest.raises(ProtocolAbort, match=match) as exc:
         _run_16(server, users, transport, 73)
     assert exc.value.blamed == "user:3"
@@ -1222,14 +1222,15 @@ def test_relay_checks_the_sender_bundle(tamper, match):
 
 
 def test_relay_rejects_a_partial_entry():
-    """A bundle one byte past whole entries, handed to the relay without
-    the wire's decoder, is blamed on its sender, not read as entries."""
+    """A bundle carries no width, so the relay reads it at the group's: one
+    a byte past whole entries is blamed on its sender as malformed, not
+    read as entries."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     route = server.route_share
     server.route_share = lambda sender, msg: route(
         sender, dataclasses.replace(msg, bodies=msg.bodies + b"\x00") if sender == 3 else msg
     )
-    with pytest.raises(ProtocolAbort, match="user 3 sent 3.0") as exc:
+    with pytest.raises(ProtocolAbort, match="user 3 sent a malformed ShareMsg") as exc:
         _run_16(server, users, transport, 73)
     assert exc.value.blamed == "user:3"
 
@@ -1292,20 +1293,19 @@ def test_malformed_bytes_blamed_on_their_sender(sender, tag):
     assert exc.value.blamed == sender
 
 
-def _rewidth(bundle, width):
-    """The bundle with every entry re-packed around a ``width``-byte key share."""
-    w = bundle.key_width
+def _rewidth(bundle):
+    """The fast64 bundle with every entry re-packed around a 33-byte key share."""
     points = []
-    for off in range(0, len(bundle.bodies), entry_bytes(w)):
-        index, key = share_part(bundle.bodies, off, SECRET_MASK_KEY, w)
-        _, seed = share_part(bundle.bodies, off, SECRET_SELF_SEED, w)
+    for off in range(0, len(bundle.bodies), entry_bytes(9)):
+        index, key = share_part(bundle.bodies, off, SECRET_MASK_KEY, 9)
+        _, seed = share_part(bundle.bodies, off, SECRET_SELF_SEED, 9)
         points.append((index, int.from_bytes(key, "big"), int.from_bytes(seed, "big")))
-    return dataclasses.replace(bundle, key_width=width, bodies=b"".join(share_bodies(points, width)))
+    return ShareMsg(b"".join(share_bodies(points, 33)))
 
 
 def _wide_upload(server, users, transport):
     honest = users[3].distribute_shares
-    users[3].distribute_shares = lambda: _rewidth(honest(), 33)
+    users[3].distribute_shares = lambda: _rewidth(honest())
 
 
 def _wide_download(server, users, transport):
@@ -1313,44 +1313,23 @@ def _wide_download(server, users, transport):
 
     def rewidth_first(sender, msg):
         out = route(sender, msg)
-        return [(r, _rewidth(b, 33)) for r, b in out[:1]] + out[1:]
+        return [(r, _rewidth(b)) for r, b in out[:1]] + out[1:]
 
     server.route_share = rewidth_first
-
-
-def _width_byte(sender):
-    """Set the key-share width byte of every SHARE record ``sender`` sends
-    to 33, leaving the 46-byte bodies as they are."""
-
-    def install(server, users, transport):
-        deliver = transport.deliver
-
-        def corrupting(s, receiver, encoded):
-            received = deliver(s, receiver, encoded)
-            if s == sender and received[0] == TAG_SHARE_MSG:
-                _, payload = decode_record(received)
-                return encode_record(TAG_SHARE_MSG, payload[:10] + bytes([33]) + payload[11:])
-            return received
-
-        transport.deliver = corrupting
-
-    return install
 
 
 @pytest.mark.parametrize(
     "tamper, blamed, match",
     [
-        pytest.param(_wide_upload, "user:3", "user 3 sent key shares of 33 bytes, not 9", id="upload_repacked"),
-        pytest.param(_wide_download, "server", "got key shares of 33 bytes, not 9", id="download_repacked"),
-        pytest.param(_width_byte("user:3"), "user:3", "malformed ShareMsg", id="upload_width_byte"),
-        pytest.param(_width_byte("server"), "server", "malformed ShareMsg", id="download_width_byte"),
+        pytest.param(_wide_upload, "user:3", "user 3 sent a malformed ShareMsg", id="upload_repacked"),
+        pytest.param(_wide_download, "server", "got a malformed ShareMsg", id="download_repacked"),
     ],
 )
 def test_wrong_key_share_width_aborts_the_round(tamper, blamed, match):
-    """In a fast64 round every bundle carries 9-byte key shares.  One with
-    33-byte key shares is blamed on its sender: on the user at
-    ``route_share``, on the server at ``receive_share``; a width byte that
-    does not fit the bodies fails to decode, blamed the same way."""
+    """In a fast64 round every bundle is read as 46-byte entries with 9-byte
+    key shares.  One with 33-byte key shares is not whole entries, and is
+    blamed on its sender: on the user at ``route_share``, on the server at
+    ``receive_share``."""
     server, users, transport, _ = build_round(16, TREE22, SPEC, group=FAST_GROUP)
     tamper(server, users, transport)
     with pytest.raises(ProtocolAbort, match=match) as exc:
@@ -1360,7 +1339,8 @@ def test_wrong_key_share_width_aborts_the_round(tamper, blamed, match):
 
 def test_bundle_for_another_user_rejected_at_the_receiver():
     """A relay that swaps two recipients' bundles is caught by the first
-    recipient, which files nothing."""
+    recipient, whose entries are then at the other's point, and which
+    files nothing."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     route = server.route_share
 
@@ -1372,7 +1352,7 @@ def test_bundle_for_another_user_rejected_at_the_receiver():
         return out
 
     server.route_share = swapping
-    with pytest.raises(ProtocolAbort, match="addressed to another user") as exc:
+    with pytest.raises(ProtocolAbort, match="got a share entry at another evaluation point") as exc:
         _run_16(server, users, transport, 76)
     assert exc.value.blamed == "server"
 
@@ -1380,46 +1360,78 @@ def test_bundle_for_another_user_rejected_at_the_receiver():
 # -- peer lists and evaluation points -----------------------------------------------------
 
 
-def _mates(msg):
-    return [tok for tok in msg.share_recipients if tok != msg.own_token]
-
-
 @pytest.mark.parametrize(
     "edit",
     [
-        pytest.param(
-            lambda msg: tuple(bytes(8) if tok == msg.own_token else tok for tok in msg.share_recipients),
-            id="own_token_missing",
-        ),
-        pytest.param(lambda msg: msg.share_recipients + (msg.own_token,), id="own_token_twice"),
-        pytest.param(
-            lambda msg: tuple(_mates(msg)[0] if tok == _mates(msg)[-1] else tok for tok in msg.share_recipients),
-            id="mate_repeated",
-        ),
+        pytest.param(dict(own_point=0), id="own_point_zero"),
+        pytest.param(dict(own_point=5), id="own_point_past_leaf"),
+        pytest.param(dict(leaf_size=0), id="empty_leaf"),
     ],
 )
-def test_bad_share_recipients_blamed_on_the_server(edit):
-    """A PEER_LIST whose share recipients do not hold the user's own token
-    exactly once, or repeat a token, aborts the round blamed on the server
-    before any share is made."""
+def test_own_point_outside_the_share_leaf_blamed_on_the_server(edit):
+    """A PEER_LIST whose own point is not 1 to its share-leaf size (4
+    here) aborts the round blamed on the server before any share is made."""
     server, users, transport, counters = build_round(16, TREE22, SPEC)
     peer_list_for = server.peer_list_for
-
-    def cheat(user):
-        msg = peer_list_for(user)
-        return dataclasses.replace(msg, share_recipients=edit(msg)) if user == 3 else msg
-
-    server.peer_list_for = cheat
-    with pytest.raises(ProtocolAbort, match="user 3 got share recipients that repeat a token or lack its own") as exc:
+    server.peer_list_for = lambda user: dataclasses.replace(peer_list_for(user), **(edit if user == 3 else {}))
+    with pytest.raises(ProtocolAbort, match="user 3 got own point .* outside a share leaf of") as exc:
         _run_16(server, users, transport, 77)
     assert exc.value.blamed == "server"
     assert counters.shares_created == 0
 
 
+@pytest.mark.parametrize("key", [0, 1, FAST_GROUP.p - 1], ids=["zero", "one", "p_minus_1"])
+def test_blinded_key_outside_the_group_blamed_on_the_server(key):
+    """A PEER_LIST handle whose blinded key k is not 1 < k < p - 1 aborts the
+    round blamed on the server before any seed is derived; honest blinding
+    never yields one, and the pair's masks would not cancel."""
+    server, users, transport, counters = build_round(16, TREE22, SPEC, group=FAST_GROUP)
+    peer_list_for = server.peer_list_for
+
+    def cheat(user):
+        msg = peer_list_for(user)
+        if user != 3:
+            return msg
+        first = dataclasses.replace(msg.peers[0], randomized_pub=FAST_GROUP.encode(key))
+        return dataclasses.replace(msg, peers=(first, *msg.peers[1:]))
+
+    server.peer_list_for = cheat
+    with pytest.raises(ProtocolAbort, match="user 3 got a blinded key outside") as exc:
+        _run_16(server, users, transport, 77)
+    assert exc.value.blamed == "server"
+    assert sum(counters.key_agreements_by_user.values()) == 0
+
+
+@pytest.mark.parametrize("point", [0, 5], ids=["zero", "past_leaf"])
+def test_request_target_outside_the_share_leaf_blamed_on_the_server(point):
+    """An unmask request for an owner point outside the holder's share leaf
+    (of 4 here) aborts the round blamed on the server; it names no share
+    the holder has."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    requests = server.unmask_requests
+    server.unmask_requests = lambda: {
+        u: dataclasses.replace(req, targets=((point, SECRET_SELF_SEED),)) for u, req in requests().items()
+    }
+    with pytest.raises(ProtocolAbort, match=f"asked for owner point {point} outside its share leaf") as exc:
+        _run_16(server, users, transport, 79)
+    assert exc.value.blamed == "server"
+
+
+def test_unmask_request_before_the_share_bundle_blamed_on_the_server():
+    """A holder the relay never sent its bundle holds only its own entry,
+    so an unmask request to it aborts the round blamed on the server."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    route = server.route_share
+    server.route_share = lambda sender, msg: [(r, b) for r, b in route(sender, msg) if r != 3]
+    with pytest.raises(ProtocolAbort, match="user 3 got an unmask request before its share bundle") as exc:
+        _run_16(server, users, transport, 79)
+    assert exc.value.blamed == "server"
+
+
 def _point_flipped(bundle, entry):
-    """The bundle with the low bit of one entry's evaluation point flipped."""
+    """The sim256 bundle with the low bit of one entry's evaluation point flipped."""
     bodies = bytearray(bundle.bodies)
-    bodies[entry * entry_bytes(bundle.key_width) + 3] ^= 1
+    bodies[entry * entry_bytes(SIM_GROUP.key_share_bytes) + 3] ^= 1
     return dataclasses.replace(bundle, bodies=bytes(bodies))
 
 

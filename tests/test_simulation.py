@@ -142,7 +142,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "b3d1f981123d70732d3ad7dfb64cac03d9262a89bba1e5c87b0a965e40f3dbc6",
+        "0bee9eb94f795e1501590f51dce0ee361e058f1de21135ec2e2fe356e1761728",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -160,7 +160,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "c730bec621d962357462d8f342aed6446228f8638ab567ca51d13063340e86d7",
+        "7ac70600d7cb468e7f6a6c9b32c8e2a1fa1858f2f038558115f400fccd3c0039",
     ),
 }
 

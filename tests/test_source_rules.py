@@ -4,6 +4,7 @@ import ast
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,10 +22,51 @@ def test_no_assert_statements(path: Path):
 
 
 def test_abort_paths_hold_under_python_O():
-    """The cheating-server, opening and advert abort tests pass with
-    asserts stripped, so none of those checks rests on an ``assert``."""
+    """The cheating-server, opening, advert, point-range and key-range
+    abort tests pass with asserts stripped, so none of those checks rests
+    on an ``assert``."""
     cmd = [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_protocol.py"]
-    run = subprocess.run(
-        [*cmd, "-k", "cheating_server or opening or advert"], cwd=ROOT, capture_output=True, text=True, timeout=600
-    )
+    selected = "cheating_server or opening or advert or outside or owner_point or before_the_share_bundle"
+    run = subprocess.run([*cmd, "-k", selected], cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+
+
+class _FlagFirstLeaf:
+    """Detector stand-in that flags leaf 0."""
+
+    def detect(self, aggregates, model):
+        return SimpleNamespace(flagged=[0])
+
+
+def test_benchmark_tracer_binds_every_span(monkeypatch):
+    """The benchmark's traced run wraps package functions and methods by
+    name and reads attributes of their results; one traced round with
+    dropouts and an excluded leaf reaches every span and observer, and its
+    per-tag wire bytes add up to the transport's counters."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+
+    from secaggsim import simulation
+    from secaggsim.fixedpoint import SegmentSpec, zeros
+    from secaggsim.orgtree import TreeConfig
+
+    from conftest import build_round, random_inputs
+
+    spec = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
+    server, users, transport, counters = build_round(16, TreeConfig(height=1, degree=2, share_threshold=2), spec)
+    drop = {2, 9}
+    inputs = {u: x for u, x in random_inputs(16, 4, spec, seed=5).items() if u not in drop}
+    tr = spans.Tracer()
+    tr.install()
+    try:
+        simulation.execute_round(
+            server=server, users=users, transport=transport, model=zeros(4, spec), inputs=inputs,
+            round_seed=(5, 0), pre_drop=drop, detector=_FlagFirstLeaf(),
+        )
+    finally:
+        tr.restore()
+    assert tr.rounds == 1
+    assert {tag for _, tag in tr.wire_bytes} == set(spans.TAG_NAMES)
+    up = sum(n for (direction, _), n in tr.wire_bytes.items() if direction == "up")
+    down = sum(n for (direction, _), n in tr.wire_bytes.items() if direction == "down")
+    assert (up, down) == (counters.bytes_user_to_server, counters.bytes_server_to_user)

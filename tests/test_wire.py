@@ -14,14 +14,15 @@ from secaggsim.crypto import FAST_GROUP, RAND_BYTES, SHARE_PRIME, SHARE_PRIME_64
 from secaggsim.errors import ProtocolAbort, WireError
 from secaggsim.fixedpoint import SegmentSpec
 from secaggsim.orgtree import TreeConfig
+from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
+    SERVER,
     SHARE_VALUE_BYTES,
     TAG_ADVERT,
     TAG_GLOBAL_MODEL,
     TAG_MASKED_UPLOAD,
-    TAG_RAND_OPEN,
     TAG_REVEAL,
     TAG_SHARE_MSG,
     TAG_TREE_COMMIT,
@@ -47,10 +48,9 @@ from secaggsim.wire import (
     share_part,
 )
 
-TOK = [bytes([i]) * 8 for i in range(4)]
 SPEC32 = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 KEY64 = 9  # bytes of a mask-key share in the 2^64 + 13 field
-SHARE = ShareMsg(TOK[0], 3, KEY64, b"".join(share_bodies([(2, 5, (1 << 256) + 7), (3, (1 << 64) + 1, 2)], KEY64)))
+SHARE = ShareMsg(b"".join(share_bodies([(2, 5, (1 << 256) + 7), (3, (1 << 64) + 1, 2)], KEY64)))
 
 
 def _share(value: int, width: int = SHARE_VALUE_BYTES) -> bytes:
@@ -63,21 +63,11 @@ MESSAGES = [
     AdvertMsg(b"share-pub", b"mask-pub", b"\x22" * 32),
     TreeCommitMsg(2, b"\x44" * 32),
     RandOpenMsg(b"\x66" * 32),
-    PeerListMsg(
-        TOK[0],
-        (PeerHandle(b"pub-1", 1, "intra"), PeerHandle(b"pub-2", -1, "inter")),
-        (TOK[0], TOK[1], TOK[3]),
-    ),
+    PeerListMsg(1, 3, (PeerHandle(b"pub-1", 1, "intra"), PeerHandle(b"pub-2", -1, "inter"))),
     SHARE,
     MaskedUploadMsg.from_vector(np.array([0, 1, 2**32 - 5], dtype=np.uint64), SPEC32),
-    UnmaskRequestMsg(((TOK[1], SECRET_SELF_SEED), (TOK[2], SECRET_MASK_KEY)), forced=(TOK[2],)),
-    UnmaskResponseMsg(
-        3,
-        KEY64,
-        keys=((TOK[0], 2, _share(5, KEY64)),),
-        seeds=((TOK[2], 1, _share(9)),),
-        refused=((TOK[3], SECRET_MASK_KEY),),
-    ),
+    UnmaskRequestMsg(((2, SECRET_SELF_SEED), (3, SECRET_MASK_KEY)), forced=(3,)),
+    UnmaskResponseMsg(KEY64, keys=((1, _share(5, KEY64)),), seeds=((3, _share(9)),), refused=((4, SECRET_MASK_KEY),)),
     RevealMsg(b"\x55" * 32, ((b"sp", b"mp", b"ru-0"), (b"SP", b"MP", b"RU-1"))),
     GlobalModelMsg.from_vector(np.array([3, 4], dtype=np.uint64), SPEC32),
 ]
@@ -120,11 +110,10 @@ def test_decode_record_errors_are_value_errors():
 # -- byte-stable encodings -------------------------------------------------------------
 
 UNMASK_HEX = {
-    "UnmaskRequestMsg": "080000002200000002010101010101010102020202020202020201000000010202020202020202",
+    "UnmaskRequestMsg": "0800000016" "00000002" "0000000202" "0000000301" "00000001" "00000003",
     "UnmaskResponseMsg": (
-        "090000005a000309000000010000000100000000000000000000000200000000000000000502020202020202"
-        "020000000100000000000000000000000000000000000000000000000000000000000000000900000001030303"
-        "030303030301"
+        "0900000044" "09" "00000001" "00000001" "00000001" "000000000000000005" "00000003" + "00" * 32 + "09"
+        "00000001" "0000000401"
     ),
 }
 
@@ -276,23 +265,23 @@ def test_vector_partial_element_rejected(w):
 
 WIDE_KEY = (1 << 256) - 1  # above every short exponent
 WIDE_SEED = SHARE_PRIME - 1
-WIDE = ShareMsg(TOK[0], 3, SHARE_VALUE_BYTES, share_bodies([(4, WIDE_KEY, WIDE_SEED)], SHARE_VALUE_BYTES)[0])
+WIDE = ShareMsg(share_bodies([(4, WIDE_KEY, WIDE_SEED)], SHARE_VALUE_BYTES)[0])
 NARROW_KEY = SHARE_PRIME_64 - 1  # the largest element of the 2^64 + 13 field
-NARROW = ShareMsg(TOK[0], 3, KEY64, share_bodies([(4, NARROW_KEY, WIDE_SEED)], KEY64)[0])
+NARROW = ShareMsg(share_bodies([(4, NARROW_KEY, WIDE_SEED)], KEY64)[0])
 
 
 def test_share_packed_wide_roundtrip():
     """A body is point (4) || key share (W) || seed share (33): 70 bytes
     with sim256 and strong2048 key shares, 46 with toy and fast64 ones,
-    after an 11-byte header."""
+    with no header."""
     assert entry_bytes(SHARE_VALUE_BYTES) == 4 + 2 * SHARE_VALUE_BYTES == 70
     assert entry_bytes(KEY64) == 4 + KEY64 + SHARE_VALUE_BYTES == 46
-    for msg, key in ((WIDE, WIDE_KEY), (NARROW, NARROW_KEY)):
+    for msg, key, width in ((WIDE, WIDE_KEY, SHARE_VALUE_BYTES), (NARROW, NARROW_KEY, KEY64)):
         data = msg.to_bytes()
-        assert len(data) == 5 + 11 + entry_bytes(msg.key_width)
+        assert len(data) == 5 + entry_bytes(width)
         assert ShareMsg.from_bytes(data) == msg
-        assert share_part(msg.bodies, 0, SECRET_MASK_KEY, msg.key_width) == (4, _share(key, msg.key_width))
-        assert share_part(msg.bodies, 0, SECRET_SELF_SEED, msg.key_width) == (4, _share(WIDE_SEED))
+        assert share_part(msg.bodies, 0, SECRET_MASK_KEY, width) == (4, _share(key, width))
+        assert share_part(msg.bodies, 0, SECRET_SELF_SEED, width) == (4, _share(WIDE_SEED))
 
 
 def test_share_secret_type_single_records_only():
@@ -302,37 +291,37 @@ def test_share_secret_type_single_records_only():
     assert int.from_bytes(key, "big") == NARROW_KEY
     with pytest.raises(ValueError):
         share_part(NARROW.bodies, 0, 3, KEY64)
-    resp = UnmaskResponseMsg(3, KEY64, keys=((TOK[0], 4, key),), seeds=((TOK[0], 4, _share(WIDE_SEED)),))
+    resp = UnmaskResponseMsg(KEY64, keys=((4, key),), seeds=((4, _share(WIDE_SEED)),))
     assert UnmaskResponseMsg.from_bytes(resp.to_bytes()) == resp
-    assert resp.shares == ((TOK[0], SECRET_MASK_KEY, 4, key), (TOK[0], SECRET_SELF_SEED, 4, _share(WIDE_SEED)))
+    assert resp.shares == ((4, SECRET_MASK_KEY, key), (4, SECRET_SELF_SEED, _share(WIDE_SEED)))
     for short in (key[1:], key + key, _share(NARROW_KEY)):  # a row holds exactly one share of its table's width
         with pytest.raises(ValueError):
-            UnmaskResponseMsg(3, KEY64, keys=((TOK[0], 4, short),)).to_bytes()
+            UnmaskResponseMsg(KEY64, keys=((4, short),)).to_bytes()
     with pytest.raises(ValueError):
-        UnmaskResponseMsg(3, KEY64, seeds=((TOK[0], 4, key),)).to_bytes()
-
-
-def _bundle_payload(entries: int, body_bytes: int, width: int) -> bytes:
-    """A bundle of ``entries`` zero bodies of ``body_bytes`` each, whose
-    header gives key shares of ``width`` bytes."""
-    return TOK[0] + struct.pack(">HB", 2, width) + bytes(body_bytes) * entries
+        UnmaskResponseMsg(KEY64, seeds=((4, key),)).to_bytes()
 
 
 def test_share_record_without_secret_rejected():
-    """A bundle must be whole bodies of 4 + W + 33 bytes for its header's
-    key-share width W of at least one byte: an entry that holds only its
-    point or one of the two shares, or is a byte off, is not a body."""
-    for width, body in ((KEY64, 46), (SHARE_VALUE_BYTES, 70)):
-        decoded = ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(2, body, width)))
-        assert (decoded.key_width, decoded.bodies) == (width, bytes(2 * body))
-    bad = ((1, 4, KEY64), (1, 45, KEY64), (1, 47, KEY64), (1, 70, KEY64), (1, 37, SHARE_VALUE_BYTES),
-           (1, 69, SHARE_VALUE_BYTES), (1, 71, SHARE_VALUE_BYTES), (2, 46, SHARE_VALUE_BYTES), (1, 37, 0), (0, 0, 0))
-    for entries, body_bytes, width in bad:
-        with pytest.raises(WireError):
-            ShareMsg.from_bytes(encode_record(TAG_SHARE_MSG, _bundle_payload(entries, body_bytes, width)))
-    for width, bodies in ((SHARE_VALUE_BYTES, bytes(71)), (KEY64, bytes(70)), (0, b""), (256, b"")):
-        with pytest.raises(ValueError):
-            ShareMsg(TOK[0], 2, width, bodies).to_bytes()
+    """A bundle carries no width, so it decodes as any bytes, and its
+    receiver reads whole bodies of 4 + W + 33 bytes at its group's W: an
+    entry that holds only its point or one of the two shares, or is a byte
+    off, is not a body, and the bundle is rejected whole, blamed on the
+    server that sent it."""
+    for group, bad in ((FAST_GROUP, (4, 13, 37, 45, 47, 70)), (SIM_GROUP, (4, 37, 46, 69, 71))):
+        agent = UserAgent(
+            0, group=group, spec=SPEC32, inter_mask_bits=10, tree=TreeConfig(height=0, degree=2), counters=OpCounters()
+        )
+        agent.begin_round(Random(0), bytes(32))
+        agent.open_rand(TreeCommitMsg(0, bytes(32)))
+        agent.receive_peer_list(PeerListMsg(1, 2, ()))
+        agent.distribute_shares()
+        for size in bad:
+            msg = decode_from(SERVER, ShareMsg, encode_record(TAG_SHARE_MSG, bytes(size)))
+            assert msg.bodies == bytes(size)
+            with pytest.raises(ProtocolAbort, match="malformed ShareMsg") as exc:
+                agent.receive_share(msg)
+            assert exc.value.blamed == "server"
+        agent.receive_share(ShareMsg(share_bodies([(1, 2, 3)], group.key_share_bytes)[0]))
 
 
 _value = st.integers(0, SHARE_PRIME - 1)
@@ -355,9 +344,9 @@ def test_bundle_roundtrip(bundle):
     widths: 0 to many entries of a key share and a seed share, indices up
     to 2^32 - 1."""
     width, points = bundle
-    msg = ShareMsg(TOK[1], 2, width, b"".join(share_bodies(points, width)))
+    msg = ShareMsg(b"".join(share_bodies(points, width)))
     data_bytes = msg.to_bytes()
-    assert len(data_bytes) == 5 + 11 + len(points) * (4 + width + SHARE_VALUE_BYTES)
+    assert len(data_bytes) == 5 + len(points) * (4 + width + SHARE_VALUE_BYTES)
     decoded = ShareMsg.from_bytes(data_bytes)
     assert decoded == msg
     for j, (index, key, seed) in enumerate(points):
@@ -366,35 +355,36 @@ def test_bundle_roundtrip(bundle):
         assert share_part(decoded.bodies, off, SECRET_SELF_SEED, width) == (index, _share(seed))
 
 
-_token = st.binary(min_size=8, max_size=8)
+_owner = st.integers(0, 2**32 - 1)
 
 
 @st.composite
 def _release_tables(draw):
     width, prime = draw(_key_field)
-    keys = draw(st.lists(st.tuples(_token, _index, st.integers(0, prime - 1).map(lambda v: _share(v, width))), max_size=20))
-    seeds = draw(st.lists(st.tuples(_token, _index, _value.map(_share)), max_size=20))
+    keys = draw(st.lists(st.tuples(_owner, st.integers(0, prime - 1).map(lambda v: _share(v, width))), max_size=20))
+    seeds = draw(st.lists(st.tuples(_owner, _value.map(_share)), max_size=20))
     return width, tuple(keys), tuple(seeds)
 
 
-@given(_release_tables(), st.lists(st.tuples(_token, st.sampled_from((1, 2)))))
-@example((KEY64, (), ((TOK[0], 2**32 - 1, _share(1)),)), [])
-@example((SHARE_VALUE_BYTES, ((TOK[0], 2**32 - 1, _share(1)),), ()), [])
+@given(_release_tables(), st.lists(st.tuples(_owner, st.sampled_from((1, 2)))))
+@example((KEY64, (), ((2**32 - 1, _share(1)),)), [])
+@example((SHARE_VALUE_BYTES, ((2**32 - 1, _share(1)),), ()), [])
 @example((KEY64, (), ()), [])
 def test_release_table_roundtrip(table, refused):
     """Release tables round-trip at both key-share widths: a key table of
-    (12 + W)-byte rows, a seed table of 45-byte rows, then the refusals."""
+    (4 + W)-byte rows, a seed table of 37-byte rows, then the refusals."""
     width, keys, seeds = table
-    msg = UnmaskResponseMsg(3, width, keys, seeds, tuple(refused))
+    msg = UnmaskResponseMsg(width, keys, seeds, tuple(refused))
     data = msg.to_bytes()
-    assert len(data) == 5 + 3 + 4 + len(keys) * (12 + width) + 4 + len(seeds) * 45 + 4 + 9 * len(refused)
+    assert len(data) == 5 + 1 + 4 + len(keys) * (4 + width) + 4 + len(seeds) * 37 + 4 + 5 * len(refused)
     assert UnmaskResponseMsg.from_bytes(data) == msg
 
 
-# every type but the two vector messages, whose words are checked under the receiver's spec
-STRICT_FORMATS = [m for m in MESSAGES if not isinstance(m, (MaskedUploadMsg, GlobalModelMsg))]
+# every type but the two vector messages and the share bundle, which carry no
+# width: their words and entries are checked under the receiver's spec or group
+STRICT_FORMATS = [m for m in MESSAGES if not isinstance(m, (MaskedUploadMsg, GlobalModelMsg, ShareMsg))]
 # the first peer handle's sign and kind code: (offset in the payload, invalid values)
-_HANDLE_FIELDS = ((8 + 2 + 4, (0, 2, 0x80)), (8 + 2 + 4 + 1, (0, 3, 7)))
+_HANDLE_FIELDS = ((4 + 4 + 2 + 4, (0, 2, 0x80)), (4 + 4 + 2 + 4 + 1, (0, 3, 7)))
 
 
 @pytest.mark.parametrize("msg", STRICT_FORMATS, ids=_ids(STRICT_FORMATS))
@@ -406,11 +396,6 @@ def test_new_formats_reject_trailing_and_overrun(msg):
     with pytest.raises(WireError):
         type(msg).from_bytes(encode_record(tag, payload + b"\x00"))
     for cut in range(len(payload)):
-        if isinstance(msg, ShareMsg) and cut >= 11 and (cut - 11) % entry_bytes(msg.key_width) == 0:
-            # a bundle carries no entry count, so a cut between two entries
-            # is a shorter bundle, which each receiver counts against its mates
-            assert ShareMsg.from_bytes(encode_record(tag, payload[:cut])).bodies == msg.bodies[: cut - 11]
-            continue
         with pytest.raises(WireError):
             type(msg).from_bytes(encode_record(tag, payload[:cut]))
     for off, values in _HANDLE_FIELDS if isinstance(msg, PeerListMsg) else ():
@@ -421,16 +406,16 @@ def test_new_formats_reject_trailing_and_overrun(msg):
 
 def test_counts_that_overrun_the_payload_rejected():
     tables = (
-        struct.pack(">HBII", 2, KEY64, 2**32 - 1, 0),  # 2^32 - 1 key rows claimed, none present
-        struct.pack(">HBII", 2, KEY64, 0, 2**32 - 1),  # 2^32 - 1 seed rows claimed, none present
-        struct.pack(">HBII", 2, KEY64, 1, 0) + bytes(12 + KEY64 - 1),  # a key row one byte short of its share
-        struct.pack(">HBII", 2, KEY64, 0, 1) + bytes(44),  # a seed row one byte short of its share
-        struct.pack(">HBIII", 2, 0, 0, 0, 0),  # zero-byte key shares
+        struct.pack(">BII", KEY64, 2**32 - 1, 0),  # 2^32 - 1 key rows claimed, none present
+        struct.pack(">BII", KEY64, 0, 2**32 - 1),  # 2^32 - 1 seed rows claimed, none present
+        struct.pack(">BII", KEY64, 1, 0) + bytes(4 + KEY64 - 1),  # a key row one byte short of its share
+        struct.pack(">BII", KEY64, 0, 1) + bytes(36),  # a seed row one byte short of its share
+        struct.pack(">BIII", 0, 0, 0, 0),  # zero-byte key shares
     )
     for payload in tables:
         with pytest.raises(WireError):
             UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload))
-    unknown_type = struct.pack(">I", 1) + TOK[0] + b"\x03" + bytes(4)
+    unknown_type = struct.pack(">IIB", 1, 1, 3) + bytes(4)
     with pytest.raises(WireError):  # an unknown secret type in a request
         UnmaskRequestMsg.from_bytes(encode_record(TAG_UNMASK_REQUEST, unknown_type))
 
@@ -454,7 +439,7 @@ def test_short_fixed_field_raises_wire_error():
 def test_overstated_length_prefix_raises_wire_error():
     # a prefix claiming 9 bytes with only 3 left, in a first and in a later field
     with pytest.raises(WireError):
-        RandOpenMsg.from_bytes(encode_record(TAG_RAND_OPEN, b"\x00\x00\x00\x09abc"))
+        AdvertMsg.from_bytes(encode_record(TAG_ADVERT, b"\x00\x00\x00\x09abc"))
     with pytest.raises(WireError):
         AdvertMsg.from_bytes(encode_record(TAG_ADVERT, b"\x00\x00\x00\x01s\x00\x00\x00\x09abc"))
 
