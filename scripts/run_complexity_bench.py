@@ -107,8 +107,8 @@ def shamir_throughput(t: int, n: int, repeats: int = 3) -> list[tuple[str, float
     """Per share field, as a fast64 user shares its mask key and then its
     self seed, one ``share_secret`` call each: the field, the shares per
     second ``share_secret`` makes and the secrets per second
-    ``reconstruct_secret`` recovers from t shares; exits if a recovered
-    secret differs."""
+    ``reconstruct_secret`` recovers from the shares at points 1..t; exits
+    if a recovered secret differs."""
     rng = Random(t * 1000 + n)
     owners = [(FAST_GROUP.random_exponent(rng), rng.getrandbits(256)) for _ in range(SHAMIR_OWNERS)]
     rates = []
@@ -117,8 +117,11 @@ def shamir_throughput(t: int, n: int, repeats: int = 3) -> list[tuple[str, float
         share_rate, dealt = _best_rate(
             lambda: [share_secret(s, t, n, rng, prime) for s in secrets], n * len(secrets), repeats
         )
-        picked = [shares[:t] for shares in dealt]
-        rate, got = _best_rate(lambda: [reconstruct_secret(shares) for shares in picked], len(picked), repeats)
+        points = list(range(1, t + 1))
+        picked = [values[:t] for values in dealt]
+        rate, got = _best_rate(
+            lambda: [reconstruct_secret(points, values, prime) for values in picked], len(picked), repeats
+        )
         if got != secrets:
             sys.exit(f"reconstruct_secret differs from the shared secrets at t={t}, n={n} in {field}")
         rates.append((field, share_rate, rate))

@@ -43,7 +43,6 @@ from .crypto import (
     SELF_SEED_BYTES,
     SHARE_PRIME,
     DhGroup,
-    Share,
     commit_random,
     derive_shared_seeds,
     prg_expand,
@@ -410,7 +409,7 @@ class AggServer:
             )
         use = sorted(store)[:t]
         prime = self.group.key_prime if secret_type == SECRET_MASK_KEY else SHARE_PRIME
-        secret = reconstruct_secret([Share(i, int.from_bytes(store[i], "big"), t, prime) for i in use])
+        secret = reconstruct_secret(use, [int.from_bytes(store[i], "big") for i in use], prime)
         self.counters.shares_reconstructed += 1
         return secret
 
@@ -442,9 +441,9 @@ class AggServer:
             # the peer applied -sign; rebind, as aggregates alias the old sums
             leaf = leaf_of[end.peer]
             if end.sign == 1:
-                self._leaf_sums[leaf] = (self._leaf_sums[leaf] + mask.values) & wordmask
+                self._leaf_sums[leaf] = (self._leaf_sums[leaf] + mask) & wordmask
             else:
-                self._leaf_sums[leaf] = (self._leaf_sums[leaf] - mask.values) & wordmask
+                self._leaf_sums[leaf] = (self._leaf_sums[leaf] - mask) & wordmask
 
     def aggregate_subgroups(self) -> list[SubgroupAggregate]:
         """Per-leaf survivor sums with self masks removed, dropout masks
@@ -465,7 +464,7 @@ class AggServer:
             seed_int = self._reconstruct(user, SECRET_SELF_SEED)
             mask = prg_expand(int(seed_int).to_bytes(SELF_SEED_BYTES, "big"), m, self.spec)
             self.counters.prg_server += 1
-            sums[mask_asn.leaf_of[user]] -= mask.values
+            sums[mask_asn.leaf_of[user]] -= mask
 
         wordmask = np.uint64(self.spec.word_mask)
         for acc in sums.values():

@@ -20,9 +20,16 @@ the 2048-bit group's q exceeds 2^256, so only its keys and blinding
 factors are shortened, and an exponentiation takes 256 squarings, not
 2048.
 
-Shamir sharing uses two prime fields, and every shared secret is one
-element of one of them.  A self-mask seed, and the mask key of a group
-whose q exceeds 2^64 (sim256, strong2048), is shared in ``SHARE_PRIME``,
+A Shamir share (Shamir, CACM 22(11), 1979) is nothing but a field
+element: the sharing polynomial's value at its evaluation point.
+``share_secret`` returns the values at points 1..n in order, and
+``reconstruct_secret`` interpolates at 0 over exactly the points it is
+handed.  The threshold t and the field belong to the caller, which
+passes them in and gets only values back.
+
+Sharing uses two prime fields, and every shared secret is one element of
+one of them.  A self-mask seed, and the mask key of a group whose q
+exceeds 2^64 (sim256, strong2048), is shared in ``SHARE_PRIME``,
 2^256 + 297, with 33-byte shares.  The mask key of a group whose q is
 below 2^64 (toy, fast64) is shared in ``SHARE_PRIME_64``, 2^64 + 13, with
 9-byte shares; ``DhGroup.key_prime`` names the field of each group's key.
@@ -46,14 +53,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from random import Random
-from typing import NamedTuple
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .fixedpoint import ParamVector, SegmentSpec, word_bytes
+from .fixedpoint import SegmentSpec, word_bytes
 
 _RAND_COMMIT_TAG = b"rand-commit-v1"
 _PRG_TAG = b"mask-prg-v1"
@@ -62,10 +67,6 @@ _SEED_TAG = b"shared-seed-v1"
 _ZERO_NONCE = bytes(12)
 
 RAND_BYTES = 32  # grouping randomness, the server's and each user's; the least ``commit_random`` takes
-
-
-class InsufficientSharesError(ValueError):
-    """Fewer than threshold shares were supplied to reconstruct."""
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +361,8 @@ def derive_shared_seed(group: DhGroup, randomized_peer_pub: int, own_secret: int
 # ---------------------------------------------------------------------------
 
 
-def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = None) -> ParamVector:
-    """Deterministic stream of m elements uniform in [0, 2^w).
+def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = None) -> np.ndarray:
+    """Deterministic uint64 array of m elements uniform in [0, 2^w).
 
     The seed is expanded with AES-128-CTR under the key
     ``SHA-256(_PRG_TAG || seed)[:16]``.  Each element takes the next
@@ -389,7 +390,7 @@ def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = N
     if not (0 <= bits <= spec.word_bits):
         raise ValueError("mask_bits out of range")
     if bits == 0:
-        return ParamVector(np.zeros(m, dtype=np.uint64), spec)
+        return np.zeros(m, dtype=np.uint64)
     width = word_bytes(bits)
     key = hashlib.sha256(_PRG_TAG + seed).digest()[:16]
     stream = AESGCM(key).encrypt(_ZERO_NONCE, bytes(width * m), None)
@@ -397,7 +398,7 @@ def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = N
     words = np.frombuffer(stream, dtype=f"<u{width}", count=m).astype(np.uint64)
     if bits < 8 * width:
         words &= np.uint64((1 << bits) - 1)
-    return ParamVector(words, spec)
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +415,9 @@ SHARE_PRIME_64 = (1 << 64) + 13
 SELF_SEED_BYTES = 32  # a user's per-round self-mask seed
 
 
-class Share(NamedTuple):
-    """One point of a sharing; a named tuple because a round makes two per
-    user and recipient, and a tuple builds several times faster than a
-    frozen dataclass."""
-
-    index: int  # nonzero evaluation point
-    value: int  # a field element
-    threshold: int
-    prime: int = SHARE_PRIME
-
-
-def share_secret(secret: int, t: int, n: int, rng: Random, prime: int = SHARE_PRIME) -> list[Share]:
-    """Split a secret, an element of the field mod ``prime``, into n shares
-    at evaluation points 1..n, any t of which reconstruct it."""
+def share_secret(secret: int, t: int, n: int, rng: Random, prime: int = SHARE_PRIME) -> list[int]:
+    """Split a secret, an element of the field mod ``prime``, into n shares,
+    any t of which reconstruct it; entry i is the value at point i + 1."""
     if not (1 < t <= n):
         raise ValueError("need 1 < t <= n")
     if n >= prime:
@@ -442,36 +432,25 @@ def share_secret(secret: int, t: int, n: int, rng: Random, prime: int = SHARE_PR
     values = [poly[-1]] * n
     for c in reversed(poly[1:-1]):
         values = [v * x + c for v, x in zip(values, points)]
-    values = [(v * x + secret) % prime for v, x in zip(values, points)]
-    # tuple.__new__ builds each Share as Share._make does, without a Python
-    # call per share: a round makes two shares per user and recipient
-    return list(map(tuple.__new__, repeat(Share), zip(points, values, repeat(t), repeat(prime))))
+    return [(v * x + secret) % prime for v, x in zip(values, points)]
 
 
-def reconstruct_secret(shares: list[Share]) -> int:
-    """Lagrange interpolation at 0 from at least threshold distinct shares
-    of one secret, all in one field."""
-    if not shares:
-        raise InsufficientSharesError("no shares supplied")
-    t = shares[0].threshold
-    if t < 2:
-        raise ValueError(f"threshold {t} is below 2")
-    p = shares[0].prime
-    for s in shares:
-        if s.threshold != t or s.prime != p:
-            raise ValueError("incompatible shares")
-    if len({s.index for s in shares}) != len(shares):
-        raise ValueError("duplicate share indices")
-    if len(shares) < t:
-        raise InsufficientSharesError(f"need {t} shares, got {len(shares)}")
-    use = shares[:t]
+def reconstruct_secret(points: list[int], values: list[int], prime: int) -> int:
+    """Lagrange interpolation at 0 of the polynomial through
+    (points[i], values[i]) in the field mod ``prime``: the secret, when
+    the points are at least as many as its sharing's threshold."""
+    if len(points) < 2:
+        raise ValueError(f"need at least 2 points, got {len(points)}")
+    if len(values) != len(points):
+        raise ValueError(f"{len(values)} values for {len(points)} points")
+    if len(set(points)) != len(points) or not all(0 < x < prime for x in points):
+        raise ValueError("points must be distinct and in [1, prime)")
     acc = 0
-    for i, si in enumerate(use):
+    for xi, yi in zip(points, values):
         num, den = 1, 1
-        for j, sj in enumerate(use):
-            if i == j:
-                continue
-            num = (num * (-sj.index)) % p
-            den = (den * (si.index - sj.index)) % p
-        acc = (acc + si.value * num * pow(den, -1, p)) % p
+        for xj in points:
+            if xj != xi:
+                num = num * -xj % prime
+                den = den * (xi - xj) % prime
+        acc = (acc + yi * num * pow(den, -1, prime)) % prime
     return acc

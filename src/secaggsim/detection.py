@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fixedpoint import ParamVector, SegmentSpec
+from .fixedpoint import ParamVector, SegmentSpec, high_word_diff
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +111,10 @@ def subgroup_distance(aggregate, model: ParamVector, rounded: bool = True) -> fl
 
     The reference is the high segment of n_i copies of the global model,
     so a subgroup of no-op updates sits at distance ~0 regardless of n_i.
-    Differences are decoded circularly at the high-word width, which keeps
-    the measure correct for two's complement negatives, then scaled by the
-    survivor count so unequal subgroup sizes stay comparable.
+    Differences are decoded circularly at the high-word width
+    (``fixedpoint.high_word_diff``), which keeps the measure correct for
+    two's complement negatives, then scaled by the survivor count so
+    unequal subgroup sizes stay comparable.
 
     With ``rounded`` both sides are quantized round-to-nearest instead of
     floor.  Model coordinates sitting exactly on a floor boundary (weights
@@ -135,11 +136,7 @@ def subgroup_distance(aggregate, model: ParamVector, rounded: bool = True) -> fl
     else:
         own = aggregate.revealed_high.values
         ref_high = ref >> k
-    diff = (own - ref_high) & np.uint64((1 << spec.high_bits) - 1)
-    diff_f = diff.astype(np.float64)
-    half = float(1 << (spec.high_bits - 1))
-    signed = np.where(diff_f >= half, diff_f - float(1 << spec.high_bits), diff_f)
-    return float(np.linalg.norm(signed / n))
+    return float(np.linalg.norm(high_word_diff(own, ref_high, spec) / n))
 
 
 class Detector:

@@ -212,10 +212,13 @@ def circular_high_diff(a: ParamVector, b: ParamVector) -> np.ndarray:
     ring values may straddle the two's complement wrap point.
     """
     _check_compat(a, b)
-    spec = a.spec
-    ha = a.values >> np.uint64(spec.low_bits)
-    hb = b.values >> np.uint64(spec.low_bits)
-    m = np.uint64((1 << spec.high_bits) - 1)
-    diff = ((ha - hb) & m).astype(np.float64)
+    k = np.uint64(a.spec.low_bits)
+    return high_word_diff(a.values >> k, b.values >> k, a.spec)
+
+
+def high_word_diff(ha: np.ndarray, hb: np.ndarray, spec: SegmentSpec) -> np.ndarray:
+    """Signed circular difference ha - hb of two uint64 arrays of high
+    words, wrapped into [-2^(w-k-1), 2^(w-k-1)) as float64."""
+    diff = ((ha - hb) & np.uint64((1 << spec.high_bits) - 1)).astype(np.float64)
     half = float(1 << (spec.high_bits - 1))
     return np.where(diff >= half, diff - float(1 << spec.high_bits), diff)

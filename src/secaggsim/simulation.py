@@ -59,20 +59,6 @@ from .wire import (
 )
 
 REPORT_SCHEMA = "run-report-v1"
-CSV_COLUMNS = [
-    "round",
-    "dropouts",
-    "flagged",
-    "std",
-    "threshold",
-    "DR",
-    "CR",
-    "FPR",
-    "main_acc",
-    "backdoor_acc",
-    "main_loss",
-    "n_eff",
-]
 
 
 # glibc mallopt parameters
@@ -304,18 +290,31 @@ def _from_fields(cls, doc: dict, section: str):
 
 @dataclass
 class RoundRow:
-    round_index: int
+    """One CSV row; the fields are the columns, in order."""
+
+    round: int
     dropouts: int
     flagged: list[int]
     std: float
     threshold: float
-    dr: float
-    cr: float
-    fpr: float
+    DR: float
+    CR: float
+    FPR: float
     main_acc: float
     backdoor_acc: float
     main_loss: float
     n_eff: int
+
+
+CSV_COLUMNS = [f.name for f in fields(RoundRow)]
+
+
+def _csv_cell(value) -> object:
+    """A leaf list joins with "|", a float prints by ``repr`` (shortest
+    round-trip, nan as "nan"), an int as itself."""
+    if isinstance(value, list):
+        return "|".join(map(str, value))
+    return repr(value) if isinstance(value, float) else value
 
 
 @dataclass
@@ -333,22 +332,7 @@ class RunReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in self.rows:
-            writer.writerow(
-                [
-                    r.round_index,
-                    r.dropouts,
-                    "|".join(map(str, r.flagged)),
-                    repr(r.std),
-                    repr(r.threshold),
-                    repr(r.dr),
-                    repr(r.cr),
-                    repr(r.fpr),
-                    repr(r.main_acc),
-                    repr(r.backdoor_acc),
-                    repr(r.main_loss),
-                    r.n_eff,
-                ]
-            )
+            writer.writerow([_csv_cell(getattr(r, column)) for column in CSV_COLUMNS])
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -676,14 +660,14 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         metrics = det.compute_metrics(metric_rounds)
         rows.append(
             RoundRow(
-                round_index=t,
+                round=t,
                 dropouts=len(pre_drop),
                 flagged=sorted(flagged),
                 std=record.std_sequence[0] if record else float("nan"),
                 threshold=record.threshold if record else float("nan"),
-                dr=metrics["DR"],
-                cr=metrics["CR"],
-                fpr=metrics["FPR"],
+                DR=metrics["DR"],
+                CR=metrics["CR"],
+                FPR=metrics["FPR"],
                 main_acc=main_acc,
                 backdoor_acc=backdoor_acc,
                 main_loss=workload.main_loss(model),

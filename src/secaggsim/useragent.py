@@ -184,7 +184,7 @@ class UserAgent:
         seeds = share_secret(int.from_bytes(self.self_seed, "big"), t, n, self._rng)
         self.counters.shares_created += 2 * n
         width = self.group.key_share_bytes
-        bodies = share_bodies([(key.index, key.value, seed.value) for key, seed in zip(keys, seeds)], width)
+        bodies = share_bodies(zip(range(1, n + 1), keys, seeds), width)
         self._held = bodies.pop(self._own_pos)
         return ShareMsg(b"".join(bodies))
 
@@ -232,11 +232,11 @@ class UserAgent:
         if x.spec != self.spec:
             raise ValueError("SegmentSpec mismatch")
         m = len(x)
-        y = x.values + prg_expand(self.self_seed, m, self.spec).values
+        y = x.values + prg_expand(self.self_seed, m, self.spec)
         self.counters.prg_by_user[self.index] += 1
         for handle, seed in zip(self._peer_handles, self._pair_seeds):
             bits = None if handle.kind == "intra" else self.inter_mask_bits
-            mask = prg_expand(seed, m, self.spec, mask_bits=bits).values
+            mask = prg_expand(seed, m, self.spec, mask_bits=bits)
             self.counters.prg_by_user[self.index] += 1
             if handle.sign == 1:
                 y += mask
@@ -288,7 +288,7 @@ class UserAgent:
                 else:
                     refused.append((owner, stype))
                     continue
-            _, share = share_part(held, (owner - 1) * w, stype, width)
+            share = share_part(held, (owner - 1) * w, stype, width)
             if int.from_bytes(share, "big") >= prime_of[stype]:
                 raise ProtocolAbort(f"user {self.index} holds a share outside its field", blamed="server")
             done_for[owner] = done | (1 << stype)
@@ -348,10 +348,14 @@ def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None
 
     Each seed comes from its agent's own mask secret and one handle of its
     own message, exactly as if each agent ran alone; only the evaluation
-    order is shared.  All agents must use one group.  A message whose own
-    point is outside 1 to its share-leaf size, or with a blinded key k
-    outside 1 < k < p - 1 (see ``AggServer.receive_advert``), aborts the
-    round blamed on the server.
+    order is shared.  All agents must use one group.  A message that
+    arrives before the agent's TREE_COMMIT, whose own point is outside 1
+    to its share-leaf size, whose share-leaf size is neither floor(N/g)
+    nor ceil(N/g) for the N of that TREE_COMMIT and the g leaves of the
+    agent's tree (so a server cannot make a user build shares for more
+    members than a leaf holds), or with a blinded key k outside
+    1 < k < p - 1 (see ``AggServer.receive_advert``), aborts the round
+    blamed on the server before any share is built.
     """
     if not agents:
         return
@@ -363,13 +367,18 @@ def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None
     top = group.p - 1
     for agent, msg in zip(agents, msgs, strict=True):
         keys = [int.from_bytes(handle.randomized_pub, "big") for handle in msg.peers]
-        if not 1 <= msg.own_point <= msg.leaf_size:
-            raise ProtocolAbort(
-                f"user {agent.index} got own point {msg.own_point} outside a share leaf of {msg.leaf_size}",
-                blamed="server",
-            )
-        if not all(1 < k < top for k in keys):
-            raise ProtocolAbort(f"user {agent.index} got a blinded key outside 1 < k < p - 1", blamed="server")
+        seen, tree = agent.seen_tree_commit, agent.tree
+        fault = None
+        if seen is None:
+            fault = "got a peer list before the tree commitment"
+        elif not 1 <= msg.own_point <= msg.leaf_size:
+            fault = f"got own point {msg.own_point} outside a share leaf of {msg.leaf_size}"
+        elif msg.leaf_size not in (seen.n_users // tree.leaf_count, tree.subgroup_size(seen.n_users)):
+            fault = f"got a share leaf of {msg.leaf_size} for {seen.n_users} users in {tree.leaf_count} leaves"
+        elif not all(1 < k < top for k in keys):
+            fault = "got a blinded key outside 1 < k < p - 1"
+        if fault is not None:
+            raise ProtocolAbort(f"user {agent.index} {fault}", blamed="server")
         agent._own_pos = msg.own_point - 1
         agent._share_count = msg.leaf_size
         agent._peer_handles = msg.peers

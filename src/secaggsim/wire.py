@@ -100,7 +100,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import starmap
 from typing import TypeVar
@@ -403,7 +403,7 @@ def entry_points(bodies: bytes, key_width: int) -> tuple[int, ...]:
     return _entry_points(key_width, len(bodies) // entry_bytes(key_width)).unpack(bodies)
 
 
-def share_bodies(points: Sequence[tuple[int, int, int]], key_width: int) -> list[bytes]:
+def share_bodies(points: Iterable[tuple[int, int, int]], key_width: int) -> list[bytes]:
     """One entry body per (evaluation point, key share, seed share) of one
     owner, with key shares of ``key_width`` bytes."""
     pack = _entry_body(key_width).pack
@@ -413,12 +413,13 @@ def share_bodies(points: Sequence[tuple[int, int, int]], key_width: int) -> list
     ]
 
 
-def share_part(bodies: bytes, off: int, secret_type: int, key_width: int) -> tuple[int, bytes]:
-    """Evaluation point and share bytes of one secret in the body at ``off``."""
+def share_part(bodies: bytes, off: int, secret_type: int, key_width: int) -> bytes:
+    """The share bytes of one secret in the body at ``off``;
+    ``entry_points`` reads the points."""
     if secret_type not in (SECRET_MASK_KEY, SECRET_SELF_SEED):
         raise ValueError(f"unknown secret type tag {secret_type}")
-    index, key, seed = _entry_body(key_width).unpack_from(bodies, off)
-    return index, key if secret_type == SECRET_MASK_KEY else seed
+    _, key, seed = _entry_body(key_width).unpack_from(bodies, off)
+    return key if secret_type == SECRET_MASK_KEY else seed
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,7 @@ from secaggsim.crypto import (
     SIM_GROUP,
     STRONG_GROUP,
     TOY_GROUP,
-    InsufficientSharesError,
     KeyPair,
-    Share,
     commit_random,
     derive_shared_seed,
     derive_shared_seeds,
@@ -206,16 +204,17 @@ def test_derive_shared_seeds_match_one_at_a_time():
 def test_prg_deterministic_and_length():
     a = prg_expand(b"seed", 100, SPEC)
     b = prg_expand(b"seed", 100, SPEC)
-    assert a == b
+    assert isinstance(a, np.ndarray) and a.dtype == np.uint64
+    assert np.array_equal(a, b)
     assert len(a) == 100
-    assert int(a.values.max()) <= SPEC.word_mask
+    assert int(a.max()) <= SPEC.word_mask
 
 
 def test_prg_mask_bits():
     v = prg_expand(b"seed", 1000, SPEC, mask_bits=10)
-    assert int(v.values.max()) < 1 << 10
+    assert int(v.max()) < 1 << 10
     z = prg_expand(b"seed", 5, SPEC, mask_bits=0)
-    assert int(z.values.max()) == 0
+    assert z.dtype == np.uint64 and int(z.max()) == 0
     with pytest.raises(ValueError):
         prg_expand(b"seed", 0, SPEC)
 
@@ -240,8 +239,8 @@ def test_prg_known_answer_aes_ctr(seed, m):
     for bits in (64, 32, 13, 10, 7, 4):
         expect = _ctr_reference(seed, m, bits)
         narrow = SegmentSpec(word_bits=bits, frac_bits=1, low_bits=2)
-        assert np.array_equal(prg_expand(seed, m, narrow).values, expect), bits
-        assert np.array_equal(prg_expand(seed, m, wide, mask_bits=bits).values, expect), bits
+        assert np.array_equal(prg_expand(seed, m, narrow), expect), bits
+        assert np.array_equal(prg_expand(seed, m, wide, mask_bits=bits), expect), bits
 
 
 def test_prg_avalanche():
@@ -250,12 +249,12 @@ def test_prg_avalanche():
     flipped[0] ^= 1
     a = prg_expand(bytes(base), 1000, SPEC)
     b = prg_expand(bytes(flipped), 1000, SPEC)
-    assert np.mean(a.values != b.values) >= 0.99
+    assert np.mean(a != b) >= 0.99
 
 
 def test_prg_uniformity_chi_square():
     v = prg_expand(b"uniformity", 100_000, SPEC)
-    counts, _ = np.histogram(v.values.astype(np.float64), bins=64, range=(0, float(1 << SPEC.word_bits)))
+    counts, _ = np.histogram(v.astype(np.float64), bins=64, range=(0, float(1 << SPEC.word_bits)))
     assert stats.chisquare(counts).pvalue > 0.01
 
 
@@ -275,24 +274,29 @@ class _Coefficients:
 def test_share_hand_polynomial_oracle():
     # polynomial 42 + 5x over GF(257): shares at x=1..3, reconstruct from two
     p = 257
-    shares = share_secret(42, 2, 3, _Coefficients(5), prime=p)
-    assert shares == [Share(1, 47, 2, p), Share(2, 52, 2, p), Share(3, 57, 2, p)]
-    assert reconstruct_secret([shares[0], shares[2]]) == 42
-    assert reconstruct_secret(shares) == 42  # superset of the threshold
+    values = share_secret(42, 2, 3, _Coefficients(5), prime=p)
+    assert values == [47, 52, 57]
+    assert reconstruct_secret([1, 3], [47, 57], p) == 42
+    assert reconstruct_secret([1, 2, 3], values, p) == 42  # superset of the threshold
     # 42 + 5x + 250x^2 reduces mod 257 at every point: 40, 24, 251, 207
-    shares = share_secret(42, 3, 4, _Coefficients(5, 250), prime=p)
-    assert [(s.index, s.value) for s in shares] == [(1, 40), (2, 24), (3, 251), (4, 207)]
-    assert reconstruct_secret(shares[1:]) == 42
+    values = share_secret(42, 3, 4, _Coefficients(5, 250), prime=p)
+    assert values == [40, 24, 251, 207]
+    assert reconstruct_secret([2, 3, 4], values[1:], p) == 42
+    assert reconstruct_secret([4, 2, 3], [207, 24, 251], p) == 42  # in any order
 
 
 def test_share_threshold_errors():
     rng = Random(0)
-    shares = share_secret(42, 2, 3, rng, prime=257)
-    with pytest.raises(InsufficientSharesError):
-        reconstruct_secret(shares[:1])
-    dup = [shares[0], Share(index=1, value=shares[0].value, threshold=2, prime=257)]
-    with pytest.raises(ValueError):
-        reconstruct_secret(dup)
+    a, b, _ = share_secret(42, 2, 3, rng, prime=257)
+    for points, values in (
+        ([1, 1], [a, a]),  # a repeated point
+        ([0, 1], [42, a]),  # the secret's own point
+        ([1, 257], [a, b]),  # a point outside the field
+        ([1, 2], [a]),  # fewer values than points
+        ([1, 2], [a, b, b]),  # more values than points
+    ):
+        with pytest.raises(ValueError):
+            reconstruct_secret(points, values, 257)
     with pytest.raises(ValueError):
         share_secret(1, 1, 3, rng)  # t must exceed 1
     with pytest.raises(ValueError):
@@ -300,29 +304,38 @@ def test_share_threshold_errors():
 
 
 def test_reconstruct_rejects_threshold_below_two():
-    # one share of a real 3-of-5 sharing that claims threshold 1 would
-    # "reconstruct" to its own value, not the secret
-    s = share_secret(123456789, 3, 5, Random(3))[0]
-    with pytest.raises(ValueError):
-        reconstruct_secret([Share(s.index, s.value, 1)])
+    # one share of a real 3-of-5 sharing "reconstructs" to its own value
+    # as a threshold-1 sharing would, not to the secret
+    first = share_secret(123456789, 3, 5, Random(3))[0]
+    for points, values in (([1], [first]), ([], [])):
+        with pytest.raises(ValueError):
+            reconstruct_secret(points, values, SHARE_PRIME)
 
 
-@given(st.integers(2, 12), st.integers(0, 2**64 - 1), st.integers(0, 2**32))
-def test_share_reconstruct_grid(n, secret, seed):
+def _reconstruct_any_t(secret: int, t: int, n: int, rng: Random, prime: int) -> int:
+    """The secret back from t of its n shares, picked at random, at their points."""
+    values = share_secret(secret, t, n, rng, prime)
+    points = rng.sample(range(1, n + 1), t)
+    return reconstruct_secret(points, [values[x - 1] for x in points], prime)
+
+
+@given(
+    st.integers(2, 12),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**32),
+    st.sampled_from((SHARE_PRIME, SHARE_PRIME_64)),
+)
+def test_share_reconstruct_grid(n, secret, seed, prime):
     rng = Random(seed)
-    t = rng.randint(2, n)
-    shares = share_secret(secret, t, n, rng)
-    picked = rng.sample(shares, t)
-    assert reconstruct_secret(picked) == secret
+    assert _reconstruct_any_t(secret, rng.randint(2, n), n, rng, prime) == secret
 
 
 def test_share_reconstruct_wide_grid():
     rng = Random(7)
     for n in (16, 32, 64):
-        secret = rng.getrandbits(256)
-        t = rng.randint(2, n)
-        shares = share_secret(secret, t, n, rng)
-        assert reconstruct_secret(rng.sample(shares, t)) == secret
+        for prime in (SHARE_PRIME, SHARE_PRIME_64):
+            secret = rng.randrange(prime)
+            assert _reconstruct_any_t(secret, rng.randint(2, n), n, rng, prime) == secret
 
 
 def test_share_secret_outside_field_rejected():
@@ -331,7 +344,8 @@ def test_share_secret_outside_field_rejected():
         with pytest.raises(ValueError):
             share_secret(secret, 3, 5, rng, prime)
     for prime in (SHARE_PRIME, SHARE_PRIME_64):
-        assert reconstruct_secret(share_secret(prime - 1, 3, 5, rng, prime)[1:4]) == prime - 1
+        values = share_secret(prime - 1, 3, 5, rng, prime)
+        assert reconstruct_secret([2, 3, 4], values[1:4], prime) == prime - 1
 
 
 def test_share_prime_is_smallest_above_2_256():
@@ -361,15 +375,16 @@ def test_mask_key_field_holds_every_exponent(group):
     assert largest < prime and (prime == SHARE_PRIME or group.order <= 1 << 64)
     rng = Random(13)
     for key in (largest, group.random_exponent(rng)):
-        shares = share_secret(key, 3, 6, rng, group.key_prime)
-        assert all(s.value.bit_length() <= 8 * width for s in shares)
-        assert reconstruct_secret(rng.sample(shares, 3)) == key
+        values = share_secret(key, 3, 6, rng, group.key_prime)
+        assert all(v.bit_length() <= 8 * width for v in values)
+        points = rng.sample(range(1, 7), 3)
+        assert reconstruct_secret(points, [values[x - 1] for x in points], group.key_prime) == key
 
 
 def test_share_hiding_distribution():
     # with t-1 = 1 share, the share value is uniform over re-randomized polys
     rng = Random(11)
     p = 257
-    values = [share_secret(123, 2, 3, rng, prime=p)[0].value for _ in range(20_000)]
+    values = [share_secret(123, 2, 3, rng, prime=p)[0] for _ in range(20_000)]
     counts = np.bincount(values, minlength=p)
     assert stats.chisquare(counts).pvalue > 0.01

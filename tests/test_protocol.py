@@ -54,6 +54,7 @@ from secaggsim.wire import (
     decode_record,
     encode_record,
     entry_bytes,
+    entry_points,
     share_bodies,
     share_part,
 )
@@ -62,7 +63,13 @@ SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 SPEC20 = SegmentSpec(word_bits=20, frac_bits=4, low_bits=12)  # 4-byte elements with 12 spare bits
 TREE22 = TreeConfig(height=2, degree=2, neighbor_radius=1, share_threshold=2)
 TREE23 = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=2)
-NO_TREE = TreeCommitMsg(0, bytes(32))  # for agents driven without a server
+
+
+def _no_tree(tree: TreeConfig, leaf_size: int) -> TreeCommitMsg:
+    """A TREE_COMMIT for agents driven without a server: the N that fills
+    every leaf of ``tree`` with ``leaf_size`` members, so a PEER_LIST of
+    that leaf size is one the agents accept."""
+    return TreeCommitMsg(tree.leaf_count * leaf_size, bytes(32))
 
 
 # -- masking algebra ---------------------------------------------------------------
@@ -81,7 +88,7 @@ def test_two_user_masks_cancel():
     ]
     for agent in agents:
         agent.begin_round(Random(rng.getrandbits(64)), bytes(32))
-        agent.open_rand(NO_TREE)
+        agent.open_rand(_no_tree(TREE22, 2))
     r = SIM_GROUP.random_exponent(rng)
     handles = [
         PeerHandle(SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[1].mask_keys.public, r)), 1, "intra"),
@@ -94,7 +101,7 @@ def test_two_user_masks_cancel():
     ys = [agents[u].mask_input(xs[u]).vector(SPEC) for u in range(2)]
     masked_sum = (ys[0] + ys[1]) & np.uint64(SPEC.word_mask)
     for agent in agents:
-        masked_sum = (masked_sum - prg_expand(agent.self_seed, 16, SPEC).values) & np.uint64(SPEC.word_mask)
+        masked_sum = (masked_sum - prg_expand(agent.self_seed, 16, SPEC)) & np.uint64(SPEC.word_mask)
     assert np.array_equal(masked_sum, plaintext_sum(xs, 16, SPEC))
 
 
@@ -107,7 +114,7 @@ def test_mask_input_matches_rebinding_reference(spec):
 
     agent = UserAgent(0, group=SIM_GROUP, spec=spec, inter_mask_bits=6, tree=TREE22, counters=OpCounters())
     agent.begin_round(Random(3), bytes(32))
-    agent.open_rand(NO_TREE)
+    agent.open_rand(_no_tree(TREE22, 2))
     rng = Random(4)
     plan = [(1, "intra"), (-1, "intra"), (1, "inter"), (-1, "inter")]
     handles = tuple(
@@ -116,10 +123,10 @@ def test_mask_input_matches_rebinding_reference(spec):
     agent.receive_peer_list(PeerListMsg(1, 2, handles))
     agent.distribute_shares()
     x = random_inputs(1, 50, spec, seed=8)[0]
-    expect = vec_add_mod(x, prg_expand(agent.self_seed, 50, spec))
+    expect = vec_add_mod(x, ParamVector(prg_expand(agent.self_seed, 50, spec), spec))
     for h in handles:
         seed = derive_shared_seed(SIM_GROUP, int.from_bytes(h.randomized_pub, "big"), agent.mask_keys.secret)
-        mask = prg_expand(seed, 50, spec, mask_bits=None if h.kind == "intra" else 6)
+        mask = ParamVector(prg_expand(seed, 50, spec, mask_bits=None if h.kind == "intra" else 6), spec)
         expect = vec_add_mod(expect, mask) if h.sign == 1 else vec_sub_mod(expect, mask)
     assert np.array_equal(agent.mask_input(x).vector(spec), expect.values)
 
@@ -173,20 +180,22 @@ def _lone_agent(n_recipients=3, threshold=2, group=SIM_GROUP):
     tree = TreeConfig(height=0, degree=2, share_threshold=threshold)
     agent = UserAgent(0, group=group, spec=SPEC, inter_mask_bits=10, tree=tree, counters=counters)
     agent.begin_round(Random(0), bytes(32))
-    agent.open_rand(NO_TREE)
+    agent.open_rand(_no_tree(tree, n_recipients))
     agent.receive_peer_list(PeerListMsg(1, n_recipients, ()))
     return agent, counters
 
 
-def _entry_share(bundle: ShareMsg, j: int, secret_type: int, group=SIM_GROUP, t=2):
-    """Entry j's share of one secret, in that secret's field, as
-    ``reconstruct_secret`` takes it."""
-    from secaggsim.crypto import SHARE_PRIME, Share
+def _reconstruct_entries(bundle: ShareMsg, entries, secret_type: int, group=SIM_GROUP) -> int:
+    """One secret interpolated, in its field, from the given entries of a
+    bundle at the evaluation points they carry."""
+    from secaggsim.crypto import SHARE_PRIME
 
     width = group.key_share_bytes
-    index, share = share_part(bundle.bodies, j * entry_bytes(width), secret_type, width)
+    points = entry_points(bundle.bodies, width)
+    offsets = [j * entry_bytes(width) for j in entries]
+    values = [int.from_bytes(share_part(bundle.bodies, off, secret_type, width), "big") for off in offsets]
     prime = group.key_prime if secret_type == SECRET_MASK_KEY else SHARE_PRIME
-    return Share(index, int.from_bytes(share, "big"), t, prime)
+    return reconstruct_secret([points[j] for j in entries], values, prime)
 
 
 def test_share_counting_example():
@@ -198,17 +207,18 @@ def test_share_counting_example():
         bundle = agent.distribute_shares()
         assert len(bundle.bodies) == 2 * entry_bytes(width) == 2 * (4 + width + SHARE_VALUE_BYTES)
         parts = [share_part(bundle.bodies, j * entry_bytes(width), stype, width) for j in range(2) for stype in (1, 2)]
-        assert [len(share) for _, share in parts] == [width, SHARE_VALUE_BYTES] * 2
+        assert [len(share) for share in parts] == [width, SHARE_VALUE_BYTES] * 2
+        assert entry_points(bundle.bodies, width) == (2, 3)  # the retained entry is point 1
         assert counters.shares_created == 6
         seed = int.from_bytes(agent.self_seed, "big")
         for stype, secret in ((SECRET_MASK_KEY, agent.mask_keys.secret), (SECRET_SELF_SEED, seed)):
-            assert reconstruct_secret([_entry_share(bundle, j, stype, group) for j in range(2)]) == secret
+            assert _reconstruct_entries(bundle, range(2), stype, group) == secret
 
 
 def test_share_reconstruct_self_seed():
     agent, _ = _lone_agent()
     bundle = agent.distribute_shares()
-    got = reconstruct_secret([_entry_share(bundle, j, SECRET_SELF_SEED) for j in range(2)])
+    got = _reconstruct_entries(bundle, range(2), SECRET_SELF_SEED)
     assert got == int.from_bytes(agent.self_seed, "big")
 
 
@@ -258,7 +268,8 @@ def test_share_type_tag_enforced():
     assert exc.value.blamed == "server" and agent._held == held
     # owner point 2's entry sits one entry in
     width = SHARE_VALUE_BYTES
-    assert share_part(held, entry_bytes(width), SECRET_MASK_KEY, width) == (1, (5).to_bytes(width, "big"))
+    assert entry_points(held, width)[1] == 1
+    assert share_part(held, entry_bytes(width), SECRET_MASK_KEY, width) == (5).to_bytes(width, "big")
 
 
 def test_wide_mask_key_shares_reconstruct():
@@ -276,7 +287,7 @@ def test_wide_mask_key_shares_reconstruct():
         counters=OpCounters(),
     )
     agent.begin_round(Random(4), bytes(32))
-    agent.open_rand(NO_TREE)
+    agent.open_rand(_no_tree(agent.tree, 6))
     agent.receive_peer_list(PeerListMsg(3, 6, ()))
     assert 1 <= agent.mask_keys.secret < 1 << 256
     bundle = agent.distribute_shares()
@@ -284,10 +295,8 @@ def test_wide_mask_key_shares_reconstruct():
     assert ShareMsg.from_bytes(bundle.to_bytes()) == bundle
     seed = int.from_bytes(agent.self_seed, "big")
     for picked in itertools.combinations(range(5), 3):
-        key_shares = [_entry_share(bundle, j, SECRET_MASK_KEY, STRONG_GROUP, t=3) for j in picked]
-        seed_shares = [_entry_share(bundle, j, SECRET_SELF_SEED, STRONG_GROUP, t=3) for j in picked]
-        assert reconstruct_secret(key_shares) == agent.mask_keys.secret
-        assert reconstruct_secret(seed_shares) == seed
+        assert _reconstruct_entries(bundle, picked, SECRET_MASK_KEY, STRONG_GROUP) == agent.mask_keys.secret
+        assert _reconstruct_entries(bundle, picked, SECRET_SELF_SEED, STRONG_GROUP) == seed
 
 
 # -- unmask and the never-both rule ---------------------------------------------------
@@ -843,7 +852,8 @@ def _wrong_population(server):
 
 def _population_too_small(server):
     # commitment and reveal agree on one user, the verifier itself, which
-    # cannot fill the tree the replay is run on
+    # cannot fill the tree; the real leaves of 4 are not what one user
+    # makes, so every user rejects its PEER_LIST before the replay could
     commit_tree, reveal = server.commit_tree, server.reveal
 
     def cheat_commit():
@@ -880,7 +890,8 @@ def _other_server_rand(server):
 
 
 def _other_tree_shape(server):
-    # the server groups the 16 users into a 1x2 tree; they were set up for TREE22
+    # the server groups the 16 users into a 1x2 tree; they were set up for
+    # TREE22, so its leaves of 8 are not what 16 users make in 4 leaves
     server.tree = TreeConfig(height=1, degree=2, neighbor_radius=1, share_threshold=2)
 
 
@@ -904,11 +915,11 @@ def _short_rand_in_reveal(server):
         pytest.param(_record_altered(0), "user 0 own record", id="verifier_record_altered"),
         pytest.param(_record_altered(5), "user 5 own record", id="other_record_altered"),
         pytest.param(_wrong_population, "lists 16 users", id="wrong_population"),
-        pytest.param(_population_too_small, "does not fit the tree", id="population_too_small"),
+        pytest.param(_population_too_small, "share leaf of 4 for 1 users in 4 leaves", id="population_too_small"),
         pytest.param(_reveal_not_the_setup, "identities do not match", id="reveal_not_the_setup"),
         pytest.param(_short_rand_in_reveal, "committed digest", id="short_rand_in_reveal"),
         pytest.param(_other_server_rand, "server randomness opening failed", id="other_server_rand"),
-        pytest.param(_other_tree_shape, "share-tree assignment does not match", id="other_tree_shape"),
+        pytest.param(_other_tree_shape, "share leaf of 8 for 16 users in 4 leaves", id="other_tree_shape"),
     ],
 )
 def test_cheating_server_caught_by_verifier(cheat, match):
@@ -916,6 +927,52 @@ def test_cheating_server_caught_by_verifier(cheat, match):
     cheat(server)
     with pytest.raises(ProtocolAbort, match=match) as exc:
         _run_16(server, users, transport, 70)
+    assert exc.value.blamed == "server"
+
+
+def test_cheating_server_population_below_the_tree_caught_by_the_replay():
+    """Eight users fill a 2x2 tree with leaves of 2, which 5 users would
+    make too, so a commitment and reveal that agree on the first 5 users
+    pass every PEER_LIST; the verifier's replay then finds that 5 users
+    cannot fill 4 leaves of at least 2."""
+    server, users, transport, _ = build_round(8, TREE22, SPEC)
+    reveal = server.reveal
+    server.commit_tree = lambda: TreeCommitMsg(5, commits_digest(server._rand_commits[:5]))
+
+    def cheat_reveal():
+        msg = reveal()
+        return dataclasses.replace(msg, user_records=msg.user_records[:5])
+
+    server.reveal = cheat_reveal
+    with pytest.raises(ProtocolAbort, match="does not fit the tree") as exc:
+        execute_round(
+            server=server,
+            users=users,
+            transport=transport,
+            model=zeros(4, SPEC),
+            inputs=random_inputs(8, 4, SPEC, seed=71),
+            round_seed=(71, 0),
+        )
+    assert exc.value.blamed == "server"
+
+
+def test_cheating_server_other_leaf_count_caught_by_the_replay():
+    """17 users make leaves of 2 or 3 in the 8 leaves of a 3x2 tree, and so
+    do they in the 7 leaves of a 1x7 tree: a server grouping under the
+    latter passes every PEER_LIST, and the verifier's replay under its
+    own tree finds another share-tree assignment."""
+    tree = TreeConfig(height=3, degree=2, neighbor_radius=1, share_threshold=2)
+    server, users, transport, _ = build_round(17, tree, SPEC)
+    server.tree = TreeConfig(height=1, degree=7, neighbor_radius=1, share_threshold=2)
+    with pytest.raises(ProtocolAbort, match="share-tree assignment does not match") as exc:
+        execute_round(
+            server=server,
+            users=users,
+            transport=transport,
+            model=zeros(4, SPEC),
+            inputs=random_inputs(17, 4, SPEC, seed=72),
+            round_seed=(72, 0),
+        )
     assert exc.value.blamed == "server"
 
 
@@ -1296,10 +1353,11 @@ def test_malformed_bytes_blamed_on_their_sender(sender, tag):
 def _rewidth(bundle):
     """The fast64 bundle with every entry re-packed around a 33-byte key share."""
     points = []
-    for off in range(0, len(bundle.bodies), entry_bytes(9)):
-        index, key = share_part(bundle.bodies, off, SECRET_MASK_KEY, 9)
-        _, seed = share_part(bundle.bodies, off, SECRET_SELF_SEED, 9)
-        points.append((index, int.from_bytes(key, "big"), int.from_bytes(seed, "big")))
+    for j, point in enumerate(entry_points(bundle.bodies, 9)):
+        off = j * entry_bytes(9)
+        key = share_part(bundle.bodies, off, SECRET_MASK_KEY, 9)
+        seed = share_part(bundle.bodies, off, SECRET_SELF_SEED, 9)
+        points.append((point, int.from_bytes(key, "big"), int.from_bytes(seed, "big")))
     return ShareMsg(b"".join(share_bodies(points, 33)))
 
 
@@ -1378,6 +1436,40 @@ def test_own_point_outside_the_share_leaf_blamed_on_the_server(edit):
         _run_16(server, users, transport, 77)
     assert exc.value.blamed == "server"
     assert counters.shares_created == 0
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(dict(leaf_size=5), id="one_more"),
+        pytest.param(dict(leaf_size=20_000), id="twenty_thousand"),
+        pytest.param(dict(own_point=1, leaf_size=3), id="one_fewer"),
+    ],
+)
+def test_share_leaf_size_outside_the_committed_population_blamed_on_the_server(edit):
+    """16 users in 4 leaves make leaves of 4 only, as each user computes
+    from the N of its TREE_COMMIT and its own tree: a PEER_LIST claiming
+    any other leaf size aborts the round blamed on the server before any
+    share is built, so a 19-byte message cannot make a user build shares
+    for 20,000 members."""
+    server, users, transport, counters = build_round(16, TREE22, SPEC)
+    peer_list_for = server.peer_list_for
+    server.peer_list_for = lambda user: dataclasses.replace(peer_list_for(user), **(edit if user == 3 else {}))
+    with pytest.raises(ProtocolAbort, match="user 3 got a share leaf of .* for 16 users in 4 leaves") as exc:
+        _run_16(server, users, transport, 78)
+    assert exc.value.blamed == "server"
+    assert counters.shares_created == 0
+
+
+def test_peer_list_outside_a_committed_tree_blamed_on_the_server():
+    """A PEER_LIST before the user's TREE_COMMIT gives it no N to check the
+    share-leaf size against, and is blamed on the server."""
+    agent = UserAgent(0, group=FAST_GROUP, spec=SPEC, inter_mask_bits=10, tree=TREE22, counters=OpCounters())
+    agent.begin_round(Random(0), bytes(32))
+    with pytest.raises(ProtocolAbort, match="user 0 got a peer list before the tree commitment") as exc:
+        agent.receive_peer_list(PeerListMsg(1, 2, ()))
+    assert exc.value.blamed == "server"
+    assert agent.counters.shares_created == 0
 
 
 @pytest.mark.parametrize("key", [0, 1, FAST_GROUP.p - 1], ids=["zero", "one", "p_minus_1"])

@@ -70,3 +70,7 @@ def test_benchmark_tracer_binds_every_span(monkeypatch):
     up = sum(n for (direction, _), n in tr.wire_bytes.items() if direction == "up")
     down = sum(n for (direction, _), n in tr.wire_bytes.items() if direction == "down")
     assert (up, down) == (counters.bytes_user_to_server, counters.bytes_server_to_user)
+    # the reconstruct observer counts its first positional argument, which
+    # must be the t points of each secret
+    assert counters.shares_reconstructed > 0
+    assert tr.counts["shares_consumed"] == server.tree.share_threshold * counters.shares_reconstructed

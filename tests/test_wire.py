@@ -44,6 +44,7 @@ from secaggsim.wire import (
     decode_record,
     encode_record,
     entry_bytes,
+    entry_points,
     share_bodies,
     share_part,
 )
@@ -280,14 +281,15 @@ def test_share_packed_wide_roundtrip():
         data = msg.to_bytes()
         assert len(data) == 5 + entry_bytes(width)
         assert ShareMsg.from_bytes(data) == msg
-        assert share_part(msg.bodies, 0, SECRET_MASK_KEY, width) == (4, _share(key, width))
-        assert share_part(msg.bodies, 0, SECRET_SELF_SEED, width) == (4, _share(WIDE_SEED))
+        assert entry_points(msg.bodies, width) == (4,)
+        assert share_part(msg.bodies, 0, SECRET_MASK_KEY, width) == _share(key, width)
+        assert share_part(msg.bodies, 0, SECRET_SELF_SEED, width) == _share(WIDE_SEED)
 
 
 def test_share_secret_type_single_records_only():
     """A bundle entry carries both secrets; a release row carries one, and
     its table names its type."""
-    _, key = share_part(NARROW.bodies, 0, SECRET_MASK_KEY, KEY64)
+    key = share_part(NARROW.bodies, 0, SECRET_MASK_KEY, KEY64)
     assert int.from_bytes(key, "big") == NARROW_KEY
     with pytest.raises(ValueError):
         share_part(NARROW.bodies, 0, 3, KEY64)
@@ -312,7 +314,7 @@ def test_share_record_without_secret_rejected():
             0, group=group, spec=SPEC32, inter_mask_bits=10, tree=TreeConfig(height=0, degree=2), counters=OpCounters()
         )
         agent.begin_round(Random(0), bytes(32))
-        agent.open_rand(TreeCommitMsg(0, bytes(32)))
+        agent.open_rand(TreeCommitMsg(2, bytes(32)))  # the one leaf holds both users
         agent.receive_peer_list(PeerListMsg(1, 2, ()))
         agent.distribute_shares()
         for size in bad:
@@ -349,10 +351,11 @@ def test_bundle_roundtrip(bundle):
     assert len(data_bytes) == 5 + len(points) * (4 + width + SHARE_VALUE_BYTES)
     decoded = ShareMsg.from_bytes(data_bytes)
     assert decoded == msg
-    for j, (index, key, seed) in enumerate(points):
+    assert entry_points(decoded.bodies, width) == tuple(index for index, _, _ in points)
+    for j, (_, key, seed) in enumerate(points):
         off = j * entry_bytes(width)
-        assert share_part(decoded.bodies, off, SECRET_MASK_KEY, width) == (index, _share(key, width))
-        assert share_part(decoded.bodies, off, SECRET_SELF_SEED, width) == (index, _share(seed))
+        assert share_part(decoded.bodies, off, SECRET_MASK_KEY, width) == _share(key, width)
+        assert share_part(decoded.bodies, off, SECRET_SELF_SEED, width) == _share(seed)
 
 
 _owner = st.integers(0, 2**32 - 1)
