@@ -17,7 +17,10 @@ user's final identity hashes the XOR of everyone else's preliminary
 identity, so it is determined by all parties except the user itself.  The
 tree shape is public, not committed: a verifying user replays the
 grouping under its own ``TreeConfig``, which catches a server that
-grouped under another shape.
+grouped under another leaf count.  A server that grouped under another
+shape with the same leaf count is not caught, as both shapes give the
+same share and mask assignments and differ only in the inter-group
+masking pairs.
 
 The TREE_COMMIT broadcast carries the N advertised randomness commitments
 as one digest (``commits_digest``), not as a list.  After upload the server

@@ -489,27 +489,30 @@ def execute_round(
     pre_drop = pre_drop or set()
     n_users = len(users)
 
-    def send(sender: str, receiver: str, msg, cls):
-        return decode_from(sender, cls, transport.deliver(sender, receiver, msg.to_bytes()))
+    def send(sender: str, receiver: str, msg, cls, *group):
+        return decode_from(sender, cls, transport.deliver(sender, receiver, msg.to_bytes()), *group)
 
-    def broadcast(msg, cls, receivers) -> list:
+    def broadcast(msg, cls, receivers, *group) -> list:
         """The server's ``msg`` as each receiver decoded it: encoded once,
-        and each distinct received copy decoded once."""
+        and each distinct received copy decoded once, under ``group`` where
+        the layout needs it (every user holds the one group of the run)."""
         encoded = msg.to_bytes()
         copies = [transport.deliver(SERVER, f"user:{u}", encoded) for u in receivers]
-        decoded = {data: decode_from(SERVER, cls, data) for data in dict.fromkeys(copies)}
+        decoded = {data: decode_from(SERVER, cls, data, *group) for data in dict.fromkeys(copies)}
         return [decoded[data] for data in copies]
 
     commit = server.begin_round(n_users, _sub_rng(seed, "server", t), len(model))
     for u, got in enumerate(broadcast(commit, ServerCommitMsg, range(n_users))):
         advert = users[u].begin_round(_sub_rng(seed, "user", t, u), got.digest)
-        server.receive_advert(u, send(f"user:{u}", SERVER, advert, AdvertMsg))
+        server.receive_advert(u, send(f"user:{u}", SERVER, advert, AdvertMsg, server.group))
 
     for u, got in enumerate(broadcast(server.commit_tree(), TreeCommitMsg, range(n_users))):
         server.receive_open(u, send(f"user:{u}", SERVER, users[u].open_rand(got), RandOpenMsg))
     server.finish_setup()
 
-    peer_lists = [send(SERVER, f"user:{u}", server.peer_list_for(u), PeerListMsg) for u in range(n_users)]
+    peer_lists = [
+        send(SERVER, f"user:{u}", server.peer_list_for(u), PeerListMsg, users[u].group) for u in range(n_users)
+    ]
     receive_peer_lists(users, peer_lists)
 
     # the server forwards a share leaf's bundles once all its members sent theirs
@@ -530,7 +533,7 @@ def execute_round(
     # post-upload opening; every honest user would run the full check,
     # the simulator replays it once, on the first online user's copy,
     # and every other online user checks its own record in its copy
-    reveals = broadcast(server.reveal(), RevealMsg, online)
+    reveals = broadcast(server.reveal(), RevealMsg, online, users[online[0]].group)
     users[online[0]].verify_reveal(reveals[0], server.setup)
     for u, reveal in zip(online[1:], reveals[1:]):
         users[u].check_own_record(reveal)
@@ -538,7 +541,7 @@ def execute_round(
     def exchange(requests: dict[int, UnmaskRequestMsg]) -> None:
         for u, req in requests.items():
             resp = users[u].unmask_response(send(SERVER, f"user:{u}", req, UnmaskRequestMsg))
-            server.receive_unmask(u, send(f"user:{u}", SERVER, resp, UnmaskResponseMsg))
+            server.receive_unmask(u, send(f"user:{u}", SERVER, resp, UnmaskResponseMsg, server.group))
 
     # each pass re-asks new holders for the secrets still short of t shares
     while requests := server.unmask_requests():

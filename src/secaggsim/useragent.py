@@ -111,17 +111,11 @@ class UserAgent:
 
     # -- phase checks -------------------------------------------------------
 
-    def _advance(self, expected: str, new: str) -> None:
-        if self.phase != expected:
-            raise ProtocolAbort(
-                f"user {self.index} asked to move {self.phase} -> {new}",
-                blamed="server",
-            )
-        if _ORDER.index(new) != _ORDER.index(expected) + 1:
-            raise ProtocolAbort(
-                f"user {self.index} cannot skip from {expected} to {new}",
-                blamed=f"user:{self.index}",
-            )
+    def _advance(self, new: str) -> None:
+        """Move to ``new`` from the phase before it in ``_ORDER``; the
+        server's messages drive every move, so any other is its fault."""
+        if _ORDER.index(new) != _ORDER.index(self.phase) + 1:
+            raise ProtocolAbort(f"user {self.index} asked to move {self.phase} -> {new}", blamed="server")
         self.phase = new
 
     # -- advertise / commit -------------------------------------------------
@@ -143,7 +137,7 @@ class UserAgent:
         self._released: dict[int, int] = {}  # owner point -> bits 1 << released type
         self.forced_releases: list[int] = []  # owner points
         self.seen_tree_commit: TreeCommitMsg | None = None
-        self._advance(PHASE_IDLE, PHASE_ADVERTISE)
+        self._advance(PHASE_ADVERTISE)
         return AdvertMsg(
             share_pub=self.group.encode(self.id_keys.public),
             mask_pub=self.group.encode(self.mask_keys.public),
@@ -154,7 +148,7 @@ class UserAgent:
         """Open the grouping randomness once the digest of everyone's
         randomness commitments is fixed."""
         self.seen_tree_commit = tree_commit
-        self._advance(PHASE_ADVERTISE, PHASE_COMMIT)
+        self._advance(PHASE_COMMIT)
         return RandOpenMsg(self.round_rand)
 
     # -- share distribution --------------------------------------------------
@@ -172,7 +166,7 @@ class UserAgent:
         entries in leaf order, and the entry at the user's own point is
         retained.
         """
-        self._advance(PHASE_COMMIT, PHASE_SHARE)
+        self._advance(PHASE_SHARE)
         n = self._share_count
         t = self.tree.share_threshold
         if n < t:
@@ -228,7 +222,7 @@ class UserAgent:
         accumulate in one uint64 array, wrapping mod 2^64, and are reduced
         mod 2^w once at the end.
         """
-        self._advance(PHASE_SHARE, PHASE_UPLOAD)
+        self._advance(PHASE_UPLOAD)
         if x.spec != self.spec:
             raise ValueError("SegmentSpec mismatch")
         m = len(x)
@@ -260,7 +254,7 @@ class UserAgent:
         the server relayed, aborts the round blamed on the server.
         """
         if self.phase == PHASE_UPLOAD:
-            self._advance(PHASE_UPLOAD, PHASE_UNMASK)
+            self._advance(PHASE_UNMASK)
         elif self.phase != PHASE_UNMASK:
             raise ProtocolAbort(
                 f"unmask request in phase {self.phase}", blamed="server"
@@ -293,7 +287,7 @@ class UserAgent:
                 raise ProtocolAbort(f"user {self.index} holds a share outside its field", blamed="server")
             done_for[owner] = done | (1 << stype)
             (keys if stype == SECRET_MASK_KEY else seeds).append((owner, share))
-        return UnmaskResponseMsg(width, tuple(keys), tuple(seeds), tuple(refused))
+        return UnmaskResponseMsg(tuple(keys), tuple(seeds), tuple(refused))
 
     # -- verification -----------------------------------------------------------
 
@@ -320,8 +314,12 @@ class UserAgent:
         the grouping from the revealed records under this user's own
         ``tree`` and compares it with ``setup``, the grouping the server
         used: a changed key or randomness changes the replayed identities,
-        and another tree shape changes the replayed assignments.  So
-        ``setup`` is the one input a user does not hold a copy of.
+        and a tree with another leaf count changes the replayed assignments.
+        A tree of another shape with the same leaf count is not caught: it
+        gives the same assignments, and only the inter-group masking pairs,
+        which a user cannot see through its opaque handles, differ (ROADMAP
+        item 15).  ``setup`` is the one input a user does not hold a copy
+        of.
         """
         seen = self.seen_tree_commit
         if seen is None:
@@ -333,10 +331,7 @@ class UserAgent:
             raise ProtocolAbort(
                 f"reveal lists {len(records)} users, tree commitment {seen.n_users}", blamed="server"
             )
-        rands = [rand for _, _, rand in records]
-        if any(len(rand) != RAND_BYTES for rand in rands) or seen.commits_digest != commits_digest(
-            [commit_random(rand) for rand in rands]
-        ):
+        if seen.commits_digest != commits_digest([commit_random(rand) for _, _, rand in records]):
             raise ProtocolAbort("revealed randomness does not match the committed digest", blamed="server")
         self.check_own_record(reveal)
         verify_setup(setup, self.tree, reveal.server_rand, records)

@@ -4,92 +4,91 @@ Every protocol message is one length-prefixed record::
 
     tag (1 byte) || payload_length (4 bytes, big endian) || payload
 
-Variable-length payload fields are themselves prefixed with a 4-byte big
-endian length.  Vector elements travel as little endian words of the
-smallest native width (1, 2, 4 or 8 bytes) that holds w bits, so 4 bytes
-at w = 32.  No record carries the width: the receiver decodes a vector
-under its own ``SegmentSpec``, and a vector that is not a whole number of
-elements, or holds an element >= 2^w, raises ``WireError`` there.  The
-masked upload and the global model are nothing but those words; the
-server knows an upload's sender from the channel it arrived on.  A
-Shamir share value is one big endian field element (see ``crypto``): 33
-bytes in the 2^256 + 297 field, which holds every self-seed share and the
-mask-key shares of the sim256 and strong2048 groups, and 9 bytes in the
+No payload carries a width, a length or a count that its receiver
+already holds.  Every field has the width a protocol constant or the
+receiver's own ``SegmentSpec`` or ``DhGroup`` gives it: W is the group's
+``element_bytes``, K its ``key_share_bytes``, and a digest, a grouping
+randomness or a self-seed share is 32, 32 or 33 bytes.  So each record
+has one fixed layout, which its receiver applies::
+
+    SERVER_COMMIT    digest (32)
+    ADVERT           share key (W) || mask key (W) || randomness commitment (32)
+    TREE_COMMIT      N (4) || commitments digest (32)
+    RAND_OPEN        randomness (32)
+    PEER_LIST        own point (4) || share-leaf size (4) || handle count n (4)
+                     || n rows of: sign (1) || kind (1) || blinded key (W)
+    SHARE_MSG        entry bodies to the end, each:
+                     evaluation point (4) || mask-key share (K) || self-seed share (33)
+    MASKED_UPLOAD    words to the end
+    UNMASK_REQUEST   target count (4) || targets of: owner point (4) || secret type (1)
+                     || forced count (4) || forced owner points (4 each)
+    UNMASK_RESPONSE  key row count k (4) || seed row count s (4)
+                     || k key rows of: owner point (4) || share (K)
+                     || s seed rows of: owner point (4) || share (33)
+                     || refused count (4) || refused targets of: owner point (4) || secret type (1)
+    REVEAL           server randomness (32) || records to the end, each:
+                     share key (W) || mask key (W) || randomness (32)
+    GLOBAL_MODEL     words to the end
+
+The decoders of ADVERT, PEER_LIST, UNMASK_RESPONSE and REVEAL take the
+receiver's group; the vector messages and the share bundle are read at
+the receiver's widths after decoding.  Decoding raises ``WireError`` for
+a truncated record, one whose tag is not the expected message's, one
+whose fields overrun the payload, and bytes after the last field or, in
+a message of records to the end, bytes that are not whole records.  A
+round decodes every record from the bytes its receiver got through
+``decode_from``, which blames a malformed one on its sender.
+
+A vector element travels as a little endian word of the smallest native
+width (1, 2, 4 or 8 bytes) that holds w bits, so 4 bytes at w = 32, and
+one >= 2^w raises ``WireError`` at its receiver.  The masked upload and
+the global model are nothing but those words; the server knows an
+upload's sender from the channel it arrived on.  A Shamir share value is
+one big endian field element (see ``crypto``): 33 bytes in the
+2^256 + 297 field, which holds every self-seed share and the mask-key
+shares of the sim256 and strong2048 groups, and 9 bytes in the
 2^64 + 13 field, which holds the mask-key shares of the toy and fast64
-groups.  A share value at or above its field's prime is rejected where it
-is read: by the holder about to release it and by the server filing the
-released row.
+groups.  A share value at or above its field's prime is rejected where
+it is read: by the holder about to release it and by the server filing
+the released row.
 
 A user names a member of its share leaf by the member's 1-based place in
-the leaf order, which is also the member's Shamir evaluation point, as
-4 bytes.  A peer list tells a user its own point and the leaf's size and
-nothing else about the leaf.
+the leaf order, which is also the member's Shamir evaluation point.  A
+peer list tells a user its own point and the leaf's size and nothing
+else about the leaf.  Its handles say only what masking needs: a sign of
++1 or -1 and a kind code of 1 (intra) or 2 (inter).  No handle says
+where in the tree the peer sits, so a user cannot match its masking
+peers against its share leaf.
 
 Shamir shares travel in bundles, one per sender to the server and one
 per recipient from the server (the message layout of Bonawitz et al.,
 CCS 2017, section 4).  A bundle is nothing but entry bodies, whose
 positions name their other ends: an upload bundle holds one entry per
 other member of the owner's share leaf, a download bundle one per other
-member of the recipient's, each in leaf order.  Every body is 4 + W + 33
-bytes (46 at W = 9, 70 at W = 33)::
-
-    evaluation point (4) || mask-key share (W) || self-seed share (33)
-
-so every entry carries both secrets.  Like a vector, a bundle carries no
-width: its receiver reads it at its group's key-share width W, and counts
-bytes that are not whole entries as a malformed bundle from the sender.
-The relay moves bodies by position and never decodes a share, but the
-shares are plaintext: it could read every one until ROADMAP item 7
-replaces each body with a ciphertext.
+member of the recipient's, each in leaf order.  Every body carries both
+secrets, 46 bytes at K = 9 and 70 at K = 33, and bytes that are not
+whole bodies are a malformed bundle from the sender.  The relay moves
+bodies by position and never decodes a share, but the shares are
+plaintext: it could read every one until ROADMAP item 7 replaces each
+body with a ciphertext.
 
 An unmask request names each target by its owner's point, with the
-secret type to release, and lists the owners the server excluded::
+secret type to release, and lists the owners the server excluded.  An
+unmask response carries released shares as one release table per secret
+type, one row per released share of one secret, which is what the
+never-both rule counts.  A row holds no evaluation point, as every share
+a holder releases is at the holder's own point, which the server knows.
 
-    target count (4) || targets of: owner point (4) || secret type (1)
-    || forced count (4) || forced owner points (4 each)
-
-An unmask response carries released shares as one fixed-width release
-table per secret type, one row per released share of one secret, which
-is what the never-both rule counts.  A row holds no evaluation point,
-as every share a holder releases is at the holder's own point, which the
-server knows, and the header keeps only the row counts and the key-share
-width W, which the decoder needs and the server checks against its own::
-
-    W (1) || key row count k (4) || seed row count s (4)
-    || k key rows of: owner point (4) || share (W)
-    || s seed rows of: owner point (4) || share (33)
-    || refused count (4) || refused targets of: owner point (4) || secret type (1)
-
-A peer list packs its handles at the one blinded key width W the group
-fixes, as the reveal packs its records, with a sign of +1 or -1 and a
-kind code of 1 (intra) or 2 (inter) in each row, which is all a user
-needs to apply the pair's mask.  No row says where in the tree the peer
-sits, so a user cannot match its masking peers against its share leaf::
-
-    own point (4) || share-leaf size (4) || W (2) || handle count n (4)
-    || n rows of: sign (1) || kind (1) || W key bytes
-
-The setup messages stay small and carry no nonce and no tree shape,
-which is public (see ``orgtree``).  SERVER_COMMIT is a 32-byte digest and
-RAND_OPEN the 32-byte randomness it opens, each the whole payload.
-TREE_COMMIT is N (4) || the SHA-256 digest of the N advertised randomness
-commitments (32), not a list: no user reads the list before the openings
-exist, and a user that later verifies the reveal recomputes the digest
-from the revealed openings, which catches a server that changes any of
-them (see ``orgtree`` for why checking one's own record then, rather
-than one's inclusion earlier, loses nothing).  REVEAL is the server
-randomness (32) || N (4) || three field widths (2 each) || N records of
-share key, mask key and randomness at those widths, as the group fixes
-the key width and the protocol the randomness width, which opens its
-commitment alone (see ``crypto``); a payload that is not exactly that
-header plus N records raises ``WireError``.
-
-Decoding raises ``WireError`` for a truncated record, one whose tag is not
-the expected message's, one whose fields overrun the payload, a digest or
-randomness that is not 32 bytes, and, in all but the two vector messages
-and the share bundle, bytes after the last field.  A round decodes every
-record from the bytes its receiver got through ``decode_from``, which
-blames a malformed one on its sender.
+The setup messages carry no nonce and no tree shape, which is public
+(see ``orgtree``).  TREE_COMMIT holds the digest of the N advertised
+randomness commitments, not a list: no user reads the list before the
+openings exist, and a user that later verifies the reveal recomputes the
+digest from the revealed openings, which catches a server that changes
+any of them (see ``orgtree`` for why checking one's own record then,
+rather than one's inclusion earlier, loses nothing).  REVEAL repeats
+neither N, which TREE_COMMIT gave and the verifier compares with the
+records it got, nor any width; each randomness opens its commitment
+alone (see ``crypto``).
 
 Users never address each other directly: the transport only accepts
 messages with the server on one end and counts payload bytes per
@@ -108,7 +107,7 @@ from typing import TypeVar
 import numpy as np
 
 from .counters import OpCounters
-from .crypto import RAND_BYTES
+from .crypto import RAND_BYTES, DhGroup
 from .errors import ProtocolAbort, WireError
 from .fixedpoint import SegmentSpec, word_bytes
 
@@ -134,10 +133,6 @@ _SECRET_TYPES = bytes((SECRET_MASK_KEY, SECRET_SELF_SEED))
 DIGEST_BYTES = 32  # SHA-256 commitments
 
 
-def _pack_bytes(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
-
-
 def _unpack(fmt: str, buf: bytes, off: int) -> tuple:
     """``struct.unpack_from`` with a short read reported as ``WireError``."""
     try:
@@ -151,11 +146,6 @@ def _take(buf: bytes, off: int, n: int) -> tuple[bytes, int]:
     if off + n > len(buf):
         raise WireError(f"{n}-byte field overruns the payload at offset {off}")
     return buf[off : off + n], off + n
-
-
-def _unpack_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
-    (n,) = _unpack(">I", buf, off)
-    return _take(buf, off + 4, n)
 
 
 def _pack_points(points: tuple[int, ...]) -> bytes:
@@ -255,24 +245,23 @@ class ServerCommitMsg:
 
 @dataclass(frozen=True)
 class AdvertMsg:
-    """Per-round key advertisement plus the user's randomness commitment."""
+    """Per-round key advertisement plus the user's randomness commitment:
+    share key (W) || mask key (W) || commitment (32)."""
 
     share_pub: bytes
     mask_pub: bytes
     rand_commit: bytes
 
     def to_bytes(self) -> bytes:
-        payload = _pack_bytes(self.share_pub) + _pack_bytes(self.mask_pub) + self.rand_commit
-        return encode_record(TAG_ADVERT, payload)
+        return encode_record(TAG_ADVERT, self.share_pub + self.mask_pub + self.rand_commit)
 
     @staticmethod
-    def from_bytes(data: bytes) -> "AdvertMsg":
+    def from_bytes(data: bytes, group: DhGroup) -> "AdvertMsg":
         payload = _payload_of(data, TAG_ADVERT)
-        share_pub, off = _unpack_bytes(payload, 0)
-        mask_pub, off = _unpack_bytes(payload, off)
-        if len(payload) - off != DIGEST_BYTES:
-            raise WireError(f"randomness commitment of {len(payload) - off} bytes, expected {DIGEST_BYTES}")
-        return AdvertMsg(share_pub, mask_pub, payload[off:])
+        w = group.element_bytes
+        if len(payload) != 2 * w + DIGEST_BYTES:
+            raise WireError(f"advert of {len(payload)} bytes, expected {2 * w + DIGEST_BYTES}")
+        return AdvertMsg(payload[:w], payload[w : 2 * w], payload[2 * w :])
 
 
 _TREE_COMMIT = struct.Struct(">I32s")  # N, commits digest
@@ -332,11 +321,12 @@ class PeerHandle:
 
 _KIND_CODES = {"intra": 1, "inter": 2}
 _KINDS = (None, "intra", "inter")
-_PEER_HEAD = struct.Struct(">IIHI")  # own point, share-leaf size, key width, handle count
+_PEER_HEAD = struct.Struct(">III")  # own point, share-leaf size, handle count
+_HANDLE_HEAD = struct.Struct(">bB")  # sign, kind code
 _SIGN, _KIND = 0, 1  # offsets of the sign and the kind code in a handle row
 
 
-@functools.lru_cache(maxsize=16)  # the width comes off the wire, so the cache is bounded
+@functools.cache  # one per group in use
 def _handle_row(width: int) -> struct.Struct:
     """Sign, kind code, blinded key of ``width`` bytes."""
     return struct.Struct(f">bB{width}s")
@@ -345,7 +335,8 @@ def _handle_row(width: int) -> struct.Struct:
 @dataclass(frozen=True)
 class PeerListMsg:
     """The user's own evaluation point, the size of its share leaf, and its
-    masking peer handles, each row sign (1) || kind (1) || blinded key (W).
+    masking peer handles, each row sign (1) || kind (1) || blinded key (W)
+    at the receiver's W.
 
     ``own_point`` is the user's 1-based place in its share leaf's order, and
     a mate's place there is the only name the user has for it.
@@ -356,21 +347,16 @@ class PeerListMsg:
     peers: tuple[PeerHandle, ...]
 
     def to_bytes(self) -> bytes:
-        peers = self.peers
-        widths = {len(p.randomized_pub) for p in peers}
-        width = max(widths, default=0)
-        if widths - {width}:
-            raise ValueError("peer lists need blinded keys of one width")
-        pack = _handle_row(width).pack
-        table = b"".join([pack(p.sign, _KIND_CODES[p.kind], p.randomized_pub) for p in peers])
-        head = _PEER_HEAD.pack(self.own_point, self.leaf_size, width, len(peers))
+        peers, pack = self.peers, _HANDLE_HEAD.pack
+        table = b"".join([pack(p.sign, _KIND_CODES[p.kind]) + p.randomized_pub for p in peers])
+        head = _PEER_HEAD.pack(self.own_point, self.leaf_size, len(peers))
         return encode_record(TAG_PEER_LIST, head + table)
 
     @staticmethod
-    def from_bytes(data: bytes) -> "PeerListMsg":
+    def from_bytes(data: bytes, group: DhGroup) -> "PeerListMsg":
         payload = _payload_of(data, TAG_PEER_LIST)
-        own, size, width, n = _unpack(_PEER_HEAD.format, payload, 0)
-        row = _handle_row(width)
+        own, size, n = _unpack(_PEER_HEAD.format, payload, 0)
+        row = _handle_row(group.element_bytes)
         table, end = _take(payload, _PEER_HEAD.size, n * row.size)
         _check_end(payload, end)
         signs, kinds = table[_SIGN :: row.size], table[_KIND :: row.size]
@@ -484,12 +470,13 @@ class UnmaskRequestMsg:
         return UnmaskRequestMsg(targets, forced)
 
 
-_RELEASE_HEAD = struct.Struct(">BII")  # key-share width, key rows, seed rows
+_RELEASE_HEAD = struct.Struct(">II")  # key rows, seed rows
+_OWNER = struct.Struct(">I")
 
 ReleaseRow = tuple[int, bytes]  # (owner point, share bytes)
 
 
-@functools.lru_cache(maxsize=16)  # the width comes off the wire, so the cache is bounded
+@functools.cache  # one per share width in use
 def _release_row(width: int) -> struct.Struct:
     """Owner point, share of ``width`` bytes."""
     return struct.Struct(f">I{width}s")
@@ -498,21 +485,23 @@ def _release_row(width: int) -> struct.Struct:
 _SEED_ROW = _release_row(SHARE_VALUE_BYTES)
 
 
+def _pack_rows(rows: tuple[ReleaseRow, ...]) -> bytes:
+    return b"".join([_OWNER.pack(owner) + raw for owner, raw in rows])
+
+
 @dataclass(frozen=True)
 class UnmaskResponseMsg:
     """Released shares as one release table per secret type, plus the
-    refused targets: key-share width W (1) || key row count (4) || seed row
-    count (4) || key rows || seed rows || refused targets, each row owner
-    point (4) || share (W for keys, 33 for seeds).
+    refused targets: key row count (4) || seed row count (4) || key rows ||
+    seed rows || refused targets, each row owner point (4) || share (K for
+    keys, 33 for seeds).
 
     ``keys`` and ``seeds`` hold (owner point, share bytes) rows of mask-key
-    shares of ``key_width`` bytes and of self-seed shares of
+    shares of the group's ``key_share_bytes`` and of self-seed shares of
     ``SHARE_VALUE_BYTES``; every share is at the holder's own evaluation
-    point.  ``key_width`` is the holder's group's key-share width, which
-    the server checks against its own.
+    point.  The receiver cuts the key rows at its own group's width.
     """
 
-    key_width: int
     keys: tuple[ReleaseRow, ...] = ()
     seeds: tuple[ReleaseRow, ...] = ()
     refused: tuple[tuple[int, int], ...] = ()  # (owner point, refused type)
@@ -526,67 +515,51 @@ class UnmaskResponseMsg:
         )
 
     def to_bytes(self) -> bytes:
-        keys, seeds, width = self.keys, self.seeds, self.key_width
-        if not 0 < width < 256:
-            raise ValueError("a release table needs a key-share width of 1 to 255 bytes")
-        # "s" fields would pad or cut a share of another length
-        if any(len(raw) != width for _, raw in keys) or any(len(raw) != SHARE_VALUE_BYTES for _, raw in seeds):
-            raise ValueError("release rows need shares of their table's width")
-        table = b"".join(starmap(_release_row(width).pack, keys)) + b"".join(starmap(_SEED_ROW.pack, seeds))
-        head = _RELEASE_HEAD.pack(width, len(keys), len(seeds))
-        return encode_record(TAG_UNMASK_RESPONSE, head + table + _pack_targets(self.refused))
+        keys, seeds = self.keys, self.seeds
+        table = _RELEASE_HEAD.pack(len(keys), len(seeds)) + _pack_rows(keys) + _pack_rows(seeds)
+        return encode_record(TAG_UNMASK_RESPONSE, table + _pack_targets(self.refused))
 
     @staticmethod
-    def from_bytes(data: bytes) -> "UnmaskResponseMsg":
+    def from_bytes(data: bytes, group: DhGroup) -> "UnmaskResponseMsg":
         payload = _payload_of(data, TAG_UNMASK_RESPONSE)
-        width, k, n = _unpack(_RELEASE_HEAD.format, payload, 0)
-        if not width:
-            raise WireError("release table with zero-byte key shares")
-        key_row = _release_row(width)
+        k, n = _unpack(_RELEASE_HEAD.format, payload, 0)
+        key_row = _release_row(group.key_share_bytes)
         keys, off = _take(payload, _RELEASE_HEAD.size, k * key_row.size)
         seeds, off = _take(payload, off, n * _SEED_ROW.size)
         refused, end = _unpack_targets(payload, off)
         _check_end(payload, end)
-        return UnmaskResponseMsg(width, tuple(key_row.iter_unpack(keys)), tuple(_SEED_ROW.iter_unpack(seeds)), refused)
+        return UnmaskResponseMsg(tuple(key_row.iter_unpack(keys)), tuple(_SEED_ROW.iter_unpack(seeds)), refused)
 
 
-_REVEAL_HEAD = struct.Struct(f">{RAND_BYTES}sIHHH")  # server randomness, N, the three field widths
+@functools.cache  # one per group in use
+def _reveal_row(width: int) -> struct.Struct:
+    """Share key and mask key of ``width`` bytes, randomness."""
+    return struct.Struct(f"{width}s{width}s{RAND_BYTES}s")
 
 
 @dataclass(frozen=True)
 class RevealMsg:
     """Post-upload opening, broadcast for client-side verification: the
-    32-byte server randomness, then the N (share key, mask key, randomness)
-    records after one header giving their three widths, back to back
-    without per-field prefixes (see the module docstring)."""
+    32-byte server randomness, then one (share key, mask key, randomness)
+    record per user to the end of the payload, each W || W || 32 at the
+    receiver's W."""
 
     server_rand: bytes
     user_records: tuple[tuple[bytes, bytes, bytes], ...]  # (share_pub, mask_pub, rand)
 
     def to_bytes(self) -> bytes:
-        records = self.user_records
-        widths = tuple(map(len, records[0])) if records else (0, 0, 0)
         if len(self.server_rand) != RAND_BYTES:
-            raise ValueError("the server randomness must be 32 bytes")  # "32s" would pad or cut it
-        if len(widths) != 3 or any(tuple(map(len, rec)) != widths for rec in records):
-            raise ValueError("reveal records must all be three fields of the same widths")
-        if records and not sum(widths):
-            raise ValueError("reveal records must not be empty")
-        head = _REVEAL_HEAD.pack(self.server_rand, len(records), *widths)
-        return encode_record(TAG_REVEAL, b"".join((head, *(part for rec in records for part in rec))))
+            raise ValueError("the server randomness must be 32 bytes")  # another length would shift every record
+        parts = (part for rec in self.user_records for part in rec)
+        return encode_record(TAG_REVEAL, b"".join((self.server_rand, *parts)))
 
     @staticmethod
-    def from_bytes(data: bytes) -> "RevealMsg":
+    def from_bytes(data: bytes, group: DhGroup) -> "RevealMsg":
         payload = _payload_of(data, TAG_REVEAL)
-        server_rand, n, *widths = _unpack(_REVEAL_HEAD.format, payload, 0)
-        off = _REVEAL_HEAD.size
-        row = struct.Struct("".join(f"{w}s" for w in widths))
-        if n and not row.size:
-            raise WireError(f"{n} reveal records of zero width")
-        if len(payload) != off + n * row.size:
-            raise WireError(f"reveal payload of {len(payload)} bytes does not hold {n} records of {row.size}")
-        records = tuple(row.iter_unpack(payload[off:])) if n else ()
-        return RevealMsg(server_rand, records)
+        row = _reveal_row(group.element_bytes)
+        if len(payload) < RAND_BYTES or (len(payload) - RAND_BYTES) % row.size:
+            raise WireError(f"reveal payload of {len(payload)} bytes is not 32 plus whole {row.size}-byte records")
+        return RevealMsg(payload[:RAND_BYTES], tuple(row.iter_unpack(payload[RAND_BYTES:])))
 
 
 @dataclass(frozen=True)
@@ -618,12 +591,13 @@ SERVER = "server"
 _Msg = TypeVar("_Msg")
 
 
-def decode_from(sender: str, cls: type[_Msg], data: bytes) -> _Msg:
-    """``cls.from_bytes(data)`` for a record that ``sender`` (``SERVER`` or
-    ``"user:<u>"``) sent; a malformed one aborts the round with
+def decode_from(sender: str, cls: type[_Msg], data: bytes, *group: DhGroup) -> _Msg:
+    """``cls.from_bytes(data, *group)`` for a record that ``sender``
+    (``SERVER`` or ``"user:<u>"``) sent, with ``group`` the receiver's for
+    the records whose layout it sets; a malformed one aborts the round with
     ``ProtocolAbort`` blamed on the sender."""
     try:
-        return cls.from_bytes(data)  # type: ignore[attr-defined]
+        return cls.from_bytes(data, *group)  # type: ignore[attr-defined]
     except WireError as exc:
         raise ProtocolAbort(f"{sender} sent a malformed {cls.__name__}: {exc}", blamed=sender) from exc
 

@@ -231,13 +231,17 @@ def test_share_recipient_list_too_small():
 
 
 def test_phase_skip_is_protocol_abort():
-    """The phase-order guard is a typed error, so it survives ``python -O``."""
-    from secaggsim.errors import ProtocolAbort
-    from secaggsim.useragent import PHASE_COMMIT, PHASE_UPLOAD
+    """A call out of phase order, here a masked upload asked for before the
+    user's shares went out, aborts blamed on the server, whose messages
+    drive every phase, and leaves the phase as it was; the guard is a typed
+    error, so it survives ``python -O``."""
+    from secaggsim.useragent import PHASE_COMMIT
 
-    agent, _ = _lone_agent()
-    with pytest.raises(ProtocolAbort):
-        agent._advance(PHASE_COMMIT, PHASE_UPLOAD)
+    agent, counters = _lone_agent()
+    with pytest.raises(ProtocolAbort, match="user 0 asked to move commit -> upload") as exc:
+        agent.mask_input(zeros(4, SPEC))
+    assert exc.value.blamed == "server"
+    assert agent.phase == PHASE_COMMIT and not counters.prg_by_user
 
 
 def _download(agent, owners_values, width=None):
@@ -896,12 +900,14 @@ def _other_tree_shape(server):
 
 
 def _short_rand_in_reveal(server):
-    # a randomness too short to be committed without a nonce opens nothing
+    # the last record's randomness cut to 8 bytes: no width says so, and the
+    # payload is not whole records of the receiver's layout
     reveal = server.reveal
 
     def cheat():
         msg = reveal()
-        return dataclasses.replace(msg, user_records=tuple(r[:2] + (r[2][:8],) for r in msg.user_records))
+        *records, (share_pub, mask_pub, rand) = msg.user_records
+        return dataclasses.replace(msg, user_records=(*records, (share_pub, mask_pub, rand[:8])))
 
     server.reveal = cheat
 
@@ -917,7 +923,7 @@ def _short_rand_in_reveal(server):
         pytest.param(_wrong_population, "lists 16 users", id="wrong_population"),
         pytest.param(_population_too_small, "share leaf of 4 for 1 users in 4 leaves", id="population_too_small"),
         pytest.param(_reveal_not_the_setup, "identities do not match", id="reveal_not_the_setup"),
-        pytest.param(_short_rand_in_reveal, "committed digest", id="short_rand_in_reveal"),
+        pytest.param(_short_rand_in_reveal, "server sent a malformed RevealMsg", id="short_rand_in_reveal"),
         pytest.param(_other_server_rand, "server randomness opening failed", id="other_server_rand"),
         pytest.param(_other_tree_shape, "share leaf of 8 for 16 users in 4 leaves", id="other_tree_shape"),
     ],
@@ -1002,36 +1008,47 @@ def _key(group, value):
     return lambda key: group.encode(value)
 
 
+_OFF_LAYOUT = "user:3 sent a malformed AdvertMsg"
+_OUT_OF_RANGE = "user 3 advertised a (share|mask) key"
+
+
 @pytest.mark.parametrize(
-    "field, resize, group",
+    "field, resize, group, match",
     [
-        pytest.param("share_pub", lambda key: key + b"\x00", FAST_GROUP, id="share_key_9_bytes"),
-        pytest.param("mask_pub", lambda key: key[1:], FAST_GROUP, id="mask_key_7_bytes"),
-        pytest.param("share_pub", lambda key: b"", FAST_GROUP, id="share_key_empty"),
-        pytest.param("mask_pub", _key(FAST_GROUP, FAST_GROUP.p), FAST_GROUP, id="mask_key_equal_to_p"),
-        pytest.param("mask_pub", _key(FAST_GROUP, 0), FAST_GROUP, id="fast64_mask_key_0"),
-        pytest.param("share_pub", _key(FAST_GROUP, 1), FAST_GROUP, id="fast64_share_key_1"),
-        pytest.param("mask_pub", _key(FAST_GROUP, FAST_GROUP.p - 1), FAST_GROUP, id="fast64_mask_key_p_minus_1"),
-        pytest.param("share_pub", _key(TOY_GROUP, 0), TOY_GROUP, id="toy_share_key_0"),
-        pytest.param("mask_pub", _key(TOY_GROUP, 1), TOY_GROUP, id="toy_mask_key_1"),
-        pytest.param("share_pub", _key(TOY_GROUP, TOY_GROUP.p - 1), TOY_GROUP, id="toy_share_key_p_minus_1"),
+        pytest.param(0, lambda key: key + b"\x00", FAST_GROUP, _OFF_LAYOUT, id="share_key_9_bytes"),
+        pytest.param(1, lambda key: key[1:], FAST_GROUP, _OFF_LAYOUT, id="mask_key_7_bytes"),
+        pytest.param(0, lambda key: b"", FAST_GROUP, _OFF_LAYOUT, id="share_key_empty"),
+        pytest.param(1, _key(FAST_GROUP, FAST_GROUP.p), FAST_GROUP, _OUT_OF_RANGE, id="mask_key_equal_to_p"),
+        pytest.param(1, _key(FAST_GROUP, 0), FAST_GROUP, _OUT_OF_RANGE, id="fast64_mask_key_0"),
+        pytest.param(0, _key(FAST_GROUP, 1), FAST_GROUP, _OUT_OF_RANGE, id="fast64_share_key_1"),
+        pytest.param(1, _key(FAST_GROUP, FAST_GROUP.p - 1), FAST_GROUP, _OUT_OF_RANGE, id="fast64_mask_key_p_minus_1"),
+        pytest.param(0, _key(TOY_GROUP, 0), TOY_GROUP, _OUT_OF_RANGE, id="toy_share_key_0"),
+        pytest.param(1, _key(TOY_GROUP, 1), TOY_GROUP, _OUT_OF_RANGE, id="toy_mask_key_1"),
+        pytest.param(0, _key(TOY_GROUP, TOY_GROUP.p - 1), TOY_GROUP, _OUT_OF_RANGE, id="toy_share_key_p_minus_1"),
     ],
 )
-def test_malformed_advert_key_caught_at_receive_advert(field, resize, group):
+def test_malformed_advert_key_caught_at_receive_advert(field, resize, group, match):
     """An ADVERT key that is not one ``element_bytes``-long k with
     1 < k < p - 1 aborts the round as the advert arrives, blamed on its
-    sender, before any reveal could fail to encode it: 0 would make every
-    pair seed of its owner public, 1 and p - 1 (of order at most 2) almost
-    so."""
+    sender, before any reveal could fail to encode it.  The key (0 for the
+    share key, 1 for the mask key) is rewritten in the bytes the server
+    gets: one of another length leaves the record off its fixed layout,
+    which decoding rejects; 0 would make every pair seed of its owner
+    public, 1 and p - 1 (of order at most 2) almost so."""
     server, users, transport, _ = build_round(16, TREE22, SPEC, group=group)
-    honest = users[3].begin_round
+    deliver, w = transport.deliver, group.element_bytes
 
-    def advertise(rng, server_commit):
-        msg = honest(rng, server_commit)
-        return dataclasses.replace(msg, **{field: resize(getattr(msg, field))})
+    def rekeyed(sender, receiver, encoded):
+        received = deliver(sender, receiver, encoded)
+        if sender != "user:3" or received[0] != TAG_ADVERT:
+            return received
+        _, payload = decode_record(received)
+        keys = [payload[:w], payload[w : 2 * w]]
+        keys[field] = resize(keys[field])
+        return encode_record(TAG_ADVERT, b"".join(keys) + payload[2 * w :])
 
-    users[3].begin_round = advertise
-    with pytest.raises(ProtocolAbort, match="user 3 advertised a (share|mask) key") as exc:
+    transport.deliver = rekeyed
+    with pytest.raises(ProtocolAbort, match=match) as exc:
         _run_16(server, users, transport, 73)
     assert exc.value.blamed == "user:3"
     assert server._share_pubs[3] is None  # nothing of the advert was filed
@@ -1089,8 +1106,9 @@ def _seed_past_field(resp, server):
 
 
 def _narrow_key_table(resp, server):
-    """A sim256 holder's table claiming fast64's 9-byte key shares."""
-    return dataclasses.replace(resp, key_width=9)
+    """A sim256 holder's table with a key row of fast64's 9-byte share,
+    which the server cuts at its own 33 bytes into no whole rows."""
+    return dataclasses.replace(resp, keys=((1, bytes(9)),))
 
 
 @pytest.mark.parametrize(
@@ -1101,16 +1119,16 @@ def _narrow_key_table(resp, server):
         pytest.param(_unasked_rows, "not asked for", id="unasked_owners"),
         pytest.param(_repeated_row, "a share twice", id="repeated_row"),
         pytest.param(_seed_past_field, "a share outside its field", id="seed_past_field"),
-        pytest.param(_narrow_key_table, "key shares of 9 bytes, not 33", id="wrong_key_width"),
+        pytest.param(_narrow_key_table, "user:3 sent a malformed UnmaskResponseMsg", id="wrong_key_width"),
     ],
 )
 def test_unrequested_release_rows_rejected_at_receive_unmask(tamper, match):
     """The server files a release row only for an owner point inside the
     holder's share leaf, for a secret it asked that holder for, with a share
-    inside its field, once; each other row aborts the round blamed on the
-    holder, where filing it would give a wrong total.  Out of scope: a
-    wrong share inside the field, which cannot be detected without
-    verifiable shares."""
+    of its group's width inside its field, once; each other row aborts the
+    round blamed on the holder, where filing it would give a wrong total.
+    Out of scope: a wrong share inside the field, which cannot be detected
+    without verifiable shares."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     honest = users[3].unmask_response
     users[3].unmask_response = lambda req: tamper(honest(req), server)
@@ -1158,7 +1176,7 @@ def test_key_row_outside_its_field_rejected_at_receive_unmask():
 
 
 def _silent(honest, req):
-    return UnmaskResponseMsg(SIM_GROUP.key_share_bytes)
+    return UnmaskResponseMsg()
 
 
 def _refusing(honest, req):
@@ -1214,7 +1232,7 @@ def test_exclusion_shortfall_is_asked_again():
     def silent_when_forced(req):
         if req.forced:
             silenced.append(req)
-            return UnmaskResponseMsg(SIM_GROUP.key_share_bytes)
+            return UnmaskResponseMsg()
         return honest(req)
 
     users[3].unmask_response = silent_when_forced
@@ -1242,7 +1260,7 @@ def test_leaf_with_t_minus_one_answering_holders_is_unrecoverable():
     def silence_a_leaf():
         finish()
         for u in server.setup.share_assignment.members[0][tree.share_threshold - 1 :]:
-            users[u].unmask_response = lambda req: UnmaskResponseMsg(SIM_GROUP.key_share_bytes)
+            users[u].unmask_response = lambda req: UnmaskResponseMsg()
 
     server.finish_setup = silence_a_leaf
     with pytest.raises(UnrecoverableRoundError, match="only 2 shares"):

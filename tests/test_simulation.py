@@ -142,7 +142,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "0bee9eb94f795e1501590f51dce0ee361e058f1de21135ec2e2fe356e1761728",
+        "c286d4ee5309cca40e43a551d15f3ba46196e723bce58a5d9f4416e552fef919",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -160,7 +160,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "7ac70600d7cb468e7f6a6c9b32c8e2a1fa1858f2f038558115f400fccd3c0039",
+        "d0e2d5e61ba5ea889981ba75313251d68346e26c64d28eba933e5a8ff303da07",
     ),
 }
 

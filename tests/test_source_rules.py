@@ -22,11 +22,11 @@ def test_no_assert_statements(path: Path):
 
 
 def test_abort_paths_hold_under_python_O():
-    """The cheating-server, opening, advert, point-range and key-range
-    abort tests pass with asserts stripped, so none of those checks rests
-    on an ``assert``."""
+    """The cheating-server, opening, advert, point-range, key-range,
+    release-row and phase-order abort tests pass with asserts stripped, so
+    none of those checks rests on an ``assert``."""
     cmd = [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_protocol.py"]
-    selected = "cheating_server or opening or advert or outside or owner_point or before_the_share_bundle"
+    selected = "cheating_server or opening or advert or outside or release_rows or before_the_share_bundle or phase_skip"
     run = subprocess.run([*cmd, "-k", selected], cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
 

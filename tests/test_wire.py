@@ -1,4 +1,6 @@
+import functools
 import struct
+from collections import defaultdict
 from random import Random
 
 import numpy as np
@@ -6,14 +8,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import random_inputs, run_plain_round
+from conftest import build_round, random_inputs, run_plain_round
 
 from secaggsim.aggserver import AggServer
 from secaggsim.counters import OpCounters
-from secaggsim.crypto import FAST_GROUP, RAND_BYTES, SHARE_PRIME, SHARE_PRIME_64, SIM_GROUP
+from secaggsim.crypto import FAST_GROUP, RAND_BYTES, SHARE_PRIME, SHARE_PRIME_64, SIM_GROUP, TOY_GROUP
 from secaggsim.errors import ProtocolAbort, WireError
-from secaggsim.fixedpoint import SegmentSpec
+from secaggsim.fixedpoint import SegmentSpec, zeros
 from secaggsim.orgtree import TreeConfig
+from secaggsim.simulation import execute_round
 from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
     SECRET_MASK_KEY,
@@ -23,6 +26,7 @@ from secaggsim.wire import (
     TAG_ADVERT,
     TAG_GLOBAL_MODEL,
     TAG_MASKED_UPLOAD,
+    TAG_PEER_LIST,
     TAG_REVEAL,
     TAG_SHARE_MSG,
     TAG_TREE_COMMIT,
@@ -52,24 +56,38 @@ from secaggsim.wire import (
 SPEC32 = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 KEY64 = 9  # bytes of a mask-key share in the 2^64 + 13 field
 SHARE = ShareMsg(b"".join(share_bodies([(2, 5, (1 << 256) + 7), (3, (1 << 64) + 1, 2)], KEY64)))
+# the groups whose widths a record's layout takes: W = 1, 8, 32 and K = 9, 9, 33
+GROUPS = [TOY_GROUP, FAST_GROUP, SIM_GROUP]
+GROUP_IDS = [group.name for group in GROUPS]
+# the records whose layout the receiver's group sets
+GROUPED = (AdvertMsg, PeerListMsg, UnmaskResponseMsg, RevealMsg)
 
 
 def _share(value: int, width: int = SHARE_VALUE_BYTES) -> bytes:
     return value.to_bytes(width, "big")
 
 
-# one instance of each of the 11 message types
+def _decode(cls, data: bytes, group=FAST_GROUP):
+    """``cls.from_bytes`` with the receiver's group where the layout takes it."""
+    return cls.from_bytes(data, group) if cls in GROUPED else cls.from_bytes(data)
+
+
+def _key(value: int) -> bytes:
+    return FAST_GROUP.encode(value)
+
+
+# one instance of each of the 11 message types, at fast64's widths
 MESSAGES = [
     ServerCommitMsg(b"\x11" * 32),
-    AdvertMsg(b"share-pub", b"mask-pub", b"\x22" * 32),
+    AdvertMsg(_key(5), _key(7), b"\x22" * 32),
     TreeCommitMsg(2, b"\x44" * 32),
     RandOpenMsg(b"\x66" * 32),
-    PeerListMsg(1, 3, (PeerHandle(b"pub-1", 1, "intra"), PeerHandle(b"pub-2", -1, "inter"))),
+    PeerListMsg(1, 3, (PeerHandle(_key(11), 1, "intra"), PeerHandle(_key(13), -1, "inter"))),
     SHARE,
     MaskedUploadMsg.from_vector(np.array([0, 1, 2**32 - 5], dtype=np.uint64), SPEC32),
     UnmaskRequestMsg(((2, SECRET_SELF_SEED), (3, SECRET_MASK_KEY)), forced=(3,)),
-    UnmaskResponseMsg(KEY64, keys=((1, _share(5, KEY64)),), seeds=((3, _share(9)),), refused=((4, SECRET_MASK_KEY),)),
-    RevealMsg(b"\x55" * 32, ((b"sp", b"mp", b"ru-0"), (b"SP", b"MP", b"RU-1"))),
+    UnmaskResponseMsg(keys=((1, _share(5, KEY64)),), seeds=((3, _share(9)),), refused=((4, SECRET_MASK_KEY),)),
+    RevealMsg(b"\x55" * 32, ((_key(2), _key(3), b"r" * 32), (_key(4), _key(5), b"R" * 32))),
     GlobalModelMsg.from_vector(np.array([3, 4], dtype=np.uint64), SPEC32),
 ]
 
@@ -80,7 +98,7 @@ def _ids(msgs):
 
 @pytest.mark.parametrize("msg", MESSAGES, ids=_ids(MESSAGES))
 def test_roundtrip(msg):
-    assert type(msg).from_bytes(msg.to_bytes()) == msg
+    assert _decode(type(msg), msg.to_bytes()) == msg
 
 
 @pytest.mark.parametrize("msg", MESSAGES, ids=_ids(MESSAGES))
@@ -88,7 +106,7 @@ def test_wrong_tag_raises(msg):
     data = msg.to_bytes()
     wrong = data[0] % TAG_GLOBAL_MODEL + 1
     with pytest.raises(WireError):
-        type(msg).from_bytes(bytes([wrong]) + data[1:])
+        _decode(type(msg), bytes([wrong]) + data[1:])
 
 
 @pytest.mark.parametrize("msg", MESSAGES, ids=_ids(MESSAGES))
@@ -96,7 +114,7 @@ def test_truncated_raises(msg):
     data = msg.to_bytes()
     for cut in (len(data) - 1, 5 + (len(data) - 5) // 2, 3, 0):
         with pytest.raises(WireError):
-            type(msg).from_bytes(data[:cut])
+            _decode(type(msg), data[:cut])
 
 
 def test_message_types_covered():
@@ -113,7 +131,7 @@ def test_decode_record_errors_are_value_errors():
 UNMASK_HEX = {
     "UnmaskRequestMsg": "0800000016" "00000002" "0000000202" "0000000301" "00000001" "00000003",
     "UnmaskResponseMsg": (
-        "0900000044" "09" "00000001" "00000001" "00000001" "000000000000000005" "00000003" + "00" * 32 + "09"
+        "0900000043" "00000001" "00000001" "00000001" "000000000000000005" "00000003" + "00" * 32 + "09"
         "00000001" "0000000401"
     ),
 }
@@ -159,23 +177,97 @@ def test_tree_commit_length_independent_of_population():
         TreeCommitMsg.from_bytes(old)
 
 
-def _reveal(records) -> RevealMsg:
-    return RevealMsg(b"r" * 32, tuple(records))
+# -- fixed layouts, at each group's widths ---------------------------------------------
+
+
+@functools.cache
+def _round_records(group) -> dict[int, list[bytes]]:
+    """Every record of a 16-user round under ``group`` with user 2
+    dropped, so that mask-key rows are released too, by tag."""
+    server, users, transport, _ = build_round(16, TreeConfig(height=1, degree=2, share_threshold=2), SPEC32, group=group)
+    records = defaultdict(list)
+    deliver = transport.deliver
+
+    def recording(sender, receiver, encoded):
+        records[encoded[0]].append(encoded)
+        return deliver(sender, receiver, encoded)
+
+    transport.deliver = recording
+    inputs = random_inputs(16, 4, SPEC32, seed=3)
+    del inputs[2]
+    execute_round(
+        server=server, users=users, transport=transport, model=zeros(4, SPEC32), inputs=inputs,
+        round_seed=(3, 0), pre_drop={2},
+    )
+    return records
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
+def test_advert_length_is_fixed_layout(group):
+    """ADVERT is share key (W) || mask key (W) || commitment (32) at the
+    group's W with no length prefix, so a payload a byte short or long, or
+    without its share key, is not an advert."""
+    w = group.element_bytes
+    for data in _round_records(group)[TAG_ADVERT]:
+        assert len(data) == 5 + 2 * w + 32
+        assert AdvertMsg.from_bytes(data, group).to_bytes() == data
+        _, payload = decode_record(data)
+        for bad in (payload[:-1], payload + b"\x00", payload[w:]):
+            with pytest.raises(WireError):
+                AdvertMsg.from_bytes(encode_record(TAG_ADVERT, bad), group)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
+def test_peer_list_length_is_fixed_layout(group):
+    """PEER_LIST is own point (4) || share-leaf size (4) || count (4) and
+    one sign (1) || kind (1) || blinded key (W) row per handle at the
+    group's W, with no key width."""
+    w = group.element_bytes
+    for data in _round_records(group)[TAG_PEER_LIST]:
+        msg = PeerListMsg.from_bytes(data, group)
+        assert msg.peers and {len(p.randomized_pub) for p in msg.peers} == {w}
+        assert len(data) == 5 + 12 + len(msg.peers) * (2 + w)
+        assert msg.to_bytes() == data
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
+def test_release_table_length_is_fixed_layout(group):
+    """UNMASK_RESPONSE is two row counts (4 each), key rows of point (4) ||
+    share (K) at the group's K, seed rows of point (4) || share (33), and
+    the refusals, with no key-share width."""
+    k = group.key_share_bytes
+    tables = [UnmaskResponseMsg.from_bytes(data, group) for data in _round_records(group)[TAG_UNMASK_RESPONSE]]
+    assert any(msg.keys for msg in tables) and any(msg.seeds for msg in tables)
+    for msg in tables:
+        data = msg.to_bytes()
+        assert len(data) == 5 + 8 + len(msg.keys) * (4 + k) + len(msg.seeds) * 37 + 4 + 5 * len(msg.refused)
+        assert {len(raw) for _, raw in msg.keys} <= {k}
 
 
 def test_reveal_length_is_header_plus_fixed_records():
-    widths = (8, 8, 32)
+    """REVEAL is a header of the server randomness (32) and one share key
+    (W) || mask key (W) || randomness (32) record per user to the end, at
+    each group's W, with no N, no widths and no nonce: 34 bytes a record at
+    toy, 48 at fast64, 96 at sim256.  A round's own reveal of its 16 users
+    and records drawn at random both take that length."""
     rng = Random(7)
-    for n in (0, 1, 7):
-        msg = _reveal(tuple(rng.randbytes(w) for w in widths) for _ in range(n))
-        data = msg.to_bytes()
-        assert len(data) == 5 + 32 + 4 + 2 * 3 + n * sum(widths)
-        assert RevealMsg.from_bytes(data) == msg
+    for group in GROUPS:
+        w = group.element_bytes
+        row = 2 * w + RAND_BYTES
+        (data,) = set(_round_records(group)[TAG_REVEAL])
+        assert len(data) == 5 + 32 + 16 * row
+        assert RevealMsg.from_bytes(data, group).to_bytes() == data
+        for n in (0, 1, 7):
+            records = tuple((rng.randbytes(w), rng.randbytes(w), rng.randbytes(32)) for _ in range(n))
+            msg = RevealMsg(b"r" * 32, records)
+            assert len(msg.to_bytes()) == 5 + 32 + n * row
+            assert RevealMsg.from_bytes(msg.to_bytes(), group) == msg
 
 
 def test_fast64_reveal_records_are_two_keys_and_the_randomness():
     """A fast64 round reveals (share key, mask key, randomness) per user and
-    no nonce: 2 * element_bytes + 32 = 48 bytes a record."""
+    no nonce: 2 * element_bytes + 32 = 48 bytes a record, after the 32-byte
+    server randomness and nothing else."""
     n, width = 16, 2 * FAST_GROUP.element_bytes + RAND_BYTES
     _, server, _, _ = run_plain_round(
         n, TreeConfig(height=1, degree=2), SPEC32, random_inputs(n, 4, SPEC32, seed=3), seed=3, group=FAST_GROUP
@@ -183,17 +275,8 @@ def test_fast64_reveal_records_are_two_keys_and_the_randomness():
     msg = server.reveal()
     assert width == 48
     assert {tuple(map(len, rec)) for rec in msg.user_records} == {(8, 8, 32)}
-    assert len(msg.to_bytes()) == 5 + 32 + 4 + 2 * 3 + n * width
-    assert RevealMsg.from_bytes(msg.to_bytes()) == msg
-
-
-def test_reveal_unequal_widths_rejected_on_encode():
-    good = (b"s" * 8, b"m" * 8, b"r" * 32)
-    for bad in ((b"s" * 9, b"m" * 7, b"r" * 32), (b"s" * 8, b"m" * 8, b"r" * 33), good + (b"n" * 16,)):
-        with pytest.raises(ValueError):
-            _reveal((good, bad)).to_bytes()
-    with pytest.raises(ValueError):
-        _reveal(((b"", b"", b""),)).to_bytes()
+    assert len(msg.to_bytes()) == 5 + 32 + n * width
+    assert RevealMsg.from_bytes(msg.to_bytes(), FAST_GROUP) == msg
 
 
 def test_reveal_server_rand_not_32_bytes_rejected_on_encode():
@@ -204,17 +287,17 @@ def test_reveal_server_rand_not_32_bytes_rejected_on_encode():
 
 
 def test_reveal_truncated_or_padded_payload_rejected():
-    _, payload = decode_record(_reveal([(b"s" * 8, b"m" * 8, b"r" * 32)] * 3).to_bytes())
-    for bad in (payload[:-1], payload[:-48], payload + b"\x00", payload + bytes(48)):
+    """A fast64 reveal is read as 48-byte records after the randomness, so a
+    payload that is not whole records is rejected; one whole record fewer
+    or more decodes, and the verifier compares the count with the N of its
+    TREE_COMMIT."""
+    record = (b"s" * 8, b"m" * 8, b"r" * 32)
+    _, payload = decode_record(RevealMsg(b"r" * 32, (record,) * 3).to_bytes())
+    for bad in (payload[:-1], payload[:31], payload + b"\x00", payload + bytes(47)):
         with pytest.raises(WireError):
-            RevealMsg.from_bytes(encode_record(TAG_REVEAL, bad))
-
-
-def test_reveal_zero_width_records_rejected():
-    # the server randomness, N = 2^32 - 1 records of width 0: no record fits, none is built
-    payload = bytes(32) + b"\xff\xff\xff\xff" + bytes(6)
-    with pytest.raises(WireError):
-        RevealMsg.from_bytes(encode_record(TAG_REVEAL, payload))
+            RevealMsg.from_bytes(encode_record(TAG_REVEAL, bad), FAST_GROUP)
+    for n, cut in ((2, payload[:-48]), (4, payload + payload[-48:])):
+        assert len(RevealMsg.from_bytes(encode_record(TAG_REVEAL, cut), FAST_GROUP).user_records) == n
 
 
 # -- vectors at the width of w -------------------------------------------------------
@@ -288,19 +371,22 @@ def test_share_packed_wide_roundtrip():
 
 def test_share_secret_type_single_records_only():
     """A bundle entry carries both secrets; a release row carries one, and
-    its table names its type."""
+    its table names its type.  A row holds exactly one share of its table's
+    width, as the receiver's group sets it: a fast64 server cannot cut
+    a table whose key row holds another width, or whose seed row holds a
+    key share, into rows."""
     key = share_part(NARROW.bodies, 0, SECRET_MASK_KEY, KEY64)
     assert int.from_bytes(key, "big") == NARROW_KEY
     with pytest.raises(ValueError):
         share_part(NARROW.bodies, 0, 3, KEY64)
-    resp = UnmaskResponseMsg(KEY64, keys=((4, key),), seeds=((4, _share(WIDE_SEED)),))
-    assert UnmaskResponseMsg.from_bytes(resp.to_bytes()) == resp
+    resp = UnmaskResponseMsg(keys=((4, key),), seeds=((4, _share(WIDE_SEED)),))
+    assert UnmaskResponseMsg.from_bytes(resp.to_bytes(), FAST_GROUP) == resp
     assert resp.shares == ((4, SECRET_MASK_KEY, key), (4, SECRET_SELF_SEED, _share(WIDE_SEED)))
-    for short in (key[1:], key + key, _share(NARROW_KEY)):  # a row holds exactly one share of its table's width
-        with pytest.raises(ValueError):
-            UnmaskResponseMsg(KEY64, keys=((4, short),)).to_bytes()
-    with pytest.raises(ValueError):
-        UnmaskResponseMsg(KEY64, seeds=((4, key),)).to_bytes()
+    for short in (key[1:], key + key, _share(NARROW_KEY)):
+        with pytest.raises(WireError):
+            UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(keys=((4, short),)).to_bytes(), FAST_GROUP)
+    with pytest.raises(WireError):
+        UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(seeds=((4, key),)).to_bytes(), FAST_GROUP)
 
 
 def test_share_record_without_secret_rejected():
@@ -328,13 +414,14 @@ def test_share_record_without_secret_rejected():
 
 _value = st.integers(0, SHARE_PRIME - 1)
 _index = st.integers(1, 2**32 - 1)
-# a key-share width with the elements of its field
-_key_field = st.sampled_from(((KEY64, SHARE_PRIME_64), (SHARE_VALUE_BYTES, SHARE_PRIME)))
+# a group of each key-share width, whose key field holds its shares
+_key_group = st.sampled_from((FAST_GROUP, SIM_GROUP))
 
 
 @st.composite
 def _bundles(draw):
-    width, prime = draw(_key_field)
+    group = draw(_key_group)
+    width, prime = group.key_share_bytes, group.key_prime
     return width, draw(st.lists(st.tuples(_index, st.integers(0, prime - 1), _value), max_size=40))
 
 
@@ -363,71 +450,83 @@ _owner = st.integers(0, 2**32 - 1)
 
 @st.composite
 def _release_tables(draw):
-    width, prime = draw(_key_field)
+    group = draw(_key_group)
+    width, prime = group.key_share_bytes, group.key_prime
     keys = draw(st.lists(st.tuples(_owner, st.integers(0, prime - 1).map(lambda v: _share(v, width))), max_size=20))
     seeds = draw(st.lists(st.tuples(_owner, _value.map(_share)), max_size=20))
-    return width, tuple(keys), tuple(seeds)
+    return group, tuple(keys), tuple(seeds)
 
 
 @given(_release_tables(), st.lists(st.tuples(_owner, st.sampled_from((1, 2)))))
-@example((KEY64, (), ((2**32 - 1, _share(1)),)), [])
-@example((SHARE_VALUE_BYTES, ((2**32 - 1, _share(1)),), ()), [])
-@example((KEY64, (), ()), [])
+@example((FAST_GROUP, (), ((2**32 - 1, _share(1)),)), [])
+@example((SIM_GROUP, ((2**32 - 1, _share(1)),), ()), [])
+@example((FAST_GROUP, (), ()), [])
 def test_release_table_roundtrip(table, refused):
-    """Release tables round-trip at both key-share widths: a key table of
-    (4 + W)-byte rows, a seed table of 37-byte rows, then the refusals."""
-    width, keys, seeds = table
-    msg = UnmaskResponseMsg(width, keys, seeds, tuple(refused))
+    """Release tables round-trip at both key-share widths K: a key table of
+    (4 + K)-byte rows, a seed table of 37-byte rows, then the refusals."""
+    group, keys, seeds = table
+    msg = UnmaskResponseMsg(keys, seeds, tuple(refused))
     data = msg.to_bytes()
-    assert len(data) == 5 + 1 + 4 + len(keys) * (4 + width) + 4 + len(seeds) * 37 + 4 + 5 * len(refused)
-    assert UnmaskResponseMsg.from_bytes(data) == msg
+    assert len(data) == 5 + 4 + len(keys) * (4 + group.key_share_bytes) + 4 + len(seeds) * 37 + 4 + 5 * len(refused)
+    assert UnmaskResponseMsg.from_bytes(data, group) == msg
 
 
-# every type but the two vector messages and the share bundle, which carry no
-# width: their words and entries are checked under the receiver's spec or group
+# every type but the two vector messages and the share bundle, which are
+# words and entries to the end, checked under the receiver's spec or group
 STRICT_FORMATS = [m for m in MESSAGES if not isinstance(m, (MaskedUploadMsg, GlobalModelMsg, ShareMsg))]
 # the first peer handle's sign and kind code: (offset in the payload, invalid values)
-_HANDLE_FIELDS = ((4 + 4 + 2 + 4, (0, 2, 0x80)), (4 + 4 + 2 + 4 + 1, (0, 3, 7)))
+_HANDLE_FIELDS = ((4 + 4 + 4, (0, 2, 0x80)), (4 + 4 + 4 + 1, (0, 3, 7)))
+_REVEAL_ROW = 2 * FAST_GROUP.element_bytes + RAND_BYTES
 
 
 @pytest.mark.parametrize("msg", STRICT_FORMATS, ids=_ids(STRICT_FORMATS))
 def test_new_formats_reject_trailing_and_overrun(msg):
     """A trailing byte or any cut is rejected, which also holds digests to
-    32 bytes; a peer list rejects a sign other than +-1 and a kind code
+    32 bytes, except that a reveal cut after a whole record is one of fewer
+    records; a peer list rejects a sign other than +-1 and a kind code
     other than 1 or 2."""
     tag, payload = decode_record(msg.to_bytes())
     with pytest.raises(WireError):
-        type(msg).from_bytes(encode_record(tag, payload + b"\x00"))
+        _decode(type(msg), encode_record(tag, payload + b"\x00"))
     for cut in range(len(payload)):
+        if isinstance(msg, RevealMsg) and cut >= RAND_BYTES and not (cut - RAND_BYTES) % _REVEAL_ROW:
+            assert len(_decode(RevealMsg, encode_record(tag, payload[:cut])).user_records) == cut // _REVEAL_ROW
+            continue
         with pytest.raises(WireError):
-            type(msg).from_bytes(encode_record(tag, payload[:cut]))
+            _decode(type(msg), encode_record(tag, payload[:cut]))
     for off, values in _HANDLE_FIELDS if isinstance(msg, PeerListMsg) else ():
         for value in values:
             with pytest.raises(WireError):
-                PeerListMsg.from_bytes(encode_record(tag, payload[:off] + bytes([value]) + payload[off + 1 :]))
+                _decode(PeerListMsg, encode_record(tag, payload[:off] + bytes([value]) + payload[off + 1 :]))
 
 
 def test_counts_that_overrun_the_payload_rejected():
     tables = (
-        struct.pack(">BII", KEY64, 2**32 - 1, 0),  # 2^32 - 1 key rows claimed, none present
-        struct.pack(">BII", KEY64, 0, 2**32 - 1),  # 2^32 - 1 seed rows claimed, none present
-        struct.pack(">BII", KEY64, 1, 0) + bytes(4 + KEY64 - 1),  # a key row one byte short of its share
-        struct.pack(">BII", KEY64, 0, 1) + bytes(36),  # a seed row one byte short of its share
-        struct.pack(">BIII", 0, 0, 0, 0),  # zero-byte key shares
+        struct.pack(">II", 2**32 - 1, 0),  # 2^32 - 1 key rows claimed, none present
+        struct.pack(">II", 0, 2**32 - 1),  # 2^32 - 1 seed rows claimed, none present
+        struct.pack(">II", 1, 0) + bytes(4 + KEY64 - 1),  # a key row one byte short of its share
+        struct.pack(">II", 0, 1) + bytes(36),  # a seed row one byte short of its share
     )
     for payload in tables:
         with pytest.raises(WireError):
-            UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload))
+            UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload), FAST_GROUP)
     unknown_type = struct.pack(">IIB", 1, 1, 3) + bytes(4)
     with pytest.raises(WireError):  # an unknown secret type in a request
         UnmaskRequestMsg.from_bytes(encode_record(TAG_UNMASK_REQUEST, unknown_type))
 
 
 def test_decode_from_blames_the_sender():
+    """``decode_from`` hands the receiver's group to the records whose
+    layout takes it, and blames a record off that layout on its sender."""
     assert decode_from("user:4", ShareMsg, WIDE.to_bytes()) == WIDE
+    advert = MESSAGES[1]
+    assert decode_from("user:4", AdvertMsg, advert.to_bytes(), FAST_GROUP) == advert
     for sender in ("server", "user:4"):
         with pytest.raises(ProtocolAbort) as exc:
             decode_from(sender, ShareMsg, WIDE.to_bytes()[:-1])
+        assert exc.value.blamed == sender
+        with pytest.raises(ProtocolAbort) as exc:
+            decode_from(sender, AdvertMsg, advert.to_bytes(), SIM_GROUP)  # 48 bytes, not 96
         assert exc.value.blamed == sender
 
 
@@ -439,36 +538,32 @@ def test_short_fixed_field_raises_wire_error():
         TreeCommitMsg.from_bytes(encode_record(TAG_TREE_COMMIT, bytes(10)))
 
 
-def test_overstated_length_prefix_raises_wire_error():
-    # a prefix claiming 9 bytes with only 3 left, in a first and in a later field
-    with pytest.raises(WireError):
-        AdvertMsg.from_bytes(encode_record(TAG_ADVERT, b"\x00\x00\x00\x09abc"))
-    with pytest.raises(WireError):
-        AdvertMsg.from_bytes(encode_record(TAG_ADVERT, b"\x00\x00\x00\x01s\x00\x00\x00\x09abc"))
-
-
 DECODERS = {m.to_bytes()[0]: type(m) for m in MESSAGES}
 
 
 def _decodes_or_wire_error(tag: int, payload: bytes) -> None:
+    """Decode ``payload`` under ``tag`` at each group's widths."""
     cls = DECODERS[tag]
-    try:
-        msg = cls.from_bytes(encode_record(tag, payload))
-    except WireError:
-        return
-    assert isinstance(msg, cls)
+    for group in GROUPS:
+        try:
+            msg = _decode(cls, encode_record(tag, payload), group)
+        except WireError:
+            continue
+        assert isinstance(msg, cls)
 
 
 @given(st.sampled_from(sorted(DECODERS)), st.binary(max_size=200))
 def test_fuzz_arbitrary_payloads(tag, payload):
-    """Any payload framed under any tag decodes or raises WireError."""
+    """Any payload framed under any tag decodes or raises WireError, under
+    every group."""
     _decodes_or_wire_error(tag, payload)
 
 
 @given(st.sampled_from(MESSAGES), st.data())
 def test_fuzz_mutated_payloads(msg, data):
     """Valid payloads with one byte changed, cut or inserted decode or raise
-    WireError; mutating count and length fields reaches the inner parsers."""
+    WireError under every group; mutating count fields reaches the inner
+    parsers."""
     tag, payload = decode_record(msg.to_bytes())
     pos = data.draw(st.integers(0, len(payload)))
     byte = bytes([data.draw(st.integers(0, 255))])
