@@ -16,18 +16,20 @@ as for a user that never uploaded.
 Unmask asks exactly t holders per secret.  A secret's holders are the
 online members of its owner's share leaf, taken in leaf order and
 cyclically from just after the owner, so the owner is asked last and
-each holder is asked about roughly t owners.  A shortfall (a missing or
-refused row) is asked again: each further call of ``unmask_requests`` or
-``exclusion_requests`` asks holders not yet asked for the secrets still
-below t, and returns nothing once no holder is left, so the exchange
-loop ends and reconstruction raises ``UnrecoverableRoundError``.
+each holder is asked about roughly t owners.  A shortfall (a missing
+response or a refused slot) is asked again: each further call of
+``unmask_requests`` or ``exclusion_requests`` asks holders not yet asked
+for the secrets still below t, and returns nothing once no holder is
+left, so the exchange loop ends and reconstruction raises
+``UnrecoverableRoundError``.
 
 Owners and holders are named on the wire by their evaluation points,
 their 1-based places in their share leaf, and the server maps a point
-back to a user through the leaf it sent to or heard from.  It files a
-released row only from a holder it asked for that secret, once, at that
-holder's own point, which the row does not repeat; anything else is
-blamed on the holder.
+back to a user through the leaf it sent to or heard from.  It keeps the
+targets it last sent each holder, and a response answers them by
+position, one slot per target, so the server files each released share
+under the secret it asked for, at the holder's own point; neither is on
+the wire.
 """
 
 from __future__ import annotations
@@ -157,6 +159,8 @@ class AggServer:
         self._collected: dict[tuple[int, int], dict[int, bytes]] = {}
         # (owner, secret type) -> holders asked for it this round
         self._asked: dict[tuple[int, int], set[int]] = {}
+        # holder -> (owner, secret type) of each target of its latest request
+        self._sent: dict[int, list[tuple[int, int]]] = {}
         self._mask_secrets: dict[int, int] = {}
         self._leaf_sums: dict[int, np.ndarray] = {}
         self.setup: TreeSetup | None = None
@@ -322,12 +326,14 @@ class AggServer:
         already asked for that secret this round.  So a first call asks t
         holders per secret, and a later one asks one new holder per
         missing row while any is left.  Each target names its owner by
-        the owner's point.  With ``forced``, each request marks its own
+        the owner's point, and the server keeps each holder's targets to
+        read its response.  With ``forced``, each request marks its
         targets as force-dropped."""
         members_of = self.setup.share_assignment.members
         leaf_of = self.setup.share_assignment.leaf_of
         t, point, uploads = self.tree.share_threshold, self._point, self._uploads
         targets: dict[int, list[tuple[int, int]]] = {}
+        self._sent = targets
         for owner, stype in owners.items():
             store = self._collected.setdefault((owner, stype), {})
             asked = self._asked.setdefault((owner, stype), set())
@@ -340,10 +346,10 @@ class AggServer:
                 holder = members[(at + step) % n]
                 if holder in uploads and holder not in asked:
                     asked.add(holder)
-                    targets.setdefault(holder, []).append((at, stype))
+                    targets.setdefault(holder, []).append((owner, stype))
                     need -= 1
         return {
-            holder: UnmaskRequestMsg(tuple(pairs), tuple(at for at, _ in pairs) if forced else ())
+            holder: UnmaskRequestMsg(tuple((point[owner], stype) for owner, stype in pairs), forced)
             for holder, pairs in targets.items()
         }
 
@@ -358,37 +364,22 @@ class AggServer:
         return self._requests(owners)
 
     def receive_unmask(self, user: int, msg: UnmaskResponseMsg) -> None:
-        """Collect released shares as share bytes, each at the user's own
-        evaluation point; the key rows arrive cut at the group's key-share
-        width by the UNMASK_RESPONSE layout.
+        """File the shares the user released, each at its own evaluation
+        point, under the targets of the request last sent it: the response
+        holds one slot per target in the request's order, read at the
+        group's key-share width by the UNMASK_RESPONSE layout.
 
-        Each row must name an owner point inside the user's share leaf, for
-        a secret this user was asked for, with a share below its field's
-        prime, not filed before; any other row aborts the round blamed on
-        the user.  A row with a wrong share is filed: it cannot be told
-        from an honest one without verifiable shares."""
-        share_asn = self.setup.share_assignment
-        members = share_asn.members[share_asn.leaf_of[user]]
-        point, collected, asked = self._point[user], self._collected, self._asked
-        tables = ((SECRET_MASK_KEY, self.group.key_prime, msg.keys), (SECRET_SELF_SEED, SHARE_PRIME, msg.seeds))
-        for stype, prime, rows in tables:
-            for owner_point, share in rows:
-                if not 1 <= owner_point <= len(members):
-                    raise ProtocolAbort(
-                        f"user {user} released a share of owner point {owner_point}, outside its share leaf",
-                        blamed=f"user:{user}",
-                    )
-                target = (members[owner_point - 1], stype)
-                if user not in asked.get(target, ()):
-                    fault = "a share it was not asked for"
-                elif int.from_bytes(share, "big") >= prime:
-                    fault = "a share outside its field"
-                elif point in collected[target]:
-                    fault = "a share twice"
-                else:
-                    collected[target][point] = share
-                    continue
-                raise ProtocolAbort(f"user {user} released {fault}", blamed=f"user:{user}")
+        A released share at or above its field's prime aborts the round
+        blamed on the user.  A wrong share inside the field is filed: it
+        cannot be told from an honest one without verifiable shares."""
+        point = self._point[user]
+        for (owner, stype), (released, share) in zip(self._sent[user], msg.slots, strict=True):
+            if not released:
+                continue
+            prime = self.group.key_prime if stype == SECRET_MASK_KEY else SHARE_PRIME
+            if int.from_bytes(share, "big") >= prime:
+                raise ProtocolAbort(f"user {user} released a share outside its field", blamed=f"user:{user}")
+            self._collected[(owner, stype)][point] = share
 
     def _reconstruct(self, owner: int, secret_type: int) -> int:
         """The secret from its first t filed rows, interpolated in its own

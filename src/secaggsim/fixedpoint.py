@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class SaturationError(ValueError):
     """A real value fell outside the representable fixed-point range."""
@@ -34,7 +36,7 @@ class SegmentSpec:
 
     def __post_init__(self) -> None:
         if not (0 < self.frac_bits < self.low_bits < self.word_bits <= 64):
-            raise ValueError(
+            raise ConfigError(
                 f"need 0 < frac_bits < low_bits < word_bits <= 64, got "
                 f"q={self.frac_bits} k={self.low_bits} w={self.word_bits}"
             )

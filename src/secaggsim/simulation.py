@@ -489,8 +489,8 @@ def execute_round(
     pre_drop = pre_drop or set()
     n_users = len(users)
 
-    def send(sender: str, receiver: str, msg, cls, *group):
-        return decode_from(sender, cls, transport.deliver(sender, receiver, msg.to_bytes()), *group)
+    def send(sender: str, receiver: str, msg, cls, *held):
+        return decode_from(sender, cls, transport.deliver(sender, receiver, msg.to_bytes()), *held)
 
     def broadcast(msg, cls, receivers, *group) -> list:
         """The server's ``msg`` as each receiver decoded it: encoded once,
@@ -539,9 +539,11 @@ def execute_round(
         users[u].check_own_record(reveal)
 
     def exchange(requests: dict[int, UnmaskRequestMsg]) -> None:
+        """Each holder answers its request; the server reads the answer
+        under the targets it sent, which it holds."""
         for u, req in requests.items():
             resp = users[u].unmask_response(send(SERVER, f"user:{u}", req, UnmaskRequestMsg))
-            server.receive_unmask(u, send(f"user:{u}", SERVER, resp, UnmaskResponseMsg, server.group))
+            server.receive_unmask(u, send(f"user:{u}", SERVER, resp, UnmaskResponseMsg, server.group, req.targets))
 
     # each pass re-asks new holders for the secrets still short of t shares
     while requests := server.unmask_requests():

@@ -26,12 +26,14 @@ own peer list.
 
 Release rule: within a round, a user never hands the server shares of
 both a target's mask key and the same target's self-mask seed.  The only
-sanctioned override is a target the server has excluded after detection
-(a forced dropout, whose upload the server discards); those releases are
-recorded so a transcript audit can list every override.  The rule binds
-each holder alone: the server asks only t holders per secret, so holders
-it did not ask for a target's self seed would still release that
-target's mask key.
+sanctioned override is a request the server marks forced, whose targets
+it excluded after detection (forced dropouts, whose uploads the server
+discards); those releases are recorded so a transcript audit can list
+every override.  The rule binds each holder alone: the server asks only t
+holders per secret, so holders it did not ask for a target's self seed
+would still release that target's mask key.  A user answers every
+target of a request in its slot, in the request's order: the share it
+releases, or a zero-filled refusal.
 """
 
 from __future__ import annotations
@@ -242,16 +244,18 @@ class UserAgent:
     # -- unmask ----------------------------------------------------------------
 
     def unmask_response(self, req: UnmaskRequestMsg) -> UnmaskResponseMsg:
-        """Release requested shares under the never-both rule.
+        """Answer each requested target under the never-both rule, one slot
+        per target in the request's order.
 
         A request for the complementary type of an already-released target
-        is refused unless the request marks the target as force-dropped
-        (post-detection exclusion); overrides land in ``forced_releases``.
-        A target is named by its owner's point.  A request before this
-        user's share bundle arrived, a target outside its share leaf, or a
-        held share at or above its field's prime (2^64 + 13 for a toy or
-        fast64 key share, ``SHARE_PRIME`` otherwise), which came in a bundle
-        the server relayed, aborts the round blamed on the server.
+        is refused, its slot zero-filled, unless the request is forced
+        (post-detection exclusion) and asks for the mask key; overrides land
+        in ``forced_releases``.  A target is named by its owner's point.  A
+        request before this user's share bundle arrived, a target outside
+        its share leaf, or a held share at or above its field's prime
+        (2^64 + 13 for a toy or fast64 key share, ``SHARE_PRIME``
+        otherwise), which came in a bundle the server relayed, aborts the
+        round blamed on the server.
         """
         if self.phase == PHASE_UPLOAD:
             self._advance(PHASE_UNMASK)
@@ -259,35 +263,32 @@ class UserAgent:
             raise ProtocolAbort(
                 f"unmask request in phase {self.phase}", blamed="server"
             )
-        forced = set(req.forced)
         held, done_for = self._held, self._released
         width = self.group.key_share_bytes
         w = entry_bytes(width)
         if len(held) != self._share_count * w:
             raise ProtocolAbort(f"user {self.index} got an unmask request before its share bundle", blamed="server")
         prime_of = {SECRET_MASK_KEY: self.group.key_prime, SECRET_SELF_SEED: SHARE_PRIME}
-        keys: list[tuple[int, bytes]] = []
-        seeds: list[tuple[int, bytes]] = []
-        refused: list[tuple[int, int]] = []
+        slots: list[tuple[bool, bytes]] = []
         for owner, stype in req.targets:
             if not 1 <= owner <= self._share_count:
                 raise ProtocolAbort(
                     f"user {self.index} asked for owner point {owner} outside its share leaf", blamed="server"
                 )
+            share = share_part(held, (owner - 1) * w, stype, width)
             done = done_for.get(owner, 0)
             other = SECRET_MASK_KEY if stype == SECRET_SELF_SEED else SECRET_SELF_SEED
             if done & (1 << other):
-                if owner in forced and stype == SECRET_MASK_KEY:
+                if req.forced and stype == SECRET_MASK_KEY:
                     self.forced_releases.append(owner)
                 else:
-                    refused.append((owner, stype))
+                    slots.append((False, bytes(len(share))))
                     continue
-            share = share_part(held, (owner - 1) * w, stype, width)
             if int.from_bytes(share, "big") >= prime_of[stype]:
                 raise ProtocolAbort(f"user {self.index} holds a share outside its field", blamed="server")
             done_for[owner] = done | (1 << stype)
-            (keys if stype == SECRET_MASK_KEY else seeds).append((owner, share))
-        return UnmaskResponseMsg(tuple(keys), tuple(seeds), tuple(refused))
+            slots.append((True, share))
+        return UnmaskResponseMsg(tuple(slots))
 
     # -- verification -----------------------------------------------------------
 

@@ -20,24 +20,24 @@ has one fixed layout, which its receiver applies::
     SHARE_MSG        entry bodies to the end, each:
                      evaluation point (4) || mask-key share (K) || self-seed share (33)
     MASKED_UPLOAD    words to the end
-    UNMASK_REQUEST   target count (4) || targets of: owner point (4) || secret type (1)
-                     || forced count (4) || forced owner points (4 each)
-    UNMASK_RESPONSE  key row count k (4) || seed row count s (4)
-                     || k key rows of: owner point (4) || share (K)
-                     || s seed rows of: owner point (4) || share (33)
-                     || refused count (4) || refused targets of: owner point (4) || secret type (1)
+    UNMASK_REQUEST   forced (1) || targets to the end, each:
+                     owner point (4) || secret type (1)
+    UNMASK_RESPONSE  one slot per target of the request, in its order, each:
+                     status (1) || share (K for a mask key, 33 for a self seed)
     REVEAL           server randomness (32) || records to the end, each:
                      share key (W) || mask key (W) || randomness (32)
     GLOBAL_MODEL     words to the end
 
 The decoders of ADVERT, PEER_LIST, UNMASK_RESPONSE and REVEAL take the
-receiver's group; the vector messages and the share bundle are read at
+receiver's group, and that of UNMASK_RESPONSE also the targets of the
+request it answers; the vector messages and the share bundle are read at
 the receiver's widths after decoding.  Decoding raises ``WireError`` for
-a truncated record, one whose tag is not the expected message's, one
-whose fields overrun the payload, and bytes after the last field or, in
-a message of records to the end, bytes that are not whole records.  A
-round decodes every record from the bytes its receiver got through
-``decode_from``, which blames a malformed one on its sender.
+a truncated record, bytes after the record, one whose tag is not the
+expected message's, one whose fields overrun the payload, and bytes
+after the last field or, in a message of records to the end, bytes that
+are not whole records.  A round decodes every record from the bytes its
+receiver got through ``decode_from``, which blames a malformed one on
+its sender.
 
 A vector element travels as a little endian word of the smallest native
 width (1, 2, 4 or 8 bytes) that holds w bits, so 4 bytes at w = 32, and
@@ -50,7 +50,7 @@ shares of the sim256 and strong2048 groups, and 9 bytes in the
 2^64 + 13 field, which holds the mask-key shares of the toy and fast64
 groups.  A share value at or above its field's prime is rejected where
 it is read: by the holder about to release it and by the server filing
-the released row.
+the released share.
 
 A user names a member of its share leaf by the member's 1-based place in
 the leaf order, which is also the member's Shamir evaluation point.  A
@@ -73,11 +73,15 @@ plaintext: it could read every one until ROADMAP item 7 replaces each
 body with a ciphertext.
 
 An unmask request names each target by its owner's point, with the
-secret type to release, and lists the owners the server excluded.  An
-unmask response carries released shares as one release table per secret
-type, one row per released share of one secret, which is what the
-never-both rule counts.  A row holds no evaluation point, as every share
-a holder releases is at the holder's own point, which the server knows.
+secret type to release, after one byte that marks all its targets
+force-dropped: the server excludes a leaf's members in requests of their
+own.  An unmask response answers by position, one slot per target in the
+request's order, so a slot names neither its owner nor its type, which
+the server chose, nor its evaluation point, which is the holder's own.
+Status 1 releases the share of one secret, which is what the never-both
+rule counts; status 0 refuses it, and its share is zero-filled.  The
+server reads a response under the targets it sent that holder, so a
+holder cannot release a share it was not asked for, or one twice.
 
 The setup messages carry no nonce and no tree shape, which is public
 (see ``orgtree``).  TREE_COMMIT holds the digest of the N advertised
@@ -148,17 +152,6 @@ def _take(buf: bytes, off: int, n: int) -> tuple[bytes, int]:
     return buf[off : off + n], off + n
 
 
-def _pack_points(points: tuple[int, ...]) -> bytes:
-    return struct.pack(f">I{len(points)}I", len(points), *points)
-
-
-def _unpack_points(buf: bytes, off: int) -> tuple[tuple[int, ...], int]:
-    """A 4-byte count followed by that many 4-byte points."""
-    (k,) = _unpack(">I", buf, off)
-    raw, end = _take(buf, off + 4, 4 * k)
-    return struct.unpack(f">{k}I", raw), end
-
-
 def _encode_words(values: np.ndarray, spec: SegmentSpec) -> bytes:
     """Ring elements as ``word_bytes(w)``-byte little endian words; an
     element >= 2^w raises ``ValueError`` rather than being cut to w bits."""
@@ -179,23 +172,6 @@ def _decode_words(words: bytes, spec: SegmentSpec) -> np.ndarray:
     return values
 
 
-_TARGET = struct.Struct(">IB")  # owner point, secret type
-
-
-def _pack_targets(targets: tuple[tuple[int, int], ...]) -> bytes:
-    """A 4-byte count followed by that many (owner point, secret type) pairs."""
-    return struct.pack(">I", len(targets)) + b"".join(starmap(_TARGET.pack, targets))
-
-
-def _unpack_targets(buf: bytes, off: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """A 4-byte count followed by that many (owner point, secret type) pairs."""
-    (k,) = _unpack(">I", buf, off)
-    raw, end = _take(buf, off + 4, _TARGET.size * k)
-    if raw[4 :: _TARGET.size].translate(None, _SECRET_TYPES):  # the type byte of each pair
-        raise WireError("unknown secret type tag in a target list")
-    return tuple(_TARGET.iter_unpack(raw)), end
-
-
 def _check_end(payload: bytes, end: int) -> None:
     if end != len(payload):
         raise WireError(f"{len(payload) - end} trailing bytes after the last field")
@@ -206,13 +182,14 @@ def encode_record(tag: int, payload: bytes) -> bytes:
 
 
 def decode_record(data: bytes) -> tuple[int, bytes]:
+    """The tag and payload of exactly one record: ``WireError`` if ``data``
+    is shorter or longer than its header says."""
     if len(data) < 5:
         raise WireError("truncated record header")
     tag, n = struct.unpack_from(">BI", data, 0)
-    payload = data[5 : 5 + n]
-    if len(payload) != n:
-        raise WireError("truncated record")
-    return tag, payload
+    if len(data) != 5 + n:
+        raise WireError(f"record of {len(data)} bytes, its header says {5 + n}")
+    return tag, data[5:]
 
 
 def _payload_of(data: bytes, expected_tag: int) -> bytes:
@@ -447,88 +424,81 @@ class MaskedUploadMsg:
         return MaskedUploadMsg(_payload_of(data, TAG_MASKED_UPLOAD))
 
 
+_TARGET = struct.Struct(">IB")  # owner point, secret type
+
+
 @dataclass(frozen=True)
 class UnmaskRequestMsg:
-    """Targets and which secret type to release for each.
+    """Targets and which secret type to release for each: forced (1) ||
+    targets to the end, each owner point (4) || secret type (1).
 
-    ``forced`` marks targets the server excluded after detection; an honest
-    user treats them like dropouts when applying its release rules.
+    ``forced`` marks every target as one the server excluded after
+    detection; an honest user treats them like dropouts when applying its
+    release rules.
     """
 
     targets: tuple[tuple[int, int], ...]  # (owner point, secret type)
-    forced: tuple[int, ...] = ()  # owner points
+    forced: bool = False
 
     def to_bytes(self) -> bytes:
-        return encode_record(TAG_UNMASK_REQUEST, _pack_targets(self.targets) + _pack_points(self.forced))
+        targets = b"".join(starmap(_TARGET.pack, self.targets))
+        return encode_record(TAG_UNMASK_REQUEST, bytes((self.forced,)) + targets)
 
     @staticmethod
     def from_bytes(data: bytes) -> "UnmaskRequestMsg":
         payload = _payload_of(data, TAG_UNMASK_REQUEST)
-        targets, off = _unpack_targets(payload, 0)
-        forced, end = _unpack_points(payload, off)
-        _check_end(payload, end)
-        return UnmaskRequestMsg(targets, forced)
-
-
-_RELEASE_HEAD = struct.Struct(">II")  # key rows, seed rows
-_OWNER = struct.Struct(">I")
-
-ReleaseRow = tuple[int, bytes]  # (owner point, share bytes)
-
-
-@functools.cache  # one per share width in use
-def _release_row(width: int) -> struct.Struct:
-    """Owner point, share of ``width`` bytes."""
-    return struct.Struct(f">I{width}s")
-
-
-_SEED_ROW = _release_row(SHARE_VALUE_BYTES)
-
-
-def _pack_rows(rows: tuple[ReleaseRow, ...]) -> bytes:
-    return b"".join([_OWNER.pack(owner) + raw for owner, raw in rows])
+        if not payload or payload[0] > 1:
+            raise WireError("an unmask request without a forced flag of 0 or 1")
+        raw = payload[1:]
+        if len(raw) % _TARGET.size:
+            raise WireError(f"{len(raw)} target bytes are not whole {_TARGET.size}-byte targets")
+        if raw[4 :: _TARGET.size].translate(None, _SECRET_TYPES):  # the type byte of each target
+            raise WireError("unknown secret type tag in a target list")
+        return UnmaskRequestMsg(tuple(_TARGET.iter_unpack(raw)), payload[0] == 1)
 
 
 @dataclass(frozen=True)
 class UnmaskResponseMsg:
-    """Released shares as one release table per secret type, plus the
-    refused targets: key row count (4) || seed row count (4) || key rows ||
-    seed rows || refused targets, each row owner point (4) || share (K for
-    keys, 33 for seeds).
+    """One slot per target of the request, in its order: status (1) ||
+    share, of the group's K bytes for a mask key and 33 for a self seed.
 
-    ``keys`` and ``seeds`` hold (owner point, share bytes) rows of mask-key
-    shares of the group's ``key_share_bytes`` and of self-seed shares of
-    ``SHARE_VALUE_BYTES``; every share is at the holder's own evaluation
-    point.  The receiver cuts the key rows at its own group's width.
+    Status 1 releases the share, at the holder's own evaluation point;
+    status 0 refuses the target, and its share is zero-filled.  The
+    receiver reads the slots under its own group and the targets it sent.
     """
 
-    keys: tuple[ReleaseRow, ...] = ()
-    seeds: tuple[ReleaseRow, ...] = ()
-    refused: tuple[tuple[int, int], ...] = ()  # (owner point, refused type)
+    slots: tuple[tuple[bool, bytes], ...]  # (released, share bytes)
 
     @property
-    def shares(self) -> tuple[tuple[int, int, bytes], ...]:
-        """Every released row as (owner point, secret type, share bytes),
-        key rows first."""
-        return tuple((owner, SECRET_MASK_KEY, raw) for owner, raw in self.keys) + tuple(
-            (owner, SECRET_SELF_SEED, raw) for owner, raw in self.seeds
-        )
+    def shares(self) -> tuple[bytes, ...]:
+        """The released shares, in slot order."""
+        return tuple(share for released, share in self.slots if released)
+
+    @property
+    def refused(self) -> tuple[int, ...]:
+        """The positions of the refused slots."""
+        return tuple(i for i, (released, _) in enumerate(self.slots) if not released)
 
     def to_bytes(self) -> bytes:
-        keys, seeds = self.keys, self.seeds
-        table = _RELEASE_HEAD.pack(len(keys), len(seeds)) + _pack_rows(keys) + _pack_rows(seeds)
-        return encode_record(TAG_UNMASK_RESPONSE, table + _pack_targets(self.refused))
+        slots = [bytes((released,)) + share for released, share in self.slots]
+        return encode_record(TAG_UNMASK_RESPONSE, b"".join(slots))
 
     @staticmethod
-    def from_bytes(data: bytes, group: DhGroup) -> "UnmaskResponseMsg":
+    def from_bytes(data: bytes, group: DhGroup, targets: tuple[tuple[int, int], ...]) -> "UnmaskResponseMsg":
         payload = _payload_of(data, TAG_UNMASK_RESPONSE)
-        k, n = _unpack(_RELEASE_HEAD.format, payload, 0)
-        key_row = _release_row(group.key_share_bytes)
-        keys, off = _take(payload, _RELEASE_HEAD.size, k * key_row.size)
-        seeds, off = _take(payload, off, n * _SEED_ROW.size)
-        refused, end = _unpack_targets(payload, off)
-        _check_end(payload, end)
-        return UnmaskResponseMsg(tuple(key_row.iter_unpack(keys)), tuple(_SEED_ROW.iter_unpack(seeds)), refused)
+        widths = [group.key_share_bytes if stype == SECRET_MASK_KEY else SHARE_VALUE_BYTES for _, stype in targets]
+        if len(payload) != len(widths) + sum(widths):
+            raise WireError(f"unmask response of {len(payload)} bytes for {len(widths)} targets")
+        slots, off = [], 0
+        for width in widths:
+            status, share = payload[off], payload[off + 1 : off + 1 + width]
+            off += 1 + width
+            if status > 1:
+                raise WireError(f"unmask slot of status {status}, not 0 or 1")
+            if not status and share != bytes(width):
+                raise WireError("a refused unmask slot that is not zero-filled")
+            slots.append((status == 1, share))
+        return UnmaskResponseMsg(tuple(slots))
 
 
 @functools.cache  # one per group in use
@@ -591,13 +561,14 @@ SERVER = "server"
 _Msg = TypeVar("_Msg")
 
 
-def decode_from(sender: str, cls: type[_Msg], data: bytes, *group: DhGroup) -> _Msg:
-    """``cls.from_bytes(data, *group)`` for a record that ``sender``
-    (``SERVER`` or ``"user:<u>"``) sent, with ``group`` the receiver's for
-    the records whose layout it sets; a malformed one aborts the round with
-    ``ProtocolAbort`` blamed on the sender."""
+def decode_from(sender: str, cls: type[_Msg], data: bytes, *held) -> _Msg:
+    """``cls.from_bytes(data, *held)`` for a record that ``sender``
+    (``SERVER`` or ``"user:<u>"``) sent, with ``held`` what the receiver
+    already holds that the record's layout takes: its group, and for an
+    UNMASK_RESPONSE the targets it asked for.  A malformed record aborts
+    the round with ``ProtocolAbort`` blamed on the sender."""
     try:
-        return cls.from_bytes(data, *group)  # type: ignore[attr-defined]
+        return cls.from_bytes(data, *held)  # type: ignore[attr-defined]
     except WireError as exc:
         raise ProtocolAbort(f"{sender} sent a malformed {cls.__name__}: {exc}", blamed=sender) from exc
 

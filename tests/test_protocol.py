@@ -319,29 +319,32 @@ def _agent_with_shares():
 def test_unmask_online_target_releases_self_seed():
     agent, owner = _agent_with_shares()
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
-    assert resp.shares == ((owner, SECRET_SELF_SEED, (11).to_bytes(SHARE_VALUE_BYTES, "big")),)
+    assert resp.slots == ((True, (11).to_bytes(SHARE_VALUE_BYTES, "big")),)
     assert not resp.refused
 
 
 def test_unmask_dropped_target_releases_mask_key():
     agent, owner = _agent_with_shares()
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),)))
-    assert resp.shares == ((owner, SECRET_MASK_KEY, (22).to_bytes(SHARE_VALUE_BYTES, "big")),)
+    assert resp.shares == ((22).to_bytes(SHARE_VALUE_BYTES, "big"),)
 
 
 def test_never_both_refused():
+    """A refusal answers its target in place, zero-filled, and the other
+    targets of the request are still answered in their slots."""
     agent, owner = _agent_with_shares()
     agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
-    resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),)))
-    assert resp.shares == ()
-    assert resp.refused == ((owner, SECRET_MASK_KEY),)
+    resp = agent.unmask_response(UnmaskRequestMsg(((3, SECRET_SELF_SEED), (owner, SECRET_MASK_KEY))))
+    assert resp.shares == ((44).to_bytes(SHARE_VALUE_BYTES, "big"),)
+    assert resp.refused == (1,)
+    assert resp.slots[1] == (False, bytes(SHARE_VALUE_BYTES))
 
 
 def test_never_both_forced_exclusion_is_recorded():
     agent, owner = _agent_with_shares()
     agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
-    resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),), forced=(owner,)))
-    assert [stype for _, stype, _ in resp.shares] == [SECRET_MASK_KEY]
+    resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),), forced=True))
+    assert resp.slots == ((True, (22).to_bytes(SHARE_VALUE_BYTES, "big")),)
     assert agent.forced_releases == [owner]
 
 
@@ -349,9 +352,9 @@ def test_conflicting_forced_self_seed_still_refused():
     # force-dropping only justifies mask-key release, never the reverse
     agent, owner = _agent_with_shares()
     agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),)))
-    resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),), forced=(owner,)))
+    resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),), forced=True))
     assert resp.shares == ()
-    assert resp.refused == ((owner, SECRET_SELF_SEED),)
+    assert resp.refused == (0,)
 
 
 def test_held_share_outside_its_field_not_released():
@@ -367,7 +370,7 @@ def test_held_share_outside_its_field_not_released():
     agent.receive_share(_download(agent, entries))
     agent.phase = "upload"
     resp = agent.unmask_response(UnmaskRequestMsg(((3, SECRET_MASK_KEY), (5, SECRET_SELF_SEED))))
-    assert [int.from_bytes(raw, "big") for *_, raw in resp.shares] == [SHARE_PRIME_64 - 1, SHARE_PRIME - 1]
+    assert [int.from_bytes(raw, "big") for raw in resp.shares] == [SHARE_PRIME_64 - 1, SHARE_PRIME - 1]
     for target in ((2, SECRET_MASK_KEY), (4, SECRET_SELF_SEED)):
         with pytest.raises(ProtocolAbort, match="outside its field") as exc:
             agent.unmask_response(UnmaskRequestMsg((target,)))
@@ -1074,67 +1077,74 @@ def test_opening_not_32_bytes_caught_at_receive_open(resize):
     assert exc.value.blamed == "user:3"
 
 
-def _owner_point(point):
-    """Every row names the owner at ``point``; user 3's share leaf holds 4."""
-
-    def tamper(resp, server):
-        keys, seeds = (tuple((point, share) for _, share in rows) for rows in (resp.keys, resp.seeds))
-        return dataclasses.replace(resp, keys=keys, seeds=seeds)
-
-    return tamper
+def _unasked_rows(req, resp):
+    """Released slots past the request, one for every other owner point in
+    the holder's share leaf of 4, which it was not asked about."""
+    asked = {owner for owner, _ in req.targets}
+    extra = tuple(resp.slots[0] for point in range(1, 5) if point not in asked)
+    return UnmaskResponseMsg(resp.slots + extra)
 
 
-def _unasked_rows(resp, server):
-    """Self-seed rows for every other owner in the holder's share leaf,
-    which it was not asked about."""
-    asked = {owner for owner, *_ in resp.shares}
-    _, share = resp.seeds[0]
-    extra = tuple((point, share) for point in range(1, 5) if point not in asked)
-    return dataclasses.replace(resp, seeds=resp.seeds + extra)
+def _repeated_row(req, resp):
+    return UnmaskResponseMsg(resp.slots + resp.slots[:1])
 
 
-def _repeated_row(resp, server):
-    return dataclasses.replace(resp, seeds=resp.seeds + resp.seeds[:1])
-
-
-def _seed_past_field(resp, server):
-    """A seed row whose share is 2^256 + 297, one past its field."""
+def _seed_past_field(req, resp):
+    """The first slot, a released self seed, holds 2^256 + 297, one past its field."""
     from secaggsim.crypto import SHARE_PRIME
 
-    (owner, _), *rest = resp.seeds
-    return dataclasses.replace(resp, seeds=((owner, SHARE_PRIME.to_bytes(SHARE_VALUE_BYTES, "big")), *rest))
+    (_, stype), _ = req.targets
+    assert stype == SECRET_SELF_SEED and resp.slots[0][0]
+    return UnmaskResponseMsg(((True, SHARE_PRIME.to_bytes(SHARE_VALUE_BYTES, "big")), *resp.slots[1:]))
 
 
-def _narrow_key_table(resp, server):
-    """A sim256 holder's table with a key row of fast64's 9-byte share,
-    which the server cuts at its own 33 bytes into no whole rows."""
-    return dataclasses.replace(resp, keys=((1, bytes(9)),))
+def _narrow_key_table(req, resp):
+    """A sim256 holder's first slot holding fast64's 9-byte share, which
+    the server reads at its own 33 bytes into no whole slots."""
+    return UnmaskResponseMsg(((True, bytes(9)), *resp.slots[1:]))
+
+
+def _filled_refusal(req, resp):
+    """The first slot refused, with its share left in place of the zero fill."""
+    (_, share), *rest = resp.slots
+    return UnmaskResponseMsg(((False, share), *rest))
+
+
+_MALFORMED = "user:3 sent a malformed UnmaskResponseMsg"
 
 
 @pytest.mark.parametrize(
     "tamper, match",
     [
-        pytest.param(_owner_point(0), "owner point 0, outside its share leaf", id="owner_point_zero"),
-        pytest.param(_owner_point(5), "owner point 5, outside its share leaf", id="owner_point_past_leaf"),
-        pytest.param(_unasked_rows, "not asked for", id="unasked_owners"),
-        pytest.param(_repeated_row, "a share twice", id="repeated_row"),
+        pytest.param(_unasked_rows, _MALFORMED, id="unasked_owners"),
+        pytest.param(_repeated_row, _MALFORMED, id="repeated_row"),
         pytest.param(_seed_past_field, "a share outside its field", id="seed_past_field"),
-        pytest.param(_narrow_key_table, "user:3 sent a malformed UnmaskResponseMsg", id="wrong_key_width"),
+        pytest.param(_narrow_key_table, _MALFORMED, id="wrong_key_width"),
+        pytest.param(lambda req, resp: UnmaskResponseMsg(resp.slots[:-1]), _MALFORMED, id="slot_short"),
+        pytest.param(lambda req, resp: UnmaskResponseMsg(()), _MALFORMED, id="empty_reply"),
+        pytest.param(
+            lambda req, resp: UnmaskResponseMsg(((2, resp.slots[0][1]), *resp.slots[1:])), _MALFORMED, id="status_2"
+        ),
+        pytest.param(_filled_refusal, _MALFORMED, id="refusal_not_zero_filled"),
     ],
 )
 def test_unrequested_release_rows_rejected_at_receive_unmask(tamper, match):
-    """The server files a release row only for an owner point inside the
-    holder's share leaf, for a secret it asked that holder for, with a share
-    of its group's width inside its field, once; each other row aborts the
-    round blamed on the holder, where filing it would give a wrong total.
-    Out of scope: a wrong share inside the field, which cannot be detected
-    without verifiable shares."""
+    """The server reads a response as one slot per target of the request it
+    sent, at its group's widths: a share for an owner it did not ask about,
+    or one twice, a slot too few (an empty reply included), a status other
+    than 0 or 1, or a refusal that is not zero-filled makes the response
+    malformed, and a share outside its field is refused when filed.  Each
+    aborts the round blamed on the holder, with none of its shares filed,
+    where filing them would give a wrong total.  Out of scope: a wrong
+    share inside the field, which cannot be detected without verifiable
+    shares."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     honest = users[3].unmask_response
-    users[3].unmask_response = lambda req: tamper(honest(req), server)
+    users[3].unmask_response = lambda req: tamper(req, honest(req))
     with pytest.raises(ProtocolAbort, match=match) as exc:
         _run_16(server, users, transport, 71)
     assert exc.value.blamed == "user:3"
+    assert server._sent[3] and not any(server._point[3] in server._collected[target] for target in server._sent[3])
 
 
 def test_key_row_outside_its_field_rejected_at_receive_unmask():
@@ -1147,11 +1157,14 @@ def test_key_row_outside_its_field_rejected_at_receive_unmask():
     def at_prime(agent, honest):
         def respond(req):
             resp = honest(req)
-            if not resp.keys:
+            slots = list(resp.slots)
+            pairs = enumerate(zip(req.targets, slots))
+            keys = [i for i, ((_, stype), (ok, _)) in pairs if ok and stype == SECRET_MASK_KEY]
+            if not keys:
                 return resp
             released.append(f"user:{agent.index}")
-            (owner, _), *rest = resp.keys
-            return dataclasses.replace(resp, keys=((owner, FAST_GROUP.key_prime.to_bytes(9, "big")), *rest))
+            slots[keys[0]] = (True, FAST_GROUP.key_prime.to_bytes(9, "big"))
+            return UnmaskResponseMsg(tuple(slots))
 
         return respond
 
@@ -1175,8 +1188,15 @@ def test_key_row_outside_its_field_rejected_at_receive_unmask():
 # -- asking t holders, and again on a shortfall -------------------------------------------
 
 
+def _all_refused(req, group=SIM_GROUP):
+    """A reply of the request's length that refuses every target: a
+    zero-filled slot of the target's width each."""
+    widths = {SECRET_MASK_KEY: group.key_share_bytes, SECRET_SELF_SEED: SHARE_VALUE_BYTES}
+    return UnmaskResponseMsg(tuple((False, bytes(widths[stype])) for _, stype in req.targets))
+
+
 def _silent(honest, req):
-    return UnmaskResponseMsg()
+    return _all_refused(req)
 
 
 def _refusing(honest, req):
@@ -1185,15 +1205,16 @@ def _refusing(honest, req):
     other = {SECRET_MASK_KEY: SECRET_SELF_SEED, SECRET_SELF_SEED: SECRET_MASK_KEY}
     honest(UnmaskRequestMsg(tuple((owner, other[stype]) for owner, stype in req.targets)))
     resp = honest(req)
-    assert resp.refused == req.targets and not resp.shares
+    assert resp.refused == tuple(range(len(req.targets))) and not resp.shares
     return resp
 
 
 @pytest.mark.parametrize("answer", [_silent, _refusing], ids=["empty_table", "never_both_refusal"])
 def test_shortfall_is_asked_of_the_next_online_holder(answer):
-    """A holder that returns no rows, or refuses, leaves its secrets one
-    row short; the next call asks the next online holder in each owner's
-    cyclic order for exactly those, and the total is still exact."""
+    """A holder that releases nothing, refusing every slot, or refuses
+    under the never-both rule, leaves its secrets one row short; the next
+    call asks the next online holder in each owner's cyclic order for
+    exactly those, and the total is still exact."""
     server, users, transport, counters = build_round(16, TREE22, SPEC)
     honest = users[3].unmask_response
     users[3].unmask_response = lambda req: answer(honest, req)
@@ -1232,7 +1253,7 @@ def test_exclusion_shortfall_is_asked_again():
     def silent_when_forced(req):
         if req.forced:
             silenced.append(req)
-            return UnmaskResponseMsg()
+            return _all_refused(req)
         return honest(req)
 
     users[3].unmask_response = silent_when_forced
@@ -1260,7 +1281,7 @@ def test_leaf_with_t_minus_one_answering_holders_is_unrecoverable():
     def silence_a_leaf():
         finish()
         for u in server.setup.share_assignment.members[0][tree.share_threshold - 1 :]:
-            users[u].unmask_response = lambda req: UnmaskResponseMsg()
+            users[u].unmask_response = _all_refused
 
     server.finish_setup = silence_a_leaf
     with pytest.raises(UnrecoverableRoundError, match="only 2 shares"):
@@ -1324,46 +1345,62 @@ def test_relay_rejects_a_second_bundle():
     assert exc.value.blamed == "user:3"
 
 
-def _append_byte(transport, sender, tag):
-    """Make ``transport`` hand over every ``tag`` record from ``sender``
-    with one byte appended to its payload."""
+def _edit_records(transport, sender, tag, edit):
+    """Make ``transport`` hand over every ``tag`` record from ``sender`` as
+    ``edit`` makes it."""
     deliver = transport.deliver
 
-    def corrupting(s, receiver, encoded):
+    def editing(s, receiver, encoded):
         received = deliver(s, receiver, encoded)
-        if s == sender and received[0] == tag:
-            _, payload = decode_record(received)
-            return encode_record(tag, payload + b"\x00")
-        return received
+        return edit(received) if s == sender and received[0] == tag else received
 
-    transport.deliver = corrupting
+    transport.deliver = editing
 
 
-@pytest.mark.parametrize(
-    "sender, tag",
-    [
-        ("server", TAG_SERVER_COMMIT),
-        ("user:3", TAG_ADVERT),
-        ("server", TAG_TREE_COMMIT),
-        ("user:3", TAG_RAND_OPEN),
-        ("server", TAG_PEER_LIST),
-        ("user:3", TAG_SHARE_MSG),
-        ("server", TAG_SHARE_MSG),
-        ("user:3", TAG_MASKED_UPLOAD),
-        ("server", TAG_REVEAL),
-        ("server", TAG_UNMASK_REQUEST),
-        ("user:3", TAG_UNMASK_RESPONSE),
-        ("server", TAG_GLOBAL_MODEL),
-    ],
-)
+def _byte_in_payload(record):
+    _, payload = decode_record(record)
+    return encode_record(record[0], payload + b"\x00")
+
+
+# every (sender, tag) a round carries
+ROUND_RECORDS = [
+    ("server", TAG_SERVER_COMMIT),
+    ("user:3", TAG_ADVERT),
+    ("server", TAG_TREE_COMMIT),
+    ("user:3", TAG_RAND_OPEN),
+    ("server", TAG_PEER_LIST),
+    ("user:3", TAG_SHARE_MSG),
+    ("server", TAG_SHARE_MSG),
+    ("user:3", TAG_MASKED_UPLOAD),
+    ("server", TAG_REVEAL),
+    ("server", TAG_UNMASK_REQUEST),
+    ("user:3", TAG_UNMASK_RESPONSE),
+    ("server", TAG_GLOBAL_MODEL),
+]
+
+
+@pytest.mark.parametrize("sender, tag", ROUND_RECORDS)
 def test_malformed_bytes_blamed_on_their_sender(sender, tag):
     """Every (sender, tag) a round carries: each record is decoded from the
-    bytes its receiver got, so one trailing byte aborts the round blamed on
-    the sender.  A vector message fails on its words, as a partial
-    element; the new model is checked so before the next round uses it."""
+    bytes its receiver got, so one trailing byte in its payload aborts the
+    round blamed on the sender.  A vector message fails on its words, as a
+    partial element; the new model is checked so before the next round
+    uses it."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
-    _append_byte(transport, sender, tag)
+    _edit_records(transport, sender, tag, _byte_in_payload)
     with pytest.raises(ProtocolAbort, match="malformed") as exc:
+        _run_16(server, users, transport, 75)
+    assert exc.value.blamed == sender
+
+
+@pytest.mark.parametrize("sender, tag", ROUND_RECORDS)
+def test_byte_after_a_record_blamed_on_its_sender(sender, tag):
+    """One byte after a record, past the payload its header gives, is not
+    ignored: the record is malformed, and the round aborts blamed on its
+    sender, for every (sender, tag) a round carries."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    _edit_records(transport, sender, tag, lambda record: record + b"\x00")
+    with pytest.raises(ProtocolAbort, match="its header says") as exc:
         _run_16(server, users, transport, 75)
     assert exc.value.blamed == sender
 

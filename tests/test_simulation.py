@@ -142,7 +142,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "c286d4ee5309cca40e43a551d15f3ba46196e723bce58a5d9f4416e552fef919",
+        "0c2fd460c29889003742179d2a7f1ab479d24b141817300e00286fe0884e2a13",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -160,7 +160,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "d0e2d5e61ba5ea889981ba75313251d68346e26c64d28eba933e5a8ff303da07",
+        "ff19d06e30dce10f4923219e57f530884c8c427691ec763b4de7e89e6c417597",
     ),
 }
 
@@ -349,11 +349,20 @@ def test_cli_run_and_determinism(tmp_path: Path):
 
 
 def test_cli_config_error_exit_code(tmp_path: Path):
+    """A config the tree cannot hold, or whose segment settings leave no
+    valid ring layout, exits 1 with a config error and no traceback."""
     cfg = small_config(n_users=6)
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text(cfg.to_json())
     proc = _run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
+    # k below q, w above 64, and q + 8 above w
+    docs = ({"detection": {"low_bits_override": 5}}, {"word_bits": 70}, {"frac_bits": 30})
+    for doc in docs:
+        cfg_path.write_text(json.dumps(doc))
+        proc = _run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1, doc
+        assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr, doc
 
 
 def test_cli_unknown_config_key(tmp_path: Path):

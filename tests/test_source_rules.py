@@ -23,10 +23,10 @@ def test_no_assert_statements(path: Path):
 
 def test_abort_paths_hold_under_python_O():
     """The cheating-server, opening, advert, point-range, key-range,
-    release-row and phase-order abort tests pass with asserts stripped, so
-    none of those checks rests on an ``assert``."""
+    unmask-response and phase-order abort tests pass with asserts
+    stripped, so none of those checks rests on an ``assert``."""
     cmd = [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_protocol.py"]
-    selected = "cheating_server or opening or advert or outside or release_rows or before_the_share_bundle or phase_skip"
+    selected = "cheating_server or opening or advert or outside or receive_unmask or before_the_share_bundle or phase_skip"
     run = subprocess.run([*cmd, "-k", selected], cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
 
@@ -36,6 +36,16 @@ class _FlagFirstLeaf:
 
     def detect(self, aggregates, model):
         return SimpleNamespace(flagged=[0])
+
+
+def test_benchmark_traced_run_is_correct():
+    """The benchmark command itself, traced, for one second of its ``wide_m``
+    workload: it exits 0 and reports ``"correct": true``, so a change to a
+    name or attribute the traced run reads fails here."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "wide_m", "--seed", "1", "--seconds", "1", "--trace", "1"]
+    run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    assert '"correct": true' in run.stdout
 
 
 def test_benchmark_tracer_binds_every_span(monkeypatch):

@@ -59,17 +59,26 @@ SHARE = ShareMsg(b"".join(share_bodies([(2, 5, (1 << 256) + 7), (3, (1 << 64) + 
 # the groups whose widths a record's layout takes: W = 1, 8, 32 and K = 9, 9, 33
 GROUPS = [TOY_GROUP, FAST_GROUP, SIM_GROUP]
 GROUP_IDS = [group.name for group in GROUPS]
-# the records whose layout the receiver's group sets
-GROUPED = (AdvertMsg, PeerListMsg, UnmaskResponseMsg, RevealMsg)
+# the records whose layout the receiver's group sets; an unmask response's
+# also takes the targets of the request it answers
+GROUPED = (AdvertMsg, PeerListMsg, RevealMsg)
+RESPONSE_TARGETS = ((3, SECRET_SELF_SEED), (4, SECRET_MASK_KEY), (1, SECRET_MASK_KEY))
 
 
 def _share(value: int, width: int = SHARE_VALUE_BYTES) -> bytes:
     return value.to_bytes(width, "big")
 
 
+def _held(cls, group=FAST_GROUP) -> tuple:
+    """What the receiver of a ``cls`` record holds that the layout takes:
+    its group, and for an unmask response ``RESPONSE_TARGETS`` too."""
+    if cls is UnmaskResponseMsg:
+        return group, RESPONSE_TARGETS
+    return (group,) if cls in GROUPED else ()
+
+
 def _decode(cls, data: bytes, group=FAST_GROUP):
-    """``cls.from_bytes`` with the receiver's group where the layout takes it."""
-    return cls.from_bytes(data, group) if cls in GROUPED else cls.from_bytes(data)
+    return cls.from_bytes(data, *_held(cls, group))
 
 
 def _key(value: int) -> bytes:
@@ -85,8 +94,8 @@ MESSAGES = [
     PeerListMsg(1, 3, (PeerHandle(_key(11), 1, "intra"), PeerHandle(_key(13), -1, "inter"))),
     SHARE,
     MaskedUploadMsg.from_vector(np.array([0, 1, 2**32 - 5], dtype=np.uint64), SPEC32),
-    UnmaskRequestMsg(((2, SECRET_SELF_SEED), (3, SECRET_MASK_KEY)), forced=(3,)),
-    UnmaskResponseMsg(keys=((1, _share(5, KEY64)),), seeds=((3, _share(9)),), refused=((4, SECRET_MASK_KEY),)),
+    UnmaskRequestMsg(((2, SECRET_SELF_SEED), (3, SECRET_MASK_KEY)), forced=True),
+    UnmaskResponseMsg(((True, _share(9)), (False, bytes(KEY64)), (True, _share(5, KEY64)))),  # RESPONSE_TARGETS
     RevealMsg(b"\x55" * 32, ((_key(2), _key(3), b"r" * 32), (_key(4), _key(5), b"R" * 32))),
     GlobalModelMsg.from_vector(np.array([3, 4], dtype=np.uint64), SPEC32),
 ]
@@ -126,14 +135,24 @@ def test_decode_record_errors_are_value_errors():
         decode_record(b"\x01\x00")
 
 
+@pytest.mark.parametrize("msg", MESSAGES, ids=_ids(MESSAGES))
+def test_bytes_after_the_record_rejected(msg):
+    """A record is exactly its header and the payload length the header
+    gives: a byte after it is malformed, blamed on its sender, not ignored."""
+    data = msg.to_bytes()
+    for extra in (b"\x00", b"junk"):
+        with pytest.raises(WireError, match="its header says"):
+            _decode(type(msg), data + extra)
+    with pytest.raises(ProtocolAbort) as exc:
+        decode_from("user:4", type(msg), data + b"\x00", *_held(type(msg)))
+    assert exc.value.blamed == "user:4"
+
+
 # -- byte-stable encodings -------------------------------------------------------------
 
 UNMASK_HEX = {
-    "UnmaskRequestMsg": "0800000016" "00000002" "0000000202" "0000000301" "00000001" "00000003",
-    "UnmaskResponseMsg": (
-        "0900000043" "00000001" "00000001" "00000001" "000000000000000005" "00000003" + "00" * 32 + "09"
-        "00000001" "0000000401"
-    ),
+    "UnmaskRequestMsg": "080000000b" "01" "0000000202" "0000000301",
+    "UnmaskResponseMsg": "0900000036" "01" + "00" * 32 + "09" "00" + "00" * 9 + "01" "000000000000000005",
 }
 
 
@@ -230,18 +249,28 @@ def test_peer_list_length_is_fixed_layout(group):
         assert msg.to_bytes() == data
 
 
+def _width(stype: int, group) -> int:
+    """Bytes of one share of ``stype``: the group's K for a mask key, 33 for a self seed."""
+    return group.key_share_bytes if stype == SECRET_MASK_KEY else SHARE_VALUE_BYTES
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
 def test_release_table_length_is_fixed_layout(group):
-    """UNMASK_RESPONSE is two row counts (4 each), key rows of point (4) ||
-    share (K) at the group's K, seed rows of point (4) || share (33), and
-    the refusals, with no key-share width."""
-    k = group.key_share_bytes
-    tables = [UnmaskResponseMsg.from_bytes(data, group) for data in _round_records(group)[TAG_UNMASK_RESPONSE]]
-    assert any(msg.keys for msg in tables) and any(msg.seeds for msg in tables)
-    for msg in tables:
-        data = msg.to_bytes()
-        assert len(data) == 5 + 8 + len(msg.keys) * (4 + k) + len(msg.seeds) * 37 + 4 + 5 * len(msg.refused)
-        assert {len(raw) for _, raw in msg.keys} <= {k}
+    """An UNMASK_REQUEST is forced (1) || 5 bytes a target, and its
+    UNMASK_RESPONSE one status (1) || share slot per target in its order,
+    the share K bytes for a mask key at the group's K and 33 for a self
+    seed, with no owner point, count, width or refusal list."""
+    records = _round_records(group)
+    pairs = list(zip(records[TAG_UNMASK_REQUEST], records[TAG_UNMASK_RESPONSE], strict=True))
+    types = set()
+    for sent, data in pairs:
+        req = UnmaskRequestMsg.from_bytes(sent)
+        assert len(sent) == 5 + 1 + 5 * len(req.targets)
+        msg = UnmaskResponseMsg.from_bytes(data, group, req.targets)
+        assert len(data) == 5 + sum(1 + _width(stype, group) for _, stype in req.targets)
+        assert msg.to_bytes() == data
+        types |= {stype for _, stype in req.targets}
+    assert types == {SECRET_MASK_KEY, SECRET_SELF_SEED}
 
 
 def test_reveal_length_is_header_plus_fixed_records():
@@ -370,23 +399,24 @@ def test_share_packed_wide_roundtrip():
 
 
 def test_share_secret_type_single_records_only():
-    """A bundle entry carries both secrets; a release row carries one, and
-    its table names its type.  A row holds exactly one share of its table's
-    width, as the receiver's group sets it: a fast64 server cannot cut
-    a table whose key row holds another width, or whose seed row holds a
-    key share, into rows."""
+    """A bundle entry carries both secrets; a response slot carries one,
+    and the target it answers names its type.  A slot holds exactly one
+    share of its target's width, as the receiver's group sets it: a fast64
+    server cannot read a response whose key slot holds another width, or
+    whose seed slot holds a key share."""
     key = share_part(NARROW.bodies, 0, SECRET_MASK_KEY, KEY64)
     assert int.from_bytes(key, "big") == NARROW_KEY
     with pytest.raises(ValueError):
         share_part(NARROW.bodies, 0, 3, KEY64)
-    resp = UnmaskResponseMsg(keys=((4, key),), seeds=((4, _share(WIDE_SEED)),))
-    assert UnmaskResponseMsg.from_bytes(resp.to_bytes(), FAST_GROUP) == resp
-    assert resp.shares == ((4, SECRET_MASK_KEY, key), (4, SECRET_SELF_SEED, _share(WIDE_SEED)))
+    both = ((4, SECRET_MASK_KEY), (4, SECRET_SELF_SEED))
+    resp = UnmaskResponseMsg(((True, key), (True, _share(WIDE_SEED))))
+    assert UnmaskResponseMsg.from_bytes(resp.to_bytes(), FAST_GROUP, both) == resp
+    assert resp.shares == (key, _share(WIDE_SEED))
     for short in (key[1:], key + key, _share(NARROW_KEY)):
         with pytest.raises(WireError):
-            UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(keys=((4, short),)).to_bytes(), FAST_GROUP)
+            UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(((True, short),)).to_bytes(), FAST_GROUP, both[:1])
     with pytest.raises(WireError):
-        UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(seeds=((4, key),)).to_bytes(), FAST_GROUP)
+        UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(((True, key),)).to_bytes(), FAST_GROUP, both[1:])
 
 
 def test_share_record_without_secret_rejected():
@@ -449,26 +479,38 @@ _owner = st.integers(0, 2**32 - 1)
 
 
 @st.composite
-def _release_tables(draw):
-    group = draw(_key_group)
-    width, prime = group.key_share_bytes, group.key_prime
-    keys = draw(st.lists(st.tuples(_owner, st.integers(0, prime - 1).map(lambda v: _share(v, width))), max_size=20))
-    seeds = draw(st.lists(st.tuples(_owner, _value.map(_share)), max_size=20))
-    return group, tuple(keys), tuple(seeds)
+def _slots(draw):
+    """A group and slots of mixed secret types and statuses: (owner point,
+    secret type, released, share value), each share below its field."""
+    group = draw(st.sampled_from(GROUPS))
+    prime = {SECRET_MASK_KEY: group.key_prime, SECRET_SELF_SEED: SHARE_PRIME}
+    stypes = draw(st.lists(st.sampled_from((SECRET_MASK_KEY, SECRET_SELF_SEED)), max_size=20))
+    return group, [(draw(_owner), stype, draw(st.booleans()), draw(st.integers(0, prime[stype] - 1))) for stype in stypes]
 
 
-@given(_release_tables(), st.lists(st.tuples(_owner, st.sampled_from((1, 2)))))
-@example((FAST_GROUP, (), ((2**32 - 1, _share(1)),)), [])
-@example((SIM_GROUP, ((2**32 - 1, _share(1)),), ()), [])
-@example((FAST_GROUP, (), ()), [])
-def test_release_table_roundtrip(table, refused):
-    """Release tables round-trip at both key-share widths K: a key table of
-    (4 + K)-byte rows, a seed table of 37-byte rows, then the refusals."""
-    group, keys, seeds = table
-    msg = UnmaskResponseMsg(keys, seeds, tuple(refused))
+@given(_slots())
+@example((TOY_GROUP, []))
+@example((SIM_GROUP, [(2**32 - 1, SECRET_MASK_KEY, True, SHARE_PRIME - 1)]))
+@example((FAST_GROUP, [(1, SECRET_MASK_KEY, False, 0), (1, SECRET_SELF_SEED, True, 0)]))
+def test_release_table_roundtrip(case):
+    """Unmask responses round-trip under toy, fast64 and sim256 over mixed
+    secret types and statuses: one status (1) || share slot per target of
+    the request, K bytes for a mask key and 33 for a self seed, a refused
+    share zero-filled; the request is forced (1) || 5 bytes a target."""
+    group, slots = case
+    targets = tuple((owner, stype) for owner, stype, _, _ in slots)
+    msg = UnmaskResponseMsg(
+        tuple((ok, _share(value if ok else 0, _width(stype, group))) for _, stype, ok, value in slots)
+    )
     data = msg.to_bytes()
-    assert len(data) == 5 + 4 + len(keys) * (4 + group.key_share_bytes) + 4 + len(seeds) * 37 + 4 + 5 * len(refused)
-    assert UnmaskResponseMsg.from_bytes(data, group) == msg
+    assert len(data) == 5 + sum(1 + _width(stype, group) for _, stype in targets)
+    assert UnmaskResponseMsg.from_bytes(data, group, targets) == msg
+    assert msg.shares == tuple(_share(v, _width(stype, group)) for _, stype, ok, v in slots if ok)
+    assert msg.refused == tuple(i for i, (*_, ok, _) in enumerate(slots) if not ok)
+    for forced in (False, True):
+        req = UnmaskRequestMsg(targets, forced)
+        assert len(req.to_bytes()) == 5 + 1 + 5 * len(targets)
+        assert UnmaskRequestMsg.from_bytes(req.to_bytes()) == req
 
 
 # every type but the two vector messages and the share bundle, which are
@@ -482,8 +524,8 @@ _REVEAL_ROW = 2 * FAST_GROUP.element_bytes + RAND_BYTES
 @pytest.mark.parametrize("msg", STRICT_FORMATS, ids=_ids(STRICT_FORMATS))
 def test_new_formats_reject_trailing_and_overrun(msg):
     """A trailing byte or any cut is rejected, which also holds digests to
-    32 bytes, except that a reveal cut after a whole record is one of fewer
-    records; a peer list rejects a sign other than +-1 and a kind code
+    32 bytes, except that a reveal cut after a whole record, or a request
+    cut after a whole target, is one of fewer; a peer list rejects a sign other than +-1 and a kind code
     other than 1 or 2."""
     tag, payload = decode_record(msg.to_bytes())
     with pytest.raises(WireError):
@@ -491,6 +533,9 @@ def test_new_formats_reject_trailing_and_overrun(msg):
     for cut in range(len(payload)):
         if isinstance(msg, RevealMsg) and cut >= RAND_BYTES and not (cut - RAND_BYTES) % _REVEAL_ROW:
             assert len(_decode(RevealMsg, encode_record(tag, payload[:cut])).user_records) == cut // _REVEAL_ROW
+            continue
+        if isinstance(msg, UnmaskRequestMsg) and cut and not (cut - 1) % 5:
+            assert len(_decode(UnmaskRequestMsg, encode_record(tag, payload[:cut])).targets) == cut // 5
             continue
         with pytest.raises(WireError):
             _decode(type(msg), encode_record(tag, payload[:cut]))
@@ -500,19 +545,53 @@ def test_new_formats_reject_trailing_and_overrun(msg):
                 _decode(PeerListMsg, encode_record(tag, payload[:off] + bytes([value]) + payload[off + 1 :]))
 
 
-def test_counts_that_overrun_the_payload_rejected():
-    tables = (
-        struct.pack(">II", 2**32 - 1, 0),  # 2^32 - 1 key rows claimed, none present
-        struct.pack(">II", 0, 2**32 - 1),  # 2^32 - 1 seed rows claimed, none present
-        struct.pack(">II", 1, 0) + bytes(4 + KEY64 - 1),  # a key row one byte short of its share
-        struct.pack(">II", 0, 1) + bytes(36),  # a seed row one byte short of its share
-    )
-    for payload in tables:
-        with pytest.raises(WireError):
-            UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload), FAST_GROUP)
-    unknown_type = struct.pack(">IIB", 1, 1, 3) + bytes(4)
-    with pytest.raises(WireError):  # an unknown secret type in a request
-        UnmaskRequestMsg.from_bytes(encode_record(TAG_UNMASK_REQUEST, unknown_type))
+def _decodes(cls, tag: int, payload: bytes) -> bool:
+    """Whether ``payload`` framed under ``tag`` decodes as ``cls`` rather
+    than raising ``WireError``."""
+    try:
+        _decode(cls, encode_record(tag, payload))
+    except WireError:
+        return False
+    return True
+
+
+def test_unmask_records_off_their_layout_rejected():
+    """A response is read under the targets of its request: one a byte or
+    a slot short or long, a slot whose status is not 0 or 1, or a refused
+    slot whose share is not zero-filled is malformed, as is an empty reply
+    to a non-empty request.  A request is a forced flag of 0 or 1 and whole
+    targets of a known secret type."""
+    key, seed = RESPONSE_TARGETS[1], RESPONSE_TARGETS[0]
+    (resp,) = [m for m in MESSAGES if isinstance(m, UnmaskResponseMsg)]
+    _, payload = decode_record(resp.to_bytes())  # seed released, key refused, key released
+    slot = 1 + KEY64
+    bad = {
+        "one_byte_short": payload[:-1],
+        "one_byte_long": payload + b"\x00",
+        "slot_short": payload[:-slot],
+        "slot_long": payload + payload[-slot:],
+        "empty": b"",
+        "status_2": payload[:34] + b"\x02" + payload[35:],
+        "status_ff": b"\xff" + payload[1:],
+        "refusal_filled": payload[:35] + b"\x01" + payload[36:],
+        "refusal_filled_last": payload[: 34 + slot - 1] + b"\x01" + payload[34 + slot :],
+    }
+    assert not [name for name, cut in bad.items() if _decodes(UnmaskResponseMsg, TAG_UNMASK_RESPONSE, cut)]
+    assert _decode(UnmaskResponseMsg, encode_record(TAG_UNMASK_RESPONSE, payload)).refused == (1,)
+    first = UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload[:34]), FAST_GROUP, (seed,))
+    assert first.shares == (_share(9),)
+    assert UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, b""), FAST_GROUP, ()).slots == ()
+    with pytest.raises(WireError):  # a seed slot read as a key slot
+        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload[:34]), FAST_GROUP, (key,))
+    requests = {
+        "no_flag": b"",
+        "flag_2": b"\x02" + bytes(5),
+        "partial_target": b"\x00" + bytes(4),
+        "target_and_a_byte": b"\x00" + bytes(4) + b"\x01\x00",
+        "unknown_type": b"\x00" + struct.pack(">IB", 1, 3),
+        "zero_type": b"\x01" + struct.pack(">IB", 1, 1) + struct.pack(">IB", 2, 0),
+    }
+    assert not [name for name, body in requests.items() if _decodes(UnmaskRequestMsg, TAG_UNMASK_REQUEST, body)]
 
 
 def test_decode_from_blames_the_sender():
