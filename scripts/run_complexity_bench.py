@@ -27,16 +27,17 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from secaggsim.crypto import FAST_GROUP, SHARE_PRIME, pow_many, reconstruct_secret, share_secret  # noqa: E402
+from secaggsim.crypto import FAST_GROUP, pow_many, reconstruct_secret, share_secret  # noqa: E402
 from secaggsim.scenarios import exactness_config  # noqa: E402
 from secaggsim.simulation import ScenarioConfig, run_scenario  # noqa: E402
+from secaggsim.wire import SECRET_MASK_KEY, SECRET_SELF_SEED, SHARE_FIELDS  # noqa: E402
 
 DH_BATCH_SIZES = (2_430, 24_060)
 # (threshold, share-leaf size): the 243-user 3x3 detection tree and the 2000-user 4x3 tree
 SHAMIR_POINTS = ((3, 9), (2, 25))
 SHAMIR_OWNERS = 200
 # the fields a fast64 user shares its mask key and then its self seed in
-SHAMIR_FIELDS = (("2^64+13", FAST_GROUP.key_prime), ("2^256+297", SHARE_PRIME))
+SHAMIR_FIELDS = (("2^64+13", SHARE_FIELDS[SECRET_MASK_KEY][0]), ("2^256+297", SHARE_FIELDS[SECRET_SELF_SEED][0]))
 
 
 @dataclass

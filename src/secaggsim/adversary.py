@@ -28,6 +28,9 @@ from .fixedpoint import ParamVector, SegmentSpec, quantize_vector
 # ---------------------------------------------------------------------------
 
 
+N_CLASSES = 10  # classes of the toy task
+
+
 @dataclass
 class ToyTask:
     """Softmax regression on Gaussian blobs with a backdoor trigger."""
@@ -54,7 +57,7 @@ class ToyTask:
         n_users: int,
         *,
         n_features: int = 32,
-        n_classes: int = 10,
+        n_classes: int = N_CLASSES,
         samples_per_user: int = 8,
         test_size: int = 1000,
         noise: float = 0.6,
@@ -279,6 +282,8 @@ class AttackPlan:
             raise ConfigError("attack start outside the run")
         if self.strategy == "continuous" and self.duration < 1:
             raise ConfigError("continuous attacks need duration >= 1")
+        if self.cap is not None and not self.cap >= 0:
+            raise ConfigError("the attack cap must be >= 0")
 
     def is_active(self, round_index: int) -> bool:
         t, s = round_index, self.start_round

@@ -43,7 +43,6 @@ from .counters import OpCounters
 from .crypto import (
     RAND_BYTES,
     SELF_SEED_BYTES,
-    SHARE_PRIME,
     DhGroup,
     commit_random,
     derive_shared_seeds,
@@ -61,8 +60,10 @@ from .fixedpoint import (
 )
 from .orgtree import TreeConfig, TreeSetup, build_peer_sets, commits_digest, masking_pairs, run_tree_setup
 from .wire import (
+    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
+    SHARE_FIELDS,
     AdvertMsg,
     MaskedUploadMsg,
     PeerHandle,
@@ -74,7 +75,6 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
-    entry_bytes,
     entry_points,
 )
 
@@ -252,21 +252,20 @@ class AggServer:
         the sender's share leaf has sent, re-slice the leaf's bundles into
         one per member and return them with their recipients.
 
-        A bundle is one body of point (4), key share (the group's width) and
-        seed share (33) per entry (see ``wire``).  It must be the sender's
-        first, of whole entries, one for every other member of its share
-        leaf, each at its recipient's evaluation point (the recipient's
-        1-based place in the leaf); any other is blamed on the sender.  The
-        relay moves entry bodies by position and never decodes a share, but
-        the shares are plaintext: the server could read them until ROADMAP
-        item 7 encrypts each entry body.
+        A bundle is one body of point (4), key share (9) and seed share (33)
+        per entry (see ``wire``).  It must be the sender's first, of whole
+        entries, one for every other member of its share leaf, each at its
+        recipient's evaluation point (the recipient's 1-based place in the
+        leaf); any other is blamed on the sender.  The relay moves entry
+        bodies by position and never decodes a share, but the shares are
+        plaintext: the server could read them until ROADMAP item 7 encrypts
+        each entry body.
         """
         share_asn = self.setup.share_assignment
         leaf = share_asn.leaf_of[sender]
         members = share_asn.members[leaf]
         inbox = self._share_inbox.setdefault(leaf, {})
-        width = self.group.key_share_bytes
-        w = entry_bytes(width)
+        w = ENTRY_BYTES
         mates, point = len(members) - 1, self._point[sender]
         fault = None
         if len(msg.bodies) % w:
@@ -275,7 +274,7 @@ class AggServer:
             fault = f"sent {len(msg.bodies) // w} share entries for its {mates} share recipients"
         elif sender in inbox:
             fault = "sent a second share bundle"
-        elif entry_points(msg.bodies, width) != (*range(1, point), *range(point + 1, mates + 2)):
+        elif entry_points(msg.bodies) != (*range(1, point), *range(point + 1, mates + 2)):
             fault = "sent a share entry at another recipient's evaluation point"
         if fault is not None:
             raise ProtocolAbort(f"user {sender} {fault}", blamed=f"user:{sender}")
@@ -366,8 +365,8 @@ class AggServer:
     def receive_unmask(self, user: int, msg: UnmaskResponseMsg) -> None:
         """File the shares the user released, each at its own evaluation
         point, under the targets of the request last sent it: the response
-        holds one slot per target in the request's order, read at the
-        group's key-share width by the UNMASK_RESPONSE layout.
+        holds one slot per target in the request's order, each of its
+        target's width in ``SHARE_FIELDS``.
 
         A released share at or above its field's prime aborts the round
         blamed on the user.  A wrong share inside the field is filed: it
@@ -376,15 +375,13 @@ class AggServer:
         for (owner, stype), (released, share) in zip(self._sent[user], msg.slots, strict=True):
             if not released:
                 continue
-            prime = self.group.key_prime if stype == SECRET_MASK_KEY else SHARE_PRIME
-            if int.from_bytes(share, "big") >= prime:
+            if int.from_bytes(share, "big") >= SHARE_FIELDS[stype][0]:
                 raise ProtocolAbort(f"user {user} released a share outside its field", blamed=f"user:{user}")
             self._collected[(owner, stype)][point] = share
 
     def _reconstruct(self, owner: int, secret_type: int) -> int:
         """The secret from its first t filed rows, interpolated in its own
-        field: the group's key field for a mask key, ``SHARE_PRIME`` for a
-        self seed."""
+        field (``SHARE_FIELDS``)."""
         store = self._collected.get((owner, secret_type), {})
         t = self.tree.share_threshold
         if len(store) < t:
@@ -392,7 +389,7 @@ class AggServer:
                 f"only {len(store)} shares for user {owner} secret type {secret_type}"
             )
         use = sorted(store)[:t]
-        prime = self.group.key_prime if secret_type == SECRET_MASK_KEY else SHARE_PRIME
+        prime = SHARE_FIELDS[secret_type][0]
         secret = reconstruct_secret(use, [int.from_bytes(store[i], "big") for i in use], prime)
         self.counters.shares_reconstructed += 1
         return secret

@@ -8,39 +8,27 @@ itself (Blum's coin flipping by telephone, 1981).  The setup commits only
 
 Everything here is deterministic given its inputs; randomness is always
 injected by the caller (a seeded ``random.Random`` or raw bytes), so whole
-simulator runs replay bit-identically.  The Diffie-Hellman group is a
-configuration parameter: a tiny group for exhaustive tests, a 64-bit safe
-prime for throughput-bound runs, a 256-bit safe prime for simulation runs,
-and a 2048-bit safe prime when realistic key sizes matter.  None of this
-code attempts side-channel hardening.
-
-Exponents are short (RFC 7919, section 5.2): ``DhGroup.random_exponent``
-draws from [1, min(q, 2^256)), twice the 128-bit security level.  Only
-the 2048-bit group's q exceeds 2^256, so only its keys and blinding
-factors are shortened, and an exponentiation takes 256 squarings, not
-2048.
+simulator runs replay bit-identically.  There are two Diffie-Hellman
+groups: a tiny one for exhaustive tests and a 64-bit safe prime for every
+simulation run.  None of this code attempts side-channel hardening.
 
 A Shamir share (Shamir, CACM 22(11), 1979) is nothing but a field
 element: the sharing polynomial's value at its evaluation point.
 ``share_secret`` returns the values at points 1..n in order, and
 ``reconstruct_secret`` interpolates at 0 over exactly the points it is
 handed.  The threshold t and the field belong to the caller, which
-passes them in and gets only values back.
-
-Sharing uses two prime fields, and every shared secret is one element of
-one of them.  A self-mask seed, and the mask key of a group whose q
-exceeds 2^64 (sim256, strong2048), is shared in ``SHARE_PRIME``,
-2^256 + 297, with 33-byte shares.  The mask key of a group whose q is
-below 2^64 (toy, fast64) is shared in ``SHARE_PRIME_64``, 2^64 + 13, with
-9-byte shares; ``DhGroup.key_prime`` names the field of each group's key.
+passes them in and gets only values back.  There are two share fields:
+``SHARE_PRIME``, 2^256 + 297, holds a 32-byte self-mask seed, and
+``SHARE_PRIME_64``, 2^64 + 13, holds every exponent of both groups
+(``wire.SHARE_FIELDS`` names the field of each shared secret).
 
 A round makes tens of thousands of Diffie-Hellman exponentiations
 (blinding every pair's keys, each user's seed derivations, and dropout
 recovery), so ``pow_many`` evaluates a whole batch in one numpy pass.  It
 runs when the modulus is odd and below 2^64, every exponent is in
 [0, 2^64), and the batch holds at least ``POW_BATCH_MIN`` elements;
-anything else goes to builtin ``pow`` one element at a time, so the
-256- and 2048-bit groups and any out-of-range exponent compute exactly
+anything else goes to builtin ``pow`` one element at a time, so small
+batches, the toy group and any out-of-range exponent compute exactly
 what ``pow`` computes.  The batch path works in Montgomery form with
 R = 2^64: numpy has no 128-bit integers, but a 64 x 64 -> 128-bit product
 can be assembled from four 32 x 32-bit products in uint64, and Montgomery
@@ -82,11 +70,8 @@ def commit_random(value: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Diffie-Hellman in a configurable prime-order subgroup
+# Diffie-Hellman in a prime-order subgroup
 # ---------------------------------------------------------------------------
-
-
-EXPONENT_BITS = 256  # see the module docstring
 
 
 @dataclass(frozen=True)
@@ -110,54 +95,16 @@ class DhGroup:
         return int(element).to_bytes(self.element_bytes, "big")
 
     def random_exponent(self, rng: Random) -> int:
-        """A uniform exponent in [1, min(q, 2^EXPONENT_BITS))."""
-        return rng.randrange(1, min(self.order, 1 << EXPONENT_BITS))
-
-    @cached_property
-    def key_prime(self) -> int:
-        """The Shamir field a mask key is shared in: the smaller share
-        field above every exponent ``random_exponent`` draws."""
-        return SHARE_PRIME_64 if self.order < 1 << 64 else SHARE_PRIME
-
-    @cached_property
-    def key_share_bytes(self) -> int:
-        """Bytes of one mask-key share: 9 in ``SHARE_PRIME_64``, 33 in
-        ``SHARE_PRIME``."""
-        return (self.key_prime.bit_length() + 7) // 8
+        """A uniform exponent in [1, q)."""
+        return rng.randrange(1, self.order)
 
 
 # Tiny group for exhaustive oracles: 3 generates the order-11 subgroup mod 23.
 TOY_GROUP = DhGroup("toy", p=23, g=3)
 
-# 64-bit safe prime for throughput-bound simulation runs where key size is
-# irrelevant to the statistic under study (detection rates, exactness).
+# 64-bit safe prime for every simulation run: key size is irrelevant to the
+# statistics under study (detection rates, exactness, costs).
 FAST_GROUP = DhGroup("fast64", p=0xE1CD298CDA85D84B, g=4)
-
-# Deterministically searched 256-bit safe prime (q = (p-1)/2 prime, g = 2^2).
-SIM_GROUP = DhGroup(
-    "sim256",
-    p=0x932F909E1BB9FD48F36111080252229CB5BC2C4618EA7343E0473784A55AC1CB,
-    g=4,
-)
-
-# 2048-bit safe prime (OpenSSL DH parameter generation), generator 2.
-STRONG_GROUP = DhGroup(
-    "strong2048",
-    p=int(
-        "0xd6c5620aa00aefcd04b1e438c572c459bf3b833cc77d6ceaad3bd9835226ecff"
-        "78efc5c89d3235f4a663f71c59ebba6ab46e1a16ae1406672695f0c037ea5287"
-        "a9408de157e7e8832b6c13562b3f4607403aed11c6e9d0c89fd8b69b0a4a1dd5"
-        "e9f0cc65a7ab4323b16ed0eed4197753d1336c2ca432167b66b31a29a0fdacbc"
-        "2f0b413534e04bafa89bcac9f078fb0432fe19418cfabf05bd923033b208c963"
-        "dc0f2b895c7984ae8cad836c3dcec42ddaf4da12832bd2a635c82ea6988483ff"
-        "069e1b847f98339ed6e49b10a76c870a931f020c9330b5691f79a36cd17560a6"
-        "2a6f0ec26891dfb7b0c2cb145da5eae155b265d90e770d4c60191bf160141edf",
-        16,
-    ),
-    g=2,
-)
-
-GROUPS = {g.name: g for g in (TOY_GROUP, FAST_GROUP, SIM_GROUP, STRONG_GROUP)}
 
 
 @dataclass(frozen=True)
@@ -406,9 +353,9 @@ def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = N
 # ---------------------------------------------------------------------------
 
 # The two share fields (see the module docstring).  2^256 + 297 is the
-# smallest prime above 2^256, so it holds a 32-byte self-mask seed and any
-# short exponent; 2^64 + 13 is the smallest prime above 2^64, so it holds
-# any exponent of a group whose q is below 2^64 in a third of the bytes.
+# smallest prime above 2^256, so it holds a 32-byte self-mask seed;
+# 2^64 + 13 is the smallest prime above 2^64, so it holds any exponent of a
+# group whose q is below 2^64 in a third of the bytes.
 SHARE_PRIME = (1 << 256) + 297
 SHARE_PRIME_64 = (1 << 64) + 13
 

@@ -27,7 +27,6 @@ def converging_attack_config(
     *,
     rounds: int = 18,
     detection_enabled: bool = True,
-    dh_group: str = "fast64",
 ) -> ScenarioConfig:
     """243 users, 27 subgroups, toy task, attack in the converged phase.
 
@@ -39,7 +38,6 @@ def converging_attack_config(
         n_users=243,
         rounds=rounds,
         mode="toy_task",
-        dh_group=dh_group,
         word_bits=32,
         frac_bits=12,
         tree_height=3,
@@ -95,7 +93,6 @@ def exactness_config(
         n_users=n_users,
         rounds=1,
         mode="synthetic",
-        dh_group="fast64",
         protocol=protocol,
         tree_height=tree_height,
         tree_degree=tree_degree,

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import detection as det
 from .adversary import (
+    N_CLASSES,
     AttackPlan,
     ToyTask,
     attacker_update,
@@ -36,7 +37,7 @@ from .adversary import (
 )
 from .aggserver import AggServer, fedsgd_update
 from .counters import OpCounters
-from .crypto import GROUPS, DhGroup
+from .crypto import FAST_GROUP
 from .errors import ConfigError, ProtocolAbort, UnrecoverableRoundError, WireError
 from .fixedpoint import ParamVector, SegmentSpec, dequantize_vector, quantize_vector, zeros
 from .orgtree import TreeConfig
@@ -142,7 +143,6 @@ class ScenarioConfig:
     seed: int = 0
     protocol: str = "tree"  # "tree" | "baseline": a one-leaf tree whose ring covers every user
     mode: str = "synthetic"  # "synthetic" | "toy_task"
-    dh_group: str = "sim256"
     word_bits: int = 32
     frac_bits: int = 8
     inter_mask_margin_bits: int = 6
@@ -175,12 +175,6 @@ class ScenarioConfig:
             share_threshold=self.share_threshold,
         )
 
-    def group(self) -> DhGroup:
-        try:
-            return GROUPS[self.dh_group]
-        except KeyError:
-            raise ConfigError(f"unknown dh group {self.dh_group!r}") from None
-
     def segment_spec(self) -> SegmentSpec:
         base = SegmentSpec(word_bits=self.word_bits, frac_bits=self.frac_bits, low_bits=self.frac_bits + 8)
         if self.detection.low_bits_override is not None:
@@ -207,6 +201,15 @@ class ScenarioConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
+        if not self.eta > 0:
+            raise ConfigError("eta must be > 0")
+        if self.detection.window < 1:
+            raise ConfigError("detection window must be >= 1")
+        if self.synthetic.vector_len < 1:
+            raise ConfigError("synthetic vector_len must be >= 1")
+        per_user = self.task.classes_per_user
+        if per_user is not None and not 1 <= per_user <= N_CLASSES:
+            raise ConfigError(f"task classes_per_user must be in [1, {N_CLASSES}]")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout rate must be in [0, 1)")
         tree = self.tree()
@@ -235,7 +238,10 @@ class ScenarioConfig:
     def from_dict(doc: dict) -> "ScenarioConfig":
         """The config a JSON document describes; ``ConfigError`` names any
         key, at the top level or in a section, that no field takes, any
-        field left without a value, and any value of the wrong type."""
+        field left without a value, any value of the wrong type, and a
+        document that is not a JSON object."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"the config document is a JSON {type(doc).__name__}, not an object")
         doc = dict(doc)
         for key, cls in _SECTIONS.items():
             if isinstance(doc.get(key), dict):
@@ -244,7 +250,11 @@ class ScenarioConfig:
 
     @staticmethod
     def from_json(text: str) -> "ScenarioConfig":
-        return ScenarioConfig.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"the config document is not JSON: {exc}") from None
+        return ScenarioConfig.from_dict(doc)
 
 
 _SECTIONS = {"detection": DetectionSettings, "synthetic": SyntheticWorkload, "task": TaskWorkload, "attack": AttackPlan}
@@ -543,7 +553,7 @@ def execute_round(
         under the targets it sent, which it holds."""
         for u, req in requests.items():
             resp = users[u].unmask_response(send(SERVER, f"user:{u}", req, UnmaskRequestMsg))
-            server.receive_unmask(u, send(f"user:{u}", SERVER, resp, UnmaskResponseMsg, server.group, req.targets))
+            server.receive_unmask(u, send(f"user:{u}", SERVER, resp, UnmaskResponseMsg, req.targets))
 
     # each pass re-asks new holders for the secrets still short of t shares
     while requests := server.unmask_requests():
@@ -590,19 +600,18 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     _pin_malloc_thresholds()
     tree = config.tree()
     spec = config.segment_spec()
-    group = config.group()
     inter_bits = config.inter_mask_bits(spec)
     counters = OpCounters()
     transport = StarTransport(counters)
     workload = _Workload(config, spec)
 
     server = AggServer(
-        tree=tree, group=group, spec=spec, inter_mask_bits=inter_bits, counters=counters
+        tree=tree, group=FAST_GROUP, spec=spec, inter_mask_bits=inter_bits, counters=counters
     )
     users = [
         UserAgent(
             u,
-            group=group,
+            group=FAST_GROUP,
             spec=spec,
             inter_mask_bits=inter_bits,
             tree=tree,

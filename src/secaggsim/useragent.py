@@ -46,7 +46,6 @@ from .counters import OpCounters
 from .crypto import (
     RAND_BYTES,
     SELF_SEED_BYTES,
-    SHARE_PRIME,
     DhGroup,
     KeyPair,
     commit_random,
@@ -58,8 +57,10 @@ from .errors import ProtocolAbort
 from .fixedpoint import ParamVector, SegmentSpec
 from .orgtree import TreeConfig, TreeSetup, commits_digest, verify_setup
 from .wire import (
+    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
+    SHARE_FIELDS,
     AdvertMsg,
     MaskedUploadMsg,
     PeerHandle,
@@ -70,7 +71,6 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
-    entry_bytes,
     entry_points,
     share_bodies,
     share_part,
@@ -162,8 +162,8 @@ class UserAgent:
     def distribute_shares(self) -> ShareMsg:
         """Bundle one entry per mate carrying both secrets' shares.
 
-        The mask key is shared in its group's key field, then the self seed
-        in ``SHARE_PRIME``, under the same evaluation points.  Evaluation
+        The mask key, then the self seed, is shared in its own field of
+        ``SHARE_FIELDS``, under the same evaluation points.  Evaluation
         point i goes to the leaf's i-th member; the bundle holds the mates'
         entries in leaf order, and the entry at the user's own point is
         retained.
@@ -176,11 +176,10 @@ class UserAgent:
                 f"user {self.index} got a share leaf of {n} for threshold {t}",
                 blamed="server",
             )
-        keys = share_secret(self.mask_keys.secret, t, n, self._rng, self.group.key_prime)
+        keys = share_secret(self.mask_keys.secret, t, n, self._rng, SHARE_FIELDS[SECRET_MASK_KEY][0])
         seeds = share_secret(int.from_bytes(self.self_seed, "big"), t, n, self._rng)
         self.counters.shares_created += 2 * n
-        width = self.group.key_share_bytes
-        bodies = share_bodies(zip(range(1, n + 1), keys, seeds), width)
+        bodies = share_bodies(zip(range(1, n + 1), keys, seeds))
         self._held = bodies.pop(self._own_pos)
         return ShareMsg(b"".join(bodies))
 
@@ -190,13 +189,11 @@ class UserAgent:
         The bundle holds one entry per mate, in leaf order.  With the
         retained entry spliced in at this user's place, each owner's entry
         sits at (owner point - 1) entry widths, so nothing is decoded before
-        it is released.  Anything but one bundle of whole entries at this
-        group's key-share width, one per mate, each at this user's
-        evaluation point, after its own shares went out, is the server's
-        fault and is rejected whole.
+        it is released.  Anything but one bundle of whole 46-byte entries,
+        one per mate, each at this user's evaluation point, after its own
+        shares went out, is the server's fault and is rejected whole.
         """
-        width = self.group.key_share_bytes
-        w, mates = entry_bytes(width), self._share_count - 1
+        w, mates = ENTRY_BYTES, self._share_count - 1
         fault = None
         if self.phase != PHASE_SHARE:
             fault = f"got shares in phase {self.phase}"
@@ -206,7 +203,7 @@ class UserAgent:
             fault = f"got a malformed ShareMsg of {len(msg.bodies)} bytes, not whole {w}-byte entries"
         elif len(msg.bodies) != mates * w:
             fault = f"got {len(msg.bodies) // w} share entries for {mates} mates"
-        elif entry_points(msg.bodies, width) != (self._own_pos + 1,) * mates:
+        elif entry_points(msg.bodies) != (self._own_pos + 1,) * mates:
             fault = "got a share entry at another evaluation point"
         if fault is not None:
             raise ProtocolAbort(f"user {self.index} {fault}", blamed="server")
@@ -253,9 +250,8 @@ class UserAgent:
         in ``forced_releases``.  A target is named by its owner's point.  A
         request before this user's share bundle arrived, a target outside
         its share leaf, or a held share at or above its field's prime
-        (2^64 + 13 for a toy or fast64 key share, ``SHARE_PRIME``
-        otherwise), which came in a bundle the server relayed, aborts the
-        round blamed on the server.
+        (``SHARE_FIELDS``), which came in a bundle the server relayed,
+        aborts the round blamed on the server.
         """
         if self.phase == PHASE_UPLOAD:
             self._advance(PHASE_UNMASK)
@@ -264,18 +260,15 @@ class UserAgent:
                 f"unmask request in phase {self.phase}", blamed="server"
             )
         held, done_for = self._held, self._released
-        width = self.group.key_share_bytes
-        w = entry_bytes(width)
-        if len(held) != self._share_count * w:
+        if len(held) != self._share_count * ENTRY_BYTES:
             raise ProtocolAbort(f"user {self.index} got an unmask request before its share bundle", blamed="server")
-        prime_of = {SECRET_MASK_KEY: self.group.key_prime, SECRET_SELF_SEED: SHARE_PRIME}
         slots: list[tuple[bool, bytes]] = []
         for owner, stype in req.targets:
             if not 1 <= owner <= self._share_count:
                 raise ProtocolAbort(
                     f"user {self.index} asked for owner point {owner} outside its share leaf", blamed="server"
                 )
-            share = share_part(held, (owner - 1) * w, stype, width)
+            share = share_part(held, (owner - 1) * ENTRY_BYTES, stype)
             done = done_for.get(owner, 0)
             other = SECRET_MASK_KEY if stype == SECRET_SELF_SEED else SECRET_SELF_SEED
             if done & (1 << other):
@@ -284,7 +277,7 @@ class UserAgent:
                 else:
                     slots.append((False, bytes(len(share))))
                     continue
-            if int.from_bytes(share, "big") >= prime_of[stype]:
+            if int.from_bytes(share, "big") >= SHARE_FIELDS[stype][0]:
                 raise ProtocolAbort(f"user {self.index} holds a share outside its field", blamed="server")
             done_for[owner] = done | (1 << stype)
             slots.append((True, share))

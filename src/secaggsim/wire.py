@@ -7,9 +7,9 @@ Every protocol message is one length-prefixed record::
 No payload carries a width, a length or a count that its receiver
 already holds.  Every field has the width a protocol constant or the
 receiver's own ``SegmentSpec`` or ``DhGroup`` gives it: W is the group's
-``element_bytes``, K its ``key_share_bytes``, and a digest, a grouping
-randomness or a self-seed share is 32, 32 or 33 bytes.  So each record
-has one fixed layout, which its receiver applies::
+``element_bytes``, and a digest, a grouping randomness, a mask-key share
+or a self-seed share is 32, 32, 9 or 33 bytes.  So each record has one
+fixed layout, which its receiver applies::
 
     SERVER_COMMIT    digest (32)
     ADVERT           share key (W) || mask key (W) || randomness commitment (32)
@@ -18,20 +18,20 @@ has one fixed layout, which its receiver applies::
     PEER_LIST        own point (4) || share-leaf size (4) || handle count n (4)
                      || n rows of: sign (1) || kind (1) || blinded key (W)
     SHARE_MSG        entry bodies to the end, each:
-                     evaluation point (4) || mask-key share (K) || self-seed share (33)
+                     evaluation point (4) || mask-key share (9) || self-seed share (33)
     MASKED_UPLOAD    words to the end
     UNMASK_REQUEST   forced (1) || targets to the end, each:
                      owner point (4) || secret type (1)
     UNMASK_RESPONSE  one slot per target of the request, in its order, each:
-                     status (1) || share (K for a mask key, 33 for a self seed)
+                     status (1) || share (9 for a mask key, 33 for a self seed)
     REVEAL           server randomness (32) || records to the end, each:
                      share key (W) || mask key (W) || randomness (32)
     GLOBAL_MODEL     words to the end
 
-The decoders of ADVERT, PEER_LIST, UNMASK_RESPONSE and REVEAL take the
-receiver's group, and that of UNMASK_RESPONSE also the targets of the
-request it answers; the vector messages and the share bundle are read at
-the receiver's widths after decoding.  Decoding raises ``WireError`` for
+The decoders of ADVERT, PEER_LIST and REVEAL take the receiver's group,
+and that of UNMASK_RESPONSE the targets of the request it answers; the
+vector messages are read at the receiver's w after decoding, and the
+share bundle as whole entries.  Decoding raises ``WireError`` for
 a truncated record, bytes after the record, one whose tag is not the
 expected message's, one whose fields overrun the payload, and bytes
 after the last field or, in a message of records to the end, bytes that
@@ -44,13 +44,11 @@ width (1, 2, 4 or 8 bytes) that holds w bits, so 4 bytes at w = 32, and
 one >= 2^w raises ``WireError`` at its receiver.  The masked upload and
 the global model are nothing but those words; the server knows an
 upload's sender from the channel it arrived on.  A Shamir share value is
-one big endian field element (see ``crypto``): 33 bytes in the
-2^256 + 297 field, which holds every self-seed share and the mask-key
-shares of the sim256 and strong2048 groups, and 9 bytes in the
-2^64 + 13 field, which holds the mask-key shares of the toy and fast64
-groups.  A share value at or above its field's prime is rejected where
-it is read: by the holder about to release it and by the server filing
-the released share.
+one big endian element of its secret's field (``SHARE_FIELDS``, see
+``crypto``): 9 bytes in the 2^64 + 13 field for a mask key, 33 in the
+2^256 + 297 field for a self seed.  A share value at or above its field's
+prime is rejected where it is read: by the holder about to release it
+and by the server filing the released share.
 
 A user names a member of its share leaf by the member's 1-based place in
 the leaf order, which is also the member's Shamir evaluation point.  A
@@ -66,8 +64,8 @@ CCS 2017, section 4).  A bundle is nothing but entry bodies, whose
 positions name their other ends: an upload bundle holds one entry per
 other member of the owner's share leaf, a download bundle one per other
 member of the recipient's, each in leaf order.  Every body carries both
-secrets, 46 bytes at K = 9 and 70 at K = 33, and bytes that are not
-whole bodies are a malformed bundle from the sender.  The relay moves
+secrets in ``ENTRY_BYTES``, 46 bytes, and bytes that are not whole
+bodies are a malformed bundle from the sender.  The relay moves
 bodies by position and never decodes a share, but the shares are
 plaintext: it could read every one until ROADMAP item 7 replaces each
 body with a ciphertext.
@@ -111,7 +109,7 @@ from typing import TypeVar
 import numpy as np
 
 from .counters import OpCounters
-from .crypto import RAND_BYTES, DhGroup
+from .crypto import RAND_BYTES, SHARE_PRIME, SHARE_PRIME_64, DhGroup
 from .errors import ProtocolAbort, WireError
 from .fixedpoint import SegmentSpec, word_bytes
 
@@ -127,12 +125,11 @@ TAG_UNMASK_RESPONSE = 9
 TAG_REVEAL = 10
 TAG_GLOBAL_MODEL = 11
 
-SHARE_VALUE_BYTES = 33  # one element of the 2^256 + 297 field: every seed share, wide key shares
-
 SECRET_MASK_KEY = 1  # share of a user's pairwise-mask private key
 SECRET_SELF_SEED = 2  # share of a user's per-round self-mask seed
 
-_SECRET_TYPES = bytes((SECRET_MASK_KEY, SECRET_SELF_SEED))
+# each secret type's Shamir field and share width (see ``crypto``)
+SHARE_FIELDS = {SECRET_MASK_KEY: (SHARE_PRIME_64, 9), SECRET_SELF_SEED: (SHARE_PRIME, 33)}
 
 DIGEST_BYTES = 32  # SHA-256 commitments
 
@@ -343,54 +340,48 @@ class PeerListMsg:
         return PeerListMsg(own, size, tuple([PeerHandle(pub, sign, _KINDS[kind]) for sign, kind, pub in rows]))
 
 
-@functools.lru_cache(maxsize=16)  # one per key-share width in use
-def _entry_body(key_width: int) -> struct.Struct:
-    """Evaluation point, key share of ``key_width`` bytes, seed share."""
-    return struct.Struct(f">I{key_width}s{SHARE_VALUE_BYTES}s")
+_KEY_BYTES, _SEED_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1], SHARE_FIELDS[SECRET_SELF_SEED][1]
+_ENTRY_BODY = struct.Struct(f">I{_KEY_BYTES}s{_SEED_BYTES}s")  # evaluation point, key share, seed share
+ENTRY_BYTES = _ENTRY_BODY.size  # 46
 
 
-def entry_bytes(key_width: int) -> int:
-    """Bytes of one bundle entry body whose key share is ``key_width`` bytes."""
-    return 4 + key_width + SHARE_VALUE_BYTES
-
-
-@functools.lru_cache(maxsize=32)  # one per (key-share width, leaf size) in use
-def _entry_points(key_width: int, count: int) -> struct.Struct:
+@functools.lru_cache(maxsize=16)  # one per leaf size in use
+def _entry_points(count: int) -> struct.Struct:
     """The evaluation points of ``count`` entry bodies, skipping their shares."""
-    return struct.Struct(">" + f"I{key_width + SHARE_VALUE_BYTES}x" * count)
+    return struct.Struct(">" + f"I{ENTRY_BYTES - 4}x" * count)
 
 
-def entry_points(bodies: bytes, key_width: int) -> tuple[int, ...]:
+def entry_points(bodies: bytes) -> tuple[int, ...]:
     """The evaluation point of each entry body in ``bodies``, in order;
     ``bodies`` must hold whole entries, which each receiver checks first."""
-    return _entry_points(key_width, len(bodies) // entry_bytes(key_width)).unpack(bodies)
+    return _entry_points(len(bodies) // ENTRY_BYTES).unpack(bodies)
 
 
-def share_bodies(points: Iterable[tuple[int, int, int]], key_width: int) -> list[bytes]:
+def share_bodies(points: Iterable[tuple[int, int, int]]) -> list[bytes]:
     """One entry body per (evaluation point, key share, seed share) of one
-    owner, with key shares of ``key_width`` bytes."""
-    pack = _entry_body(key_width).pack
+    owner."""
+    pack = _ENTRY_BODY.pack
     return [
-        pack(index, key.to_bytes(key_width, "big"), seed.to_bytes(SHARE_VALUE_BYTES, "big"))
+        pack(index, key.to_bytes(_KEY_BYTES, "big"), seed.to_bytes(_SEED_BYTES, "big"))
         for index, key, seed in points
     ]
 
 
-def share_part(bodies: bytes, off: int, secret_type: int, key_width: int) -> bytes:
+def share_part(bodies: bytes, off: int, secret_type: int) -> bytes:
     """The share bytes of one secret in the body at ``off``;
     ``entry_points`` reads the points."""
-    if secret_type not in (SECRET_MASK_KEY, SECRET_SELF_SEED):
+    if secret_type not in SHARE_FIELDS:
         raise ValueError(f"unknown secret type tag {secret_type}")
-    _, key, seed = _entry_body(key_width).unpack_from(bodies, off)
+    _, key, seed = _ENTRY_BODY.unpack_from(bodies, off)
     return key if secret_type == SECRET_MASK_KEY else seed
 
 
 @dataclass(frozen=True)
 class ShareMsg:
     """A bundle of Shamir share entries between one user and the server,
-    nothing but the bodies, each point (4) || key share (W) || seed share
+    nothing but the bodies, each point (4) || key share (9) || seed share
     (33) (see ``share_bodies``), one per other member of the user's share
-    leaf in leaf order; the receiver reads them at its own W."""
+    leaf in leaf order; the receiver reads them as whole entries."""
 
     bodies: bytes
 
@@ -452,7 +443,7 @@ class UnmaskRequestMsg:
         raw = payload[1:]
         if len(raw) % _TARGET.size:
             raise WireError(f"{len(raw)} target bytes are not whole {_TARGET.size}-byte targets")
-        if raw[4 :: _TARGET.size].translate(None, _SECRET_TYPES):  # the type byte of each target
+        if raw[4 :: _TARGET.size].translate(None, bytes(SHARE_FIELDS)):  # the type byte of each target
             raise WireError("unknown secret type tag in a target list")
         return UnmaskRequestMsg(tuple(_TARGET.iter_unpack(raw)), payload[0] == 1)
 
@@ -460,11 +451,12 @@ class UnmaskRequestMsg:
 @dataclass(frozen=True)
 class UnmaskResponseMsg:
     """One slot per target of the request, in its order: status (1) ||
-    share, of the group's K bytes for a mask key and 33 for a self seed.
+    share, of its secret type's width in ``SHARE_FIELDS``: 9 bytes for a
+    mask key and 33 for a self seed.
 
     Status 1 releases the share, at the holder's own evaluation point;
     status 0 refuses the target, and its share is zero-filled.  The
-    receiver reads the slots under its own group and the targets it sent.
+    receiver reads the slots under the targets it sent.
     """
 
     slots: tuple[tuple[bool, bytes], ...]  # (released, share bytes)
@@ -484,9 +476,9 @@ class UnmaskResponseMsg:
         return encode_record(TAG_UNMASK_RESPONSE, b"".join(slots))
 
     @staticmethod
-    def from_bytes(data: bytes, group: DhGroup, targets: tuple[tuple[int, int], ...]) -> "UnmaskResponseMsg":
+    def from_bytes(data: bytes, targets: tuple[tuple[int, int], ...]) -> "UnmaskResponseMsg":
         payload = _payload_of(data, TAG_UNMASK_RESPONSE)
-        widths = [group.key_share_bytes if stype == SECRET_MASK_KEY else SHARE_VALUE_BYTES for _, stype in targets]
+        widths = [SHARE_FIELDS[stype][1] for _, stype in targets]
         if len(payload) != len(widths) + sum(widths):
             raise WireError(f"unmask response of {len(payload)} bytes for {len(widths)} targets")
         slots, off = [], 0
@@ -564,7 +556,7 @@ _Msg = TypeVar("_Msg")
 def decode_from(sender: str, cls: type[_Msg], data: bytes, *held) -> _Msg:
     """``cls.from_bytes(data, *held)`` for a record that ``sender``
     (``SERVER`` or ``"user:<u>"``) sent, with ``held`` what the receiver
-    already holds that the record's layout takes: its group, and for an
+    already holds that the record's layout takes: its group, or for an
     UNMASK_RESPONSE the targets it asked for.  A malformed record aborts
     the round with ``ProtocolAbort`` blamed on the sender."""
     try:

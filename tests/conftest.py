@@ -4,7 +4,7 @@ import pytest
 
 from secaggsim.aggserver import AggServer
 from secaggsim.counters import OpCounters
-from secaggsim.crypto import SIM_GROUP
+from secaggsim.crypto import FAST_GROUP
 from secaggsim.fixedpoint import SegmentSpec, quantize_vector, zeros
 from secaggsim.orgtree import TreeConfig
 from secaggsim.simulation import execute_round
@@ -26,7 +26,7 @@ def build_round(
     spec: SegmentSpec,
     *,
     inter_mask_bits: int | None = None,
-    group=SIM_GROUP,
+    group=FAST_GROUP,
 ):
     """Fresh (server, users, transport, counters) for one protocol round."""
     bits = inter_mask_bits if inter_mask_bits is not None else spec.low_bits - 6
@@ -67,7 +67,7 @@ def run_plain_round(
     *,
     pre_drop: set[int] | None = None,
     detector=None,
-    group=SIM_GROUP,
+    group=FAST_GROUP,
     inter_mask_bits: int | None = None,
 ):
     server, users, transport, counters = build_round(

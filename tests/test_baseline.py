@@ -61,13 +61,14 @@ def test_fifteen_percent_dropouts_and_recovery_cost():
 
 def test_recovery_cost_tree_vs_baseline():
     # per-dropout cancellations: O(kappa + height) for the tree protocol
-    # versus O(N) for the baseline
+    # versus O(N) for the baseline; they do not depend on t, and t = 2 keeps
+    # the leaf that holds two of the five drops recoverable
     n = 36
     inputs = random_inputs(n, 8, SPEC, seed=5)
     drops = set(Random(5).sample(range(n), 5))
 
-    *_, counters_base = run_baseline_round(inputs, threshold=3, seed=5, dropouts=drops)
-    tree = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=3)
+    *_, counters_base = run_baseline_round(inputs, threshold=2, seed=5, dropouts=drops)
+    tree = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=2)
     _, _, _, counters_tree = run_plain_round(n, tree, SPEC, inputs, seed=5, pre_drop=drops)
 
     per_drop_base = counters_base.mask_cancellations / len(drops)

@@ -15,8 +15,6 @@ from secaggsim.crypto import (
     POW_BATCH_MIN,
     SHARE_PRIME,
     SHARE_PRIME_64,
-    SIM_GROUP,
-    STRONG_GROUP,
     TOY_GROUP,
     KeyPair,
     commit_random,
@@ -30,6 +28,7 @@ from secaggsim.crypto import (
     share_secret,
 )
 from secaggsim.fixedpoint import SegmentSpec
+from secaggsim.wire import SECRET_MASK_KEY, SHARE_FIELDS
 
 SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 
@@ -104,18 +103,17 @@ def test_shared_seed_agreement_exhaustive_toy():
         assert seed_a == seed_b
 
 
-@pytest.mark.parametrize("group", [TOY_GROUP, FAST_GROUP, SIM_GROUP, STRONG_GROUP], ids=lambda g: g.name)
+@pytest.mark.parametrize("group", [TOY_GROUP, FAST_GROUP], ids=lambda g: g.name)
 def test_random_exponent_draws_below_order_and_2_256(group):
-    """Exponents are uniform below min(q, 2^256): groups of order below
-    2^256 draw exactly as ``randrange(1, q)``, so their keys, masks and
-    reports do not depend on the cap, and strong2048's are short."""
-    bound = min(group.order, 1 << 256)
-    assert (bound < group.order) == (group is STRONG_GROUP)
+    """Exponents are uniform in [1, q), drawn exactly as
+    ``randrange(1, q)``; both groups' q is below 2^64, so every exponent is
+    far below 2^256."""
+    assert group.order < 1 << 64
     a, b = Random(5), Random(5)
-    assert [group.random_exponent(a) for _ in range(50)] == [b.randrange(1, bound) for _ in range(50)]
+    assert [group.random_exponent(a) for _ in range(50)] == [b.randrange(1, group.order) for _ in range(50)]
 
 
-@pytest.mark.parametrize("group", [SIM_GROUP, STRONG_GROUP], ids=lambda g: g.name)
+@pytest.mark.parametrize("group", [FAST_GROUP], ids=lambda g: g.name)
 def test_shared_seed_agreement_random(group):
     rng = Random(1)
     for _ in range(3):
@@ -360,25 +358,22 @@ def test_key_share_prime_is_smallest_above_2_64():
     assert sympy.nextprime(1 << 64) == SHARE_PRIME_64
 
 
-KEY_FIELDS = {TOY_GROUP: (SHARE_PRIME_64, 9), FAST_GROUP: (SHARE_PRIME_64, 9), SIM_GROUP: (SHARE_PRIME, 33), STRONG_GROUP: (SHARE_PRIME, 33)}
-
-
-@pytest.mark.parametrize("group", KEY_FIELDS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", [TOY_GROUP, FAST_GROUP], ids=lambda g: g.name)
 def test_mask_key_field_holds_every_exponent(group):
-    """A group's mask key is shared in the smaller field above every
-    exponent it draws: 2^64 + 13 (9-byte shares) below a 64-bit order,
-    2^256 + 297 (33-byte shares) above; its largest exponent and a drawn
-    key reconstruct from any t shares there."""
-    prime, width = KEY_FIELDS[group]
-    assert (group.key_prime, group.key_share_bytes) == (prime, width)
-    largest = min(group.order, 1 << 256) - 1
-    assert largest < prime and (prime == SHARE_PRIME or group.order <= 1 << 64)
+    """Every mask key is shared in 2^64 + 13 with 9-byte shares
+    (``SHARE_FIELDS``), the field above every exponent either group draws;
+    its largest exponent and a drawn key reconstruct from any t shares
+    there."""
+    prime, width = SHARE_FIELDS[SECRET_MASK_KEY]
+    assert (prime, width) == (SHARE_PRIME_64, 9)
+    largest = group.order - 1
+    assert largest < prime
     rng = Random(13)
     for key in (largest, group.random_exponent(rng)):
-        values = share_secret(key, 3, 6, rng, group.key_prime)
+        values = share_secret(key, 3, 6, rng, prime)
         assert all(v.bit_length() <= 8 * width for v in values)
         points = rng.sample(range(1, 7), 3)
-        assert reconstruct_secret(points, [values[x - 1] for x in points], group.key_prime) == key
+        assert reconstruct_secret(points, [values[x - 1] for x in points], prime) == key
 
 
 def test_share_hiding_distribution():

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import struct
 import numpy as np
 import pytest
 from random import Random
@@ -13,7 +14,7 @@ from conftest import build_round, plaintext_sum, random_inputs, run_plain_round
 from secaggsim.aggserver import fedsgd_update
 from secaggsim.counters import OpCounters
 from secaggsim import simulation, useragent
-from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, SIM_GROUP, STRONG_GROUP, TOY_GROUP, reconstruct_secret
+from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, TOY_GROUP, reconstruct_secret
 from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError
 from secaggsim.fixedpoint import (
     ParamVector,
@@ -28,10 +29,11 @@ from secaggsim.simulation import run_scenario
 from secaggsim.simulation import execute_round
 from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
+    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SERVER,
-    SHARE_VALUE_BYTES,
+    SHARE_FIELDS,
     TAG_ADVERT,
     TAG_GLOBAL_MODEL,
     TAG_MASKED_UPLOAD,
@@ -53,7 +55,6 @@ from secaggsim.wire import (
     decode_from,
     decode_record,
     encode_record,
-    entry_bytes,
     entry_points,
     share_bodies,
     share_part,
@@ -63,6 +64,8 @@ SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 SPEC20 = SegmentSpec(word_bits=20, frac_bits=4, low_bits=12)  # 4-byte elements with 12 spare bits
 TREE22 = TreeConfig(height=2, degree=2, neighbor_radius=1, share_threshold=2)
 TREE23 = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=2)
+KEY_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1]  # 9
+SEED_BYTES = SHARE_FIELDS[SECRET_SELF_SEED][1]  # 33
 
 
 def _no_tree(tree: TreeConfig, leaf_size: int) -> TreeCommitMsg:
@@ -83,16 +86,16 @@ def test_two_user_masks_cancel():
     rng = Random(1)
     counters = OpCounters()
     agents = [
-        UserAgent(u, group=SIM_GROUP, spec=SPEC, inter_mask_bits=10, tree=TREE22, counters=counters)
+        UserAgent(u, group=FAST_GROUP, spec=SPEC, inter_mask_bits=10, tree=TREE22, counters=counters)
         for u in range(2)
     ]
     for agent in agents:
         agent.begin_round(Random(rng.getrandbits(64)), bytes(32))
         agent.open_rand(_no_tree(TREE22, 2))
-    r = SIM_GROUP.random_exponent(rng)
+    r = FAST_GROUP.random_exponent(rng)
     handles = [
-        PeerHandle(SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[1].mask_keys.public, r)), 1, "intra"),
-        PeerHandle(SIM_GROUP.encode(randomize_pub(SIM_GROUP, agents[0].mask_keys.public, r)), -1, "intra"),
+        PeerHandle(FAST_GROUP.encode(randomize_pub(FAST_GROUP, agents[1].mask_keys.public, r)), 1, "intra"),
+        PeerHandle(FAST_GROUP.encode(randomize_pub(FAST_GROUP, agents[0].mask_keys.public, r)), -1, "intra"),
     ]
     for u, agent in enumerate(agents):
         agent.receive_peer_list(PeerListMsg(u + 1, 2, (handles[u],)))
@@ -112,20 +115,20 @@ def test_mask_input_matches_rebinding_reference(spec):
     from secaggsim.crypto import KeyPair, derive_shared_seed, prg_expand
     from secaggsim.fixedpoint import vec_add_mod, vec_sub_mod
 
-    agent = UserAgent(0, group=SIM_GROUP, spec=spec, inter_mask_bits=6, tree=TREE22, counters=OpCounters())
+    agent = UserAgent(0, group=FAST_GROUP, spec=spec, inter_mask_bits=6, tree=TREE22, counters=OpCounters())
     agent.begin_round(Random(3), bytes(32))
     agent.open_rand(_no_tree(TREE22, 2))
     rng = Random(4)
     plan = [(1, "intra"), (-1, "intra"), (1, "inter"), (-1, "inter")]
     handles = tuple(
-        PeerHandle(SIM_GROUP.encode(KeyPair.generate(SIM_GROUP, rng).public), sign, kind) for sign, kind in plan
+        PeerHandle(FAST_GROUP.encode(KeyPair.generate(FAST_GROUP, rng).public), sign, kind) for sign, kind in plan
     )
     agent.receive_peer_list(PeerListMsg(1, 2, handles))
     agent.distribute_shares()
     x = random_inputs(1, 50, spec, seed=8)[0]
     expect = vec_add_mod(x, ParamVector(prg_expand(agent.self_seed, 50, spec), spec))
     for h in handles:
-        seed = derive_shared_seed(SIM_GROUP, int.from_bytes(h.randomized_pub, "big"), agent.mask_keys.secret)
+        seed = derive_shared_seed(FAST_GROUP, int.from_bytes(h.randomized_pub, "big"), agent.mask_keys.secret)
         mask = ParamVector(prg_expand(seed, 50, spec, mask_bits=None if h.kind == "intra" else 6), spec)
         expect = vec_add_mod(expect, mask) if h.sign == 1 else vec_sub_mod(expect, mask)
     assert np.array_equal(agent.mask_input(x).vector(spec), expect.values)
@@ -174,45 +177,40 @@ def test_masked_upload_looks_uniform():
 # -- share distribution -------------------------------------------------------------
 
 
-def _lone_agent(n_recipients=3, threshold=2, group=SIM_GROUP):
+def _lone_agent(n_recipients=3, threshold=2):
     """An agent at point 1 of a share leaf of ``n_recipients``."""
     counters = OpCounters()
     tree = TreeConfig(height=0, degree=2, share_threshold=threshold)
-    agent = UserAgent(0, group=group, spec=SPEC, inter_mask_bits=10, tree=tree, counters=counters)
+    agent = UserAgent(0, group=FAST_GROUP, spec=SPEC, inter_mask_bits=10, tree=tree, counters=counters)
     agent.begin_round(Random(0), bytes(32))
     agent.open_rand(_no_tree(tree, n_recipients))
     agent.receive_peer_list(PeerListMsg(1, n_recipients, ()))
     return agent, counters
 
 
-def _reconstruct_entries(bundle: ShareMsg, entries, secret_type: int, group=SIM_GROUP) -> int:
+def _reconstruct_entries(bundle: ShareMsg, entries, secret_type: int) -> int:
     """One secret interpolated, in its field, from the given entries of a
     bundle at the evaluation points they carry."""
-    from secaggsim.crypto import SHARE_PRIME
-
-    width = group.key_share_bytes
-    points = entry_points(bundle.bodies, width)
-    offsets = [j * entry_bytes(width) for j in entries]
-    values = [int.from_bytes(share_part(bundle.bodies, off, secret_type, width), "big") for off in offsets]
-    prime = group.key_prime if secret_type == SECRET_MASK_KEY else SHARE_PRIME
-    return reconstruct_secret([points[j] for j in entries], values, prime)
+    points = entry_points(bundle.bodies)
+    offsets = [j * ENTRY_BYTES for j in entries]
+    values = [int.from_bytes(share_part(bundle.bodies, off, secret_type), "big") for off in offsets]
+    return reconstruct_secret([points[j] for j in entries], values, SHARE_FIELDS[secret_type][0])
 
 
 def test_share_counting_example():
     # n=3 recipients, t=2: two secrets, one retained share each -> 4 outbound
-    # shares, packed two to an entry for the 2 other recipients; a fast64
-    # key share takes 9 bytes, a sim256 one 33, a seed share 33
-    for group, width in ((SIM_GROUP, SHARE_VALUE_BYTES), (FAST_GROUP, 9)):
-        agent, counters = _lone_agent(group=group)
-        bundle = agent.distribute_shares()
-        assert len(bundle.bodies) == 2 * entry_bytes(width) == 2 * (4 + width + SHARE_VALUE_BYTES)
-        parts = [share_part(bundle.bodies, j * entry_bytes(width), stype, width) for j in range(2) for stype in (1, 2)]
-        assert [len(share) for share in parts] == [width, SHARE_VALUE_BYTES] * 2
-        assert entry_points(bundle.bodies, width) == (2, 3)  # the retained entry is point 1
-        assert counters.shares_created == 6
-        seed = int.from_bytes(agent.self_seed, "big")
-        for stype, secret in ((SECRET_MASK_KEY, agent.mask_keys.secret), (SECRET_SELF_SEED, seed)):
-            assert _reconstruct_entries(bundle, range(2), stype, group) == secret
+    # shares, packed two to an entry for the 2 other recipients; a key share
+    # takes 9 bytes, a seed share 33
+    agent, counters = _lone_agent()
+    bundle = agent.distribute_shares()
+    assert len(bundle.bodies) == 2 * ENTRY_BYTES == 2 * (4 + KEY_BYTES + SEED_BYTES)
+    parts = [share_part(bundle.bodies, j * ENTRY_BYTES, stype) for j in range(2) for stype in (1, 2)]
+    assert [len(share) for share in parts] == [KEY_BYTES, SEED_BYTES] * 2
+    assert entry_points(bundle.bodies) == (2, 3)  # the retained entry is point 1
+    assert counters.shares_created == 6
+    seed = int.from_bytes(agent.self_seed, "big")
+    for stype, secret in ((SECRET_MASK_KEY, agent.mask_keys.secret), (SECRET_SELF_SEED, seed)):
+        assert _reconstruct_entries(bundle, range(2), stype) == secret
 
 
 def test_share_reconstruct_self_seed():
@@ -244,23 +242,28 @@ def test_phase_skip_is_protocol_abort():
     assert agent.phase == PHASE_COMMIT and not counters.prg_by_user
 
 
-def _download(agent, owners_values, width=None):
+def _wide_bodies(points) -> bytes:
+    """70-byte entry bodies, each (point, key share, seed share) packed
+    around a 33-byte key share: not whole 46-byte entries."""
+    return b"".join(struct.pack(">I33s33s", p, k.to_bytes(33, "big"), s.to_bytes(33, "big")) for p, k, s in points)
+
+
+def _download(agent, owners_values, wide=False):
     """A download bundle for ``agent``, decoded from its bytes as a round
     hands it over: one entry per mate, at the agent's evaluation point,
-    with the given key and seed values, and key shares of the agent's
-    group's width unless ``width`` is given."""
-    width = width or agent.group.key_share_bytes
-    bodies = share_bodies([(agent._own_pos + 1, key, seed) for key, seed in owners_values], width)
-    return decode_from(SERVER, ShareMsg, ShareMsg(b"".join(bodies)).to_bytes())
+    with the given key and seed values, in 70-byte bodies if ``wide``."""
+    points = [(agent._own_pos + 1, key, seed) for key, seed in owners_values]
+    bodies = _wide_bodies(points) if wide else b"".join(share_bodies(points))
+    return decode_from(SERVER, ShareMsg, ShareMsg(bodies).to_bytes())
 
 
 def test_share_type_tag_enforced():
     agent, _ = _lone_agent()
     agent.distribute_shares()
     own = agent._held
-    # a bundle with an entry missing, or with key shares of another group's
-    # width, is rejected whole
-    for bad in (_download(agent, [(5, 6)]), _download(agent, [(5, 6), (7, 8)], width=9)):
+    # a bundle with an entry missing, or with 33-byte key shares, is
+    # rejected whole
+    for bad in (_download(agent, [(5, 6)]), _download(agent, [(5, 6), (7, 8)], wide=True)):
         with pytest.raises(ProtocolAbort) as exc:
             agent.receive_share(bad)
         assert exc.value.blamed == "server" and agent._held == own
@@ -271,36 +274,8 @@ def test_share_type_tag_enforced():
         agent.receive_share(_download(agent, [(9, 9), (9, 9)]))
     assert exc.value.blamed == "server" and agent._held == held
     # owner point 2's entry sits one entry in
-    width = SHARE_VALUE_BYTES
-    assert entry_points(held, width)[1] == 1
-    assert share_part(held, entry_bytes(width), SECRET_MASK_KEY, width) == (5).to_bytes(width, "big")
-
-
-def test_wide_mask_key_shares_reconstruct():
-    """A strong2048 key is a short exponent below 2^256, so it travels as
-    one 33-byte element of the 2^256 + 297 field beside the seed's in each
-    70-byte entry, and both secrets reconstruct from any t entries."""
-    import itertools
-
-    agent = UserAgent(
-        0,
-        group=STRONG_GROUP,
-        spec=SPEC,
-        inter_mask_bits=10,
-        tree=TreeConfig(height=0, degree=2, share_threshold=3),
-        counters=OpCounters(),
-    )
-    agent.begin_round(Random(4), bytes(32))
-    agent.open_rand(_no_tree(agent.tree, 6))
-    agent.receive_peer_list(PeerListMsg(3, 6, ()))
-    assert 1 <= agent.mask_keys.secret < 1 << 256
-    bundle = agent.distribute_shares()
-    assert len(bundle.bodies) == 5 * entry_bytes(SHARE_VALUE_BYTES) == 350
-    assert ShareMsg.from_bytes(bundle.to_bytes()) == bundle
-    seed = int.from_bytes(agent.self_seed, "big")
-    for picked in itertools.combinations(range(5), 3):
-        assert _reconstruct_entries(bundle, picked, SECRET_MASK_KEY, STRONG_GROUP) == agent.mask_keys.secret
-        assert _reconstruct_entries(bundle, picked, SECRET_SELF_SEED, STRONG_GROUP) == seed
+    assert entry_points(held)[1] == 1
+    assert share_part(held, ENTRY_BYTES, SECRET_MASK_KEY) == (5).to_bytes(KEY_BYTES, "big")
 
 
 # -- unmask and the never-both rule ---------------------------------------------------
@@ -319,14 +294,14 @@ def _agent_with_shares():
 def test_unmask_online_target_releases_self_seed():
     agent, owner = _agent_with_shares()
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
-    assert resp.slots == ((True, (11).to_bytes(SHARE_VALUE_BYTES, "big")),)
+    assert resp.slots == ((True, (11).to_bytes(SEED_BYTES, "big")),)
     assert not resp.refused
 
 
 def test_unmask_dropped_target_releases_mask_key():
     agent, owner = _agent_with_shares()
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),)))
-    assert resp.shares == ((22).to_bytes(SHARE_VALUE_BYTES, "big"),)
+    assert resp.shares == ((22).to_bytes(KEY_BYTES, "big"),)
 
 
 def test_never_both_refused():
@@ -335,16 +310,16 @@ def test_never_both_refused():
     agent, owner = _agent_with_shares()
     agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
     resp = agent.unmask_response(UnmaskRequestMsg(((3, SECRET_SELF_SEED), (owner, SECRET_MASK_KEY))))
-    assert resp.shares == ((44).to_bytes(SHARE_VALUE_BYTES, "big"),)
+    assert resp.shares == ((44).to_bytes(SEED_BYTES, "big"),)
     assert resp.refused == (1,)
-    assert resp.slots[1] == (False, bytes(SHARE_VALUE_BYTES))
+    assert resp.slots[1] == (False, bytes(KEY_BYTES))
 
 
 def test_never_both_forced_exclusion_is_recorded():
     agent, owner = _agent_with_shares()
     agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_SELF_SEED),)))
     resp = agent.unmask_response(UnmaskRequestMsg(((owner, SECRET_MASK_KEY),), forced=True))
-    assert resp.slots == ((True, (22).to_bytes(SHARE_VALUE_BYTES, "big")),)
+    assert resp.slots == ((True, (22).to_bytes(KEY_BYTES, "big")),)
     assert agent.forced_releases == [owner]
 
 
@@ -363,7 +338,7 @@ def test_held_share_outside_its_field_not_released():
     while p - 1, the largest element of each field, is released."""
     from secaggsim.crypto import SHARE_PRIME, SHARE_PRIME_64
 
-    agent, _ = _lone_agent(n_recipients=5, group=FAST_GROUP)
+    agent, _ = _lone_agent(n_recipients=5)
     agent.distribute_shares()
     # owners at points 2 to 5
     entries = [(SHARE_PRIME_64, 1), (SHARE_PRIME_64 - 1, 1), (1, SHARE_PRIME), (1, SHARE_PRIME - 1)]
@@ -400,20 +375,17 @@ def test_fifteen_percent_dropouts_exact_sum():
     assert np.array_equal(result.total.values, plaintext_sum(survivors, 12, SPEC))
 
 
-@pytest.mark.parametrize(
-    "group, width", [(FAST_GROUP, 9), (SIM_GROUP, 33), (STRONG_GROUP, 33)], ids=["fast64", "sim256", "strong2048"]
-)
-def test_dropout_round_matches_oracle_in_each_key_field(group, width):
-    """Mask keys are shared in their group's field (9-byte shares for
-    fast64, 33-byte ones for sim256 and strong2048's short exponents), and
-    a round with dropouts reconstructs them there exactly."""
+@pytest.mark.parametrize("group", [FAST_GROUP], ids=lambda g: g.name)
+def test_dropout_round_matches_oracle_in_each_key_field(group):
+    """Mask keys are shared in 2^64 + 13 with 9-byte shares, and a round
+    with dropouts reconstructs them there exactly."""
     inputs = random_inputs(24, 8, SPEC, seed=35)
     drop = {2, 11, 17}
     result, server, users, counters = run_plain_round(24, TREE22, SPEC, inputs, seed=35, pre_drop=drop, group=group)
     survivors = {u: x for u, x in inputs.items() if u not in drop}
     assert np.array_equal(result.total.values, plaintext_sum(survivors, 8, SPEC))
     assert counters.mask_cancellations > 0 and len(server._mask_secrets) == len(drop)
-    assert all(len(u._held) == u._share_count * (4 + width + SHARE_VALUE_BYTES) for u in users)
+    assert all(len(u._held) == u._share_count * (4 + KEY_BYTES + SEED_BYTES) for u in users)
 
 
 class _FlagFirstLeaf:
@@ -514,7 +486,7 @@ def test_oracle_dropouts_and_exclusion(case):
     inputs = random_inputs(n, m, SPEC, seed=seed)
     model = quantize_vector(np.random.default_rng(seed).uniform(-1, 1, m), SPEC)
     online = {u: x for u, x in inputs.items() if u not in drop}
-    server, users, transport, counters = build_round(n, tree, SPEC, group=FAST_GROUP)
+    server, users, transport, counters = build_round(n, tree, SPEC)
     rows = refused = 0
     receive = server.receive_unmask
 
@@ -604,7 +576,7 @@ def test_receive_peer_lists_matches_per_agent(monkeypatch):
     the seeds and key-agreement counts it derives alone: the batch takes the
     numpy path, each lone agent's few handles take builtin pow."""
     tree = TreeConfig(height=2, degree=3, neighbor_radius=2, share_threshold=2)
-    server, users, transport, counters = build_round(300, tree, SPEC, group=FAST_GROUP)
+    server, users, transport, counters = build_round(300, tree, SPEC)
     checked = []
 
     def compare(agents, msgs):
@@ -1095,13 +1067,15 @@ def _seed_past_field(req, resp):
 
     (_, stype), _ = req.targets
     assert stype == SECRET_SELF_SEED and resp.slots[0][0]
-    return UnmaskResponseMsg(((True, SHARE_PRIME.to_bytes(SHARE_VALUE_BYTES, "big")), *resp.slots[1:]))
+    return UnmaskResponseMsg(((True, SHARE_PRIME.to_bytes(SEED_BYTES, "big")), *resp.slots[1:]))
 
 
 def _narrow_key_table(req, resp):
-    """A sim256 holder's first slot holding fast64's 9-byte share, which
-    the server reads at its own 33 bytes into no whole slots."""
-    return UnmaskResponseMsg(((True, bytes(9)), *resp.slots[1:]))
+    """The first slot, a self seed, holding a 9-byte key share, which the
+    server reads at the seed's 33 bytes into no whole slots."""
+    (_, stype), _ = req.targets
+    assert stype == SECRET_SELF_SEED
+    return UnmaskResponseMsg(((True, bytes(KEY_BYTES)), *resp.slots[1:]))
 
 
 def _filled_refusal(req, resp):
@@ -1148,10 +1122,10 @@ def test_unrequested_release_rows_rejected_at_receive_unmask(tamper, match):
 
 
 def test_key_row_outside_its_field_rejected_at_receive_unmask():
-    """A released fast64 key share of 2^64 + 13, one past its field, is
+    """A released key share of 2^64 + 13, one past its field, is
     blamed on the holder that released it, where filing it would read it
     mod p as another share.  User 0 drops, so its mask key is asked for."""
-    server, users, transport, _ = build_round(16, TREE22, SPEC, group=FAST_GROUP)
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
     released = []
 
     def at_prime(agent, honest):
@@ -1163,7 +1137,7 @@ def test_key_row_outside_its_field_rejected_at_receive_unmask():
             if not keys:
                 return resp
             released.append(f"user:{agent.index}")
-            slots[keys[0]] = (True, FAST_GROUP.key_prime.to_bytes(9, "big"))
+            slots[keys[0]] = (True, SHARE_FIELDS[SECRET_MASK_KEY][0].to_bytes(KEY_BYTES, "big"))
             return UnmaskResponseMsg(tuple(slots))
 
         return respond
@@ -1188,11 +1162,10 @@ def test_key_row_outside_its_field_rejected_at_receive_unmask():
 # -- asking t holders, and again on a shortfall -------------------------------------------
 
 
-def _all_refused(req, group=SIM_GROUP):
+def _all_refused(req):
     """A reply of the request's length that refuses every target: a
     zero-filled slot of the target's width each."""
-    widths = {SECRET_MASK_KEY: group.key_share_bytes, SECRET_SELF_SEED: SHARE_VALUE_BYTES}
-    return UnmaskResponseMsg(tuple((False, bytes(widths[stype])) for _, stype in req.targets))
+    return UnmaskResponseMsg(tuple((False, bytes(SHARE_FIELDS[stype][1])) for _, stype in req.targets))
 
 
 def _silent(honest, req):
@@ -1292,8 +1265,8 @@ def test_leaf_with_t_minus_one_answering_holders_is_unrecoverable():
 
 
 def _resized(bundle, entries):
-    """The sim256 bundle with its first entry dropped or repeated."""
-    w = entry_bytes(SIM_GROUP.key_share_bytes)
+    """The bundle with its first entry dropped or repeated."""
+    w = ENTRY_BYTES
     bodies = bundle.bodies[w:] if entries < 0 else bundle.bodies[:w] + bundle.bodies
     return dataclasses.replace(bundle, bodies=bodies)
 
@@ -1406,14 +1379,13 @@ def test_byte_after_a_record_blamed_on_its_sender(sender, tag):
 
 
 def _rewidth(bundle):
-    """The fast64 bundle with every entry re-packed around a 33-byte key share."""
+    """The bundle with every entry re-packed around a 33-byte key share,
+    into 70-byte bodies."""
     points = []
-    for j, point in enumerate(entry_points(bundle.bodies, 9)):
-        off = j * entry_bytes(9)
-        key = share_part(bundle.bodies, off, SECRET_MASK_KEY, 9)
-        seed = share_part(bundle.bodies, off, SECRET_SELF_SEED, 9)
+    for j, point in enumerate(entry_points(bundle.bodies)):
+        key, seed = (share_part(bundle.bodies, j * ENTRY_BYTES, stype) for stype in (SECRET_MASK_KEY, SECRET_SELF_SEED))
         points.append((point, int.from_bytes(key, "big"), int.from_bytes(seed, "big")))
-    return ShareMsg(b"".join(share_bodies(points, 33)))
+    return ShareMsg(_wide_bodies(points))
 
 
 def _wide_upload(server, users, transport):
@@ -1439,11 +1411,11 @@ def _wide_download(server, users, transport):
     ],
 )
 def test_wrong_key_share_width_aborts_the_round(tamper, blamed, match):
-    """In a fast64 round every bundle is read as 46-byte entries with 9-byte
-    key shares.  One with 33-byte key shares is not whole entries, and is
-    blamed on its sender: on the user at ``route_share``, on the server at
-    ``receive_share``."""
-    server, users, transport, _ = build_round(16, TREE22, SPEC, group=FAST_GROUP)
+    """Every bundle is read as 46-byte entries with 9-byte key shares.  One
+    of 70-byte entries, with 33-byte key shares, is not whole entries, and
+    is blamed on its sender: on the user at ``route_share``, on the server
+    at ``receive_share``."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
     tamper(server, users, transport)
     with pytest.raises(ProtocolAbort, match=match) as exc:
         _run_16(server, users, transport, 80)
@@ -1532,7 +1504,7 @@ def test_blinded_key_outside_the_group_blamed_on_the_server(key):
     """A PEER_LIST handle whose blinded key k is not 1 < k < p - 1 aborts the
     round blamed on the server before any seed is derived; honest blinding
     never yields one, and the pair's masks would not cancel."""
-    server, users, transport, counters = build_round(16, TREE22, SPEC, group=FAST_GROUP)
+    server, users, transport, counters = build_round(16, TREE22, SPEC)
     peer_list_for = server.peer_list_for
 
     def cheat(user):
@@ -1576,9 +1548,9 @@ def test_unmask_request_before_the_share_bundle_blamed_on_the_server():
 
 
 def _point_flipped(bundle, entry):
-    """The sim256 bundle with the low bit of one entry's evaluation point flipped."""
+    """The bundle with the low bit of one entry's evaluation point flipped."""
     bodies = bytearray(bundle.bodies)
-    bodies[entry * entry_bytes(SIM_GROUP.key_share_bytes) + 3] ^= 1
+    bodies[entry * ENTRY_BYTES + 3] ^= 1
     return dataclasses.replace(bundle, bodies=bytes(bodies))
 
 

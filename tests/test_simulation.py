@@ -108,6 +108,7 @@ def test_config_json_roundtrip():
         ("attack", "min_scale"),
         ("attack", "scale_override"),
         ("detection", "replacement"),
+        (None, "dh_group"),
     ],
 )
 def test_config_unknown_key_rejected(section, key):
@@ -142,14 +143,13 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "0c2fd460c29889003742179d2a7f1ab479d24b141817300e00286fe0884e2a13",
+        "292b2457375ae24404928b58278d796196f4e96a970e4417cc1a016a9d3b8ba8",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
             n_users=81,
             rounds=9,
             mode="synthetic",
-            dh_group="fast64",
             tree_height=2,
             tree_degree=3,
             neighbor_radius=2,
@@ -160,7 +160,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "ff19d06e30dce10f4923219e57f530884c8c427691ec763b4de7e89e6c417597",
+        "c13a0fe57354bcee216a6a75c61a622aef9882ad114111c183ff3e91828cce34",
     ),
 }
 
@@ -349,20 +349,45 @@ def test_cli_run_and_determinism(tmp_path: Path):
 
 
 def test_cli_config_error_exit_code(tmp_path: Path):
-    """A config the tree cannot hold, or whose segment settings leave no
-    valid ring layout, exits 1 with a config error and no traceback."""
+    """A config the tree cannot hold, whose segment settings leave no valid
+    ring layout, with a setting that would crash or reverse the run, or a
+    file that is not a JSON object exits 1 with a config error and no
+    traceback."""
     cfg = small_config(n_users=6)
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text(cfg.to_json())
     proc = _run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert proc.returncode == 1
-    # k below q, w above 64, and q + 8 above w
-    docs = ({"detection": {"low_bits_override": 5}}, {"word_bits": 70}, {"frac_bits": 30})
-    for doc in docs:
-        cfg_path.write_text(json.dumps(doc))
+    small = {"n_users": 30, "tree_height": 1, "tree_degree": 2}
+    attack = {"attacker_ids": [0]}
+    # k below q, w above 64, and q + 8 above w; then each setting the error names
+    docs = [({"detection": {"low_bits_override": 5}}, ""), ({"word_bits": 70}, ""), ({"frac_bits": 30}, "")]
+    docs += [
+        ({**small, "eta": 0, "attack": attack}, "eta"),
+        ({**small, "eta": -1}, "eta"),
+        ({**small, "detection": {"window": 0}}, "window"),
+        ({**small, "synthetic": {"vector_len": 0}}, "vector_len"),
+        ({**small, "mode": "toy_task", "task": {"classes_per_user": 0}}, "classes_per_user"),
+        ({**small, "mode": "toy_task", "task": {"classes_per_user": 11}}, "classes_per_user"),
+        ({**small, "attack": {**attack, "cap": -1}}, "cap"),
+    ]
+    texts = [(json.dumps(doc), name) for doc, name in docs] + [("[1, 2]", "JSON list"), ("{bad", "not JSON")]
+    for text, name in texts:
+        cfg_path.write_text(text)
         proc = _run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
-        assert proc.returncode == 1, doc
-        assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr, doc
+        assert proc.returncode == 1, text
+        assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr, text
+        assert name in proc.stderr, text
+
+
+def test_cli_default_run(tmp_path: Path):
+    """With no ``--config`` the CLI runs the ``ScenarioConfig`` defaults,
+    243 users for 20 rounds, and writes a header and one row per round."""
+    out = tmp_path / "o"
+    proc = _run_cli("run", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert len((out / "report.csv").read_text().splitlines()) == 1 + 20
+    assert json.loads((out / "transcript.json").read_text())["config"] == json.loads(ScenarioConfig().to_json())
 
 
 def test_cli_unknown_config_key(tmp_path: Path):

@@ -12,17 +12,18 @@ from conftest import build_round, random_inputs, run_plain_round
 
 from secaggsim.aggserver import AggServer
 from secaggsim.counters import OpCounters
-from secaggsim.crypto import FAST_GROUP, RAND_BYTES, SHARE_PRIME, SHARE_PRIME_64, SIM_GROUP, TOY_GROUP
+from secaggsim.crypto import FAST_GROUP, RAND_BYTES, SHARE_PRIME, SHARE_PRIME_64, TOY_GROUP
 from secaggsim.errors import ProtocolAbort, WireError
 from secaggsim.fixedpoint import SegmentSpec, zeros
 from secaggsim.orgtree import TreeConfig
 from secaggsim.simulation import execute_round
 from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
+    ENTRY_BYTES,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SERVER,
-    SHARE_VALUE_BYTES,
+    SHARE_FIELDS,
     TAG_ADVERT,
     TAG_GLOBAL_MODEL,
     TAG_MASKED_UPLOAD,
@@ -47,17 +48,17 @@ from secaggsim.wire import (
     decode_from,
     decode_record,
     encode_record,
-    entry_bytes,
     entry_points,
     share_bodies,
     share_part,
 )
 
 SPEC32 = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
-KEY64 = 9  # bytes of a mask-key share in the 2^64 + 13 field
-SHARE = ShareMsg(b"".join(share_bodies([(2, 5, (1 << 256) + 7), (3, (1 << 64) + 1, 2)], KEY64)))
-# the groups whose widths a record's layout takes: W = 1, 8, 32 and K = 9, 9, 33
-GROUPS = [TOY_GROUP, FAST_GROUP, SIM_GROUP]
+KEY_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1]  # 9, a share in the 2^64 + 13 field
+SEED_BYTES = SHARE_FIELDS[SECRET_SELF_SEED][1]  # 33, a share in the 2^256 + 297 field
+SHARE = ShareMsg(b"".join(share_bodies([(2, 5, (1 << 256) + 7), (3, (1 << 64) + 1, 2)])))
+# the groups whose widths a record's layout takes: W = 1 and 8
+GROUPS = [TOY_GROUP, FAST_GROUP]
 GROUP_IDS = [group.name for group in GROUPS]
 # the records whose layout the receiver's group sets; an unmask response's
 # also takes the targets of the request it answers
@@ -65,15 +66,15 @@ GROUPED = (AdvertMsg, PeerListMsg, RevealMsg)
 RESPONSE_TARGETS = ((3, SECRET_SELF_SEED), (4, SECRET_MASK_KEY), (1, SECRET_MASK_KEY))
 
 
-def _share(value: int, width: int = SHARE_VALUE_BYTES) -> bytes:
+def _share(value: int, width: int = SEED_BYTES) -> bytes:
     return value.to_bytes(width, "big")
 
 
 def _held(cls, group=FAST_GROUP) -> tuple:
     """What the receiver of a ``cls`` record holds that the layout takes:
-    its group, and for an unmask response ``RESPONSE_TARGETS`` too."""
+    its group, or for an unmask response ``RESPONSE_TARGETS``."""
     if cls is UnmaskResponseMsg:
-        return group, RESPONSE_TARGETS
+        return (RESPONSE_TARGETS,)
     return (group,) if cls in GROUPED else ()
 
 
@@ -95,7 +96,7 @@ MESSAGES = [
     SHARE,
     MaskedUploadMsg.from_vector(np.array([0, 1, 2**32 - 5], dtype=np.uint64), SPEC32),
     UnmaskRequestMsg(((2, SECRET_SELF_SEED), (3, SECRET_MASK_KEY)), forced=True),
-    UnmaskResponseMsg(((True, _share(9)), (False, bytes(KEY64)), (True, _share(5, KEY64)))),  # RESPONSE_TARGETS
+    UnmaskResponseMsg(((True, _share(9)), (False, bytes(KEY_BYTES)), (True, _share(5, KEY_BYTES)))),  # RESPONSE_TARGETS
     RevealMsg(b"\x55" * 32, ((_key(2), _key(3), b"r" * 32), (_key(4), _key(5), b"R" * 32))),
     GlobalModelMsg.from_vector(np.array([3, 4], dtype=np.uint64), SPEC32),
 ]
@@ -168,13 +169,13 @@ def test_unmask_encodings_unchanged(name):
 def _tree_commit_bytes(n: int) -> bytes:
     spec = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
     server = AggServer(
-        tree=TreeConfig(height=1, degree=2), group=SIM_GROUP, spec=spec, inter_mask_bits=10, counters=OpCounters()
+        tree=TreeConfig(height=1, degree=2), group=FAST_GROUP, spec=spec, inter_mask_bits=10, counters=OpCounters()
     )
     rng = Random(n)
     server.begin_round(n, rng, 1)
 
     def key() -> bytes:  # a group element, as ``receive_advert`` checks
-        return SIM_GROUP.encode(rng.randrange(SIM_GROUP.p))
+        return FAST_GROUP.encode(rng.randrange(FAST_GROUP.p))
 
     for u in range(n):
         server.receive_advert(u, AdvertMsg(key(), key(), rng.randbytes(32)))
@@ -249,25 +250,25 @@ def test_peer_list_length_is_fixed_layout(group):
         assert msg.to_bytes() == data
 
 
-def _width(stype: int, group) -> int:
-    """Bytes of one share of ``stype``: the group's K for a mask key, 33 for a self seed."""
-    return group.key_share_bytes if stype == SECRET_MASK_KEY else SHARE_VALUE_BYTES
+def _width(stype: int) -> int:
+    """Bytes of one share of ``stype``: 9 for a mask key, 33 for a self seed."""
+    return SHARE_FIELDS[stype][1]
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
 def test_release_table_length_is_fixed_layout(group):
     """An UNMASK_REQUEST is forced (1) || 5 bytes a target, and its
     UNMASK_RESPONSE one status (1) || share slot per target in its order,
-    the share K bytes for a mask key at the group's K and 33 for a self
-    seed, with no owner point, count, width or refusal list."""
+    the share 9 bytes for a mask key and 33 for a self seed, with no owner
+    point, count, width or refusal list."""
     records = _round_records(group)
     pairs = list(zip(records[TAG_UNMASK_REQUEST], records[TAG_UNMASK_RESPONSE], strict=True))
     types = set()
     for sent, data in pairs:
         req = UnmaskRequestMsg.from_bytes(sent)
         assert len(sent) == 5 + 1 + 5 * len(req.targets)
-        msg = UnmaskResponseMsg.from_bytes(data, group, req.targets)
-        assert len(data) == 5 + sum(1 + _width(stype, group) for _, stype in req.targets)
+        msg = UnmaskResponseMsg.from_bytes(data, req.targets)
+        assert len(data) == 5 + sum(1 + _width(stype) for _, stype in req.targets)
         assert msg.to_bytes() == data
         types |= {stype for _, stype in req.targets}
     assert types == {SECRET_MASK_KEY, SECRET_SELF_SEED}
@@ -277,7 +278,7 @@ def test_reveal_length_is_header_plus_fixed_records():
     """REVEAL is a header of the server randomness (32) and one share key
     (W) || mask key (W) || randomness (32) record per user to the end, at
     each group's W, with no N, no widths and no nonce: 34 bytes a record at
-    toy, 48 at fast64, 96 at sim256.  A round's own reveal of its 16 users
+    toy and 48 at fast64.  A round's own reveal of its 16 users
     and records drawn at random both take that length."""
     rng = Random(7)
     for group in GROUPS:
@@ -299,7 +300,7 @@ def test_fast64_reveal_records_are_two_keys_and_the_randomness():
     server randomness and nothing else."""
     n, width = 16, 2 * FAST_GROUP.element_bytes + RAND_BYTES
     _, server, _, _ = run_plain_round(
-        n, TreeConfig(height=1, degree=2), SPEC32, random_inputs(n, 4, SPEC32, seed=3), seed=3, group=FAST_GROUP
+        n, TreeConfig(height=1, degree=2), SPEC32, random_inputs(n, 4, SPEC32, seed=3), seed=3
     )
     msg = server.reveal()
     assert width == 48
@@ -376,103 +377,85 @@ def test_vector_partial_element_rejected(w):
 
 # -- share bundles and release tables ----------------------------------------------
 
-WIDE_KEY = (1 << 256) - 1  # above every short exponent
-WIDE_SEED = SHARE_PRIME - 1
-WIDE = ShareMsg(share_bodies([(4, WIDE_KEY, WIDE_SEED)], SHARE_VALUE_BYTES)[0])
-NARROW_KEY = SHARE_PRIME_64 - 1  # the largest element of the 2^64 + 13 field
-NARROW = ShareMsg(share_bodies([(4, NARROW_KEY, WIDE_SEED)], KEY64)[0])
+KEY_MAX = SHARE_PRIME_64 - 1  # the largest element of each field
+SEED_MAX = SHARE_PRIME - 1
+ENTRY = ShareMsg(share_bodies([(4, KEY_MAX, SEED_MAX)])[0])
 
 
 def test_share_packed_wide_roundtrip():
-    """A body is point (4) || key share (W) || seed share (33): 70 bytes
-    with sim256 and strong2048 key shares, 46 with toy and fast64 ones,
-    with no header."""
-    assert entry_bytes(SHARE_VALUE_BYTES) == 4 + 2 * SHARE_VALUE_BYTES == 70
-    assert entry_bytes(KEY64) == 4 + KEY64 + SHARE_VALUE_BYTES == 46
-    for msg, key, width in ((WIDE, WIDE_KEY, SHARE_VALUE_BYTES), (NARROW, NARROW_KEY, KEY64)):
-        data = msg.to_bytes()
-        assert len(data) == 5 + entry_bytes(width)
-        assert ShareMsg.from_bytes(data) == msg
-        assert entry_points(msg.bodies, width) == (4,)
-        assert share_part(msg.bodies, 0, SECRET_MASK_KEY, width) == _share(key, width)
-        assert share_part(msg.bodies, 0, SECRET_SELF_SEED, width) == _share(WIDE_SEED)
+    """A body is point (4) || key share (9) || seed share (33), 46 bytes
+    with no header, and holds the largest element of each field."""
+    assert ENTRY_BYTES == 4 + KEY_BYTES + SEED_BYTES == 46
+    data = ENTRY.to_bytes()
+    assert len(data) == 5 + ENTRY_BYTES
+    assert ShareMsg.from_bytes(data) == ENTRY
+    assert entry_points(ENTRY.bodies) == (4,)
+    assert share_part(ENTRY.bodies, 0, SECRET_MASK_KEY) == _share(KEY_MAX, KEY_BYTES)
+    assert share_part(ENTRY.bodies, 0, SECRET_SELF_SEED) == _share(SEED_MAX)
 
 
 def test_share_secret_type_single_records_only():
     """A bundle entry carries both secrets; a response slot carries one,
     and the target it answers names its type.  A slot holds exactly one
-    share of its target's width, as the receiver's group sets it: a fast64
-    server cannot read a response whose key slot holds another width, or
-    whose seed slot holds a key share."""
-    key = share_part(NARROW.bodies, 0, SECRET_MASK_KEY, KEY64)
-    assert int.from_bytes(key, "big") == NARROW_KEY
+    share of its target's width: a server cannot read a response whose key
+    slot holds another width, or whose seed slot holds a key share."""
+    key = share_part(ENTRY.bodies, 0, SECRET_MASK_KEY)
+    assert int.from_bytes(key, "big") == KEY_MAX
     with pytest.raises(ValueError):
-        share_part(NARROW.bodies, 0, 3, KEY64)
+        share_part(ENTRY.bodies, 0, 3)
     both = ((4, SECRET_MASK_KEY), (4, SECRET_SELF_SEED))
-    resp = UnmaskResponseMsg(((True, key), (True, _share(WIDE_SEED))))
-    assert UnmaskResponseMsg.from_bytes(resp.to_bytes(), FAST_GROUP, both) == resp
-    assert resp.shares == (key, _share(WIDE_SEED))
-    for short in (key[1:], key + key, _share(NARROW_KEY)):
+    resp = UnmaskResponseMsg(((True, key), (True, _share(SEED_MAX))))
+    assert UnmaskResponseMsg.from_bytes(resp.to_bytes(), both) == resp
+    assert resp.shares == (key, _share(SEED_MAX))
+    for short in (key[1:], key + key, _share(KEY_MAX)):
         with pytest.raises(WireError):
-            UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(((True, short),)).to_bytes(), FAST_GROUP, both[:1])
+            UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(((True, short),)).to_bytes(), both[:1])
     with pytest.raises(WireError):
-        UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(((True, key),)).to_bytes(), FAST_GROUP, both[1:])
+        UnmaskResponseMsg.from_bytes(UnmaskResponseMsg(((True, key),)).to_bytes(), both[1:])
 
 
 def test_share_record_without_secret_rejected():
     """A bundle carries no width, so it decodes as any bytes, and its
-    receiver reads whole bodies of 4 + W + 33 bytes at its group's W: an
-    entry that holds only its point or one of the two shares, or is a byte
-    off, is not a body, and the bundle is rejected whole, blamed on the
-    server that sent it."""
-    for group, bad in ((FAST_GROUP, (4, 13, 37, 45, 47, 70)), (SIM_GROUP, (4, 37, 46, 69, 71))):
-        agent = UserAgent(
-            0, group=group, spec=SPEC32, inter_mask_bits=10, tree=TreeConfig(height=0, degree=2), counters=OpCounters()
-        )
-        agent.begin_round(Random(0), bytes(32))
-        agent.open_rand(TreeCommitMsg(2, bytes(32)))  # the one leaf holds both users
-        agent.receive_peer_list(PeerListMsg(1, 2, ()))
-        agent.distribute_shares()
-        for size in bad:
-            msg = decode_from(SERVER, ShareMsg, encode_record(TAG_SHARE_MSG, bytes(size)))
-            assert msg.bodies == bytes(size)
-            with pytest.raises(ProtocolAbort, match="malformed ShareMsg") as exc:
-                agent.receive_share(msg)
-            assert exc.value.blamed == "server"
-        agent.receive_share(ShareMsg(share_bodies([(1, 2, 3)], group.key_share_bytes)[0]))
+    receiver reads whole bodies of 4 + 9 + 33 bytes: an entry that holds
+    only its point or one of the two shares, or is a byte off, or the
+    70-byte body of a 33-byte key share, is not a body, and the bundle is
+    rejected whole, blamed on the server that sent it."""
+    agent = UserAgent(
+        0, group=FAST_GROUP, spec=SPEC32, inter_mask_bits=10, tree=TreeConfig(height=0, degree=2), counters=OpCounters()
+    )
+    agent.begin_round(Random(0), bytes(32))
+    agent.open_rand(TreeCommitMsg(2, bytes(32)))  # the one leaf holds both users
+    agent.receive_peer_list(PeerListMsg(1, 2, ()))
+    agent.distribute_shares()
+    for size in (4, 13, 37, 45, 47, 69, 70, 71):
+        msg = decode_from(SERVER, ShareMsg, encode_record(TAG_SHARE_MSG, bytes(size)))
+        assert msg.bodies == bytes(size)
+        with pytest.raises(ProtocolAbort, match="malformed ShareMsg") as exc:
+            agent.receive_share(msg)
+        assert exc.value.blamed == "server"
+    agent.receive_share(ShareMsg(share_bodies([(1, 2, 3)])[0]))
 
 
 _value = st.integers(0, SHARE_PRIME - 1)
 _index = st.integers(1, 2**32 - 1)
-# a group of each key-share width, whose key field holds its shares
-_key_group = st.sampled_from((FAST_GROUP, SIM_GROUP))
 
 
-@st.composite
-def _bundles(draw):
-    group = draw(_key_group)
-    width, prime = group.key_share_bytes, group.key_prime
-    return width, draw(st.lists(st.tuples(_index, st.integers(0, prime - 1), _value), max_size=40))
-
-
-@given(_bundles())
-@example((KEY64, [(2**32 - 1, SHARE_PRIME_64 - 1, SHARE_PRIME - 1)]))
-@example((SHARE_VALUE_BYTES, [(2**32 - 1, SHARE_PRIME - 1, 0)]))
-def test_bundle_roundtrip(bundle):
-    """Bundles (one layout for both directions) round-trip at both key-share
-    widths: 0 to many entries of a key share and a seed share, indices up
-    to 2^32 - 1."""
-    width, points = bundle
-    msg = ShareMsg(b"".join(share_bodies(points, width)))
+@given(st.lists(st.tuples(_index, st.integers(0, SHARE_PRIME_64 - 1), _value), max_size=40))
+@example([(2**32 - 1, SHARE_PRIME_64 - 1, SHARE_PRIME - 1)])
+@example([])
+def test_bundle_roundtrip(points):
+    """Bundles (one layout for both directions) round-trip: 0 to many
+    entries of a key share and a seed share, indices up to 2^32 - 1."""
+    msg = ShareMsg(b"".join(share_bodies(points)))
     data_bytes = msg.to_bytes()
-    assert len(data_bytes) == 5 + len(points) * (4 + width + SHARE_VALUE_BYTES)
+    assert len(data_bytes) == 5 + len(points) * ENTRY_BYTES
     decoded = ShareMsg.from_bytes(data_bytes)
     assert decoded == msg
-    assert entry_points(decoded.bodies, width) == tuple(index for index, _, _ in points)
+    assert entry_points(decoded.bodies) == tuple(index for index, _, _ in points)
     for j, (_, key, seed) in enumerate(points):
-        off = j * entry_bytes(width)
-        assert share_part(decoded.bodies, off, SECRET_MASK_KEY, width) == _share(key, width)
-        assert share_part(decoded.bodies, off, SECRET_SELF_SEED, width) == _share(seed)
+        off = j * ENTRY_BYTES
+        assert share_part(decoded.bodies, off, SECRET_MASK_KEY) == _share(key, KEY_BYTES)
+        assert share_part(decoded.bodies, off, SECRET_SELF_SEED) == _share(seed)
 
 
 _owner = st.integers(0, 2**32 - 1)
@@ -480,32 +463,28 @@ _owner = st.integers(0, 2**32 - 1)
 
 @st.composite
 def _slots(draw):
-    """A group and slots of mixed secret types and statuses: (owner point,
-    secret type, released, share value), each share below its field."""
-    group = draw(st.sampled_from(GROUPS))
-    prime = {SECRET_MASK_KEY: group.key_prime, SECRET_SELF_SEED: SHARE_PRIME}
+    """Slots of mixed secret types and statuses: (owner point, secret
+    type, released, share value), each share below its field."""
     stypes = draw(st.lists(st.sampled_from((SECRET_MASK_KEY, SECRET_SELF_SEED)), max_size=20))
-    return group, [(draw(_owner), stype, draw(st.booleans()), draw(st.integers(0, prime[stype] - 1))) for stype in stypes]
+    prime = {stype: field for stype, (field, _) in SHARE_FIELDS.items()}
+    return [(draw(_owner), stype, draw(st.booleans()), draw(st.integers(0, prime[stype] - 1))) for stype in stypes]
 
 
 @given(_slots())
-@example((TOY_GROUP, []))
-@example((SIM_GROUP, [(2**32 - 1, SECRET_MASK_KEY, True, SHARE_PRIME - 1)]))
-@example((FAST_GROUP, [(1, SECRET_MASK_KEY, False, 0), (1, SECRET_SELF_SEED, True, 0)]))
-def test_release_table_roundtrip(case):
-    """Unmask responses round-trip under toy, fast64 and sim256 over mixed
-    secret types and statuses: one status (1) || share slot per target of
-    the request, K bytes for a mask key and 33 for a self seed, a refused
-    share zero-filled; the request is forced (1) || 5 bytes a target."""
-    group, slots = case
+@example([])
+@example([(2**32 - 1, SECRET_MASK_KEY, True, SHARE_PRIME_64 - 1)])
+@example([(1, SECRET_MASK_KEY, False, 0), (1, SECRET_SELF_SEED, True, 0)])
+def test_release_table_roundtrip(slots):
+    """Unmask responses round-trip over mixed secret types and statuses:
+    one status (1) || share slot per target of the request, 9 bytes for a
+    mask key and 33 for a self seed, a refused share zero-filled; the
+    request is forced (1) || 5 bytes a target."""
     targets = tuple((owner, stype) for owner, stype, _, _ in slots)
-    msg = UnmaskResponseMsg(
-        tuple((ok, _share(value if ok else 0, _width(stype, group))) for _, stype, ok, value in slots)
-    )
+    msg = UnmaskResponseMsg(tuple((ok, _share(value if ok else 0, _width(stype))) for _, stype, ok, value in slots))
     data = msg.to_bytes()
-    assert len(data) == 5 + sum(1 + _width(stype, group) for _, stype in targets)
-    assert UnmaskResponseMsg.from_bytes(data, group, targets) == msg
-    assert msg.shares == tuple(_share(v, _width(stype, group)) for _, stype, ok, v in slots if ok)
+    assert len(data) == 5 + sum(1 + _width(stype) for _, stype in targets)
+    assert UnmaskResponseMsg.from_bytes(data, targets) == msg
+    assert msg.shares == tuple(_share(v, _width(stype)) for _, stype, ok, v in slots if ok)
     assert msg.refused == tuple(i for i, (*_, ok, _) in enumerate(slots) if not ok)
     for forced in (False, True):
         req = UnmaskRequestMsg(targets, forced)
@@ -564,7 +543,7 @@ def test_unmask_records_off_their_layout_rejected():
     key, seed = RESPONSE_TARGETS[1], RESPONSE_TARGETS[0]
     (resp,) = [m for m in MESSAGES if isinstance(m, UnmaskResponseMsg)]
     _, payload = decode_record(resp.to_bytes())  # seed released, key refused, key released
-    slot = 1 + KEY64
+    slot = 1 + KEY_BYTES
     bad = {
         "one_byte_short": payload[:-1],
         "one_byte_long": payload + b"\x00",
@@ -578,11 +557,11 @@ def test_unmask_records_off_their_layout_rejected():
     }
     assert not [name for name, cut in bad.items() if _decodes(UnmaskResponseMsg, TAG_UNMASK_RESPONSE, cut)]
     assert _decode(UnmaskResponseMsg, encode_record(TAG_UNMASK_RESPONSE, payload)).refused == (1,)
-    first = UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload[:34]), FAST_GROUP, (seed,))
+    first = UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload[:34]), (seed,))
     assert first.shares == (_share(9),)
-    assert UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, b""), FAST_GROUP, ()).slots == ()
+    assert UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, b""), ()).slots == ()
     with pytest.raises(WireError):  # a seed slot read as a key slot
-        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload[:34]), FAST_GROUP, (key,))
+        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload[:34]), (key,))
     requests = {
         "no_flag": b"",
         "flag_2": b"\x02" + bytes(5),
@@ -597,15 +576,15 @@ def test_unmask_records_off_their_layout_rejected():
 def test_decode_from_blames_the_sender():
     """``decode_from`` hands the receiver's group to the records whose
     layout takes it, and blames a record off that layout on its sender."""
-    assert decode_from("user:4", ShareMsg, WIDE.to_bytes()) == WIDE
+    assert decode_from("user:4", ShareMsg, ENTRY.to_bytes()) == ENTRY
     advert = MESSAGES[1]
     assert decode_from("user:4", AdvertMsg, advert.to_bytes(), FAST_GROUP) == advert
     for sender in ("server", "user:4"):
         with pytest.raises(ProtocolAbort) as exc:
-            decode_from(sender, ShareMsg, WIDE.to_bytes()[:-1])
+            decode_from(sender, ShareMsg, ENTRY.to_bytes()[:-1])
         assert exc.value.blamed == sender
         with pytest.raises(ProtocolAbort) as exc:
-            decode_from(sender, AdvertMsg, advert.to_bytes(), SIM_GROUP)  # 48 bytes, not 96
+            decode_from(sender, AdvertMsg, advert.to_bytes(), TOY_GROUP)  # 48 bytes, not 34
         assert exc.value.blamed == sender
 
 
