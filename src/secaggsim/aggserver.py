@@ -75,7 +75,6 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
-    entry_points,
 )
 
 
@@ -252,21 +251,20 @@ class AggServer:
         the sender's share leaf has sent, re-slice the leaf's bundles into
         one per member and return them with their recipients.
 
-        A bundle is one body of point (4), key share (9) and seed share (33)
-        per entry (see ``wire``).  It must be the sender's first, of whole
-        entries, one for every other member of its share leaf, each at its
-        recipient's evaluation point (the recipient's 1-based place in the
-        leaf); any other is blamed on the sender.  The relay moves entry
-        bodies by position and never decodes a share, but the shares are
-        plaintext: the server could read them until ROADMAP item 7 encrypts
-        each entry body.
+        A bundle is one 42-byte body of key share (9) and seed share (33)
+        per entry, whose position gives its recipient (see ``wire``).  It
+        must be the sender's first, of whole entries, one for every other
+        member of its share leaf; any other is blamed on the sender.  The
+        relay moves entry bodies by position and never decodes a share, but
+        the shares are plaintext: the server could read them until ROADMAP
+        item 7 encrypts each entry body.
         """
         share_asn = self.setup.share_assignment
         leaf = share_asn.leaf_of[sender]
         members = share_asn.members[leaf]
         inbox = self._share_inbox.setdefault(leaf, {})
         w = ENTRY_BYTES
-        mates, point = len(members) - 1, self._point[sender]
+        mates = len(members) - 1
         fault = None
         if len(msg.bodies) % w:
             fault = f"sent a malformed ShareMsg of {len(msg.bodies)} bytes, not whole {w}-byte entries"
@@ -274,8 +272,6 @@ class AggServer:
             fault = f"sent {len(msg.bodies) // w} share entries for its {mates} share recipients"
         elif sender in inbox:
             fault = "sent a second share bundle"
-        elif entry_points(msg.bodies) != (*range(1, point), *range(point + 1, mates + 2)):
-            fault = "sent a share entry at another recipient's evaluation point"
         if fault is not None:
             raise ProtocolAbort(f"user {sender} {fault}", blamed=f"user:{sender}")
         inbox[sender] = msg.bodies

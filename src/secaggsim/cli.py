@@ -22,7 +22,11 @@ from .simulation import ScenarioConfig, run_scenario
 def _load_config(path: str | None) -> ScenarioConfig:
     if path is None:
         return ScenarioConfig()
-    return ScenarioConfig.from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    return ScenarioConfig.from_json(text)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -205,11 +205,17 @@ class ScenarioConfig:
             raise ConfigError("eta must be > 0")
         if self.detection.window < 1:
             raise ConfigError("detection window must be >= 1")
+        if not self.detection.expansion > 0:
+            raise ConfigError("detection expansion must be > 0")
         if self.synthetic.vector_len < 1:
             raise ConfigError("synthetic vector_len must be >= 1")
         per_user = self.task.classes_per_user
         if per_user is not None and not 1 <= per_user <= N_CLASSES:
             raise ConfigError(f"task classes_per_user must be in [1, {N_CLASSES}]")
+        if not self.task.local_lr >= 0:
+            raise ConfigError("task local_lr must be >= 0")
+        if not self.task.lr_decay >= 0:
+            raise ConfigError("task lr_decay must be >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout rate must be in [0, 1)")
         tree = self.tree()

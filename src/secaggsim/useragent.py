@@ -10,10 +10,12 @@ is its evaluation point.  A mate's place is the user's only name for it.
 
 Shares travel as bundles relayed by the server (see ``wire``): one from
 each user with an entry per mate, and one to each user with an entry per
-owner.  A user keeps its bundle as bytes, in leaf order, so an owner's
-entry sits at (owner point - 1) entry widths, and only slices out the
-shares it releases.  The entries are not encrypted, so the relay can read
-every share until ROADMAP item 7 encrypts each entry body.
+owner, each entry a 42-byte body that names no point, as its place in
+the bundle gives it.  A user keeps its bundle as bytes, in leaf order,
+so an owner's entry sits at (owner point - 1) entry widths, and only
+slices out the shares it releases.  The entries are not encrypted, so
+the relay can read every share until ROADMAP item 7 encrypts each entry
+body.
 
 Every user derives one shared seed per peer handle from its own mask
 secret and the handle's blinded key, and keeps the seeds in handle
@@ -71,7 +73,6 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
-    entry_points,
     share_bodies,
     share_part,
 )
@@ -179,7 +180,7 @@ class UserAgent:
         keys = share_secret(self.mask_keys.secret, t, n, self._rng, SHARE_FIELDS[SECRET_MASK_KEY][0])
         seeds = share_secret(int.from_bytes(self.self_seed, "big"), t, n, self._rng)
         self.counters.shares_created += 2 * n
-        bodies = share_bodies(zip(range(1, n + 1), keys, seeds))
+        bodies = share_bodies(zip(keys, seeds))
         self._held = bodies.pop(self._own_pos)
         return ShareMsg(b"".join(bodies))
 
@@ -189,9 +190,9 @@ class UserAgent:
         The bundle holds one entry per mate, in leaf order.  With the
         retained entry spliced in at this user's place, each owner's entry
         sits at (owner point - 1) entry widths, so nothing is decoded before
-        it is released.  Anything but one bundle of whole 46-byte entries,
-        one per mate, each at this user's evaluation point, after its own
-        shares went out, is the server's fault and is rejected whole.
+        it is released.  Anything but one bundle of whole 42-byte entries,
+        one per mate, after its own shares went out, is the server's fault
+        and is rejected whole.
         """
         w, mates = ENTRY_BYTES, self._share_count - 1
         fault = None
@@ -203,8 +204,6 @@ class UserAgent:
             fault = f"got a malformed ShareMsg of {len(msg.bodies)} bytes, not whole {w}-byte entries"
         elif len(msg.bodies) != mates * w:
             fault = f"got {len(msg.bodies) // w} share entries for {mates} mates"
-        elif entry_points(msg.bodies) != (self._own_pos + 1,) * mates:
-            fault = "got a share entry at another evaluation point"
         if fault is not None:
             raise ProtocolAbort(f"user {self.index} {fault}", blamed="server")
         cut = self._own_pos * w

@@ -4,21 +4,21 @@ Every protocol message is one length-prefixed record::
 
     tag (1 byte) || payload_length (4 bytes, big endian) || payload
 
-No payload carries a width, a length or a count that its receiver
-already holds.  Every field has the width a protocol constant or the
-receiver's own ``SegmentSpec`` or ``DhGroup`` gives it: W is the group's
-``element_bytes``, and a digest, a grouping randomness, a mask-key share
-or a self-seed share is 32, 32, 9 or 33 bytes.  So each record has one
-fixed layout, which its receiver applies::
+No payload carries a width, a length, a count or an evaluation point
+that its receiver already holds.  Every field has the width a protocol
+constant or the receiver's own ``SegmentSpec`` or ``DhGroup`` gives it:
+W is the group's ``element_bytes``, and a digest, a grouping randomness,
+a mask-key share or a self-seed share is 32, 32, 9 or 33 bytes.  So each
+record has one fixed layout, which its receiver applies::
 
     SERVER_COMMIT    digest (32)
     ADVERT           share key (W) || mask key (W) || randomness commitment (32)
     TREE_COMMIT      N (4) || commitments digest (32)
     RAND_OPEN        randomness (32)
-    PEER_LIST        own point (4) || share-leaf size (4) || handle count n (4)
-                     || n rows of: sign (1) || kind (1) || blinded key (W)
+    PEER_LIST        own point (4) || share-leaf size (4) || handle rows to the end, each:
+                     sign (1) || kind (1) || blinded key (W)
     SHARE_MSG        entry bodies to the end, each:
-                     evaluation point (4) || mask-key share (9) || self-seed share (33)
+                     mask-key share (9) || self-seed share (33)
     MASKED_UPLOAD    words to the end
     UNMASK_REQUEST   forced (1) || targets to the end, each:
                      owner point (4) || secret type (1)
@@ -31,13 +31,12 @@ fixed layout, which its receiver applies::
 The decoders of ADVERT, PEER_LIST and REVEAL take the receiver's group,
 and that of UNMASK_RESPONSE the targets of the request it answers; the
 vector messages are read at the receiver's w after decoding, and the
-share bundle as whole entries.  Decoding raises ``WireError`` for
-a truncated record, bytes after the record, one whose tag is not the
-expected message's, one whose fields overrun the payload, and bytes
-after the last field or, in a message of records to the end, bytes that
-are not whole records.  A round decodes every record from the bytes its
-receiver got through ``decode_from``, which blames a malformed one on
-its sender.
+share bundle as whole entries.  Decoding raises ``WireError`` for a
+truncated record, bytes after the record, one whose tag is not the
+expected message's, a payload shorter or longer than its fixed fields,
+and, in a message of records to the end, bytes that are not whole
+records.  A round decodes every record from the bytes its receiver got
+through ``decode_from``, which blames a malformed one on its sender.
 
 A vector element travels as a little endian word of the smallest native
 width (1, 2, 4 or 8 bytes) that holds w bits, so 4 bytes at w = 32, and
@@ -53,8 +52,9 @@ and by the server filing the released share.
 A user names a member of its share leaf by the member's 1-based place in
 the leaf order, which is also the member's Shamir evaluation point.  A
 peer list tells a user its own point and the leaf's size and nothing
-else about the leaf.  Its handles say only what masking needs: a sign of
-+1 or -1 and a kind code of 1 (intra) or 2 (inter).  No handle says
+else about the leaf; its handle rows run to the end of the payload, so
+no count precedes them.  Its handles say only what masking needs: a sign
+of +1 or -1 and a kind code of 1 (intra) or 2 (inter).  No handle says
 where in the tree the peer sits, so a user cannot match its masking
 peers against its share leaf.
 
@@ -63,12 +63,19 @@ per recipient from the server (the message layout of Bonawitz et al.,
 CCS 2017, section 4).  A bundle is nothing but entry bodies, whose
 positions name their other ends: an upload bundle holds one entry per
 other member of the owner's share leaf, a download bundle one per other
-member of the recipient's, each in leaf order.  Every body carries both
-secrets in ``ENTRY_BYTES``, 46 bytes, and bytes that are not whole
-bodies are a malformed bundle from the sender.  The relay moves
-bodies by position and never decodes a share, but the shares are
+member of the recipient's, each in leaf order.  So no body carries its
+evaluation point: in owner i's upload bundle, entry e, counted from 0,
+is at point e + 1 if that is below i and at e + 2 otherwise, and every
+entry of a download bundle is at the recipient's own point.  Every body
+carries both secrets in ``ENTRY_BYTES``, 42 bytes, and bytes that are
+not whole bodies are a malformed bundle from the sender.  The relay
+moves bodies by position and never decodes a share, but the shares are
 plaintext: it could read every one until ROADMAP item 7 replaces each
 body with a ciphertext.
+A relay that misroutes or permutes bodies corrupts only its own
+reconstructions, like any other wrong share (ROADMAP item 10); item 7's
+AEAD, whose associated data binds the owner's point, the recipient's
+point and the round, will reject such a body where it is decrypted.
 
 An unmask request names each target by its owner's point, with the
 secret type to release, after one byte that marks all its targets
@@ -134,21 +141,6 @@ SHARE_FIELDS = {SECRET_MASK_KEY: (SHARE_PRIME_64, 9), SECRET_SELF_SEED: (SHARE_P
 DIGEST_BYTES = 32  # SHA-256 commitments
 
 
-def _unpack(fmt: str, buf: bytes, off: int) -> tuple:
-    """``struct.unpack_from`` with a short read reported as ``WireError``."""
-    try:
-        return struct.unpack_from(fmt, buf, off)
-    except struct.error:
-        raise WireError(f"field {fmt!r} overruns the payload at offset {off}") from None
-
-
-def _take(buf: bytes, off: int, n: int) -> tuple[bytes, int]:
-    """The n bytes at ``off``, or ``WireError`` if fewer remain."""
-    if off + n > len(buf):
-        raise WireError(f"{n}-byte field overruns the payload at offset {off}")
-    return buf[off : off + n], off + n
-
-
 def _encode_words(values: np.ndarray, spec: SegmentSpec) -> bytes:
     """Ring elements as ``word_bytes(w)``-byte little endian words; an
     element >= 2^w raises ``ValueError`` rather than being cut to w bits."""
@@ -167,11 +159,6 @@ def _decode_words(words: bytes, spec: SegmentSpec) -> np.ndarray:
     if spec.word_bits < 8 * width and values.size and int(values.max()) > spec.word_mask:
         raise WireError(f"vector element exceeds the {spec.word_bits}-bit ring")
     return values
-
-
-def _check_end(payload: bytes, end: int) -> None:
-    if end != len(payload):
-        raise WireError(f"{len(payload) - end} trailing bytes after the last field")
 
 
 def encode_record(tag: int, payload: bytes) -> bytes:
@@ -295,7 +282,7 @@ class PeerHandle:
 
 _KIND_CODES = {"intra": 1, "inter": 2}
 _KINDS = (None, "intra", "inter")
-_PEER_HEAD = struct.Struct(">III")  # own point, share-leaf size, handle count
+_PEER_HEAD = struct.Struct(">II")  # own point, share-leaf size
 _HANDLE_HEAD = struct.Struct(">bB")  # sign, kind code
 _SIGN, _KIND = 0, 1  # offsets of the sign and the kind code in a handle row
 
@@ -309,8 +296,8 @@ def _handle_row(width: int) -> struct.Struct:
 @dataclass(frozen=True)
 class PeerListMsg:
     """The user's own evaluation point, the size of its share leaf, and its
-    masking peer handles, each row sign (1) || kind (1) || blinded key (W)
-    at the receiver's W.
+    masking peer handles to the end of the payload, each row sign (1) ||
+    kind (1) || blinded key (W) at the receiver's W.
 
     ``own_point`` is the user's 1-based place in its share leaf's order, and
     a mate's place there is the only name the user has for it.
@@ -323,16 +310,17 @@ class PeerListMsg:
     def to_bytes(self) -> bytes:
         peers, pack = self.peers, _HANDLE_HEAD.pack
         table = b"".join([pack(p.sign, _KIND_CODES[p.kind]) + p.randomized_pub for p in peers])
-        head = _PEER_HEAD.pack(self.own_point, self.leaf_size, len(peers))
+        head = _PEER_HEAD.pack(self.own_point, self.leaf_size)
         return encode_record(TAG_PEER_LIST, head + table)
 
     @staticmethod
     def from_bytes(data: bytes, group: DhGroup) -> "PeerListMsg":
         payload = _payload_of(data, TAG_PEER_LIST)
-        own, size, n = _unpack(_PEER_HEAD.format, payload, 0)
         row = _handle_row(group.element_bytes)
-        table, end = _take(payload, _PEER_HEAD.size, n * row.size)
-        _check_end(payload, end)
+        if len(payload) < _PEER_HEAD.size or (len(payload) - _PEER_HEAD.size) % row.size:
+            raise WireError(f"peer list payload of {len(payload)} bytes is not 8 plus whole {row.size}-byte rows")
+        own, size = _PEER_HEAD.unpack_from(payload)
+        table = payload[_PEER_HEAD.size :]
         signs, kinds = table[_SIGN :: row.size], table[_KIND :: row.size]
         if signs.translate(None, b"\x01\xff") or kinds.translate(None, b"\x01\x02"):
             raise WireError("a peer handle with a sign other than +-1 or a kind code other than 1 or 2")
@@ -341,47 +329,32 @@ class PeerListMsg:
 
 
 _KEY_BYTES, _SEED_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1], SHARE_FIELDS[SECRET_SELF_SEED][1]
-_ENTRY_BODY = struct.Struct(f">I{_KEY_BYTES}s{_SEED_BYTES}s")  # evaluation point, key share, seed share
-ENTRY_BYTES = _ENTRY_BODY.size  # 46
+_ENTRY_BODY = struct.Struct(f">{_KEY_BYTES}s{_SEED_BYTES}s")  # key share, seed share; the position gives the point
+ENTRY_BYTES = _ENTRY_BODY.size  # 42
 
 
-@functools.lru_cache(maxsize=16)  # one per leaf size in use
-def _entry_points(count: int) -> struct.Struct:
-    """The evaluation points of ``count`` entry bodies, skipping their shares."""
-    return struct.Struct(">" + f"I{ENTRY_BYTES - 4}x" * count)
-
-
-def entry_points(bodies: bytes) -> tuple[int, ...]:
-    """The evaluation point of each entry body in ``bodies``, in order;
-    ``bodies`` must hold whole entries, which each receiver checks first."""
-    return _entry_points(len(bodies) // ENTRY_BYTES).unpack(bodies)
-
-
-def share_bodies(points: Iterable[tuple[int, int, int]]) -> list[bytes]:
-    """One entry body per (evaluation point, key share, seed share) of one
-    owner."""
+def share_bodies(shares: Iterable[tuple[int, int]]) -> list[bytes]:
+    """One entry body per (key share, seed share) of one owner, in point
+    order."""
     pack = _ENTRY_BODY.pack
-    return [
-        pack(index, key.to_bytes(_KEY_BYTES, "big"), seed.to_bytes(_SEED_BYTES, "big"))
-        for index, key, seed in points
-    ]
+    return [pack(key.to_bytes(_KEY_BYTES, "big"), seed.to_bytes(_SEED_BYTES, "big")) for key, seed in shares]
 
 
 def share_part(bodies: bytes, off: int, secret_type: int) -> bytes:
-    """The share bytes of one secret in the body at ``off``;
-    ``entry_points`` reads the points."""
+    """The share bytes of one secret in the body at ``off``."""
     if secret_type not in SHARE_FIELDS:
         raise ValueError(f"unknown secret type tag {secret_type}")
-    _, key, seed = _ENTRY_BODY.unpack_from(bodies, off)
+    key, seed = _ENTRY_BODY.unpack_from(bodies, off)
     return key if secret_type == SECRET_MASK_KEY else seed
 
 
 @dataclass(frozen=True)
 class ShareMsg:
     """A bundle of Shamir share entries between one user and the server,
-    nothing but the bodies, each point (4) || key share (9) || seed share
-    (33) (see ``share_bodies``), one per other member of the user's share
-    leaf in leaf order; the receiver reads them as whole entries."""
+    nothing but the bodies, each key share (9) || seed share (33) (see
+    ``share_bodies``), one per other member of the user's share leaf in
+    leaf order; the receiver reads them as whole entries, each at the
+    point its position gives."""
 
     bodies: bytes
 

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import struct
 import numpy as np
 import pytest
 from random import Random
@@ -55,7 +54,6 @@ from secaggsim.wire import (
     decode_from,
     decode_record,
     encode_record,
-    entry_points,
     share_bodies,
     share_part,
 )
@@ -189,24 +187,22 @@ def _lone_agent(n_recipients=3, threshold=2):
 
 
 def _reconstruct_entries(bundle: ShareMsg, entries, secret_type: int) -> int:
-    """One secret interpolated, in its field, from the given entries of a
-    bundle at the evaluation points they carry."""
-    points = entry_points(bundle.bodies)
-    offsets = [j * ENTRY_BYTES for j in entries]
-    values = [int.from_bytes(share_part(bundle.bodies, off, secret_type), "big") for off in offsets]
-    return reconstruct_secret([points[j] for j in entries], values, SHARE_FIELDS[secret_type][0])
+    """One secret interpolated, in its field, from the given entries of the
+    bundle of an owner at point 1, whose entry j is at point j + 2."""
+    values = [int.from_bytes(share_part(bundle.bodies, j * ENTRY_BYTES, secret_type), "big") for j in entries]
+    return reconstruct_secret([j + 2 for j in entries], values, SHARE_FIELDS[secret_type][0])
 
 
 def test_share_counting_example():
     # n=3 recipients, t=2: two secrets, one retained share each -> 4 outbound
-    # shares, packed two to an entry for the 2 other recipients; a key share
-    # takes 9 bytes, a seed share 33
+    # shares, packed two to an entry for the 2 other recipients, at points 2
+    # and 3 (the retained entry is point 1); a key share takes 9 bytes, a
+    # seed share 33
     agent, counters = _lone_agent()
     bundle = agent.distribute_shares()
-    assert len(bundle.bodies) == 2 * ENTRY_BYTES == 2 * (4 + KEY_BYTES + SEED_BYTES)
+    assert len(bundle.bodies) == 2 * ENTRY_BYTES == 2 * (KEY_BYTES + SEED_BYTES)
     parts = [share_part(bundle.bodies, j * ENTRY_BYTES, stype) for j in range(2) for stype in (1, 2)]
     assert [len(share) for share in parts] == [KEY_BYTES, SEED_BYTES] * 2
-    assert entry_points(bundle.bodies) == (2, 3)  # the retained entry is point 1
     assert counters.shares_created == 6
     seed = int.from_bytes(agent.self_seed, "big")
     for stype, secret in ((SECRET_MASK_KEY, agent.mask_keys.secret), (SECRET_SELF_SEED, seed)):
@@ -242,18 +238,10 @@ def test_phase_skip_is_protocol_abort():
     assert agent.phase == PHASE_COMMIT and not counters.prg_by_user
 
 
-def _wide_bodies(points) -> bytes:
-    """70-byte entry bodies, each (point, key share, seed share) packed
-    around a 33-byte key share: not whole 46-byte entries."""
-    return b"".join(struct.pack(">I33s33s", p, k.to_bytes(33, "big"), s.to_bytes(33, "big")) for p, k, s in points)
-
-
-def _download(agent, owners_values, wide=False):
+def _download(agent, owners_values):
     """A download bundle for ``agent``, decoded from its bytes as a round
-    hands it over: one entry per mate, at the agent's evaluation point,
-    with the given key and seed values, in 70-byte bodies if ``wide``."""
-    points = [(agent._own_pos + 1, key, seed) for key, seed in owners_values]
-    bodies = _wide_bodies(points) if wide else b"".join(share_bodies(points))
+    hands it over: one entry per mate with the given key and seed values."""
+    bodies = b"".join(share_bodies(owners_values))
     return decode_from(SERVER, ShareMsg, ShareMsg(bodies).to_bytes())
 
 
@@ -261,12 +249,10 @@ def test_share_type_tag_enforced():
     agent, _ = _lone_agent()
     agent.distribute_shares()
     own = agent._held
-    # a bundle with an entry missing, or with 33-byte key shares, is
-    # rejected whole
-    for bad in (_download(agent, [(5, 6)]), _download(agent, [(5, 6), (7, 8)], wide=True)):
-        with pytest.raises(ProtocolAbort) as exc:
-            agent.receive_share(bad)
-        assert exc.value.blamed == "server" and agent._held == own
+    # a bundle with an entry missing is rejected whole
+    with pytest.raises(ProtocolAbort) as exc:
+        agent.receive_share(_download(agent, [(5, 6)]))
+    assert exc.value.blamed == "server" and agent._held == own
     # a second bundle repeats every held (owner, type) slot and is rejected whole
     agent.receive_share(_download(agent, [(5, 6), (7, 8)]))
     held = agent._held
@@ -274,7 +260,6 @@ def test_share_type_tag_enforced():
         agent.receive_share(_download(agent, [(9, 9), (9, 9)]))
     assert exc.value.blamed == "server" and agent._held == held
     # owner point 2's entry sits one entry in
-    assert entry_points(held)[1] == 1
     assert share_part(held, ENTRY_BYTES, SECRET_MASK_KEY) == (5).to_bytes(KEY_BYTES, "big")
 
 
@@ -385,7 +370,7 @@ def test_dropout_round_matches_oracle_in_each_key_field(group):
     survivors = {u: x for u, x in inputs.items() if u not in drop}
     assert np.array_equal(result.total.values, plaintext_sum(survivors, 8, SPEC))
     assert counters.mask_cancellations > 0 and len(server._mask_secrets) == len(drop)
-    assert all(len(u._held) == u._share_count * (4 + KEY_BYTES + SEED_BYTES) for u in users)
+    assert all(len(u._held) == u._share_count * (KEY_BYTES + SEED_BYTES) for u in users)
 
 
 class _FlagFirstLeaf:
@@ -1291,9 +1276,9 @@ def test_relay_checks_the_sender_bundle(tamper, match):
 
 
 def test_relay_rejects_a_partial_entry():
-    """A bundle carries no width, so the relay reads it at the group's: one
-    a byte past whole entries is blamed on its sender as malformed, not
-    read as entries."""
+    """A bundle carries no width, so the relay reads it as whole 42-byte
+    entries: one a byte past whole entries is blamed on its sender as
+    malformed, not read as entries."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
     route = server.route_share
     server.route_share = lambda sender, msg: route(
@@ -1376,70 +1361,6 @@ def test_byte_after_a_record_blamed_on_its_sender(sender, tag):
     with pytest.raises(ProtocolAbort, match="its header says") as exc:
         _run_16(server, users, transport, 75)
     assert exc.value.blamed == sender
-
-
-def _rewidth(bundle):
-    """The bundle with every entry re-packed around a 33-byte key share,
-    into 70-byte bodies."""
-    points = []
-    for j, point in enumerate(entry_points(bundle.bodies)):
-        key, seed = (share_part(bundle.bodies, j * ENTRY_BYTES, stype) for stype in (SECRET_MASK_KEY, SECRET_SELF_SEED))
-        points.append((point, int.from_bytes(key, "big"), int.from_bytes(seed, "big")))
-    return ShareMsg(_wide_bodies(points))
-
-
-def _wide_upload(server, users, transport):
-    honest = users[3].distribute_shares
-    users[3].distribute_shares = lambda: _rewidth(honest())
-
-
-def _wide_download(server, users, transport):
-    route = server.route_share
-
-    def rewidth_first(sender, msg):
-        out = route(sender, msg)
-        return [(r, _rewidth(b)) for r, b in out[:1]] + out[1:]
-
-    server.route_share = rewidth_first
-
-
-@pytest.mark.parametrize(
-    "tamper, blamed, match",
-    [
-        pytest.param(_wide_upload, "user:3", "user 3 sent a malformed ShareMsg", id="upload_repacked"),
-        pytest.param(_wide_download, "server", "got a malformed ShareMsg", id="download_repacked"),
-    ],
-)
-def test_wrong_key_share_width_aborts_the_round(tamper, blamed, match):
-    """Every bundle is read as 46-byte entries with 9-byte key shares.  One
-    of 70-byte entries, with 33-byte key shares, is not whole entries, and
-    is blamed on its sender: on the user at ``route_share``, on the server
-    at ``receive_share``."""
-    server, users, transport, _ = build_round(16, TREE22, SPEC)
-    tamper(server, users, transport)
-    with pytest.raises(ProtocolAbort, match=match) as exc:
-        _run_16(server, users, transport, 80)
-    assert exc.value.blamed == blamed
-
-
-def test_bundle_for_another_user_rejected_at_the_receiver():
-    """A relay that swaps two recipients' bundles is caught by the first
-    recipient, whose entries are then at the other's point, and which
-    files nothing."""
-    server, users, transport, _ = build_round(16, TREE22, SPEC)
-    route = server.route_share
-
-    def swapping(sender, data):
-        out = route(sender, data)
-        if len(out) > 1:
-            (a, first), (b, second) = out[:2]
-            out[:2] = [(a, second), (b, first)]
-        return out
-
-    server.route_share = swapping
-    with pytest.raises(ProtocolAbort, match="got a share entry at another evaluation point") as exc:
-        _run_16(server, users, transport, 76)
-    assert exc.value.blamed == "server"
 
 
 # -- peer lists and evaluation points -----------------------------------------------------
@@ -1545,45 +1466,3 @@ def test_unmask_request_before_the_share_bundle_blamed_on_the_server():
     with pytest.raises(ProtocolAbort, match="user 3 got an unmask request before its share bundle") as exc:
         _run_16(server, users, transport, 79)
     assert exc.value.blamed == "server"
-
-
-def _point_flipped(bundle, entry):
-    """The bundle with the low bit of one entry's evaluation point flipped."""
-    bodies = bytearray(bundle.bodies)
-    bodies[entry * ENTRY_BYTES + 3] ^= 1
-    return dataclasses.replace(bundle, bodies=bytes(bodies))
-
-
-def _flip_by_sender(server, users):
-    honest = users[3].distribute_shares
-    users[3].distribute_shares = lambda: _point_flipped(honest(), 1)
-
-
-def _flip_by_relay(server, users):
-    route = server.route_share
-
-    def flipping(sender, msg):
-        out = route(sender, msg)
-        return [(r, _point_flipped(b, 0)) for r, b in out[:1]] + out[1:]
-
-    server.route_share = flipping
-
-
-@pytest.mark.parametrize(
-    "flip, blamed, match",
-    [
-        pytest.param(_flip_by_sender, "user:3", "user 3 sent a share entry at another recipient's", id="sender"),
-        pytest.param(_flip_by_relay, "server", "got a share entry at another evaluation point", id="relay"),
-    ],
-)
-def test_flipped_evaluation_point_blamed_on_who_flipped_it(flip, blamed, match):
-    """An entry's point must be its recipient's 1-based place in the share
-    leaf.  The relay checks each sender's entries, and each recipient checks
-    that every entry it gets is at its own point, so a flipped point aborts
-    the round blamed on whoever flipped it, not later on the honest holder
-    that would release the share."""
-    server, users, transport, _ = build_round(16, TREE22, SPEC)
-    flip(server, users)
-    with pytest.raises(ProtocolAbort, match=match) as exc:
-        _run_16(server, users, transport, 78)
-    assert exc.value.blamed == blamed

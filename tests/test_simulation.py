@@ -143,7 +143,7 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "292b2457375ae24404928b58278d796196f4e96a970e4417cc1a016a9d3b8ba8",
+        "b3024de5538a8eb67e03608000bcd1354aee61f964a7ddc73d2763600c47c0cf",
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -160,7 +160,7 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "c13a0fe57354bcee216a6a75c61a622aef9882ad114111c183ff3e91828cce34",
+        "db303a22771c67fe0fe429c54543299c47351c0df314d4866ffc8dc9bfce4b10",
     ),
 }
 
@@ -350,9 +350,9 @@ def test_cli_run_and_determinism(tmp_path: Path):
 
 def test_cli_config_error_exit_code(tmp_path: Path):
     """A config the tree cannot hold, whose segment settings leave no valid
-    ring layout, with a setting that would crash or reverse the run, or a
-    file that is not a JSON object exits 1 with a config error and no
-    traceback."""
+    ring layout, with a setting that would crash or reverse the run, a
+    file that is not a JSON object, or a path that cannot be read exits 1
+    with a config error and no traceback."""
     cfg = small_config(n_users=6)
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text(cfg.to_json())
@@ -370,6 +370,10 @@ def test_cli_config_error_exit_code(tmp_path: Path):
         ({**small, "mode": "toy_task", "task": {"classes_per_user": 0}}, "classes_per_user"),
         ({**small, "mode": "toy_task", "task": {"classes_per_user": 11}}, "classes_per_user"),
         ({**small, "attack": {**attack, "cap": -1}}, "cap"),
+        ({**small, "detection": {"expansion": -1}}, "expansion"),
+        ({**small, "detection": {"expansion": 0}}, "expansion"),
+        ({**small, "mode": "toy_task", "task": {"local_lr": -0.5}}, "local_lr"),
+        ({**small, "mode": "toy_task", "task": {"lr_decay": -0.8}}, "lr_decay"),
     ]
     texts = [(json.dumps(doc), name) for doc, name in docs] + [("[1, 2]", "JSON list"), ("{bad", "not JSON")]
     for text, name in texts:
@@ -378,6 +382,8 @@ def test_cli_config_error_exit_code(tmp_path: Path):
         assert proc.returncode == 1, text
         assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr, text
         assert name in proc.stderr, text
+    proc = _run_cli("run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1 and proc.stderr.startswith("config error: cannot read"), proc.stderr
 
 
 def test_cli_default_run(tmp_path: Path):

@@ -21,6 +21,19 @@ def test_no_assert_statements(path: Path):
     assert not lines, f"{path.name} uses assert at line(s) {lines}"
 
 
+TEST_ONLY = {"scipy", "sympy", "hypothesis", "pytest"}  # the ``test`` extra of pyproject.toml
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_test_only_imports(path: Path):
+    """The package imports nothing that only the ``test`` extra installs."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    bad = sorted({name for name in names if name.split(".")[0] in TEST_ONLY})
+    assert not bad, f"{path.name} imports {bad}"
+
+
 def test_abort_paths_hold_under_python_O():
     """The cheating-server, opening, advert, point-range, key-range,
     unmask-response and phase-order abort tests pass with asserts

@@ -48,7 +48,6 @@ from secaggsim.wire import (
     decode_from,
     decode_record,
     encode_record,
-    entry_points,
     share_bodies,
     share_part,
 )
@@ -56,7 +55,7 @@ from secaggsim.wire import (
 SPEC32 = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 KEY_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1]  # 9, a share in the 2^64 + 13 field
 SEED_BYTES = SHARE_FIELDS[SECRET_SELF_SEED][1]  # 33, a share in the 2^256 + 297 field
-SHARE = ShareMsg(b"".join(share_bodies([(2, 5, (1 << 256) + 7), (3, (1 << 64) + 1, 2)])))
+SHARE = ShareMsg(b"".join(share_bodies([(5, (1 << 256) + 7), ((1 << 64) + 1, 2)])))
 # the groups whose widths a record's layout takes: W = 1 and 8
 GROUPS = [TOY_GROUP, FAST_GROUP]
 GROUP_IDS = [group.name for group in GROUPS]
@@ -163,6 +162,22 @@ def test_unmask_encodings_unchanged(name):
     assert msg.to_bytes().hex() == UNMASK_HEX[name]
 
 
+# entries and handle rows run to the end of the payload, after no count
+# and with no evaluation point
+POSITIONAL_HEX = {
+    "PeerListMsg": "050000001c" "00000001" "00000003" "0101" "000000000000000b" "ff02" "000000000000000d",
+    "ShareMsg": "0600000054"
+    + "000000000000000005" + "01" + "00" * 31 + "07"
+    + "010000000000000001" + "00" * 32 + "02",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITIONAL_HEX))
+def test_positional_encodings_unchanged(name):
+    (msg,) = [m for m in MESSAGES if type(m).__name__ == name]
+    assert msg.to_bytes().hex() == POSITIONAL_HEX[name]
+
+
 # -- fixed-width broadcasts ---------------------------------------------------------
 
 
@@ -239,15 +254,20 @@ def test_advert_length_is_fixed_layout(group):
 
 @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
 def test_peer_list_length_is_fixed_layout(group):
-    """PEER_LIST is own point (4) || share-leaf size (4) || count (4) and
-    one sign (1) || kind (1) || blinded key (W) row per handle at the
-    group's W, with no key width."""
+    """PEER_LIST is own point (4) || share-leaf size (4) and one sign (1)
+    || kind (1) || blinded key (W) row per handle to the end, at the
+    group's W, with no count and no key width; bytes past whole rows are
+    malformed."""
     w = group.element_bytes
     for data in _round_records(group)[TAG_PEER_LIST]:
         msg = PeerListMsg.from_bytes(data, group)
         assert msg.peers and {len(p.randomized_pub) for p in msg.peers} == {w}
-        assert len(data) == 5 + 12 + len(msg.peers) * (2 + w)
+        assert len(data) == 5 + 8 + len(msg.peers) * (2 + w)
         assert msg.to_bytes() == data
+        _, payload = decode_record(data)
+        for bad in (payload[:7], payload[:-1], payload + b"\x01"):
+            with pytest.raises(WireError):
+                PeerListMsg.from_bytes(encode_record(TAG_PEER_LIST, bad), group)
 
 
 def _width(stype: int) -> int:
@@ -379,17 +399,16 @@ def test_vector_partial_element_rejected(w):
 
 KEY_MAX = SHARE_PRIME_64 - 1  # the largest element of each field
 SEED_MAX = SHARE_PRIME - 1
-ENTRY = ShareMsg(share_bodies([(4, KEY_MAX, SEED_MAX)])[0])
+ENTRY = ShareMsg(share_bodies([(KEY_MAX, SEED_MAX)])[0])
 
 
 def test_share_packed_wide_roundtrip():
-    """A body is point (4) || key share (9) || seed share (33), 46 bytes
-    with no header, and holds the largest element of each field."""
-    assert ENTRY_BYTES == 4 + KEY_BYTES + SEED_BYTES == 46
+    """A body is key share (9) || seed share (33), 42 bytes with no header
+    and no evaluation point, and holds the largest element of each field."""
+    assert ENTRY_BYTES == KEY_BYTES + SEED_BYTES == 42
     data = ENTRY.to_bytes()
     assert len(data) == 5 + ENTRY_BYTES
     assert ShareMsg.from_bytes(data) == ENTRY
-    assert entry_points(ENTRY.bodies) == (4,)
     assert share_part(ENTRY.bodies, 0, SECRET_MASK_KEY) == _share(KEY_MAX, KEY_BYTES)
     assert share_part(ENTRY.bodies, 0, SECRET_SELF_SEED) == _share(SEED_MAX)
 
@@ -416,10 +435,10 @@ def test_share_secret_type_single_records_only():
 
 def test_share_record_without_secret_rejected():
     """A bundle carries no width, so it decodes as any bytes, and its
-    receiver reads whole bodies of 4 + 9 + 33 bytes: an entry that holds
-    only its point or one of the two shares, or is a byte off, or the
-    70-byte body of a 33-byte key share, is not a body, and the bundle is
-    rejected whole, blamed on the server that sent it."""
+    receiver reads whole bodies of 9 + 33 bytes: an entry that holds only
+    one of the two shares, or is a byte off, or the 66-byte body of a
+    33-byte key share, is not a body, and the bundle is rejected whole,
+    blamed on the server that sent it."""
     agent = UserAgent(
         0, group=FAST_GROUP, spec=SPEC32, inter_mask_bits=10, tree=TreeConfig(height=0, degree=2), counters=OpCounters()
     )
@@ -427,32 +446,30 @@ def test_share_record_without_secret_rejected():
     agent.open_rand(TreeCommitMsg(2, bytes(32)))  # the one leaf holds both users
     agent.receive_peer_list(PeerListMsg(1, 2, ()))
     agent.distribute_shares()
-    for size in (4, 13, 37, 45, 47, 69, 70, 71):
+    for size in (9, 33, 41, 43, 46, 65, 66, 67):
         msg = decode_from(SERVER, ShareMsg, encode_record(TAG_SHARE_MSG, bytes(size)))
         assert msg.bodies == bytes(size)
         with pytest.raises(ProtocolAbort, match="malformed ShareMsg") as exc:
             agent.receive_share(msg)
         assert exc.value.blamed == "server"
-    agent.receive_share(ShareMsg(share_bodies([(1, 2, 3)])[0]))
+    agent.receive_share(ShareMsg(share_bodies([(2, 3)])[0]))
 
 
 _value = st.integers(0, SHARE_PRIME - 1)
-_index = st.integers(1, 2**32 - 1)
 
 
-@given(st.lists(st.tuples(_index, st.integers(0, SHARE_PRIME_64 - 1), _value), max_size=40))
-@example([(2**32 - 1, SHARE_PRIME_64 - 1, SHARE_PRIME - 1)])
+@given(st.lists(st.tuples(st.integers(0, SHARE_PRIME_64 - 1), _value), max_size=40))
+@example([(SHARE_PRIME_64 - 1, SHARE_PRIME - 1)])
 @example([])
-def test_bundle_roundtrip(points):
+def test_bundle_roundtrip(shares):
     """Bundles (one layout for both directions) round-trip: 0 to many
-    entries of a key share and a seed share, indices up to 2^32 - 1."""
-    msg = ShareMsg(b"".join(share_bodies(points)))
+    entries of a key share and a seed share, in order."""
+    msg = ShareMsg(b"".join(share_bodies(shares)))
     data_bytes = msg.to_bytes()
-    assert len(data_bytes) == 5 + len(points) * ENTRY_BYTES
+    assert len(data_bytes) == 5 + len(shares) * ENTRY_BYTES
     decoded = ShareMsg.from_bytes(data_bytes)
     assert decoded == msg
-    assert entry_points(decoded.bodies) == tuple(index for index, _, _ in points)
-    for j, (_, key, seed) in enumerate(points):
+    for j, (key, seed) in enumerate(shares):
         off = j * ENTRY_BYTES
         assert share_part(decoded.bodies, off, SECRET_MASK_KEY) == _share(key, KEY_BYTES)
         assert share_part(decoded.bodies, off, SECRET_SELF_SEED) == _share(seed)
@@ -496,22 +513,27 @@ def test_release_table_roundtrip(slots):
 # words and entries to the end, checked under the receiver's spec or group
 STRICT_FORMATS = [m for m in MESSAGES if not isinstance(m, (MaskedUploadMsg, GlobalModelMsg, ShareMsg))]
 # the first peer handle's sign and kind code: (offset in the payload, invalid values)
-_HANDLE_FIELDS = ((4 + 4 + 4, (0, 2, 0x80)), (4 + 4 + 4 + 1, (0, 3, 7)))
+_HANDLE_FIELDS = ((4 + 4, (0, 2, 0x80)), (4 + 4 + 1, (0, 3, 7)))
+_HANDLE_ROW = 2 + FAST_GROUP.element_bytes
 _REVEAL_ROW = 2 * FAST_GROUP.element_bytes + RAND_BYTES
 
 
 @pytest.mark.parametrize("msg", STRICT_FORMATS, ids=_ids(STRICT_FORMATS))
 def test_new_formats_reject_trailing_and_overrun(msg):
     """A trailing byte or any cut is rejected, which also holds digests to
-    32 bytes, except that a reveal cut after a whole record, or a request
-    cut after a whole target, is one of fewer; a peer list rejects a sign other than +-1 and a kind code
-    other than 1 or 2."""
+    32 bytes, except that a reveal cut after a whole record, a peer list
+    cut after a whole handle row, or a request cut after a whole target,
+    is one of fewer; a peer list rejects a sign other than +-1 and a kind
+    code other than 1 or 2."""
     tag, payload = decode_record(msg.to_bytes())
     with pytest.raises(WireError):
         _decode(type(msg), encode_record(tag, payload + b"\x00"))
     for cut in range(len(payload)):
         if isinstance(msg, RevealMsg) and cut >= RAND_BYTES and not (cut - RAND_BYTES) % _REVEAL_ROW:
             assert len(_decode(RevealMsg, encode_record(tag, payload[:cut])).user_records) == cut // _REVEAL_ROW
+            continue
+        if isinstance(msg, PeerListMsg) and cut >= 8 and not (cut - 8) % _HANDLE_ROW:
+            assert len(_decode(PeerListMsg, encode_record(tag, payload[:cut])).peers) == (cut - 8) // _HANDLE_ROW
             continue
         if isinstance(msg, UnmaskRequestMsg) and cut and not (cut - 1) % 5:
             assert len(_decode(UnmaskRequestMsg, encode_record(tag, payload[:cut])).targets) == cut // 5
@@ -620,8 +642,8 @@ def test_fuzz_arbitrary_payloads(tag, payload):
 @given(st.sampled_from(MESSAGES), st.data())
 def test_fuzz_mutated_payloads(msg, data):
     """Valid payloads with one byte changed, cut or inserted decode or raise
-    WireError under every group; mutating count fields reaches the inner
-    parsers."""
+    WireError under every group; a changed sign, kind, status or type
+    byte reaches the checks inside a well-framed payload."""
     tag, payload = decode_record(msg.to_bytes())
     pos = data.draw(st.integers(0, len(payload)))
     byte = bytes([data.draw(st.integers(0, 255))])
