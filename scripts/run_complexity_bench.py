@@ -27,7 +27,7 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from secaggsim.crypto import FAST_GROUP, pow_many, reconstruct_secret, share_secret  # noqa: E402
+from secaggsim.crypto import FAST_GROUP, SELF_SEED_BYTES, pow_many, reconstruct_secret, share_secret  # noqa: E402
 from secaggsim.scenarios import exactness_config  # noqa: E402
 from secaggsim.simulation import ScenarioConfig, run_scenario  # noqa: E402
 from secaggsim.wire import SECRET_MASK_KEY, SECRET_SELF_SEED, SHARE_FIELDS  # noqa: E402
@@ -36,8 +36,18 @@ DH_BATCH_SIZES = (2_430, 24_060)
 # (threshold, share-leaf size): the 243-user 3x3 detection tree and the 2000-user 4x3 tree
 SHAMIR_POINTS = ((3, 9), (2, 25))
 SHAMIR_OWNERS = 200
+
+
+def field_label(prime: int) -> str:
+    """A share field's prime as 2^k+c, k the largest power of two below it."""
+    k = prime.bit_length() - 1
+    return f"2^{k}+{prime - (1 << k)}"
+
+
 # the fields a fast64 user shares its mask key and then its self seed in
-SHAMIR_FIELDS = (("2^64+13", SHARE_FIELDS[SECRET_MASK_KEY][0]), ("2^256+297", SHARE_FIELDS[SECRET_SELF_SEED][0]))
+SHAMIR_FIELDS = tuple(
+    (field_label(SHARE_FIELDS[stype][0]), SHARE_FIELDS[stype][0]) for stype in (SECRET_MASK_KEY, SECRET_SELF_SEED)
+)
 
 
 @dataclass
@@ -111,7 +121,10 @@ def shamir_throughput(t: int, n: int, repeats: int = 3) -> list[tuple[str, float
     ``reconstruct_secret`` recovers from the shares at points 1..t; exits
     if a recovered secret differs."""
     rng = Random(t * 1000 + n)
-    owners = [(FAST_GROUP.random_exponent(rng), rng.getrandbits(256)) for _ in range(SHAMIR_OWNERS)]
+    owners = [
+        (FAST_GROUP.random_exponent(rng), int.from_bytes(rng.randbytes(SELF_SEED_BYTES), "big"))
+        for _ in range(SHAMIR_OWNERS)
+    ]
     rates = []
     for part, (field, prime) in enumerate(SHAMIR_FIELDS):
         secrets = [pair[part] for pair in owners]

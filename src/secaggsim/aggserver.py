@@ -251,7 +251,7 @@ class AggServer:
         the sender's share leaf has sent, re-slice the leaf's bundles into
         one per member and return them with their recipients.
 
-        A bundle is one 42-byte body of key share (9) and seed share (33)
+        A bundle is one 25-byte body of key share (8) and seed share (17)
         per entry, whose position gives its recipient (see ``wire``).  It
         must be the sender's first, of whole entries, one for every other
         member of its share leaf; any other is blamed on the sender.  The

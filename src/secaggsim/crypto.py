@@ -17,10 +17,13 @@ element: the sharing polynomial's value at its evaluation point.
 ``share_secret`` returns the values at points 1..n in order, and
 ``reconstruct_secret`` interpolates at 0 over exactly the points it is
 handed.  The threshold t and the field belong to the caller, which
-passes them in and gets only values back.  There are two share fields:
-``SHARE_PRIME``, 2^256 + 297, holds a 32-byte self-mask seed, and
-``SHARE_PRIME_64``, 2^64 + 13, holds every exponent of both groups
-(``wire.SHARE_FIELDS`` names the field of each shared secret).
+passes both in and gets only values back.  Each secret is shared in the
+smallest prime field that holds it, so a share is one byte wider than
+the secret at most: ``SEED_SHARE_PRIME``, 2^128 + 51, holds a 16-byte
+self-mask seed, which is all the 128-bit AES key of ``prg_expand`` can
+use, and ``KEY_SHARE_PRIME``, 2^63 + 29, holds every exponent of both
+groups, whose q is below 2^63 (``wire.SHARE_FIELDS`` names the field of
+each shared secret).
 
 A round makes tens of thousands of Diffie-Hellman exponentiations
 (blinding every pair's keys, each user's seed derivations, and dropout
@@ -352,17 +355,18 @@ def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = N
 # Shamir t-out-of-n secret sharing
 # ---------------------------------------------------------------------------
 
-# The two share fields (see the module docstring).  2^256 + 297 is the
-# smallest prime above 2^256, so it holds a 32-byte self-mask seed;
-# 2^64 + 13 is the smallest prime above 2^64, so it holds any exponent of a
-# group whose q is below 2^64 in a third of the bytes.
-SHARE_PRIME = (1 << 256) + 297
-SHARE_PRIME_64 = (1 << 64) + 13
+# The two share fields (see the module docstring), each the smallest
+# prime above a power of two: 2^128 + 51 holds any 16-byte self-mask seed
+# in 17-byte shares, and 2^63 + 29 any exponent of a group whose q is
+# below 2^63 in 8-byte shares.  A group with a larger q needs a wider key
+# field.
+SEED_SHARE_PRIME = (1 << 128) + 51
+KEY_SHARE_PRIME = (1 << 63) + 29
 
-SELF_SEED_BYTES = 32  # a user's per-round self-mask seed
+SELF_SEED_BYTES = 16  # a user's per-round self-mask seed; ``prg_expand``'s AES-128 key keeps no more
 
 
-def share_secret(secret: int, t: int, n: int, rng: Random, prime: int = SHARE_PRIME) -> list[int]:
+def share_secret(secret: int, t: int, n: int, rng: Random, prime: int) -> list[int]:
     """Split a secret, an element of the field mod ``prime``, into n shares,
     any t of which reconstruct it; entry i is the value at point i + 1."""
     if not (1 < t <= n):

@@ -18,6 +18,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import platform
 import types
 import typing
@@ -201,8 +202,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
-        if not self.eta > 0:
-            raise ConfigError("eta must be > 0")
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise ConfigError(f"eta must be finite and > 0, not {self.eta}")
+        if self.inter_mask_margin_bits < 0:
+            raise ConfigError("inter_mask_margin_bits must be >= 0")
         if self.detection.window < 1:
             raise ConfigError("detection window must be >= 1")
         if not self.detection.expansion > 0:
@@ -216,6 +219,8 @@ class ScenarioConfig:
             raise ConfigError("task local_lr must be >= 0")
         if not self.task.lr_decay >= 0:
             raise ConfigError("task lr_decay must be >= 0")
+        if not self.task.noise >= 0:
+            raise ConfigError("task noise must be >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout rate must be in [0, 1)")
         tree = self.tree()

@@ -10,10 +10,11 @@ is its evaluation point.  A mate's place is the user's only name for it.
 
 Shares travel as bundles relayed by the server (see ``wire``): one from
 each user with an entry per mate, and one to each user with an entry per
-owner, each entry a 42-byte body that names no point, as its place in
-the bundle gives it.  A user keeps its bundle as bytes, in leaf order,
-so an owner's entry sits at (owner point - 1) entry widths, and only
-slices out the shares it releases.  The entries are not encrypted, so
+owner, each entry a 25-byte body, an 8-byte mask-key share and a
+17-byte self-seed share, that names no point, as its place in the bundle
+gives it.  A user keeps its bundle as bytes, in leaf order, so an
+owner's entry sits at (owner point - 1) entry widths, and only slices
+out the shares it releases.  The entries are not encrypted, so
 the relay can read every share until ROADMAP item 7 encrypts each entry
 body.
 
@@ -130,7 +131,10 @@ class UserAgent:
         self.seen_server_commit = server_commit
         self.mask_keys = KeyPair.generate(self.group, rng)
         self.id_keys = KeyPair.generate(self.group, rng)
-        self.self_seed = rng.randbytes(SELF_SEED_BYTES)
+        # the PRG keys AES-128, so 16 bytes are all it uses; drawing 32 keeps
+        # every later draw (the grouping randomness, then the share
+        # polynomials), and with it every pinned report, where it is
+        self.self_seed = rng.randbytes(32)[:SELF_SEED_BYTES]
         self.round_rand = rng.randbytes(RAND_BYTES)
         self._peer_handles: tuple[PeerHandle, ...] = ()
         self._pair_seeds: list[bytes] = []  # one per peer handle, in order
@@ -177,8 +181,9 @@ class UserAgent:
                 f"user {self.index} got a share leaf of {n} for threshold {t}",
                 blamed="server",
             )
-        keys = share_secret(self.mask_keys.secret, t, n, self._rng, SHARE_FIELDS[SECRET_MASK_KEY][0])
-        seeds = share_secret(int.from_bytes(self.self_seed, "big"), t, n, self._rng)
+        key_prime, seed_prime = SHARE_FIELDS[SECRET_MASK_KEY][0], SHARE_FIELDS[SECRET_SELF_SEED][0]
+        keys = share_secret(self.mask_keys.secret, t, n, self._rng, key_prime)
+        seeds = share_secret(int.from_bytes(self.self_seed, "big"), t, n, self._rng, seed_prime)
         self.counters.shares_created += 2 * n
         bodies = share_bodies(zip(keys, seeds))
         self._held = bodies.pop(self._own_pos)
@@ -190,7 +195,7 @@ class UserAgent:
         The bundle holds one entry per mate, in leaf order.  With the
         retained entry spliced in at this user's place, each owner's entry
         sits at (owner point - 1) entry widths, so nothing is decoded before
-        it is released.  Anything but one bundle of whole 42-byte entries,
+        it is released.  Anything but one bundle of whole 25-byte entries,
         one per mate, after its own shares went out, is the server's fault
         and is rejected whole.
         """

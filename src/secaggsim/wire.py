@@ -8,7 +8,7 @@ No payload carries a width, a length, a count or an evaluation point
 that its receiver already holds.  Every field has the width a protocol
 constant or the receiver's own ``SegmentSpec`` or ``DhGroup`` gives it:
 W is the group's ``element_bytes``, and a digest, a grouping randomness,
-a mask-key share or a self-seed share is 32, 32, 9 or 33 bytes.  So each
+a mask-key share or a self-seed share is 32, 32, 8 or 17 bytes.  So each
 record has one fixed layout, which its receiver applies::
 
     SERVER_COMMIT    digest (32)
@@ -18,12 +18,12 @@ record has one fixed layout, which its receiver applies::
     PEER_LIST        own point (4) || share-leaf size (4) || handle rows to the end, each:
                      sign (1) || kind (1) || blinded key (W)
     SHARE_MSG        entry bodies to the end, each:
-                     mask-key share (9) || self-seed share (33)
+                     mask-key share (8) || self-seed share (17)
     MASKED_UPLOAD    words to the end
     UNMASK_REQUEST   forced (1) || targets to the end, each:
                      owner point (4) || secret type (1)
     UNMASK_RESPONSE  one slot per target of the request, in its order, each:
-                     status (1) || share (9 for a mask key, 33 for a self seed)
+                     status (1) || share (8 for a mask key, 17 for a self seed)
     REVEAL           server randomness (32) || records to the end, each:
                      share key (W) || mask key (W) || randomness (32)
     GLOBAL_MODEL     words to the end
@@ -44,10 +44,12 @@ one >= 2^w raises ``WireError`` at its receiver.  The masked upload and
 the global model are nothing but those words; the server knows an
 upload's sender from the channel it arrived on.  A Shamir share value is
 one big endian element of its secret's field (``SHARE_FIELDS``, see
-``crypto``): 9 bytes in the 2^64 + 13 field for a mask key, 33 in the
-2^256 + 297 field for a self seed.  A share value at or above its field's
-prime is rejected where it is read: by the holder about to release it
-and by the server filing the released share.
+``crypto``): 8 bytes in the 2^63 + 29 field for a mask key, 17 in the
+2^128 + 51 field for a 16-byte self seed.  Each field is the smallest
+prime field holding its secret, so a share is as narrow as its secret
+allows.  A share value at or above its field's prime is rejected where
+it is read: by the holder about to release it and by the server filing
+the released share.
 
 A user names a member of its share leaf by the member's 1-based place in
 the leaf order, which is also the member's Shamir evaluation point.  A
@@ -67,7 +69,7 @@ member of the recipient's, each in leaf order.  So no body carries its
 evaluation point: in owner i's upload bundle, entry e, counted from 0,
 is at point e + 1 if that is below i and at e + 2 otherwise, and every
 entry of a download bundle is at the recipient's own point.  Every body
-carries both secrets in ``ENTRY_BYTES``, 42 bytes, and bytes that are
+carries both secrets in ``ENTRY_BYTES``, 25 bytes, and bytes that are
 not whole bodies are a malformed bundle from the sender.  The relay
 moves bodies by position and never decodes a share, but the shares are
 plaintext: it could read every one until ROADMAP item 7 replaces each
@@ -116,7 +118,7 @@ from typing import TypeVar
 import numpy as np
 
 from .counters import OpCounters
-from .crypto import RAND_BYTES, SHARE_PRIME, SHARE_PRIME_64, DhGroup
+from .crypto import KEY_SHARE_PRIME, RAND_BYTES, SEED_SHARE_PRIME, DhGroup
 from .errors import ProtocolAbort, WireError
 from .fixedpoint import SegmentSpec, word_bytes
 
@@ -136,7 +138,7 @@ SECRET_MASK_KEY = 1  # share of a user's pairwise-mask private key
 SECRET_SELF_SEED = 2  # share of a user's per-round self-mask seed
 
 # each secret type's Shamir field and share width (see ``crypto``)
-SHARE_FIELDS = {SECRET_MASK_KEY: (SHARE_PRIME_64, 9), SECRET_SELF_SEED: (SHARE_PRIME, 33)}
+SHARE_FIELDS = {SECRET_MASK_KEY: (KEY_SHARE_PRIME, 8), SECRET_SELF_SEED: (SEED_SHARE_PRIME, 17)}
 
 DIGEST_BYTES = 32  # SHA-256 commitments
 
@@ -330,12 +332,12 @@ class PeerListMsg:
 
 _KEY_BYTES, _SEED_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1], SHARE_FIELDS[SECRET_SELF_SEED][1]
 _ENTRY_BODY = struct.Struct(f">{_KEY_BYTES}s{_SEED_BYTES}s")  # key share, seed share; the position gives the point
-ENTRY_BYTES = _ENTRY_BODY.size  # 42
+ENTRY_BYTES = _ENTRY_BODY.size  # 25
 
 
 def share_bodies(shares: Iterable[tuple[int, int]]) -> list[bytes]:
     """One entry body per (key share, seed share) of one owner, in point
-    order."""
+    order: 8 + 17 bytes, the two widths of ``SHARE_FIELDS``."""
     pack = _ENTRY_BODY.pack
     return [pack(key.to_bytes(_KEY_BYTES, "big"), seed.to_bytes(_SEED_BYTES, "big")) for key, seed in shares]
 
@@ -351,7 +353,7 @@ def share_part(bodies: bytes, off: int, secret_type: int) -> bytes:
 @dataclass(frozen=True)
 class ShareMsg:
     """A bundle of Shamir share entries between one user and the server,
-    nothing but the bodies, each key share (9) || seed share (33) (see
+    nothing but the bodies, each key share (8) || seed share (17) (see
     ``share_bodies``), one per other member of the user's share leaf in
     leaf order; the receiver reads them as whole entries, each at the
     point its position gives."""
@@ -424,8 +426,8 @@ class UnmaskRequestMsg:
 @dataclass(frozen=True)
 class UnmaskResponseMsg:
     """One slot per target of the request, in its order: status (1) ||
-    share, of its secret type's width in ``SHARE_FIELDS``: 9 bytes for a
-    mask key and 33 for a self seed.
+    share, of its secret type's width in ``SHARE_FIELDS``: 8 bytes for a
+    mask key and 17 for a self seed.
 
     Status 1 releases the share, at the holder's own evaluation point;
     status 0 refuses the target, and its share is zero-filled.  The

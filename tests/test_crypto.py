@@ -12,9 +12,10 @@ from scipy import stats
 from secaggsim import crypto
 from secaggsim.crypto import (
     FAST_GROUP,
+    KEY_SHARE_PRIME,
     POW_BATCH_MIN,
-    SHARE_PRIME,
-    SHARE_PRIME_64,
+    SEED_SHARE_PRIME,
+    SELF_SEED_BYTES,
     TOY_GROUP,
     KeyPair,
     commit_random,
@@ -28,7 +29,7 @@ from secaggsim.crypto import (
     share_secret,
 )
 from secaggsim.fixedpoint import SegmentSpec
-from secaggsim.wire import SECRET_MASK_KEY, SHARE_FIELDS
+from secaggsim.wire import SECRET_MASK_KEY, SECRET_SELF_SEED, SHARE_FIELDS
 
 SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 
@@ -106,9 +107,9 @@ def test_shared_seed_agreement_exhaustive_toy():
 @pytest.mark.parametrize("group", [TOY_GROUP, FAST_GROUP], ids=lambda g: g.name)
 def test_random_exponent_draws_below_order_and_2_256(group):
     """Exponents are uniform in [1, q), drawn exactly as
-    ``randrange(1, q)``; both groups' q is below 2^64, so every exponent is
-    far below 2^256."""
-    assert group.order < 1 << 64
+    ``randrange(1, q)``; both groups' q is below 2^63, so every exponent is
+    below the key share field (``test_mask_key_field_holds_every_exponent``)."""
+    assert group.order < 1 << 63
     a, b = Random(5), Random(5)
     assert [group.random_exponent(a) for _ in range(50)] == [b.randrange(1, group.order) for _ in range(50)]
 
@@ -296,18 +297,18 @@ def test_share_threshold_errors():
         with pytest.raises(ValueError):
             reconstruct_secret(points, values, 257)
     with pytest.raises(ValueError):
-        share_secret(1, 1, 3, rng)  # t must exceed 1
+        share_secret(1, 1, 3, rng, 257)  # t must exceed 1
     with pytest.raises(ValueError):
-        share_secret(1, 4, 3, rng)  # t > n
+        share_secret(1, 4, 3, rng, 257)  # t > n
 
 
 def test_reconstruct_rejects_threshold_below_two():
     # one share of a real 3-of-5 sharing "reconstructs" to its own value
     # as a threshold-1 sharing would, not to the secret
-    first = share_secret(123456789, 3, 5, Random(3))[0]
+    first = share_secret(123456789, 3, 5, Random(3), SEED_SHARE_PRIME)[0]
     for points, values in (([1], [first]), ([], [])):
         with pytest.raises(ValueError):
-            reconstruct_secret(points, values, SHARE_PRIME)
+            reconstruct_secret(points, values, SEED_SHARE_PRIME)
 
 
 def _reconstruct_any_t(secret: int, t: int, n: int, rng: Random, prime: int) -> int:
@@ -319,9 +320,9 @@ def _reconstruct_any_t(secret: int, t: int, n: int, rng: Random, prime: int) -> 
 
 @given(
     st.integers(2, 12),
-    st.integers(0, 2**64 - 1),
+    st.integers(0, KEY_SHARE_PRIME - 1),  # inside both fields
     st.integers(0, 2**32),
-    st.sampled_from((SHARE_PRIME, SHARE_PRIME_64)),
+    st.sampled_from((SEED_SHARE_PRIME, KEY_SHARE_PRIME)),
 )
 def test_share_reconstruct_grid(n, secret, seed, prime):
     rng = Random(seed)
@@ -331,43 +332,48 @@ def test_share_reconstruct_grid(n, secret, seed, prime):
 def test_share_reconstruct_wide_grid():
     rng = Random(7)
     for n in (16, 32, 64):
-        for prime in (SHARE_PRIME, SHARE_PRIME_64):
+        for prime in (SEED_SHARE_PRIME, KEY_SHARE_PRIME):
             secret = rng.randrange(prime)
             assert _reconstruct_any_t(secret, rng.randint(2, n), n, rng, prime) == secret
 
 
 def test_share_secret_outside_field_rejected():
     rng = Random(9)
-    for secret, prime in ((-1, SHARE_PRIME), (SHARE_PRIME, SHARE_PRIME), (SHARE_PRIME_64, SHARE_PRIME_64)):
+    for secret, prime in ((-1, SEED_SHARE_PRIME), (SEED_SHARE_PRIME,) * 2, (KEY_SHARE_PRIME,) * 2):
         with pytest.raises(ValueError):
             share_secret(secret, 3, 5, rng, prime)
-    for prime in (SHARE_PRIME, SHARE_PRIME_64):
+    for prime in (SEED_SHARE_PRIME, KEY_SHARE_PRIME):
         values = share_secret(prime - 1, 3, 5, rng, prime)
         assert reconstruct_secret([2, 3, 4], values[1:4], prime) == prime - 1
 
 
-def test_share_prime_is_smallest_above_2_256():
+def test_seed_share_prime_is_smallest_above_2_128():
+    """2^128 + 51 holds every 16-byte self seed in 17-byte shares."""
     sympy = pytest.importorskip("sympy")
-    assert sympy.isprime(SHARE_PRIME)
-    assert sympy.nextprime(1 << 256) == SHARE_PRIME
+    assert SEED_SHARE_PRIME == (1 << 128) + 51
+    assert sympy.nextprime(1 << 128) == SEED_SHARE_PRIME
+    assert SEED_SHARE_PRIME > 1 << (8 * SELF_SEED_BYTES)
+    assert SHARE_FIELDS[SECRET_SELF_SEED] == (SEED_SHARE_PRIME, 17)
 
 
-def test_key_share_prime_is_smallest_above_2_64():
+def test_key_share_prime_is_smallest_above_2_63():
+    """2^63 + 29 holds every exponent of both groups in 8-byte shares."""
     sympy = pytest.importorskip("sympy")
-    assert sympy.isprime(SHARE_PRIME_64)
-    assert sympy.nextprime(1 << 64) == SHARE_PRIME_64
+    assert KEY_SHARE_PRIME == (1 << 63) + 29
+    assert sympy.nextprime(1 << 63) == KEY_SHARE_PRIME
+    assert SHARE_FIELDS[SECRET_MASK_KEY] == (KEY_SHARE_PRIME, 8)
 
 
 @pytest.mark.parametrize("group", [TOY_GROUP, FAST_GROUP], ids=lambda g: g.name)
 def test_mask_key_field_holds_every_exponent(group):
-    """Every mask key is shared in 2^64 + 13 with 9-byte shares
-    (``SHARE_FIELDS``), the field above every exponent either group draws;
-    its largest exponent and a drawn key reconstruct from any t shares
-    there."""
+    """Every mask key is shared in 2^63 + 29 with 8-byte shares
+    (``SHARE_FIELDS``), the field above every exponent either group draws:
+    a group whose q exceeds the field fails here, not in a round.  Its
+    largest exponent and a drawn key reconstruct from any t shares there."""
     prime, width = SHARE_FIELDS[SECRET_MASK_KEY]
-    assert (prime, width) == (SHARE_PRIME_64, 9)
+    assert (prime, width) == (KEY_SHARE_PRIME, 8)
+    assert group.order < prime
     largest = group.order - 1
-    assert largest < prime
     rng = Random(13)
     for key in (largest, group.random_exponent(rng)):
         values = share_secret(key, 3, 6, rng, prime)

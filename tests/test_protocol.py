@@ -62,8 +62,8 @@ SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 SPEC20 = SegmentSpec(word_bits=20, frac_bits=4, low_bits=12)  # 4-byte elements with 12 spare bits
 TREE22 = TreeConfig(height=2, degree=2, neighbor_radius=1, share_threshold=2)
 TREE23 = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=2)
-KEY_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1]  # 9
-SEED_BYTES = SHARE_FIELDS[SECRET_SELF_SEED][1]  # 33
+KEY_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1]  # 8
+SEED_BYTES = SHARE_FIELDS[SECRET_SELF_SEED][1]  # 17
 
 
 def _no_tree(tree: TreeConfig, leaf_size: int) -> TreeCommitMsg:
@@ -196,8 +196,8 @@ def _reconstruct_entries(bundle: ShareMsg, entries, secret_type: int) -> int:
 def test_share_counting_example():
     # n=3 recipients, t=2: two secrets, one retained share each -> 4 outbound
     # shares, packed two to an entry for the 2 other recipients, at points 2
-    # and 3 (the retained entry is point 1); a key share takes 9 bytes, a
-    # seed share 33
+    # and 3 (the retained entry is point 1); a key share takes 8 bytes, a
+    # seed share 17
     agent, counters = _lone_agent()
     bundle = agent.distribute_shares()
     assert len(bundle.bodies) == 2 * ENTRY_BYTES == 2 * (KEY_BYTES + SEED_BYTES)
@@ -321,16 +321,16 @@ def test_held_share_outside_its_field_not_released():
     """A held share at or above its field's prime came in a bundle the
     server relayed: releasing it aborts the round blamed on the server,
     while p - 1, the largest element of each field, is released."""
-    from secaggsim.crypto import SHARE_PRIME, SHARE_PRIME_64
+    from secaggsim.crypto import KEY_SHARE_PRIME, SEED_SHARE_PRIME
 
     agent, _ = _lone_agent(n_recipients=5)
     agent.distribute_shares()
     # owners at points 2 to 5
-    entries = [(SHARE_PRIME_64, 1), (SHARE_PRIME_64 - 1, 1), (1, SHARE_PRIME), (1, SHARE_PRIME - 1)]
+    entries = [(KEY_SHARE_PRIME, 1), (KEY_SHARE_PRIME - 1, 1), (1, SEED_SHARE_PRIME), (1, SEED_SHARE_PRIME - 1)]
     agent.receive_share(_download(agent, entries))
     agent.phase = "upload"
     resp = agent.unmask_response(UnmaskRequestMsg(((3, SECRET_MASK_KEY), (5, SECRET_SELF_SEED))))
-    assert [int.from_bytes(raw, "big") for raw in resp.shares] == [SHARE_PRIME_64 - 1, SHARE_PRIME - 1]
+    assert [int.from_bytes(raw, "big") for raw in resp.shares] == [KEY_SHARE_PRIME - 1, SEED_SHARE_PRIME - 1]
     for target in ((2, SECRET_MASK_KEY), (4, SECRET_SELF_SEED)):
         with pytest.raises(ProtocolAbort, match="outside its field") as exc:
             agent.unmask_response(UnmaskRequestMsg((target,)))
@@ -362,7 +362,7 @@ def test_fifteen_percent_dropouts_exact_sum():
 
 @pytest.mark.parametrize("group", [FAST_GROUP], ids=lambda g: g.name)
 def test_dropout_round_matches_oracle_in_each_key_field(group):
-    """Mask keys are shared in 2^64 + 13 with 9-byte shares, and a round
+    """Mask keys are shared in 2^63 + 29 with 8-byte shares, and a round
     with dropouts reconstructs them there exactly."""
     inputs = random_inputs(24, 8, SPEC, seed=35)
     drop = {2, 11, 17}
@@ -1047,17 +1047,17 @@ def _repeated_row(req, resp):
 
 
 def _seed_past_field(req, resp):
-    """The first slot, a released self seed, holds 2^256 + 297, one past its field."""
-    from secaggsim.crypto import SHARE_PRIME
+    """The first slot, a released self seed, holds 2^128 + 51, one past its field."""
+    from secaggsim.crypto import SEED_SHARE_PRIME
 
     (_, stype), _ = req.targets
     assert stype == SECRET_SELF_SEED and resp.slots[0][0]
-    return UnmaskResponseMsg(((True, SHARE_PRIME.to_bytes(SEED_BYTES, "big")), *resp.slots[1:]))
+    return UnmaskResponseMsg(((True, SEED_SHARE_PRIME.to_bytes(SEED_BYTES, "big")), *resp.slots[1:]))
 
 
 def _narrow_key_table(req, resp):
-    """The first slot, a self seed, holding a 9-byte key share, which the
-    server reads at the seed's 33 bytes into no whole slots."""
+    """The first slot, a self seed, holding an 8-byte key share, which the
+    server reads at the seed's 17 bytes into no whole slots."""
     (_, stype), _ = req.targets
     assert stype == SECRET_SELF_SEED
     return UnmaskResponseMsg(((True, bytes(KEY_BYTES)), *resp.slots[1:]))
@@ -1107,7 +1107,7 @@ def test_unrequested_release_rows_rejected_at_receive_unmask(tamper, match):
 
 
 def test_key_row_outside_its_field_rejected_at_receive_unmask():
-    """A released key share of 2^64 + 13, one past its field, is
+    """A released key share of 2^63 + 29, one past its field, is
     blamed on the holder that released it, where filing it would read it
     mod p as another share.  User 0 drops, so its mask key is asked for."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
@@ -1276,7 +1276,7 @@ def test_relay_checks_the_sender_bundle(tamper, match):
 
 
 def test_relay_rejects_a_partial_entry():
-    """A bundle carries no width, so the relay reads it as whole 42-byte
+    """A bundle carries no width, so the relay reads it as whole 25-byte
     entries: one a byte past whole entries is blamed on its sender as
     malformed, not read as entries."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)

@@ -143,7 +143,18 @@ def test_reports_byte_identical():
 PINNED_REPORTS = {
     "dropout_72": (
         lambda: exactness_config(3, 72, 2, 3, dropout_rate=0.3),
-        "b3024de5538a8eb67e03608000bcd1354aee61f964a7ddc73d2763600c47c0cf",
+        "02dcb56bb288f95eabaf22796cbca675f4b0980027e24d5990d3f56c02bce712",
+        dict(
+            prg_user_total=450,
+            prg_server=180,
+            key_agreements_user_total=576,
+            key_randomizations_server=576,
+            shares_created=1152,
+            shares_reconstructed=72,
+            mask_cancellations=130,
+            bytes_user_to_server=26936,
+            bytes_server_to_user=208214,
+        ),
     ),
     "flagging_81": (
         lambda: ScenarioConfig(
@@ -160,21 +171,47 @@ PINNED_REPORTS = {
             synthetic=SyntheticWorkload(vector_len=32),
             attack=AttackPlan(attacker_ids=(0, 1), strategy="one_shot", start_round=7),
         ),
-        "db303a22771c67fe0fe429c54543299c47351c0df314d4866ffc8dc9bfce4b10",
+        "bd50fe9ad505c0bf3de7dc599d9a93996c936b421da813677e5c2c1dd6fc874f",
+        dict(
+            prg_user_total=5913,
+            prg_server=1311,
+            key_agreements_user_total=5832,
+            key_randomizations_server=5832,
+            shares_created=13122,
+            shares_reconstructed=761,
+            mask_cancellations=654,
+            bytes_user_to_server=344412,
+            bytes_server_to_user=2965629,
+        ),
     ),
 }
 
 
+def _behaviour_digest(report) -> str:
+    """SHA-256 of ``to_csv()`` plus ``to_json()`` without its ``counters``
+    section: what a run computed and decided, apart from what it cost."""
+    doc = json.loads(report.to_json())
+    del doc["counters"]
+    return hashlib.sha256((report.to_csv() + json.dumps(doc, sort_keys=True, indent=1)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_report_digest_pinned(name):
-    """SHA-256 of ``to_csv() + to_json()`` for a dropout round and for a run
-    that flags and excludes leaves (rounds 7 and 8) with dropouts, so a
-    refactor that claims to keep behaviour is checked on its reports.  An
-    intended behaviour change updates these values and records the change
-    in CHANGES.md."""
-    make, digest = PINNED_REPORTS[name]
-    report = run_scenario(make())
-    assert hashlib.sha256((report.to_csv() + report.to_json()).encode()).hexdigest() == digest
+    """The behaviour digest of a dropout round and of a run that flags and
+    excludes leaves (rounds 7 and 8) with dropouts, so a refactor that
+    claims to keep behaviour is checked on its reports.  A wire change
+    that only resizes messages leaves it alone; an intended behaviour
+    change updates it and records the change in CHANGES.md."""
+    make, digest, _ = PINNED_REPORTS[name]
+    assert _behaviour_digest(run_scenario(make())) == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_counters_pinned(name):
+    """The same runs' operation and byte counters, as exact values, so a
+    change of cost names the counters it moves."""
+    make, _, counters = PINNED_REPORTS[name]
+    assert run_scenario(make()).counters.as_dict() == counters
 
 
 def test_round_inputs_equal_the_per_user_formula():
@@ -298,7 +335,7 @@ def test_complexity_bench_script(tmp_path: Path):
     assert proc.stdout.count("dh fast64 batch=") == 2
     shamir = [line for line in proc.stdout.splitlines() if line.startswith("shamir t=")]
     assert len(shamir) == 4 and all(" shares/s reconstruct=" in line and line.endswith(" secrets/s") for line in shamir)
-    assert [line.split("field=")[1].split()[0] for line in shamir] == ["2^64+13", "2^256+297"] * 2
+    assert [line.split("field=")[1].split()[0] for line in shamir] == ["2^63+29", "2^128+51"] * 2
 
 
 def test_detection_sweep_script_help(tmp_path: Path):
@@ -374,6 +411,10 @@ def test_cli_config_error_exit_code(tmp_path: Path):
         ({**small, "detection": {"expansion": 0}}, "expansion"),
         ({**small, "mode": "toy_task", "task": {"local_lr": -0.5}}, "local_lr"),
         ({**small, "mode": "toy_task", "task": {"lr_decay": -0.8}}, "lr_decay"),
+        ({**small, "inter_mask_margin_bits": -3}, "inter_mask_margin_bits"),
+        ({**small, "mode": "toy_task", "task": {"noise": -1.0}}, "noise"),
+        ({**small, "eta": float("inf")}, "eta"),
+        ({**small, "eta": float("nan")}, "eta"),
     ]
     texts = [(json.dumps(doc), name) for doc, name in docs] + [("[1, 2]", "JSON list"), ("{bad", "not JSON")]
     for text, name in texts:

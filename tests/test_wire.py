@@ -12,7 +12,7 @@ from conftest import build_round, random_inputs, run_plain_round
 
 from secaggsim.aggserver import AggServer
 from secaggsim.counters import OpCounters
-from secaggsim.crypto import FAST_GROUP, RAND_BYTES, SHARE_PRIME, SHARE_PRIME_64, TOY_GROUP
+from secaggsim.crypto import FAST_GROUP, KEY_SHARE_PRIME, RAND_BYTES, SEED_SHARE_PRIME, TOY_GROUP
 from secaggsim.errors import ProtocolAbort, WireError
 from secaggsim.fixedpoint import SegmentSpec, zeros
 from secaggsim.orgtree import TreeConfig
@@ -53,9 +53,9 @@ from secaggsim.wire import (
 )
 
 SPEC32 = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
-KEY_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1]  # 9, a share in the 2^64 + 13 field
-SEED_BYTES = SHARE_FIELDS[SECRET_SELF_SEED][1]  # 33, a share in the 2^256 + 297 field
-SHARE = ShareMsg(b"".join(share_bodies([(5, (1 << 256) + 7), ((1 << 64) + 1, 2)])))
+KEY_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1]  # 8, a share in the 2^63 + 29 field
+SEED_BYTES = SHARE_FIELDS[SECRET_SELF_SEED][1]  # 17, a share in the 2^128 + 51 field
+SHARE = ShareMsg(b"".join(share_bodies([(5, (1 << 128) + 7), ((1 << 63) + 1, 2)])))
 # the groups whose widths a record's layout takes: W = 1 and 8
 GROUPS = [TOY_GROUP, FAST_GROUP]
 GROUP_IDS = [group.name for group in GROUPS]
@@ -152,7 +152,7 @@ def test_bytes_after_the_record_rejected(msg):
 
 UNMASK_HEX = {
     "UnmaskRequestMsg": "080000000b" "01" "0000000202" "0000000301",
-    "UnmaskResponseMsg": "0900000036" "01" + "00" * 32 + "09" "00" + "00" * 9 + "01" "000000000000000005",
+    "UnmaskResponseMsg": "0900000024" "01" + "00" * 16 + "09" "00" + "00" * 8 + "01" "0000000000000005",
 }
 
 
@@ -166,9 +166,9 @@ def test_unmask_encodings_unchanged(name):
 # and with no evaluation point
 POSITIONAL_HEX = {
     "PeerListMsg": "050000001c" "00000001" "00000003" "0101" "000000000000000b" "ff02" "000000000000000d",
-    "ShareMsg": "0600000054"
-    + "000000000000000005" + "01" + "00" * 31 + "07"
-    + "010000000000000001" + "00" * 32 + "02",
+    "ShareMsg": "0600000032"
+    + "0000000000000005" + "01" + "00" * 15 + "07"
+    + "8000000000000001" + "00" * 16 + "02",
 }
 
 
@@ -271,7 +271,7 @@ def test_peer_list_length_is_fixed_layout(group):
 
 
 def _width(stype: int) -> int:
-    """Bytes of one share of ``stype``: 9 for a mask key, 33 for a self seed."""
+    """Bytes of one share of ``stype``: 8 for a mask key, 17 for a self seed."""
     return SHARE_FIELDS[stype][1]
 
 
@@ -279,7 +279,7 @@ def _width(stype: int) -> int:
 def test_release_table_length_is_fixed_layout(group):
     """An UNMASK_REQUEST is forced (1) || 5 bytes a target, and its
     UNMASK_RESPONSE one status (1) || share slot per target in its order,
-    the share 9 bytes for a mask key and 33 for a self seed, with no owner
+    the share 8 bytes for a mask key and 17 for a self seed, with no owner
     point, count, width or refusal list."""
     records = _round_records(group)
     pairs = list(zip(records[TAG_UNMASK_REQUEST], records[TAG_UNMASK_RESPONSE], strict=True))
@@ -397,15 +397,16 @@ def test_vector_partial_element_rejected(w):
 
 # -- share bundles and release tables ----------------------------------------------
 
-KEY_MAX = SHARE_PRIME_64 - 1  # the largest element of each field
-SEED_MAX = SHARE_PRIME - 1
+KEY_MAX = KEY_SHARE_PRIME - 1  # the largest element of each field
+SEED_MAX = SEED_SHARE_PRIME - 1
 ENTRY = ShareMsg(share_bodies([(KEY_MAX, SEED_MAX)])[0])
 
 
 def test_share_packed_wide_roundtrip():
-    """A body is key share (9) || seed share (33), 42 bytes with no header
+    """A body is key share (8) || seed share (17), 25 bytes with no header
     and no evaluation point, and holds the largest element of each field."""
-    assert ENTRY_BYTES == KEY_BYTES + SEED_BYTES == 42
+    assert (KEY_BYTES, SEED_BYTES) == (8, 17)
+    assert ENTRY_BYTES == KEY_BYTES + SEED_BYTES == 25
     data = ENTRY.to_bytes()
     assert len(data) == 5 + ENTRY_BYTES
     assert ShareMsg.from_bytes(data) == ENTRY
@@ -435,9 +436,10 @@ def test_share_secret_type_single_records_only():
 
 def test_share_record_without_secret_rejected():
     """A bundle carries no width, so it decodes as any bytes, and its
-    receiver reads whole bodies of 9 + 33 bytes: an entry that holds only
-    one of the two shares, or is a byte off, or the 66-byte body of a
-    33-byte key share, is not a body, and the bundle is rejected whole,
+    receiver reads whole bodies of 8 + 17 bytes: an entry that holds only
+    one of the two shares, or is a byte off, or the 34-byte body of a
+    17-byte key share, or the 42-byte body of 9- and 33-byte shares, is not
+    a body, and the bundle is rejected whole,
     blamed on the server that sent it."""
     agent = UserAgent(
         0, group=FAST_GROUP, spec=SPEC32, inter_mask_bits=10, tree=TreeConfig(height=0, degree=2), counters=OpCounters()
@@ -446,7 +448,7 @@ def test_share_record_without_secret_rejected():
     agent.open_rand(TreeCommitMsg(2, bytes(32)))  # the one leaf holds both users
     agent.receive_peer_list(PeerListMsg(1, 2, ()))
     agent.distribute_shares()
-    for size in (9, 33, 41, 43, 46, 65, 66, 67):
+    for size in (8, 17, 24, 26, 33, 34, 35, 42):
         msg = decode_from(SERVER, ShareMsg, encode_record(TAG_SHARE_MSG, bytes(size)))
         assert msg.bodies == bytes(size)
         with pytest.raises(ProtocolAbort, match="malformed ShareMsg") as exc:
@@ -455,11 +457,11 @@ def test_share_record_without_secret_rejected():
     agent.receive_share(ShareMsg(share_bodies([(2, 3)])[0]))
 
 
-_value = st.integers(0, SHARE_PRIME - 1)
+_value = st.integers(0, SEED_SHARE_PRIME - 1)
 
 
-@given(st.lists(st.tuples(st.integers(0, SHARE_PRIME_64 - 1), _value), max_size=40))
-@example([(SHARE_PRIME_64 - 1, SHARE_PRIME - 1)])
+@given(st.lists(st.tuples(st.integers(0, KEY_SHARE_PRIME - 1), _value), max_size=40))
+@example([(KEY_SHARE_PRIME - 1, SEED_SHARE_PRIME - 1)])
 @example([])
 def test_bundle_roundtrip(shares):
     """Bundles (one layout for both directions) round-trip: 0 to many
@@ -489,12 +491,12 @@ def _slots(draw):
 
 @given(_slots())
 @example([])
-@example([(2**32 - 1, SECRET_MASK_KEY, True, SHARE_PRIME_64 - 1)])
+@example([(2**32 - 1, SECRET_MASK_KEY, True, KEY_SHARE_PRIME - 1)])
 @example([(1, SECRET_MASK_KEY, False, 0), (1, SECRET_SELF_SEED, True, 0)])
 def test_release_table_roundtrip(slots):
     """Unmask responses round-trip over mixed secret types and statuses:
-    one status (1) || share slot per target of the request, 9 bytes for a
-    mask key and 33 for a self seed, a refused share zero-filled; the
+    one status (1) || share slot per target of the request, 8 bytes for a
+    mask key and 17 for a self seed, a refused share zero-filled; the
     request is forced (1) || 5 bytes a target."""
     targets = tuple((owner, stype) for owner, stype, _, _ in slots)
     msg = UnmaskResponseMsg(tuple((ok, _share(value if ok else 0, _width(stype))) for _, stype, ok, value in slots))
@@ -565,25 +567,25 @@ def test_unmask_records_off_their_layout_rejected():
     key, seed = RESPONSE_TARGETS[1], RESPONSE_TARGETS[0]
     (resp,) = [m for m in MESSAGES if isinstance(m, UnmaskResponseMsg)]
     _, payload = decode_record(resp.to_bytes())  # seed released, key refused, key released
-    slot = 1 + KEY_BYTES
+    head, slot = 1 + SEED_BYTES, 1 + KEY_BYTES  # the seed slot, then each key slot
     bad = {
         "one_byte_short": payload[:-1],
         "one_byte_long": payload + b"\x00",
         "slot_short": payload[:-slot],
         "slot_long": payload + payload[-slot:],
         "empty": b"",
-        "status_2": payload[:34] + b"\x02" + payload[35:],
+        "status_2": payload[:head] + b"\x02" + payload[head + 1 :],
         "status_ff": b"\xff" + payload[1:],
-        "refusal_filled": payload[:35] + b"\x01" + payload[36:],
-        "refusal_filled_last": payload[: 34 + slot - 1] + b"\x01" + payload[34 + slot :],
+        "refusal_filled": payload[: head + 1] + b"\x01" + payload[head + 2 :],
+        "refusal_filled_last": payload[: head + slot - 1] + b"\x01" + payload[head + slot :],
     }
     assert not [name for name, cut in bad.items() if _decodes(UnmaskResponseMsg, TAG_UNMASK_RESPONSE, cut)]
     assert _decode(UnmaskResponseMsg, encode_record(TAG_UNMASK_RESPONSE, payload)).refused == (1,)
-    first = UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload[:34]), (seed,))
+    first = UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload[:head]), (seed,))
     assert first.shares == (_share(9),)
     assert UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, b""), ()).slots == ()
     with pytest.raises(WireError):  # a seed slot read as a key slot
-        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload[:34]), (key,))
+        UnmaskResponseMsg.from_bytes(encode_record(TAG_UNMASK_RESPONSE, payload[:head]), (key,))
     requests = {
         "no_flag": b"",
         "flag_2": b"\x02" + bytes(5),
