@@ -29,14 +29,17 @@ from .fixedpoint import ParamVector, SegmentSpec, quantize_vector
 
 
 N_CLASSES = 10  # classes of the toy task
+N_FEATURES = 32
+SAMPLES_PER_USER = 8  # training samples per user
+TEST_SIZE = 1000
+TRIGGER_VALUE = 3.0  # the trigger features' value, also class 2's center there
+BACKDOOR_SAMPLES = 256  # clean samples the attacker also triggers and relabels
 
 
 @dataclass
 class ToyTask:
     """Softmax regression on Gaussian blobs with a backdoor trigger."""
 
-    n_features: int
-    n_classes: int
     centers: np.ndarray  # (C, F)
     train_x: np.ndarray
     train_y: np.ndarray
@@ -44,25 +47,19 @@ class ToyTask:
     test_y: np.ndarray
     user_slices: list[slice]
     trigger_dims: tuple[int, ...] = (0, 1, 2, 3)
-    trigger_value: float = 5.0
     target_class: int = 7
 
     @property
     def model_dim(self) -> int:
-        return self.n_classes * self.n_features + self.n_classes
+        return N_CLASSES * N_FEATURES + N_CLASSES
 
     @staticmethod
     def generate(
         seed: int,
         n_users: int,
         *,
-        n_features: int = 32,
-        n_classes: int = N_CLASSES,
-        samples_per_user: int = 8,
-        test_size: int = 1000,
         noise: float = 0.6,
         classes_per_user: int | None = None,
-        trigger_value: float = 3.0,
     ) -> "ToyTask":
         """Blob data with a trigger that collides with class 2's region.
 
@@ -70,48 +67,40 @@ class ToyTask:
         target class 7, so a clean model sends triggered inputs to class 2
         (backdoor accuracy ~0) while a backdoored model must cede part of
         class 2, which makes model replacement cost main-task accuracy.
-        ``classes_per_user`` < n_classes gives non-iid local data.
+        ``classes_per_user`` < ``N_CLASSES`` gives non-iid local data.
         """
         rng = np.random.default_rng(seed)
-        centers = rng.normal(0.0, 1.0, size=(n_classes, n_features)) * 2.5
+        centers = rng.normal(0.0, 1.0, size=(N_CLASSES, N_FEATURES)) * 2.5
         centers[7, :4] = -3.0
-        centers[2, :4] = trigger_value
+        centers[2, :4] = TRIGGER_VALUE
 
         def draw(count: int, classes=None):
-            pool = np.arange(n_classes) if classes is None else np.asarray(classes)
+            pool = np.arange(N_CLASSES) if classes is None else np.asarray(classes)
             ys = pool[rng.integers(0, len(pool), size=count)]
-            xs = centers[ys] + rng.normal(0.0, noise, size=(count, n_features))
+            xs = centers[ys] + rng.normal(0.0, noise, size=(count, N_FEATURES))
             return xs, ys
 
         if classes_per_user is None:
-            train_x, train_y = draw(n_users * samples_per_user)
+            train_x, train_y = draw(n_users * SAMPLES_PER_USER)
         else:
             xs, ys = [], []
             for u in range(n_users):
-                mine = rng.choice(n_classes, size=classes_per_user, replace=False)
-                x, y = draw(samples_per_user, classes=mine)
+                mine = rng.choice(N_CLASSES, size=classes_per_user, replace=False)
+                x, y = draw(SAMPLES_PER_USER, classes=mine)
                 xs.append(x)
                 ys.append(y)
             train_x, train_y = np.vstack(xs), np.concatenate(ys)
-        test_x, test_y = draw(test_size)
-        slices = [slice(u * samples_per_user, (u + 1) * samples_per_user) for u in range(n_users)]
+        test_x, test_y = draw(TEST_SIZE)
+        slices = [slice(u * SAMPLES_PER_USER, (u + 1) * SAMPLES_PER_USER) for u in range(n_users)]
         return ToyTask(
-            n_features=n_features,
-            n_classes=n_classes,
-            centers=centers,
-            train_x=train_x,
-            train_y=train_y,
-            test_x=test_x,
-            test_y=test_y,
-            user_slices=slices,
-            trigger_value=trigger_value,
+            centers=centers, train_x=train_x, train_y=train_y, test_x=test_x, test_y=test_y, user_slices=slices
         )
 
     # -- model helpers ------------------------------------------------------
 
     def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = theta[: self.n_classes * self.n_features].reshape(self.n_classes, self.n_features)
-        b = theta[self.n_classes * self.n_features :]
+        w = theta[: N_CLASSES * N_FEATURES].reshape(N_CLASSES, N_FEATURES)
+        b = theta[N_CLASSES * N_FEATURES :]
         return w, b
 
     def logits(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -145,7 +134,7 @@ class ToyTask:
 
     def apply_trigger(self, x: np.ndarray) -> np.ndarray:
         out = x.copy()
-        out[:, list(self.trigger_dims)] = self.trigger_value
+        out[:, list(self.trigger_dims)] = TRIGGER_VALUE
         return out
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, float]:
@@ -168,7 +157,6 @@ class ToyTask:
         *,
         steps: int = 60,
         lr: float = 0.5,
-        sample_count: int = 256,
         seed: int = 0,
         cap: float | None = None,
         users: list[int] | None = None,
@@ -180,9 +168,9 @@ class ToyTask:
         rng = np.random.default_rng(seed)
         if users is not None:
             pool = np.concatenate([np.arange(s.start, s.stop) for s in (self.user_slices[u] for u in users)])
-            idx = pool[rng.integers(0, len(pool), size=min(sample_count, 4 * len(pool)))]
+            idx = pool[rng.integers(0, len(pool), size=min(BACKDOOR_SAMPLES, 4 * len(pool)))]
         else:
-            idx = rng.integers(0, len(self.train_x), size=sample_count)
+            idx = rng.integers(0, len(self.train_x), size=BACKDOOR_SAMPLES)
         clean_x, clean_y = self.train_x[idx], self.train_y[idx]
         trig_x = self.apply_trigger(clean_x)
         trig_y = np.full(len(trig_x), self.target_class)

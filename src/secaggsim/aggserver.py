@@ -58,7 +58,7 @@ from .fixedpoint import (
     quantize_vector,
     signed_values,
 )
-from .orgtree import TreeConfig, TreeSetup, build_peer_sets, commits_digest, masking_pairs, run_tree_setup
+from .orgtree import TreeConfig, TreeSetup, build_peer_sets, commits_digest, run_tree_setup
 from .wire import (
     ENTRY_BYTES,
     SECRET_MASK_KEY,
@@ -160,7 +160,6 @@ class AggServer:
         self._asked: dict[tuple[int, int], set[int]] = {}
         # holder -> (owner, secret type) of each target of its latest request
         self._sent: dict[int, list[tuple[int, int]]] = {}
-        self._mask_secrets: dict[int, int] = {}
         self._leaf_sums: dict[int, np.ndarray] = {}
         self.setup: TreeSetup | None = None
         return ServerCommitMsg(commit_random(self.server_rand))
@@ -200,8 +199,9 @@ class AggServer:
         self._user_rands[user] = msg.user_rand
 
     def finish_setup(self) -> None:
-        """Derive identities, both assignments, evaluation points, and the
-        pair plan."""
+        """Derive both assignments, evaluation points, and the pair plan,
+        each pair signed +1 at the end ranked first in the mask order, as
+        Bonawitz et al. (CCS 2017) sign a pair by the order of its ends."""
         self.setup = run_tree_setup(
             self.tree,
             self.server_rand,
@@ -220,9 +220,10 @@ class AggServer:
             for i, u in enumerate(members, 1):
                 self._point[u] = i
 
-        mask_ids = self.setup.mask_ids
+        # each user's rank in the mask order, which sorts by (identity, index)
+        rank = {u: i for i, u in enumerate(u for leaf in self.setup.mask_assignment.members for u in leaf)}
         pubs = [int.from_bytes(pub, "big") for pub in self._mask_pubs]
-        pairs = masking_pairs(build_peer_sets(self.setup.mask_assignment))
+        pairs = build_peer_sets(self.setup.mask_assignment)
         rs = [self.group.random_exponent(self.rng) for _ in pairs]
         # one pair's r blinds v's key for u, then u's key for v
         blinded = randomize_pubs(
@@ -232,7 +233,7 @@ class AggServer:
         )
         self._ends: list[list[_PeerEnd]] = [[] for _ in range(n)]
         for i, (u, v, kind) in enumerate(pairs):
-            sign = 1 if (mask_ids[u], u) < (mask_ids[v], v) else -1
+            sign = 1 if rank[u] < rank[v] else -1
             self._ends[u].append(_PeerEnd(v, sign, blinded[2 * i], kind))
             self._ends[v].append(_PeerEnd(u, -sign, blinded[2 * i + 1], kind))
         self.counters.key_randomizations_server += len(blinded)
@@ -252,12 +253,13 @@ class AggServer:
         one per member and return them with their recipients.
 
         A bundle is one 25-byte body of key share (8) and seed share (17)
-        per entry, whose position gives its recipient (see ``wire``).  It
-        must be the sender's first, of whole entries, one for every other
-        member of its share leaf; any other is blamed on the sender.  The
-        relay moves entry bodies by position and never decodes a share, but
-        the shares are plaintext: the server could read them until ROADMAP
-        item 7 encrypts each entry body.
+        per entry, whose position gives its recipient (see ``wire``; its
+        decoder rejects bytes that are not whole entries).  It must be the
+        sender's first, one entry for every other member of its share leaf;
+        any other is blamed on the sender.  The relay moves entry bodies by
+        position and never decodes a share, but the shares are plaintext:
+        the server could read them until ROADMAP item 7 encrypts each entry
+        body.
         """
         share_asn = self.setup.share_assignment
         leaf = share_asn.leaf_of[sender]
@@ -266,9 +268,7 @@ class AggServer:
         w = ENTRY_BYTES
         mates = len(members) - 1
         fault = None
-        if len(msg.bodies) % w:
-            fault = f"sent a malformed ShareMsg of {len(msg.bodies)} bytes, not whole {w}-byte entries"
-        elif len(msg.bodies) != mates * w:
+        if len(msg.bodies) != mates * w:
             fault = f"sent {len(msg.bodies) // w} share entries for its {mates} share recipients"
         elif sender in inbox:
             fault = "sent a second share bundle"
@@ -396,17 +396,17 @@ class AggServer:
         cancelled only from its dropped end while the other end is online,
         so no pair is cancelled twice.  The seeds of all those pairs are
         derived in one batch; each uses only the reconstructed key of its
-        dropped end and the blinded key the server handed that end."""
-        secrets = self._mask_secrets
+        dropped end and the blinded key the server handed that end.  It
+        runs on the pre-upload dropouts, then on the online members of
+        excluded leaves; the two are disjoint, so no key is rebuilt twice."""
         ends: list[_PeerEnd] = []
         keys: list[int] = []
         for user in users:
-            if user not in secrets:
-                secrets[user] = self._reconstruct(user, SECRET_MASK_KEY)
+            secret = self._reconstruct(user, SECRET_MASK_KEY)
             for end in self._ends[user]:
                 if end.peer in self._uploads:  # else neither side uploaded; nothing to cancel
                     ends.append(end)
-                    keys.append(secrets[user])
+                    keys.append(secret)
         seeds = derive_shared_seeds(self.group, [end.rand_pub for end in ends], keys)
         leaf_of = self.setup.mask_assignment.leaf_of
         wordmask = np.uint64(self.spec.word_mask)
@@ -439,7 +439,9 @@ class AggServer:
 
         for user in self.online_users:
             seed_int = self._reconstruct(user, SECRET_SELF_SEED)
-            mask = prg_expand(int(seed_int).to_bytes(SELF_SEED_BYTES, "big"), m, self.spec)
+            if seed_int >> 8 * SELF_SEED_BYTES:  # a wrong share; whose needs ROADMAP item 10
+                raise UnrecoverableRoundError(f"user {user} self seed reconstructs outside {SELF_SEED_BYTES} bytes")
+            mask = prg_expand(seed_int.to_bytes(SELF_SEED_BYTES, "big"), m, self.spec)
             self.counters.prg_server += 1
             sums[mask_asn.leaf_of[user]] -= mask
 

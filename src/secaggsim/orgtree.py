@@ -3,12 +3,16 @@
 Users are sorted by jointly-randomized identities and partitioned into the
 leaves of a d-ary tree of height h.  Two independent assignments are
 derived from one protocol run: one tree scopes secret sharing, the other
-scopes pairwise masking.  Masking peers are the circular neighbors inside
+scopes pairwise masking.  Once the order is fixed no party needs the
+identities again, so they stay inside ``run_tree_setup``, whose output is
+the two ordered assignments; a masking pair's sign follows its ends'
+ranks in the mask order.  Masking peers are the circular neighbors inside
 a leaf plus, per tree layer, the users at the same relative position in
-the +/-1 (mod d) sibling subtrees.  A tree of height 0 is one leaf; a
-ring of radius floor(N/2) over it is the complete graph, so the
-full-pairwise protocol (Bonawitz et al., CCS 2017) is the one-leaf tree
-whose ring covers every user.
+the +/-1 (mod d) sibling subtrees, and ``build_peer_sets`` returns each
+such pair once.  A tree of height 0 is one leaf; a ring of radius
+floor(N/2) over it is the complete graph, so the full-pairwise protocol
+(Bonawitz et al., CCS 2017) is the one-leaf tree whose ring covers every
+user.
 
 Identity derivation is commitment-ordered so neither the server nor any
 user can steer the grouping: the server commits its randomness before
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, ProtocolAbort
 
@@ -167,15 +171,6 @@ def assign_subgroups(finalized_ids: list[bytes], tree: TreeConfig) -> Assignment
     return Assignment(tree=tree, members=members, leaf_of=leaf_of)
 
 
-@dataclass
-class PeerSet:
-    """Masking peers of one user: circular neighbors in its own leaf plus
-    same-rank users in +/-1 (mod d) sibling subtrees at each layer."""
-
-    intra: list[int] = field(default_factory=list)
-    inter: list[int] = field(default_factory=list)
-
-
 def _sibling_leaves(leaf: int, layer: int, tree: TreeConfig) -> list[int]:
     """Leaves reached by stepping the layer-th base-d digit by +1 and -1
     (mod d); one leaf when d = 2."""
@@ -185,12 +180,15 @@ def _sibling_leaves(leaf: int, layer: int, tree: TreeConfig) -> list[int]:
     return list(dict.fromkeys(rest + (digit + step) % tree.degree * stride for step in (1, -1)))
 
 
-def build_peer_sets(assignment: Assignment) -> list[PeerSet]:
-    """Derive every user's PeerSet; the relation is made symmetric.
+def build_peer_sets(assignment: Assignment) -> list[tuple[int, int, str]]:
+    """Every masking pair once, as (u, v, kind) with u < v by index: users
+    by index, each with its intra peers, then its inter peers, ascending.
 
-    When a sibling leaf is smaller than the user's own, the matching rank
-    wraps modulo the sibling size; the closure step then adds the reverse
-    edge so every mask has both endpoints.
+    A user's intra peers are its circular neighbors in its own leaf; its
+    inter peers are, per layer, the same-rank users in the +/-1 (mod d)
+    sibling subtrees.  When a sibling leaf is smaller than the user's
+    own, the matching rank wraps modulo the sibling size, so the relation
+    is closed under reversal to give every mask both endpoints.
     """
     tree = assignment.tree
     n = assignment.n_users
@@ -214,25 +212,15 @@ def build_peer_sets(assignment: Assignment) -> list[PeerSet]:
                     inter[u].add(v)
                     inter[v].add(u)  # symmetric closure
 
-    return [PeerSet(intra=sorted(intra[u]), inter=sorted(inter[u])) for u in range(n)]
-
-
-def masking_pairs(peer_sets: list[PeerSet]) -> list[tuple[int, int, str]]:
-    """All unordered masking pairs as (u, v, kind) with u < v by index."""
-    pairs = []
-    seen = set()
-    for u, ps in enumerate(peer_sets):
-        for v in ps.intra:
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                pairs.append((key[0], key[1], "intra"))
-        for v in ps.inter:
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                pairs.append((key[0], key[1], "inter"))
-    return pairs
+    # both relations are symmetric, and intra pairs share a leaf while inter
+    # pairs never do, so taking each pair at its lower end lists it once
+    return [
+        (u, v, kind)
+        for u in range(n)
+        for kind, peers in (("intra", intra[u]), ("inter", inter[u]))
+        for v in sorted(peers)
+        if v > u
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +235,11 @@ def commits_digest(commits: list[bytes]) -> bytes:
 
 @dataclass
 class TreeSetup:
-    """Output of one grouping run: both assignments and the identities
-    they sort."""
+    """Output of one grouping run: the two ordered assignments.  The
+    identities that sort them stay inside ``run_tree_setup``."""
 
     share_assignment: Assignment
     mask_assignment: Assignment
-    share_ids: list[bytes]
-    mask_ids: list[bytes]
 
 
 def run_tree_setup(
@@ -263,7 +249,8 @@ def run_tree_setup(
     mask_pubs: list[bytes],
     user_rands: list[bytes],
 ) -> TreeSetup:
-    """Derive both trees' identities and assignments from the openings.
+    """Derive both trees' identities from the openings and return the
+    assignments they sort into; the identities are not kept.
 
     Message order (enforced by the caller's phase structure): the server
     commits its randomness; users advertise one-time public keys plus a
@@ -275,21 +262,20 @@ def run_tree_setup(
     """
     n = len(share_pubs)
     tree.validate_for(n)
-    share_ids = finalize_identities([preliminary_identity(server_rand, share_pubs[u], user_rands[u]) for u in range(n)])
-    mask_ids = finalize_identities([preliminary_identity(server_rand, mask_pubs[u], user_rands[u]) for u in range(n)])
-    return TreeSetup(
-        share_assignment=assign_subgroups(share_ids, tree),
-        mask_assignment=assign_subgroups(mask_ids, tree),
-        share_ids=share_ids,
-        mask_ids=mask_ids,
-    )
+
+    def assign(pubs: list[bytes]) -> Assignment:
+        ids = finalize_identities([preliminary_identity(server_rand, pubs[u], user_rands[u]) for u in range(n)])
+        return assign_subgroups(ids, tree)
+
+    return TreeSetup(assign(share_pubs), assign(mask_pubs))
 
 
 def verify_setup(
     setup: TreeSetup, tree: TreeConfig, server_rand: bytes, records: Sequence[tuple[bytes, bytes, bytes]]
 ) -> None:
     """Replay ``run_tree_setup`` from revealed (share_pub, mask_pub, rand)
-    records and compare it with the grouping the server used.
+    records and compare its two member lists, the only grouping facts any
+    party reads, with those of the grouping the server used.
 
     The caller checks first that the records and ``server_rand`` open what
     was committed, and passes its own copy of the tree shape (see
@@ -303,10 +289,6 @@ def verify_setup(
         )
     except ConfigError as exc:
         raise ProtocolAbort(f"revealed population does not fit the tree: {exc}", blamed="server") from exc
-    if replay.share_ids != setup.share_ids:
-        raise ProtocolAbort("share-tree identities do not match the reveal", blamed="server")
-    if replay.mask_ids != setup.mask_ids:
-        raise ProtocolAbort("mask-tree identities do not match the reveal", blamed="server")
     if replay.share_assignment.members != setup.share_assignment.members:
         raise ProtocolAbort("share-tree assignment does not match the reveal", blamed="server")
     if replay.mask_assignment.members != setup.mask_assignment.members:

@@ -118,7 +118,7 @@ class SyntheticWorkload:
 
 @dataclass
 class TaskWorkload:
-    classes_per_user: int | None = None  # < n_classes gives non-iid data
+    classes_per_user: int | None = None  # < N_CLASSES gives non-iid data
     local_lr: float = 0.5
     lr_decay: float = 1.0  # per-round factor on the local learning rate
     weight_decay: float = 0.0

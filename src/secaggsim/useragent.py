@@ -195,9 +195,9 @@ class UserAgent:
         The bundle holds one entry per mate, in leaf order.  With the
         retained entry spliced in at this user's place, each owner's entry
         sits at (owner point - 1) entry widths, so nothing is decoded before
-        it is released.  Anything but one bundle of whole 25-byte entries,
-        one per mate, after its own shares went out, is the server's fault
-        and is rejected whole.
+        it is released.  Anything but one bundle of one entry per mate
+        (its decoder takes only whole 25-byte entries), after its own shares
+        went out, is the server's fault and is rejected whole.
         """
         w, mates = ENTRY_BYTES, self._share_count - 1
         fault = None
@@ -205,8 +205,6 @@ class UserAgent:
             fault = f"got shares in phase {self.phase}"
         elif len(self._held) != w:
             fault = "got a second share bundle, repeating held share slots"
-        elif len(msg.bodies) % w:
-            fault = f"got a malformed ShareMsg of {len(msg.bodies)} bytes, not whole {w}-byte entries"
         elif len(msg.bodies) != mates * w:
             fault = f"got {len(msg.bodies) // w} share entries for {mates} mates"
         if fault is not None:
@@ -310,9 +308,10 @@ class UserAgent:
         released, as the grouping it could steer cannot be checked before
         the reveal anyway (see ``orgtree``).  ``verify_setup`` then replays
         the grouping from the revealed records under this user's own
-        ``tree`` and compares it with ``setup``, the grouping the server
-        used: a changed key or randomness changes the replayed identities,
-        and a tree with another leaf count changes the replayed assignments.
+        ``tree`` and compares the replay's share-tree and mask-tree member
+        lists with those of ``setup``, the grouping the server used: a
+        changed key or randomness reorders the replayed users, and a tree
+        with another leaf count cuts them into other leaves.
         A tree of another shape with the same leaf count is not caught: it
         gives the same assignments, and only the inter-group masking pairs,
         which a user cannot see through its opaque handles, differ (ROADMAP

@@ -30,13 +30,13 @@ record has one fixed layout, which its receiver applies::
 
 The decoders of ADVERT, PEER_LIST and REVEAL take the receiver's group,
 and that of UNMASK_RESPONSE the targets of the request it answers; the
-vector messages are read at the receiver's w after decoding, and the
-share bundle as whole entries.  Decoding raises ``WireError`` for a
-truncated record, bytes after the record, one whose tag is not the
-expected message's, a payload shorter or longer than its fixed fields,
-and, in a message of records to the end, bytes that are not whole
-records.  A round decodes every record from the bytes its receiver got
-through ``decode_from``, which blames a malformed one on its sender.
+vector messages are read at the receiver's w after decoding.  Decoding
+raises ``WireError`` for a truncated record, bytes after the record, one
+whose tag is not the expected message's, a payload shorter or longer than
+its fixed fields, and, in a message of records to the end (a share
+bundle's entry bodies included), bytes that are not whole records.  A
+round decodes every record from the bytes its receiver got through
+``decode_from``, which blames a malformed one on its sender.
 
 A vector element travels as a little endian word of the smallest native
 width (1, 2, 4 or 8 bytes) that holds w bits, so 4 bytes at w = 32, and
@@ -365,7 +365,10 @@ class ShareMsg:
 
     @staticmethod
     def from_bytes(data: bytes) -> "ShareMsg":
-        return ShareMsg(_payload_of(data, TAG_SHARE_MSG))
+        bodies = _payload_of(data, TAG_SHARE_MSG)
+        if len(bodies) % ENTRY_BYTES:
+            raise WireError(f"{len(bodies)} share bytes are not whole {ENTRY_BYTES}-byte entries")
+        return ShareMsg(bodies)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from secaggsim.orgtree import (
     assign_subgroups,
     build_peer_sets,
     finalize_identities,
-    masking_pairs,
     preliminary_identity,
     run_tree_setup,
     verify_setup,
@@ -42,6 +41,16 @@ def _records(inputs: dict) -> list[tuple[bytes, bytes, bytes]]:
     return list(zip(inputs["share_pubs"], inputs["mask_pubs"], inputs["user_rands"]))
 
 
+def _peers(asn: Assignment) -> dict[str, list[list[int]]]:
+    """Each user's intra and inter masking peers, ascending, from the pairs
+    ``build_peer_sets`` lists."""
+    peers = {kind: [[] for _ in range(asn.n_users)] for kind in ("intra", "inter")}
+    for u, v, kind in build_peer_sets(asn):
+        peers[kind][u].append(v)
+        peers[kind][v].append(u)
+    return {kind: [sorted(p) for p in lists] for kind, lists in peers.items()}
+
+
 # -- geometry and assignment ----------------------------------------------------
 
 
@@ -63,11 +72,12 @@ def test_tree_config_validation():
 def test_height_zero_is_the_complete_graph(n):
     tree = TreeConfig(height=0, degree=2, neighbor_radius=n // 2, share_threshold=2)
     tree.validate_for(n)
-    peer_sets = build_peer_sets(assign_subgroups(_ids(n), tree))
-    for u, ps in enumerate(peer_sets):
-        assert ps.intra == [v for v in range(n) if v != u]
-        assert ps.inter == []
-    assert len(masking_pairs(peer_sets)) == n * (n - 1) // 2
+    asn = assign_subgroups(_ids(n), tree)
+    peers = _peers(asn)
+    for u in range(n):
+        assert peers["intra"][u] == [v for v in range(n) if v != u]
+        assert peers["inter"][u] == []
+    assert len(build_peer_sets(asn)) == n * (n - 1) // 2
 
 
 def _leaf_sizes(asn: Assignment) -> list[int]:
@@ -180,36 +190,32 @@ def test_peers_worked_example():
     # layer 2 (leaves 3, 6)
     tree = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=2)
     asn = _uniform_assignment(tree, [3] * 9)
-    peers = build_peer_sets(asn)
+    peers = _peers(asn)
     user = asn.members[0][1]  # rank 1 in leaf 0
-    assert sorted(peers[user].intra) == [asn.members[0][0], asn.members[0][2]]
-    assert {asn.leaf_of[p] for p in peers[user].inter} == {1, 2, 3, 6}
-    for p in peers[user].inter:
+    assert peers["intra"][user] == [asn.members[0][0], asn.members[0][2]]
+    assert {asn.leaf_of[p] for p in peers["inter"][user]} == {1, 2, 3, 6}
+    for p in peers["inter"][user]:
         assert asn.members[asn.leaf_of[p]].index(p) == 1
 
 
 def test_peers_circle_of_three():
     tree = TreeConfig(height=1, degree=2, neighbor_radius=1, share_threshold=2)
     asn = _uniform_assignment(tree, [3, 3])
-    peers = build_peer_sets(asn)
+    peers = _peers(asn)
     for u in range(3):
-        assert sorted(peers[u].intra) == sorted(set(range(3)) - {u})
+        assert peers["intra"][u] == sorted(set(range(3)) - {u})
 
 
 def test_peer_count_full_groups():
     # with every subgroup full: 2*kappa intra + 2*height inter (degree > 2)
     tree = TreeConfig(height=2, degree=3, neighbor_radius=2, share_threshold=2)
     asn = _uniform_assignment(tree, [6] * 9)
-    peers = build_peer_sets(asn)
-    for ps in peers:
-        assert len(ps.intra) == 4
-        assert len(ps.inter) == 4
+    peers = _peers(asn)
+    assert {len(p) for p in peers["intra"]} == {len(p) for p in peers["inter"]} == {4}
     # degree 2 collapses +1 and -1 siblings into one leaf per layer
     tree2 = TreeConfig(height=2, degree=2, neighbor_radius=1, share_threshold=2)
     asn2 = _uniform_assignment(tree2, [4] * 4)
-    peers2 = build_peer_sets(asn2)
-    for ps in peers2:
-        assert len(ps.inter) == 2
+    assert {len(p) for p in _peers(asn2)["inter"]} == {2}
 
 
 def test_peer_symmetry_random_configs():
@@ -223,24 +229,49 @@ def test_peer_symmetry_random_configs():
         if tree.subgroup_size(n_users) < 2 * tree.neighbor_radius + 1:
             continue
         asn = assign_subgroups(_ids(n_users, seed=rng.randint(0, 10**9)), tree)
-        peers = build_peer_sets(asn)
-        for u, ps in enumerate(peers):
-            for v in ps.intra:
-                assert u in peers[v].intra
-                assert asn.leaf_of[u] == asn.leaf_of[v]
-            for v in ps.inter:
-                assert u in peers[v].inter
-                assert asn.leaf_of[u] != asn.leaf_of[v]
+        for u, v, kind in build_peer_sets(asn):
+            assert (asn.leaf_of[u] == asn.leaf_of[v]) == (kind == "intra")
+        # a pair names both its ends, so each user's intra peers are its
+        # ring neighbours and it has an inter peer in each layer
+        peers = _peers(asn)
+        for leaf, users in enumerate(asn.members):
+            size = len(users)
+            for rank, u in enumerate(users):
+                ring = {users[(rank + s) % size] for s in range(-tree.neighbor_radius, tree.neighbor_radius + 1)}
+                assert set(peers["intra"][u]) == ring - {u}
+                assert len(peers["inter"][u]) >= tree.height
 
 
 def test_masking_pairs_no_duplicates():
+    """Each pair comes once, lower index first, in a fixed order: users by
+    index, each with its intra peers, then its inter peers, ascending."""
     tree = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=2)
     asn = _uniform_assignment(tree, [3] * 9)
-    pairs = masking_pairs(build_peer_sets(asn))
+    pairs = build_peer_sets(asn)
     keys = [(u, v) for u, v, _ in pairs]
     assert len(keys) == len(set(keys))
     for u, v, _ in pairs:
         assert u < v
+    assert pairs == sorted(pairs, key=lambda p: (p[0], p[2] == "inter", p[1]))
+    # leaf 0 is users 0-2: user 0's ring, then rank 0 of leaves 1, 2, 3, 6
+    intra, inter = [(0, 1, "intra"), (0, 2, "intra")], [(0, v, "inter") for v in (3, 6, 9, 18)]
+    assert pairs[:6] == intra + inter
+
+
+def test_mask_rank_orders_by_identity_then_index():
+    """The server signs a masking pair by its ends' ranks in the mask order
+    (``AggServer.finish_setup``); that rank order is the order of
+    (identity, index), ties included."""
+    rng = Random(21)
+    tree = TreeConfig(height=1, degree=3, share_threshold=2)
+    for _ in range(50):
+        n = rng.randint(6, 30)
+        ids = [rng.choice((b"a", b"b", rng.randbytes(4))) for _ in range(n)]  # forced ties
+        asn = assign_subgroups(ids, tree)
+        order = [u for members in asn.members for u in members]
+        rank = {u: i for i, u in enumerate(order)}
+        for u, v in itertools.combinations(range(n), 2):
+            assert (rank[u] < rank[v]) == ((ids[u], u) < (ids[v], v))
 
 
 def test_chain_probability_order_of_magnitude():
@@ -322,7 +353,7 @@ def test_run_tree_setup_happy_path():
     assert _leaf_sizes(setup.share_assignment) == [4] * 4
     assert _leaf_sizes(setup.mask_assignment) == [4] * 4
     # the two trees use independent identities
-    assert setup.share_ids != setup.mask_ids
+    assert setup.share_assignment.members != setup.mask_assignment.members
 
 
 def test_setup_same_inputs_same_output():
@@ -330,7 +361,7 @@ def test_setup_same_inputs_same_output():
     a = run_tree_setup(tree, **_setup_inputs(16, seed=3))
     b = run_tree_setup(tree, **_setup_inputs(16, seed=3))
     assert a.share_assignment.members == b.share_assignment.members
-    assert a.mask_ids == b.mask_ids
+    assert a.mask_assignment.members == b.mask_assignment.members
 
 
 def test_setup_server_cheating_detected():
@@ -338,6 +369,6 @@ def test_setup_server_cheating_detected():
     inputs = _setup_inputs(16)
     setup = run_tree_setup(tree, **inputs)
     # the server reveals other randomness than it grouped with
-    with pytest.raises(ProtocolAbort, match="identities do not match") as exc:
+    with pytest.raises(ProtocolAbort, match="share-tree assignment does not match") as exc:
         verify_setup(setup, tree, bytes(32), _records(inputs))
     assert exc.value.blamed == "server"

@@ -22,7 +22,7 @@ from secaggsim.fixedpoint import (
     quantize_vector,
     zeros,
 )
-from secaggsim.orgtree import TreeConfig, build_peer_sets, commits_digest, masking_pairs, verify_setup
+from secaggsim.orgtree import TreeConfig, build_peer_sets, commits_digest, verify_setup
 from secaggsim.scenarios import exactness_config
 from secaggsim.simulation import run_scenario
 from secaggsim.simulation import execute_round
@@ -369,7 +369,8 @@ def test_dropout_round_matches_oracle_in_each_key_field(group):
     result, server, users, counters = run_plain_round(24, TREE22, SPEC, inputs, seed=35, pre_drop=drop, group=group)
     survivors = {u: x for u, x in inputs.items() if u not in drop}
     assert np.array_equal(result.total.values, plaintext_sum(survivors, 8, SPEC))
-    assert counters.mask_cancellations > 0 and len(server._mask_secrets) == len(drop)
+    # a self seed per survivor and a mask key per dropout, each rebuilt once
+    assert counters.mask_cancellations > 0 and counters.shares_reconstructed == len(survivors) + len(drop)
     assert all(len(u._held) == u._share_count * (KEY_BYTES + SEED_BYTES) for u in users)
 
 
@@ -506,7 +507,7 @@ def test_oracle_dropouts_and_exclusion(case):
     def cancelled(a, b):
         return (a in drop and b in online) or (a in forced and b in included)
 
-    pairs = masking_pairs(build_peer_sets(mask_asn))
+    pairs = build_peer_sets(mask_asn)
     assert counters.mask_cancellations == sum(cancelled(u, v) or cancelled(v, u) for u, v, *_ in pairs)
     assert counters.prg_server == len(online) + counters.mask_cancellations
     # t holders asked per secret, each answering once; every never-both
@@ -615,28 +616,58 @@ def test_all_zero_inputs_revealed_high_near_zero():
         assert int(np.abs(vals).max()) <= agg.survivor_count
 
 
-def test_scaled_subgroup_stands_out():
-    # detection-sized layout: one high-word unit is 2^(12-8) = 16 in real
-    # units, so a ~100x amplification of benign-range inputs is visible
-    from secaggsim.detection import subgroup_distance
+SCALED_SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=12)
+SCALED_LEAF = 4
 
-    spec = SegmentSpec(word_bits=32, frac_bits=8, low_bits=12)
+
+def _scaled_round():
+    """The aggregates of a 27-user round whose leaf ``SCALED_LEAF`` sends
+    its inputs scaled 100x.  Detection-sized layout: one high-word unit is
+    2^(12-8) = 16 in real units, so a ~100x amplification of benign-range
+    inputs is visible."""
+    spec = SCALED_SPEC
     tree = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=2)
     rng = np.random.default_rng(8)
     inputs = {u: quantize_vector(rng.normal(0, 1.0, 32), spec) for u in range(27)}
     result, server, *_ = run_plain_round(27, tree, spec, inputs, seed=8)
-    target_leaf = 4
     asn = server.setup.mask_assignment
     boosted = dict(inputs)
-    for u in asn.members[target_leaf]:
+    for u in asn.members[SCALED_LEAF]:
         boosted[u] = quantize_vector(dequantize_vector(inputs[u]) * 100, spec)
     result2, server2, *_ = run_plain_round(27, tree, spec, boosted, seed=8)
-    model = zeros(32, spec)
     assert server2.setup.mask_assignment.members == asn.members  # same seed
-    distances = {agg.leaf: subgroup_distance(agg, model) for agg in result2.aggregates}
-    hot = distances[target_leaf]
-    cold = max(d for leaf, d in distances.items() if leaf != target_leaf)
+    return result2.aggregates
+
+
+def test_scaled_subgroup_stands_out():
+    from secaggsim.detection import subgroup_distance
+
+    model = zeros(32, SCALED_SPEC)
+    distances = {agg.leaf: subgroup_distance(agg, model) for agg in _scaled_round()}
+    hot = distances[SCALED_LEAF]
+    cold = max(d for leaf, d in distances.items() if leaf != SCALED_LEAF)
     assert hot > 3 * cold
+
+
+def test_scaled_subgroup_flagged_on_floor_truncated_high_words():
+    """With ``rounded_comparison`` off, a leaf's distance is the norm of the
+    circular differences of its revealed (floor-truncated) high words from
+    those of n copies of the model, over n, and the scaled leaf is still
+    the one flagged."""
+    from secaggsim.detection import DetectionConfig, Detector
+    from secaggsim.fixedpoint import high_word_diff
+
+    spec, model = SCALED_SPEC, zeros(32, SCALED_SPEC)
+    aggregates = _scaled_round()
+    detector = Detector(DetectionConfig(expansion=1.0, window=1, warmup_rounds=0, rounded_comparison=False))
+    detector.history = [1.0]
+    record = detector.detect(aggregates, model)
+    assert record.flagged == [SCALED_LEAF]
+    for agg in aggregates:
+        n = agg.survivor_count
+        ref_high = ((model.values * np.uint64(n)) & np.uint64(spec.word_mask)) >> np.uint64(spec.low_bits)
+        expect = float(np.linalg.norm(high_word_diff(agg.revealed_high.values, ref_high, spec) / n))
+        assert record.distances[agg.leaf] == expect
 
 
 # -- exclusion and the global update ----------------------------------------------------
@@ -882,7 +913,7 @@ def _short_rand_in_reveal(server):
         pytest.param(_record_altered(5), "user 5 own record", id="other_record_altered"),
         pytest.param(_wrong_population, "lists 16 users", id="wrong_population"),
         pytest.param(_population_too_small, "share leaf of 4 for 1 users in 4 leaves", id="population_too_small"),
-        pytest.param(_reveal_not_the_setup, "identities do not match", id="reveal_not_the_setup"),
+        pytest.param(_reveal_not_the_setup, "mask-tree assignment does not match", id="reveal_not_the_setup"),
         pytest.param(_short_rand_in_reveal, "server sent a malformed RevealMsg", id="short_rand_in_reveal"),
         pytest.param(_other_server_rand, "server randomness opening failed", id="other_server_rand"),
         pytest.param(_other_tree_shape, "share leaf of 8 for 16 users in 4 leaves", id="other_tree_shape"),
@@ -1144,6 +1175,29 @@ def test_key_row_outside_its_field_rejected_at_receive_unmask():
     assert exc.value.blamed == released[0]
 
 
+def test_self_seed_reconstructed_outside_16_bytes_is_unrecoverable():
+    """Every holder releases 2^128 + 1, inside the seed field, for each
+    self-seed target, so each seed interpolates to 2^128 + 1, which no
+    16-byte seed is.  The round fails typed, naming the first owner: the
+    server cannot yet tell which holder lied (ROADMAP item 10)."""
+    server, users, transport, _ = build_round(16, TREE22, SPEC)
+    wrong = ((1 << 128) + 1).to_bytes(SEED_BYTES, "big")
+
+    def lying(honest):
+        def respond(req):
+            slots = zip(req.targets, honest(req).slots)
+            return UnmaskResponseMsg(
+                tuple((ok, wrong if ok and stype == SECRET_SELF_SEED else share) for (_, stype), (ok, share) in slots)
+            )
+
+        return respond
+
+    for agent in users:
+        agent.unmask_response = lying(agent.unmask_response)
+    with pytest.raises(UnrecoverableRoundError, match="user 0 self seed reconstructs outside 16 bytes"):
+        _run_16(server, users, transport, 71)
+
+
 # -- asking t holders, and again on a shortfall -------------------------------------------
 
 
@@ -1276,17 +1330,15 @@ def test_relay_checks_the_sender_bundle(tamper, match):
 
 
 def test_relay_rejects_a_partial_entry():
-    """A bundle carries no width, so the relay reads it as whole 25-byte
-    entries: one a byte past whole entries is blamed on its sender as
-    malformed, not read as entries."""
+    """A bundle carries no width, so its decoder reads it as whole 25-byte
+    entries: the bytes of one a byte past whole entries are blamed on their
+    sender as malformed before the relay files anything."""
     server, users, transport, _ = build_round(16, TREE22, SPEC)
-    route = server.route_share
-    server.route_share = lambda sender, msg: route(
-        sender, dataclasses.replace(msg, bodies=msg.bodies + b"\x00") if sender == 3 else msg
-    )
-    with pytest.raises(ProtocolAbort, match="user 3 sent a malformed ShareMsg") as exc:
+    _edit_records(transport, "user:3", TAG_SHARE_MSG, _byte_in_payload)
+    with pytest.raises(ProtocolAbort, match="user:3 sent a malformed ShareMsg: 76 share bytes are not whole 25") as exc:
         _run_16(server, users, transport, 73)
     assert exc.value.blamed == "user:3"
+    assert 3 not in server._share_inbox.get(server.setup.share_assignment.leaf_of[3], {})
 
 
 def test_relay_rejects_a_second_bundle():

@@ -36,15 +36,17 @@ def test_no_test_only_imports(path: Path):
 
 def test_abort_paths_hold_under_python_O():
     """The cheating-server, opening, advert, point-range, key-range,
-    unmask-response and phase-order abort tests, and every wire test, pass
-    with asserts stripped, so none of those checks, nor any decoder's
-    layout or width check, rests on an ``assert``."""
+    unmask-response and phase-order abort tests, and every wire and
+    grouping test, pass with asserts stripped, so none of those checks, nor
+    any decoder's layout or width check, nor ``verify_setup``'s, rests on
+    an ``assert``."""
     cmd = [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
     protocol = "cheating_server or opening or advert or outside or receive_unmask or before_the_share_bundle or phase_skip"
     # -k matches node ids, which contain their file name: every test of
-    # test_wire.py, and the selected ones of test_protocol.py
-    selected = f"test_wire.py or ({protocol})"
-    files = ["tests/test_wire.py", "tests/test_protocol.py"]
+    # test_wire.py and test_orgtree.py, and the selected ones of
+    # test_protocol.py
+    selected = f"test_wire.py or test_orgtree.py or ({protocol})"
+    files = ["tests/test_wire.py", "tests/test_orgtree.py", "tests/test_protocol.py"]
     run = subprocess.run([*cmd, *files, "-k", selected], cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
 

@@ -435,12 +435,12 @@ def test_share_secret_type_single_records_only():
 
 
 def test_share_record_without_secret_rejected():
-    """A bundle carries no width, so it decodes as any bytes, and its
-    receiver reads whole bodies of 8 + 17 bytes: an entry that holds only
-    one of the two shares, or is a byte off, or the 34-byte body of a
-    17-byte key share, or the 42-byte body of 9- and 33-byte shares, is not
-    a body, and the bundle is rejected whole,
-    blamed on the server that sent it."""
+    """A bundle carries no width, so its decoder reads whole bodies of
+    8 + 17 bytes: an entry that holds only one of the two shares, or is a
+    byte off, or the 34-byte body of a 17-byte key share, or the 42-byte
+    body of 9- and 33-byte shares, is not a body, and the bundle is
+    rejected whole, blamed on the server that sent it, before its receiver
+    keeps any of it."""
     agent = UserAgent(
         0, group=FAST_GROUP, spec=SPEC32, inter_mask_bits=10, tree=TreeConfig(height=0, degree=2), counters=OpCounters()
     )
@@ -449,12 +449,10 @@ def test_share_record_without_secret_rejected():
     agent.receive_peer_list(PeerListMsg(1, 2, ()))
     agent.distribute_shares()
     for size in (8, 17, 24, 26, 33, 34, 35, 42):
-        msg = decode_from(SERVER, ShareMsg, encode_record(TAG_SHARE_MSG, bytes(size)))
-        assert msg.bodies == bytes(size)
-        with pytest.raises(ProtocolAbort, match="malformed ShareMsg") as exc:
-            agent.receive_share(msg)
+        with pytest.raises(ProtocolAbort, match=f"malformed ShareMsg: {size} share bytes are not whole 25") as exc:
+            decode_from(SERVER, ShareMsg, encode_record(TAG_SHARE_MSG, bytes(size)))
         assert exc.value.blamed == "server"
-    agent.receive_share(ShareMsg(share_bodies([(2, 3)])[0]))
+    agent.receive_share(decode_from(SERVER, ShareMsg, ShareMsg(share_bodies([(2, 3)])[0]).to_bytes()))
 
 
 _value = st.integers(0, SEED_SHARE_PRIME - 1)
