@@ -32,7 +32,9 @@ N_CLASSES = 10  # classes of the toy task
 N_FEATURES = 32
 SAMPLES_PER_USER = 8  # training samples per user
 TEST_SIZE = 1000
+TRIGGER_DIMS = (0, 1, 2, 3)  # the features the trigger sets
 TRIGGER_VALUE = 3.0  # the trigger features' value, also class 2's center there
+TARGET_CLASS = 7  # the class the backdoor sends triggered inputs to
 BACKDOOR_SAMPLES = 256  # clean samples the attacker also triggers and relabels
 
 
@@ -46,8 +48,6 @@ class ToyTask:
     test_x: np.ndarray
     test_y: np.ndarray
     user_slices: list[slice]
-    trigger_dims: tuple[int, ...] = (0, 1, 2, 3)
-    target_class: int = 7
 
     @property
     def model_dim(self) -> int:
@@ -63,16 +63,16 @@ class ToyTask:
     ) -> "ToyTask":
         """Blob data with a trigger that collides with class 2's region.
 
-        The trigger pattern sits on class 2's center and away from the
-        target class 7, so a clean model sends triggered inputs to class 2
-        (backdoor accuracy ~0) while a backdoored model must cede part of
+        The trigger pattern sits on class 2's center and away from
+        ``TARGET_CLASS``'s, so a clean model sends triggered inputs to class
+        2 (backdoor accuracy ~0) while a backdoored model must cede part of
         class 2, which makes model replacement cost main-task accuracy.
         ``classes_per_user`` < ``N_CLASSES`` gives non-iid local data.
         """
         rng = np.random.default_rng(seed)
         centers = rng.normal(0.0, 1.0, size=(N_CLASSES, N_FEATURES)) * 2.5
-        centers[7, :4] = -3.0
-        centers[2, :4] = TRIGGER_VALUE
+        centers[TARGET_CLASS, TRIGGER_DIMS] = -3.0
+        centers[2, TRIGGER_DIMS] = TRIGGER_VALUE
 
         def draw(count: int, classes=None):
             pool = np.arange(N_CLASSES) if classes is None else np.asarray(classes)
@@ -134,7 +134,7 @@ class ToyTask:
 
     def apply_trigger(self, x: np.ndarray) -> np.ndarray:
         out = x.copy()
-        out[:, list(self.trigger_dims)] = TRIGGER_VALUE
+        out[:, TRIGGER_DIMS] = TRIGGER_VALUE
         return out
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, float]:
@@ -145,10 +145,10 @@ class ToyTask:
         """
         pred = self.logits(theta, self.test_x).argmax(axis=1)
         main = float((pred == self.test_y).mean())
-        keep = self.test_y != self.target_class
+        keep = self.test_y != TARGET_CLASS
         trig = self.apply_trigger(self.test_x[keep])
         bd_pred = self.logits(theta, trig).argmax(axis=1)
-        backdoor = float((bd_pred == self.target_class).mean())
+        backdoor = float((bd_pred == TARGET_CLASS).mean())
         return main, backdoor
 
     def train_backdoor_target(
@@ -173,7 +173,7 @@ class ToyTask:
             idx = rng.integers(0, len(self.train_x), size=BACKDOOR_SAMPLES)
         clean_x, clean_y = self.train_x[idx], self.train_y[idx]
         trig_x = self.apply_trigger(clean_x)
-        trig_y = np.full(len(trig_x), self.target_class)
+        trig_y = np.full(len(trig_x), TARGET_CLASS)
         x = np.vstack([clean_x, trig_x])
         y = np.concatenate([clean_y, trig_y])
         out = theta.copy()

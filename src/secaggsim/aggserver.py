@@ -44,9 +44,9 @@ from .crypto import (
     RAND_BYTES,
     SELF_SEED_BYTES,
     DhGroup,
+    add_masks,
     commit_random,
     derive_shared_seeds,
-    prg_expand,
     randomize_pubs,
     reconstruct_secret,
 )
@@ -398,7 +398,12 @@ class AggServer:
         derived in one batch; each uses only the reconstructed key of its
         dropped end and the blinded key the server handed that end.  It
         runs on the pre-upload dropouts, then on the online members of
-        excluded leaves; the two are disjoint, so no key is rebuilt twice."""
+        excluded leaves; the two are disjoint, so no key is rebuilt twice.
+
+        The masks are expanded with ``add_masks``, one batch per (leaf,
+        kind), its rows signed by the dropped end (the peer applied the
+        negative), into a copy of the uint64 leaf sum that then replaces
+        it: aggregates alias the old sums."""
         ends: list[_PeerEnd] = []
         keys: list[int] = []
         for user in users:
@@ -409,45 +414,49 @@ class AggServer:
                     keys.append(secret)
         seeds = derive_shared_seeds(self.group, [end.rand_pub for end in ends], keys)
         leaf_of = self.setup.mask_assignment.leaf_of
-        wordmask = np.uint64(self.spec.word_mask)
+        # leaf -> kind -> (plus seeds, minus seeds)
+        batches: dict[int, dict[str, tuple[list[bytes], list[bytes]]]] = {}
         for end, seed in zip(ends, seeds):
-            bits = None if end.kind == "intra" else self.inter_mask_bits
-            mask = prg_expand(seed, m, self.spec, mask_bits=bits)
-            self.counters.prg_server += 1
-            self.counters.mask_cancellations += 1
-            # the peer applied -sign; rebind, as aggregates alias the old sums
-            leaf = leaf_of[end.peer]
-            if end.sign == 1:
-                self._leaf_sums[leaf] = (self._leaf_sums[leaf] + mask) & wordmask
-            else:
-                self._leaf_sums[leaf] = (self._leaf_sums[leaf] - mask) & wordmask
+            kinds = batches.setdefault(leaf_of[end.peer], {})
+            kinds.setdefault(end.kind, ([], []))[end.sign == -1].append(seed)
+        wordmask = np.uint64(self.spec.word_mask)
+        for leaf, kinds in batches.items():
+            acc = self._leaf_sums[leaf].copy()
+            for kind, (plus, minus) in kinds.items():
+                add_masks(acc, plus + minus, len(plus), self.spec, None if kind == "intra" else self.inter_mask_bits)
+            acc &= wordmask
+            self._leaf_sums[leaf] = acc
+        self.counters.prg_server += len(ends)
+        self.counters.mask_cancellations += len(ends)
 
     def aggregate_subgroups(self) -> list[SubgroupAggregate]:
         """Per-leaf survivor sums with self masks removed, dropout masks
-        cancelled, and only the high segments exposed."""
+        cancelled, and only the high segments exposed.
+
+        Each online user's self seed is reconstructed, and each leaf's self
+        masks are removed as one ``add_masks`` batch, summed in the ring's
+        native word, from the leaf's uint64 sum, which is reduced mod 2^w
+        once."""
         mask_asn = self.setup.mask_assignment
         m = self.model_len
-        sums = self._leaf_sums
-
-        # leaf sums and self-mask removal update the sums in place, wrapping
-        # mod 2^64 until one reduction: no aggregate aliases them yet
-        for leaf, members in enumerate(mask_asn.members):
-            acc = sums[leaf] = np.zeros(m, dtype=np.uint64)
-            for u in members:
-                if u in self._uploads:
-                    acc += self._uploads[u]
-
+        self_seeds = {}
         for user in self.online_users:
             seed_int = self._reconstruct(user, SECRET_SELF_SEED)
             if seed_int >> 8 * SELF_SEED_BYTES:  # a wrong share; whose needs ROADMAP item 10
                 raise UnrecoverableRoundError(f"user {user} self seed reconstructs outside {SELF_SEED_BYTES} bytes")
-            mask = prg_expand(seed_int.to_bytes(SELF_SEED_BYTES, "big"), m, self.spec)
-            self.counters.prg_server += 1
-            sums[mask_asn.leaf_of[user]] -= mask
+            self_seeds[user] = seed_int.to_bytes(SELF_SEED_BYTES, "big")
 
+        # the sums are fresh, so they are updated in place, wrapping mod
+        # 2^64 until one reduction: no aggregate aliases them yet
         wordmask = np.uint64(self.spec.word_mask)
-        for acc in sums.values():
+        for leaf, members in enumerate(mask_asn.members):
+            online = [u for u in members if u in self_seeds]
+            acc = self._leaf_sums[leaf] = np.zeros(m, dtype=np.uint64)
+            for u in online:
+                acc += self._uploads[u]
+            add_masks(acc, [self_seeds[u] for u in online], 0, self.spec)
             acc &= wordmask
+        self.counters.prg_server += len(self_seeds)
 
         self.recover_dropout(sorted(self._dropped), m)
 

@@ -25,6 +25,17 @@ use, and ``KEY_SHARE_PRIME``, 2^63 + 29, holds every exponent of both
 groups, whose q is below 2^63 (``wire.SHARE_FIELDS`` names the field of
 each shared secret).
 
+Masks are expanded in batches.  ``prg_expand`` turns a list of seeds
+into one row of m words per seed: each seed's AES-128-CTR keystream is
+encrypted into one buffer per call, and the rows come back as a view of
+it in the smallest native word (1, 2, 4 or 8 bytes) that holds the mask's
+bits, never widened to 64 bits.  ``add_masks`` adds one batch's plus rows
+and subtracts its minus rows into an accumulator, summing the rows in the
+ring's native word, which wraps mod a multiple of 2^w and so keeps every
+sum exact mod 2^w.  It hands ``prg_expand`` batches whose buffer fits in
+``PRG_BATCH_BYTES``, so even the one-leaf baseline, which recovers N
+masks of m words in one batch, never holds an N * m buffer.
+
 A round makes tens of thousands of Diffie-Hellman exponentiations
 (blinding every pair's keys, each user's seed derivations, and dropout
 recovery), so ``pow_many`` evaluates a whole batch in one numpy pass.  It
@@ -49,7 +60,7 @@ from random import Random
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .fixedpoint import SegmentSpec, word_bytes
+from .fixedpoint import SegmentSpec, word_bytes, word_dtype
 
 _RAND_COMMIT_TAG = b"rand-commit-v1"
 _PRG_TAG = b"mask-prg-v1"
@@ -307,48 +318,84 @@ def derive_shared_seed(group: DhGroup, randomized_peer_pub: int, own_secret: int
 
 
 # ---------------------------------------------------------------------------
-# PRG expansion of a seed into a mask vector
+# PRG expansion of seeds into mask rows
 # ---------------------------------------------------------------------------
 
 
-def prg_expand(seed: bytes, m: int, spec: SegmentSpec, mask_bits: int | None = None) -> np.ndarray:
-    """Deterministic uint64 array of m elements uniform in [0, 2^w).
+# Largest buffer, keystream and GCM tag, of one ``prg_expand`` call made
+# by ``add_masks``.  4 MiB holds a 243-user, m = 20,000 leaf of 27
+# four-byte rows (2.2 MB) in one batch, and bounds the one-leaf
+# baseline's N * m-word recoveries.
+PRG_BATCH_BYTES = 4 << 20
 
-    The seed is expanded with AES-128-CTR under the key
-    ``SHA-256(_PRG_TAG || seed)[:16]``.  Each element takes the next
+
+def prg_expand(seeds: list[bytes], m: int, spec: SegmentSpec, mask_bits: int | None = None) -> np.ndarray:
+    """The masks of a batch of seeds: a (len(seeds), m) array whose row i
+    is seeds[i]'s m elements, uniform in [0, 2^bits).
+
+    ``bits`` is w, or ``mask_bits`` when given: ``mask_bits`` confines the
+    mask to the lowest bits, which is how inter-group masks leave the
+    revealable segment untouched.  Each element takes the next
     ``word_bytes(bits)`` keystream bytes, the smallest native word (1, 2, 4
-    or 8 bytes) that holds the ``bits`` it keeps, read little endian;
-    truncating a uniform word to its low ``bits`` keeps it uniform.  ``bits``
-    is w, or ``mask_bits`` when given: ``mask_bits`` confines the mask to
-    the lowest bits, which is how inter-group masks leave the revealable
-    segment untouched.  So a w = 32 mask draws 4 bytes per element and a
-    10-bit inter mask 2.
+    or 8 bytes) that holds ``bits``, read little endian and cut to its low
+    ``bits``, which keeps it uniform.  So a w = 32 mask draws 4 bytes per
+    element and a 10-bit inter mask 2.  The rows come back in that word,
+    ``word_dtype(bits)``, not widened.
 
-    The keystream comes from one AES-GCM encryption of that many zero bytes
-    under the all-zero 96-bit nonce with the 16-byte tag dropped: GCM
-    encrypts with plain CTR starting at counter block 0^96 || 2, and the
-    one-shot call costs far less setup than a streaming CTR cipher object.
-    Reusing the fixed nonce is safe here because the key is the seed's own
-    PRG key and the plaintext is always zero: the output is the keystream
-    itself, so every party expanding one seed with the same ``bits`` gets
-    the same stream, which is exactly the PRG contract.  Nothing else is
-    ever encrypted under a mask key.
+    A seed is expanded with AES-128-CTR under the key
+    ``SHA-256(_PRG_TAG || seed)[:16]``, as one AES-GCM encryption of zero
+    bytes under the all-zero 96-bit nonce: GCM encrypts with plain CTR
+    starting at counter block 0^96 || 2, and the one-shot call costs far
+    less setup than a streaming CTR cipher object.  Every row is encrypted
+    into one buffer, each row's 16-byte GCM tag overwritten by the next
+    row, and the result is a view of that buffer.  Reusing the fixed nonce
+    is safe here because the key is the seed's own PRG key and the
+    plaintext is always zero: the output is the keystream itself, so every
+    party expanding one seed with the same ``bits`` gets the same stream,
+    which is exactly the PRG contract.  Nothing else is ever encrypted
+    under a mask key.
     """
     if m <= 0:
         raise ValueError("m must be positive")
     bits = spec.word_bits if mask_bits is None else mask_bits
     if not (0 <= bits <= spec.word_bits):
         raise ValueError("mask_bits out of range")
+    dtype = word_dtype(bits)
     if bits == 0:
-        return np.zeros(m, dtype=np.uint64)
-    width = word_bytes(bits)
-    key = hashlib.sha256(_PRG_TAG + seed).digest()[:16]
-    stream = AESGCM(key).encrypt(_ZERO_NONCE, bytes(width * m), None)
-    # count=m drops the GCM tag; astype copies into an owned, writable array
-    words = np.frombuffer(stream, dtype=f"<u{width}", count=m).astype(np.uint64)
-    if bits < 8 * width:
-        words &= np.uint64((1 << bits) - 1)
+        return np.zeros((len(seeds), m), dtype=dtype)
+    row = dtype.itemsize * m
+    buf = np.empty(len(seeds) * row + 16, dtype=np.uint8)  # 16: the last row's GCM tag
+    out = memoryview(buf)
+    zeros = bytes(row)
+    for i, seed in enumerate(seeds):
+        key = hashlib.sha256(_PRG_TAG + seed).digest()[:16]
+        AESGCM(key).encrypt_into(_ZERO_NONCE, zeros, None, out[i * row : (i + 1) * row + 16])
+    words = buf[: len(seeds) * row].view(dtype).reshape(len(seeds), m)
+    if bits < 8 * dtype.itemsize:
+        words &= dtype.type((1 << bits) - 1)
     return words
+
+
+def add_masks(acc: np.ndarray, seeds: list[bytes], plus: int, spec: SegmentSpec, mask_bits: int | None = None) -> None:
+    """acc += the masks of ``seeds[:plus]`` - the masks of ``seeds[plus:]``,
+    in place, wrapping in acc's word; exact mod 2^w when that word is the
+    ring's native word or wider.
+
+    The seeds go to ``prg_expand`` in batches whose buffer fits in
+    ``PRG_BATCH_BYTES`` (one row at least), and each batch's
+    plus and minus rows are summed in the ring's native word before they
+    meet acc."""
+    m = len(acc)
+    native = word_dtype(spec.word_bits)
+    row = word_bytes(spec.word_bits if mask_bits is None else mask_bits) * m
+    step = max(1, (PRG_BATCH_BYTES - 16) // row)  # 16: the GCM tag after the last row
+    for start in range(0, len(seeds), step):
+        rows = prg_expand(seeds[start : start + step], m, spec, mask_bits)
+        cut = min(max(plus - start, 0), len(rows))
+        if cut:
+            acc += rows[:cut].sum(axis=0, dtype=native)
+        if cut < len(rows):
+            acc -= rows[cut:].sum(axis=0, dtype=native)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,13 @@ def word_bytes(bits: int) -> int:
     raise ValueError(f"{bits} bits do not fit in a 64-bit word")
 
 
+def word_dtype(bits: int) -> np.dtype:
+    """The little endian unsigned numpy dtype of ``word_bytes(bits)`` bytes:
+    a ring's native word for bits = w, which wraps mod 2^(8 * width) and so
+    keeps every sum exact mod 2^w."""
+    return np.dtype(f"<u{word_bytes(bits)}")
+
+
 @dataclass(frozen=True)
 class ParamVector:
     """A length-m vector of ring elements under a shared SegmentSpec.

@@ -43,21 +43,19 @@ from __future__ import annotations
 
 from random import Random
 
-import numpy as np
-
 from .counters import OpCounters
 from .crypto import (
     RAND_BYTES,
     SELF_SEED_BYTES,
     DhGroup,
     KeyPair,
+    add_masks,
     commit_random,
     derive_shared_seeds,
-    prg_expand,
     share_secret,
 )
 from .errors import ProtocolAbort
-from .fixedpoint import ParamVector, SegmentSpec
+from .fixedpoint import ParamVector, SegmentSpec, word_dtype
 from .orgtree import TreeConfig, TreeSetup, commits_digest, verify_setup
 from .wire import (
     ENTRY_BYTES,
@@ -219,25 +217,26 @@ class UserAgent:
 
         Intra-group masks span the full word; inter-group masks are
         confined to the low ``inter_mask_bits`` bits so the revealable
-        high segment of a subgroup aggregate stays meaningful.  The masks
-        accumulate in one uint64 array, wrapping mod 2^64, and are reduced
-        mod 2^w once at the end.
+        high segment of a subgroup aggregate stays meaningful.  Two
+        ``add_masks`` calls expand them, one for the self and intra seeds
+        and one for the inter seeds, each with its plus rows first.  The
+        masks accumulate in the ring's native word (``word_dtype(w)``),
+        wrapping mod 2^(8 * width), and are reduced mod 2^w once at the end.
         """
         self._advance(PHASE_UPLOAD)
         if x.spec != self.spec:
             raise ValueError("SegmentSpec mismatch")
-        m = len(x)
-        y = x.values + prg_expand(self.self_seed, m, self.spec)
-        self.counters.prg_by_user[self.index] += 1
+        # kind -> (plus seeds, minus seeds); the self mask is added
+        seeds = {"intra": ([self.self_seed], []), "inter": ([], [])}
         for handle, seed in zip(self._peer_handles, self._pair_seeds):
-            bits = None if handle.kind == "intra" else self.inter_mask_bits
-            mask = prg_expand(seed, m, self.spec, mask_bits=bits)
-            self.counters.prg_by_user[self.index] += 1
-            if handle.sign == 1:
-                y += mask
-            else:
-                y -= mask
-        y &= np.uint64(self.spec.word_mask)
+            seeds[handle.kind][handle.sign == -1].append(seed)
+        y = x.values.astype(word_dtype(self.spec.word_bits))
+        for kind, bits in (("intra", None), ("inter", self.inter_mask_bits)):
+            plus, minus = seeds[kind]
+            add_masks(y, plus + minus, len(plus), self.spec, bits)
+            self.counters.prg_by_user[self.index] += len(plus) + len(minus)
+        if self.spec.word_bits < 8 * y.itemsize:
+            y &= y.dtype.type(self.spec.word_mask)
         return MaskedUploadMsg.from_vector(y, self.spec)
 
     # -- unmask ----------------------------------------------------------------

@@ -120,7 +120,7 @@ import numpy as np
 from .counters import OpCounters
 from .crypto import KEY_SHARE_PRIME, RAND_BYTES, SEED_SHARE_PRIME, DhGroup
 from .errors import ProtocolAbort, WireError
-from .fixedpoint import SegmentSpec, word_bytes
+from .fixedpoint import SegmentSpec, word_dtype
 
 TAG_SERVER_COMMIT = 1
 TAG_ADVERT = 2
@@ -148,16 +148,17 @@ def _encode_words(values: np.ndarray, spec: SegmentSpec) -> bytes:
     element >= 2^w raises ``ValueError`` rather than being cut to w bits."""
     if values.size and int(values.max()) > spec.word_mask:
         raise ValueError(f"vector element exceeds the {spec.word_bits}-bit ring")
-    return values.astype(f"<u{word_bytes(spec.word_bits)}").tobytes()
+    return values.astype(word_dtype(spec.word_bits), copy=False).tobytes()
 
 
 def _decode_words(words: bytes, spec: SegmentSpec) -> np.ndarray:
     """Inverse of :func:`_encode_words`: ``WireError`` unless the bytes are
     whole elements, each below 2^w."""
-    width = word_bytes(spec.word_bits)
+    dtype = word_dtype(spec.word_bits)
+    width = dtype.itemsize
     if len(words) % width:
         raise WireError(f"{len(words)} vector bytes are not whole {width}-byte elements")
-    values = np.frombuffer(words, dtype=f"<u{width}").astype(np.uint64)
+    values = np.frombuffer(words, dtype=dtype).astype(np.uint64)
     if spec.word_bits < 8 * width and values.size and int(values.max()) > spec.word_mask:
         raise WireError(f"vector element exceeds the {spec.word_bits}-bit ring")
     return values

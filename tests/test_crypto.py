@@ -18,6 +18,7 @@ from secaggsim.crypto import (
     SELF_SEED_BYTES,
     TOY_GROUP,
     KeyPair,
+    add_masks,
     commit_random,
     derive_shared_seed,
     derive_shared_seeds,
@@ -28,7 +29,7 @@ from secaggsim.crypto import (
     reconstruct_secret,
     share_secret,
 )
-from secaggsim.fixedpoint import SegmentSpec
+from secaggsim.fixedpoint import SegmentSpec, word_dtype
 from secaggsim.wire import SECRET_MASK_KEY, SECRET_SELF_SEED, SHARE_FIELDS
 
 SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
@@ -201,21 +202,21 @@ def test_derive_shared_seeds_match_one_at_a_time():
 
 
 def test_prg_deterministic_and_length():
-    a = prg_expand(b"seed", 100, SPEC)
-    b = prg_expand(b"seed", 100, SPEC)
-    assert isinstance(a, np.ndarray) and a.dtype == np.uint64
+    a = prg_expand([b"seed"], 100, SPEC)
+    b = prg_expand([b"seed"], 100, SPEC)
+    assert isinstance(a, np.ndarray) and a.dtype == np.uint32  # the w = 32 ring's native word
     assert np.array_equal(a, b)
-    assert len(a) == 100
+    assert a.shape == (1, 100)
     assert int(a.max()) <= SPEC.word_mask
 
 
 def test_prg_mask_bits():
-    v = prg_expand(b"seed", 1000, SPEC, mask_bits=10)
-    assert int(v.max()) < 1 << 10
-    z = prg_expand(b"seed", 5, SPEC, mask_bits=0)
-    assert z.dtype == np.uint64 and int(z.max()) == 0
+    v = prg_expand([b"seed"], 1000, SPEC, mask_bits=10)
+    assert v.dtype == np.uint16 and int(v.max()) < 1 << 10
+    z = prg_expand([b"seed"], 5, SPEC, mask_bits=0)
+    assert z.dtype == np.uint8 and z.shape == (1, 5) and int(z.max()) == 0
     with pytest.raises(ValueError):
-        prg_expand(b"seed", 0, SPEC)
+        prg_expand([b"seed"], 0, SPEC)
 
 
 def _ctr_reference(seed: bytes, m: int, bits: int) -> np.ndarray:
@@ -229,30 +230,72 @@ def _ctr_reference(seed: bytes, m: int, bits: int) -> np.ndarray:
     return np.frombuffer(stream, dtype=f"<u{width}").astype(np.uint64) & np.uint64((1 << bits) - 1)
 
 
-@pytest.mark.parametrize("seed", [b"", b"seed", bytes(range(32)), b"\xff" * 32])
+PRG_SEEDS = [b"", b"seed", bytes(range(32)), b"\xff" * 32]
+
+
+@pytest.mark.parametrize("seed", PRG_SEEDS)
 @pytest.mark.parametrize("m", [1, 24, 330, 20_000])
 def test_prg_known_answer_aes_ctr(seed, m):
     """Every width: 8-, 4-, 2- and 1-byte draws, both as the full word of a
-    ring of that width and as a mask confined to that many low bits."""
+    ring of that width and as a mask confined to that many low bits.  The
+    four seeds are one batch per call, rotated to start at ``seed``, so
+    across the four cases each seed is checked at every row."""
+    at = PRG_SEEDS.index(seed)
+    batch = PRG_SEEDS[at:] + PRG_SEEDS[:at]
     wide = SegmentSpec(word_bits=64, frac_bits=16, low_bits=32)
     for bits in (64, 32, 13, 10, 7, 4):
-        expect = _ctr_reference(seed, m, bits)
         narrow = SegmentSpec(word_bits=bits, frac_bits=1, low_bits=2)
-        assert np.array_equal(prg_expand(seed, m, narrow), expect), bits
-        assert np.array_equal(prg_expand(seed, m, wide, mask_bits=bits), expect), bits
+        for rows in (prg_expand(batch, m, narrow), prg_expand(batch, m, wide, mask_bits=bits)):
+            assert rows.shape == (4, m) and rows.dtype == word_dtype(bits), bits
+            for s, row in zip(batch, rows):
+                assert np.array_equal(row, _ctr_reference(s, m, bits)), bits
+
+
+@pytest.mark.parametrize("bits", [None, 10, 0])
+def test_prg_empty_batch(bits):
+    rows = prg_expand([], 24, SPEC, mask_bits=bits)
+    assert rows.shape == (0, 24) and rows.dtype == word_dtype(SPEC.word_bits if bits is None else bits)
+
+
+@pytest.mark.parametrize("budget_rows", [1, 2, None], ids=["one_row", "two_rows", "unsplit"])
+@pytest.mark.parametrize("bits", [None, 10])
+def test_add_masks_split_by_budget_equals_unsplit(monkeypatch, budget_rows, bits):
+    """``add_masks`` fills at most ``PRG_BATCH_BYTES``, keystream and GCM
+    tag, per ``prg_expand`` call.  A budget of one or two rows, whose
+    chunks cut the plus rows from the minus rows mid-chunk, gives the sum
+    the unsplit batch gives: plus rows minus the rest, mod 2^w."""
+    m, plus = 330, 3
+    seeds = [bytes([i]) * 16 for i in range(5)]
+    native = prg_expand(seeds, m, SPEC, mask_bits=bits)
+    rows = native.astype(np.uint64)
+    expect = (rows[:plus].sum(axis=0) - rows[plus:].sum(axis=0) + np.uint64(7)) & np.uint64(SPEC.word_mask)
+    sizes = []
+    expand = crypto.prg_expand
+
+    def counting(batch, *args, **kwargs):
+        sizes.append(len(batch))
+        return expand(batch, *args, **kwargs)
+
+    monkeypatch.setattr(crypto, "prg_expand", counting)
+    if budget_rows is not None:
+        monkeypatch.setattr(crypto, "PRG_BATCH_BYTES", budget_rows * native[0].nbytes + 16)
+    acc = np.full(m, 7, dtype=np.uint32)
+    add_masks(acc, seeds, plus, SPEC, bits)
+    assert np.array_equal(acc, expect)
+    assert sizes == {1: [1, 1, 1, 1, 1], 2: [2, 2, 1], None: [5]}[budget_rows]
 
 
 def test_prg_avalanche():
     base = bytearray(b"some-seed-material-0")
     flipped = bytearray(base)
     flipped[0] ^= 1
-    a = prg_expand(bytes(base), 1000, SPEC)
-    b = prg_expand(bytes(flipped), 1000, SPEC)
+    a = prg_expand([bytes(base)], 1000, SPEC)[0]
+    b = prg_expand([bytes(flipped)], 1000, SPEC)[0]
     assert np.mean(a != b) >= 0.99
 
 
 def test_prg_uniformity_chi_square():
-    v = prg_expand(b"uniformity", 100_000, SPEC)
+    v = prg_expand([b"uniformity"], 100_000, SPEC)[0]
     counts, _ = np.histogram(v.astype(np.float64), bins=64, range=(0, float(1 << SPEC.word_bits)))
     assert stats.chisquare(counts).pvalue > 0.01
 

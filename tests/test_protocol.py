@@ -60,6 +60,9 @@ from secaggsim.wire import (
 
 SPEC = SegmentSpec(word_bits=32, frac_bits=8, low_bits=16)
 SPEC20 = SegmentSpec(word_bits=20, frac_bits=4, low_bits=12)  # 4-byte elements with 12 spare bits
+SPEC8 = SegmentSpec(word_bits=8, frac_bits=2, low_bits=7)
+SPEC16 = SegmentSpec(word_bits=16, frac_bits=4, low_bits=8)
+SPEC64 = SegmentSpec(word_bits=64, frac_bits=16, low_bits=32)
 TREE22 = TreeConfig(height=2, degree=2, neighbor_radius=1, share_threshold=2)
 TREE23 = TreeConfig(height=2, degree=3, neighbor_radius=1, share_threshold=2)
 KEY_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1]  # 8
@@ -102,14 +105,16 @@ def test_two_user_masks_cancel():
     ys = [agents[u].mask_input(xs[u]).vector(SPEC) for u in range(2)]
     masked_sum = (ys[0] + ys[1]) & np.uint64(SPEC.word_mask)
     for agent in agents:
-        masked_sum = (masked_sum - prg_expand(agent.self_seed, 16, SPEC)) & np.uint64(SPEC.word_mask)
+        masked_sum = (masked_sum - prg_expand([agent.self_seed], 16, SPEC)[0]) & np.uint64(SPEC.word_mask)
     assert np.array_equal(masked_sum, plaintext_sum(xs, 16, SPEC))
 
 
-@pytest.mark.parametrize("spec", [SPEC, SPEC20], ids=["w32", "w20"])
+@pytest.mark.parametrize("spec", [SPEC, SPEC20, SPEC8, SPEC16, SPEC64], ids=["w32", "w20", "w8", "w16", "w64"])
 def test_mask_input_matches_rebinding_reference(spec):
-    """The in-place accumulation equals the vec_add_mod / vec_sub_mod chain
-    over the self mask and every pair mask, intra and inter, both signs."""
+    """The native-word accumulation equals the vec_add_mod / vec_sub_mod
+    chain over the self mask and every pair mask, intra and inter, both
+    signs, in a shuffled handle order.  The self mask and five plus intra
+    masks overflow a 1- or 2-byte word, so the accumulator wraps."""
     from secaggsim.crypto import KeyPair, derive_shared_seed, prg_expand
     from secaggsim.fixedpoint import vec_add_mod, vec_sub_mod
 
@@ -117,19 +122,26 @@ def test_mask_input_matches_rebinding_reference(spec):
     agent.begin_round(Random(3), bytes(32))
     agent.open_rand(_no_tree(TREE22, 2))
     rng = Random(4)
-    plan = [(1, "intra"), (-1, "intra"), (1, "inter"), (-1, "inter")]
+    plan = [(1, "intra")] * 5 + [(-1, "intra")] * 2 + [(1, "inter")] * 5 + [(-1, "inter")] * 2
+    rng.shuffle(plan)
     handles = tuple(
         PeerHandle(FAST_GROUP.encode(KeyPair.generate(FAST_GROUP, rng).public), sign, kind) for sign, kind in plan
     )
     agent.receive_peer_list(PeerListMsg(1, 2, handles))
     agent.distribute_shares()
     x = random_inputs(1, 50, spec, seed=8)[0]
-    expect = vec_add_mod(x, ParamVector(prg_expand(agent.self_seed, 50, spec), spec))
+    self_mask = prg_expand([agent.self_seed], 50, spec)[0].astype(np.uint64)
+    expect = vec_add_mod(x, ParamVector(self_mask, spec))
+    plus_intra = self_mask.astype(object)  # exact integers: the sum a native word must wrap
     for h in handles:
         seed = derive_shared_seed(FAST_GROUP, int.from_bytes(h.randomized_pub, "big"), agent.mask_keys.secret)
-        mask = ParamVector(prg_expand(seed, 50, spec, mask_bits=None if h.kind == "intra" else 6), spec)
+        mask = ParamVector(prg_expand([seed], 50, spec, mask_bits=None if h.kind == "intra" else 6)[0], spec)
         expect = vec_add_mod(expect, mask) if h.sign == 1 else vec_sub_mod(expect, mask)
+        if (h.sign, h.kind) == (1, "intra"):
+            plus_intra = plus_intra + mask.values.astype(object)
     assert np.array_equal(agent.mask_input(x).vector(spec), expect.values)
+    if spec.word_bits <= 16:
+        assert max(plus_intra) >= 1 << spec.word_bits
 
 
 def test_full_round_zero_inputs():
@@ -405,6 +417,64 @@ def test_oracle_dropout_round_with_exclusion():
     expect = (plaintext_sum(included, 10, SPEC) + model.values * np.uint64(n_excluded)) & np.uint64(SPEC.word_mask)
     assert np.array_equal(result.total.values, expect)
     assert result.n_eff == len(online)
+
+
+@pytest.mark.parametrize("spec", [SPEC, SPEC16], ids=["w32", "w16"])
+def test_leaf_sums_match_per_end_reference_with_one_row_budget(monkeypatch, spec):
+    """With the PRG budget forced to one row, so that every ``add_masks``
+    batch is split into single rows, the leaf sums ``aggregate_subgroups``
+    leaves (self masks removed, pre-upload dropouts cancelled) and those
+    the exclusion's ``recover_dropout`` leaves equal a uint64 reference
+    built one mask at a time, and the aggregates keep the sums they were
+    built on."""
+    from secaggsim import crypto
+    from secaggsim.crypto import derive_shared_seed, prg_expand
+
+    monkeypatch.setattr(crypto, "PRG_BATCH_BYTES", 1)
+    tree = TreeConfig(height=2, degree=3, neighbor_radius=2, share_threshold=2)
+    m = 10
+    inputs = random_inputs(72, m, spec, seed=61)
+    drop = set(Random(61).sample(range(72), 11))
+    server, users, transport, _ = build_round(72, tree, spec)
+    before = {}
+    finalize = server.finalize
+
+    def finalize_after_snapshot(flagged, model):
+        before["uploads"], before["sums"] = dict(server._uploads), dict(server._leaf_sums)
+        return finalize(flagged, model)
+
+    server.finalize = finalize_after_snapshot
+    execute_round(
+        server=server, users=users, transport=transport, model=zeros(m, spec),
+        inputs={u: x for u, x in inputs.items() if u not in drop}, round_seed=(61, 0), pre_drop=drop,
+        detector=_FlagFirstLeaf(),
+    )
+    wordmask = np.uint64(spec.word_mask)
+    leaf_of = server.setup.mask_assignment.leaf_of
+    uploads = before["uploads"]
+    forced = {u for u in uploads if u in server._dropped}
+    assert forced
+
+    def mask(seed, bits=None):
+        return prg_expand([seed], m, spec, mask_bits=bits)[0].astype(np.uint64)
+
+    def cancel(ref, dropped, online):
+        for d in sorted(dropped):
+            for end in server._ends[d]:
+                if end.peer in online:
+                    seed = derive_shared_seed(server.group, end.rand_pub, users[d].mask_keys.secret)
+                    pair_mask = mask(seed, None if end.kind == "intra" else server.inter_mask_bits)
+                    leaf = leaf_of[end.peer]
+                    ref[leaf] = (ref[leaf] + pair_mask if end.sign == 1 else ref[leaf] - pair_mask) & wordmask
+
+    ref = {leaf: np.zeros(m, dtype=np.uint64) for leaf in before["sums"]}
+    for u, y in uploads.items():
+        ref[leaf_of[u]] = (ref[leaf_of[u]] + y - mask(users[u].self_seed)) & wordmask
+    cancel(ref, drop, uploads)
+    assert all(np.array_equal(before["sums"][leaf], ref[leaf]) for leaf in ref)
+    assert all(np.array_equal(agg.full_sum.values, ref[agg.leaf]) for agg in server._aggregates)
+    cancel(ref, forced, set(uploads) - forced)
+    assert all(np.array_equal(server._leaf_sums[leaf], ref[leaf]) for leaf in ref)
 
 
 def test_unrecoverable_below_threshold():
