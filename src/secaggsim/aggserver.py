@@ -161,6 +161,7 @@ class AggServer:
         # holder -> (owner, secret type) of each target of its latest request
         self._sent: dict[int, list[tuple[int, int]]] = {}
         self._leaf_sums: dict[int, np.ndarray] = {}
+        self._aggregates: list[SubgroupAggregate] = []
         self.setup: TreeSetup | None = None
         return ServerCommitMsg(commit_random(self.server_rand))
 
@@ -400,10 +401,12 @@ class AggServer:
         runs on the pre-upload dropouts, then on the online members of
         excluded leaves; the two are disjoint, so no key is rebuilt twice.
 
-        The masks are expanded with ``add_masks``, one batch per (leaf,
-        kind), its rows signed by the dropped end (the peer applied the
-        negative), into a copy of the uint64 leaf sum that then replaces
-        it: aggregates alias the old sums."""
+        The masks are expanded with one grouped ``add_masks`` call per
+        kind, one group per leaf, its rows signed by the dropped end (the
+        peer applied the negative), into each touched uint64 leaf sum.
+        Once the round's aggregates are built they alias the sums, so a
+        sum is then updated in a copy that replaces it; before that, in
+        place, so recovery holds no second copy of every leaf sum."""
         ends: list[_PeerEnd] = []
         keys: list[int] = []
         for user in users:
@@ -414,16 +417,20 @@ class AggServer:
                     keys.append(secret)
         seeds = derive_shared_seeds(self.group, [end.rand_pub for end in ends], keys)
         leaf_of = self.setup.mask_assignment.leaf_of
-        # leaf -> kind -> (plus seeds, minus seeds)
-        batches: dict[int, dict[str, tuple[list[bytes], list[bytes]]]] = {}
+        # kind -> leaf -> (plus seeds, minus seeds)
+        groups: dict[str, dict[int, tuple[list[bytes], list[bytes]]]] = {"intra": {}, "inter": {}}
         for end, seed in zip(ends, seeds):
-            kinds = batches.setdefault(leaf_of[end.peer], {})
-            kinds.setdefault(end.kind, ([], []))[end.sign == -1].append(seed)
+            groups[end.kind].setdefault(leaf_of[end.peer], ([], []))[end.sign == -1].append(seed)
+        aliased = bool(self._aggregates)
+        sums: dict[int, np.ndarray] = {}
+        for kind, bits in (("intra", None), ("inter", self.inter_mask_bits)):
+            leaves = groups[kind]
+            for leaf in leaves:
+                if leaf not in sums:
+                    sums[leaf] = self._leaf_sums[leaf].copy() if aliased else self._leaf_sums[leaf]
+            add_masks([sums[leaf] for leaf in leaves], list(leaves.values()), self.spec, bits)
         wordmask = np.uint64(self.spec.word_mask)
-        for leaf, kinds in batches.items():
-            acc = self._leaf_sums[leaf].copy()
-            for kind, (plus, minus) in kinds.items():
-                add_masks(acc, plus + minus, len(plus), self.spec, None if kind == "intra" else self.inter_mask_bits)
+        for leaf, acc in sums.items():
             acc &= wordmask
             self._leaf_sums[leaf] = acc
         self.counters.prg_server += len(ends)
@@ -433,10 +440,10 @@ class AggServer:
         """Per-leaf survivor sums with self masks removed, dropout masks
         cancelled, and only the high segments exposed.
 
-        Each online user's self seed is reconstructed, and each leaf's self
-        masks are removed as one ``add_masks`` batch, summed in the ring's
-        native word, from the leaf's uint64 sum, which is reduced mod 2^w
-        once."""
+        Each online user's self seed is reconstructed, and every leaf's
+        self masks are removed in one grouped ``add_masks`` call, one group
+        per leaf, summed in the ring's native word, from the leaf's uint64
+        sum, which is reduced mod 2^w once."""
         mask_asn = self.setup.mask_assignment
         m = self.model_len
         self_seeds = {}
@@ -448,13 +455,17 @@ class AggServer:
 
         # the sums are fresh, so they are updated in place, wrapping mod
         # 2^64 until one reduction: no aggregate aliases them yet
-        wordmask = np.uint64(self.spec.word_mask)
+        accs, groups = [], []
         for leaf, members in enumerate(mask_asn.members):
             online = [u for u in members if u in self_seeds]
             acc = self._leaf_sums[leaf] = np.zeros(m, dtype=np.uint64)
             for u in online:
                 acc += self._uploads[u]
-            add_masks(acc, [self_seeds[u] for u in online], 0, self.spec)
+            accs.append(acc)
+            groups.append(([], [self_seeds[u] for u in online]))
+        add_masks(accs, groups, self.spec)
+        wordmask = np.uint64(self.spec.word_mask)
+        for acc in accs:
             acc &= wordmask
         self.counters.prg_server += len(self_seeds)
 

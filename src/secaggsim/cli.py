@@ -4,7 +4,10 @@
 (``--config``; without it, the ``ScenarioConfig`` defaults) and writes
 ``report.csv`` plus ``transcript.json`` into the ``--out`` directory.
 Every setting of a run lives in that document: no flag overrides it.
-Exit codes: 1 for configuration errors, 2 for a protocol abort.
+Exit codes: 1 for configuration errors and for a run whose values leave
+the fixed-point range (``SaturationError``, a one-line "saturation
+error:" message, as when a learning rate blows the updates up), 2 for a
+protocol abort.
 Single-round cost sweeps over population sizes, tree shapes and
 the full-pairwise baseline are ``scripts/run_complexity_bench.py``.
 """
@@ -16,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, ProtocolAbort, UnrecoverableRoundError
+from .fixedpoint import SaturationError
 from .simulation import ScenarioConfig, run_scenario
 
 
@@ -58,6 +62,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except SaturationError as exc:
+        print(f"saturation error: {exc}", file=sys.stderr)
         return 1
     except (ProtocolAbort, UnrecoverableRoundError) as exc:
         print(f"protocol abort: {exc}", file=sys.stderr)

@@ -29,18 +29,22 @@ Masks are expanded in batches.  ``prg_expand`` turns a list of seeds
 into one row of m words per seed: each seed's AES-128-CTR keystream is
 encrypted into one buffer per call, and the rows come back as a view of
 it in the smallest native word (1, 2, 4 or 8 bytes) that holds the mask's
-bits, never widened to 64 bits.  ``add_masks`` adds one batch's plus rows
-and subtracts its minus rows into an accumulator, summing the rows in the
-ring's native word, which wraps mod a multiple of 2^w and so keeps every
-sum exact mod 2^w.  It hands ``prg_expand`` batches whose buffer fits in
+bits, never widened to 64 bits.  ``add_masks`` takes many groups at once,
+one accumulator each (the users of one upload chunk, or the server's
+leaf sums), and adds each group's plus rows and subtracts its minus rows
+into its own accumulator, summing the rows in the ring's native word,
+which wraps mod a multiple of 2^w and so keeps every sum exact mod 2^w.
+The groups share only the evaluation order: each accumulator gets its
+own group's masks, as if it were expanded alone.  It hands
+``prg_expand`` chunks of the seeds of all groups whose buffer fits in
 ``PRG_BATCH_BYTES``, so even the one-leaf baseline, which recovers N
-masks of m words in one batch, never holds an N * m buffer.
+masks of m words in one group, never holds an N * m buffer.
 
 A round makes tens of thousands of Diffie-Hellman exponentiations
-(blinding every pair's keys, each user's seed derivations, and dropout
-recovery), so ``pow_many`` evaluates a whole batch in one numpy pass.  It
-runs when the modulus is odd and below 2^64, every exponent is in
-[0, 2^64), and the batch holds at least ``POW_BATCH_MIN`` elements;
+(every user's two public keys, blinding every pair's keys, each user's
+seed derivations, and dropout recovery), so ``pow_many`` evaluates a
+whole batch in one numpy pass.  It runs when the modulus is odd and
+below 2^64, every exponent is in [0, 2^64), and the batch holds at least ``POW_BATCH_MIN`` elements;
 anything else goes to builtin ``pow`` one element at a time, so small
 batches, the toy group and any out-of-range exponent compute exactly
 what ``pow`` computes.  The batch path works in Montgomery form with
@@ -323,10 +327,14 @@ def derive_shared_seed(group: DhGroup, randomized_peer_pub: int, own_secret: int
 
 
 # Largest buffer, keystream and GCM tag, of one ``prg_expand`` call made
-# by ``add_masks``.  4 MiB holds a 243-user, m = 20,000 leaf of 27
-# four-byte rows (2.2 MB) in one batch, and bounds the one-leaf
-# baseline's N * m-word recoveries.
-PRG_BATCH_BYTES = 4 << 20
+# by ``add_masks``, and of the accumulators of the users the simulator
+# masks at once.  1 MiB keeps a chunk and the accumulators its rows meet
+# inside a 2 MiB per-core L2 cache.  Chunks of 4 MiB, which span users,
+# leave the cache before their rows are summed, and made masking a
+# 243-user, m = 20,000 round slower than one batch per user.  1 MiB still
+# holds 794 rows of m = 330 or 13 four-byte rows of m = 20,000, and bounds
+# the one-leaf baseline's N * m-word recoveries.
+PRG_BATCH_BYTES = 1 << 20
 
 
 def prg_expand(seeds: list[bytes], m: int, spec: SegmentSpec, mask_bits: int | None = None) -> np.ndarray:
@@ -367,35 +375,66 @@ def prg_expand(seeds: list[bytes], m: int, spec: SegmentSpec, mask_bits: int | N
     buf = np.empty(len(seeds) * row + 16, dtype=np.uint8)  # 16: the last row's GCM tag
     out = memoryview(buf)
     zeros = bytes(row)
-    for i, seed in enumerate(seeds):
-        key = hashlib.sha256(_PRG_TAG + seed).digest()[:16]
-        AESGCM(key).encrypt_into(_ZERO_NONCE, zeros, None, out[i * row : (i + 1) * row + 16])
+    sha256, at = hashlib.sha256, 0
+    for seed in seeds:
+        AESGCM(sha256(_PRG_TAG + seed).digest()[:16]).encrypt_into(_ZERO_NONCE, zeros, None, out[at : at + row + 16])
+        at += row
     words = buf[: len(seeds) * row].view(dtype).reshape(len(seeds), m)
     if bits < 8 * dtype.itemsize:
         words &= dtype.type((1 << bits) - 1)
     return words
 
 
-def add_masks(acc: np.ndarray, seeds: list[bytes], plus: int, spec: SegmentSpec, mask_bits: int | None = None) -> None:
-    """acc += the masks of ``seeds[:plus]`` - the masks of ``seeds[plus:]``,
-    in place, wrapping in acc's word; exact mod 2^w when that word is the
-    ring's native word or wider.
+def add_masks(
+    accs: list[np.ndarray],
+    groups: list[tuple[list[bytes], list[bytes]]],
+    spec: SegmentSpec,
+    mask_bits: int | None = None,
+) -> None:
+    """For each group i, a (plus seeds, minus seeds) pair, accs[i] += the
+    masks of its plus seeds - the masks of its minus seeds, in place,
+    wrapping in the accumulator's word; exact mod 2^w when that word is the
+    ring's native word or wider.  Every accumulator holds m words.
 
-    The seeds go to ``prg_expand`` in batches whose buffer fits in
-    ``PRG_BATCH_BYTES`` (one row at least), and each batch's
-    plus and minus rows are summed in the ring's native word before they
-    meet acc."""
-    m = len(acc)
+    The groups are one evaluation order, not one sum: the seeds of all
+    groups, in group order, go to ``prg_expand`` in chunks whose buffer
+    fits in ``PRG_BATCH_BYTES`` (one row at least), and a chunk may span
+    groups.  Each group's plus rows, then its minus rows, within a chunk
+    are summed in the ring's native word before they meet its accumulator,
+    so each accumulator gets exactly its own group's masks."""
+    if len(accs) != len(groups):
+        raise ValueError("need one accumulator per group")
+    if not accs:
+        return
+    m = len(accs[0])
+    if any(len(acc) != m for acc in accs):
+        raise ValueError("accumulators of one call must have one length")
     native = word_dtype(spec.word_bits)
+    # (accumulator, first row, end row, sign) of each nonempty block, in row order
+    blocks: list[tuple[np.ndarray, int, int, bool]] = []
+    seeds: list[bytes] = []
+    for acc, (plus, minus) in zip(accs, groups):
+        for block, add in ((plus, True), (minus, False)):
+            if block:
+                blocks.append((acc, len(seeds), len(seeds) + len(block), add))
+                seeds += block
     row = word_bytes(spec.word_bits if mask_bits is None else mask_bits) * m
     step = max(1, (PRG_BATCH_BYTES - 16) // row)  # 16: the GCM tag after the last row
+    at = 0
     for start in range(0, len(seeds), step):
         rows = prg_expand(seeds[start : start + step], m, spec, mask_bits)
-        cut = min(max(plus - start, 0), len(rows))
-        if cut:
-            acc += rows[:cut].sum(axis=0, dtype=native)
-        if cut < len(rows):
-            acc -= rows[cut:].sum(axis=0, dtype=native)
+        stop = start + len(rows)
+        while at < len(blocks) and blocks[at][1] < stop:
+            acc, first, end, add = blocks[at]
+            part = rows[max(first, start) - start : min(end, stop) - start]
+            total = part[0] if len(part) == 1 else part.sum(axis=0, dtype=native)
+            if add:
+                acc += total
+            else:
+                acc -= total
+            if end > stop:
+                break
+            at += 1
 
 
 # ---------------------------------------------------------------------------

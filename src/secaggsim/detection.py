@@ -216,6 +216,12 @@ def compute_metrics(rounds: list[MetricsRound]) -> dict[str, float]:
     subgroup was flagged.  CR: attackers inside flagged subgroups over all
     active attackers, summed across attack rounds.  FPR: flagged benign
     subgroups over all subgroups, across detection-active rounds.
+
+    An attacker counts as one only in the rounds its attack plan is
+    active (``attackers_active``, ``attacker_leaves``).  In any other round
+    a subgroup holding it is benign, so flagging that subgroup counts
+    toward FPR, even if the attacker already sends crafted updates, such
+    as a slow creep before the attack starts.
     """
     attack_rounds = [r for r in rounds if r.attackers_active > 0]
     detected = sum(1 for r in attack_rounds if r.flagged_leaves & r.attacker_leaves)

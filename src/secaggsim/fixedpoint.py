@@ -125,12 +125,14 @@ def from_ints(ints, spec: SegmentSpec) -> ParamVector:
 def quantize_vector(values, spec: SegmentSpec) -> ParamVector:
     """Map reals to the ring: round(value * 2^q) mod 2^w, two's complement.
 
-    Raises SaturationError when any scaled value does not fit in w bits.
+    Raises SaturationError when any scaled value does not fit in w bits,
+    NaN and the infinities included: the range check is written so that a
+    NaN, which compares false with everything, fails it.
     """
     arr = np.asarray(values, dtype=np.float64)
     scaled = np.rint(arr * spec.scale)
     half = float(1 << (spec.word_bits - 1))
-    if scaled.size and (scaled.max() >= half or scaled.min() < -half):
+    if scaled.size and not (scaled.max() < half and scaled.min() >= -half):
         raise SaturationError("vector overflows fixed-point range")
     out = scaled.astype(np.int64).view(np.uint64) & np.uint64(spec.word_mask)
     return ParamVector(out, spec)

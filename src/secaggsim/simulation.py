@@ -38,11 +38,11 @@ from .adversary import (
 )
 from .aggserver import AggServer, fedsgd_update
 from .counters import OpCounters
-from .crypto import FAST_GROUP
+from .crypto import FAST_GROUP, PRG_BATCH_BYTES
 from .errors import ConfigError, ProtocolAbort, UnrecoverableRoundError, WireError
-from .fixedpoint import ParamVector, SegmentSpec, dequantize_vector, quantize_vector, zeros
+from .fixedpoint import ParamVector, SegmentSpec, dequantize_vector, quantize_vector, word_bytes, zeros
 from .orgtree import TreeConfig
-from .useragent import UserAgent, receive_peer_lists
+from .useragent import UserAgent, begin_rounds, mask_inputs, receive_peer_lists
 from .wire import (
     SERVER,
     AdvertMsg,
@@ -523,8 +523,10 @@ def execute_round(
         return [decoded[data] for data in copies]
 
     commit = server.begin_round(n_users, _sub_rng(seed, "server", t), len(model))
-    for u, got in enumerate(broadcast(commit, ServerCommitMsg, range(n_users))):
-        advert = users[u].begin_round(_sub_rng(seed, "user", t, u), got.digest)
+    commits = broadcast(commit, ServerCommitMsg, range(n_users))
+    rngs = [_sub_rng(seed, "user", t, u) for u in range(n_users)]
+    adverts = begin_rounds(users, rngs, [got.digest for got in commits])
+    for u, advert in enumerate(adverts):
         server.receive_advert(u, send(f"user:{u}", SERVER, advert, AdvertMsg, server.group))
 
     for u, got in enumerate(broadcast(server.commit_tree(), TreeCommitMsg, range(n_users))):
@@ -544,9 +546,15 @@ def execute_round(
 
     for u in pre_drop:
         server.mark_dropout(u)
-    for u, agent in enumerate(users):
-        if u not in pre_drop:
-            server.receive_upload(u, send(f"user:{u}", SERVER, agent.mask_input(inputs[u]), MaskedUploadMsg))
+    # users are masked in chunks whose accumulators fit in the PRG budget,
+    # and each chunk's uploads are sent before the next is masked
+    uploaders = [u for u in range(n_users) if u not in pre_drop]
+    step = max(1, PRG_BATCH_BYTES // (word_bytes(model.spec.word_bits) * len(model)))
+    for start in range(0, len(uploaders), step):
+        chunk = uploaders[start : start + step]
+        uploads = mask_inputs([users[u] for u in chunk], [inputs[u] for u in chunk])
+        for u, upload in zip(chunk, uploads):
+            server.receive_upload(u, send(f"user:{u}", SERVER, upload, MaskedUploadMsg))
 
     online = server.online_users
     if not online:

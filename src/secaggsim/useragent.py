@@ -21,11 +21,19 @@ body.
 Every user derives one shared seed per peer handle from its own mask
 secret and the handle's blinded key, and keeps the seeds in handle
 order: a handle carries no point, so a user cannot tell which of its
-masking peers are among its share leaf mates.  ``receive_peer_lists``
-runs that step for many agents at once so the simulator can evaluate all
-their exponentiations in one batch; it is only an evaluation order, as
-each agent's seeds still depend on nothing but its own secret and its
-own peer list.
+masking peers are among its share leaf mates.
+
+Three steps run for many agents at once, so the simulator pays the
+per-call overhead of numpy once per round, not once per user:
+``begin_rounds`` computes every agent's two public keys in one
+``pow_many`` batch, ``receive_peer_lists`` derives all their pair seeds
+in one batch, and ``mask_inputs`` expands all their masks in two
+grouped ``add_masks`` calls, in chunks of at most ``PRG_BATCH_BYTES``
+of keystream.  Each is only an evaluation order: every agent draws from
+its own rng in the order it would alone, and its keys, seeds and masks
+depend on nothing but its own secrets and its own messages, so each
+agent's values are those its one-agent call (``begin_round``,
+``receive_peer_list``, ``mask_input``) gives.
 
 Release rule: within a round, a user never hands the server shares of
 both a target's mask key and the same target's self-mask seed.  The only
@@ -52,6 +60,7 @@ from .crypto import (
     add_masks,
     commit_random,
     derive_shared_seeds,
+    pow_many,
     share_secret,
 )
 from .errors import ProtocolAbort
@@ -123,12 +132,24 @@ class UserAgent:
     # -- advertise / commit -------------------------------------------------
 
     def begin_round(self, rng: Random, server_commit: bytes) -> AdvertMsg:
-        """Draw fresh per-round secrets and advertise public keys."""
+        """Draw fresh per-round secrets and advertise public keys.
+
+        This is the one-agent call of ``begin_rounds``, which the simulator
+        runs for every user at once: the batch shares only the evaluation
+        order of the public keys, so this agent's keys, seed and later
+        draws are the same either way."""
+        return begin_rounds([self], [rng], [server_commit])[0]
+
+    def _start_round(self, rng: Random, server_commit: bytes) -> tuple[int, int]:
+        """Reset the round state and draw this round's secrets from ``rng``:
+        the mask secret, the id secret, the self seed, then the grouping
+        randomness, which leaves the share polynomials the next draws.
+        Returns the two secrets, whose public keys the caller computes."""
         self.phase = PHASE_IDLE
         self._rng = rng
         self.seen_server_commit = server_commit
-        self.mask_keys = KeyPair.generate(self.group, rng)
-        self.id_keys = KeyPair.generate(self.group, rng)
+        mask_secret = self.group.random_exponent(rng)
+        id_secret = self.group.random_exponent(rng)
         # the PRG keys AES-128, so 16 bytes are all it uses; drawing 32 keeps
         # every later draw (the grouping randomness, then the share
         # polynomials), and with it every pinned report, where it is
@@ -142,12 +163,7 @@ class UserAgent:
         self._released: dict[int, int] = {}  # owner point -> bits 1 << released type
         self.forced_releases: list[int] = []  # owner points
         self.seen_tree_commit: TreeCommitMsg | None = None
-        self._advance(PHASE_ADVERTISE)
-        return AdvertMsg(
-            share_pub=self.group.encode(self.id_keys.public),
-            mask_pub=self.group.encode(self.mask_keys.public),
-            rand_commit=commit_random(self.round_rand),
-        )
+        return mask_secret, id_secret
 
     def open_rand(self, tree_commit: TreeCommitMsg) -> RandOpenMsg:
         """Open the grouping randomness once the digest of everyone's
@@ -215,29 +231,12 @@ class UserAgent:
     def mask_input(self, x: ParamVector) -> MaskedUploadMsg:
         """Blind the input with the self mask plus every pairwise mask.
 
-        Intra-group masks span the full word; inter-group masks are
-        confined to the low ``inter_mask_bits`` bits so the revealable
-        high segment of a subgroup aggregate stays meaningful.  Two
-        ``add_masks`` calls expand them, one for the self and intra seeds
-        and one for the inter seeds, each with its plus rows first.  The
-        masks accumulate in the ring's native word (``word_dtype(w)``),
-        wrapping mod 2^(8 * width), and are reduced mod 2^w once at the end.
-        """
-        self._advance(PHASE_UPLOAD)
-        if x.spec != self.spec:
-            raise ValueError("SegmentSpec mismatch")
-        # kind -> (plus seeds, minus seeds); the self mask is added
-        seeds = {"intra": ([self.self_seed], []), "inter": ([], [])}
-        for handle, seed in zip(self._peer_handles, self._pair_seeds):
-            seeds[handle.kind][handle.sign == -1].append(seed)
-        y = x.values.astype(word_dtype(self.spec.word_bits))
-        for kind, bits in (("intra", None), ("inter", self.inter_mask_bits)):
-            plus, minus = seeds[kind]
-            add_masks(y, plus + minus, len(plus), self.spec, bits)
-            self.counters.prg_by_user[self.index] += len(plus) + len(minus)
-        if self.spec.word_bits < 8 * y.itemsize:
-            y &= y.dtype.type(self.spec.word_mask)
-        return MaskedUploadMsg.from_vector(y, self.spec)
+        This is the one-agent call of ``mask_inputs``, which describes the
+        masks and which the simulator calls on chunks of its users.  A
+        batch shares only the evaluation order, in ``prg_expand`` chunks of
+        at most ``PRG_BATCH_BYTES``, so this agent's upload is the same
+        either way."""
+        return mask_inputs([self], [x])[0]
 
     # -- unmask ----------------------------------------------------------------
 
@@ -333,6 +332,41 @@ class UserAgent:
         verify_setup(setup, self.tree, reveal.server_rand, records)
 
 
+def begin_rounds(agents: list[UserAgent], rngs: list[Random], server_commits: list[bytes]) -> list[AdvertMsg]:
+    """Run ``UserAgent.begin_round`` for every agent with its own rng and
+    SERVER_COMMIT digest, computing all 2N public keys in one ``pow_many``
+    batch.
+
+    Each agent first draws all its secrets from its own rng, in the order
+    it would alone (``_start_round``), so its keys, self seed, grouping
+    randomness and later share polynomials are those it gets alone; only
+    the evaluation order of the exponentiations is shared.  All agents
+    must use one group.
+    """
+    if not agents:
+        return []
+    group = agents[0].group
+    if any(agent.group != group for agent in agents):
+        raise ValueError("agents of one batch must share a DH group")
+    secrets: list[int] = []
+    for agent, rng, commit in zip(agents, rngs, server_commits, strict=True):
+        secrets += agent._start_round(rng, commit)
+    pubs = pow_many(group.p, [group.g] * len(secrets), secrets)
+    adverts = []
+    for i, agent in enumerate(agents):
+        agent.mask_keys = KeyPair(secrets[2 * i], pubs[2 * i])
+        agent.id_keys = KeyPair(secrets[2 * i + 1], pubs[2 * i + 1])
+        agent._advance(PHASE_ADVERTISE)
+        adverts.append(
+            AdvertMsg(
+                share_pub=group.encode(agent.id_keys.public),
+                mask_pub=group.encode(agent.mask_keys.public),
+                rand_commit=commit_random(agent.round_rand),
+            )
+        )
+    return adverts
+
+
 def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None:
     """Run ``UserAgent.receive_peer_list`` for every agent with its own
     message, deriving all their seeds in lockstep in one batch.
@@ -379,3 +413,57 @@ def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None
     for agent, msg in zip(agents, msgs):
         agent._pair_seeds = [next(seeds) for _ in msg.peers]
         agent.counters.key_agreements_by_user[agent.index] += len(msg.peers)
+
+
+def mask_inputs(agents: list[UserAgent], xs: list[ParamVector]) -> list[MaskedUploadMsg]:
+    """Run ``UserAgent.mask_input`` for every agent with its own input:
+    blind each input with its agent's self mask plus every pairwise mask.
+
+    Intra-group masks span the full word; inter-group masks are confined
+    to the low ``inter_mask_bits`` bits so the revealable high segment of
+    a subgroup aggregate stays meaningful.  Two grouped ``add_masks``
+    calls expand the masks of all agents, one for the self and intra
+    seeds and one for the inter seeds, one group per agent with its plus
+    rows first, in chunks of at most ``PRG_BATCH_BYTES`` of keystream that
+    may span agents.  Each agent's masks accumulate in its own vector of
+    the ring's native word (``word_dtype(w)``), wrapping mod
+    2^(8 * width), and are reduced mod 2^w once at the end; the batch is
+    only an evaluation order, so each upload is the one the agent's
+    one-agent call gives.  All agents must share a spec and an inter mask
+    width.  Inputs are batched by length, so an input of another length
+    than the rest, a faulty user's, is masked in a batch of its own and
+    the server still sees its length and blames its sender.
+    """
+    if not agents:
+        return []
+    spec, inter_bits = agents[0].spec, agents[0].inter_mask_bits
+    if any(agent.spec != spec or agent.inter_mask_bits != inter_bits for agent in agents):
+        raise ValueError("agents of one batch must share a spec and an inter mask width")
+    for agent, x in zip(agents, xs, strict=True):
+        agent._advance(PHASE_UPLOAD)
+        if x.spec != spec:
+            raise ValueError("SegmentSpec mismatch")
+    native = word_dtype(spec.word_bits)
+    by_length: dict[int, list[int]] = {}
+    for i, x in enumerate(xs):
+        by_length.setdefault(len(x), []).append(i)
+    uploads: list[MaskedUploadMsg | None] = [None] * len(agents)
+    for batch in by_length.values():
+        accs = [xs[i].values.astype(native) for i in batch]
+        intra, inter = [], []
+        for i in batch:
+            agent = agents[i]
+            # kind -> (plus seeds, minus seeds); the self mask is added
+            seeds = {"intra": ([agent.self_seed], []), "inter": ([], [])}
+            for handle, seed in zip(agent._peer_handles, agent._pair_seeds):
+                seeds[handle.kind][handle.sign == -1].append(seed)
+            intra.append(seeds["intra"])
+            inter.append(seeds["inter"])
+            agent.counters.prg_by_user[agent.index] += 1 + len(agent._pair_seeds)
+        add_masks(accs, intra, spec)
+        add_masks(accs, inter, spec, inter_bits)
+        for i, y in zip(batch, accs):
+            if spec.word_bits < 8 * y.itemsize:
+                y &= native.type(spec.word_mask)
+            uploads[i] = MaskedUploadMsg.from_vector(y, spec)
+    return uploads  # type: ignore[return-value]

@@ -257,32 +257,62 @@ def test_prg_empty_batch(bits):
     assert rows.shape == (0, 24) and rows.dtype == word_dtype(SPEC.word_bits if bits is None else bits)
 
 
+# one (plus count, minus count) per group: mixed, empty, all plus, all
+# minus, mixed again; 11 rows in all, so chunks of two rows cut the
+# first group and the last across chunk boundaries
+ADD_MASKS_GROUPS = [(2, 1), (0, 0), (3, 0), (0, 2), (1, 2)]
+
+
 @pytest.mark.parametrize("budget_rows", [1, 2, None], ids=["one_row", "two_rows", "unsplit"])
 @pytest.mark.parametrize("bits", [None, 10])
 def test_add_masks_split_by_budget_equals_unsplit(monkeypatch, budget_rows, bits):
     """``add_masks`` fills at most ``PRG_BATCH_BYTES``, keystream and GCM
-    tag, per ``prg_expand`` call.  A budget of one or two rows, whose
-    chunks cut the plus rows from the minus rows mid-chunk, gives the sum
-    the unsplit batch gives: plus rows minus the rest, mod 2^w."""
-    m, plus = 330, 3
-    seeds = [bytes([i]) * 16 for i in range(5)]
-    native = prg_expand(seeds, m, SPEC, mask_bits=bits)
-    rows = native.astype(np.uint64)
-    expect = (rows[:plus].sum(axis=0) - rows[plus:].sum(axis=0) + np.uint64(7)) & np.uint64(SPEC.word_mask)
-    sizes = []
-    expand = crypto.prg_expand
+    tag, per ``prg_expand`` call, and a chunk may span groups.  A budget of
+    one or two rows, whose chunks cut groups, and plus rows from minus
+    rows, mid-chunk, gives each accumulator what its group gives alone:
+    its plus rows minus its minus rows, mod 2^w, whatever the draw width
+    (rings of 8, 16, 32 and 64 bits draw 1-, 2-, 4- and 8-byte words; a
+    10-bit mask draws 2 bytes into each wider ring).  One accumulator is
+    uint64, as the server's leaf sums are."""
+    m = 33
+    widths = (8, 16, 32, 64) if bits is None else (16, 32, 64)
+    for w in widths:
+        spec = SegmentSpec(word_bits=w, frac_bits=2, low_bits=4)
+        groups, expect = [], []
+        for g, (n_plus, n_minus) in enumerate(ADD_MASKS_GROUPS):
+            plus = [bytes([w, g, i]) * 5 for i in range(n_plus)]
+            minus = [bytes([w, g, 100 + i]) * 5 for i in range(n_minus)]
+            groups.append((plus, minus))
+            ref = np.full(m, 7, dtype=np.uint64)
+            for seeds, sign in ((plus, 1), (minus, -1)):
+                for row in prg_expand(seeds, m, spec, mask_bits=bits).astype(np.uint64):
+                    ref = ref + row if sign == 1 else ref - row
+            expect.append(ref & np.uint64(spec.word_mask))
+        sizes = []
+        expand = crypto.prg_expand
 
-    def counting(batch, *args, **kwargs):
-        sizes.append(len(batch))
-        return expand(batch, *args, **kwargs)
+        def counting(batch, *args, **kwargs):
+            sizes.append(len(batch))
+            return expand(batch, *args, **kwargs)
 
-    monkeypatch.setattr(crypto, "prg_expand", counting)
-    if budget_rows is not None:
-        monkeypatch.setattr(crypto, "PRG_BATCH_BYTES", budget_rows * native[0].nbytes + 16)
-    acc = np.full(m, 7, dtype=np.uint32)
-    add_masks(acc, seeds, plus, SPEC, bits)
-    assert np.array_equal(acc, expect)
-    assert sizes == {1: [1, 1, 1, 1, 1], 2: [2, 2, 1], None: [5]}[budget_rows]
+        monkeypatch.setattr(crypto, "prg_expand", counting)
+        if budget_rows is not None:
+            row = prg_expand([b"row"], m, spec, mask_bits=bits)[0].nbytes
+            monkeypatch.setattr(crypto, "PRG_BATCH_BYTES", budget_rows * row + 16)
+        accs = [np.full(m, 7, dtype=word_dtype(w)) for _ in ADD_MASKS_GROUPS[:-1]]
+        accs.append(np.full(m, 7, dtype=np.uint64))
+        add_masks(accs, groups, spec, bits)
+        monkeypatch.undo()
+        for acc, ref in zip(accs, expect):
+            assert np.array_equal(acc & np.uint64(spec.word_mask), ref), w
+        assert sizes == {1: [1] * 11, 2: [2] * 5 + [1], None: [11]}[budget_rows], w
+
+
+def test_add_masks_rejects_mismatched_accumulators():
+    with pytest.raises(ValueError, match="one accumulator per group"):
+        add_masks([np.zeros(4, dtype=np.uint32)], [([b"a"], []), ([b"b"], [])], SPEC)
+    with pytest.raises(ValueError, match="one length"):
+        add_masks([np.zeros(4, dtype=np.uint32), np.zeros(5, dtype=np.uint32)], [([b"a"], []), ([], [b"b"])], SPEC)
 
 
 def test_prg_avalanche():

@@ -50,6 +50,16 @@ def test_quantize_saturation():
         quantize_vector([0.0, -200.0], spec)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")], ids=["nan", "-inf"])
+def test_quantize_rejects_nan_and_infinity(bad):
+    """A NaN or an infinity anywhere in the vector saturates; NaN once
+    slipped through the range check and quantized to 0."""
+    spec = SegmentSpec(32, 8, 16)
+    for values in ([bad, 1.0], [1.0, bad]):
+        with pytest.raises(SaturationError):
+            quantize_vector(np.array(values), spec)
+
+
 @given(st.floats(min_value=-100.0, max_value=100.0))
 def test_quantize_round_trip(value):
     spec = SegmentSpec(32, 8, 16)

@@ -13,7 +13,7 @@ from conftest import build_round, plaintext_sum, random_inputs, run_plain_round
 from secaggsim.aggserver import fedsgd_update
 from secaggsim.counters import OpCounters
 from secaggsim import simulation, useragent
-from secaggsim.crypto import FAST_GROUP, POW_BATCH_MIN, TOY_GROUP, reconstruct_secret
+from secaggsim.crypto import FAST_GROUP, KEY_SHARE_PRIME, POW_BATCH_MIN, TOY_GROUP, reconstruct_secret, share_secret
 from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError
 from secaggsim.fixedpoint import (
     ParamVector,
@@ -604,21 +604,25 @@ def test_wrong_length_upload_is_blamed_on_its_sender(length):
 
 
 @pytest.mark.parametrize("spec, tamper", [(SPEC, "partial"), (SPEC20, "partial"), (SPEC20, "beyond_ring")])
-def test_malformed_upload_is_blamed_on_its_sender(spec, tamper):
+def test_malformed_upload_is_blamed_on_its_sender(monkeypatch, spec, tamper):
     """The server decodes the delivered upload bytes, so a partial element
-    or an element >= 2^w aborts the round instead of skewing the total."""
+    or an element >= 2^w aborts the round instead of skewing the total.
+    User 5's upload is tampered as the round's batch masking returns it."""
     tree = TreeConfig(height=1, degree=2, neighbor_radius=1, share_threshold=2)
     inputs = random_inputs(12, 8, spec, seed=71)
     server, users, transport, _ = build_round(12, tree, spec)
-    honest = users[5].mask_input
+    honest = simulation.mask_inputs
 
-    def tampered(x):
-        msg = honest(x)
+    def tamper_msg(msg):
         if tamper == "partial":
             return dataclasses.replace(msg, words=msg.words + b"\x00")
         return dataclasses.replace(msg, words=(1 << spec.word_bits).to_bytes(4, "little") + msg.words[4:])
 
-    users[5].mask_input = tampered
+    def tampered(agents, xs):
+        msgs = honest(agents, xs)
+        return [tamper_msg(msg) if agent.index == 5 else msg for agent, msg in zip(agents, msgs)]
+
+    monkeypatch.setattr(simulation, "mask_inputs", tampered)
     with pytest.raises(ProtocolAbort, match="malformed upload") as err:
         execute_round(
             server=server, users=users, transport=transport, model=zeros(8, spec),
@@ -653,6 +657,75 @@ def test_receive_peer_lists_matches_per_agent(monkeypatch):
         inputs=inputs, round_seed=(73, 0),
     )
     assert checked == [300]
+    assert np.array_equal(result.total.values, plaintext_sum(inputs, 4, SPEC))
+
+
+def test_begin_rounds_matches_per_agent(monkeypatch):
+    """Over a 300-user round, the one-batch key step gives every agent the
+    advert, keys, self seed, round randomness and later share polynomials
+    it gets alone: the batch's 600 keys take the numpy path, each lone
+    agent's two take builtin pow."""
+    tree = TreeConfig(height=2, degree=3, neighbor_radius=2, share_threshold=2)
+    server, users, transport, _ = build_round(300, tree, SPEC)
+    checked = []
+
+    def next_polynomials(agent):
+        rng = copy.deepcopy(agent._rng)
+        return [share_secret(agent.mask_keys.secret, 2, 5, rng, KEY_SHARE_PRIME) for _ in range(2)]
+
+    def compare(agents, rngs, commits):
+        assert 2 < POW_BATCH_MIN <= 2 * len(agents)
+        alone = copy.deepcopy(agents)
+        solo = [agent.begin_round(rng, commit) for agent, rng, commit in zip(alone, copy.deepcopy(rngs), commits)]
+        adverts = useragent.begin_rounds(agents, rngs, commits)
+        assert adverts == solo
+        for a, b in zip(agents, alone):
+            assert (a.mask_keys, a.id_keys, a.self_seed, a.round_rand, a.phase) == (
+                b.mask_keys, b.id_keys, b.self_seed, b.round_rand, b.phase
+            )
+            assert next_polynomials(a) == next_polynomials(b)
+        checked.append(len(agents))
+        return adverts
+
+    monkeypatch.setattr(simulation, "begin_rounds", compare)
+    inputs = random_inputs(300, 4, SPEC, seed=75)
+    result = execute_round(
+        server=server, users=users, transport=transport, model=zeros(4, SPEC),
+        inputs=inputs, round_seed=(75, 0),
+    )
+    assert checked == [300]
+    assert np.array_equal(result.total.values, plaintext_sum(inputs, 4, SPEC))
+
+
+def test_mask_inputs_matches_per_agent(monkeypatch):
+    """In a 300-user round with dropouts, the batched upload step gives
+    every agent the upload bytes and PRG count its one-agent call gives,
+    with a PRG budget of five rows, so that chunks span agents and cut
+    their groups."""
+    from secaggsim import crypto
+
+    tree = TreeConfig(height=2, degree=3, neighbor_radius=2, share_threshold=2)
+    server, users, transport, counters = build_round(300, tree, SPEC)
+    checked = []
+
+    def compare(agents, xs):
+        alone = copy.deepcopy(agents)
+        solo = [agent.mask_input(x) for agent, x in zip(alone, xs)]
+        msgs = useragent.mask_inputs(agents, xs)
+        assert [msg.to_bytes() for msg in msgs] == [msg.to_bytes() for msg in solo]
+        assert counters.prg_by_user == alone[0].counters.prg_by_user
+        checked.append(len(agents))
+        return msgs
+
+    monkeypatch.setattr(simulation, "mask_inputs", compare)
+    monkeypatch.setattr(crypto, "PRG_BATCH_BYTES", 5 * 4 * 4 + 16)  # five 4-word rows
+    drop = set(Random(74).sample(range(300), 30))
+    inputs = {u: x for u, x in random_inputs(300, 4, SPEC, seed=74).items() if u not in drop}
+    result = execute_round(
+        server=server, users=users, transport=transport, model=zeros(4, SPEC),
+        inputs=inputs, round_seed=(74, 0), pre_drop=drop,
+    )
+    assert checked == [270]
     assert np.array_equal(result.total.values, plaintext_sum(inputs, 4, SPEC))
 
 

@@ -427,6 +427,19 @@ def test_cli_config_error_exit_code(tmp_path: Path):
     assert proc.returncode == 1 and proc.stderr.startswith("config error: cannot read"), proc.stderr
 
 
+def test_cli_saturated_run_exit_code(tmp_path: Path):
+    """A run whose updates leave the fixed-point range, a 27-user toy task
+    with a learning rate of 1e9, exits 1 with one saturation line and no
+    traceback."""
+    doc = {"n_users": 27, "tree_height": 1, "tree_degree": 3, "rounds": 2, "mode": "toy_task", "task": {"local_lr": 1e9}}
+    cfg_path = tmp_path / "saturating.json"
+    cfg_path.write_text(json.dumps(doc))
+    proc = _run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("saturation error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_default_run(tmp_path: Path):
     """With no ``--config`` the CLI runs the ``ScenarioConfig`` defaults,
     243 users for 20 rounds, and writes a header and one row per round."""
