@@ -2,11 +2,12 @@
 hierarchical aggregation with partial disclosure, exclusion of flagged
 subgroups, and the global model update.
 
-The server never stores an unmasked individual vector: its model-domain
-state is limited to masked uploads, per-leaf partial sums, and the global
-model.  Self-mask removal and pairwise-mask cancellation work directly on
-the partial sums; reconstructed secrets are integers, and the mask
-vectors they imply are recomputed transiently.
+The server never stores an individual vector, masked or not: each
+masked upload is added into its mask leaf's running sum as it arrives,
+so its model-domain state is one partial sum per leaf, the leaf
+aggregates, and the global model.  Self-mask removal and pairwise-mask
+cancellation work directly on the partial sums; reconstructed secrets
+are integers, and the mask vectors they imply are recomputed transiently.
 
 Exclusion is dropout recovery run late.  The online members of an
 excluded leaf are marked dropped, their mask keys are reconstructed, and
@@ -56,7 +57,9 @@ from .fixedpoint import (
     SegmentSpec,
     dequantize_vector,
     quantize_vector,
+    reduce_words,
     signed_values,
+    word_dtype,
 )
 from .orgtree import TreeConfig, TreeSetup, build_peer_sets, commits_digest, run_tree_setup
 from .wire import (
@@ -87,8 +90,9 @@ class SubgroupAggregate:
     signed sum of the leaf's uncancelled inter-group masks, each below
     2^``inter_mask_bits``, so most of the low segment is in the clear too
     (at most 514 off against a 2^13 cell in the 243-user detection
-    scenario; ROADMAP item 3).  ``void`` marks leaves with fewer than two
-    survivors, which are excluded like flagged ones.
+    scenario; ROADMAP item 3), and is a copy: exclusion goes on updating
+    the leaf's sum.  ``void`` marks leaves with fewer than two survivors,
+    which are excluded like flagged ones.
     """
 
     leaf: int
@@ -150,7 +154,7 @@ class AggServer:
         self._mask_pubs: list[bytes | None] = [None] * n_users
         self._user_rands: list[bytes | None] = [None] * n_users
         self._rand_commits: list[bytes | None] = [None] * n_users
-        self._uploads: dict[int, np.ndarray] = {}
+        self._uploaders: set[int] = set()
         self._dropped: set[int] = set()
         # share leaf -> sender -> entry bodies of its SHARE bundle
         self._share_inbox: dict[int, dict[int, bytes]] = {}
@@ -160,7 +164,8 @@ class AggServer:
         self._asked: dict[tuple[int, int], set[int]] = {}
         # holder -> (owner, secret type) of each target of its latest request
         self._sent: dict[int, list[tuple[int, int]]] = {}
-        self._leaf_sums: dict[int, np.ndarray] = {}
+        # mask leaf -> running sum of its uploads, in the ring's native word
+        self._leaf_sums = [np.zeros(model_len, word_dtype(self.spec.word_bits)) for _ in range(self.tree.leaf_count)]
         self._aggregates: list[SubgroupAggregate] = []
         self.setup: TreeSetup | None = None
         return ServerCommitMsg(commit_random(self.server_rand))
@@ -291,8 +296,13 @@ class AggServer:
     # -- upload and dropout ----------------------------------------------------
 
     def receive_upload(self, user: int, msg: MaskedUploadMsg) -> None:
+        """Add the upload into its sender's mask-leaf sum and keep only that
+        the sender uploaded; a second upload, one of another length, or one
+        that is not words of the ring is blamed on the sender."""
         if user in self._dropped:
             return  # late upload from a dropped user is discarded
+        if user in self._uploaders:
+            raise ProtocolAbort(f"user {user} sent a second upload", blamed=f"user:{user}")
         try:
             vector = msg.vector(self.spec)
         except WireError as exc:
@@ -301,15 +311,19 @@ class AggServer:
             raise ProtocolAbort(
                 f"user {user} uploaded {len(vector)} words, not {self.model_len}", blamed=f"user:{user}"
             )
-        self._uploads[user] = vector
+        self._leaf_sums[self.setup.mask_assignment.leaf_of[user]] += vector
+        self._uploaders.add(user)
 
     def mark_dropout(self, user: int) -> None:
+        """An upload is in its leaf sum for good, so only exclusion drops an uploader."""
+        if user in self._uploaders and not self._aggregates:
+            raise ValueError(f"user {user} uploaded; only exclusion drops it")
         self._dropped.add(user)
-        self._uploads.pop(user, None)
+        self._uploaders.discard(user)
 
     @property
     def online_users(self) -> list[int]:
-        return sorted(self._uploads)
+        return sorted(self._uploaders)
 
     # -- unmask ------------------------------------------------------------------
 
@@ -327,7 +341,7 @@ class AggServer:
         targets as force-dropped."""
         members_of = self.setup.share_assignment.members
         leaf_of = self.setup.share_assignment.leaf_of
-        t, point, uploads = self.tree.share_threshold, self._point, self._uploads
+        t, point, uploaders = self.tree.share_threshold, self._point, self._uploaders
         targets: dict[int, list[tuple[int, int]]] = {}
         self._sent = targets
         for owner, stype in owners.items():
@@ -340,7 +354,7 @@ class AggServer:
                 if need <= 0:
                     break
                 holder = members[(at + step) % n]
-                if holder in uploads and holder not in asked:
+                if holder in uploaders and holder not in asked:
                     asked.add(holder)
                     targets.setdefault(holder, []).append((owner, stype))
                     need -= 1
@@ -355,7 +369,7 @@ class AggServer:
         share subgroup.  Call again after the responses: the next requests
         re-ask for the secrets still short of t rows, and none are left
         once every secret has t rows or no holder to ask."""
-        owners = dict.fromkeys(self._uploads, SECRET_SELF_SEED)
+        owners = dict.fromkeys(self._uploaders, SECRET_SELF_SEED)
         owners.update(dict.fromkeys(self._dropped, SECRET_MASK_KEY))
         return self._requests(owners)
 
@@ -391,7 +405,7 @@ class AggServer:
         self.counters.shares_reconstructed += 1
         return secret
 
-    def recover_dropout(self, users: list[int], m: int) -> None:
+    def recover_dropout(self, users: list[int]) -> None:
         """Reconstruct each dropped user's mask key and cancel every mask an
         online peer applied with it from that peer's leaf sum.  A pair is
         cancelled only from its dropped end while the other end is online,
@@ -403,16 +417,15 @@ class AggServer:
 
         The masks are expanded with one grouped ``add_masks`` call per
         kind, one group per leaf, its rows signed by the dropped end (the
-        peer applied the negative), into each touched uint64 leaf sum.
-        Once the round's aggregates are built they alias the sums, so a
-        sum is then updated in a copy that replaces it; before that, in
-        place, so recovery holds no second copy of every leaf sum."""
+        peer applied the negative), into each touched leaf sum in place,
+        and every sum is then reduced mod 2^w.  No aggregate shares memory
+        with a sum, so recovery holds no second copy of any."""
         ends: list[_PeerEnd] = []
         keys: list[int] = []
         for user in users:
             secret = self._reconstruct(user, SECRET_MASK_KEY)
             for end in self._ends[user]:
-                if end.peer in self._uploads:  # else neither side uploaded; nothing to cancel
+                if end.peer in self._uploaders:  # else neither side uploaded; nothing to cancel
                     ends.append(end)
                     keys.append(secret)
         seeds = derive_shared_seeds(self.group, [end.rand_pub for end in ends], keys)
@@ -421,18 +434,11 @@ class AggServer:
         groups: dict[str, dict[int, tuple[list[bytes], list[bytes]]]] = {"intra": {}, "inter": {}}
         for end, seed in zip(ends, seeds):
             groups[end.kind].setdefault(leaf_of[end.peer], ([], []))[end.sign == -1].append(seed)
-        aliased = bool(self._aggregates)
-        sums: dict[int, np.ndarray] = {}
         for kind, bits in (("intra", None), ("inter", self.inter_mask_bits)):
             leaves = groups[kind]
-            for leaf in leaves:
-                if leaf not in sums:
-                    sums[leaf] = self._leaf_sums[leaf].copy() if aliased else self._leaf_sums[leaf]
-            add_masks([sums[leaf] for leaf in leaves], list(leaves.values()), self.spec, bits)
-        wordmask = np.uint64(self.spec.word_mask)
-        for leaf, acc in sums.items():
-            acc &= wordmask
-            self._leaf_sums[leaf] = acc
+            add_masks([self._leaf_sums[leaf] for leaf in leaves], list(leaves.values()), self.spec, bits)
+        for acc in self._leaf_sums:
+            reduce_words(acc, self.spec)
         self.counters.prg_server += len(ends)
         self.counters.mask_cancellations += len(ends)
 
@@ -442,10 +448,9 @@ class AggServer:
 
         Each online user's self seed is reconstructed, and every leaf's
         self masks are removed in one grouped ``add_masks`` call, one group
-        per leaf, summed in the ring's native word, from the leaf's uint64
-        sum, which is reduced mod 2^w once."""
+        per leaf, from the leaf's running sum, before ``recover_dropout``
+        cancels the pre-upload dropouts and reduces every sum mod 2^w."""
         mask_asn = self.setup.mask_assignment
-        m = self.model_len
         self_seeds = {}
         for user in self.online_users:
             seed_int = self._reconstruct(user, SECRET_SELF_SEED)
@@ -453,36 +458,24 @@ class AggServer:
                 raise UnrecoverableRoundError(f"user {user} self seed reconstructs outside {SELF_SEED_BYTES} bytes")
             self_seeds[user] = seed_int.to_bytes(SELF_SEED_BYTES, "big")
 
-        # the sums are fresh, so they are updated in place, wrapping mod
-        # 2^64 until one reduction: no aggregate aliases them yet
-        accs, groups = [], []
-        for leaf, members in enumerate(mask_asn.members):
-            online = [u for u in members if u in self_seeds]
-            acc = self._leaf_sums[leaf] = np.zeros(m, dtype=np.uint64)
-            for u in online:
-                acc += self._uploads[u]
-            accs.append(acc)
-            groups.append(([], [self_seeds[u] for u in online]))
-        add_masks(accs, groups, self.spec)
-        wordmask = np.uint64(self.spec.word_mask)
-        for acc in accs:
-            acc &= wordmask
+        groups = [([], [self_seeds[u] for u in members if u in self_seeds]) for members in mask_asn.members]
+        add_masks(self._leaf_sums, groups, self.spec)
         self.counters.prg_server += len(self_seeds)
 
-        self.recover_dropout(sorted(self._dropped), m)
+        self.recover_dropout(sorted(self._dropped))
 
         out = []
         k = np.uint64(self.spec.low_bits)
         for leaf, members in enumerate(mask_asn.members):
-            survivors = [u for u in members if u in self._uploads]
-            full = ParamVector(self._leaf_sums[leaf], self.spec)
+            survivors = sum(u in self._uploaders for u in members)
+            full = ParamVector(self._leaf_sums[leaf].astype(np.uint64), self.spec)
             out.append(
                 SubgroupAggregate(
                     leaf=leaf,
                     revealed_high=ParamVector(full.values >> k, self.spec),
-                    survivor_count=len(survivors),
+                    survivor_count=survivors,
                     full_sum=full,
-                    void=len(survivors) < 2,
+                    void=survivors < 2,
                 )
             )
         self._aggregates = out
@@ -497,14 +490,14 @@ class AggServer:
     def _online_in(self, leaves: set[int]) -> list[int]:
         """Online members of the given leaves, leaf by leaf."""
         members = self.setup.mask_assignment.members
-        return [u for leaf in sorted(leaves) for u in members[leaf] if u in self._uploads]
+        return [u for leaf in sorted(leaves) for u in members[leaf] if u in self._uploaders]
 
     def exclusion_requests(self, flagged: set[int]) -> dict[int, UnmaskRequestMsg]:
         """Ask t holders for the mask-key shares of every online member of
         an excluded leaf, marked force-dropped: ``finalize`` recovers them
-        like any dropout and discards their uploads, so recovery does not
-        expose any input the server still holds.  Like ``unmask_requests``,
-        a further call re-asks for the secrets still short of t rows."""
+        like any dropout and leaves their leaf's sum out of the total.  Like
+        ``unmask_requests``, a further call re-asks for the secrets still
+        short of t rows."""
         owners = dict.fromkeys(self._online_in(self.excluded_leaves(flagged)), SECRET_MASK_KEY)
         return self._requests(owners, forced=True)
 
@@ -518,15 +511,12 @@ class AggServer:
         forced = self._online_in(excluded)
         for user in forced:
             self.mark_dropout(user)
-        self.recover_dropout(forced, len(model))
+        self.recover_dropout(forced)
         total = np.zeros(len(model), dtype=np.uint64)
         for agg in self._aggregates:
-            if agg.leaf in excluded:
-                total += model.values * np.uint64(agg.survivor_count)
-            else:
-                total += self._leaf_sums[agg.leaf]
+            total += model.values * np.uint64(agg.survivor_count) if agg.leaf in excluded else self._leaf_sums[agg.leaf]
         n_eff = sum(agg.survivor_count for agg in self._aggregates)
-        return ParamVector(total & np.uint64(self.spec.word_mask), self.spec), n_eff
+        return ParamVector(reduce_words(total, self.spec), self.spec), n_eff
 
     def reveal(self) -> RevealMsg:
         """Post-upload opening for client-side verification: the server

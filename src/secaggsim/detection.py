@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fixedpoint import ParamVector, SegmentSpec, high_word_diff
+from .fixedpoint import ParamVector, SegmentSpec, high_word_diff, reduce_words
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +127,11 @@ def subgroup_distance(aggregate, model: ParamVector, rounded: bool = True) -> fl
     spec: SegmentSpec = model.spec
     n = aggregate.survivor_count
     k = np.uint64(spec.low_bits)
-    ref = (model.values * np.uint64(n)) & np.uint64(spec.word_mask)
+    ref = reduce_words(model.values * np.uint64(n), spec)
     if rounded:
         half_cell = np.uint64(1 << (spec.low_bits - 1))
-        wordmask = np.uint64(spec.word_mask)
-        own = ((aggregate.full_sum.values + half_cell) & wordmask) >> k
-        ref_high = ((ref + half_cell) & wordmask) >> k
+        own = reduce_words(aggregate.full_sum.values + half_cell, spec) >> k
+        ref_high = reduce_words(ref + half_cell, spec) >> k
     else:
         own = aggregate.revealed_high.values
         ref_high = ref >> k

@@ -77,6 +77,16 @@ def word_dtype(bits: int) -> np.dtype:
     return np.dtype(f"<u{word_bytes(bits)}")
 
 
+def reduce_words(acc: np.ndarray, spec: SegmentSpec) -> np.ndarray:
+    """``acc`` mod 2^w, in place, and returned.  An unsigned accumulator of
+    the ring's native word or wider wraps mod 2^(8 * itemsize), so its sums
+    are exact mod 2^w and only the bits above w need clearing; a word of
+    exactly w bits has none and is left as it is."""
+    if spec.word_bits < 8 * acc.itemsize:
+        acc &= acc.dtype.type(spec.word_mask)
+    return acc
+
+
 @dataclass(frozen=True)
 class ParamVector:
     """A length-m vector of ring elements under a shared SegmentSpec.
@@ -134,8 +144,7 @@ def quantize_vector(values, spec: SegmentSpec) -> ParamVector:
     half = float(1 << (spec.word_bits - 1))
     if scaled.size and not (scaled.max() < half and scaled.min() >= -half):
         raise SaturationError("vector overflows fixed-point range")
-    out = scaled.astype(np.int64).view(np.uint64) & np.uint64(spec.word_mask)
-    return ParamVector(out, spec)
+    return ParamVector(reduce_words(scaled.astype(np.int64).view(np.uint64), spec), spec)
 
 
 def dequantize_vector(x: ParamVector) -> np.ndarray:
@@ -166,15 +175,13 @@ def _check_compat(a: ParamVector, b: ParamVector) -> None:
 def vec_add_mod(a: ParamVector, b: ParamVector) -> ParamVector:
     """Element-wise (a + b) mod 2^w."""
     _check_compat(a, b)
-    out = (a.values + b.values) & np.uint64(a.spec.word_mask)
-    return ParamVector(out, a.spec)
+    return ParamVector(reduce_words(a.values + b.values, a.spec), a.spec)
 
 
 def vec_sub_mod(a: ParamVector, b: ParamVector) -> ParamVector:
     """Element-wise (a - b) mod 2^w; inverse of :func:`vec_add_mod`."""
     _check_compat(a, b)
-    out = (a.values - b.values) & np.uint64(a.spec.word_mask)
-    return ParamVector(out, a.spec)
+    return ParamVector(reduce_words(a.values - b.values, a.spec), a.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +200,8 @@ def split_segments(x: ParamVector) -> tuple[ParamVector, ParamVector]:
 def combine_segments(high: ParamVector, low: ParamVector) -> ParamVector:
     _check_compat(high, low)
     spec = high.spec
-    out = ((high.values << np.uint64(spec.low_bits)) | (low.values & np.uint64(spec.low_mask))) & np.uint64(spec.word_mask)
-    return ParamVector(out, spec)
+    out = (high.values << np.uint64(spec.low_bits)) | (low.values & np.uint64(spec.low_mask))
+    return ParamVector(reduce_words(out, spec), spec)
 
 
 def apply_partial_mask(x: ParamVector, mask: ParamVector, sign: int) -> ParamVector:

@@ -64,7 +64,7 @@ from .crypto import (
     share_secret,
 )
 from .errors import ProtocolAbort
-from .fixedpoint import ParamVector, SegmentSpec, word_dtype
+from .fixedpoint import ParamVector, SegmentSpec, reduce_words, word_dtype
 from .orgtree import TreeConfig, TreeSetup, commits_digest, verify_setup
 from .wire import (
     ENTRY_BYTES,
@@ -463,7 +463,5 @@ def mask_inputs(agents: list[UserAgent], xs: list[ParamVector]) -> list[MaskedUp
         add_masks(accs, intra, spec)
         add_masks(accs, inter, spec, inter_bits)
         for i, y in zip(batch, accs):
-            if spec.word_bits < 8 * y.itemsize:
-                y &= native.type(spec.word_mask)
-            uploads[i] = MaskedUploadMsg.from_vector(y, spec)
+            uploads[i] = MaskedUploadMsg.from_vector(reduce_words(y, spec), spec)
     return uploads  # type: ignore[return-value]

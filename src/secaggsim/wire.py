@@ -153,12 +153,13 @@ def _encode_words(values: np.ndarray, spec: SegmentSpec) -> bytes:
 
 def _decode_words(words: bytes, spec: SegmentSpec) -> np.ndarray:
     """Inverse of :func:`_encode_words`: ``WireError`` unless the bytes are
-    whole elements, each below 2^w."""
+    whole elements, each below 2^w.  The elements come back in the ring's
+    native word, ``word_dtype(w)``, as a read-only view of ``words``."""
     dtype = word_dtype(spec.word_bits)
     width = dtype.itemsize
     if len(words) % width:
         raise WireError(f"{len(words)} vector bytes are not whole {width}-byte elements")
-    values = np.frombuffer(words, dtype=dtype).astype(np.uint64)
+    values = np.frombuffer(words, dtype=dtype)
     if spec.word_bits < 8 * width and values.size and int(values.max()) > spec.word_mask:
         raise WireError(f"vector element exceeds the {spec.word_bits}-bit ring")
     return values
@@ -383,7 +384,7 @@ class MaskedUploadMsg:
         return MaskedUploadMsg(_encode_words(values, spec))
 
     def vector(self, spec: SegmentSpec) -> np.ndarray:
-        """The uint64 elements, decoded at the width of the receiver's w."""
+        """The elements, a read-only view in the native word of the receiver's w."""
         return _decode_words(self.words, spec)
 
     def to_bytes(self) -> bytes:
@@ -512,7 +513,7 @@ class GlobalModelMsg:
         return GlobalModelMsg(_encode_words(values, spec))
 
     def vector(self, spec: SegmentSpec) -> np.ndarray:
-        """The uint64 elements, decoded at the width of the receiver's w."""
+        """The elements, a read-only view in the native word of the receiver's w."""
         return _decode_words(self.words, spec)
 
     def to_bytes(self) -> bytes:

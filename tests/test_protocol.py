@@ -44,6 +44,7 @@ from secaggsim.wire import (
     TAG_TREE_COMMIT,
     TAG_UNMASK_REQUEST,
     TAG_UNMASK_RESPONSE,
+    MaskedUploadMsg,
     PeerHandle,
     PeerListMsg,
     RandOpenMsg,
@@ -159,8 +160,9 @@ def test_full_round_plaintext_sum_27_subgroups():
 
 
 def test_masked_upload_looks_uniform():
-    """A single user's upload with one peer seed withheld from the server
-    is uniform per element across re-randomized rounds."""
+    """A single user's upload, as the server receives it from the wire,
+    with one peer seed withheld from the server, is uniform per element
+    across re-randomized rounds."""
     from scipy import stats
 
     values = []
@@ -168,8 +170,14 @@ def test_masked_upload_looks_uniform():
         inputs = {u: zeros(1, SPEC) for u in range(8)}
         tree = TreeConfig(height=1, degree=2, neighbor_radius=1, share_threshold=2)
         server, users, transport, _ = build_round(8, tree, SPEC)
-        from secaggsim.simulation import execute_round
+        deliver = transport.deliver
 
+        def deliver_and_read(sender, receiver, encoded):
+            if sender == "user:0" and decode_record(encoded)[0] == TAG_MASKED_UPLOAD:
+                values.append(int(MaskedUploadMsg.from_bytes(encoded).vector(SPEC)[0]))
+            return deliver(sender, receiver, encoded)
+
+        transport.deliver = deliver_and_read
         execute_round(
             server=server,
             users=users,
@@ -178,9 +186,8 @@ def test_masked_upload_looks_uniform():
             inputs=inputs,
             round_seed=(seed, 0),
         )
-        values.append(int(server._uploads[0][0]) if 0 in server._uploads else None)
-    arr = np.array([v for v in values if v is not None], dtype=np.float64)
-    counts, _ = np.histogram(arr, bins=8, range=(0, float(1 << SPEC.word_bits)))
+    assert len(values) == 300
+    counts, _ = np.histogram(values, bins=8, range=(0, float(1 << SPEC.word_bits)))
     assert stats.chisquare(counts).pvalue > 0.01
 
 
@@ -419,14 +426,16 @@ def test_oracle_dropout_round_with_exclusion():
     assert result.n_eff == len(online)
 
 
-@pytest.mark.parametrize("spec", [SPEC, SPEC16], ids=["w32", "w16"])
+@pytest.mark.parametrize("spec", [SPEC, SPEC16, SPEC20, SPEC64], ids=["w32", "w16", "w20", "w64"])
 def test_leaf_sums_match_per_end_reference_with_one_row_budget(monkeypatch, spec):
     """With the PRG budget forced to one row, so that every ``add_masks``
     batch is split into single rows, the leaf sums ``aggregate_subgroups``
     leaves (self masks removed, pre-upload dropouts cancelled) and those
     the exclusion's ``recover_dropout`` leaves equal a uint64 reference
-    built one mask at a time, and the aggregates keep the sums they were
-    built on."""
+    built one mask at a time from the uploads the server received, and
+    the aggregates keep the sums they were built on.  w = 20 leaves spare
+    bits in the native word; at w = 64 the native word is uint64, where
+    an aggregate that is not a copy would share memory with its sum."""
     from secaggsim import crypto
     from secaggsim.crypto import derive_shared_seed, prg_expand
 
@@ -436,14 +445,18 @@ def test_leaf_sums_match_per_end_reference_with_one_row_budget(monkeypatch, spec
     inputs = random_inputs(72, m, spec, seed=61)
     drop = set(Random(61).sample(range(72), 11))
     server, users, transport, _ = build_round(72, tree, spec)
-    before = {}
-    finalize = server.finalize
+    uploads, before = {}, []
+    receive_upload, finalize = server.receive_upload, server.finalize
+
+    def receive_and_keep(user, msg):
+        uploads[user] = msg.vector(spec).astype(np.uint64)
+        return receive_upload(user, msg)
 
     def finalize_after_snapshot(flagged, model):
-        before["uploads"], before["sums"] = dict(server._uploads), dict(server._leaf_sums)
+        before.extend(acc.copy() for acc in server._leaf_sums)
         return finalize(flagged, model)
 
-    server.finalize = finalize_after_snapshot
+    server.receive_upload, server.finalize = receive_and_keep, finalize_after_snapshot
     execute_round(
         server=server, users=users, transport=transport, model=zeros(m, spec),
         inputs={u: x for u, x in inputs.items() if u not in drop}, round_seed=(61, 0), pre_drop=drop,
@@ -451,7 +464,6 @@ def test_leaf_sums_match_per_end_reference_with_one_row_budget(monkeypatch, spec
     )
     wordmask = np.uint64(spec.word_mask)
     leaf_of = server.setup.mask_assignment.leaf_of
-    uploads = before["uploads"]
     forced = {u for u in uploads if u in server._dropped}
     assert forced
 
@@ -467,14 +479,14 @@ def test_leaf_sums_match_per_end_reference_with_one_row_budget(monkeypatch, spec
                     leaf = leaf_of[end.peer]
                     ref[leaf] = (ref[leaf] + pair_mask if end.sign == 1 else ref[leaf] - pair_mask) & wordmask
 
-    ref = {leaf: np.zeros(m, dtype=np.uint64) for leaf in before["sums"]}
+    ref = [np.zeros(m, dtype=np.uint64) for _ in before]
     for u, y in uploads.items():
         ref[leaf_of[u]] = (ref[leaf_of[u]] + y - mask(users[u].self_seed)) & wordmask
     cancel(ref, drop, uploads)
-    assert all(np.array_equal(before["sums"][leaf], ref[leaf]) for leaf in ref)
+    assert all(np.array_equal(before[leaf], ref[leaf]) for leaf in range(len(ref)))
     assert all(np.array_equal(agg.full_sum.values, ref[agg.leaf]) for agg in server._aggregates)
     cancel(ref, forced, set(uploads) - forced)
-    assert all(np.array_equal(server._leaf_sums[leaf], ref[leaf]) for leaf in ref)
+    assert all(np.array_equal(server._leaf_sums[leaf], ref[leaf]) for leaf in range(len(ref)))
 
 
 def test_unrecoverable_below_threshold():
@@ -601,6 +613,47 @@ def test_wrong_length_upload_is_blamed_on_its_sender(length):
             inputs=inputs, round_seed=(70, 0),
         )
     assert err.value.blamed == "user:5"
+
+
+def test_second_upload_is_blamed_on_its_sender():
+    """An upload is added into its leaf sum at receipt, so a second one
+    from the same user, which would count it twice, aborts the round."""
+    tree = TreeConfig(height=1, degree=2, neighbor_radius=1, share_threshold=2)
+    inputs = random_inputs(12, 8, SPEC, seed=72)
+    server, users, transport, _ = build_round(12, tree, SPEC)
+    receive_upload = server.receive_upload
+
+    def receive_twice(user, msg):
+        receive_upload(user, msg)
+        if user == 5:
+            receive_upload(user, msg)
+
+    server.receive_upload = receive_twice
+    with pytest.raises(ProtocolAbort, match="second upload") as err:
+        execute_round(
+            server=server, users=users, transport=transport, model=zeros(8, SPEC),
+            inputs=inputs, round_seed=(72, 0),
+        )
+    assert err.value.blamed == "user:5"
+
+
+def test_uploader_is_dropped_only_by_exclusion():
+    """An upload cannot be taken back out of its leaf sum, so dropping an
+    uploader before the aggregates are built raises."""
+    tree = TreeConfig(height=1, degree=2, neighbor_radius=1, share_threshold=2)
+    server, users, transport, _ = build_round(12, tree, SPEC)
+    receive_upload = server.receive_upload
+
+    def receive_then_drop(user, msg):
+        receive_upload(user, msg)
+        server.mark_dropout(user)
+
+    server.receive_upload = receive_then_drop
+    with pytest.raises(ValueError, match="only exclusion drops it"):
+        execute_round(
+            server=server, users=users, transport=transport, model=zeros(8, SPEC),
+            inputs=random_inputs(12, 8, SPEC, seed=73), round_seed=(73, 0),
+        )
 
 
 @pytest.mark.parametrize("spec, tamper", [(SPEC, "partial"), (SPEC20, "partial"), (SPEC20, "beyond_ring")])
@@ -899,17 +952,49 @@ def test_fedsgd_update_examples():
 # -- privacy plumbing ------------------------------------------------------------------
 
 
+def _arrays_in(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through containers and the
+    attributes of package objects."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for item in (*obj.keys(), *obj.values()):
+            yield from _arrays_in(item, seen)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for item in obj:
+            yield from _arrays_in(item, seen)
+    elif type(obj).__module__.startswith("secaggsim") and hasattr(obj, "__dict__"):
+        yield from _arrays_in(vars(obj), seen)
+
+
 def test_server_never_stores_plaintext_vector():
-    """Every model-domain vector in server state is a masked upload or a
-    multi-user partial sum, never a bare individual input."""
+    """After a round, every model-domain vector in server state is a
+    multi-user partial sum, its copy or high words, or the global model:
+    none equals one user's input or the masked upload it sent."""
     inputs = random_inputs(20, 8, SPEC, seed=60)
-    result, server, users, _ = run_plain_round(20, TREE22, SPEC, inputs, seed=60)
-    plain = {u: x.values.tobytes() for u, x in inputs.items()}
-    for u, y in server._uploads.items():
-        assert y.tobytes() != plain[u]
-    for leaf, vec in server._leaf_sums.items():
-        for blob in plain.values():
-            assert vec.tobytes() != blob
+    server, users, transport, _ = build_round(20, TREE22, SPEC)
+    uploads = []
+    deliver = transport.deliver
+
+    def deliver_and_read(sender, receiver, encoded):
+        if sender != SERVER and decode_record(encoded)[0] == TAG_MASKED_UPLOAD:
+            uploads.append(MaskedUploadMsg.from_bytes(encoded).vector(SPEC))
+        return deliver(sender, receiver, encoded)
+
+    transport.deliver = deliver_and_read
+    execute_round(
+        server=server, users=users, transport=transport, model=zeros(8, SPEC), inputs=inputs, round_seed=(60, 0)
+    )
+    assert len(uploads) == 20
+    vectors = [x.values for x in inputs.values()] + uploads
+    held = [arr for arr in _arrays_in(server) if arr.size == 8]
+    assert held  # the leaf sums and aggregates
+    for arr in held:
+        assert not any(np.array_equal(arr, vec) for vec in vectors)
 
 
 def test_users_never_learn_grouping():
