@@ -9,7 +9,9 @@ tree shapes, then the 1000-user tree-shape traffic comparison; the rows
 go to a CSV whose columns are the fields of ``BenchRow``.  Then prints
 fast64 Diffie-Hellman exponentiations per second, one builtin ``pow``
 each and batched through ``pow_many``, at the batch sizes of a 243-user
-and a 2000-user round's server key blinding, then Shamir share and
+and a 2000-user round's server key blinding, then powers of g per second,
+builtin and from the fixed-base table of ``pow_g_many``, at the batch
+sizes of those rounds' key generation, then Shamir share and
 reconstruct rates at the threshold and share-leaf sizes of those rounds,
 in each of the two share fields a fast64 user shares in.
 
@@ -27,12 +29,20 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from secaggsim.crypto import FAST_GROUP, SELF_SEED_BYTES, pow_many, reconstruct_secret, share_secret  # noqa: E402
+from secaggsim.crypto import (  # noqa: E402
+    FAST_GROUP,
+    SELF_SEED_BYTES,
+    pow_g_many,
+    pow_many,
+    reconstruct_secret,
+    share_secret,
+)
 from secaggsim.scenarios import exactness_config  # noqa: E402
 from secaggsim.simulation import ScenarioConfig, run_scenario  # noqa: E402
 from secaggsim.wire import SECRET_MASK_KEY, SECRET_SELF_SEED, SHARE_FIELDS  # noqa: E402
 
 DH_BATCH_SIZES = (2_430, 24_060)
+KEYGEN_BATCH_SIZES = (486, 4_000)  # 2N public keys of a 243-user and a 2000-user round
 # (threshold, share-leaf size): the 243-user 3x3 detection tree and the 2000-user 4x3 tree
 SHAMIR_POINTS = ((3, 9), (2, 25))
 SHAMIR_OWNERS = 200
@@ -108,10 +118,23 @@ def dh_throughput(n: int, repeats: int = 3) -> tuple[float, float]:
     bases = [rng.randrange(p) for _ in range(n)]
     exps = [FAST_GROUP.random_exponent(rng) for _ in range(n)]
     builtin, expect = _best_rate(lambda: [pow(b, e, p) for b, e in zip(bases, exps)], n, repeats)
-    batched, got = _best_rate(lambda: pow_many(p, bases, exps), n, repeats)
+    batched, got = _best_rate(lambda: pow_many(p, bases, exps).tolist(), n, repeats)
     if got != expect:
         sys.exit(f"pow_many differs from builtin pow at batch size {n}")
     return builtin, batched
+
+
+def keygen_throughput(n: int, repeats: int = 3) -> tuple[float, float]:
+    """Powers of g per second for builtin pow and ``pow_g_many`` on n
+    random fast64 exponents; exits if the two disagree."""
+    rng = Random(n)
+    g, p = FAST_GROUP.g, FAST_GROUP.p
+    exps = [FAST_GROUP.random_exponent(rng) for _ in range(n)]
+    builtin, expect = _best_rate(lambda: [pow(g, e, p) for e in exps], n, repeats)
+    fixed, got = _best_rate(lambda: pow_g_many(FAST_GROUP, exps).tolist(), n, repeats)
+    if got != expect:
+        sys.exit(f"pow_g_many differs from builtin pow at batch size {n}")
+    return builtin, fixed
 
 
 def shamir_throughput(t: int, n: int, repeats: int = 3) -> list[tuple[str, float, float]]:
@@ -171,6 +194,12 @@ def main() -> int:
         print(
             f"dh fast64 batch={n:6d} builtin pow={builtin:10.0f} exp/s "
             f"pow_many={batched:10.0f} exp/s ({batched / builtin:.1f}x)"
+        )
+    for n in KEYGEN_BATCH_SIZES:
+        builtin, fixed = keygen_throughput(n)
+        print(
+            f"dh fast64 g^x batch={n:6d} builtin pow={builtin:10.0f} exp/s "
+            f"pow_g_many={fixed:10.0f} exp/s ({fixed / builtin:.1f}x)"
         )
     for t, n in SHAMIR_POINTS:
         for field, share_rate, rate in shamir_throughput(t, n):

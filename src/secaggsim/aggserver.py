@@ -64,12 +64,13 @@ from .fixedpoint import (
 from .orgtree import TreeConfig, TreeSetup, build_peer_sets, commits_digest, run_tree_setup
 from .wire import (
     ENTRY_BYTES,
+    KIND_INTER,
+    KIND_INTRA,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SHARE_FIELDS,
     AdvertMsg,
     MaskedUploadMsg,
-    PeerHandle,
     PeerListMsg,
     RandOpenMsg,
     RevealMsg,
@@ -78,6 +79,8 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
+    peer_row_dtype,
+    peer_rows,
 )
 
 
@@ -102,14 +105,10 @@ class SubgroupAggregate:
     void: bool = False
 
 
-@dataclass
-class _PeerEnd:
-    """One end of a masking pair, as its owner sees it."""
-
-    peer: int
-    sign: int  # sign the owner applies; the peer applies the negative
-    rand_pub: int  # peer's mask pub ** r, handed to the owner
-    kind: str
+# One end of a masking pair, as its owner sees it: the sign the owner
+# applies (the peer applies the negative), the kind code (``wire``) and the
+# peer's mask key blinded by the pair's r, which the owner is handed.
+_END = np.dtype([("owner", np.int64), ("peer", np.int64), ("sign", np.int8), ("kind", np.uint8), ("key", np.uint64)])
 
 
 def fedsgd_update(model: ParamVector, total: ParamVector, n_eff: int, eta: float) -> ParamVector:
@@ -207,7 +206,13 @@ class AggServer:
     def finish_setup(self) -> None:
         """Derive both assignments, evaluation points, and the pair plan,
         each pair signed +1 at the end ranked first in the mask order, as
-        Bonawitz et al. (CCS 2017) sign a pair by the order of its ends."""
+        Bonawitz et al. (CCS 2017) sign a pair by the order of its ends.
+
+        The plan becomes one table of pair ends, both ends of pair i at
+        2i and 2i + 1 before a stable sort by owner, so each owner's ends
+        stay in pair order; the PEER_LIST rows of every end are encoded
+        once, in the same order, and each user's peer list is the slice of
+        its own ends."""
         self.setup = run_tree_setup(
             self.tree,
             self.server_rand,
@@ -227,31 +232,33 @@ class AggServer:
                 self._point[u] = i
 
         # each user's rank in the mask order, which sorts by (identity, index)
-        rank = {u: i for i, u in enumerate(u for leaf in self.setup.mask_assignment.members for u in leaf)}
-        pubs = [int.from_bytes(pub, "big") for pub in self._mask_pubs]
+        rank = np.empty(n, dtype=np.int64)
+        rank[[u for leaf in self.setup.mask_assignment.members for u in leaf]] = np.arange(n)
+        key_dtype = peer_row_dtype(self.group.element_bytes)["key"]
+        pubs = np.frombuffer(b"".join(self._mask_pubs), dtype=key_dtype).astype(np.uint64)  # type: ignore[arg-type]
         pairs = build_peer_sets(self.setup.mask_assignment)
         rs = [self.group.random_exponent(self.rng) for _ in pairs]
+        u, v, kinds = zip(*pairs) if pairs else ((), (), ())
+        u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        sign = np.where(rank[u] < rank[v], 1, -1)
+        ends = np.empty(2 * len(pairs), dtype=_END)
+        ends["owner"] = np.column_stack((u, v)).ravel()
+        ends["peer"] = np.column_stack((v, u)).ravel()
+        ends["sign"] = np.column_stack((sign, -sign)).ravel()
+        ends["kind"] = np.repeat([KIND_INTER if kind == "inter" else KIND_INTRA for kind in kinds], 2)
         # one pair's r blinds v's key for u, then u's key for v
-        blinded = randomize_pubs(
-            self.group,
-            [pub for u, v, _ in pairs for pub in (pubs[v], pubs[u])],
-            [r for r in rs for _ in range(2)],
-        )
-        self._ends: list[list[_PeerEnd]] = [[] for _ in range(n)]
-        for i, (u, v, kind) in enumerate(pairs):
-            sign = 1 if rank[u] < rank[v] else -1
-            self._ends[u].append(_PeerEnd(v, sign, blinded[2 * i], kind))
-            self._ends[v].append(_PeerEnd(u, -sign, blinded[2 * i + 1], kind))
-        self.counters.key_randomizations_server += len(blinded)
+        ends["key"] = randomize_pubs(self.group, pubs[ends["peer"]], np.repeat(np.array(rs, dtype=np.uint64), 2))
+        self._ends = ends[np.argsort(ends["owner"], kind="stable")]
+        self._end_start = np.concatenate(([0], np.cumsum(np.bincount(self._ends["owner"], minlength=n)))).tolist()
+        self._peer_rows = peer_rows(self.group, self._ends["sign"], self._ends["kind"], self._ends["key"])
+        self.counters.key_randomizations_server += len(ends)
 
     def peer_list_for(self, user: int) -> PeerListMsg:
-        handles = tuple(
-            PeerHandle(self.group.encode(end.rand_pub), end.sign, end.kind)
-            for end in self._ends[user]
-        )
+        w = peer_row_dtype(self.group.element_bytes).itemsize
         share_asn = self.setup.share_assignment
         leaf_size = len(share_asn.members[share_asn.leaf_of[user]])
-        return PeerListMsg(own_point=self._point[user], leaf_size=leaf_size, peers=handles)
+        rows = self._peer_rows[self._end_start[user] * w : self._end_start[user + 1] * w]
+        return PeerListMsg(own_point=self._point[user], leaf_size=leaf_size, rows=rows)
 
     def route_share(self, sender: int, msg: ShareMsg) -> list[tuple[int, ShareMsg]]:
         """Check one sender's SHARE bundle and hold it; once every member of
@@ -420,21 +427,21 @@ class AggServer:
         peer applied the negative), into each touched leaf sum in place,
         and every sum is then reduced mod 2^w.  No aggregate shares memory
         with a sum, so recovery holds no second copy of any."""
-        ends: list[_PeerEnd] = []
-        keys: list[int] = []
+        n = self.n_users
+        secrets, dropped, online = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         for user in users:
-            secret = self._reconstruct(user, SECRET_MASK_KEY)
-            for end in self._ends[user]:
-                if end.peer in self._uploaders:  # else neither side uploaded; nothing to cancel
-                    ends.append(end)
-                    keys.append(secret)
-        seeds = derive_shared_seeds(self.group, [end.rand_pub for end in ends], keys)
+            secrets[user] = self._reconstruct(user, SECRET_MASK_KEY)
+            dropped[user] = True
+        online[list(self._uploaders)] = True
+        # an end whose peer did not upload either has nothing to cancel
+        ends = self._ends[dropped[self._ends["owner"]] & online[self._ends["peer"]]]
+        seeds = derive_shared_seeds(self.group, ends["key"], secrets[ends["owner"]])
         leaf_of = self.setup.mask_assignment.leaf_of
         # kind -> leaf -> (plus seeds, minus seeds)
-        groups: dict[str, dict[int, tuple[list[bytes], list[bytes]]]] = {"intra": {}, "inter": {}}
-        for end, seed in zip(ends, seeds):
-            groups[end.kind].setdefault(leaf_of[end.peer], ([], []))[end.sign == -1].append(seed)
-        for kind, bits in (("intra", None), ("inter", self.inter_mask_bits)):
+        groups: dict[int, dict[int, tuple[list[bytes], list[bytes]]]] = {KIND_INTRA: {}, KIND_INTER: {}}
+        for peer, sign, kind, seed in zip(ends["peer"].tolist(), ends["sign"].tolist(), ends["kind"].tolist(), seeds):
+            groups[kind].setdefault(leaf_of[peer], ([], []))[sign == -1].append(seed)
+        for kind, bits in ((KIND_INTRA, None), (KIND_INTER, self.inter_mask_bits)):
             leaves = groups[kind]
             add_masks([self._leaf_sums[leaf] for leaf in leaves], list(leaves.values()), self.spec, bits)
         for acc in self._leaf_sums:

@@ -43,22 +43,34 @@ masks of m words in one group, never holds an N * m buffer.
 A round makes tens of thousands of Diffie-Hellman exponentiations
 (every user's two public keys, blinding every pair's keys, each user's
 seed derivations, and dropout recovery), so ``pow_many`` evaluates a
-whole batch in one numpy pass.  It runs when the modulus is odd and
-below 2^64, every exponent is in [0, 2^64), and the batch holds at least ``POW_BATCH_MIN`` elements;
-anything else goes to builtin ``pow`` one element at a time, so small
-batches, the toy group and any out-of-range exponent compute exactly
-what ``pow`` computes.  The batch path works in Montgomery form with
-R = 2^64: numpy has no 128-bit integers, but a 64 x 64 -> 128-bit product
-can be assembled from four 32 x 32-bit products in uint64, and Montgomery
-reduction needs only such products, wrapping 64-bit arithmetic and one
-conditional add, no division.  Results equal ``pow``'s bit for bit.
+whole batch in one numpy pass.  It takes a modulus below 2^64 and runs
+when the modulus is odd, every exponent is in [0, 2^64), and the batch
+holds at least ``POW_BATCH_MIN`` elements; anything else goes to builtin
+``pow`` one element at a time, so small batches, the toy group and any
+out-of-range exponent compute exactly what ``pow`` computes.  The batch
+path works in Montgomery form with R = 2^64: numpy has no 128-bit
+integers, but a 64 x 64 -> 128-bit product can be assembled from four
+32 x 32-bit products in uint64, and Montgomery reduction needs only such
+products, wrapping 64-bit arithmetic and one conditional add, no
+division.  Results equal ``pow``'s bit for bit and come back as one
+uint64 array, which ``derive_shared_seeds`` encodes with one
+``tobytes``; bases and exponents may be lists of ints or uint64 arrays.
+
+Public keys are powers of the one generator g, so ``pow_g_many`` takes
+them from a fixed-base table built once per group (Lim and Lee, CRYPTO
+'94): row j holds g^(d * 2^(8j)) for every byte value d, and g^e is the
+product of one entry per byte of e, 7 Montgomery products per key where
+the 4-bit window of ``pow_many`` spends about 92 on a 63-bit exponent.
+Batches of at least ``POW_G_BATCH_MIN`` exponents, all in [0, 2^64),
+take the table when the modulus is odd; the rest go to builtin ``pow``,
+as in ``pow_many``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from random import Random
 
 import numpy as np
@@ -101,7 +113,7 @@ class DhGroup:
     p: int
     g: int
 
-    @property
+    @cached_property
     def order(self) -> int:
         return (self.p - 1) // 2
 
@@ -130,11 +142,6 @@ class KeyPair:
     secret: int
     public: int
 
-    @staticmethod
-    def generate(group: DhGroup, rng: Random) -> "KeyPair":
-        s = group.random_exponent(rng)
-        return KeyPair(secret=s, public=pow(group.g, s, group.p))
-
 
 # ---------------------------------------------------------------------------
 # batched modular exponentiation
@@ -146,9 +153,15 @@ class KeyPair:
 # and 7x at 24,060; 256 keeps batches near break-even on builtin ``pow``.
 POW_BATCH_MIN = 256
 
+# Smallest batch of powers of g the fixed-base table takes.  With fast64
+# on the same host it breaks even with one builtin ``pow`` per element near
+# 16 elements, and is 2x faster at 32, 25x at 486 and 50x at 4,000.
+POW_G_BATCH_MIN = 32
+
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _WINDOW_BITS = 4
+_DIGITS, _DIGIT_BITS = 8, 8  # a fixed-base table's rows and its digits' width: 8 x 8 bits hold any exponent < 2^64
 
 
 class _Montgomery:
@@ -242,7 +255,7 @@ class _Montgomery:
         self._reduce(out)
 
 
-def _pow_montgomery(p: int, bases: np.ndarray, exps: np.ndarray) -> list[int]:
+def _pow_montgomery(p: int, bases: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """bases[i] ** exps[i] mod p for bases < p, with a fixed 4-bit window:
     row j of a table holds every element's j-th power, and each window
     squares four times, then multiplies every element by the table entry
@@ -272,48 +285,121 @@ def _pow_montgomery(p: int, bases: np.ndarray, exps: np.ndarray) -> list[int]:
         np.take(flat, pick, out=entry)
         mont.mul(acc, entry, acc)
     mont.mul(acc, np.ones(n, dtype=np.uint64), acc)  # out of Montgomery form
-    return acc.tolist()
+    return acc
 
 
-def pow_many(p: int, bases: list[int], exps: list[int]) -> list[int]:
-    """``[pow(b, e, p) for b, e in zip(bases, exps)]``, in one numpy pass
-    when the batch qualifies (see the module docstring)."""
+@cache  # one per group in use
+def _fixed_base_table(p: int, g: int) -> np.ndarray:
+    """Row j, entry d: g^(d * 2^(8j)) mod p, row 0 as is and rows 1 to 7
+    in Montgomery form, so a product of one entry of each row leaves
+    Montgomery form by itself."""
+    rows = []
+    base = g % p
+    for j in range(_DIGITS):
+        row = [1 % p]
+        for _ in range(1, 1 << _DIGIT_BITS):
+            row.append(row[-1] * base % p)
+        rows.append(row if j == 0 else [(x << 64) % p for x in row])
+        base = pow(base, 1 << _DIGIT_BITS, p)
+    return np.array(rows, dtype=np.uint64)
+
+
+def _pow_fixed_base(p: int, table: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """g ** exps[i] mod p from g's ``_fixed_base_table``: byte j of each
+    exponent picks its entry of row j, and seven Montgomery products
+    multiply the eight entries."""
+    n = len(exps)
+    digits = exps.astype("<u8").view(np.uint8).reshape(n, _DIGITS)
+    mont = _Montgomery(p, n)
+    acc = table[0].take(digits[:, 0])
+    entry = np.empty(n, dtype=np.uint64)
+    for j in range(1, _DIGITS):
+        table[j].take(digits[:, j], out=entry)
+        mont.mul(acc, entry, acc)
+    return acc
+
+
+def _words(values: list[int] | np.ndarray) -> np.ndarray | None:
+    """``values`` as a uint64 array, or None if an int of a list is outside
+    [0, 2^64)."""
+    if isinstance(values, np.ndarray):
+        return values.astype(np.uint64, copy=False)
+    try:
+        return np.array(values, dtype=np.uint64)
+    except OverflowError:
+        return None
+
+
+def _ints(values: list[int] | np.ndarray) -> list[int]:
+    """``values`` as Python ints, for builtin ``pow``."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def pow_many(p: int, bases: list[int] | np.ndarray, exps: list[int] | np.ndarray) -> np.ndarray:
+    """``[pow(b, e, p) for b, e in zip(bases, exps)]`` as a uint64 array,
+    for a modulus p < 2^64, in one numpy pass when the batch qualifies (see
+    the module docstring).  Bases and exponents are lists of ints or
+    uint64 arrays."""
     if len(bases) != len(exps):
         raise ValueError("need one exponent per base")
-    if len(bases) >= POW_BATCH_MIN and 1 < p < 1 << 64 and p & 1:
-        try:
-            e = np.array(exps, dtype=np.uint64)
-        except OverflowError:  # an exponent outside [0, 2^64)
-            pass
-        else:
-            return _pow_montgomery(p, np.array([b % p for b in bases], dtype=np.uint64), e)
-    return [pow(b, e, p) for b, e in zip(bases, exps)]
+    if not 1 < p < 1 << 64:
+        raise ValueError("the modulus must be in (1, 2^64)")
+    if len(bases) >= POW_BATCH_MIN and p & 1:
+        e = _words(exps)
+        if e is not None:
+            if isinstance(bases, np.ndarray):
+                b = bases.astype(np.uint64, copy=False) % np.uint64(p)
+            else:
+                b = np.array([b % p for b in bases], dtype=np.uint64)
+            return _pow_montgomery(p, b, e)
+    return np.array([pow(b, e, p) for b, e in zip(_ints(bases), _ints(exps))], dtype=np.uint64)
 
 
-def randomize_pubs(group: DhGroup, pubs: list[int], rs: list[int]) -> list[int]:
-    """Blind public keys: pubs[i]^rs[i].  Used by the server so peers cannot
-    recognize each other's long-term keys.  Every r must lie in
-    [1, group order); r = 0 would hand out the identity element, whose
-    derived seed anyone can compute."""
-    if not all(1 <= r < group.order for r in rs):
+def pow_g_many(group: DhGroup, exps: list[int] | np.ndarray) -> np.ndarray:
+    """``[pow(group.g, e, group.p) for e in exps]`` as a uint64 array, from
+    the group's fixed-base table when the batch qualifies (see the module
+    docstring)."""
+    p = group.p
+    if len(exps) >= POW_G_BATCH_MIN and p & 1 and p < 1 << 64:
+        e = _words(exps)
+        if e is not None:
+            return _pow_fixed_base(p, _fixed_base_table(p, group.g), e)
+    return pow_many(p, [group.g] * len(exps), exps)
+
+
+def _encode_elements(values: np.ndarray, width: int) -> bytes:
+    """``DhGroup.encode`` of each uint64 value at ``width`` <= 8 bytes, back
+    to back."""
+    words = values.astype(">u8")
+    return words.tobytes() if width == 8 else words.view(np.uint8).reshape(-1, 8)[:, 8 - width :].tobytes()
+
+
+def randomize_pubs(group: DhGroup, pubs: list[int] | np.ndarray, rs: list[int] | np.ndarray) -> np.ndarray:
+    """Blind public keys: pubs[i]^rs[i], as a uint64 array.  Used by the
+    server so peers cannot recognize each other's long-term keys.  Every r
+    must lie in [1, group order); r = 0 would hand out the identity
+    element, whose derived seed anyone can compute."""
+    r = _words(rs)
+    if r is None or (len(r) and (int(r.min()) < 1 or int(r.max()) >= group.order)):
         raise ValueError("randomizer must be in [1, group order)")
-    return pow_many(group.p, pubs, rs)
+    return pow_many(group.p, pubs, r)
 
 
 def randomize_pub(group: DhGroup, pub: int, r: int) -> int:
     """One key's ``randomize_pubs``."""
-    return randomize_pubs(group, [pub], [r])[0]
+    return int(randomize_pubs(group, [pub], [r])[0])
 
 
-def derive_shared_seeds(group: DhGroup, randomized_peer_pubs: list[int], own_secrets: list[int]) -> list[bytes]:
+def derive_shared_seeds(
+    group: DhGroup, randomized_peer_pubs: list[int] | np.ndarray, own_secrets: list[int] | np.ndarray
+) -> list[bytes]:
     """Seed bytes from the blinded exchange: both peers of a pair, given the
     other's randomized public key, derive hash(g^(a*b*r)) identically.
     Element i uses ``own_secrets[i]`` with ``randomized_peer_pubs[i]``."""
-    encode = group.encode
-    return [
-        hashlib.sha256(_SEED_TAG + encode(shared)).digest()
-        for shared in pow_many(group.p, randomized_peer_pubs, own_secrets)
-    ]
+    w = group.element_bytes
+    shared = _encode_elements(pow_many(group.p, randomized_peer_pubs, own_secrets), w)
+    sha256, tag = hashlib.sha256, _SEED_TAG
+    return [sha256(tag + shared[at : at + w]).digest() for at in range(0, len(shared), w)]
 
 
 def derive_shared_seed(group: DhGroup, randomized_peer_pub: int, own_secret: int) -> bytes:

@@ -4,9 +4,10 @@ A user advertises one-time keys, commits and opens its grouping
 randomness, secret-shares its mask key and self-mask seed among an
 anonymous recipient list, uploads its masked input, and answers unmask
 requests under the release rules.  Users never see identities or
-subgroup structure: peers arrive as server-randomized key handles, and
-of its share leaf a user learns only the size and its own place, which
-is its evaluation point.  A mate's place is the user's only name for it.
+subgroup structure: each masking peer arrives as one PEER_LIST row of a
+sign, a kind code and the peer's key blinded by the server, and of its
+share leaf a user learns only the size and its own place, which is its
+evaluation point.  A mate's place is the user's only name for it.
 
 Shares travel as bundles relayed by the server (see ``wire``): one from
 each user with an entry per mate, and one to each user with an entry per
@@ -18,16 +19,18 @@ out the shares it releases.  The entries are not encrypted, so
 the relay can read every share until ROADMAP item 7 encrypts each entry
 body.
 
-Every user derives one shared seed per peer handle from its own mask
-secret and the handle's blinded key, and keeps the seeds in handle
-order: a handle carries no point, so a user cannot tell which of its
-masking peers are among its share leaf mates.
+Every user derives one shared seed per peer row from its own mask
+secret and the row's blinded key, and keeps its rows, as a structured
+array, and the seeds in row order: a row carries no point, so a user
+cannot tell which of its masking peers are among its share leaf mates.
 
 Three steps run for many agents at once, so the simulator pays the
 per-call overhead of numpy once per round, not once per user:
 ``begin_rounds`` computes every agent's two public keys in one
-``pow_many`` batch, ``receive_peer_lists`` derives all their pair seeds
-in one batch, and ``mask_inputs`` expands all their masks in two
+``pow_g_many`` batch from the group's fixed-base table,
+``receive_peer_lists`` reads and checks every agent's blinded keys in
+one array and derives all their pair seeds in one batch, and
+``mask_inputs`` expands all their masks in two
 grouped ``add_masks`` calls, in chunks of at most ``PRG_BATCH_BYTES``
 of keystream.  Each is only an evaluation order: every agent draws from
 its own rng in the order it would alone, and its keys, seeds and masks
@@ -51,6 +54,8 @@ from __future__ import annotations
 
 from random import Random
 
+import numpy as np
+
 from .counters import OpCounters
 from .crypto import (
     RAND_BYTES,
@@ -60,7 +65,7 @@ from .crypto import (
     add_masks,
     commit_random,
     derive_shared_seeds,
-    pow_many,
+    pow_g_many,
     share_secret,
 )
 from .errors import ProtocolAbort
@@ -68,12 +73,13 @@ from .fixedpoint import ParamVector, SegmentSpec, reduce_words, word_dtype
 from .orgtree import TreeConfig, TreeSetup, commits_digest, verify_setup
 from .wire import (
     ENTRY_BYTES,
+    KIND_INTER,
+    KIND_INTRA,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SHARE_FIELDS,
     AdvertMsg,
     MaskedUploadMsg,
-    PeerHandle,
     PeerListMsg,
     RandOpenMsg,
     RevealMsg,
@@ -81,6 +87,7 @@ from .wire import (
     TreeCommitMsg,
     UnmaskRequestMsg,
     UnmaskResponseMsg,
+    peer_row_dtype,
     share_bodies,
     share_part,
 )
@@ -155,8 +162,8 @@ class UserAgent:
         # polynomials), and with it every pinned report, where it is
         self.self_seed = rng.randbytes(32)[:SELF_SEED_BYTES]
         self.round_rand = rng.randbytes(RAND_BYTES)
-        self._peer_handles: tuple[PeerHandle, ...] = ()
-        self._pair_seeds: list[bytes] = []  # one per peer handle, in order
+        self._peer_rows = np.empty(0, dtype=peer_row_dtype(self.group.element_bytes))  # PEER_LIST rows
+        self._pair_seeds: list[bytes] = []  # one per peer row, in order
         self._share_count = 0  # members of the share leaf, this user included
         self._own_pos = 0  # 0-based place in the share leaf; the evaluation point is one more
         self._held = b""  # entry bodies in leaf order
@@ -175,7 +182,7 @@ class UserAgent:
     # -- share distribution --------------------------------------------------
 
     def receive_peer_list(self, msg: PeerListMsg) -> None:
-        """Store opaque peer handles and derive one shared seed per peer."""
+        """Store the peer rows and derive one shared seed per peer."""
         receive_peer_lists([self], [msg])
 
     def distribute_shares(self) -> ShareMsg:
@@ -312,7 +319,7 @@ class UserAgent:
         with another leaf count cuts them into other leaves.
         A tree of another shape with the same leaf count is not caught: it
         gives the same assignments, and only the inter-group masking pairs,
-        which a user cannot see through its opaque handles, differ (ROADMAP
+        which a user cannot see through its opaque peer rows, differ (ROADMAP
         item 15).  ``setup`` is the one input a user does not hold a copy
         of.
         """
@@ -334,8 +341,8 @@ class UserAgent:
 
 def begin_rounds(agents: list[UserAgent], rngs: list[Random], server_commits: list[bytes]) -> list[AdvertMsg]:
     """Run ``UserAgent.begin_round`` for every agent with its own rng and
-    SERVER_COMMIT digest, computing all 2N public keys in one ``pow_many``
-    batch.
+    SERVER_COMMIT digest, computing all 2N public keys g^x in one
+    ``pow_g_many`` batch.
 
     Each agent first draws all its secrets from its own rng, in the order
     it would alone (``_start_round``), so its keys, self seed, grouping
@@ -351,7 +358,7 @@ def begin_rounds(agents: list[UserAgent], rngs: list[Random], server_commits: li
     secrets: list[int] = []
     for agent, rng, commit in zip(agents, rngs, server_commits, strict=True):
         secrets += agent._start_round(rng, commit)
-    pubs = pow_many(group.p, [group.g] * len(secrets), secrets)
+    pubs = pow_g_many(group, secrets).tolist()
     adverts = []
     for i, agent in enumerate(agents):
         agent.mask_keys = KeyPair(secrets[2 * i], pubs[2 * i])
@@ -371,27 +378,32 @@ def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None
     """Run ``UserAgent.receive_peer_list`` for every agent with its own
     message, deriving all their seeds in lockstep in one batch.
 
-    Each seed comes from its agent's own mask secret and one handle of its
+    Each seed comes from its agent's own mask secret and one row of its
     own message, exactly as if each agent ran alone; only the evaluation
-    order is shared.  All agents must use one group.  A message that
-    arrives before the agent's TREE_COMMIT, whose own point is outside 1
-    to its share-leaf size, whose share-leaf size is neither floor(N/g)
-    nor ceil(N/g) for the N of that TREE_COMMIT and the g leaves of the
-    agent's tree (so a server cannot make a user build shares for more
-    members than a leaf holds), or with a blinded key k outside
-    1 < k < p - 1 (see ``AggServer.receive_advert``), aborts the round
-    blamed on the server before any share is built.
+    order is shared.  The rows of all messages are joined and read as one
+    ``peer_row_dtype`` array, whose keys are range-checked in one pass,
+    and each agent keeps its slice.  All agents must use one group.  A
+    message that arrives before the agent's TREE_COMMIT, whose own point
+    is outside 1 to its share-leaf size, whose share-leaf size is neither
+    floor(N/g) nor ceil(N/g) for the N of that TREE_COMMIT and the g
+    leaves of the agent's tree (so a server cannot make a user build
+    shares for more members than a leaf holds), or with a blinded key k
+    outside 1 < k < p - 1 (see ``AggServer.receive_advert``), aborts the
+    round blamed on the server before any share is built: the first
+    faulty agent in agent order, for its first fault in that order.
     """
     if not agents:
         return
     group = agents[0].group
     if any(agent.group != group for agent in agents):
         raise ValueError("agents of one batch must share a DH group")
-    pubs: list[int] = []
-    secrets: list[int] = []
-    top = group.p - 1
-    for agent, msg in zip(agents, msgs, strict=True):
-        keys = [int.from_bytes(handle.randomized_pub, "big") for handle in msg.peers]
+    table = np.frombuffer(b"".join([msg.rows for msg in msgs]), dtype=peer_row_dtype(group.element_bytes))
+    keys = table["key"].astype(np.uint64)
+    start = np.cumsum([0] + [len(msg.rows) // table.itemsize for msg in msgs]).tolist()
+    # the agent of the first key k outside 1 < k < p - 1, if any
+    bad = np.flatnonzero((keys <= 1) | (keys >= group.p - 1))
+    bad_agent = int(np.searchsorted(start, bad[0], side="right")) - 1 if len(bad) else -1
+    for i, (agent, msg) in enumerate(zip(agents, msgs, strict=True)):
         seen, tree = agent.seen_tree_commit, agent.tree
         fault = None
         if seen is None:
@@ -400,19 +412,18 @@ def receive_peer_lists(agents: list[UserAgent], msgs: list[PeerListMsg]) -> None
             fault = f"got own point {msg.own_point} outside a share leaf of {msg.leaf_size}"
         elif msg.leaf_size not in (seen.n_users // tree.leaf_count, tree.subgroup_size(seen.n_users)):
             fault = f"got a share leaf of {msg.leaf_size} for {seen.n_users} users in {tree.leaf_count} leaves"
-        elif not all(1 < k < top for k in keys):
+        elif i == bad_agent:
             fault = "got a blinded key outside 1 < k < p - 1"
         if fault is not None:
             raise ProtocolAbort(f"user {agent.index} {fault}", blamed="server")
+    secrets = np.repeat(np.array([agent.mask_keys.secret for agent in agents], dtype=np.uint64), np.diff(start))
+    seeds = derive_shared_seeds(group, keys, secrets)
+    for i, (agent, msg) in enumerate(zip(agents, msgs)):
         agent._own_pos = msg.own_point - 1
         agent._share_count = msg.leaf_size
-        agent._peer_handles = msg.peers
-        pubs += keys
-        secrets += [agent.mask_keys.secret] * len(keys)
-    seeds = iter(derive_shared_seeds(group, pubs, secrets))
-    for agent, msg in zip(agents, msgs):
-        agent._pair_seeds = [next(seeds) for _ in msg.peers]
-        agent.counters.key_agreements_by_user[agent.index] += len(msg.peers)
+        agent._peer_rows = table[start[i] : start[i + 1]]
+        agent._pair_seeds = seeds[start[i] : start[i + 1]]
+        agent.counters.key_agreements_by_user[agent.index] += len(agent._pair_seeds)
 
 
 def mask_inputs(agents: list[UserAgent], xs: list[ParamVector]) -> list[MaskedUploadMsg]:
@@ -454,11 +465,12 @@ def mask_inputs(agents: list[UserAgent], xs: list[ParamVector]) -> list[MaskedUp
         for i in batch:
             agent = agents[i]
             # kind -> (plus seeds, minus seeds); the self mask is added
-            seeds = {"intra": ([agent.self_seed], []), "inter": ([], [])}
-            for handle, seed in zip(agent._peer_handles, agent._pair_seeds):
-                seeds[handle.kind][handle.sign == -1].append(seed)
-            intra.append(seeds["intra"])
-            inter.append(seeds["inter"])
+            seeds = {KIND_INTRA: ([agent.self_seed], []), KIND_INTER: ([], [])}
+            rows = agent._peer_rows
+            for sign, kind, seed in zip(rows["sign"].tolist(), rows["kind"].tolist(), agent._pair_seeds):
+                seeds[kind][sign == -1].append(seed)
+            intra.append(seeds[KIND_INTRA])
+            inter.append(seeds[KIND_INTER])
             agent.counters.prg_by_user[agent.index] += 1 + len(agent._pair_seeds)
         add_masks(accs, intra, spec)
         add_masks(accs, inter, spec, inter_bits)

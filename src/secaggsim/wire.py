@@ -15,7 +15,7 @@ record has one fixed layout, which its receiver applies::
     ADVERT           share key (W) || mask key (W) || randomness commitment (32)
     TREE_COMMIT      N (4) || commitments digest (32)
     RAND_OPEN        randomness (32)
-    PEER_LIST        own point (4) || share-leaf size (4) || handle rows to the end, each:
+    PEER_LIST        own point (4) || share-leaf size (4) || peer rows to the end, each:
                      sign (1) || kind (1) || blinded key (W)
     SHARE_MSG        entry bodies to the end, each:
                      mask-key share (8) || self-seed share (17)
@@ -54,11 +54,15 @@ the released share.
 A user names a member of its share leaf by the member's 1-based place in
 the leaf order, which is also the member's Shamir evaluation point.  A
 peer list tells a user its own point and the leaf's size and nothing
-else about the leaf; its handle rows run to the end of the payload, so
-no count precedes them.  Its handles say only what masking needs: a sign
-of +1 or -1 and a kind code of 1 (intra) or 2 (inter).  No handle says
-where in the tree the peer sits, so a user cannot match its masking
-peers against its share leaf.
+else about the leaf; its peer rows run to the end of the payload, so no
+count precedes them.  A row says only what masking needs: a sign of +1
+or -1, a kind code of 1 (intra) or 2 (inter) and the peer's blinded key.
+No row says where in the tree the peer sits, so a user cannot match its
+masking peers against its share leaf.  The rows stay bytes after
+decoding, as a share bundle's entries do: the server encodes every
+user's rows in one pass and slices out each user's, and the users read
+the keys of all their rows at once through one structured numpy dtype
+(``peer_row_dtype``).
 
 Shamir shares travel in bundles, one per sender to the server and one
 per recipient from the server (the message layout of Bonawitz et al.,
@@ -272,36 +276,32 @@ class RandOpenMsg:
         return RandOpenMsg(payload)
 
 
-@dataclass
-class PeerHandle:
-    """Opaque view of one masking peer: no identity and no point, only what
-    masking needs; a user keeps its pair seeds in handle order.  Not frozen,
-    which makes the 24K handles of a 2000-user round about 4x faster to
-    build."""
-
-    randomized_pub: bytes
-    sign: int  # +1 add the pair mask, -1 subtract it
-    kind: str  # "intra" or "inter"
-
-
-_KIND_CODES = {"intra": 1, "inter": 2}
-_KINDS = (None, "intra", "inter")
+KIND_INTRA, KIND_INTER = 1, 2  # a peer row's kind code: an intra-group or an inter-group mask
 _PEER_HEAD = struct.Struct(">II")  # own point, share-leaf size
-_HANDLE_HEAD = struct.Struct(">bB")  # sign, kind code
-_SIGN, _KIND = 0, 1  # offsets of the sign and the kind code in a handle row
 
 
 @functools.cache  # one per group in use
-def _handle_row(width: int) -> struct.Struct:
-    """Sign, kind code, blinded key of ``width`` bytes."""
-    return struct.Struct(f">bB{width}s")
+def peer_row_dtype(width: int) -> np.dtype:
+    """A PEER_LIST row: sign (1), kind code (1), blinded key of ``width``
+    bytes, read as one big endian word (1, 2, 4 or 8 bytes)."""
+    return np.dtype([("sign", "i1"), ("kind", "u1"), ("key", f">u{width}")])
+
+
+def peer_rows(group: DhGroup, signs, kinds, keys) -> bytes:
+    """The PEER_LIST rows of one sign, kind code and blinded key each, at
+    the group's W."""
+    rows = np.empty(len(keys), dtype=peer_row_dtype(group.element_bytes))
+    rows["sign"], rows["kind"], rows["key"] = signs, kinds, keys
+    return rows.tobytes()
 
 
 @dataclass(frozen=True)
 class PeerListMsg:
-    """The user's own evaluation point, the size of its share leaf, and its
-    masking peer handles to the end of the payload, each row sign (1) ||
-    kind (1) || blinded key (W) at the receiver's W.
+    """The user's own evaluation point, the size of its share leaf, and one
+    row per masking peer to the end of the payload, each sign (1) || kind
+    (1) || blinded key (W) at the receiver's W.  The rows stay bytes, as
+    a share bundle's entries do; ``table`` reads them as a structured
+    array.
 
     ``own_point`` is the user's 1-based place in its share leaf's order, and
     a mate's place there is the only name the user has for it.
@@ -309,27 +309,26 @@ class PeerListMsg:
 
     own_point: int
     leaf_size: int
-    peers: tuple[PeerHandle, ...]
+    rows: bytes
+
+    def table(self, group: DhGroup) -> np.ndarray:
+        """The rows, a read-only ``peer_row_dtype`` array at the group's W."""
+        return np.frombuffer(self.rows, dtype=peer_row_dtype(group.element_bytes))
 
     def to_bytes(self) -> bytes:
-        peers, pack = self.peers, _HANDLE_HEAD.pack
-        table = b"".join([pack(p.sign, _KIND_CODES[p.kind]) + p.randomized_pub for p in peers])
-        head = _PEER_HEAD.pack(self.own_point, self.leaf_size)
-        return encode_record(TAG_PEER_LIST, head + table)
+        return encode_record(TAG_PEER_LIST, _PEER_HEAD.pack(self.own_point, self.leaf_size) + self.rows)
 
     @staticmethod
     def from_bytes(data: bytes, group: DhGroup) -> "PeerListMsg":
         payload = _payload_of(data, TAG_PEER_LIST)
-        row = _handle_row(group.element_bytes)
-        if len(payload) < _PEER_HEAD.size or (len(payload) - _PEER_HEAD.size) % row.size:
-            raise WireError(f"peer list payload of {len(payload)} bytes is not 8 plus whole {row.size}-byte rows")
+        row = peer_row_dtype(group.element_bytes).itemsize
+        if len(payload) < _PEER_HEAD.size or (len(payload) - _PEER_HEAD.size) % row:
+            raise WireError(f"peer list payload of {len(payload)} bytes is not 8 plus whole {row}-byte rows")
         own, size = _PEER_HEAD.unpack_from(payload)
-        table = payload[_PEER_HEAD.size :]
-        signs, kinds = table[_SIGN :: row.size], table[_KIND :: row.size]
-        if signs.translate(None, b"\x01\xff") or kinds.translate(None, b"\x01\x02"):
-            raise WireError("a peer handle with a sign other than +-1 or a kind code other than 1 or 2")
-        rows = row.iter_unpack(table)
-        return PeerListMsg(own, size, tuple([PeerHandle(pub, sign, _KINDS[kind]) for sign, kind, pub in rows]))
+        rows = payload[_PEER_HEAD.size :]
+        if rows[::row].translate(None, b"\x01\xff") or rows[1::row].translate(None, bytes((KIND_INTRA, KIND_INTER))):
+            raise WireError("a peer row with a sign other than +-1 or a kind code other than 1 or 2")
+        return PeerListMsg(own, size, rows)
 
 
 _KEY_BYTES, _SEED_BYTES = SHARE_FIELDS[SECRET_MASK_KEY][1], SHARE_FIELDS[SECRET_SELF_SEED][1]

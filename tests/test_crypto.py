@@ -14,14 +14,15 @@ from secaggsim.crypto import (
     FAST_GROUP,
     KEY_SHARE_PRIME,
     POW_BATCH_MIN,
+    POW_G_BATCH_MIN,
     SEED_SHARE_PRIME,
     SELF_SEED_BYTES,
     TOY_GROUP,
-    KeyPair,
     add_masks,
     commit_random,
     derive_shared_seed,
     derive_shared_seeds,
+    pow_g_many,
     pow_many,
     prg_expand,
     randomize_pub,
@@ -119,11 +120,11 @@ def test_random_exponent_draws_below_order_and_2_256(group):
 def test_shared_seed_agreement_random(group):
     rng = Random(1)
     for _ in range(3):
-        kp_a = KeyPair.generate(group, rng)
-        kp_b = KeyPair.generate(group, rng)
+        a, b = group.random_exponent(rng), group.random_exponent(rng)
+        pub_a, pub_b = pow_g_many(group, [a, b]).tolist()
         r = group.random_exponent(rng)
-        seed_a = derive_shared_seed(group, randomize_pub(group, kp_b.public, r), kp_a.secret)
-        seed_b = derive_shared_seed(group, randomize_pub(group, kp_a.public, r), kp_b.secret)
+        seed_a = derive_shared_seed(group, randomize_pub(group, pub_b, r), a)
+        seed_b = derive_shared_seed(group, randomize_pub(group, pub_a, r), b)
         assert seed_a == seed_b
 
 
@@ -153,7 +154,7 @@ def _pow_batches(draw):
 @given(_pow_batches())
 def test_pow_many_matches_builtin_pow(batch):
     p, bases, exps = batch
-    assert pow_many(p, bases, exps) == [pow(b, e, p) for b, e in zip(bases, exps)]
+    assert pow_many(p, bases, exps).tolist() == [pow(b, e, p) for b, e in zip(bases, exps)]
 
 
 @pytest.mark.parametrize("bad", [-1, -(2**70), 2**64, 2**200])
@@ -170,7 +171,7 @@ def test_pow_many_out_of_range_exponent_falls_back(bad, monkeypatch):
     bases = [rng.randrange(2, p) for _ in range(POW_BATCH_MIN + 3)]
     exps = [rng.getrandbits(64) for _ in bases]
     exps[POW_BATCH_MIN // 2] = bad
-    assert pow_many(p, bases, exps) == [pow(b, e, p) for b, e in zip(bases, exps)]
+    assert pow_many(p, bases, exps).tolist() == [pow(b, e, p) for b, e in zip(bases, exps)]
 
 
 def test_pow_many_rejects_unpaired_lists():
@@ -182,9 +183,9 @@ def test_pow_many_rejects_unpaired_lists():
 @pytest.mark.parametrize("bad_r", [0, FAST_GROUP.order, FAST_GROUP.order + 1])
 def test_randomize_pubs_rejects_bad_r_at_any_position(where, bad_r):
     rng = Random(6)
-    pubs = [KeyPair.generate(FAST_GROUP, rng).public for _ in range(POW_BATCH_MIN + 1)]
+    pubs = pow_g_many(FAST_GROUP, [FAST_GROUP.random_exponent(rng) for _ in range(POW_BATCH_MIN + 1)]).tolist()
     rs = [FAST_GROUP.random_exponent(rng) for _ in pubs]
-    assert randomize_pubs(FAST_GROUP, pubs, rs) == [randomize_pub(FAST_GROUP, x, r) for x, r in zip(pubs, rs)]
+    assert randomize_pubs(FAST_GROUP, pubs, rs).tolist() == [randomize_pub(FAST_GROUP, x, r) for x, r in zip(pubs, rs)]
     rs[where] = bad_r
     with pytest.raises(ValueError):
         randomize_pubs(FAST_GROUP, pubs, rs)
@@ -192,10 +193,63 @@ def test_randomize_pubs_rejects_bad_r_at_any_position(where, bad_r):
 
 def test_derive_shared_seeds_match_one_at_a_time():
     rng = Random(8)
-    pubs = [KeyPair.generate(FAST_GROUP, rng).public for _ in range(POW_BATCH_MIN)]
+    pubs = pow_g_many(FAST_GROUP, [FAST_GROUP.random_exponent(rng) for _ in range(POW_BATCH_MIN)]).tolist()
     secrets = [FAST_GROUP.random_exponent(rng) for _ in pubs]
     one_by_one = [derive_shared_seed(FAST_GROUP, x, s) for x, s in zip(pubs, secrets)]
     assert derive_shared_seeds(FAST_GROUP, pubs, secrets) == one_by_one
+    as_words = [np.array(values, dtype=np.uint64) for values in (pubs, secrets)]
+    assert derive_shared_seeds(FAST_GROUP, *as_words) == one_by_one
+
+
+@pytest.mark.parametrize("group", [TOY_GROUP, FAST_GROUP], ids=lambda g: g.name)
+def test_derive_shared_seeds_hash_the_encoded_shared_value(group):
+    """Each seed is SHA-256 over its tag and the shared value's W-byte
+    big endian encoding, at W = 1 and 8, on the batch path and off it."""
+    rng = Random(9)
+    for n in (3, POW_BATCH_MIN):
+        pubs = [rng.randrange(2, group.p - 1) for _ in range(n)]
+        secrets = [group.random_exponent(rng) for _ in pubs]
+        expect = [
+            hashlib.sha256(b"shared-seed-v1" + group.encode(pow(x, s, group.p))).digest() for x, s in zip(pubs, secrets)
+        ]
+        assert derive_shared_seeds(group, pubs, secrets) == expect
+
+
+_G_EDGES = [0, 1, 2, 2**63 - 1]  # with q - 1 of each group
+
+
+@pytest.mark.parametrize("group", [TOY_GROUP, FAST_GROUP], ids=lambda g: g.name)
+def test_pow_g_many_matches_builtin_pow(group, monkeypatch):
+    """The fixed-base path equals builtin ``pow(g, e, p)`` at exponents 0, 1,
+    2, q - 1, 2^63 - 1 and random ones below 2^64, each edge in batches on
+    both sides of ``POW_G_BATCH_MIN``; exactly the batches of at least that
+    size take the table, which is built once per group.  An exponent
+    outside [0, 2^64) sends its batch to builtin ``pow``."""
+    crypto._fixed_base_table.cache_clear()
+    took = []
+    fixed_base = crypto._pow_fixed_base
+
+    def counted(p, table, exps):
+        took.append(len(exps))
+        return fixed_base(p, table, exps)
+
+    monkeypatch.setattr(crypto, "_pow_fixed_base", counted)
+    rng = Random(group.p)
+    g, p = group.g, group.p
+    sizes = [1, 5, POW_G_BATCH_MIN - 1, POW_G_BATCH_MIN, 486]
+    for n in sizes:
+        for edge in [*_G_EDGES, group.order - 1]:
+            exps = [rng.getrandbits(64) for _ in range(n - 1)]
+            exps.insert(rng.randrange(n), edge)
+            assert pow_g_many(group, exps).tolist() == [pow(g, e, p) for e in exps]
+            assert pow_g_many(group, np.array(exps, dtype=np.uint64)).tolist() == [pow(g, e, p) for e in exps]
+    assert took == [n for n in sizes if n >= POW_G_BATCH_MIN for _ in range(2 * (len(_G_EDGES) + 1))]
+    assert crypto._fixed_base_table.cache_info().misses == 1
+    took.clear()
+    exps = [rng.getrandbits(64) for _ in range(POW_G_BATCH_MIN)]
+    exps[3] = -1
+    assert pow_g_many(group, exps).tolist() == [pow(g, e, p) for e in exps]
+    assert not took
 
 
 # -- PRG expansion ----------------------------------------------------------------

@@ -12,8 +12,16 @@ from conftest import build_round, plaintext_sum, random_inputs, run_plain_round
 
 from secaggsim.aggserver import fedsgd_update
 from secaggsim.counters import OpCounters
-from secaggsim import simulation, useragent
-from secaggsim.crypto import FAST_GROUP, KEY_SHARE_PRIME, POW_BATCH_MIN, TOY_GROUP, reconstruct_secret, share_secret
+from secaggsim import aggserver, simulation, useragent
+from secaggsim.crypto import (
+    FAST_GROUP,
+    KEY_SHARE_PRIME,
+    POW_BATCH_MIN,
+    TOY_GROUP,
+    randomize_pub,
+    reconstruct_secret,
+    share_secret,
+)
 from secaggsim.errors import ProtocolAbort, UnrecoverableRoundError
 from secaggsim.fixedpoint import (
     ParamVector,
@@ -29,6 +37,8 @@ from secaggsim.simulation import execute_round
 from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
     ENTRY_BYTES,
+    KIND_INTER,
+    KIND_INTRA,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SERVER,
@@ -45,7 +55,6 @@ from secaggsim.wire import (
     TAG_UNMASK_REQUEST,
     TAG_UNMASK_RESPONSE,
     MaskedUploadMsg,
-    PeerHandle,
     PeerListMsg,
     RandOpenMsg,
     ShareMsg,
@@ -55,6 +64,7 @@ from secaggsim.wire import (
     decode_from,
     decode_record,
     encode_record,
+    peer_rows,
     share_bodies,
     share_part,
 )
@@ -83,7 +93,7 @@ def _no_tree(tree: TreeConfig, leaf_size: int) -> TreeCommitMsg:
 def test_two_user_masks_cancel():
     """With two users sharing one pair mask, the masked sum minus the self
     masks equals the plaintext sum."""
-    from secaggsim.crypto import KeyPair, derive_shared_seed, prg_expand, randomize_pub
+    from secaggsim.crypto import prg_expand
 
     rng = Random(1)
     counters = OpCounters()
@@ -95,12 +105,9 @@ def test_two_user_masks_cancel():
         agent.begin_round(Random(rng.getrandbits(64)), bytes(32))
         agent.open_rand(_no_tree(TREE22, 2))
     r = FAST_GROUP.random_exponent(rng)
-    handles = [
-        PeerHandle(FAST_GROUP.encode(randomize_pub(FAST_GROUP, agents[1].mask_keys.public, r)), 1, "intra"),
-        PeerHandle(FAST_GROUP.encode(randomize_pub(FAST_GROUP, agents[0].mask_keys.public, r)), -1, "intra"),
-    ]
+    keys = [randomize_pub(FAST_GROUP, agents[1 - u].mask_keys.public, r) for u in range(2)]
     for u, agent in enumerate(agents):
-        agent.receive_peer_list(PeerListMsg(u + 1, 2, (handles[u],)))
+        agent.receive_peer_list(PeerListMsg(u + 1, 2, peer_rows(FAST_GROUP, [(1, -1)[u]], [KIND_INTRA], [keys[u]])))
         agent.distribute_shares()
     xs = random_inputs(2, 16, SPEC, seed=5)
     ys = [agents[u].mask_input(xs[u]).vector(SPEC) for u in range(2)]
@@ -114,31 +121,30 @@ def test_two_user_masks_cancel():
 def test_mask_input_matches_rebinding_reference(spec):
     """The native-word accumulation equals the vec_add_mod / vec_sub_mod
     chain over the self mask and every pair mask, intra and inter, both
-    signs, in a shuffled handle order.  The self mask and five plus intra
+    signs, in a shuffled peer row order.  The self mask and five plus intra
     masks overflow a 1- or 2-byte word, so the accumulator wraps."""
-    from secaggsim.crypto import KeyPair, derive_shared_seed, prg_expand
+    from secaggsim.crypto import derive_shared_seed, pow_g_many, prg_expand
     from secaggsim.fixedpoint import vec_add_mod, vec_sub_mod
 
     agent = UserAgent(0, group=FAST_GROUP, spec=spec, inter_mask_bits=6, tree=TREE22, counters=OpCounters())
     agent.begin_round(Random(3), bytes(32))
     agent.open_rand(_no_tree(TREE22, 2))
     rng = Random(4)
-    plan = [(1, "intra")] * 5 + [(-1, "intra")] * 2 + [(1, "inter")] * 5 + [(-1, "inter")] * 2
+    plan = [(1, KIND_INTRA)] * 5 + [(-1, KIND_INTRA)] * 2 + [(1, KIND_INTER)] * 5 + [(-1, KIND_INTER)] * 2
     rng.shuffle(plan)
-    handles = tuple(
-        PeerHandle(FAST_GROUP.encode(KeyPair.generate(FAST_GROUP, rng).public), sign, kind) for sign, kind in plan
-    )
-    agent.receive_peer_list(PeerListMsg(1, 2, handles))
+    keys = pow_g_many(FAST_GROUP, [FAST_GROUP.random_exponent(rng) for _ in plan]).tolist()
+    signs, kinds = zip(*plan)
+    agent.receive_peer_list(PeerListMsg(1, 2, peer_rows(FAST_GROUP, signs, kinds, keys)))
     agent.distribute_shares()
     x = random_inputs(1, 50, spec, seed=8)[0]
     self_mask = prg_expand([agent.self_seed], 50, spec)[0].astype(np.uint64)
     expect = vec_add_mod(x, ParamVector(self_mask, spec))
     plus_intra = self_mask.astype(object)  # exact integers: the sum a native word must wrap
-    for h in handles:
-        seed = derive_shared_seed(FAST_GROUP, int.from_bytes(h.randomized_pub, "big"), agent.mask_keys.secret)
-        mask = ParamVector(prg_expand([seed], 50, spec, mask_bits=None if h.kind == "intra" else 6)[0], spec)
-        expect = vec_add_mod(expect, mask) if h.sign == 1 else vec_sub_mod(expect, mask)
-        if (h.sign, h.kind) == (1, "intra"):
+    for (sign, kind), key in zip(plan, keys):
+        seed = derive_shared_seed(FAST_GROUP, key, agent.mask_keys.secret)
+        mask = ParamVector(prg_expand([seed], 50, spec, mask_bits=None if kind == KIND_INTRA else 6)[0], spec)
+        expect = vec_add_mod(expect, mask) if sign == 1 else vec_sub_mod(expect, mask)
+        if (sign, kind) == (1, KIND_INTRA):
             plus_intra = plus_intra + mask.values.astype(object)
     assert np.array_equal(agent.mask_input(x).vector(spec), expect.values)
     if spec.word_bits <= 16:
@@ -201,7 +207,7 @@ def _lone_agent(n_recipients=3, threshold=2):
     agent = UserAgent(0, group=FAST_GROUP, spec=SPEC, inter_mask_bits=10, tree=tree, counters=counters)
     agent.begin_round(Random(0), bytes(32))
     agent.open_rand(_no_tree(tree, n_recipients))
-    agent.receive_peer_list(PeerListMsg(1, n_recipients, ()))
+    agent.receive_peer_list(PeerListMsg(1, n_recipients, b""))
     return agent, counters
 
 
@@ -472,12 +478,12 @@ def test_leaf_sums_match_per_end_reference_with_one_row_budget(monkeypatch, spec
 
     def cancel(ref, dropped, online):
         for d in sorted(dropped):
-            for end in server._ends[d]:
-                if end.peer in online:
-                    seed = derive_shared_seed(server.group, end.rand_pub, users[d].mask_keys.secret)
-                    pair_mask = mask(seed, None if end.kind == "intra" else server.inter_mask_bits)
-                    leaf = leaf_of[end.peer]
-                    ref[leaf] = (ref[leaf] + pair_mask if end.sign == 1 else ref[leaf] - pair_mask) & wordmask
+            for _, peer, sign, kind, key in server._ends[server._ends["owner"] == d].tolist():
+                if peer in online:
+                    seed = derive_shared_seed(server.group, key, users[d].mask_keys.secret)
+                    pair_mask = mask(seed, None if kind == KIND_INTRA else server.inter_mask_bits)
+                    leaf = leaf_of[peer]
+                    ref[leaf] = (ref[leaf] + pair_mask if sign == 1 else ref[leaf] - pair_mask) & wordmask
 
     ref = [np.zeros(m, dtype=np.uint64) for _ in before]
     for u, y in uploads.items():
@@ -687,7 +693,7 @@ def test_malformed_upload_is_blamed_on_its_sender(monkeypatch, spec, tamper):
 def test_receive_peer_lists_matches_per_agent(monkeypatch):
     """Over a 300-user round, the one-batch peer-list step gives every agent
     the seeds and key-agreement counts it derives alone: the batch takes the
-    numpy path, each lone agent's few handles take builtin pow."""
+    numpy path, each lone agent's few rows take builtin pow."""
     tree = TreeConfig(height=2, degree=3, neighbor_radius=2, share_threshold=2)
     server, users, transport, counters = build_round(300, tree, SPEC)
     checked = []
@@ -695,9 +701,9 @@ def test_receive_peer_lists_matches_per_agent(monkeypatch):
     def compare(agents, msgs):
         alone = copy.deepcopy(agents)
         for agent, msg in zip(alone, msgs):
-            assert len(msg.peers) < POW_BATCH_MIN
+            assert len(msg.table(FAST_GROUP)) < POW_BATCH_MIN
             agent.receive_peer_list(msg)
-        assert sum(len(msg.peers) for msg in msgs) >= POW_BATCH_MIN
+        assert sum(len(msg.table(FAST_GROUP)) for msg in msgs) >= POW_BATCH_MIN
         useragent.receive_peer_lists(agents, msgs)
         assert [a._pair_seeds for a in agents] == [a._pair_seeds for a in alone]
         assert counters.key_agreements_by_user == alone[0].counters.key_agreements_by_user
@@ -1000,7 +1006,7 @@ def test_server_never_stores_plaintext_vector():
 def test_users_never_learn_grouping():
     """User-side state carries no subgroup indices or identities: only its
     own evaluation point and share-leaf size, randomized keys, and signs.  A
-    peer handle carries no point, so a user cannot tell which masking peers
+    peer row carries no point, so a user cannot tell which masking peers
     share its share leaf."""
     inputs = random_inputs(16, 4, SPEC, seed=61)
     _, server, users, _ = run_plain_round(16, TREE22, SPEC, inputs, seed=61)
@@ -1008,8 +1014,7 @@ def test_users_never_learn_grouping():
     for agent in users:
         for attr in vars(agent):
             assert not any(word in attr.lower() for word in banned), attr
-        for handle in agent._peer_handles:
-            assert set(vars(handle)) == {"randomized_pub", "sign", "kind"}
+        assert len(agent._peer_rows) and agent._peer_rows.dtype.names == ("sign", "kind", "key")
 
 
 # -- setup verification against a cheating server -------------------------------------
@@ -1646,6 +1651,55 @@ def test_byte_after_a_record_blamed_on_its_sender(sender, tag):
 # -- peer lists and evaluation points -----------------------------------------------------
 
 
+def test_peer_list_rows_are_each_users_ends_of_the_pair_plan(monkeypatch):
+    """Each user's PEER_LIST rows, as delivered, are exactly its ends of the
+    server's pair plan, in pair order.  Pair i of ``build_peer_sets``,
+    (u, v, kind), blinds v's then u's mask key with one r; u's row carries
+    +1 if u ranks before v in the mask order and -1 otherwise, the kind
+    code and v's blinded key, and v's row the negated sign, the same kind
+    code and u's blinded key.  72 users in 9 leaves give each user about a
+    dozen rows of both kinds, so an owner sort that is not stable reorders
+    them."""
+    tree = TreeConfig(height=2, degree=3, neighbor_radius=2, share_threshold=2)
+    server, users, transport, _ = build_round(72, tree, SPEC)
+    blinding = []
+    randomize_pubs = aggserver.randomize_pubs
+
+    def record(group, pubs, rs):
+        keys = randomize_pubs(group, pubs, rs)
+        blinding.append((pubs.tolist(), rs.tolist(), keys.tolist()))
+        return keys
+
+    monkeypatch.setattr(aggserver, "randomize_pubs", record)
+    rows = {}
+    deliver = transport.deliver
+
+    def recording(sender, receiver, encoded):
+        if encoded[0] == TAG_PEER_LIST:
+            rows[int(receiver.removeprefix("user:"))] = PeerListMsg.from_bytes(encoded, FAST_GROUP).table(FAST_GROUP)
+        return deliver(sender, receiver, encoded)
+
+    transport.deliver = recording
+    execute_round(
+        server=server, users=users, transport=transport, model=zeros(4, SPEC),
+        inputs=random_inputs(72, 4, SPEC, seed=81), round_seed=(81, 0),
+    )
+    ((pubs, rs, keys),) = blinding
+    mask_asn = server.setup.mask_assignment
+    rank = {u: i for i, u in enumerate(u for leaf in mask_asn.members for u in leaf)}
+    expect = {u: [] for u in range(72)}
+    for i, (u, v, kind) in enumerate(build_peer_sets(mask_asn)):
+        r = rs[2 * i]
+        assert pubs[2 * i : 2 * i + 2] == [users[v].mask_keys.public, users[u].mask_keys.public]
+        assert rs[2 * i + 1] == r
+        assert keys[2 * i : 2 * i + 2] == [randomize_pub(FAST_GROUP, pubs[2 * i + j], r) for j in range(2)]
+        sign, code = 1 if rank[u] < rank[v] else -1, KIND_INTRA if kind == "intra" else KIND_INTER
+        expect[u].append((sign, code, keys[2 * i]))
+        expect[v].append((-sign, code, keys[2 * i + 1]))
+    assert {u: table.tolist() for u, table in rows.items()} == expect
+    assert {kind for table in rows.values() for kind in table["kind"].tolist()} == {KIND_INTRA, KIND_INTER}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -1695,14 +1749,14 @@ def test_peer_list_outside_a_committed_tree_blamed_on_the_server():
     agent = UserAgent(0, group=FAST_GROUP, spec=SPEC, inter_mask_bits=10, tree=TREE22, counters=OpCounters())
     agent.begin_round(Random(0), bytes(32))
     with pytest.raises(ProtocolAbort, match="user 0 got a peer list before the tree commitment") as exc:
-        agent.receive_peer_list(PeerListMsg(1, 2, ()))
+        agent.receive_peer_list(PeerListMsg(1, 2, b""))
     assert exc.value.blamed == "server"
     assert agent.counters.shares_created == 0
 
 
 @pytest.mark.parametrize("key", [0, 1, FAST_GROUP.p - 1], ids=["zero", "one", "p_minus_1"])
 def test_blinded_key_outside_the_group_blamed_on_the_server(key):
-    """A PEER_LIST handle whose blinded key k is not 1 < k < p - 1 aborts the
+    """A PEER_LIST row whose blinded key k is not 1 < k < p - 1 aborts the
     round blamed on the server before any seed is derived; honest blinding
     never yields one, and the pair's masks would not cancel."""
     server, users, transport, counters = build_round(16, TREE22, SPEC)
@@ -1712,8 +1766,9 @@ def test_blinded_key_outside_the_group_blamed_on_the_server(key):
         msg = peer_list_for(user)
         if user != 3:
             return msg
-        first = dataclasses.replace(msg.peers[0], randomized_pub=FAST_GROUP.encode(key))
-        return dataclasses.replace(msg, peers=(first, *msg.peers[1:]))
+        table = msg.table(FAST_GROUP).copy()
+        table["key"][0] = key
+        return dataclasses.replace(msg, rows=table.tobytes())
 
     server.peer_list_for = cheat
     with pytest.raises(ProtocolAbort, match="user 3 got a blinded key outside") as exc:

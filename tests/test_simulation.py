@@ -318,8 +318,8 @@ def test_bench_rows():
 def test_complexity_bench_script(tmp_path: Path):
     """The script runs from a plain checkout, with no PYTHONPATH and from
     another directory, writes tree and baseline rows whose up and down
-    traffic add up to the total, and prints the DH and Shamir primitive
-    rates."""
+    traffic add up to the total, and prints the DH, fixed-base g^x and
+    Shamir primitive rates."""
     out = tmp_path / "bench.csv"
     proc = _run_script(tmp_path, "run_complexity_bench.py", "--sizes", "16", "--big", "128", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
@@ -333,6 +333,9 @@ def test_complexity_bench_script(tmp_path: Path):
         assert up + down == pytest.approx(float(r["per_user_bytes"]))
     assert all(" up=" in line and " down=" in line for line in proc.stdout.splitlines() if " prg/user=" in line)
     assert proc.stdout.count("dh fast64 batch=") == 2
+    keygen = [line for line in proc.stdout.splitlines() if line.startswith("dh fast64 g^x batch=")]
+    assert [int(line.split("batch=")[1].split()[0]) for line in keygen] == [486, 4000]
+    assert all(" pow_g_many=" in line and " exp/s (" in line for line in keygen)
     shamir = [line for line in proc.stdout.splitlines() if line.startswith("shamir t=")]
     assert len(shamir) == 4 and all(" shares/s reconstruct=" in line and line.endswith(" secrets/s") for line in shamir)
     assert [line.split("field=")[1].split()[0] for line in shamir] == ["2^63+29", "2^128+51"] * 2

@@ -20,6 +20,8 @@ from secaggsim.simulation import execute_round
 from secaggsim.useragent import UserAgent
 from secaggsim.wire import (
     ENTRY_BYTES,
+    KIND_INTER,
+    KIND_INTRA,
     SECRET_MASK_KEY,
     SECRET_SELF_SEED,
     SERVER,
@@ -36,7 +38,6 @@ from secaggsim.wire import (
     AdvertMsg,
     GlobalModelMsg,
     MaskedUploadMsg,
-    PeerHandle,
     PeerListMsg,
     RandOpenMsg,
     RevealMsg,
@@ -48,6 +49,7 @@ from secaggsim.wire import (
     decode_from,
     decode_record,
     encode_record,
+    peer_rows,
     share_bodies,
     share_part,
 )
@@ -91,7 +93,7 @@ MESSAGES = [
     AdvertMsg(_key(5), _key(7), b"\x22" * 32),
     TreeCommitMsg(2, b"\x44" * 32),
     RandOpenMsg(b"\x66" * 32),
-    PeerListMsg(1, 3, (PeerHandle(_key(11), 1, "intra"), PeerHandle(_key(13), -1, "inter"))),
+    PeerListMsg(1, 3, peer_rows(FAST_GROUP, [1, -1], [KIND_INTRA, KIND_INTER], [11, 13])),
     SHARE,
     MaskedUploadMsg.from_vector(np.array([0, 1, 2**32 - 5], dtype=np.uint64), SPEC32),
     UnmaskRequestMsg(((2, SECRET_SELF_SEED), (3, SECRET_MASK_KEY)), forced=True),
@@ -162,7 +164,7 @@ def test_unmask_encodings_unchanged(name):
     assert msg.to_bytes().hex() == UNMASK_HEX[name]
 
 
-# entries and handle rows run to the end of the payload, after no count
+# entries and peer rows run to the end of the payload, after no count
 # and with no evaluation point
 POSITIONAL_HEX = {
     "PeerListMsg": "050000001c" "00000001" "00000003" "0101" "000000000000000b" "ff02" "000000000000000d",
@@ -255,14 +257,15 @@ def test_advert_length_is_fixed_layout(group):
 @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
 def test_peer_list_length_is_fixed_layout(group):
     """PEER_LIST is own point (4) || share-leaf size (4) and one sign (1)
-    || kind (1) || blinded key (W) row per handle to the end, at the
+    || kind (1) || blinded key (W) row per peer to the end, at the
     group's W, with no count and no key width; bytes past whole rows are
     malformed."""
     w = group.element_bytes
     for data in _round_records(group)[TAG_PEER_LIST]:
         msg = PeerListMsg.from_bytes(data, group)
-        assert msg.peers and {len(p.randomized_pub) for p in msg.peers} == {w}
-        assert len(data) == 5 + 8 + len(msg.peers) * (2 + w)
+        table = msg.table(group)
+        assert len(table) and table.dtype["key"].itemsize == w
+        assert len(data) == 5 + 8 + len(table) * (2 + w)
         assert msg.to_bytes() == data
         _, payload = decode_record(data)
         for bad in (payload[:7], payload[:-1], payload + b"\x01"):
@@ -446,7 +449,7 @@ def test_share_record_without_secret_rejected():
     )
     agent.begin_round(Random(0), bytes(32))
     agent.open_rand(TreeCommitMsg(2, bytes(32)))  # the one leaf holds both users
-    agent.receive_peer_list(PeerListMsg(1, 2, ()))
+    agent.receive_peer_list(PeerListMsg(1, 2, b""))
     agent.distribute_shares()
     for size in (8, 17, 24, 26, 33, 34, 35, 42):
         with pytest.raises(ProtocolAbort, match=f"malformed ShareMsg: {size} share bytes are not whole 25") as exc:
@@ -512,9 +515,9 @@ def test_release_table_roundtrip(slots):
 # every type but the two vector messages and the share bundle, which are
 # words and entries to the end, checked under the receiver's spec or group
 STRICT_FORMATS = [m for m in MESSAGES if not isinstance(m, (MaskedUploadMsg, GlobalModelMsg, ShareMsg))]
-# the first peer handle's sign and kind code: (offset in the payload, invalid values)
-_HANDLE_FIELDS = ((4 + 4, (0, 2, 0x80)), (4 + 4 + 1, (0, 3, 7)))
-_HANDLE_ROW = 2 + FAST_GROUP.element_bytes
+# the first peer row's sign and kind code: (offset in the payload, invalid values)
+_PEER_ROW_FIELDS = ((4 + 4, (0, 2, 0x80)), (4 + 4 + 1, (0, 3, 7)))
+_PEER_ROW = 2 + FAST_GROUP.element_bytes
 _REVEAL_ROW = 2 * FAST_GROUP.element_bytes + RAND_BYTES
 
 
@@ -522,7 +525,7 @@ _REVEAL_ROW = 2 * FAST_GROUP.element_bytes + RAND_BYTES
 def test_new_formats_reject_trailing_and_overrun(msg):
     """A trailing byte or any cut is rejected, which also holds digests to
     32 bytes, except that a reveal cut after a whole record, a peer list
-    cut after a whole handle row, or a request cut after a whole target,
+    cut after a whole peer row, or a request cut after a whole target,
     is one of fewer; a peer list rejects a sign other than +-1 and a kind
     code other than 1 or 2."""
     tag, payload = decode_record(msg.to_bytes())
@@ -532,15 +535,16 @@ def test_new_formats_reject_trailing_and_overrun(msg):
         if isinstance(msg, RevealMsg) and cut >= RAND_BYTES and not (cut - RAND_BYTES) % _REVEAL_ROW:
             assert len(_decode(RevealMsg, encode_record(tag, payload[:cut])).user_records) == cut // _REVEAL_ROW
             continue
-        if isinstance(msg, PeerListMsg) and cut >= 8 and not (cut - 8) % _HANDLE_ROW:
-            assert len(_decode(PeerListMsg, encode_record(tag, payload[:cut])).peers) == (cut - 8) // _HANDLE_ROW
+        if isinstance(msg, PeerListMsg) and cut >= 8 and not (cut - 8) % _PEER_ROW:
+            table = _decode(PeerListMsg, encode_record(tag, payload[:cut])).table(FAST_GROUP)
+            assert len(table) == (cut - 8) // _PEER_ROW
             continue
         if isinstance(msg, UnmaskRequestMsg) and cut and not (cut - 1) % 5:
             assert len(_decode(UnmaskRequestMsg, encode_record(tag, payload[:cut])).targets) == cut // 5
             continue
         with pytest.raises(WireError):
             _decode(type(msg), encode_record(tag, payload[:cut]))
-    for off, values in _HANDLE_FIELDS if isinstance(msg, PeerListMsg) else ():
+    for off, values in _PEER_ROW_FIELDS if isinstance(msg, PeerListMsg) else ():
         for value in values:
             with pytest.raises(WireError):
                 _decode(PeerListMsg, encode_record(tag, payload[:off] + bytes([value]) + payload[off + 1 :]))
